@@ -4,7 +4,8 @@
 # stationary populations are geometric with ratio exp(-E/T) regardless of how
 # the coupling strength depends on the rung: harmonic (i+1)*gamma, constant,
 # or anything else non-negative.  The fixed point is extracted from the null
-# space of the superoperator and cross-checked against long-time propagation.
+# space of the generator (for a ladder, of its N x N population rate matrix)
+# and cross-checked against long-time propagation.
 
 import numpy as np
 

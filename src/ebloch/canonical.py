@@ -113,7 +113,10 @@ def thermalization_ode_rhs(a: float, bath: BathModel, E: float, gamma0: float) -
         raise ValueError(f"a must be positive, got {a}")
     if not (gamma0 > 0.0):
         raise ValueError(f"gamma0 must be positive, got {gamma0}")
-    f = fermi(E, bath.T)
+    return _lna_rate(a, fermi(E, bath.T), gamma0)
+
+
+def _lna_rate(a: float, f: float, gamma0: float) -> float:
     return float(gamma0 * (a * (1.0 - f) + f / a - 1.0))
 
 
@@ -163,12 +166,17 @@ def canonical_experiment(
 ) -> CanonicalDiagnostics:
     """Quench a ladder from Gibbs(T0) and track the canonical form.
 
-    The state is propagated with fixed-step RK4: the entrywise-local update
-    keeps exponentially small tail populations accurate in relative terms,
-    which log-ratio profiles need (a dense exponential carries absolute
-    round-off at the matrix norm scale and would pollute them).  Alongside,
+    The state is propagated with fixed-step RK4 through
+    ``propagate(..., "rk4")``.  The ladder's spec has a population/coherence
+    split, so each step applies the precomputed RK4 polynomial R4(dt W) of
+    the tridiagonal rate matrix to the populations: a banded, entrywise-local
+    update that keeps exponentially small tail populations accurate in
+    relative terms, which log-ratio profiles need (a dense exponential carries
+    absolute round-off at the matrix norm scale and would pollute them).  The
+    Gibbs start is diagonal, so its coherences stay exactly zero.  Alongside,
     the one-variable thermalization equation is integrated from
-    a(0) = exp(-E/T0) on the same grid and compared inside the clean window.
+    a(0) = exp(-E/T0) on the same grid, with the bath's Fermi factor computed
+    once, and compared inside the clean window.
     """
     E, f, gamma0 = _thermal_ladder_parameters(sys)
     T_bath = E / math.log((1.0 - f) / f)
@@ -203,8 +211,10 @@ def canonical_experiment(
     if 0 in rec:
         rec_vals[0] = lna
 
+    f_bath = fermi(E, bath.T)
+
     def ode(y: float) -> float:
-        return thermalization_ode_rhs(math.exp(y), bath, E, gamma0)
+        return _lna_rate(math.exp(y), f_bath, gamma0)
 
     for k in range(1, n_steps + 1):
         k1 = ode(lna)

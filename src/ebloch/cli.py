@@ -559,11 +559,12 @@ def main(argv=None) -> int:
         paths = _RUNNERS[args.subcommand](cfg, args.seed, args.out)
     except ConfigError as exc:
         return _fail("validation", exc.errors, 1)
-    except (ValueError, TypeError) as exc:
-        return _fail("validation", [exc], 1)
+    # LinAlgError subclasses ValueError, so the numerical family goes first
     except (PropagationError, FixedPointError, RuntimeError, FloatingPointError,
             np.linalg.LinAlgError) as exc:
         return _fail("numerical", [exc], 2)
+    except (ValueError, TypeError) as exc:
+        return _fail("validation", [exc], 1)
     for path in paths:
         print(path)
     return 0

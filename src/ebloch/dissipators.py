@@ -28,6 +28,80 @@ _EYE2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
+class SplitGenerator:
+    """The master equation of a diagonal-H, transition-type spec, split exactly.
+
+    Populations evolve under the real rate matrix ``W`` (dp/dt = W p, with
+    non-negative off-diagonal rates and zero column sums); each coherence
+    evolves on its own, d(rho_ab)/dt = C[a, b] rho_ab for a != b, with
+    C[a, b] = -i w_ab [include_unitary] - Gamma_ab + gamma_pd w_ab^2 and
+    w_ab = E_a - E_b.  ``C`` has a zero diagonal and C[b, a] = conj(C[a, b]).
+    Together they are the superoperator in block-diagonal form: its spectrum
+    is eig(W) plus the off-diagonal entries of ``C``.
+    """
+
+    W: np.ndarray
+    C: np.ndarray
+
+    @cached_property
+    def coherence_rates(self) -> np.ndarray:
+        """The off-diagonal entries of ``C``, one eigenvalue per coherence."""
+        return self.C[~np.eye(len(self.C), dtype=bool)]
+
+    @cached_property
+    def max_growth(self) -> float:
+        """Largest real part in the spectrum, floored at 0: the largest
+        Re C[a, b], since a rate matrix has no eigenvalue with Re > 0."""
+        rates = self.coherence_rates
+        return max(0.0, float(rates.real.max())) if rates.size else 0.0
+
+
+def _compile(spec: "RhsSpec") -> SplitGenerator | None:
+    """(W, C) of a spec with an exactly diagonal real H and an ``eben``
+    dissipator or a jump list of single off-diagonal matrix units; None for
+    every other spec."""
+    H = spec.hamiltonian
+    energies = np.diag(H)
+    if np.count_nonzero(H - np.diag(energies)) or np.count_nonzero(energies.imag):
+        return None
+    n = spec.dim
+    W = np.zeros((n, n))
+    if spec.kind == "eben":
+        ii, jj, gp, gm = spec.ladder.transition_arrays
+        np.add.at(W, (jj, ii), gp)
+        np.add.at(W, (ii, ii), -gp)
+        np.add.at(W, (ii, jj), gm)
+        np.add.at(W, (jj, jj), -gm)
+        damping = np.zeros((n, n))
+        np.add.at(damping, (ii, jj), 0.5 * (gp + gm))
+        np.add.at(damping, (jj, ii), 0.5 * (gp + gm))
+    elif spec.kind == "gkls":
+        # gamma |c|^2 for L = c|x><y| moves population from y to x and damps
+        # every coherence that touches y at half that rate
+        out = np.zeros(n)
+        for L, gamma in spec.jumps:
+            nz = np.flatnonzero(L)
+            if nz.size != 1:
+                return None
+            x, y = divmod(int(nz[0]), n)
+            if x == y:
+                return None
+            rate = gamma * abs(L[x, y]) ** 2
+            W[x, y] += rate
+            W[y, y] -= rate
+            out[y] += rate
+        damping = 0.5 * (out[:, None] + out[None, :])
+    else:
+        return None
+    w = energies.real[:, None] - energies.real[None, :]
+    C = (spec.gamma_pd * w * w - damping).astype(complex)
+    if spec.include_unitary:
+        C -= 1j * w
+    np.fill_diagonal(C, 0.0)
+    return SplitGenerator(W, C)
+
+
+@dataclass(frozen=True, eq=False)
 class RhsSpec:
     """Everything needed to evaluate d(rho)/dt.
 
@@ -36,8 +110,8 @@ class RhsSpec:
     as written; a damping term therefore needs a negative value (for a
     diagonal H the double commutator multiplies each coherence by the squared
     gap, so a positive coefficient amplifies them).  Amplifying generators
-    are flagged by the superoperator spectrum check in
-    :mod:`ebloch.propagate` rather than forbidden.
+    are flagged by :mod:`ebloch.propagate` and :mod:`ebloch.stationary`
+    rather than forbidden.
     """
 
     hamiltonian: np.ndarray
@@ -91,6 +165,17 @@ class RhsSpec:
             Ld = L.conj().T
             terms.append((gamma, L, Ld, Ld @ L))
         return tuple(terms)
+
+    @cached_property
+    def compiled(self) -> SplitGenerator | None:
+        """The population/coherence split of this spec, or None.
+
+        Present exactly when H is diagonal and the dissipator is ``eben`` or
+        a list of single off-diagonal matrix-unit jumps (including none);
+        the two-level ``ebe2`` kernel and general jump lists have no split
+        and are handled through the dense superoperator.
+        """
+        return _compile(self)
 
     @classmethod
     def for_two_level(

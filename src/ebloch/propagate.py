@@ -4,6 +4,11 @@ exponential, trajectory recording and physicality monitoring.
 Design choices made here: Hermiticity is enforced by symmetrization after
 every RK4 step, but the trace is never renormalized and eigenvalues are
 never clipped; drift and negativity are diagnostics, not noise to hide.
+
+Specs with a population/coherence split (:attr:`RhsSpec.compiled`) are
+stepped through it: populations by an N x N matrix and each coherence by its
+own scalar factor, which is the same map as the superoperator route in
+exact arithmetic.
 """
 
 from __future__ import annotations
@@ -14,10 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .dissipators import RhsSpec, master_rhs
+from .dissipators import RhsSpec, SplitGenerator, master_rhs
 from .linalg import devectorize, herm_part, is_hermitian, is_psd, vectorize
 
 MAX_SUPEROP_DIM = 64
+AMPLIFY_TOL = 1e-10
 MIN_EIG_WARN = -1e-8
 TOP_POP_WARN = 1e-6
 
@@ -64,9 +70,11 @@ def build_superoperator(spec: RhsSpec) -> np.ndarray:
     column-stacking convention: vectorize(master_rhs(rho)) = S @ vectorize(rho).
 
     Built by applying the right-hand side to the dim^2 matrix units; guarded
-    at dim <= 64.  When the spec carries a nonzero gamma_pd (and the check is
-    cheap) the spectrum is inspected and a warning is raised if the generator
-    has amplifying modes.
+    at dim <= 64.  :func:`propagate` and :func:`ebloch.stationary.fixed_point`
+    use it only for specs without a population/coherence split, so ladders
+    never reach the guard there.  When the spec carries a nonzero gamma_pd
+    (and the check is cheap) the spectrum is inspected and a warning is
+    raised if the generator has amplifying modes.
     """
     dim = spec.dim
     if dim > MAX_SUPEROP_DIM:
@@ -80,13 +88,53 @@ def build_superoperator(spec: RhsSpec) -> np.ndarray:
             unit[a, b] = 0.0
     if spec.gamma_pd != 0.0 and dim <= 16:
         max_re = float(np.linalg.eigvals(S).real.max())
-        if max_re > 1e-10:
-            warnings.warn(
-                f"assembled generator has amplifying modes (max Re lambda = "
-                f"{max_re:.3e}); check the sign of gamma_pd",
-                stacklevel=2,
-            )
+        if max_re > AMPLIFY_TOL:
+            _warn_amplifying(max_re)
     return S
+
+
+def _warn_amplifying(max_re: float) -> None:
+    warnings.warn(
+        f"assembled generator has amplifying modes (max Re lambda = "
+        f"{max_re:.3e}); check the sign of gamma_pd",
+        stacklevel=3,
+    )
+
+
+def _rk4_polynomial(z):
+    """R4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, the map of one classical RK4
+    step of dy/dt = lambda y at z = dt * lambda; elementwise on arrays."""
+    return 1.0 + z * (1.0 + z * (1.0 + z * (1.0 + z / 4.0) / 3.0) / 2.0)
+
+
+def _rk4_matrix(Z: np.ndarray) -> np.ndarray:
+    """R4(Z) for a square matrix Z, so that one RK4 step of dp/dt = W p is
+    p <- R4(dt W) p.  Products of a banded Z keep exact zeros outside the
+    band, so the step stays entrywise local."""
+    eye = np.eye(len(Z))
+    return eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4.0) / 3.0) / 2.0)
+
+
+def _conj_symmetric(F: np.ndarray) -> np.ndarray:
+    """Coherence factors with F[b, a] = conj(F[a, b]) exactly and a zero
+    diagonal, so the stepped coherences stay exactly Hermitian."""
+    upper = np.triu(F, 1)
+    return upper + upper.conj().T
+
+
+def _check_rk4_stability(gen: SplitGenerator, dt: float) -> None:
+    """Raise before stepping when a decaying mode leaves the RK4 region."""
+    modes = np.concatenate([np.linalg.eigvals(gen.W), gen.coherence_rates])
+    decaying = modes[modes.real < 0.0]
+    if decaying.size == 0:
+        return
+    growth = np.abs(_rk4_polynomial(dt * decaying))
+    worst = int(np.argmax(growth))
+    if growth[worst] > 1.0:
+        raise PropagationError(
+            f"RK4 step dt={dt:.6g} is unstable: decaying mode lambda = "
+            f"{complex(decaying[worst]):.6g} gives |R4(dt lambda)| = {growth[worst]:.3e} > 1"
+        )
 
 
 def _validate_state(rho: np.ndarray) -> None:
@@ -116,11 +164,21 @@ def propagate(
 ) -> Trajectory:
     """Propagate rho0 to t_final and record every ``record_every``-th step.
 
-    ``method='expm'`` applies the exact flow devectorize(e^(S t) vectorize(rho)),
-    stepping from one recorded time to the next; ``method='rk4'`` takes
-    fixed steps of size dt.  The trajectory always contains t=0 and t_final.
-    Raises :class:`PropagationError` on NaN/Inf or when the right-hand-side
-    norm grows beyond 1e6 times its initial value.
+    ``method='expm'`` applies the exact flow from one recorded time to the
+    next; ``method='rk4'`` takes fixed steps of size dt.  The trajectory
+    always contains t=0 and t_final.  Raises :class:`PropagationError` on
+    NaN/Inf or when the right-hand-side norm grows beyond 1e6 times its
+    initial value.
+
+    For a spec with a population/coherence split ``(W, C)`` the exact flow
+    over time tau is expm(W tau) on the populations and exp(C tau) on the
+    coherences, and an RK4 step is p <- R4(dt W) p, rho_ab <- R4(dt C_ab)
+    rho_ab with the RK4 stability polynomial R4 (the same map as
+    :func:`step_rk4` in exact arithmetic).  Such specs warn about amplifying
+    modes at any size and, for RK4, raise :class:`PropagationError` before
+    the first step when a decaying mode lies outside the stability region.
+    Every other spec goes through :func:`build_superoperator` (expm) or
+    :func:`step_rk4`.
     """
     raw = np.asarray(rho0, dtype=complex)
     _validate_state(raw)
@@ -135,6 +193,13 @@ def propagate(
     record_idx = list(range(0, n_steps + 1, record_every))
     if record_idx[-1] != n_steps:
         record_idx.append(n_steps)
+
+    gen = spec.compiled
+    if gen is not None:
+        if gen.max_growth > AMPLIFY_TOL:
+            _warn_amplifying(gen.max_growth)
+        if method == "rk4":
+            _check_rk4_stability(gen, dt)
 
     top_index = spec.ladder.top_level if spec.ladder is not None else None
     rhs0_norm = float(np.linalg.norm(master_rhs(rho, spec)))
@@ -159,18 +224,42 @@ def propagate(
             )
 
     record(0, rho)
-    if method == "rk4":
-        next_rec = 1
-        for k in range(1, n_steps + 1):
-            rho = step_rk4(spec, rho, dt)
-            if k == record_idx[next_rec]:
-                record(k, rho)
-                next_rec += 1
+    intervals = zip(record_idx, record_idx[1:])
+    if gen is not None:
+        p = rho.diagonal().real.copy()
+        X = rho.copy()
+        np.fill_diagonal(X, 0.0)
+        if method == "rk4":
+            rk4_step = (_rk4_matrix(dt * gen.W),
+                        _conj_symmetric(_rk4_polynomial(dt * gen.C)))
+        props = {}
+        for prev, k in intervals:
+            gap = k - prev
+            if method == "rk4":
+                maps = [rk4_step] * gap
+            else:
+                if gap not in props:
+                    props[gap] = (scipy.linalg.expm(gen.W * (gap * dt)),
+                                  _conj_symmetric(np.exp(gen.C * (gap * dt))))
+                maps = [props[gap]]
+            for P, F in maps:
+                p = P @ p
+                X = F * X
+                if not (np.isfinite(p.sum()) and np.isfinite(X.sum())):
+                    raise PropagationError(f"NaN/Inf encountered before t={k * dt:.6g}")
+            state = X.copy()
+            np.fill_diagonal(state, p)
+            record(k, state)
+    elif method == "rk4":
+        for prev, k in intervals:
+            for _ in range(k - prev):
+                rho = step_rk4(spec, rho, dt)
+            record(k, rho)
     else:
         S = build_superoperator(spec)
         props = {}
         v = vectorize(rho)
-        for prev, k in zip(record_idx, record_idx[1:]):
+        for prev, k in intervals:
             gap = k - prev
             if gap not in props:
                 props[gap] = scipy.linalg.expm(S * (gap * dt))

@@ -16,7 +16,7 @@ from .linalg import (
     hermitian_eig,
     trace_distance,
 )
-from .propagate import build_superoperator
+from .propagate import AMPLIFY_TOL, build_superoperator
 from .systems import TwoLevelSystem
 
 ZERO_EIG_TOL = 1e-10
@@ -105,19 +105,42 @@ def effective_temperature(spec: RhsSpec) -> float | None:
     return t0
 
 
-def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
-    """Stationary state from the null space of the superoperator.
+def _spectrum_and_modes(spec: RhsSpec):
+    """(full spectrum, eigenvalues of the modes that can carry trace, map
+    from such a mode's index to its eigenvector as a dim x dim matrix)."""
+    gen = spec.compiled
+    if gen is None:
+        eigvals, eigvecs = np.linalg.eig(build_superoperator(spec))
+        return eigvals, eigvals, lambda k: devectorize(eigvecs[:, k], spec.dim)
+    if gen.max_growth > AMPLIFY_TOL:
+        raise FixedPointError(
+            f"generator has amplifying modes (max Re lambda = {gen.max_growth:.3e}); "
+            "check the sign of gamma_pd"
+        )
+    w, V = np.linalg.eig(gen.W)
+    return np.concatenate([w, gen.coherence_rates]), w, lambda k: np.diag(V[:, k])
 
-    The full spectrum of S is computed (desk-scale dimensions); the
-    stationary state is the trace-normalized Hermitian part of the
-    eigenvector with eigenvalue nearest zero.  ``multiplicity`` counts the
-    eigenvalues within 1e-10 of zero; when it exceeds one (disconnected
-    transition graphs) the reported state is the near-null direction with
-    the largest trace.  Raises :class:`FixedPointError` when no eigenvalue
-    lies within 1e-6 of zero.
+
+def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
+    """Stationary state from the null space of the generator.
+
+    The full spectrum is computed (desk-scale dimensions); the stationary
+    state is the trace-normalized Hermitian part of the eigenvector with
+    eigenvalue nearest zero.  ``multiplicity`` counts the eigenvalues within
+    1e-10 of zero; when it exceeds one (disconnected transition graphs) the
+    reported state is the near-null direction with the largest trace.
+    Raises :class:`FixedPointError` when no eigenvalue lies within 1e-6 of
+    zero.
+
+    For a spec with a population/coherence split ``(W, C)`` the spectrum is
+    eig(W) plus the off-diagonal entries of C, the state is picked among the
+    near-null eigenvectors of W, and no superoperator is built, so ladders
+    of any size are accepted; such a spec raises :class:`FixedPointError`
+    when a coherence rate has real part above 1e-10 (amplifying modes).
+    Every other spec goes through the dense spectrum of
+    :func:`ebloch.propagate.build_superoperator`.
     """
-    S = build_superoperator(spec)
-    eigvals, eigvecs = np.linalg.eig(S)
+    eigvals, mode_vals, mode_state = _spectrum_and_modes(spec)
     absvals = np.abs(eigvals)
     nearest = float(absvals.min())
     if nearest > 1e-6:
@@ -126,11 +149,11 @@ def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
             "the spec has no stationary state"
         )
     multiplicity = int(np.sum(absvals <= ZERO_EIG_TOL))
-    candidate_cut = max(ZERO_EIG_TOL, nearest)
-    candidates = np.flatnonzero(absvals <= candidate_cut)
-    traces = [abs(devectorize(eigvecs[:, k], spec.dim).trace()) for k in candidates]
-    best = candidates[int(np.argmax(traces))]
-    rho = herm_part(devectorize(eigvecs[:, best], spec.dim))
+    mode_abs = np.abs(mode_vals)
+    candidate_cut = max(ZERO_EIG_TOL, float(mode_abs.min()))
+    candidates = np.flatnonzero(mode_abs <= candidate_cut)
+    traces = [abs(mode_state(k).trace()) for k in candidates]
+    rho = herm_part(as_matrix(mode_state(candidates[int(np.argmax(traces))])))
     tr = rho.trace().real
     if abs(tr) < 1e-10:
         raise FixedPointError("stationary direction has (near-)zero trace")

@@ -378,3 +378,17 @@ path = bench.csv
     _, header, rows = read_csv(tmp_path / "bench.csv")
     sums = {r[header.index("kernel")]: r[header.index("checksum")] for r in rows}
     assert sums["eben"] == sums["gkls"]
+
+
+def test_linear_algebra_failure_exits_as_numerical(tmp_path, capsys, monkeypatch):
+    from ebloch import cli
+
+    def singular(cfg, seed, out_dir):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setitem(cli._RUNNERS, "fixed-point", singular)
+    gp, gm = thermal_rates()
+    cfg = write(tmp_path, "fp.cfg", TWO_LEVEL_CFG.format(gp=gp, gm=gm))
+    assert main(["fixed-point", "--config", cfg, "--out", str(tmp_path)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "numerical", "messages": ["Singular matrix"]}

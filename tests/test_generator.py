@@ -1,0 +1,291 @@
+"""Tests for the population/coherence split of diagonal-H specs.
+
+The probed superoperator, the stage-wise RK4 step and the dense fixed-point
+route stay in the package as independent oracles; every test here compares
+the split against one of them.
+"""
+
+import math
+import sys
+import time
+import warnings
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ebloch.canonical import canonical_experiment, thermalization_ode_rhs
+from ebloch.dissipators import RhsSpec, master_rhs
+from ebloch.linalg import trace_distance
+from ebloch.propagate import PropagationError, build_superoperator, propagate, step_rk4
+from ebloch.stationary import FixedPointError, fixed_point, gibbs_state
+from ebloch.systems import (
+    BathModel,
+    LadderSystem,
+    TransitionSpec,
+    TwoLevelSystem,
+    build_oscillator,
+    build_two_level_hamiltonian,
+    rates_from_bath,
+)
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@contextmanager
+def dense_only():
+    """Send every spec through the superoperator route, as before the split."""
+    saved = RhsSpec.__dict__["compiled"]
+    RhsSpec.compiled = property(lambda self: None)
+    try:
+        yield
+    finally:
+        RhsSpec.compiled = saved
+
+
+def split_superoperator(gen) -> np.ndarray:
+    """Column-stacking superoperator assembled from (W, C)."""
+    n = len(gen.W)
+    S = np.zeros((n * n, n * n), dtype=complex)
+    diag = np.arange(n) * (n + 1)
+    S[np.ix_(diag, diag)] = gen.W
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                S[a + b * n, a + b * n] = gen.C[a, b]
+    return S
+
+
+@st.composite
+def transition_graphs(draw, max_n=16, connected=None, thermal=False):
+    """Ladder with random energies and a random (dis)connected transition graph."""
+    n = draw(st.integers(2 if connected is not False else 3, max_n))
+    gaps = draw(st.lists(st.floats(0.1, 1.5), min_size=n - 1, max_size=n - 1))
+    energies = tuple(np.concatenate([[0.0], np.cumsum(gaps)]))
+    if connected is None:
+        connected = draw(st.booleans()) if n >= 3 else True
+    # a random spanning forest: one tree, or two trees split at `cut`
+    cut = n if connected else draw(st.integers(1, n - 1))
+    groups = [range(0, cut), range(cut, n)]
+    pairs = set()
+    for group in groups:
+        for k in list(group)[1:]:
+            pairs.add((draw(st.integers(group[0], k - 1)), k))
+    for _ in range(draw(st.integers(0, n))):
+        group = groups[draw(st.integers(0, 1))] if not connected else groups[0]
+        if len(group) >= 2:
+            i, j = sorted(draw(st.lists(st.sampled_from(list(group)), min_size=2,
+                                        max_size=2, unique=True)))
+            pairs.add((i, j))
+    T = draw(st.floats(0.5, 3.0))
+    transitions = []
+    for i, j in sorted(pairs):
+        E_t = energies[j] - energies[i]
+        if thermal:
+            gp, gm = rates_from_bath(BathModel(draw(st.floats(0.05, 2.0)), T), E_t)
+        else:
+            gp, gm = draw(st.floats(0.0, 2.0)), draw(st.floats(0.05, 2.0))
+        transitions.append(TransitionSpec(i, j, gp, gm, E_t))
+    return LadderSystem(n, energies, tuple(transitions))
+
+
+spec_options = st.tuples(st.sampled_from(["eben", "gkls"]), st.booleans(),
+                         st.sampled_from([0.0, -0.2, 0.3]))
+
+
+# ------------------------------------------------------------- the split
+
+
+@SETTINGS
+@given(transition_graphs(), spec_options)
+def test_split_matches_probed_superoperator(lad, options):
+    kind, include_unitary, gamma_pd = options
+    spec = RhsSpec.for_ladder(lad, kind, include_unitary, gamma_pd)
+    assert spec.compiled is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # positive gamma_pd amplifies
+        S = build_superoperator(spec)
+    err = np.abs(split_superoperator(spec.compiled) - S).max()
+    assert err <= 1e-13 * max(1.0, np.abs(S).max())
+
+
+def test_split_covers_diagonal_transition_specs_only():
+    bath = BathModel(1.0, 1.0)
+    lad = build_oscillator(4, 1.0, "harmonic", bath)
+    assert RhsSpec.for_ladder(lad, "eben").compiled is not None
+    assert RhsSpec.for_ladder(lad, "gkls").compiled is not None
+    assert RhsSpec(np.diag([0.0, 1.0, 3.0]), "gkls").compiled is not None  # closed
+
+    tilted = build_two_level_hamiltonian(1.0, (0.6, 0.0, 0.8))
+    gp, gm = rates_from_bath(bath, 1.0)
+    sys2 = TwoLevelSystem(1.0, (0.6, 0.0, 0.8), gp, gm)
+    assert RhsSpec.for_two_level(sys2, "ebe2").compiled is None
+    assert RhsSpec.for_two_level(sys2, "gkls").compiled is None
+    assert RhsSpec(tilted, "gkls").compiled is None  # H not diagonal
+
+    H = lad.hamiltonian
+    two_entries = np.zeros((4, 4))
+    two_entries[1, 0] = two_entries[2, 1] = 1.0
+    on_diagonal = np.diag([0.0, 1.0, 0.0, 0.0])
+    assert RhsSpec(H, "gkls", jumps=((two_entries, 1.0),)).compiled is None
+    assert RhsSpec(H, "gkls", jumps=((on_diagonal, 1.0),)).compiled is None
+
+
+def test_split_rate_matrix_conserves_trace_and_coherences_are_hermitian():
+    lad = build_oscillator(6, 1.3, "harmonic", BathModel(1.0, 0.8))
+    gen = RhsSpec.for_ladder(lad, gamma_pd=-0.1).compiled
+    np.testing.assert_allclose(gen.W.sum(axis=0), 0.0, atol=1e-15)
+    assert np.all(gen.W - np.diag(np.diag(gen.W)) >= 0.0)
+    np.testing.assert_array_equal(gen.C, gen.C.conj().T)
+    np.testing.assert_array_equal(np.diag(gen.C), 0.0)
+
+
+# ------------------------------------------------------------ propagation
+
+
+def test_split_rk4_matches_stagewise_oracle_on_criterion_6_ladder():
+    lad = build_oscillator(14, 10.0, "harmonic", BathModel(1.0, 1.0))
+    spec = RhsSpec.for_ladder(lad)
+    rho = gibbs_state(lad.hamiltonian, 2.0)
+    traj = propagate(spec, rho, 1.0, 1e-3, "rk4", 100)
+    ref = [np.diag(rho).real]
+    for k in range(1, 1001):
+        rho = step_rk4(spec, rho, 1e-3)
+        if k % 100 == 0:
+            ref.append(np.diag(rho).real)
+    ref = np.array(ref)
+    pops = traj.populations()
+    assert ref.min() < 1e-33  # the relaxing tail is resolved, not flushed
+    rel = np.abs(pops - ref) / ref
+    assert rel.max() <= 1e-10, f"worst relative deviation {rel.max():.3e}"
+
+
+@pytest.mark.parametrize("kind", ["eben", "gkls"])
+@pytest.mark.parametrize("N, gamma_pd, include_unitary",
+                         [(4, 0.0, True), (9, -0.2, False), (16, -0.05, True)])
+def test_split_expm_matches_dense_trajectory(kind, N, gamma_pd, include_unitary):
+    lad = build_oscillator(N, 0.7, "harmonic", BathModel(1.0, 1.2))
+    spec = RhsSpec.for_ladder(lad, kind, include_unitary, gamma_pd)
+    rng = np.random.default_rng(N)
+    A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    rho0 = A @ A.conj().T
+    rho0 /= np.trace(rho0)
+    kw = dict(t_final=1.0, dt=0.05, method="expm", record_every=7)  # gaps 7, 7, 6
+    traj = propagate(spec, rho0, **kw)
+    with dense_only():
+        dense = propagate(spec, rho0, **kw)
+    np.testing.assert_allclose(traj.times, dense.times)
+    worst = max(np.abs(a - b).max() for a, b in zip(traj.states, dense.states))
+    assert worst <= 1e-12, f"split vs dense expm {worst:.3e}"
+    assert traj.warnings == dense.warnings
+
+
+def test_split_amplifying_modes_warn_and_refuse_a_fixed_point_at_any_size():
+    # N=20 is beyond the dim <= 16 spectrum check of build_superoperator
+    lad = build_oscillator(20, 1.0, "harmonic", BathModel(1.0, 1.0))
+    spec = RhsSpec.for_ladder(lad, gamma_pd=+0.5)
+    rho0 = gibbs_state(lad.hamiltonian, 1.0)
+    with pytest.warns(UserWarning, match="amplifying modes"):
+        propagate(spec, rho0, 1.0, 0.1, "expm")
+    with pytest.raises(FixedPointError, match="amplifying modes"):
+        fixed_point(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        propagate(RhsSpec.for_ladder(lad, gamma_pd=-0.5), rho0, 1.0, 0.1, "expm")
+
+
+def test_split_rk4_outside_stability_region_raises_before_stepping(monkeypatch):
+    lad = build_oscillator(20, 1.0, "harmonic", BathModel(1.0, 1.0))
+    spec = RhsSpec.for_ladder(lad)
+    rho0 = gibbs_state(lad.hamiltonian, 2.0)
+    calls = []
+    monkeypatch.setattr(sys.modules["ebloch.propagate"], "master_rhs",
+                        lambda rho, s: calls.append(1) or master_rhs(rho, s))
+    with pytest.raises(PropagationError, match="unstable") as info:
+        propagate(spec, rho0, 10.0, 0.2, "rk4")
+    assert not calls
+    growth = float(str(info.value).split("| = ")[1].split()[0])
+    assert 30.0 < growth < 40.0
+    # a step inside the region runs
+    propagate(spec, rho0, 1.0, 0.01, "rk4", 10)
+
+
+# ----------------------------------------------------------- fixed points
+
+
+def _compare_fixed_points(spec, compare_state):
+    split = fixed_point(spec)
+    with dense_only():
+        dense = fixed_point(spec)
+    assert split.multiplicity == dense.multiplicity
+    if math.isnan(dense.spectral_gap):
+        assert math.isnan(split.spectral_gap)
+    else:
+        assert split.spectral_gap == pytest.approx(dense.spectral_gap, rel=1e-8)
+    if compare_state:
+        assert trace_distance(split.rho_stationary, dense.rho_stationary) <= 1e-9
+        if math.isnan(dense.gibbs_distance):
+            assert math.isnan(split.gibbs_distance)
+        else:
+            assert abs(split.gibbs_distance - dense.gibbs_distance) <= 1e-9
+    assert split.residual <= 1e-10
+
+
+@SETTINGS
+@given(transition_graphs(connected=True, thermal=True), spec_options)
+def test_split_fixed_point_matches_probed_on_connected_graphs(lad, options):
+    kind, include_unitary, gamma_pd = options
+    spec = RhsSpec.for_ladder(lad, kind, include_unitary, min(gamma_pd, 0.0))
+    _compare_fixed_points(spec, compare_state=True)
+
+
+@SETTINGS
+@given(transition_graphs(connected=False), spec_options)
+def test_split_fixed_point_matches_probed_on_disconnected_graphs(lad, options):
+    # the stationary manifold has several directions, so the picked state
+    # depends on the eigenvector basis; spectrum-derived numbers must agree
+    kind, include_unitary, gamma_pd = options
+    spec = RhsSpec.for_ladder(lad, kind, include_unitary, min(gamma_pd, 0.0))
+    _compare_fixed_points(spec, compare_state=False)
+    assert fixed_point(spec).multiplicity >= 2
+
+
+def test_split_fixed_point_beyond_the_superoperator_guard():
+    lad = build_oscillator(128, 1.0, "harmonic", BathModel(1.0, 1.0))
+    spec = RhsSpec.for_ladder(lad)
+    with pytest.raises(ValueError, match="guard"):
+        build_superoperator(spec)
+    t0 = time.perf_counter()
+    report = fixed_point(spec)
+    assert time.perf_counter() - t0 < 10.0
+    assert report.multiplicity == 1
+    assert report.gibbs_distance <= 1e-8
+
+
+# ---------------------------------------------------------------- canonical
+
+
+def test_canonical_ode_oracle_matches_thermalization_rhs_bitwise():
+    lad = build_oscillator(6, 2.0, "harmonic", BathModel(1.0, 1.0))
+    dt, n = 1e-3, 200
+    diag = canonical_experiment(lad, T0=2.0, t_final=n * dt, dt=dt, record_every=50)
+    rung = lad.transitions[0]
+    E, gamma0, f = rung.E_t, rung.gamma_sum, rung.gamma_p / rung.gamma_sum
+    bath = BathModel(gamma0, E / math.log((1.0 - f) / f))
+
+    def ode(y):
+        return thermalization_ode_rhs(math.exp(y), bath, E, gamma0)
+
+    lna, ref = -E / 2.0, [-E / 2.0]
+    for k in range(1, n + 1):
+        k1 = ode(lna)
+        k2 = ode(lna + 0.5 * dt * k1)
+        k3 = ode(lna + 0.5 * dt * k2)
+        k4 = ode(lna + dt * k3)
+        lna += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if k % 50 == 0:
+            ref.append(lna)
+    np.testing.assert_array_equal(diag.lna_ode, ref)
