@@ -33,6 +33,7 @@ from .systems import (
     build_oscillator,
     build_two_level_hamiltonian,
     jump_operators,
+    rates_from_bath,
     verify_jump_algebra,
 )
 
@@ -187,7 +188,7 @@ def _build_system(r: _Reader):
             return None, kind, gamma_pd, bath_T
         try:
             if gp is None:
-                gp, gm = _thermal_two_level_rates(gamma, bath_T, E)
+                gp, gm = rates_from_bath(BathModel(gamma=gamma, T=bath_T), E)
             system = TwoLevelSystem(E=E, eps=eps, gamma_p=gp, gamma_m=gm,
                                     gamma_pd=abs(gamma_pd))
         except (TypeError, ValueError) as exc:
@@ -227,12 +228,6 @@ def _build_system(r: _Reader):
     return system, kind, gamma_pd, bath_T
 
 
-def _thermal_two_level_rates(gamma, T, E):
-    from .systems import rates_from_bath
-
-    return rates_from_bath(BathModel(gamma=gamma, T=T), E)
-
-
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a config document.
 
@@ -252,12 +247,9 @@ def parse_config(text: str) -> ScenarioConfig:
 
     default_kind = "ebe2" if system_kind == "two_level" else "eben"
     dissipator_kind = r.get("dissipator", "kind", str, default=default_kind,
-                            choices=("gkls", "ebe2", "eben")) if cp.has_section("dissipator") \
-        else default_kind
-    include_unitary = r.get("dissipator", "include_unitary", _bool, default=True) \
-        if cp.has_section("dissipator") else True
-    if cp.has_section("dissipator") and cp.has_option("dissipator", "gamma_pd"):
-        gamma_pd = r.get("dissipator", "gamma_pd", float, default=gamma_pd)
+                            choices=("gkls", "ebe2", "eben"))
+    include_unitary = r.get("dissipator", "include_unitary", _bool, default=True)
+    gamma_pd = r.get("dissipator", "gamma_pd", float, default=gamma_pd)
 
     initial = ("gibbs", None)
     if cp.has_section("initial"):
@@ -273,28 +265,19 @@ def parse_config(text: str) -> ScenarioConfig:
                 r.errors.append(f"[initial] state file does not exist: {path}")
             initial = ("file", path)
 
-    t_final = r.get("integration", "t_final", float, default=None) \
-        if cp.has_section("integration") else None
-    dt = r.get("integration", "dt", float, default=None) \
-        if cp.has_section("integration") else None
-    method = r.get("integration", "method", str, default="expm",
-                   choices=("expm", "rk4")) if cp.has_section("integration") else "expm"
-    record_every = r.get("integration", "record_every", int, default=1) \
-        if cp.has_section("integration") else 1
+    t_final = r.get("integration", "t_final", float, default=None)
+    dt = r.get("integration", "dt", float, default=None)
+    method = r.get("integration", "method", str, default="expm", choices=("expm", "rk4"))
+    record_every = r.get("integration", "record_every", int, default=1)
 
-    out_path = r.get("output", "path", str, default=None) if cp.has_section("output") else None
+    out_path = r.get("output", "path", str, default=None)
     what = r.get("output", "what", str, default="all",
-                 choices=("populations", "coherences", "diagnostics", "all")) \
-        if cp.has_section("output") else "all"
+                 choices=("populations", "coherences", "diagnostics", "all"))
 
-    verify_draws = r.get("verify", "num_draws", int, default=1000) \
-        if cp.has_section("verify") else 1000
-    bench_applications = r.get("bench", "applications", int, default=100000) \
-        if cp.has_section("bench") else 100000
-    bench_chunks = r.get("bench", "chunks", int, default=5) \
-        if cp.has_section("bench") else 5
-    canonical_T0 = r.get("canonical", "T0", float, default=None) \
-        if cp.has_section("canonical") else None
+    verify_draws = r.get("verify", "num_draws", int, default=1000)
+    bench_applications = r.get("bench", "applications", int, default=100000)
+    bench_chunks = r.get("bench", "chunks", int, default=5)
+    canonical_T0 = r.get("canonical", "T0", float, default=None)
 
     if system is not None and dissipator_kind == "ebe2" and isinstance(system, LadderSystem):
         r.errors.append("[dissipator] kind = ebe2 requires a two_level system")

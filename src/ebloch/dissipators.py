@@ -29,31 +29,49 @@ _EYE2 = np.eye(2, dtype=complex)
 
 @dataclass(frozen=True, eq=False)
 class SplitGenerator:
-    """The master equation of a diagonal-H, transition-type spec, split exactly.
+    """The master equation as one dense block plus independent entries.
 
-    Populations evolve under the real rate matrix ``W`` (dp/dt = W p, with
-    non-negative off-diagonal rates and zero column sums); each coherence
-    evolves on its own, d(rho_ab)/dt = C[a, b] rho_ab for a != b, with
-    C[a, b] = -i w_ab [include_unitary] - Gamma_ab + gamma_pd w_ab^2 and
-    w_ab = E_a - E_b.  ``C`` has a zero diagonal and C[b, a] = conj(C[a, b]).
-    Together they are the superoperator in block-diagonal form: its spectrum
-    is eig(W) plus the off-diagonal entries of ``C``.
+    The entries ``rho.flat[block]`` evolve together, dv/dt = W v; every other
+    entry evolves on its own, d(rho_ab)/dt = C[a, b] rho_ab.  The spectrum is
+    eig(W) plus C on the entries off the block.
+
+    A diagonal-H, transition-type spec (:attr:`RhsSpec.compiled`) splits with
+    the populations as its block: ``W`` is the real rate matrix (non-negative
+    off-diagonal rates, zero column sums) and C[a, b] = -i w_ab
+    [include_unitary] - Gamma_ab + gamma_pd w_ab^2 with w_ab = E_a - E_b, a
+    zero diagonal and C[b, a] = conj(C[a, b]).  Every other spec is one block
+    holding every entry in column-stacking order, with ``W`` its
+    superoperator and C = 0 (:func:`ebloch.propagate.build_superoperator`).
     """
 
     W: np.ndarray
     C: np.ndarray
+    block: np.ndarray
 
     @cached_property
     def coherence_rates(self) -> np.ndarray:
-        """The off-diagonal entries of ``C``, one eigenvalue per coherence."""
-        return self.C[~np.eye(len(self.C), dtype=bool)]
+        """C on the entries off the block, one eigenvalue per entry."""
+        off = np.ones(self.C.size, dtype=bool)
+        off[self.block] = False
+        return self.C.ravel()[off]
+
+    @cached_property
+    def block_eig(self) -> tuple:
+        """(eigenvalues, column eigenvectors) of ``W``."""
+        return np.linalg.eig(self.W)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """eig(W) followed by :attr:`coherence_rates`."""
+        return np.concatenate([self.block_eig[0], self.coherence_rates])
 
     @cached_property
     def max_growth(self) -> float:
-        """Largest real part in the spectrum, floored at 0: the largest
-        Re C[a, b], since a rate matrix has no eigenvalue with Re > 0."""
-        rates = self.coherence_rates
-        return max(0.0, float(rates.real.max())) if rates.size else 0.0
+        """Largest real part in the spectrum, floored at 0.  A real ``W`` is a
+        rate matrix, whose eigenvalues have Re <= 0 (Gershgorin), so then only
+        C is inspected and W is not diagonalized."""
+        modes = self.coherence_rates if np.isrealobj(self.W) else self.spectrum
+        return max(0.0, float(modes.real.max())) if modes.size else 0.0
 
 
 def _compile(spec: "RhsSpec") -> SplitGenerator | None:
@@ -98,7 +116,7 @@ def _compile(spec: "RhsSpec") -> SplitGenerator | None:
     if spec.include_unitary:
         C -= 1j * w
     np.fill_diagonal(C, 0.0)
-    return SplitGenerator(W, C)
+    return SplitGenerator(W, C, np.arange(n) * (n + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +191,7 @@ class RhsSpec:
         Present exactly when H is diagonal and the dissipator is ``eben`` or
         a list of single off-diagonal matrix-unit jumps (including none);
         the two-level ``ebe2`` kernel and general jump lists have no split
-        and are handled through the dense superoperator.
+        and run as one dense block of their probed superoperator.
         """
         return _compile(self)
 

@@ -132,7 +132,3 @@ def trace_distance(rho, sigma) -> float:
     """(1/2)||rho - sigma||_1 for Hermitian arguments."""
     d = as_matrix(rho) - as_matrix(sigma)
     return float(0.5 * np.abs(np.linalg.eigvalsh(herm_part(d))).sum())
-
-
-def frobenius(A) -> float:
-    return float(np.linalg.norm(as_matrix(A)))

@@ -1,14 +1,12 @@
-"""Time evolution under any RhsSpec: fixed-step RK4, exact superoperator
-exponential, trajectory recording and physicality monitoring.
+"""Time evolution under any RhsSpec: fixed-step RK4, exact exponential,
+trajectory recording and physicality monitoring.
 
-Design choices made here: Hermiticity is enforced by symmetrization after
-every RK4 step, but the trace is never renormalized and eigenvalues are
-never clipped; drift and negativity are diagnostics, not noise to hide.
-
-Specs with a population/coherence split (:attr:`RhsSpec.compiled`) are
-stepped through it: populations by an N x N matrix and each coherence by its
-own scalar factor, which is the same map as the superoperator route in
-exact arithmetic.
+Every spec is stepped through one :class:`SplitGenerator`: its population/
+coherence split (:attr:`RhsSpec.compiled`) when it has one, else its probed
+superoperator as a single block.  Split states are Hermitian by
+construction; the dense block keeps Hermiticity to round-off.  The trace is
+never renormalized and eigenvalues are never clipped; drift and negativity
+are diagnostics, not noise to hide.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .dissipators import RhsSpec, SplitGenerator, master_rhs
-from .linalg import devectorize, herm_part, is_hermitian, is_psd, vectorize
+from .linalg import herm_part, is_hermitian, is_psd, vectorize
 
 MAX_SUPEROP_DIM = 64
 AMPLIFY_TOL = 1e-10
@@ -71,10 +69,10 @@ def build_superoperator(spec: RhsSpec) -> np.ndarray:
 
     Built by applying the right-hand side to the dim^2 matrix units; guarded
     at dim <= 64.  :func:`propagate` and :func:`ebloch.stationary.fixed_point`
-    use it only for specs without a population/coherence split, so ladders
-    never reach the guard there.  When the spec carries a nonzero gamma_pd
-    (and the check is cheap) the spectrum is inspected and a warning is
-    raised if the generator has amplifying modes.
+    use it as the single block of specs without a population/coherence
+    split, so ladders never reach the guard there.  When the spec carries a
+    nonzero gamma_pd (and the check is cheap) the spectrum is inspected and
+    a warning is raised if the generator has amplifying modes.
     """
     dim = spec.dim
     if dim > MAX_SUPEROP_DIM:
@@ -91,6 +89,20 @@ def build_superoperator(spec: RhsSpec) -> np.ndarray:
         if max_re > AMPLIFY_TOL:
             _warn_amplifying(max_re)
     return S
+
+
+def _generator(spec: RhsSpec) -> SplitGenerator:
+    """The spec's split, or its superoperator as one block of every entry
+    in column-stacking order with C = 0."""
+    if spec.compiled is not None:
+        return spec.compiled
+    with warnings.catch_warnings():
+        # callers report amplifying modes themselves, from max_growth
+        warnings.filterwarnings("ignore", "assembled generator has amplifying modes")
+        S = build_superoperator(spec)
+    n = spec.dim
+    return SplitGenerator(S, np.zeros((n, n), dtype=complex),
+                          np.arange(n * n).reshape(n, n).ravel(order="F"))
 
 
 def _warn_amplifying(max_re: float) -> None:
@@ -117,14 +129,15 @@ def _rk4_matrix(Z: np.ndarray) -> np.ndarray:
 
 def _conj_symmetric(F: np.ndarray) -> np.ndarray:
     """Coherence factors with F[b, a] = conj(F[a, b]) exactly and a zero
-    diagonal, so the stepped coherences stay exactly Hermitian."""
+    diagonal, so the stepped coherences stay exactly Hermitian.  The diagonal
+    lies in every block, so zeroing it loses nothing."""
     upper = np.triu(F, 1)
     return upper + upper.conj().T
 
 
 def _check_rk4_stability(gen: SplitGenerator, dt: float) -> None:
     """Raise before stepping when a decaying mode leaves the RK4 region."""
-    modes = np.concatenate([np.linalg.eigvals(gen.W), gen.coherence_rates])
+    modes = gen.spectrum
     decaying = modes[modes.real < 0.0]
     if decaying.size == 0:
         return
@@ -164,21 +177,24 @@ def propagate(
 ) -> Trajectory:
     """Propagate rho0 to t_final and record every ``record_every``-th step.
 
+    The run takes n = max(1, round(t_final / dt)) steps of size dt and ends
+    at n * dt, not at t_final when dt does not divide it.  The quotient is a
+    float rounded half to even: with dt=0.1, t_final=1.05 ends at 1.0 and
+    t_final=1.25 at 1.2.  The trajectory always contains t=0 and n * dt.
     ``method='expm'`` applies the exact flow from one recorded time to the
-    next; ``method='rk4'`` takes fixed steps of size dt.  The trajectory
-    always contains t=0 and t_final.  Raises :class:`PropagationError` on
-    NaN/Inf or when the right-hand-side norm grows beyond 1e6 times its
-    initial value.
+    next; ``method='rk4'`` takes fixed steps.  Raises
+    :class:`PropagationError` on NaN/Inf or when the right-hand-side norm
+    grows beyond 1e6 times its initial value.
 
-    For a spec with a population/coherence split ``(W, C)`` the exact flow
-    over time tau is expm(W tau) on the populations and exp(C tau) on the
-    coherences, and an RK4 step is p <- R4(dt W) p, rho_ab <- R4(dt C_ab)
-    rho_ab with the RK4 stability polynomial R4 (the same map as
-    :func:`step_rk4` in exact arithmetic).  Such specs warn about amplifying
-    modes at any size and, for RK4, raise :class:`PropagationError` before
-    the first step when a decaying mode lies outside the stability region.
-    Every other spec goes through :func:`build_superoperator` (expm) or
-    :func:`step_rk4`.
+    The spec runs as a :class:`SplitGenerator` ``(W, C)``: its population/
+    coherence split, or else its :func:`build_superoperator` matrix as one
+    block.  The exact flow over time tau is expm(W tau) on the block and
+    exp(C tau) on every other entry, and an RK4 step is v <- R4(dt W) v,
+    rho_ab <- R4(dt C_ab) rho_ab with the RK4 stability polynomial R4 (the
+    same map as :func:`step_rk4` in exact arithmetic).  Every spec warns
+    once about amplifying modes and, for RK4, raises
+    :class:`PropagationError` before the first step when a decaying mode
+    lies outside the stability region.
     """
     raw = np.asarray(rho0, dtype=complex)
     _validate_state(raw)
@@ -194,12 +210,11 @@ def propagate(
     if record_idx[-1] != n_steps:
         record_idx.append(n_steps)
 
-    gen = spec.compiled
-    if gen is not None:
-        if gen.max_growth > AMPLIFY_TOL:
-            _warn_amplifying(gen.max_growth)
-        if method == "rk4":
-            _check_rk4_stability(gen, dt)
+    gen = _generator(spec)
+    if gen.max_growth > AMPLIFY_TOL:
+        _warn_amplifying(gen.max_growth)
+    if method == "rk4":
+        _check_rk4_stability(gen, dt)
 
     top_index = spec.ladder.top_level if spec.ladder is not None else None
     rhs0_norm = float(np.linalg.norm(master_rhs(rho, spec)))
@@ -224,49 +239,32 @@ def propagate(
             )
 
     record(0, rho)
-    intervals = zip(record_idx, record_idx[1:])
-    if gen is not None:
-        p = rho.diagonal().real.copy()
-        X = rho.copy()
-        np.fill_diagonal(X, 0.0)
+    p = rho.flat[gen.block]
+    if np.isrealobj(gen.W):
+        p = p.real  # populations of a Hermitian state
+    X = rho.copy()
+    X.flat[gen.block] = 0.0
+    if method == "rk4":
+        rk4_step = (_rk4_matrix(dt * gen.W),
+                    _conj_symmetric(_rk4_polynomial(dt * gen.C)))
+    props = {}
+    for prev, k in zip(record_idx, record_idx[1:]):
+        gap = k - prev
         if method == "rk4":
-            rk4_step = (_rk4_matrix(dt * gen.W),
-                        _conj_symmetric(_rk4_polynomial(dt * gen.C)))
-        props = {}
-        for prev, k in intervals:
-            gap = k - prev
-            if method == "rk4":
-                maps = [rk4_step] * gap
-            else:
-                if gap not in props:
-                    props[gap] = (scipy.linalg.expm(gen.W * (gap * dt)),
-                                  _conj_symmetric(np.exp(gen.C * (gap * dt))))
-                maps = [props[gap]]
-            for P, F in maps:
-                p = P @ p
-                X = F * X
-                if not (np.isfinite(p.sum()) and np.isfinite(X.sum())):
-                    raise PropagationError(f"NaN/Inf encountered before t={k * dt:.6g}")
-            state = X.copy()
-            np.fill_diagonal(state, p)
-            record(k, state)
-    elif method == "rk4":
-        for prev, k in intervals:
-            for _ in range(k - prev):
-                rho = step_rk4(spec, rho, dt)
-            record(k, rho)
-    else:
-        S = build_superoperator(spec)
-        props = {}
-        v = vectorize(rho)
-        for prev, k in intervals:
-            gap = k - prev
+            maps = [rk4_step] * gap
+        else:
             if gap not in props:
-                props[gap] = scipy.linalg.expm(S * (gap * dt))
-            v = props[gap] @ v
-            if not np.all(np.isfinite(v.view(float))):
-                raise PropagationError(f"NaN/Inf encountered at t={k * dt:.6g}")
-            record(k, devectorize(v, spec.dim))
+                props[gap] = (scipy.linalg.expm(gen.W * (gap * dt)),
+                              _conj_symmetric(np.exp(gen.C * (gap * dt))))
+            maps = [props[gap]]
+        for P, F in maps:
+            p = P @ p
+            X = F * X
+            if not (np.isfinite(p.sum()) and np.isfinite(X.sum())):
+                raise PropagationError(f"NaN/Inf encountered before t={k * dt:.6g}")
+        state = X.copy()
+        state.flat[gen.block] = p
+        record(k, state)
 
     diag = np.array(diag_rows, dtype=float)
     traj = Trajectory(

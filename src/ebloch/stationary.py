@@ -8,15 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dissipators import RhsSpec, master_rhs
-from .linalg import (
-    as_matrix,
-    commutator,
-    devectorize,
-    herm_part,
-    hermitian_eig,
-    trace_distance,
-)
-from .propagate import AMPLIFY_TOL, build_superoperator
+from .linalg import as_matrix, commutator, herm_part, hermitian_eig, trace_distance
+from .propagate import AMPLIFY_TOL, _generator
 from .systems import TwoLevelSystem
 
 ZERO_EIG_TOL = 1e-10
@@ -106,19 +99,23 @@ def effective_temperature(spec: RhsSpec) -> float | None:
 
 
 def _spectrum_and_modes(spec: RhsSpec):
-    """(full spectrum, eigenvalues of the modes that can carry trace, map
-    from such a mode's index to its eigenvector as a dim x dim matrix)."""
-    gen = spec.compiled
-    if gen is None:
-        eigvals, eigvecs = np.linalg.eig(build_superoperator(spec))
-        return eigvals, eigvals, lambda k: devectorize(eigvecs[:, k], spec.dim)
+    """(full spectrum, eigenvalues of the block's modes, which alone can
+    carry trace, map from such a mode's index to its eigenvector as a
+    dim x dim matrix)."""
+    gen = _generator(spec)
     if gen.max_growth > AMPLIFY_TOL:
         raise FixedPointError(
             f"generator has amplifying modes (max Re lambda = {gen.max_growth:.3e}); "
             "check the sign of gamma_pd"
         )
-    w, V = np.linalg.eig(gen.W)
-    return np.concatenate([w, gen.coherence_rates]), w, lambda k: np.diag(V[:, k])
+    w, V = gen.block_eig
+
+    def mode_state(k):
+        state = np.zeros(spec.dim * spec.dim, dtype=complex)
+        state[gen.block] = V[:, k]
+        return state.reshape(spec.dim, spec.dim)
+
+    return gen.spectrum, w, mode_state
 
 
 def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
@@ -132,13 +129,14 @@ def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
     Raises :class:`FixedPointError` when no eigenvalue lies within 1e-6 of
     zero.
 
-    For a spec with a population/coherence split ``(W, C)`` the spectrum is
-    eig(W) plus the off-diagonal entries of C, the state is picked among the
-    near-null eigenvectors of W, and no superoperator is built, so ladders
-    of any size are accepted; such a spec raises :class:`FixedPointError`
-    when a coherence rate has real part above 1e-10 (amplifying modes).
-    Every other spec goes through the dense spectrum of
-    :func:`ebloch.propagate.build_superoperator`.
+    The spec runs as a :class:`~ebloch.dissipators.SplitGenerator`
+    ``(W, C)``: the spectrum is eig(W) plus C on the entries off the block,
+    and the state is picked among the near-null eigenvectors of W.  A spec
+    with a population/coherence split builds no superoperator, so ladders
+    of any size are accepted; every other spec has
+    :func:`ebloch.propagate.build_superoperator` as its block.  Raises
+    :class:`FixedPointError` when the spectrum has real part above 1e-10
+    (amplifying modes).
     """
     eigvals, mode_vals, mode_state = _spectrum_and_modes(spec)
     absvals = np.abs(eigvals)

@@ -69,6 +69,38 @@ def test_parse_minimal_two_level_defaults():
     assert cfg.what == "all"
 
 
+def test_parse_only_system_section_defaults():
+    cfg = parse_config("""\
+[system]
+type = two_level
+E = 1.0
+eps = 0, 0, 1
+gamma = 1.0
+bath_T = 2.0
+gamma_pd = -0.1
+""")
+    assert cfg.system_kind == "two_level"
+    defaults = {name: getattr(cfg, name) for name in vars(cfg)
+                if name not in ("system", "system_kind")}
+    assert defaults == {
+        "dissipator_kind": "ebe2",
+        "include_unitary": True,
+        "gamma_pd": -0.1,
+        "bath_T": 2.0,
+        "initial": ("gibbs", None),
+        "t_final": None,
+        "dt": None,
+        "method": "expm",
+        "record_every": 1,
+        "out_path": None,
+        "what": "all",
+        "verify_draws": 1000,
+        "bench_applications": 100000,
+        "bench_chunks": 5,
+        "canonical_T0": None,
+    }
+
+
 def test_parse_rejects_unnormalized_eps_with_named_constraint():
     gp, gm = thermal_rates()
     bad = TWO_LEVEL_CFG.format(gp=gp, gm=gm).replace("eps = 0, 0, 1", "eps = 0, 0, 1.01")

@@ -1,5 +1,8 @@
 """Tests for RK4/expm propagation, the superoperator, and diagnostics."""
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from ebloch.propagate import (
     propagate,
     step_rk4,
 )
-from ebloch.stationary import gibbs_state
+from ebloch.stationary import FixedPointError, fixed_point, gibbs_state
 from ebloch.systems import (
     BathModel,
     TwoLevelSystem,
@@ -216,3 +219,66 @@ def test_propagate_flags_truncation_leak():
     rho0 = gibbs_state(lad.hamiltonian, 3.0)  # hot start on a short ladder
     traj = propagate(RhsSpec.for_ladder(lad), rho0, 1.0, 0.01, "expm", 10)
     assert any("truncation" in w for w in traj.warnings)
+
+
+# ------------------------------------------------- dense specs, one generator
+
+
+def tilted_two_level_spec(gamma_pd=0.0):
+    sys2 = TwoLevelSystem(1.0, (0.6, 0.0, 0.8), 0.3, 0.7)
+    spec = RhsSpec.for_two_level(sys2, gamma_pd=gamma_pd)
+    assert spec.compiled is None  # runs as one dense block
+    return spec
+
+
+def test_dense_rk4_outside_stability_region_raises_before_stepping(monkeypatch):
+    spec = tilted_two_level_spec()
+    calls = []
+    monkeypatch.setattr(sys.modules["ebloch.propagate"], "master_rhs",
+                        lambda rho, s: calls.append(1) or master_rhs(rho, s))
+    with pytest.raises(PropagationError, match="unstable") as info:
+        propagate(spec, COHERENT_RHO0, 30.0, 3.0, "rk4")
+    assert len(calls) == spec.dim ** 2  # the superoperator probes, no step
+    growth = float(str(info.value).split("| = ")[1].split()[0])
+    assert 2.0 < growth < 3.0
+
+
+def test_dense_amplifying_modes_refuse_a_fixed_point():
+    with pytest.raises(FixedPointError, match="amplifying modes"):
+        fixed_point(tilted_two_level_spec(gamma_pd=+2.0))
+
+
+@pytest.mark.parametrize("method", ["expm", "rk4"])
+def test_dense_amplifying_modes_warn_exactly_once(method):
+    spec = tilted_two_level_spec(gamma_pd=+2.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        propagate(spec, COHERENT_RHO0, 0.5, 0.01, method, 10)
+    messages = [str(w.message) for w in caught]
+    assert sum("amplifying modes" in m for m in messages) == 1, messages
+
+
+@pytest.mark.parametrize("kind", ["ebe2", "gkls"])
+@pytest.mark.parametrize("include_unitary", [True, False])
+@pytest.mark.parametrize("gamma_pd", [0.0, -0.2])
+def test_dense_rk4_matches_stagewise_oracle(kind, include_unitary, gamma_pd):
+    rng = np.random.default_rng(7)
+    dt, n_steps = 0.05, 200
+    for _ in range(3):
+        eps = rng.standard_normal(3)
+        eps /= np.linalg.norm(eps)
+        sys2 = TwoLevelSystem(float(rng.uniform(0.2, 3.0)), eps,
+                              float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.05, 1.0)))
+        spec = RhsSpec.for_two_level(sys2, kind, include_unitary, gamma_pd)
+        assert spec.compiled is None
+        A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        rho = A @ A.conj().T
+        rho /= np.trace(rho)
+        traj = propagate(spec, rho, n_steps * dt, dt, "rk4", 20)
+        ref = [rho]
+        for k in range(1, n_steps + 1):
+            rho = step_rk4(spec, rho, dt)
+            if k % 20 == 0:
+                ref.append(rho)
+        worst = max(np.abs(a - b).max() for a, b in zip(traj.states, ref))
+        assert worst <= 1e-12, f"dense RK4 vs step_rk4 {worst:.3e}"
