@@ -168,9 +168,11 @@ def canonical_experiment(
 
     The state is propagated with fixed-step RK4 through
     ``propagate(..., "rk4")``.  The ladder's spec has a population/coherence
-    split, so each step applies the precomputed RK4 polynomial R4(dt W) of
-    the tridiagonal rate matrix to the populations: a banded, entrywise-local
-    update that keeps exponentially small tail populations accurate in
+    split, so each record gap of g steps applies R4(dt W)^g, the RK4
+    polynomial of the tridiagonal rate matrix, to the populations.  For
+    steps as short as the quench's, R4(dt W) is entrywise non-negative, so
+    its powers and their products with the populations involve no
+    cancellation and keep exponentially small tail populations accurate in
     relative terms, which log-ratio profiles need (a dense exponential carries
     absolute round-off at the matrix norm scale and would pollute them).  The
     Gibbs start is diagonal, so its coherences stay exactly zero.  Alongside,

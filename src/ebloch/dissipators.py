@@ -48,6 +48,12 @@ class SplitGenerator:
     C: np.ndarray
     block: np.ndarray
 
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """d(rho)/dt: ``W`` on the block entries, ``C`` elementwise on the rest."""
+        out = self.C * rho
+        out.flat[self.block] = self.W @ rho.flat[self.block]
+        return out
+
     @cached_property
     def coherence_rates(self) -> np.ndarray:
         """C on the entries off the block, one eigenvalue per entry."""

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipators import RhsSpec, master_rhs
+from .dissipators import RhsSpec
 from .linalg import as_matrix, commutator, herm_part, hermitian_eig, trace_distance
 from .propagate import AMPLIFY_TOL, _generator
 from .systems import TwoLevelSystem
@@ -99,9 +99,9 @@ def effective_temperature(spec: RhsSpec) -> float | None:
 
 
 def _spectrum_and_modes(spec: RhsSpec):
-    """(full spectrum, eigenvalues of the block's modes, which alone can
-    carry trace, map from such a mode's index to its eigenvector as a
-    dim x dim matrix)."""
+    """(generator, eigenvalues of the block's modes, which alone can carry
+    trace, map from such a mode's index to its eigenvector as a dim x dim
+    matrix)."""
     gen = _generator(spec)
     if gen.max_growth > AMPLIFY_TOL:
         raise FixedPointError(
@@ -115,7 +115,7 @@ def _spectrum_and_modes(spec: RhsSpec):
         state[gen.block] = V[:, k]
         return state.reshape(spec.dim, spec.dim)
 
-    return gen.spectrum, w, mode_state
+    return gen, w, mode_state
 
 
 def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
@@ -136,9 +136,11 @@ def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
     of any size are accepted; every other spec has
     :func:`ebloch.propagate.build_superoperator` as its block.  Raises
     :class:`FixedPointError` when the spectrum has real part above 1e-10
-    (amplifying modes).
+    (amplifying modes).  ``residual`` is the norm of the same generator
+    applied to the state, :meth:`~ebloch.dissipators.SplitGenerator.apply`.
     """
-    eigvals, mode_vals, mode_state = _spectrum_and_modes(spec)
+    gen, mode_vals, mode_state = _spectrum_and_modes(spec)
+    eigvals = gen.spectrum
     absvals = np.abs(eigvals)
     nearest = float(absvals.min())
     if nearest > 1e-6:
@@ -157,7 +159,7 @@ def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
         raise FixedPointError("stationary direction has (near-)zero trace")
     rho = rho / tr
 
-    residual = float(np.linalg.norm(master_rhs(rho, spec)))
+    residual = float(np.linalg.norm(gen.apply(rho)))
     # purely oscillatory modes (undamped cross-block coherences on ladders)
     # carry Re lambda = 0 and do not bound relaxation: the gap is the slowest
     # actually-decaying rate

@@ -19,7 +19,14 @@ from hypothesis import strategies as st
 from ebloch.canonical import canonical_experiment, thermalization_ode_rhs
 from ebloch.dissipators import RhsSpec, master_rhs
 from ebloch.linalg import trace_distance
-from ebloch.propagate import PropagationError, build_superoperator, propagate, step_rk4
+from ebloch.propagate import (
+    PropagationError,
+    _generator,
+    _rk4_matrix,
+    build_superoperator,
+    propagate,
+    step_rk4,
+)
 from ebloch.stationary import FixedPointError, fixed_point, gibbs_state
 from ebloch.systems import (
     BathModel,
@@ -211,6 +218,68 @@ def test_split_rk4_outside_stability_region_raises_before_stepping(monkeypatch):
     assert 30.0 < growth < 40.0
     # a step inside the region runs
     propagate(spec, rho0, 1.0, 0.01, "rk4", 10)
+
+
+def test_split_rk4_gap_maps_keep_relative_accuracy_over_the_criterion_6_quench():
+    lad = build_oscillator(14, 10.0, "harmonic", BathModel(1.0, 1.0))
+    spec = RhsSpec.for_ladder(lad)
+    rho = gibbs_state(lad.hamiltonian, 2.0)
+    dt, n_steps, every = 1e-3, 30_000, 25
+    step = _rk4_matrix(dt * spec.compiled.W)
+    # the accuracy claim rests on this: powers and products of a non-negative
+    # matrix with a positive vector involve no cancellation
+    assert np.all(step >= 0.0)
+    traj = propagate(spec, rho, n_steps * dt, dt, "rk4", every)
+    p = np.diag(rho).real
+    ref = [p]
+    for k in range(1, n_steps + 1):
+        p = step @ p
+        if k % every == 0:
+            ref.append(p)
+    ref = np.array(ref)
+    assert ref.min() < 1e-50  # the relaxed tail is resolved, not flushed
+    rel = np.abs(traj.populations() - ref) / ref
+    assert rel.max() <= 1e-10, f"worst relative deviation {rel.max():.3e}"
+
+
+def test_generator_rhs_norm_matches_master_rhs():
+    rng = np.random.default_rng(11)
+    lad = build_oscillator(7, 1.3, "harmonic", BathModel(1.0, 0.9))
+    tilted = TwoLevelSystem(1.0, (0.6, 0.0, 0.8), 0.3, 0.7)
+    specs = [RhsSpec.for_ladder(lad, "eben", True, -0.1),
+             RhsSpec.for_ladder(lad, "gkls", False, 0.0),
+             RhsSpec.for_two_level(tilted, "ebe2", True, -0.2),
+             RhsSpec.for_two_level(tilted, "gkls", False, 0.0)]
+    assert [s.compiled is None for s in specs] == [False, False, True, True]
+    for spec in specs:
+        gen = _generator(spec)
+        for _ in range(5):
+            A = rng.standard_normal((spec.dim,) * 2) + 1j * rng.standard_normal((spec.dim,) * 2)
+            rho = A + A.conj().T
+            ref = np.linalg.norm(master_rhs(rho, spec))
+            assert abs(np.linalg.norm(gen.apply(rho)) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("method", ["rk4", "expm"])
+def test_split_propagate_evaluates_no_master_rhs(monkeypatch, method):
+    lad = build_oscillator(8, 1.0, "harmonic", BathModel(1.0, 1.0))
+    spec = RhsSpec.for_ladder(lad, gamma_pd=-0.1)
+    calls = []
+    monkeypatch.setattr(sys.modules["ebloch.propagate"], "master_rhs",
+                        lambda rho, s: calls.append(1) or master_rhs(rho, s))
+    traj = propagate(spec, gibbs_state(lad.hamiltonian, 2.0), 1.0, 0.01, method, 10)
+    assert len(traj.times) == 11
+    assert not calls
+
+
+def test_split_growth_check_aborts_amplifying_coherences():
+    lad = build_oscillator(4, 1.0, "harmonic", BathModel(1.0, 1.0))
+    spec = RhsSpec.for_ladder(lad, gamma_pd=+50.0)
+    assert spec.compiled is not None
+    psi = np.full(4, 0.5, dtype=complex)
+    with pytest.raises(PropagationError, match="instability"):
+        with pytest.warns(UserWarning, match="amplifying modes"):
+            propagate(spec, np.outer(psi, psi.conj()), 10.0, 1e-3, "expm", 100)
 
 
 # ----------------------------------------------------------- fixed points

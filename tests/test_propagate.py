@@ -282,3 +282,59 @@ def test_dense_rk4_matches_stagewise_oracle(kind, include_unitary, gamma_pd):
                 ref.append(rho)
         worst = max(np.abs(a - b).max() for a, b in zip(traj.states, ref))
         assert worst <= 1e-12, f"dense RK4 vs step_rk4 {worst:.3e}"
+
+
+# -------------------------------------------- RK4 stability, record-gap maps
+
+
+def test_rk4_oscillatory_mode_outside_stability_region_raises_before_stepping(monkeypatch):
+    # modes +-3i have Re lambda = 0; |R4(3i)| ~ 1.5 amplifies them every step
+    spec = RhsSpec.closed(np.diag([0.0, 3.0]))
+    diagnosed = []
+    real_diagnose = sys.modules["ebloch.propagate"]._diagnose
+    monkeypatch.setattr(sys.modules["ebloch.propagate"], "_diagnose",
+                        lambda *a: diagnosed.append(1) or real_diagnose(*a))
+    with pytest.raises(PropagationError, match="unstable") as info:
+        propagate(spec, COHERENT_RHO0, 10.0, 1.0, "rk4")
+    assert not diagnosed  # not even t=0 was recorded
+    growth = float(str(info.value).split("| = ")[1].split()[0])
+    assert 1.4 < growth < 1.6
+    # inside the region (|R4(1.5i)| ~ 0.94) the same spec runs
+    traj = propagate(spec, COHERENT_RHO0, 10.0, 0.5, "rk4")
+    assert np.abs(traj.states[-1]).max() <= np.abs(COHERENT_RHO0).max()
+
+
+def _stagewise(spec, rho, dt, n_steps, record_every):
+    times, states = [0.0], [rho]
+    for k in range(1, n_steps + 1):
+        rho = step_rk4(spec, rho, dt)
+        if k % record_every == 0 or k == n_steps:
+            times.append(k * dt)
+            states.append(rho)
+    return np.array(times), states
+
+
+@pytest.mark.parametrize("record_every", [300, 1])  # gaps 300, 300, 300, 100 / all 1
+def test_split_rk4_gap_maps_match_stagewise_steps(record_every):
+    lad = build_oscillator(6, 1.0, "harmonic", BathModel(1.0, 1.0))
+    spec = RhsSpec.for_ladder(lad, gamma_pd=-0.1)
+    assert spec.compiled is not None
+    A = np.random.default_rng(3).standard_normal((6, 12)).view(complex)
+    rho0 = A @ A.conj().T / np.linalg.norm(A) ** 2
+    dt = 0.01
+    traj = propagate(spec, rho0, 1000 * dt, dt, "rk4", record_every)
+    times, ref = _stagewise(spec, rho0, dt, 1000, record_every)
+    np.testing.assert_array_equal(traj.times, times)
+    rel = max((np.abs(a - b) / np.abs(b)).max() for a, b in zip(traj.states, ref))
+    assert rel <= 1e-10, f"split gap maps vs step_rk4 {rel:.3e}"
+
+
+@pytest.mark.parametrize("record_every", [300, 1])
+def test_dense_rk4_gap_maps_match_stagewise_steps(record_every):
+    spec = tilted_two_level_spec(gamma_pd=-0.2)
+    dt = 0.01
+    traj = propagate(spec, COHERENT_RHO0, 1000 * dt, dt, "rk4", record_every)
+    times, ref = _stagewise(spec, COHERENT_RHO0, dt, 1000, record_every)
+    np.testing.assert_array_equal(traj.times, times)
+    worst = max(np.abs(a - b).max() for a, b in zip(traj.states, ref))
+    assert worst <= 1e-12, f"dense gap maps vs step_rk4 {worst:.3e}"
