@@ -36,8 +36,8 @@ class CanonicalDiagnostics:
     population sits below the floor.  ``max_nonuniformity`` is the largest
     deviation of the profile from its mean; ``a_series`` exponentiates the
     mean; ``delta_series`` measures the mismatch from the bath Gibbs ratio.
-    ``lna_ode`` is the independently integrated one-variable thermalization
-    equation started from a(0) = exp(-E/T0), and ``ode_mismatch`` the largest
+    ``lna_ode`` is the exact solution of the one-variable thermalization
+    equation from a(0) = exp(-E/T0), and ``ode_mismatch`` the largest
     |ln a_ODE - mean ratio| inside the clean window (truncation leak below
     ``LEAK_TOL``).
     """
@@ -54,13 +54,13 @@ class CanonicalDiagnostics:
     ode_mismatch: float
 
 
-def ratio_profile(p, floor: float = POPULATION_FLOOR) -> np.ndarray:
+def ratio_profile(p) -> np.ndarray:
     """Vector of log level ratios ln(p_{i+1}/p_i).
 
-    Entries where either population lies below ``floor`` are NaN (absent):
-    the tail of a truncated ladder would otherwise inject log-of-zero
-    artifacts.  Requires a normalized probability vector; populations below
-    -1e-12 are rejected.
+    Entries where either population lies below ``POPULATION_FLOOR`` are NaN
+    (absent): the tail of a truncated ladder would otherwise inject
+    log-of-zero artifacts.  Requires a normalized probability vector;
+    populations below -1e-12 are rejected.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 2:
@@ -70,7 +70,7 @@ def ratio_profile(p, floor: float = POPULATION_FLOOR) -> np.ndarray:
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"populations must sum to 1 within 1e-9, got {p.sum()}")
     out = np.full(p.size - 1, np.nan)
-    ok = (p[:-1] >= floor) & (p[1:] >= floor)
+    ok = (p[:-1] >= POPULATION_FLOOR) & (p[1:] >= POPULATION_FLOOR)
     out[ok] = np.log(p[1:][ok] / p[:-1][ok])
     return out
 
@@ -113,10 +113,7 @@ def thermalization_ode_rhs(a: float, bath: BathModel, E: float, gamma0: float) -
         raise ValueError(f"a must be positive, got {a}")
     if not (gamma0 > 0.0):
         raise ValueError(f"gamma0 must be positive, got {gamma0}")
-    return _lna_rate(a, fermi(E, bath.T), gamma0)
-
-
-def _lna_rate(a: float, f: float, gamma0: float) -> float:
+    f = fermi(E, bath.T)
     return float(gamma0 * (a * (1.0 - f) + f / a - 1.0))
 
 
@@ -161,8 +158,6 @@ def canonical_experiment(
     t_final: float,
     dt: float,
     record_every: int = 10,
-    floor: float = POPULATION_FLOOR,
-    leak_tol: float = LEAK_TOL,
 ) -> CanonicalDiagnostics:
     """Quench a ladder from Gibbs(T0) and track the canonical form.
 
@@ -175,14 +170,20 @@ def canonical_experiment(
     cancellation and keep exponentially small tail populations accurate in
     relative terms, which log-ratio profiles need (a dense exponential carries
     absolute round-off at the matrix norm scale and would pollute them).  The
-    Gibbs start is diagonal, so its coherences stay exactly zero.  Alongside,
-    the one-variable thermalization equation is integrated from
-    a(0) = exp(-E/T0) on the same grid, with the bath's Fermi factor computed
-    once, and compared inside the clean window.
+    Gibbs start is diagonal, so its coherences stay exactly zero.
+
+    The one-variable thermalization equation is a Riccati equation with
+    constant coefficients and fixed points a* = f/(1-f) and 1.  Its exact
+    solution from a0 = exp(-E/T0) is evaluated at the recorded times,
+
+        ln a(t) = ln(w* a* + w0 a0) - ln(w* + w0),
+        w0 = (1 - a*) e^{-kappa t},  w* = (1 - a0)(1 - e^{-kappa t}),
+
+    with kappa = gamma_0 (1 - 2f), and compared inside the clean window.
+    Both weights are non-negative, so nothing cancels, and the logs are
+    summed in log space, so ``lna_ode`` stays finite at any T0 > 0.
     """
     E, f, gamma0 = _thermal_ladder_parameters(sys)
-    T_bath = E / math.log((1.0 - f) / f)
-    bath = BathModel(gamma=gamma0, T=T_bath)
     rho0 = gibbs_state(sys.hamiltonian, T0)
     spec = RhsSpec.for_ladder(sys, "eben")
     traj = propagate(spec, rho0, t_final, dt, method="rk4", record_every=record_every)
@@ -193,51 +194,31 @@ def canonical_experiment(
     nonunif = np.full(n_rec, np.nan)
     mean_ratio = np.full(n_rec, np.nan)
     for k in range(n_rec):
-        r = ratio_profile(np.clip(pops[k], 0.0, None) / pops[k].sum(), floor)
+        r = ratio_profile(np.clip(pops[k], 0.0, None) / pops[k].sum())
         profiles[k] = r
         valid = ~np.isnan(r)
         if valid.any():
             m = r[valid].mean()
             mean_ratio[k] = m
             nonunif[k] = np.abs(r[valid] - m).max()
-    a_series = np.exp(mean_ratio)
-    delta_series = np.array(
-        [delta_parameter(a, bath, E) if np.isfinite(a) else np.nan for a in a_series]
-    )
 
-    # One-variable oracle on the same fixed grid (scalar RK4).
-    n_steps = max(1, int(round(t_final / dt)))
-    rec = {int(round(t / dt)): None for t in traj.times}
-    lna = -E / T0
-    rec_vals = {}
-    if 0 in rec:
-        rec_vals[0] = lna
-
-    f_bath = fermi(E, bath.T)
-
-    def ode(y: float) -> float:
-        return _lna_rate(math.exp(y), f_bath, gamma0)
-
-    for k in range(1, n_steps + 1):
-        k1 = ode(lna)
-        k2 = ode(lna + 0.5 * dt * k1)
-        k3 = ode(lna + 0.5 * dt * k2)
-        k4 = ode(lna + dt * k3)
-        lna += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if k in rec:
-            rec_vals[k] = lna
-    lna_ode = np.array([rec_vals[int(round(t / dt))] for t in traj.times])
+    ln_astar, ln_a0 = math.log(f) - math.log1p(-f), -E / T0
+    kt = gamma0 * (1.0 - 2.0 * f) * traj.times
+    ln_w0 = math.log(-math.expm1(ln_astar)) - kt
+    with np.errstate(divide="ignore"):  # w* = 0 at t = 0, and always when T0 = inf
+        ln_ws = np.log(-np.expm1(ln_a0)) + np.log(-np.expm1(-kt))
+    lna_ode = np.logaddexp(ln_ws + ln_astar, ln_w0 + ln_a0) - np.logaddexp(ln_ws, ln_w0)
 
     leak = traj.top_pop
-    clean = (leak < leak_tol) & np.isfinite(mean_ratio)
+    clean = (leak < LEAK_TOL) & np.isfinite(mean_ratio)
     mism = np.abs(lna_ode - mean_ratio)[clean]
     ode_mismatch = float(mism.max()) if mism.size else math.nan
     return CanonicalDiagnostics(
         times=traj.times,
         ratio_profiles=profiles,
         max_nonuniformity=nonunif,
-        a_series=a_series,
-        delta_series=delta_series,
+        a_series=np.exp(mean_ratio),
+        delta_series=mean_ratio - ln_astar,
         mean_ratio=mean_ratio,
         lna_ode=lna_ode,
         truncation_leak=leak,

@@ -207,8 +207,7 @@ def _build_system(r: _Reader):
             return None, kind, gamma_pd, bath_T
         coupling = table if rule == "table" else rule
         try:
-            system = build_oscillator(N, spacing, coupling,
-                                      BathModel(gamma=gamma, T=bath_T), gamma=gamma)
+            system = build_oscillator(N, spacing, coupling, BathModel(gamma=gamma, T=bath_T))
         except (TypeError, ValueError) as exc:
             r.errors.append(f"[system] {exc}")
     else:

@@ -70,9 +70,9 @@ def build_superoperator(spec: RhsSpec) -> np.ndarray:
     Built by applying the right-hand side to the dim^2 matrix units; guarded
     at dim <= 64.  :func:`propagate` and :func:`ebloch.stationary.fixed_point`
     use it as the single block of specs without a population/coherence
-    split, so ladders never reach the guard there.  When the spec carries a
-    nonzero gamma_pd (and the check is cheap) the spectrum is inspected and
-    a warning is raised if the generator has amplifying modes.
+    split, so ladders never reach the guard there.  It inspects no spectrum:
+    those callers check for amplifying modes through
+    :attr:`SplitGenerator.max_growth`, at any dim.
     """
     dim = spec.dim
     if dim > MAX_SUPEROP_DIM:
@@ -84,10 +84,6 @@ def build_superoperator(spec: RhsSpec) -> np.ndarray:
             unit[a, b] = 1.0
             S[:, a + b * dim] = vectorize(master_rhs(unit, spec))
             unit[a, b] = 0.0
-    if spec.gamma_pd != 0.0 and dim <= 16:
-        max_re = float(np.linalg.eigvals(S).real.max())
-        if max_re > AMPLIFY_TOL:
-            _warn_amplifying(max_re)
     return S
 
 
@@ -96,21 +92,9 @@ def _generator(spec: RhsSpec) -> SplitGenerator:
     in column-stacking order with C = 0."""
     if spec.compiled is not None:
         return spec.compiled
-    with warnings.catch_warnings():
-        # callers report amplifying modes themselves, from max_growth
-        warnings.filterwarnings("ignore", "assembled generator has amplifying modes")
-        S = build_superoperator(spec)
     n = spec.dim
-    return SplitGenerator(S, np.zeros((n, n), dtype=complex),
+    return SplitGenerator(build_superoperator(spec), np.zeros((n, n), dtype=complex),
                           np.arange(n * n).reshape(n, n).ravel(order="F"))
-
-
-def _warn_amplifying(max_re: float) -> None:
-    warnings.warn(
-        f"assembled generator has amplifying modes (max Re lambda = "
-        f"{max_re:.3e}); check the sign of gamma_pd",
-        stacklevel=3,
-    )
 
 
 def _rk4_polynomial(z):
@@ -215,7 +199,11 @@ def propagate(
 
     gen = _generator(spec)
     if gen.max_growth > AMPLIFY_TOL:
-        _warn_amplifying(gen.max_growth)
+        warnings.warn(
+            f"assembled generator has amplifying modes (max Re lambda = "
+            f"{gen.max_growth:.3e}); check the sign of gamma_pd",
+            stacklevel=2,
+        )
     if method == "rk4":
         _check_rk4_stability(gen, dt)
 

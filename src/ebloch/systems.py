@@ -310,14 +310,14 @@ def build_oscillator(
     E: float,
     coupling: str | Sequence[float],
     bath: BathModel,
-    gamma: float = 1.0,
 ) -> LadderSystem:
     """Equally spaced N-level ladder with nearest-neighbour thermal transitions.
 
     ``coupling`` selects gamma_i for the transition between levels i and i+1:
-    'harmonic' gives (i+1)*gamma, 'constant' gives gamma, and an explicit
-    sequence of N-1 values is used as-is.  Per-transition rates follow
-    :func:`rates_from_bath`, so detailed balance holds on every rung.
+    'harmonic' gives (i+1)*bath.gamma, 'constant' gives bath.gamma, and an
+    explicit sequence of N-1 values is used as-is (bath.gamma is then
+    unused).  Per-transition rates follow :func:`rates_from_bath` at
+    bath.T, so detailed balance holds on every rung.
     """
     if not isinstance(N, int) or N < 2:
         raise ValueError(f"N must be an integer >= 2, got {N}")
@@ -331,7 +331,7 @@ def build_oscillator(
                 f"unknown coupling rule {coupling!r}; use "
                 f"{sorted(COUPLING_RULES)} or an explicit table"
             ) from None
-        gammas = [rule(i, gamma) for i in range(N - 1)]
+        gammas = [rule(i, bath.gamma) for i in range(N - 1)]
     else:
         gammas = [float(g) for g in coupling]
         if len(gammas) != N - 1:

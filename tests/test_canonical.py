@@ -1,6 +1,7 @@
 """Tests for canonical-invariance diagnostics and the reduced thermalization ODE."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,25 @@ def test_canonical_experiment_at_bath_temperature_is_static():
         assert np.abs(diag.mean_ratio[finite] + 13.0).max() <= 1e-9
         assert np.abs(np.diff(diag.a_series[finite])).max() <= 1e-10
         assert np.nanmax(diag.max_nonuniformity[finite]) <= 1e-9
+
+
+@pytest.mark.parametrize("T0", [0.5, 0.3])
+def test_canonical_experiment_cold_quench_matches_exact_reduced_solution(T0):
+    # a0 = exp(-E/T0) is far below the bath ratio, where a fixed-step
+    # integration of d ln a/dt (rate ~ f/a) is stiff or overflows
+    lad = build_oscillator(14, 10.0, "harmonic", BathModel(1.0, 1.0))
+    diag = canonical_experiment(lad, T0=T0, t_final=3.0, dt=1e-3, record_every=25)
+    assert diag.ode_mismatch <= 1e-8
+
+
+def test_canonical_experiment_underflowing_start_ratio_stays_finite():
+    E, T0 = 10.0, 0.01  # exp(-E/T0) = exp(-1000) underflows to 0
+    lad = build_oscillator(14, E, "harmonic", BathModel(1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diag = canonical_experiment(lad, T0=T0, t_final=3.0, dt=1e-3, record_every=25)
+    assert diag.lna_ode[0] == pytest.approx(-E / T0, rel=1e-15)
+    assert np.isfinite(diag.lna_ode).all()
 
 
 def test_canonical_experiment_rejects_non_ladder_systems():

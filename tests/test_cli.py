@@ -363,6 +363,31 @@ path = canon.csv
     assert mism <= 1e-8
 
 
+def test_canonical_subcommand_cold_quench(tmp_path):
+    text = """\
+[system]
+type = oscillator
+N = 14
+spacing = 10.0
+bath_T = 1.0
+
+[integration]
+t_final = 3.0
+dt = 0.001
+record_every = 25
+
+[canonical]
+T0 = 0.3
+
+[output]
+path = canon.csv
+"""
+    cfg = write(tmp_path, "cold.cfg", text)
+    assert main(["canonical", "--config", cfg, "--out", str(tmp_path)]) == 0
+    comments, _, _ = read_csv(tmp_path / "canon.csv")
+    assert float(next(c for c in comments if "ode_mismatch=" in c).split("=")[1]) <= 1e-8
+
+
 def test_canonical_requires_ladder(tmp_path, capsys):
     gp, gm = thermal_rates()
     cfg = write(tmp_path, "c.cfg", TWO_LEVEL_CFG.format(gp=gp, gm=gm) + "\n[canonical]\nT0 = 2.0\n")

@@ -10,6 +10,7 @@ from ebloch.dissipators import RhsSpec, master_rhs
 from ebloch.linalg import matrix_exp, trace_distance, vectorize
 from ebloch.propagate import (
     PropagationError,
+    _generator,
     build_superoperator,
     propagate,
     step_rk4,
@@ -113,10 +114,16 @@ def test_superoperator_dimension_guard():
         build_superoperator(RhsSpec.for_ladder(lad))
 
 
-def test_superoperator_warns_on_amplifying_dephasing():
+def test_dense_max_growth_is_the_superoperator_spectral_abscissa():
+    # build_superoperator inspects no spectrum; the generator's max_growth is
+    # the one amplifying check of the dense route
     spec = RhsSpec.for_two_level(thermal_two_level(), gamma_pd=+2.0)
-    with pytest.warns(UserWarning, match="amplifying"):
-        build_superoperator(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S = build_superoperator(spec)
+    max_re = float(np.linalg.eigvals(S).real.max())
+    assert max_re > 1.0
+    assert _generator(spec).max_growth == pytest.approx(max_re, rel=1e-12)
 
 
 # ----------------------------------------------------------------- propagate
@@ -246,6 +253,15 @@ def test_dense_rk4_outside_stability_region_raises_before_stepping(monkeypatch):
 def test_dense_amplifying_modes_refuse_a_fixed_point():
     with pytest.raises(FixedPointError, match="amplifying modes"):
         fixed_point(tilted_two_level_spec(gamma_pd=+2.0))
+
+
+def test_dense_fixed_point_diagonalizes_its_superoperator_once(monkeypatch):
+    calls = []
+    eig, eigvals = np.linalg.eig, np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append("eig") or eig(a))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append("eigvals") or eigvals(a))
+    fixed_point(tilted_two_level_spec(gamma_pd=-0.2))
+    assert calls == ["eig"]
 
 
 @pytest.mark.parametrize("method", ["expm", "rk4"])

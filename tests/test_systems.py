@@ -191,20 +191,20 @@ def test_rates_detailed_balance():
 
 
 def test_build_oscillator_harmonic_table():
-    lad = build_oscillator(4, 1.0, "harmonic", BathModel(1.0, 1.0), gamma=0.7)
+    lad = build_oscillator(4, 1.0, "harmonic", BathModel(0.7, 1.0))
     gs = [t.gamma_sum for t in lad.transitions]
     np.testing.assert_allclose(gs, [0.7, 1.4, 2.1], rtol=1e-14)
     np.testing.assert_allclose(lad.energies, [0, 1, 2, 3])
 
 
 def test_build_oscillator_constant_table():
-    lad = build_oscillator(4, 1.0, "constant", BathModel(1.0, 1.0), gamma=0.7)
+    lad = build_oscillator(4, 1.0, "constant", BathModel(0.7, 1.0))
     np.testing.assert_allclose([t.gamma_sum for t in lad.transitions], [0.7] * 3, rtol=1e-14)
 
 
 def test_build_oscillator_two_levels_matches_two_level_rates():
     bath = BathModel(1.3, 0.9)
-    lad = build_oscillator(2, 1.1, "harmonic", bath, gamma=1.3)
+    lad = build_oscillator(2, 1.1, "harmonic", bath)
     gp, gm = rates_from_bath(bath, 1.1)
     t = lad.transitions[0]
     assert (t.gamma_p, t.gamma_m) == (gp, gm)
