@@ -181,8 +181,11 @@ def canonical_experiment(
 
     with kappa = gamma_0 (1 - 2f), and compared inside the clean window.
     Both weights are non-negative, so nothing cancels, and the logs are
-    summed in log space, so ``lna_ode`` stays finite at any T0 > 0.
+    summed in log space, so ``lna_ode`` stays finite at any finite T0 > 0
+    (at T0 = inf, a0 = 1 is an unstable fixed point; ValueError).
     """
+    if not 0.0 < T0 < math.inf:
+        raise ValueError(f"T0 must be a finite positive temperature, got {T0}")
     E, f, gamma0 = _thermal_ladder_parameters(sys)
     rho0 = gibbs_state(sys.hamiltonian, T0)
     spec = RhsSpec.for_ladder(sys, "eben")
@@ -205,7 +208,7 @@ def canonical_experiment(
     ln_astar, ln_a0 = math.log(f) - math.log1p(-f), -E / T0
     kt = gamma0 * (1.0 - 2.0 * f) * traj.times
     ln_w0 = math.log(-math.expm1(ln_astar)) - kt
-    with np.errstate(divide="ignore"):  # w* = 0 at t = 0, and always when T0 = inf
+    with np.errstate(divide="ignore"):  # w* = 0 at t = 0
         ln_ws = np.log(-np.expm1(ln_a0)) + np.log(-np.expm1(-kt))
     lna_ode = np.logaddexp(ln_ws + ln_astar, ln_w0 + ln_a0) - np.logaddexp(ln_ws, ln_w0)
 

@@ -10,6 +10,9 @@ Two independent routes to the same dissipative map exist on purpose:
 For a canonically scaled two-level pair the two routes coincide as linear
 maps, which the test suite checks numerically instead of trusting either
 implementation.
+
+Every kernel and :func:`master_rhs` maps one (d, d) matrix or each matrix of
+an (n, d, d) stack, checking the shape once per call.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .systems import LadderSystem, TwoLevelSystem, jump_operators
 KINDS = ("gkls", "ebe2", "eben")
 
 _EYE2 = np.eye(2, dtype=complex)
+
+_BATCH_ENTRIES = 1 << 16  # per sub-batch of a stacked master_rhs call
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +170,7 @@ class RhsSpec:
         for L, gamma in self.jumps:
             L = as_matrix(L)
             if L.shape != H.shape:
-                raise ValueError("jump operator dimension does not match the Hamiltonian")
+                raise ValueError(f"jump operator dimension {L.shape} does not match {H.shape}")
             gamma = float(gamma)
             if not (np.isfinite(gamma) and gamma >= 0.0):
                 raise ValueError(f"jump rates must be non-negative, got {gamma}")
@@ -184,11 +189,7 @@ class RhsSpec:
     def jump_terms(self) -> tuple:
         """Per-jump (gamma, L, L^dag, L^dag L), precomputed once; any real
         jump-operator solver would hoist these out of the propagation loop."""
-        terms = []
-        for L, gamma in self.jumps:
-            Ld = L.conj().T
-            terms.append((gamma, L, Ld, Ld @ L))
-        return tuple(terms)
+        return tuple((gamma, L, L.conj().T, L.conj().T @ L) for L, gamma in self.jumps)
 
     @cached_property
     def compiled(self) -> SplitGenerator | None:
@@ -257,20 +258,29 @@ class RhsSpec:
         return cls(as_matrix(H), "gkls", include_unitary=include_unitary)
 
 
-def gkls_dissipator(rho, jumps) -> np.ndarray:
-    """Standard dissipator sum_j gamma_j (L rho L^dag - (1/2){L^dag L, rho})."""
-    M = as_matrix(rho)
+def _as_states(rho, d: int) -> np.ndarray:
+    """``rho`` as a complex (d, d) matrix or (n, d, d) stack."""
+    M = np.asarray(rho, dtype=complex)
+    if M.ndim not in (2, 3) or M.shape[-2:] != (d, d):
+        raise ValueError(f"expected a {d}x{d} matrix or an (n, {d}, {d}) stack, "
+                         f"got shape {M.shape}")
+    return M
+
+
+def _gkls(M: np.ndarray, jump_terms) -> np.ndarray:
+    """sum_j gamma_j (L M L^dag - (1/2){L^dag L, M}) over :attr:`RhsSpec.jump_terms`."""
     out = np.zeros_like(M)
-    for L, gamma in jumps:
-        L = as_matrix(L)
-        if L.shape != M.shape:
-            raise ValueError("jump operator dimension does not match rho")
-        if gamma < 0.0:
-            raise ValueError(f"jump rates must be non-negative, got {gamma}")
-        Ld = L.conj().T
-        LdL = Ld @ L
+    for gamma, L, Ld, LdL in jump_terms:
         out += gamma * (L @ M @ Ld - 0.5 * (LdL @ M + M @ LdL))
     return out
+
+
+def gkls_dissipator(rho, jumps) -> np.ndarray:
+    """Standard dissipator sum_j gamma_j (L rho L^dag - (1/2){L^dag L, rho});
+    the jumps are validated as a :class:`RhsSpec`'s."""
+    M = np.asarray(rho, dtype=complex)
+    spec = RhsSpec(np.zeros(M.shape[-1:] * 2), "gkls", jumps=jumps)
+    return _gkls(_as_states(M, spec.dim), spec.jump_terms)
 
 
 def ebe_two_level(rho, sys: TwoLevelSystem) -> np.ndarray:
@@ -283,19 +293,12 @@ def ebe_two_level(rho, sys: TwoLevelSystem) -> np.ndarray:
     terms; keeping them makes the map linear, so it has a well-defined
     superoperator matrix and extends the unit-trace form uniquely.
     """
-    M = as_matrix(rho)
-    if M.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 density matrix, got {M.shape}")
-    H = sys.hamiltonian
-    gsum = sys.gamma_sum
-    gdiff = sys.gamma_diff
-    tr = M[0, 0] + M[1, 1]
-    inner = H @ M - M @ H
-    dbl = H @ inner - inner @ H
+    M = _as_states(rho, 2)
+    H, E, gsum = sys.hamiltonian, sys.E, sys.gamma_sum
+    tr = (M[..., 0, 0] + M[..., 1, 1])[..., None, None]
     out = (-gsum) * M
-    out += (0.5 * gsum * tr) * _EYE2
-    out += (gdiff * tr / sys.E) * H
-    out += (gsum / (2.0 * sys.E * sys.E)) * dbl
+    out += tr * (0.5 * gsum * _EYE2 + (sys.gamma_diff / E) * H)
+    out += (gsum / (2.0 * E * E)) * double_commutator(H, M)
     return out
 
 
@@ -316,26 +319,24 @@ def ebe_multi_level(rho, sys: LadderSystem) -> np.ndarray:
     transition index order.  Coherences between levels that share no
     transition are left untouched.
     """
-    M = as_matrix(rho)
-    if M.shape != (sys.N, sys.N):
-        raise ValueError(f"expected a {sys.N}x{sys.N} density matrix, got {M.shape}")
+    M = _as_states(rho, sys.N)
     ii, jj, gp, gm = sys.transition_arrays
     out = np.zeros_like(M)
     if ii.size == 0:
         return out
     gsum = gp + gm
-    flow = gp * M[ii, ii] - gm * M[jj, jj]
-    np.add.at(out, (ii, ii), -flow)
-    np.add.at(out, (jj, jj), flow)
-    np.add.at(out, (ii, jj), -0.5 * gsum * M[ii, jj])
-    np.add.at(out, (jj, ii), -0.5 * gsum * M[jj, ii])
+    flow = gp * M[..., ii, ii] - gm * M[..., jj, jj]
+    np.add.at(out, (..., ii, ii), -flow)
+    np.add.at(out, (..., jj, jj), flow)
+    np.add.at(out, (..., ii, jj), -0.5 * gsum * M[..., ii, jj])
+    np.add.at(out, (..., jj, ii), -0.5 * gsum * M[..., jj, ii])
     return out
 
 
 def double_commutator(H, rho) -> np.ndarray:
-    """[H, [H, rho]]."""
+    """[H, [H, rho]] of one matrix or of each matrix in a stack."""
     H = as_matrix(H)
-    M = as_matrix(rho)
+    M = _as_states(rho, len(H))
     inner = H @ M - M @ H
     return H @ inner - inner @ H
 
@@ -370,20 +371,27 @@ def master_rhs(rho, spec: RhsSpec) -> np.ndarray:
     """Assembled right-hand side: -i[H, rho] + dissipator + gamma_pd [H,[H,rho]].
 
     Linear in rho; for Hermitian unit-trace input the output is Hermitian and
-    traceless to round-off.
+    traceless to round-off.  A stack runs in sub-batches of at most
+    ``_BATCH_ENTRIES`` entries, which bounds the temporaries.
     """
-    M = as_matrix(rho)
+    M = _as_states(rho, spec.dim)
+    step = max(1, _BATCH_ENTRIES // spec.dim ** 2)
+    if M.ndim == 2 or len(M) <= step:
+        return _rhs(M, spec)
+    out = np.empty_like(M)
+    for lo in range(0, len(M), step):
+        out[lo:lo + step] = _rhs(M[lo:lo + step], spec)
+    return out
+
+
+def _rhs(M: np.ndarray, spec: RhsSpec) -> np.ndarray:
     H = spec.hamiltonian
-    if M.shape != H.shape:
-        raise ValueError(f"rho has shape {M.shape}, spec dimension is {H.shape}")
     if spec.kind == "ebe2":
         out = ebe_two_level(M, spec.two_level)
     elif spec.kind == "eben":
         out = ebe_multi_level(M, spec.ladder)
     else:
-        out = np.zeros_like(M)
-        for gamma, L, Ld, LdL in spec.jump_terms:
-            out += gamma * (L @ M @ Ld - 0.5 * (LdL @ M + M @ LdL))
+        out = _gkls(M, spec.jump_terms)
     if spec.include_unitary:
         out += -1j * (H @ M - M @ H)
     if spec.gamma_pd != 0.0:

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .dissipators import RhsSpec, SplitGenerator, master_rhs
-from .linalg import herm_part, is_hermitian, is_psd, vectorize
+from .linalg import herm_part, is_hermitian, is_psd
 
 MAX_SUPEROP_DIM = 64
 AMPLIFY_TOL = 1e-10
@@ -67,24 +67,21 @@ def build_superoperator(spec: RhsSpec) -> np.ndarray:
     """Matrix S of the linear map rho -> master_rhs(rho) in the
     column-stacking convention: vectorize(master_rhs(rho)) = S @ vectorize(rho).
 
-    Built by applying the right-hand side to the dim^2 matrix units; guarded
-    at dim <= 64.  :func:`propagate` and :func:`ebloch.stationary.fixed_point`
-    use it as the single block of specs without a population/coherence
-    split, so ladders never reach the guard there.  It inspects no spectrum:
-    those callers check for amplifying modes through
-    :attr:`SplitGenerator.max_growth`, at any dim.
+    Built by one call of the right-hand side on the stack of the dim^2
+    matrix units; guarded at dim <= 64.  :func:`propagate` and
+    :func:`ebloch.stationary.fixed_point` use it as the single block of specs
+    without a population/coherence split, so ladders never reach the guard
+    there.  It inspects no spectrum: those callers check for amplifying
+    modes through :attr:`SplitGenerator.max_growth`, at any dim.
     """
     dim = spec.dim
     if dim > MAX_SUPEROP_DIM:
         raise ValueError(f"superoperator guard: dim={dim} exceeds {MAX_SUPEROP_DIM}")
-    S = np.zeros((dim * dim, dim * dim), dtype=complex)
-    unit = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        for a in range(dim):
-            unit[a, b] = 1.0
-            S[:, a + b * dim] = vectorize(master_rhs(unit, spec))
-            unit[a, b] = 0.0
-    return S
+    # unit k = a + b * dim is |a><b|; row k of the transposed images is the
+    # column-stacked image of unit k
+    images = master_rhs(np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
+                        .transpose(0, 2, 1), spec)
+    return images.transpose(0, 2, 1).reshape(dim * dim, -1).T
 
 
 def _generator(spec: RhsSpec) -> SplitGenerator:

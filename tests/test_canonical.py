@@ -213,6 +213,15 @@ def test_canonical_experiment_underflowing_start_ratio_stays_finite():
     assert np.isfinite(diag.lna_ode).all()
 
 
+@pytest.mark.parametrize("T0", [math.inf, math.nan, 0.0, -1.0])
+def test_canonical_experiment_requires_a_finite_positive_start_temperature(T0):
+    # from T0 = inf the reduced equation starts on its unstable fixed point
+    # a0 = 1 and stays there while the ladder relaxes toward the bath
+    lad = build_oscillator(14, 10.0, "harmonic", BathModel(1.0, 1.0))
+    with pytest.raises(ValueError, match="T0 must be a finite positive temperature"):
+        canonical_experiment(lad, T0=T0, t_final=3.0, dt=1e-3, record_every=25)
+
+
 def test_canonical_experiment_rejects_non_ladder_systems():
     from ebloch.systems import LadderSystem, TransitionSpec
 

@@ -388,6 +388,32 @@ path = canon.csv
     assert float(next(c for c in comments if "ode_mismatch=" in c).split("=")[1]) <= 1e-8
 
 
+def test_canonical_subcommand_rejects_infinite_start_temperature(tmp_path, capsys):
+    text = """\
+[system]
+type = oscillator
+N = 6
+spacing = 1.0
+bath_T = 1.0
+
+[integration]
+t_final = 3.0
+dt = 0.01
+
+[canonical]
+T0 = inf
+
+[output]
+path = canon.csv
+"""
+    cfg = write(tmp_path, "hot.cfg", text)
+    assert main(["canonical", "--config", cfg, "--out", str(tmp_path)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "validation"
+    assert "T0 must be a finite positive temperature" in record["messages"][0]
+    assert not (tmp_path / "canon.csv").exists()
+
+
 def test_canonical_requires_ladder(tmp_path, capsys):
     gp, gm = thermal_rates()
     cfg = write(tmp_path, "c.cfg", TWO_LEVEL_CFG.format(gp=gp, gm=gm) + "\n[canonical]\nT0 = 2.0\n")

@@ -7,9 +7,14 @@ the GKLS kernel from an independently constructed jump pair.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from ebloch import bench
+from ebloch import dissipators
 from ebloch.dissipators import (
     RhsSpec,
+    double_commutator,
     ebe_multi_level,
     ebe_two_level,
     gkls_dissipator,
@@ -381,3 +386,134 @@ def test_rhs_spec_validation():
         RhsSpec(np.eye(2), "eben", ladder=lad)
     with pytest.raises(ValueError, match="non-negative"):
         RhsSpec(sys2.hamiltonian, "gkls", jumps=((SZ, -1.0),))
+
+
+# -------------------------------------------------------------- stacked inputs
+
+STACK_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                          suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def rhs_specs(draw):
+    """Tilted two-level (ebe2/gkls), random ladder (eben/gkls) or closed spec."""
+    include_unitary = draw(st.booleans())
+    gamma_pd = draw(st.sampled_from([0.0, -0.3, 0.4]))
+    rate = st.floats(0.05, 2.0)
+    family = draw(st.sampled_from(["two_level", "ladder", "closed"]))
+    if family == "two_level":
+        v = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+                          .filter(lambda v: np.linalg.norm(v) > 0.1)))
+        sys2 = TwoLevelSystem(draw(st.floats(0.2, 5.0)), tuple(v / np.linalg.norm(v)),
+                              draw(rate), draw(rate))
+        return RhsSpec.for_two_level(sys2, draw(st.sampled_from(["ebe2", "gkls"])),
+                                     include_unitary, gamma_pd)
+    n = draw(st.integers(2, 6))
+    if family == "closed":
+        A = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n * n,
+                                   max_size=2 * n * n))).reshape(2, n, n)
+        H = A[0] + 1j * A[1]
+        return RhsSpec.closed(H + H.conj().T, include_unitary)
+    gaps = draw(st.lists(st.floats(0.1, 1.5), min_size=n - 1, max_size=n - 1))
+    energies = np.concatenate([[0.0], np.cumsum(gaps)])
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] < p[1]), min_size=1, max_size=2 * n,
+                          unique=True))
+    transitions = tuple(TransitionSpec(i, j, draw(st.floats(0.0, 2.0)), draw(rate),
+                                       energies[j] - energies[i]) for i, j in pairs)
+    lad = LadderSystem(n, tuple(energies), transitions)
+    return RhsSpec.for_ladder(lad, draw(st.sampled_from(["eben", "gkls"])),
+                              include_unitary, gamma_pd)
+
+
+def per_state(fn, stack):
+    return np.stack([fn(M) for M in stack])
+
+
+def random_stack(rng, n, d):
+    return rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+
+
+@STACK_SETTINGS
+@given(rhs_specs(), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_master_rhs_on_a_stack_equals_per_state_calls(spec, n, seed):
+    stack = random_stack(np.random.default_rng(seed), n, spec.dim)
+    got = master_rhs(stack, spec)
+    want = per_state(lambda M: master_rhs(M, spec), stack)
+    assert got.shape == stack.shape
+    assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+def test_master_rhs_sub_batches_equal_one_batch(monkeypatch):
+    rng = np.random.default_rng(33)
+    lad = build_oscillator(5, 1.0, "harmonic", BathModel(1.0, 1.0))
+    specs = [RhsSpec.for_two_level(random_two_level(rng), kind, gamma_pd=-0.2)
+             for kind in ("ebe2", "gkls")]
+    specs += [RhsSpec.for_ladder(lad, kind, gamma_pd=0.3) for kind in ("eben", "gkls")]
+    for spec in specs:
+        stack = random_stack(rng, 23, spec.dim)
+        whole = master_rhs(stack, spec)
+        monkeypatch.setattr(dissipators, "_BATCH_ENTRIES", 4 * spec.dim ** 2)
+        np.testing.assert_array_equal(master_rhs(stack, spec), whole)
+        monkeypatch.undo()
+
+
+def test_kernels_on_a_stack_equal_per_state_calls():
+    rng = np.random.default_rng(34)
+    sys2 = random_two_level(rng)
+    lad = build_oscillator(6, 1.0, "harmonic", BathModel(1.0, 1.0))
+    jumps = ladder_jump_list(lad)
+    cases = [
+        (lambda M: ebe_two_level(M, sys2), 2),
+        (lambda M: ebe_multi_level(M, lad), 6),
+        (lambda M: gkls_dissipator(M, jumps), 6),
+        (lambda M: double_commutator(lad.hamiltonian, M), 6),
+        (lambda M: pure_dephasing(M, sys2.hamiltonian, 0.7), 2),
+    ]
+    for fn, d in cases:
+        stack = random_stack(rng, 9, d)
+        want = per_state(fn, stack)
+        assert np.abs(fn(stack) - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 2, 3), (2, 3, 3), (1, 2, 2, 2), ()])
+def test_stacked_entry_points_reject_bad_shapes(shape):
+    sys2 = TwoLevelSystem(1.0, (0, 0, 1), 0.5, 0.5)
+    lad = build_oscillator(2, 1.0, "harmonic", BathModel(1.0, 1.0))
+    rho = np.zeros(shape, dtype=complex)
+    calls = [
+        lambda: master_rhs(rho, RhsSpec.for_two_level(sys2, "ebe2")),
+        lambda: master_rhs(rho, RhsSpec.for_two_level(sys2, "gkls")),
+        lambda: master_rhs(rho, RhsSpec.for_ladder(lad)),
+        lambda: master_rhs(rho, RhsSpec.closed(SZ)),
+        lambda: ebe_two_level(rho, sys2),
+        lambda: ebe_multi_level(rho, lad),
+        lambda: gkls_dissipator(rho, ((SX, 1.0),)),
+        lambda: double_commutator(SZ, rho),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def per_state_checksum(fn, inputs):
+    # the accumulation order of the one-state-at-a-time timing loop
+    acc = np.zeros(inputs.shape[1:], dtype=complex)
+    for rho in inputs:
+        acc += fn(rho)
+    return bench._checksum(complex((bench._probe(inputs.shape[1]) * acc).sum()))
+
+
+@pytest.mark.parametrize("case", ["two_level", "ladder"])
+def test_batched_bench_checksum_equals_per_state_accumulation(case):
+    if case == "two_level":  # acceptance criterion 10's system
+        gp, gm = rates_from_bath(BathModel(1.0, 1.0), 1.0)
+        system, n = TwoLevelSystem(1.0, (0.48, 0.36, 0.8), gp, gm), 50_000
+    else:
+        system, n = build_oscillator(6, 1.0, "harmonic", BathModel(1.0, 1.0)), 2_000
+    (_, fn_e, spec), (_, fn_g, _) = bench.kernel_pair(system)
+    inputs = bench.random_states(spec.dim, n, np.random.default_rng(1010))
+    # one per-state reference: both kernels' batched checksums must equal it
+    reference = per_state_checksum(fn_e, inputs)
+    for fn in (fn_e, fn_g):
+        assert bench._checksum(bench._run_kernel(fn, inputs, 5)[1]) == reference

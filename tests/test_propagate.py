@@ -242,10 +242,11 @@ def test_dense_rk4_outside_stability_region_raises_before_stepping(monkeypatch):
     spec = tilted_two_level_spec()
     calls = []
     monkeypatch.setattr(sys.modules["ebloch.propagate"], "master_rhs",
-                        lambda rho, s: calls.append(1) or master_rhs(rho, s))
+                        lambda rho, s: calls.append(np.shape(rho)) or master_rhs(rho, s))
     with pytest.raises(PropagationError, match="unstable") as info:
         propagate(spec, COHERENT_RHO0, 30.0, 3.0, "rk4")
-    assert len(calls) == spec.dim ** 2  # the superoperator probes, no step
+    # one stacked probe of the dim^2 matrix units, no step
+    assert calls == [(spec.dim ** 2, spec.dim, spec.dim)]
     growth = float(str(info.value).split("| = ")[1].split()[0])
     assert 2.0 < growth < 3.0
 
