@@ -136,5 +136,15 @@ def run_bench(
     rows = []
     for name, fn, _spec in pair:
         ns, acc = _run_kernel(fn, inputs, chunks)
-        rows.append(BenchRow(name, dim, n_trans, applications, chunks, ns, _checksum(acc)))
+        rows.append(
+            BenchRow(
+                kernel=name,
+                dim=dim,
+                transitions=n_trans,
+                applications=applications,
+                chunks=chunks,
+                ns_per_apply=ns,
+                checksum=_checksum(acc),
+            )
+        )
     return rows

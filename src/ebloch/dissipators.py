@@ -29,8 +29,6 @@ KINDS = ("gkls", "ebe2", "eben")
 
 _EYE2 = np.eye(2, dtype=complex)
 
-_BATCH_ENTRIES = 1 << 16  # per sub-batch of a stacked master_rhs call
-
 
 @dataclass(frozen=True, eq=False)
 class SplitGenerator:
@@ -189,7 +187,11 @@ class RhsSpec:
     def jump_terms(self) -> tuple:
         """Per-jump (gamma, L, L^dag, L^dag L), precomputed once; any real
         jump-operator solver would hoist these out of the propagation loop."""
-        return tuple((gamma, L, L.conj().T, L.conj().T @ L) for L, gamma in self.jumps)
+        terms = []
+        for L, gamma in self.jumps:
+            Ld = L.conj().T
+            terms.append((gamma, L, Ld, Ld @ L))
+        return tuple(terms)
 
     @cached_property
     def compiled(self) -> SplitGenerator | None:
@@ -322,8 +324,6 @@ def ebe_multi_level(rho, sys: LadderSystem) -> np.ndarray:
     M = _as_states(rho, sys.N)
     ii, jj, gp, gm = sys.transition_arrays
     out = np.zeros_like(M)
-    if ii.size == 0:
-        return out
     gsum = gp + gm
     flow = gp * M[..., ii, ii] - gm * M[..., jj, jj]
     np.add.at(out, (..., ii, ii), -flow)
@@ -371,20 +371,9 @@ def master_rhs(rho, spec: RhsSpec) -> np.ndarray:
     """Assembled right-hand side: -i[H, rho] + dissipator + gamma_pd [H,[H,rho]].
 
     Linear in rho; for Hermitian unit-trace input the output is Hermitian and
-    traceless to round-off.  A stack runs in sub-batches of at most
-    ``_BATCH_ENTRIES`` entries, which bounds the temporaries.
+    traceless to round-off.
     """
     M = _as_states(rho, spec.dim)
-    step = max(1, _BATCH_ENTRIES // spec.dim ** 2)
-    if M.ndim == 2 or len(M) <= step:
-        return _rhs(M, spec)
-    out = np.empty_like(M)
-    for lo in range(0, len(M), step):
-        out[lo:lo + step] = _rhs(M[lo:lo + step], spec)
-    return out
-
-
-def _rhs(M: np.ndarray, spec: RhsSpec) -> np.ndarray:
     H = spec.hamiltonian
     if spec.kind == "ebe2":
         out = ebe_two_level(M, spec.two_level)

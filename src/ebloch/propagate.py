@@ -68,11 +68,13 @@ def build_superoperator(spec: RhsSpec) -> np.ndarray:
     column-stacking convention: vectorize(master_rhs(rho)) = S @ vectorize(rho).
 
     Built by one call of the right-hand side on the stack of the dim^2
-    matrix units; guarded at dim <= 64.  :func:`propagate` and
-    :func:`ebloch.stationary.fixed_point` use it as the single block of specs
-    without a population/coherence split, so ladders never reach the guard
-    there.  It inspects no spectrum: those callers check for amplifying
-    modes through :attr:`SplitGenerator.max_growth`, at any dim.
+    matrix units; guarded at dim <= 64.  The unit stack, its images and the
+    kernel's temporaries are held at once, about five times the memory of S
+    at dim 32 (some 1.3 GB at dim 64, where S is 268 MB).  :func:`propagate`
+    and :func:`ebloch.stationary.fixed_point` use it as the single block of
+    specs without a population/coherence split, so ladders never reach the
+    guard there.  It inspects no spectrum: those callers check for
+    amplifying modes through :attr:`SplitGenerator.max_growth`, at any dim.
     """
     dim = spec.dim
     if dim > MAX_SUPEROP_DIM:

@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ebloch import bench
-from ebloch import dissipators
 from ebloch.dissipators import (
     RhsSpec,
     double_commutator,
@@ -442,20 +441,6 @@ def test_master_rhs_on_a_stack_equals_per_state_calls(spec, n, seed):
     want = per_state(lambda M: master_rhs(M, spec), stack)
     assert got.shape == stack.shape
     assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
-
-
-def test_master_rhs_sub_batches_equal_one_batch(monkeypatch):
-    rng = np.random.default_rng(33)
-    lad = build_oscillator(5, 1.0, "harmonic", BathModel(1.0, 1.0))
-    specs = [RhsSpec.for_two_level(random_two_level(rng), kind, gamma_pd=-0.2)
-             for kind in ("ebe2", "gkls")]
-    specs += [RhsSpec.for_ladder(lad, kind, gamma_pd=0.3) for kind in ("eben", "gkls")]
-    for spec in specs:
-        stack = random_stack(rng, 23, spec.dim)
-        whole = master_rhs(stack, spec)
-        monkeypatch.setattr(dissipators, "_BATCH_ENTRIES", 4 * spec.dim ** 2)
-        np.testing.assert_array_equal(master_rhs(stack, spec), whole)
-        monkeypatch.undo()
 
 
 def test_kernels_on_a_stack_equal_per_state_calls():
