@@ -6,13 +6,11 @@ from .linalg import (
     anticommutator,
     commutator,
     dag,
-    devectorize,
     herm_part,
     hermitian_eig,
     is_hermitian,
     is_psd,
     is_traceless,
-    matrix_exp,
     trace_distance,
     vectorize,
 )

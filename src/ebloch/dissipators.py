@@ -185,13 +185,14 @@ class RhsSpec:
 
     @cached_property
     def jump_terms(self) -> tuple:
-        """Per-jump (gamma, L, L^dag, L^dag L), precomputed once; any real
-        jump-operator solver would hoist these out of the propagation loop."""
-        terms = []
-        for L, gamma in self.jumps:
-            Ld = L.conj().T
-            terms.append((gamma, L, Ld, Ld @ L))
-        return tuple(terms)
+        """``(K, ((gamma, L, L^dag), ...))`` with K = sum_j gamma_j L_j^dag L_j,
+        precomputed once; any real jump-operator solver would hoist these out
+        of the propagation loop."""
+        terms = tuple((gamma, L, L.conj().T) for L, gamma in self.jumps)
+        K = np.zeros_like(self.hamiltonian)
+        for gamma, L, Ld in terms:
+            K += gamma * (Ld @ L)
+        return K, terms
 
     @cached_property
     def compiled(self) -> SplitGenerator | None:
@@ -270,10 +271,12 @@ def _as_states(rho, d: int) -> np.ndarray:
 
 
 def _gkls(M: np.ndarray, jump_terms) -> np.ndarray:
-    """sum_j gamma_j (L M L^dag - (1/2){L^dag L, M}) over :attr:`RhsSpec.jump_terms`."""
-    out = np.zeros_like(M)
-    for gamma, L, Ld, LdL in jump_terms:
-        out += gamma * (L @ M @ Ld - 0.5 * (LdL @ M + M @ LdL))
+    """sum_j gamma_j L M L^dag - (1/2){K, M} over :attr:`RhsSpec.jump_terms`:
+    2J + 2 matrix products for J jumps."""
+    K, terms = jump_terms
+    out = -0.5 * (K @ M + M @ K)
+    for gamma, L, Ld in terms:
+        out += gamma * (L @ M @ Ld)
     return out
 
 

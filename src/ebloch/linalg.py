@@ -15,7 +15,6 @@ share one scale.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 HERMITICITY_TOL = 1e-10
 TRACELESS_TOL = 1e-12
@@ -84,48 +83,28 @@ def anticommutator(A, B) -> np.ndarray:
 def hermitian_eig(H, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix with a fixed phase convention.
 
-    Returns ``(w, V)`` with ``w`` ascending and orthonormal columns ``V``.
-    Each column is rotated so that its largest-magnitude component (first
-    index on ties) is real and positive.  Raises ``ValueError`` if ``H``
-    deviates from Hermiticity by more than ``tol``.
+    ``H`` is one (d, d) matrix or an (n, d, d) stack, decomposed in one
+    ``eigh`` call.  Returns ``(w, V)`` with ``w`` ascending, of shape (d,) or
+    (n, d), and orthonormal columns ``V`` of the shape of ``H``.  Each column
+    is rotated so that its largest-magnitude component (first index on ties)
+    is real and positive.  Raises ``ValueError`` if any matrix deviates from
+    Hermiticity by more than ``tol``.
     """
-    M = as_matrix(H)
-    if not is_hermitian(M, tol):
+    M = np.asarray(H, dtype=complex)
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"expected a square matrix or an (n, d, d) stack, got shape {M.shape}")
+    Mh = M.conj().swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
+    if not np.all(np.abs(M - Mh).max(axis=(-2, -1)) <= tol * scale):
         raise ValueError("matrix is not Hermitian within tolerance")
-    w, V = np.linalg.eigh(herm_part(M))
-    V = V.copy()
-    for k in range(V.shape[1]):
-        col = V[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        phase = col[idx] / abs(col[idx])
-        V[:, k] = col * phase.conjugate()
-    return w, V
-
-
-def matrix_exp(A) -> np.ndarray:
-    """Matrix exponential.
-
-    Hermitian input goes through the eigendecomposition; everything else
-    uses Pade scaling-and-squaring (scipy.linalg.expm).
-    """
-    M = as_matrix(A)
-    if is_hermitian(M, 1e-12):
-        w, V = np.linalg.eigh(herm_part(M))
-        return (V * np.exp(w)) @ V.conj().T
-    return scipy.linalg.expm(M)
+    w, V = np.linalg.eigh(0.5 * (M + Mh))
+    top = np.take_along_axis(V, np.abs(V).argmax(axis=-2)[..., None, :], axis=-2)
+    return w, V * (top.conj() / np.abs(top))
 
 
 def vectorize(M) -> np.ndarray:
     """Column-stacking vectorization of a square matrix."""
     return as_matrix(M).reshape(-1, order="F")
-
-
-def devectorize(v, dim: int) -> np.ndarray:
-    """Inverse of :func:`vectorize`; ``len(v)`` must equal ``dim**2``."""
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1 or v.size != dim * dim:
-        raise ValueError(f"expected a vector of length {dim * dim}, got {v.shape}")
-    return v.reshape((dim, dim), order="F")
 
 
 def trace_distance(rho, sigma) -> float:

@@ -11,19 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from .linalg import (
-    anticommutator,
-    as_matrix,
-    commutator,
-    dag,
-    hermitian_eig,
-    is_traceless,
-)
+from .linalg import as_matrix, hermitian_eig
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -87,16 +80,17 @@ class TwoLevelSystem:
 
 @dataclass(frozen=True, eq=False)
 class JumpOperatorPair:
-    """Canonically scaled raising/lowering pair, sigma_m = sigma_p^dagger."""
+    """Canonically scaled raising/lowering pair, sigma_m = sigma_p^dagger:
+    two 2x2 matrices, or two (n, 2, 2) stacks holding one pair per index."""
 
     sigma_p: np.ndarray
     sigma_m: np.ndarray
 
     def __post_init__(self):
-        sp = as_matrix(self.sigma_p)
-        sm = as_matrix(self.sigma_m)
-        if sp.shape != (2, 2) or sm.shape != (2, 2):
-            raise ValueError("jump operators must be 2x2")
+        sp = np.asarray(self.sigma_p, dtype=complex)
+        sm = np.asarray(self.sigma_m, dtype=complex)
+        if sp.ndim not in (2, 3) or sp.shape[-2:] != (2, 2) or sm.shape != sp.shape:
+            raise ValueError("jump operators must be 2x2, or (n, 2, 2) stacks of one shape")
         object.__setattr__(self, "sigma_p", sp)
         object.__setattr__(self, "sigma_m", sm)
 
@@ -193,28 +187,32 @@ class LadderSystem:
         return self.N - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgebraReport:
-    """Frobenius residuals of the seven jump-operator identities."""
+    """Frobenius residuals of the seven jump-operator identities.
 
-    sq_p: float
-    sq_m: float
-    comm: float
-    anti: float
-    triple_p: float
-    triple_m: float
-    eigenop: float
+    Each residual has shape () for one Hamiltonian or (n,) for an
+    (n, 2, 2) stack; ``max_residual`` and ``passed`` are taken per matrix.
+    """
+
+    sq_p: np.ndarray
+    sq_m: np.ndarray
+    comm: np.ndarray
+    anti: np.ndarray
+    triple_p: np.ndarray
+    triple_m: np.ndarray
+    eigenop: np.ndarray
     tol: float = 1e-12
 
     @property
-    def max_residual(self) -> float:
-        return max(self.residuals().values())
+    def max_residual(self) -> np.ndarray:
+        return np.max(list(self.residuals().values()), axis=0)
 
     @property
-    def passed(self) -> bool:
+    def passed(self) -> np.ndarray:
         return self.max_residual <= self.tol
 
-    def residuals(self) -> dict[str, float]:
+    def residuals(self) -> dict[str, np.ndarray]:
         return {
             "sq_p": self.sq_p,
             "sq_m": self.sq_m,
@@ -235,49 +233,50 @@ def build_two_level_hamiltonian(E: float, eps) -> np.ndarray:
 
 
 def jump_operators(H) -> JumpOperatorPair:
-    """Canonical raising/lowering pair for a traceless 2x2 Hamiltonian.
+    """Canonical raising/lowering pair for a traceless 2x2 Hamiltonian, or one
+    pair per matrix of an (n, 2, 2) stack (then both operators are stacks).
 
     sigma_p = |s1><s0| built from the unit-normalized eigenvectors under the
     :func:`ebloch.linalg.hermitian_eig` phase convention.  The unit
     normalization is what selects the single representative out of the scaling
     freedom: the pair then satisfies all algebra identities checked by
     :func:`verify_jump_algebra`, in particular ``[H, sigma_p] = E sigma_p``.
+    One ``hermitian_eig`` call covers the whole stack; a stack is rejected if
+    any of its matrices is not traceless, not Hermitian or degenerate.
     """
-    M = as_matrix(H)
-    if M.shape != (2, 2):
-        raise ValueError("jump operators are defined for 2x2 Hamiltonians")
-    if not is_traceless(M, 1e-10):
+    M = np.asarray(H, dtype=complex)
+    if M.ndim not in (2, 3) or M.shape[-2:] != (2, 2):
+        raise ValueError("jump operators are defined for 2x2 Hamiltonians or (n, 2, 2) stacks")
+    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
+    if not np.all(np.abs(M[..., 0, 0] + M[..., 1, 1]) <= 1e-10 * scale):
         raise ValueError("Hamiltonian must be traceless within 1e-10")
     w, V = hermitian_eig(M)
-    if w[1] - w[0] <= 1e-12:
+    if np.any(w[..., 1] - w[..., 0] <= 1e-12):
         raise ValueError("Hamiltonian is degenerate: no unique transition pair")
-    sigma_p = np.outer(V[:, 1], V[:, 0].conj())
-    return JumpOperatorPair(sigma_p, dag(sigma_p))
+    sigma_p = V[..., :, 1:] * V[..., None, :, 0].conj()
+    return JumpOperatorPair(sigma_p, sigma_p.conj().swapaxes(-1, -2))
 
 
-def verify_jump_algebra(pair: JumpOperatorPair, H, E: float, tol: float = 1e-12) -> AlgebraReport:
+def verify_jump_algebra(pair: JumpOperatorPair, H, E, tol: float = 1e-12) -> AlgebraReport:
     """Residuals of the seven identities the canonical pair must satisfy.
 
-    sq_p/sq_m: sigma^2 = 0; comm: [sigma_p, sigma_m] = 2H/E;
+    ``H`` is one 2x2 Hamiltonian with gap ``E``, or an (n, 2, 2) stack with
+    gaps of shape (n,) and a stacked ``pair``; the residuals then have shape
+    () or (n,).  sq_p/sq_m: sigma^2 = 0; comm: [sigma_p, sigma_m] = 2H/E;
     anti: {sigma_p, sigma_m} = 1; triple_p/m: sigma sigma' sigma = sigma;
     eigenop: [H, sigma_p] = E sigma_p.  Residuals are reported even when they
     fail; ``passed`` requires all of them <= tol.
     """
-    M = as_matrix(H)
+    M = np.asarray(H, dtype=complex)
     sp, sm = pair.sigma_p, pair.sigma_m
     if M.shape != sp.shape:
         raise ValueError("Hamiltonian and jump operators have mismatched dimensions")
-    norm = np.linalg.norm
-    return AlgebraReport(
-        sq_p=float(norm(sp @ sp)),
-        sq_m=float(norm(sm @ sm)),
-        comm=float(norm(commutator(sp, sm) - 2.0 * M / E)),
-        anti=float(norm(anticommutator(sp, sm) - np.eye(2))),
-        triple_p=float(norm(sp @ sm @ sp - sp)),
-        triple_m=float(norm(sm @ sp @ sm - sm)),
-        eigenop=float(norm(commutator(M, sp) - E * sp)),
-        tol=tol,
-    )
+    E = np.asarray(E, dtype=float)[..., None, None]
+    pm, mp = sp @ sm, sm @ sp
+    # one deviation matrix per identity, in AlgebraReport's field order
+    deviations = np.stack([sp @ sp, sm @ sm, pm - mp - 2.0 * M / E, pm + mp - np.eye(2),
+                           pm @ sp - sp, mp @ sm - sm, M @ sp - sp @ M - E * sp])
+    return AlgebraReport(*np.linalg.norm(deviations, axis=(-2, -1)), tol=tol)
 
 
 def fermi(E: float, T: float) -> float:
@@ -299,12 +298,6 @@ def rates_from_bath(bath: BathModel, E: float) -> tuple[float, float]:
     return gamma_p, bath.gamma - gamma_p
 
 
-COUPLING_RULES: dict[str, Callable[[int, float], float]] = {
-    "harmonic": lambda i, gamma: (i + 1) * gamma,
-    "constant": lambda i, gamma: gamma,
-}
-
-
 def build_oscillator(
     N: int,
     E: float,
@@ -324,14 +317,10 @@ def build_oscillator(
     if not (np.isfinite(E) and E > 0.0):
         raise ValueError(f"E must be a positive level spacing, got {E}")
     if isinstance(coupling, str):
-        try:
-            rule = COUPLING_RULES[coupling]
-        except KeyError:
-            raise ValueError(
-                f"unknown coupling rule {coupling!r}; use "
-                f"{sorted(COUPLING_RULES)} or an explicit table"
-            ) from None
-        gammas = [rule(i, bath.gamma) for i in range(N - 1)]
+        if coupling not in ("harmonic", "constant"):
+            raise ValueError(f"unknown coupling rule {coupling!r}; use "
+                             "['constant', 'harmonic'] or an explicit table")
+        gammas = [(i + 1 if coupling == "harmonic" else 1) * bath.gamma for i in range(N - 1)]
     else:
         gammas = [float(g) for g in coupling]
         if len(gammas) != N - 1:

@@ -330,6 +330,60 @@ def test_verify_algebra_deterministic_per_seed(tmp_path):
     assert a != (tmp_path / "c" / "verify_algebra.csv").read_bytes()
 
 
+VERIFY_CFG = "[system]\ntype = two_level\nE = 1.0\neps = 0,0,1\ngamma_p = 0.3\ngamma_m = 0.7\n[verify]\nnum_draws = {n}\n"
+RESIDUALS = ("sq_p", "sq_m", "comm", "anti", "triple_p", "triple_m", "eigenop", "max_residual")
+
+
+def test_verify_algebra_makes_one_eigensolve_and_matches_a_per_draw_loop(tmp_path, monkeypatch):
+    from ebloch import systems
+
+    calls = []
+
+    def counted(H, *args, **kwargs):
+        calls.append(np.shape(H))
+        return real_eig(H, *args, **kwargs)
+
+    real_eig = systems.hermitian_eig
+    monkeypatch.setattr(systems, "hermitian_eig", counted)
+    cfg = write(tmp_path, "v.cfg", VERIFY_CFG.format(n=200))
+    assert main(["verify-algebra", "--config", cfg, "--seed", "11", "--out", str(tmp_path)]) == 0
+    assert calls == [(200, 2, 2)]
+    _, header, rows = read_csv(tmp_path / "verify_algebra.csv")
+    assert len(rows) == 200
+
+    # independent route: one public call chain per draw on the same seed
+    fmt = lambda x: format(float(x), ".17g")  # noqa: E731
+    rng = np.random.default_rng(11)
+    for k, row in enumerate(rows):
+        E = float(rng.uniform(0.2, 5.0))
+        v = rng.standard_normal(3)
+        v /= np.linalg.norm(v)
+        H = systems.build_two_level_hamiltonian(E, v)
+        rep = systems.verify_jump_algebra(systems.jump_operators(H), H, E)
+        got = dict(zip(header, row))
+        assert [got[c] for c in ("draw", "E", "eps_x", "eps_y", "eps_z", "passed")] == [
+            str(k), fmt(E), fmt(v[0]), fmt(v[1]), fmt(v[2]), str(bool(rep.passed)).lower()]
+        want = dict(rep.residuals(), max_residual=rep.max_residual)
+        for name in RESIDUALS:
+            assert abs(float(got[name]) - want[name]) <= 1e-14
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path):
+    from ebloch import cli
+
+    cfg = write(tmp_path, "v.cfg", VERIFY_CFG.format(n=3))
+    assert main(["verify-algebra", "--config", cfg, "--seed", "5", "--out", str(tmp_path / "a")]) == 0
+    assert main(["verify-algebra", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    assert cli._parser() is cli._parser()
+    comments, _, _ = read_csv(tmp_path / "a" / "verify_algebra.csv")
+    assert "# seed=5" in comments
+    comments, _, _ = read_csv(tmp_path / "b" / "verify_algebra.csv")
+    assert "# seed=0" in comments
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-subcommand", "--config", cfg])
+    assert exc.value.code == 2
+
+
 # ------------------------------------------------------------------- canonical
 
 

@@ -2,19 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebloch.linalg import (
     anticommutator,
     as_matrix,
     commutator,
     dag,
-    devectorize,
     herm_part,
     hermitian_eig,
     is_hermitian,
     is_psd,
     is_traceless,
-    matrix_exp,
     trace_distance,
     vectorize,
 )
@@ -26,6 +26,14 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 def random_complex(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def devectorize(v, dim: int) -> np.ndarray:
+    """Inverse of :func:`vectorize`; ``len(v)`` must equal ``dim**2``."""
+    v = np.asarray(v, dtype=complex)
+    if v.ndim != 1 or v.size != dim * dim:
+        raise ValueError(f"expected a vector of length {dim * dim}, got {v.shape}")
+    return v.reshape((dim, dim), order="F")
 
 
 def random_hermitian(rng, n):
@@ -144,25 +152,39 @@ def test_hermitian_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
-def test_matrix_exp_zero_and_diagonal():
-    np.testing.assert_allclose(matrix_exp(np.zeros((3, 3))), np.eye(3), atol=1e-15)
-    np.testing.assert_allclose(
-        matrix_exp(np.diag([1.5, -0.3])), np.diag(np.exp([1.5, -0.3])), rtol=1e-14
-    )
+def assert_phase_convention(V):
+    # largest-magnitude component of every column real and positive, first index on ties
+    for k in range(V.shape[1]):
+        idx = int(np.argmax(np.abs(V[:, k])))
+        assert abs(V[idx, k].imag) <= 1e-15 and V[idx, k].real > 0
 
 
-def test_matrix_exp_against_taylor_series():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        A = random_complex(rng, 4)
-        A *= 0.8 / np.linalg.norm(A)
-        series = np.eye(4, dtype=complex)
-        term = np.eye(4, dtype=complex)
-        for k in range(1, 50):
-            term = term @ A / k
-            series += term
-        got = matrix_exp(A)
-        assert np.linalg.norm(got - series) <= 1e-10 * np.linalg.norm(series)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_hermitian_eig_on_a_stack_equals_per_matrix_calls(n, d, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([random_hermitian(rng, d) for _ in range(n)])
+    if d == 2:  # sigma_x-like members tie on the magnitude of both components
+        stack[0] = 0.5 * SX
+    w, V = hermitian_eig(stack)
+    assert w.shape == (n, d) and V.shape == (n, d, d)
+    for k, H in enumerate(stack):
+        w_k, V_k = hermitian_eig(H)
+        assert np.abs(w[k] - w_k).max() <= 1e-14 * max(1.0, np.abs(w_k).max())
+        assert np.abs(V[k] - V_k).max() <= 1e-14
+        assert_phase_convention(V[k])
+
+
+def test_hermitian_eig_stack_with_one_non_hermitian_member_raises():
+    stack = np.stack([0.5 * SZ, 0.5 * SX, np.array([[0, 1], [0, 0]], dtype=complex)])
+    with pytest.raises(ValueError, match="not Hermitian within tolerance"):
+        hermitian_eig(stack)
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 3), (3, 2, 3), (1, 2, 2, 2), ()])
+def test_hermitian_eig_rejects_bad_shapes(shape):
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eig(np.zeros(shape))
 
 
 def test_vectorize_column_stacking():

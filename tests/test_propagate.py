@@ -5,9 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ebloch.dissipators import RhsSpec, master_rhs
-from ebloch.linalg import matrix_exp, trace_distance, vectorize
+from ebloch.linalg import is_hermitian, trace_distance, vectorize
 from ebloch.propagate import (
     PropagationError,
     _generator,
@@ -31,6 +32,47 @@ def thermal_two_level(E=1.0, T=1.0, gamma=1.0, eps=(0.48, 0.36, 0.8)):
 
 
 COHERENT_RHO0 = np.array([[0.7, 0.25 + 0.1j], [0.25 - 0.1j, 0.3]], dtype=complex)
+
+
+# ---------------------------------------------------------- matrix_exp oracle
+
+
+def matrix_exp(A) -> np.ndarray:
+    """Matrix exponential, the oracle for exact unitary evolution.
+
+    Hermitian input goes through the eigendecomposition; everything else
+    uses Pade scaling-and-squaring (scipy.linalg.expm).
+    """
+    M = np.asarray(A, dtype=complex)
+    if is_hermitian(M, 1e-12):
+        w, V = np.linalg.eigh(0.5 * (M + M.conj().T))
+        return (V * np.exp(w)) @ V.conj().T
+    return scipy.linalg.expm(M)
+
+
+def random_complex(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def test_matrix_exp_zero_and_diagonal():
+    np.testing.assert_allclose(matrix_exp(np.zeros((3, 3))), np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(
+        matrix_exp(np.diag([1.5, -0.3])), np.diag(np.exp([1.5, -0.3])), rtol=1e-14
+    )
+
+
+def test_matrix_exp_against_taylor_series():
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        A = random_complex(rng, 4)
+        A *= 0.8 / np.linalg.norm(A)
+        series = np.eye(4, dtype=complex)
+        term = np.eye(4, dtype=complex)
+        for k in range(1, 50):
+            term = term @ A / k
+            series += term
+        got = matrix_exp(A)
+        assert np.linalg.norm(got - series) <= 1e-10 * np.linalg.norm(series)
 
 
 # -------------------------------------------------------------------- step_rk4

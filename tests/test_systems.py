@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebloch.linalg import commutator, dag
 from ebloch.systems import (
     BathModel,
+    JumpOperatorPair,
     LadderSystem,
     TransitionSpec,
     TwoLevelSystem,
@@ -137,6 +140,63 @@ def test_jump_algebra_randomized_property():
         E = rng.uniform(0.2, 5.0)
         H = build_two_level_hamiltonian(E, random_direction(rng))
         assert verify_jump_algebra(jump_operators(H), H, E).passed
+
+
+# ---------------------------------------------------- stacked jump operators
+
+AXES = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (-1.0, 0.0, 0.0)]
+tilted_draws = st.lists(
+    st.tuples(st.floats(0.2, 5.0), st.one_of(
+        st.sampled_from(AXES),
+        st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1))),
+    min_size=1, max_size=9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tilted_draws)
+def test_jump_algebra_on_a_stack_equals_per_matrix_calls(draws):
+    E = np.array([e for e, _ in draws])
+    H = np.stack([build_two_level_hamiltonian(e, np.array(v) / np.linalg.norm(v))
+                  for e, v in draws])
+    pair = jump_operators(H)
+    report = verify_jump_algebra(pair, H, E)
+    assert pair.sigma_p.shape == pair.sigma_m.shape == H.shape
+    assert report.max_residual.shape == report.passed.shape == (len(draws),)
+    for k in range(len(draws)):
+        single = jump_operators(H[k])
+        assert np.abs(pair.sigma_p[k] - single.sigma_p).max() <= 1e-14
+        assert np.abs(pair.sigma_m[k] - single.sigma_m).max() <= 1e-14
+        rep_k = verify_jump_algebra(single, H[k], E[k])
+        for name, value in rep_k.residuals().items():
+            assert abs(report.residuals()[name][k] - value) <= 1e-14
+        assert report.passed[k] == rep_k.passed
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.array([[0.5, 1.0], [0.0, -0.5]]), "not Hermitian"),
+    (np.diag([1.0, 0.0]), "traceless"),
+    (np.zeros((2, 2)), "degenerate"),
+])
+def test_jump_operators_stack_with_one_bad_member_raises_like_the_single_call(bad, message):
+    with pytest.raises(ValueError) as single:
+        jump_operators(bad)
+    assert message in str(single.value)
+    good = build_two_level_hamiltonian(1.3, (0.6, 0.0, 0.8))
+    with pytest.raises(ValueError) as stacked:
+        jump_operators(np.stack([good, bad, good]))
+    assert str(stacked.value) == str(single.value)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 3), (4, 2, 3), (2, 3, 2), (1, 2, 2, 2)])
+def test_stacked_jump_algebra_rejects_wrong_trailing_shapes(shape):
+    with pytest.raises(ValueError, match="2x2"):
+        jump_operators(np.zeros(shape))
+    with pytest.raises(ValueError, match="2x2"):
+        JumpOperatorPair(np.zeros(shape), np.zeros(shape))
+    H = build_two_level_hamiltonian(1.0, (0.0, 0.0, 1.0))
+    pair = jump_operators(np.stack([H, H]))
+    with pytest.raises(ValueError, match="mismatched"):
+        verify_jump_algebra(pair, H, 1.0)
 
 
 # ------------------------------------------------------------------ bath model
