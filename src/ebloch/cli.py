@@ -285,6 +285,8 @@ def parse_config(text: str) -> ScenarioConfig:
         r.errors.append("[dissipator] kind = eben requires an oscillator or explicit system")
     if record_every is not None and record_every < 1:
         r.errors.append("[integration] record_every must be >= 1")
+    if verify_draws is not None and verify_draws < 1:
+        r.errors.append("[verify] num_draws must be >= 1")
     for name, val in (("t_final", t_final), ("dt", dt)):
         if val is not None and val <= 0:
             r.errors.append(f"[integration] {name} must be positive")

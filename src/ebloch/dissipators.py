@@ -22,79 +22,114 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_matrix, hermitian_eig
 from .systems import LadderSystem, TwoLevelSystem, jump_operators
 
 KINDS = ("gkls", "ebe2", "eben")
+# entries of a rotated jump below this fraction of its largest count as zero
+JUMP_ZERO = 1e-12
 
 _EYE2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
 class SplitGenerator:
-    """The master equation as one dense block plus independent entries.
+    """The master equation in the eigenbasis of H: a real rate matrix on the
+    populations plus one independent rate per coherence.
 
-    The entries ``rho.flat[block]`` evolve together, dv/dt = W v; every other
-    entry evolves on its own, d(rho_ab)/dt = C[a, b] rho_ab.  The spectrum is
-    eig(W) plus C on the entries off the block.
-
-    A diagonal-H, transition-type spec (:attr:`RhsSpec.compiled`) splits with
-    the populations as its block: ``W`` is the real rate matrix (non-negative
-    off-diagonal rates, zero column sums) and C[a, b] = -i w_ab
-    [include_unitary] - Gamma_ab + gamma_pd w_ab^2 with w_ab = E_a - E_b, a
-    zero diagonal and C[b, a] = conj(C[a, b]).  Every other spec is one block
-    holding every entry in column-stacking order, with ``W`` its
-    superoperator and C = 0 (:func:`ebloch.propagate.build_superoperator`).
+    A state s = V^dag rho V in that basis (s = rho when ``V`` is None, for an
+    exactly diagonal H) evolves as dp/dt = W p on its populations p = diag(s)
+    and as d(s_ab)/dt = C[a, b] s_ab on each coherence.  ``W`` is real, with
+    non-negative off-diagonal rates and zero column sums; C[a, b] = -i w_ab
+    [include_unitary] - Gamma_ab + gamma_pd w_ab^2 with the Bohr frequencies
+    w_ab = E_a - E_b, a zero diagonal and C[b, a] = conj(C[a, b]).  The
+    spectrum is eig(W) plus the off-diagonal entries of C.
     """
 
     W: np.ndarray
     C: np.ndarray
-    block: np.ndarray
+    V: np.ndarray | None
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """d(rho)/dt: ``W`` on the block entries, ``C`` elementwise on the rest."""
-        out = self.C * rho
-        out.flat[self.block] = self.W @ rho.flat[self.block]
+    def rotate_in(self, rho: np.ndarray) -> np.ndarray:
+        """V^dag rho V: a matrix of the original basis in the eigenbasis."""
+        return rho if self.V is None else self.V.conj().T @ rho @ self.V
+
+    def rotate_out(self, s: np.ndarray) -> np.ndarray:
+        """V s V^dag: a matrix of the eigenbasis in the original basis."""
+        return s if self.V is None else self.V @ s @ self.V.conj().T
+
+    def apply(self, s: np.ndarray) -> np.ndarray:
+        """d(s)/dt of a matrix s in the eigenbasis: ``W`` on the diagonal,
+        ``C`` elementwise on the rest."""
+        out = self.C * s
+        out.flat[:: len(s) + 1] = self.W @ s.diagonal()
         return out
 
     @cached_property
     def coherence_rates(self) -> np.ndarray:
-        """C on the entries off the block, one eigenvalue per entry."""
-        off = np.ones(self.C.size, dtype=bool)
-        off[self.block] = False
-        return self.C.ravel()[off]
+        """The off-diagonal entries of C, one eigenvalue per coherence."""
+        return self.C[~np.eye(len(self.C), dtype=bool)]
 
     @cached_property
-    def block_eig(self) -> tuple:
+    def population_eig(self) -> tuple:
         """(eigenvalues, column eigenvectors) of ``W``."""
         return np.linalg.eig(self.W)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
         """eig(W) followed by :attr:`coherence_rates`."""
-        return np.concatenate([self.block_eig[0], self.coherence_rates])
+        return np.concatenate([self.population_eig[0], self.coherence_rates])
 
     @cached_property
     def max_growth(self) -> float:
-        """Largest real part in the spectrum, floored at 0.  A real ``W`` is a
-        rate matrix, whose eigenvalues have Re <= 0 (Gershgorin), so then only
-        C is inspected and W is not diagonalized."""
-        modes = self.coherence_rates if np.isrealobj(self.W) else self.spectrum
-        return max(0.0, float(modes.real.max())) if modes.size else 0.0
+        """Largest real part in the spectrum, floored at 0.  ``W`` is a rate
+        matrix, whose eigenvalues have Re <= 0 (Gershgorin), so only C is
+        inspected and W is not diagonalized."""
+        rates = self.coherence_rates
+        return max(0.0, float(rates.real.max())) if rates.size else 0.0
 
 
-def _compile(spec: "RhsSpec") -> SplitGenerator | None:
-    """(W, C) of a spec with an exactly diagonal real H and an ``eben``
-    dissipator or a jump list of single off-diagonal matrix units; None for
-    every other spec."""
+def _compile(spec: "RhsSpec") -> SplitGenerator:
+    """(W, C, V) of a spec; raises ValueError when it does not split."""
     H = spec.hamiltonian
     energies = np.diag(H)
     if np.count_nonzero(H - np.diag(energies)) or np.count_nonzero(energies.imag):
-        return None
+        energies, V = hermitian_eig(H)
+    else:
+        energies, V = energies.real, None
     n = spec.dim
     W = np.zeros((n, n))
-    if spec.kind == "eben":
-        ii, jj, gp, gm = spec.ladder.transition_arrays
+    if spec.kind == "gkls":
+        # gamma |c|^2 for L = c|x><y| moves population from y to x and damps
+        # every coherence that touches y at half that rate
+        out = np.zeros(n)
+        for k, (L, gamma) in enumerate(spec.jumps):
+            if V is not None:
+                L = V.conj().T @ L @ V
+            nz = np.flatnonzero(np.abs(L) > JUMP_ZERO * np.abs(L).max())
+            x, y = divmod(int(nz[0]), n) if nz.size == 1 else (0, 0)
+            if x == y:
+                raise ValueError(
+                    f"jump {k} (rate {gamma:g}) is not a single off-diagonal matrix "
+                    "unit in the eigenbasis of H, so the spec does not split into "
+                    "populations and coherences")
+            rate = gamma * abs(L[x, y]) ** 2
+            W[x, y] += rate
+            W[y, y] -= rate
+            out[y] += rate
+        damping = 0.5 * (out[:, None] + out[None, :])
+    else:
+        if spec.kind == "ebe2":
+            sys = spec.two_level
+            if not np.array_equal(H, sys.hamiltonian):
+                raise ValueError("kind 'ebe2' splits only under its system's own Hamiltonian")
+            # one transition from the lower to the upper eigenlevel
+            ii, jj = np.argsort(energies)[:, None]
+            gp, gm = np.array([sys.gamma_p]), np.array([sys.gamma_m])
+        elif V is None:
+            ii, jj, gp, gm = spec.ladder.transition_arrays
+        else:
+            raise ValueError("kind 'eben' needs an exactly diagonal Hamiltonian")
         np.add.at(W, (jj, ii), gp)
         np.add.at(W, (ii, ii), -gp)
         np.add.at(W, (ii, jj), gm)
@@ -102,30 +137,12 @@ def _compile(spec: "RhsSpec") -> SplitGenerator | None:
         damping = np.zeros((n, n))
         np.add.at(damping, (ii, jj), 0.5 * (gp + gm))
         np.add.at(damping, (jj, ii), 0.5 * (gp + gm))
-    elif spec.kind == "gkls":
-        # gamma |c|^2 for L = c|x><y| moves population from y to x and damps
-        # every coherence that touches y at half that rate
-        out = np.zeros(n)
-        for L, gamma in spec.jumps:
-            nz = np.flatnonzero(L)
-            if nz.size != 1:
-                return None
-            x, y = divmod(int(nz[0]), n)
-            if x == y:
-                return None
-            rate = gamma * abs(L[x, y]) ** 2
-            W[x, y] += rate
-            W[y, y] -= rate
-            out[y] += rate
-        damping = 0.5 * (out[:, None] + out[None, :])
-    else:
-        return None
-    w = energies.real[:, None] - energies.real[None, :]
+    w = energies[:, None] - energies[None, :]
     C = (spec.gamma_pd * w * w - damping).astype(complex)
     if spec.include_unitary:
         C -= 1j * w
     np.fill_diagonal(C, 0.0)
-    return SplitGenerator(W, C, np.arange(n) * (n + 1))
+    return SplitGenerator(W, C, V)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,13 +212,17 @@ class RhsSpec:
         return K, terms
 
     @cached_property
-    def compiled(self) -> SplitGenerator | None:
-        """The population/coherence split of this spec, or None.
+    def compiled(self) -> SplitGenerator:
+        """The spec's :class:`SplitGenerator` in the eigenbasis of H.
 
-        Present exactly when H is diagonal and the dissipator is ``eben`` or
-        a list of single off-diagonal matrix-unit jumps (including none);
-        the two-level ``ebe2`` kernel and general jump lists have no split
-        and run as one dense block of their probed superoperator.
+        An exactly diagonal H is used as it is (``V`` is None); any other H
+        is diagonalized by :func:`~ebloch.linalg.hermitian_eig`.  ``eben``
+        and ``ebe2`` are transitions between levels; each ``gkls`` jump,
+        rotated to V^dag L V, must be a single off-diagonal matrix unit
+        (entries below ``JUMP_ZERO`` times its largest count as zero).  Raises
+        ``ValueError`` naming the first jump that is not, for ``eben`` under
+        a non-diagonal H and for ``ebe2`` under another H than its system's:
+        such specs have no population/coherence split and are not supported.
         """
         return _compile(self)
 

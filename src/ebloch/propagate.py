@@ -1,12 +1,12 @@
 """Time evolution under any RhsSpec: fixed-step RK4, exact exponential,
 trajectory recording and physicality monitoring.
 
-Every spec is stepped through one :class:`SplitGenerator`: its population/
-coherence split (:attr:`RhsSpec.compiled`) when it has one, else its probed
-superoperator as a single block.  Split states are Hermitian by
-construction; the dense block keeps Hermiticity to round-off.  The trace is
-never renormalized and eigenvalues are never clipped; drift and negativity
-are diagnostics, not noise to hide.
+Every spec is stepped through its :class:`SplitGenerator`
+(:attr:`RhsSpec.compiled`) in the eigenbasis of H: a rate matrix on the
+populations and one rate per coherence.  :func:`build_superoperator` and
+:func:`step_rk4` are independent oracles for it, used by the tests and
+:mod:`ebloch.bench`.  The trace is never renormalized and eigenvalues are
+never clipped; drift and negativity are diagnostics, not noise to hide.
 """
 
 from __future__ import annotations
@@ -67,14 +67,12 @@ def build_superoperator(spec: RhsSpec) -> np.ndarray:
     """Matrix S of the linear map rho -> master_rhs(rho) in the
     column-stacking convention: vectorize(master_rhs(rho)) = S @ vectorize(rho).
 
-    Built by one call of the right-hand side on the stack of the dim^2
-    matrix units; guarded at dim <= 64.  The unit stack, its images and the
-    kernel's temporaries are held at once, about five times the memory of S
-    at dim 32 (some 1.3 GB at dim 64, where S is 268 MB).  :func:`propagate`
-    and :func:`ebloch.stationary.fixed_point` use it as the single block of
-    specs without a population/coherence split, so ladders never reach the
-    guard there.  It inspects no spectrum: those callers check for
-    amplifying modes through :attr:`SplitGenerator.max_growth`, at any dim.
+    An oracle for :attr:`RhsSpec.compiled`, which :func:`propagate` and
+    :func:`ebloch.stationary.fixed_point` use instead.  Built by one call of
+    the right-hand side on the stack of the dim^2 matrix units; guarded at
+    dim <= 64.  The unit stack, its images and the kernel's temporaries are
+    held at once, about five times the memory of S at dim 32 (some 1.3 GB
+    at dim 64, where S is 268 MB, by scaling).  It inspects no spectrum.
     """
     dim = spec.dim
     if dim > MAX_SUPEROP_DIM:
@@ -84,16 +82,6 @@ def build_superoperator(spec: RhsSpec) -> np.ndarray:
     images = master_rhs(np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
                         .transpose(0, 2, 1), spec)
     return images.transpose(0, 2, 1).reshape(dim * dim, -1).T
-
-
-def _generator(spec: RhsSpec) -> SplitGenerator:
-    """The spec's split, or its superoperator as one block of every entry
-    in column-stacking order with C = 0."""
-    if spec.compiled is not None:
-        return spec.compiled
-    n = spec.dim
-    return SplitGenerator(build_superoperator(spec), np.zeros((n, n), dtype=complex),
-                          np.arange(n * n).reshape(n, n).ravel(order="F"))
 
 
 def _rk4_polynomial(z):
@@ -111,8 +99,9 @@ def _rk4_matrix(Z: np.ndarray) -> np.ndarray:
 
 def _conj_symmetric(F: np.ndarray) -> np.ndarray:
     """Coherence factors with F[b, a] = conj(F[a, b]) exactly and a zero
-    diagonal, so the stepped coherences stay exactly Hermitian.  The diagonal
-    lies in every block, so zeroing it loses nothing."""
+    diagonal, so the stepped coherences keep the Hermitian symmetry of the
+    state they start from.  W evolves the diagonal, so zeroing it loses
+    nothing."""
     upper = np.triu(F, 1)
     return upper + upper.conj().T
 
@@ -170,17 +159,19 @@ def propagate(
     recorded time, the right-hand-side norm exceeds 1e6 times its initial
     value or the largest state entry 1e6 times max(1, its initial value).
 
-    The spec runs as a :class:`SplitGenerator` ``(W, C)``: its population/
-    coherence split, or else its :func:`build_superoperator` matrix as one
-    block.  Every gap of g steps between two recorded times is one linear
-    map, built once per distinct g: expm(W g dt) on the block and
-    exp(C g dt) on every other entry for the exact flow, and for RK4
-    R4(dt W)^g and R4(dt C_ab)^g with the RK4 stability polynomial R4 (the
-    map of g :func:`step_rk4` steps in exact arithmetic).  The growth check
-    takes the right-hand side from the same generator,
-    :meth:`SplitGenerator.apply`.  Every spec warns once about amplifying
-    modes and, for RK4, raises :class:`PropagationError` before the first
-    step when a non-amplifying mode lies outside the stability region.
+    The spec runs as its :class:`SplitGenerator` ``(W, C, V)``
+    (:attr:`RhsSpec.compiled`, which raises ``ValueError`` for a spec that
+    does not split): rho0 is rotated into the eigenbasis of H once and each
+    recorded state out once, V s V^dag.  Every gap of g steps between two
+    recorded times is one linear map, built once per distinct g:
+    expm(W g dt) on the populations and exp(C g dt) on the coherences for
+    the exact flow, and for RK4 R4(dt W)^g and R4(dt C_ab)^g with the RK4
+    stability polynomial R4 (the map of g :func:`step_rk4` steps in exact
+    arithmetic).  The growth check takes the right-hand side from the same
+    generator, :meth:`SplitGenerator.apply`.  Every spec warns once about
+    amplifying modes and, for RK4, raises :class:`PropagationError` before
+    the first step when a non-amplifying mode lies outside the stability
+    region.
     """
     raw = np.asarray(rho0, dtype=complex)
     _validate_state(raw)
@@ -196,7 +187,7 @@ def propagate(
     if record_idx[-1] != n_steps:
         record_idx.append(n_steps)
 
-    gen = _generator(spec)
+    gen = spec.compiled
     if gen.max_growth > AMPLIFY_TOL:
         warnings.warn(
             f"assembled generator has amplifying modes (max Re lambda = "
@@ -207,7 +198,8 @@ def propagate(
         _check_rk4_stability(gen, dt)
 
     top_index = spec.ladder.top_level if spec.ladder is not None else None
-    rhs0_norm = float(np.linalg.norm(gen.apply(rho)))
+    s = gen.rotate_in(rho)
+    rhs0_norm = float(np.linalg.norm(gen.apply(s)))
     # starting at (or round-off close to) a fixed point makes relative rhs
     # growth meaningless; the state-norm cap still catches divergence there
     growth_cap = 1e6 * rhs0_norm if rhs0_norm > 1e-12 else np.inf
@@ -216,11 +208,12 @@ def propagate(
     times, states = [], []
     diag_rows = []
 
-    def record(k: int, state: np.ndarray) -> None:
+    def record(k: int, s: np.ndarray) -> None:
+        state = gen.rotate_out(s)
         times.append(k * dt)
         states.append(state)
         diag_rows.append(_diagnose(state, top_index))
-        rhs_norm = float(np.linalg.norm(gen.apply(state)))
+        rhs_norm = float(np.linalg.norm(gen.apply(s)))
         if not np.isfinite(rhs_norm) or rhs_norm > growth_cap \
                 or float(np.abs(state).max()) > state_cap:
             raise PropagationError(
@@ -228,12 +221,10 @@ def propagate(
                 f"(initial {rhs0_norm:.3e}), state norm {np.abs(state).max():.3e}"
             )
 
-    record(0, rho)
-    p = rho.flat[gen.block]
-    if np.isrealobj(gen.W):
-        p = p.real  # populations of a Hermitian state
-    X = rho.copy()
-    X.flat[gen.block] = 0.0
+    record(0, s)
+    p = s.diagonal().real  # populations of a Hermitian state
+    X = s.copy()
+    np.fill_diagonal(X, 0.0)
     if method == "rk4":
         step_W, step_C = _rk4_matrix(dt * gen.W), _rk4_polynomial(dt * gen.C)
     props = {}
@@ -251,9 +242,9 @@ def propagate(
         X = F * X
         if not (np.isfinite(p.sum()) and np.isfinite(X.sum())):
             raise PropagationError(f"NaN/Inf encountered before t={k * dt:.6g}")
-        state = X.copy()
-        state.flat[gen.block] = p
-        record(k, state)
+        s = X.copy()
+        s.flat[:: len(s) + 1] = p
+        record(k, s)
 
     diag = np.array(diag_rows, dtype=float)
     traj = Trajectory(

@@ -9,7 +9,7 @@ import numpy as np
 
 from .dissipators import RhsSpec
 from .linalg import as_matrix, commutator, herm_part, hermitian_eig, trace_distance
-from .propagate import AMPLIFY_TOL, _generator
+from .propagate import AMPLIFY_TOL
 from .systems import TwoLevelSystem
 
 ZERO_EIG_TOL = 1e-10
@@ -98,48 +98,30 @@ def effective_temperature(spec: RhsSpec) -> float | None:
     return t0
 
 
-def _spectrum_and_modes(spec: RhsSpec):
-    """(generator, eigenvalues of the block's modes, which alone can carry
-    trace, map from such a mode's index to its eigenvector as a dim x dim
-    matrix)."""
-    gen = _generator(spec)
+def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
+    """Stationary state from the null space of the generator.
+
+    The spec runs as its :class:`~ebloch.dissipators.SplitGenerator`
+    ``(W, C, V)`` (:attr:`RhsSpec.compiled`, which raises ``ValueError`` for
+    a spec that does not split), so no superoperator is built and ladders
+    of any size are accepted.  The spectrum is eig(W) plus the coherence
+    rates C.  The stationary state is diag(p) in the eigenbasis of H,
+    rotated out as V diag(p) V^dag, with p the trace-normalized real part
+    of the eigenvector of W whose eigenvalue lies nearest zero.
+    ``multiplicity`` counts the eigenvalues within 1e-10 of zero; when it
+    exceeds one (disconnected transition graphs) the reported state is the
+    near-null direction of W with the largest trace.  Raises
+    :class:`FixedPointError` when no eigenvalue lies within 1e-6 of zero or
+    when the spectrum has real part above 1e-10 (amplifying modes).
+    ``residual`` is the norm of the same generator applied to the state,
+    :meth:`~ebloch.dissipators.SplitGenerator.apply`.
+    """
+    gen = spec.compiled
     if gen.max_growth > AMPLIFY_TOL:
         raise FixedPointError(
             f"generator has amplifying modes (max Re lambda = {gen.max_growth:.3e}); "
             "check the sign of gamma_pd"
         )
-    w, V = gen.block_eig
-
-    def mode_state(k):
-        state = np.zeros(spec.dim * spec.dim, dtype=complex)
-        state[gen.block] = V[:, k]
-        return state.reshape(spec.dim, spec.dim)
-
-    return gen, w, mode_state
-
-
-def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
-    """Stationary state from the null space of the generator.
-
-    The full spectrum is computed (desk-scale dimensions); the stationary
-    state is the trace-normalized Hermitian part of the eigenvector with
-    eigenvalue nearest zero.  ``multiplicity`` counts the eigenvalues within
-    1e-10 of zero; when it exceeds one (disconnected transition graphs) the
-    reported state is the near-null direction with the largest trace.
-    Raises :class:`FixedPointError` when no eigenvalue lies within 1e-6 of
-    zero.
-
-    The spec runs as a :class:`~ebloch.dissipators.SplitGenerator`
-    ``(W, C)``: the spectrum is eig(W) plus C on the entries off the block,
-    and the state is picked among the near-null eigenvectors of W.  A spec
-    with a population/coherence split builds no superoperator, so ladders
-    of any size are accepted; every other spec has
-    :func:`ebloch.propagate.build_superoperator` as its block.  Raises
-    :class:`FixedPointError` when the spectrum has real part above 1e-10
-    (amplifying modes).  ``residual`` is the norm of the same generator
-    applied to the state, :meth:`~ebloch.dissipators.SplitGenerator.apply`.
-    """
-    gen, mode_vals, mode_state = _spectrum_and_modes(spec)
     eigvals = gen.spectrum
     absvals = np.abs(eigvals)
     nearest = float(absvals.min())
@@ -149,17 +131,18 @@ def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
             "the spec has no stationary state"
         )
     multiplicity = int(np.sum(absvals <= ZERO_EIG_TOL))
+    mode_vals, modes = gen.population_eig
     mode_abs = np.abs(mode_vals)
-    candidate_cut = max(ZERO_EIG_TOL, float(mode_abs.min()))
-    candidates = np.flatnonzero(mode_abs <= candidate_cut)
-    traces = [abs(mode_state(k).trace()) for k in candidates]
-    rho = herm_part(as_matrix(mode_state(candidates[int(np.argmax(traces))])))
-    tr = rho.trace().real
+    candidates = np.flatnonzero(mode_abs <= max(ZERO_EIG_TOL, float(mode_abs.min())))
+    traces = np.abs(modes[:, candidates].sum(axis=0))
+    s = herm_part(np.diag(modes[:, candidates[int(np.argmax(traces))]]).astype(complex))
+    tr = s.trace().real
     if abs(tr) < 1e-10:
         raise FixedPointError("stationary direction has (near-)zero trace")
-    rho = rho / tr
+    s = s / tr
 
-    residual = float(np.linalg.norm(gen.apply(rho)))
+    residual = float(np.linalg.norm(gen.apply(s)))
+    rho = gen.rotate_out(s)
     # purely oscillatory modes (undamped cross-block coherences on ladders)
     # carry Re lambda = 0 and do not bound relaxation: the gap is the slowest
     # actually-decaying rate

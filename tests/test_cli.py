@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from ebloch.cli import (
     main,
     parse_config,
     parse_matrix_text,
+    rhs_spec,
 )
+from ebloch.dissipators import RhsSpec
+from ebloch.systems import SIGMA_X, SIGMA_Z
 
 TWO_LEVEL_CFG = """\
 [system]
@@ -192,6 +196,37 @@ kind = ebe2
         parse_config(text)
 
 
+CONFIG_SYSTEMS = {
+    "two_level": ("[system]\ntype = two_level\nE = 1.3\neps = 0.6, 0, 0.8\n"
+                  "gamma = 1.0\nbath_T = 0.7\n", ("ebe2", "gkls")),
+    "oscillator": ("[system]\ntype = oscillator\nN = 5\nspacing = 1.0\nbath_T = 1.0\n",
+                   ("eben", "gkls")),
+    "explicit": ("[system]\ntype = explicit\nenergies = 0, 1.0, 2.7\n"
+                 "transitions = 0:1:0.2:0.8; 1:2:0.1:0.9; 0:2:0.05:0.6\n", ("eben", "gkls")),
+}
+
+
+@pytest.mark.parametrize("system", sorted(CONFIG_SYSTEMS))
+@pytest.mark.parametrize("include_unitary", ["true", "false"])
+@pytest.mark.parametrize("gamma_pd", [-0.2, 0.0, 0.2])
+def test_every_spec_a_config_builds_compiles(system, include_unitary, gamma_pd):
+    text, kinds = CONFIG_SYSTEMS[system]
+    for kind in kinds:
+        cfg = parse_config(text + f"[dissipator]\nkind = {kind}\n"
+                           f"include_unitary = {include_unitary}\ngamma_pd = {gamma_pd}\n")
+        gen = rhs_spec(cfg).compiled
+        assert (gen.V is None) == (system != "two_level")
+
+
+@pytest.mark.parametrize("num_draws", [0, -5])
+def test_parse_rejects_non_positive_num_draws(tmp_path, capsys, num_draws):
+    cfg = write(tmp_path, "v.cfg", VERIFY_CFG.format(n=num_draws))
+    assert main(["verify-algebra", "--config", cfg, "--out", str(tmp_path)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "validation", "messages": ["[verify] num_draws must be >= 1"]}
+    assert not (tmp_path / "verify_algebra.csv").exists()
+
+
 # ----------------------------------------------------------------- state files
 
 
@@ -289,6 +324,41 @@ def test_fixed_point_outputs_report_and_state(tmp_path):
     rho = parse_matrix_text((tmp_path / "traj.state.txt").read_text())
     assert rho.shape == (2, 2)
     assert abs(np.trace(rho) - 1.0) <= 1e-12
+
+
+def test_spec_without_a_split_exits_as_validation(tmp_path, capsys, monkeypatch):
+    from ebloch import cli
+
+    # no config builds such a spec; sigma_x does not shift energy by one gap of sigma_z/2
+    monkeypatch.setattr(cli, "rhs_spec",
+                        lambda cfg: RhsSpec(SIGMA_Z / 2, "gkls", jumps=((SIGMA_X, 1.0),)))
+    gp, gm = thermal_rates()
+    cfg = write(tmp_path, "fp.cfg", TWO_LEVEL_CFG.format(gp=gp, gm=gm))
+    for sub in ("fixed-point", "simulate"):
+        assert main([sub, "--config", cfg, "--out", str(tmp_path)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "validation"
+        assert "jump 0" in record["messages"][0]
+
+
+@pytest.mark.parametrize("kind", ["ebe2", "gkls"])
+def test_tilted_two_level_runs_probe_no_superoperator(tmp_path, monkeypatch, kind):
+    dissipators, propagate = (sys.modules[f"ebloch.{m}"] for m in ("dissipators", "propagate"))
+    calls = []
+    real_rhs, real_build = dissipators.master_rhs, propagate.build_superoperator
+    counted_rhs = lambda *a: calls.append("master_rhs") or real_rhs(*a)
+    monkeypatch.setattr(dissipators, "master_rhs", counted_rhs)
+    monkeypatch.setattr(propagate, "master_rhs", counted_rhs)
+    monkeypatch.setattr(propagate, "build_superoperator",
+                        lambda *a: calls.append("build_superoperator") or real_build(*a))
+    gp, gm = thermal_rates()
+    text = TWO_LEVEL_CFG.format(gp=gp, gm=gm).replace("eps = 0, 0, 1", "eps = 0.6, 0, 0.8")
+    text += f"\n[dissipator]\nkind = {kind}\n"
+    expm = write(tmp_path, "expm.cfg", text)
+    rk4 = write(tmp_path, "rk4.cfg", text.replace("record_every = 10", "record_every = 10\nmethod = rk4"))
+    for sub, cfg in (("fixed-point", expm), ("simulate", expm), ("simulate", rk4)):
+        assert main([sub, "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert calls == []
 
 
 # -------------------------------------------------------------- verify-algebra

@@ -1,40 +1,48 @@
-"""Tests for the population/coherence split of diagonal-H specs.
+"""Tests for the population/coherence split in the eigenbasis of H.
 
-The probed superoperator, the stage-wise RK4 step and the dense fixed-point
-route stay in the package as independent oracles; every test here compares
-the split against one of them.
+The probed superoperator and the stage-wise RK4 step stay in the package as
+independent oracles; every test here compares the split against one of them
+(the superoperator's exponential and null vector included).
 """
 
+import dataclasses
 import math
 import sys
 import time
 import warnings
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ebloch.canonical import canonical_experiment, thermalization_ode_rhs
 from ebloch.dissipators import RhsSpec, master_rhs
-from ebloch.linalg import trace_distance
+from ebloch.linalg import herm_part, hermitian_eig, trace_distance, vectorize
 from ebloch.propagate import (
+    MIN_EIG_WARN,
+    TOP_POP_WARN,
     PropagationError,
-    _generator,
     _rk4_matrix,
     build_superoperator,
     propagate,
     step_rk4,
 )
-from ebloch.stationary import FixedPointError, fixed_point, gibbs_state
+from ebloch.stationary import (
+    FixedPointError,
+    effective_temperature,
+    fixed_point,
+    gibbs_state,
+)
 from ebloch.systems import (
+    SIGMA_X,
+    SIGMA_Z,
     BathModel,
     LadderSystem,
     TransitionSpec,
     TwoLevelSystem,
     build_oscillator,
-    build_two_level_hamiltonian,
     rates_from_bath,
 )
 
@@ -42,19 +50,9 @@ SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
-@contextmanager
-def dense_only():
-    """Send every spec through the superoperator route, as before the split."""
-    saved = RhsSpec.__dict__["compiled"]
-    RhsSpec.compiled = property(lambda self: None)
-    try:
-        yield
-    finally:
-        RhsSpec.compiled = saved
-
-
 def split_superoperator(gen) -> np.ndarray:
-    """Column-stacking superoperator assembled from (W, C)."""
+    """Column-stacking superoperator assembled from (W, C), in the
+    eigenbasis of H."""
     n = len(gen.W)
     S = np.zeros((n * n, n * n), dtype=complex)
     diag = np.arange(n) * (n + 1)
@@ -101,6 +99,48 @@ def transition_graphs(draw, max_n=16, connected=None, thermal=False):
 
 spec_options = st.tuples(st.sampled_from(["eben", "gkls"]), st.booleans(),
                          st.sampled_from([0.0, -0.2, 0.3]))
+two_level_options = st.tuples(st.sampled_from(["ebe2", "gkls"]), st.booleans(),
+                              st.sampled_from([0.0, -0.2, 0.3]))
+
+
+@st.composite
+def tilted_two_level(draw):
+    """Two-level system with a random gap, rates and Bloch axis; the axes
+    (0, 0, +-1) give an exactly diagonal H, with descending energies for +1."""
+    axis = draw(st.one_of(
+        st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]),
+        st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1)))
+    eps = np.array(axis) / np.linalg.norm(axis)
+    return TwoLevelSystem(draw(st.floats(0.2, 3.0)), tuple(eps),
+                          draw(st.floats(0.0, 2.0)), draw(st.floats(0.05, 2.0)))
+
+
+def rotated_superoperator(spec, V) -> np.ndarray:
+    """The probed superoperator in the eigenbasis V of H (as it is for V
+    None): vec(V^dag rho V) = kron(V^T, V^dag) vec(rho)."""
+    S = build_superoperator(spec)
+    if V is None:
+        return S
+    U = np.kron(V.conj(), V)
+    return U.conj().T @ S @ U
+
+
+def assert_split_matches_probe(spec):
+    gen = spec.compiled
+    S = rotated_superoperator(spec, gen.V)
+    err = np.abs(split_superoperator(gen) - S).max()
+    assert err <= 1e-13 * max(1.0, np.abs(S).max())
+
+
+def sigma_x_on_sigma_z():
+    """sigma_x under H = sigma_z/2 is not one matrix unit in the eigenbasis."""
+    return RhsSpec(SIGMA_Z / 2, "gkls", jumps=((SIGMA_X, 1.0),))
+
+
+def oscillator_a(N=4):
+    """The covariant oscillator jump a, over N - 1 transitions at once."""
+    a = np.diag(np.sqrt(np.arange(1.0, N)), 1)
+    return RhsSpec(np.diag(np.arange(float(N))), "gkls", jumps=((a, 1.0),))
 
 
 # ------------------------------------------------------------- the split
@@ -110,35 +150,76 @@ spec_options = st.tuples(st.sampled_from(["eben", "gkls"]), st.booleans(),
 @given(transition_graphs(), spec_options)
 def test_split_matches_probed_superoperator(lad, options):
     kind, include_unitary, gamma_pd = options
-    spec = RhsSpec.for_ladder(lad, kind, include_unitary, gamma_pd)
-    assert spec.compiled is not None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # positive gamma_pd amplifies
-        S = build_superoperator(spec)
-    err = np.abs(split_superoperator(spec.compiled) - S).max()
-    assert err <= 1e-13 * max(1.0, np.abs(S).max())
+    assert_split_matches_probe(RhsSpec.for_ladder(lad, kind, include_unitary, gamma_pd))
 
 
-def test_split_covers_diagonal_transition_specs_only():
+@SETTINGS
+@given(tilted_two_level(), two_level_options)
+def test_eigenbasis_split_matches_rotated_probe_on_two_level_specs(sys2, options):
+    assert_split_matches_probe(RhsSpec.for_two_level(sys2, *options))
+
+
+@SETTINGS
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from([0.0, -0.2, 0.3]))
+def test_eigenbasis_split_matches_rotated_probe_on_closed_systems(n, seed, include_unitary,
+                                                                  gamma_pd):
+    A = np.random.default_rng(seed).standard_normal((n, 2 * n)).view(complex)
+    spec = dataclasses.replace(RhsSpec.closed(A + A.conj().T, include_unitary),
+                               gamma_pd=gamma_pd)
+    assert spec.compiled.V is not None
+    assert_split_matches_probe(spec)
+
+
+@pytest.mark.parametrize("kind", ["ebe2", "gkls"])
+def test_descending_diagonal_two_level_transition_starts_at_level_1(kind):
+    # eps = (0, 0, 1) gives H = diag(E/2, -E/2): level 1 is the lower one
+    gen = RhsSpec.for_two_level(TwoLevelSystem(1.0, (0.0, 0.0, 1.0), 0.3, 0.7), kind).compiled
+    assert gen.V is None
+    np.testing.assert_allclose(gen.W, [[-0.7, 0.3], [0.7, -0.3]], rtol=1e-15, atol=0.0)
+
+
+def test_split_covers_transition_specs_only():
     bath = BathModel(1.0, 1.0)
     lad = build_oscillator(4, 1.0, "harmonic", bath)
-    assert RhsSpec.for_ladder(lad, "eben").compiled is not None
-    assert RhsSpec.for_ladder(lad, "gkls").compiled is not None
-    assert RhsSpec(np.diag([0.0, 1.0, 3.0]), "gkls").compiled is not None  # closed
+    assert RhsSpec.for_ladder(lad, "eben").compiled.V is None
+    assert RhsSpec.for_ladder(lad, "gkls").compiled.V is None
+    assert RhsSpec(np.diag([0.0, 1.0, 3.0]), "gkls").compiled.V is None  # closed
 
-    tilted = build_two_level_hamiltonian(1.0, (0.6, 0.0, 0.8))
     gp, gm = rates_from_bath(bath, 1.0)
     sys2 = TwoLevelSystem(1.0, (0.6, 0.0, 0.8), gp, gm)
-    assert RhsSpec.for_two_level(sys2, "ebe2").compiled is None
-    assert RhsSpec.for_two_level(sys2, "gkls").compiled is None
-    assert RhsSpec(tilted, "gkls").compiled is None  # H not diagonal
+    _, V = hermitian_eig(sys2.hamiltonian)
+    for spec in (RhsSpec.for_two_level(sys2, "ebe2"), RhsSpec.for_two_level(sys2, "gkls"),
+                 RhsSpec.closed(sys2.hamiltonian)):
+        np.testing.assert_array_equal(spec.compiled.V, V)
 
     H = lad.hamiltonian
-    two_entries = np.zeros((4, 4))
-    two_entries[1, 0] = two_entries[2, 1] = 1.0
+    unit = np.zeros((4, 4))
+    unit[1, 0] = 1.0
+    two_entries = unit.copy()
+    two_entries[2, 1] = 1.0
     on_diagonal = np.diag([0.0, 1.0, 0.0, 0.0])
-    assert RhsSpec(H, "gkls", jumps=((two_entries, 1.0),)).compiled is None
-    assert RhsSpec(H, "gkls", jumps=((on_diagonal, 1.0),)).compiled is None
+    with pytest.raises(ValueError, match="jump 0 "):
+        RhsSpec(H, "gkls", jumps=((two_entries, 1.0),)).compiled
+    with pytest.raises(ValueError, match="jump 1 "):
+        RhsSpec(H, "gkls", jumps=((unit, 1.0), (on_diagonal, 1.0))).compiled
+    with pytest.raises(ValueError, match="jump 0 "):
+        RhsSpec(H, "gkls", jumps=((np.zeros((4, 4)), 1.0),)).compiled
+    with pytest.raises(ValueError, match="'eben' needs an exactly diagonal"):
+        RhsSpec(H + 0.1 * two_entries + 0.1 * two_entries.T, "eben", ladder=lad).compiled
+    with pytest.raises(ValueError, match="'ebe2' splits only"):
+        RhsSpec(SIGMA_X / 2, "ebe2", two_level=sys2).compiled
+
+
+@pytest.mark.parametrize("make_spec", [sigma_x_on_sigma_z, oscillator_a])
+def test_propagate_and_fixed_point_reject_specs_without_a_split(make_spec):
+    spec = make_spec()
+    rho0 = np.eye(spec.dim, dtype=complex) / spec.dim
+    for method in ("expm", "rk4"):
+        with pytest.raises(ValueError, match="jump 0 .* not a single off-diagonal"):
+            propagate(spec, rho0, 1.0, 0.1, method)
+    with pytest.raises(ValueError, match="jump 0 .* not a single off-diagonal"):
+        fixed_point(spec)
 
 
 def test_split_rate_matrix_conserves_trace_and_coherences_are_hermitian():
@@ -182,12 +263,17 @@ def test_split_expm_matches_dense_trajectory(kind, N, gamma_pd, include_unitary)
     rho0 /= np.trace(rho0)
     kw = dict(t_final=1.0, dt=0.05, method="expm", record_every=7)  # gaps 7, 7, 6
     traj = propagate(spec, rho0, **kw)
-    with dense_only():
-        dense = propagate(spec, rho0, **kw)
-    np.testing.assert_allclose(traj.times, dense.times)
-    worst = max(np.abs(a - b).max() for a, b in zip(traj.states, dense.states))
+    np.testing.assert_allclose(traj.times, np.array([0, 7, 14, 20]) * 0.05)
+    S = build_superoperator(spec)
+    dense = [(scipy.linalg.expm(S * t) @ vectorize(rho0)).reshape(N, N, order="F")
+             for t in traj.times]
+    worst = max(np.abs(a - b).max() for a, b in zip(traj.states, dense))
     assert worst <= 1e-12, f"split vs dense expm {worst:.3e}"
-    assert traj.warnings == dense.warnings
+    # the warnings the dense states call for, and no others
+    leak = bool(max(s[lad.top_level, lad.top_level].real for s in dense) > TOP_POP_WARN)
+    negative = bool(min(np.linalg.eigvalsh(herm_part(s)).min() for s in dense) < MIN_EIG_WARN)
+    assert [w.split(":")[0] for w in traj.warnings] == \
+        ["positivity violated"] * negative + ["truncation leak"] * leak
 
 
 def test_split_amplifying_modes_warn_and_refuse_a_fixed_point_at_any_size():
@@ -250,14 +336,14 @@ def test_generator_rhs_norm_matches_master_rhs():
              RhsSpec.for_ladder(lad, "gkls", False, 0.0),
              RhsSpec.for_two_level(tilted, "ebe2", True, -0.2),
              RhsSpec.for_two_level(tilted, "gkls", False, 0.0)]
-    assert [s.compiled is None for s in specs] == [False, False, True, True]
+    assert [s.compiled.V is None for s in specs] == [True, True, False, False]
     for spec in specs:
-        gen = _generator(spec)
+        gen = spec.compiled
         for _ in range(5):
             A = rng.standard_normal((spec.dim,) * 2) + 1j * rng.standard_normal((spec.dim,) * 2)
             rho = A + A.conj().T
             ref = np.linalg.norm(master_rhs(rho, spec))
-            assert abs(np.linalg.norm(gen.apply(rho)) - ref) <= 1e-12 * ref
+            assert abs(np.linalg.norm(gen.apply(gen.rotate_in(rho))) - ref) <= 1e-12 * ref
 
 
 @pytest.mark.parametrize("method", ["rk4", "expm"])
@@ -285,21 +371,36 @@ def test_split_growth_check_aborts_amplifying_coherences():
 # ----------------------------------------------------------- fixed points
 
 
+def probed_fixed_point(spec):
+    """(multiplicity, spectral gap, state) from eig of the probed
+    superoperator: the state is the trace-normalized Hermitian part of the
+    near-null eigenvector with the largest trace."""
+    ev, vecs = np.linalg.eig(build_superoperator(spec))
+    absvals = np.abs(ev)
+    decaying = ev.real < -1e-10
+    gap = float(-ev[decaying].real.max()) if decaying.any() else math.nan
+    near = np.flatnonzero(absvals <= max(1e-10, absvals.min()))
+    modes = [vecs[:, k].reshape(spec.dim, spec.dim, order="F") for k in near]
+    rho = herm_part(max(modes, key=lambda m: abs(m.trace())))
+    return int(np.sum(absvals <= 1e-10)), gap, rho / rho.trace().real
+
+
 def _compare_fixed_points(spec, compare_state):
     split = fixed_point(spec)
-    with dense_only():
-        dense = fixed_point(spec)
-    assert split.multiplicity == dense.multiplicity
-    if math.isnan(dense.spectral_gap):
+    multiplicity, gap, rho = probed_fixed_point(spec)
+    assert split.multiplicity == multiplicity
+    if math.isnan(gap):
         assert math.isnan(split.spectral_gap)
     else:
-        assert split.spectral_gap == pytest.approx(dense.spectral_gap, rel=1e-8)
+        assert split.spectral_gap == pytest.approx(gap, rel=1e-8)
     if compare_state:
-        assert trace_distance(split.rho_stationary, dense.rho_stationary) <= 1e-9
-        if math.isnan(dense.gibbs_distance):
+        assert trace_distance(split.rho_stationary, rho) <= 1e-9
+        T = effective_temperature(spec)
+        if T is None:
             assert math.isnan(split.gibbs_distance)
         else:
-            assert abs(split.gibbs_distance - dense.gibbs_distance) <= 1e-9
+            gibbs_distance = trace_distance(rho, gibbs_state(spec.hamiltonian, T))
+            assert abs(split.gibbs_distance - gibbs_distance) <= 1e-9
     assert split.residual <= 1e-10
 
 

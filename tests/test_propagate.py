@@ -11,7 +11,6 @@ from ebloch.dissipators import RhsSpec, master_rhs
 from ebloch.linalg import is_hermitian, trace_distance, vectorize
 from ebloch.propagate import (
     PropagationError,
-    _generator,
     build_superoperator,
     propagate,
     step_rk4,
@@ -158,14 +157,14 @@ def test_superoperator_dimension_guard():
 
 def test_dense_max_growth_is_the_superoperator_spectral_abscissa():
     # build_superoperator inspects no spectrum; the generator's max_growth is
-    # the one amplifying check of the dense route
+    # the one amplifying check, read off the coherence rates
     spec = RhsSpec.for_two_level(thermal_two_level(), gamma_pd=+2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         S = build_superoperator(spec)
     max_re = float(np.linalg.eigvals(S).real.max())
     assert max_re > 1.0
-    assert _generator(spec).max_growth == pytest.approx(max_re, rel=1e-12)
+    assert spec.compiled.max_growth == pytest.approx(max_re, rel=1e-12)
 
 
 # ----------------------------------------------------------------- propagate
@@ -270,13 +269,13 @@ def test_propagate_flags_truncation_leak():
     assert any("truncation" in w for w in traj.warnings)
 
 
-# ------------------------------------------------- dense specs, one generator
+# --------------------------------- tilted specs, rotated into the H eigenbasis
 
 
 def tilted_two_level_spec(gamma_pd=0.0):
     sys2 = TwoLevelSystem(1.0, (0.6, 0.0, 0.8), 0.3, 0.7)
     spec = RhsSpec.for_two_level(sys2, gamma_pd=gamma_pd)
-    assert spec.compiled is None  # runs as one dense block
+    assert spec.compiled.V is not None  # H is not diagonal
     return spec
 
 
@@ -287,8 +286,8 @@ def test_dense_rk4_outside_stability_region_raises_before_stepping(monkeypatch):
                         lambda rho, s: calls.append(np.shape(rho)) or master_rhs(rho, s))
     with pytest.raises(PropagationError, match="unstable") as info:
         propagate(spec, COHERENT_RHO0, 30.0, 3.0, "rk4")
-    # one stacked probe of the dim^2 matrix units, no step
-    assert calls == [(spec.dim ** 2, spec.dim, spec.dim)]
+    # no superoperator probe and no step
+    assert calls == []
     growth = float(str(info.value).split("| = ")[1].split()[0])
     assert 2.0 < growth < 3.0
 
@@ -329,7 +328,7 @@ def test_dense_rk4_matches_stagewise_oracle(kind, include_unitary, gamma_pd):
         sys2 = TwoLevelSystem(float(rng.uniform(0.2, 3.0)), eps,
                               float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.05, 1.0)))
         spec = RhsSpec.for_two_level(sys2, kind, include_unitary, gamma_pd)
-        assert spec.compiled is None
+        assert spec.compiled.V is not None
         A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         rho = A @ A.conj().T
         rho /= np.trace(rho)
