@@ -57,11 +57,8 @@ from .stationary import (
 from .canonical import (
     CanonicalDiagnostics,
     canonical_experiment,
-    delta_parameter,
     invariance_condition,
-    lambda_ode_rhs,
     ratio_profile,
-    thermalization_ode_rhs,
 )
 
 __version__ = "0.1.0"

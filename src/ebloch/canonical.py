@@ -22,7 +22,7 @@ import numpy as np
 from .dissipators import RhsSpec
 from .propagate import propagate
 from .stationary import gibbs_state
-from .systems import BathModel, LadderSystem, TwoLevelSystem, fermi
+from .systems import LadderSystem
 
 POPULATION_FLOOR = 1e-14
 LEAK_TOL = 1e-6
@@ -55,35 +55,29 @@ class CanonicalDiagnostics:
 
 
 def ratio_profile(p) -> np.ndarray:
-    """Vector of log level ratios ln(p_{i+1}/p_i).
+    """Log level ratios ln(p_{i+1}/p_i) of one population vector, or of each
+    row of an (n, N) stack of them.
 
     Entries where either population lies below ``POPULATION_FLOOR`` are NaN
     (absent): the tail of a truncated ladder would otherwise inject
-    log-of-zero artifacts.  Requires a normalized probability vector;
-    populations below -1e-12 are rejected.
+    log-of-zero artifacts.  Requires normalized probability vectors;
+    populations below -1e-12 are rejected, in any row.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size < 2:
-        raise ValueError("p must be a probability vector with at least two entries")
+    if p.ndim not in (1, 2) or p.shape[-1] < 2:
+        raise ValueError("p must be a probability vector with at least two entries, "
+                         "or an (n, N) stack of them")
     if p.min() < -1e-12:
         raise ValueError(f"negative population {p.min():.3e} beyond -1e-12")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"populations must sum to 1 within 1e-9, got {p.sum()}")
-    out = np.full(p.size - 1, np.nan)
-    ok = (p[:-1] >= POPULATION_FLOOR) & (p[1:] >= POPULATION_FLOOR)
-    out[ok] = np.log(p[1:][ok] / p[:-1][ok])
+    sums = p.sum(axis=-1, keepdims=True)
+    unnormalized = np.abs(sums - 1.0) > 1e-9
+    if unnormalized.any():
+        raise ValueError(f"populations must sum to 1 within 1e-9, got {sums[unnormalized][0]}")
+    lower, upper = p[..., :-1], p[..., 1:]
+    ok = (lower >= POPULATION_FLOOR) & (upper >= POPULATION_FLOOR)
+    out = np.full(lower.shape, np.nan)
+    out[ok] = np.log(upper[ok] / lower[ok])
     return out
-
-
-def delta_parameter(a: float, bath: BathModel, E: float) -> float:
-    """Mismatch delta with a = (f/(1-f)) e^delta, i.e. delta = ln(a(1-f)/f).
-
-    Zero exactly when a equals the bath Gibbs ratio exp(-E/T).
-    """
-    if not (a > 0.0):
-        raise ValueError(f"a must be positive, got {a}")
-    f = fermi(E, bath.T)
-    return float(math.log(a) + math.log1p(-f) - math.log(f))
 
 
 def invariance_condition(gammas) -> tuple[bool, np.ndarray]:
@@ -101,29 +95,6 @@ def invariance_condition(gammas) -> tuple[bool, np.ndarray]:
         raise ValueError("gamma_0 must be positive")
     defects = g[1:] - g[:-1] - g[0]
     return bool(np.all(np.abs(defects) <= 1e-12 * g[0])), defects
-
-
-def thermalization_ode_rhs(a: float, bath: BathModel, E: float, gamma0: float) -> float:
-    """d ln a / dt = gamma0 (a(1-f) + f/a - 1).
-
-    Zero exactly at a = f/(1-f) = exp(-E/T); for 0 < a < 1 the sign drives
-    a toward that bath value.
-    """
-    if not (a > 0.0):
-        raise ValueError(f"a must be positive, got {a}")
-    if not (gamma0 > 0.0):
-        raise ValueError(f"gamma0 must be positive, got {gamma0}")
-    f = fermi(E, bath.T)
-    return float(gamma0 * (a * (1.0 - f) + f / a - 1.0))
-
-
-def lambda_ode_rhs(lam: float, sys: TwoLevelSystem) -> float:
-    """Two-level Gibbs-form dynamics: d lambda/dt = -(gp+gm) lambda + (gp-gm).
-
-    lambda parametrizes rho = 1/2 + lambda H/E; the fixed point
-    lambda* = (gp-gm)/(gp+gm) reproduces the analytic stationary state.
-    """
-    return -sys.gamma_sum * lam + sys.gamma_diff
 
 
 def _thermal_ladder_parameters(sys: LadderSystem) -> tuple[float, float, float]:
@@ -192,18 +163,12 @@ def canonical_experiment(
     traj = propagate(spec, rho0, t_final, dt, method="rk4", record_every=record_every)
 
     pops = traj.populations()
-    n_rec = pops.shape[0]
-    profiles = np.full((n_rec, sys.N - 1), np.nan)
-    nonunif = np.full(n_rec, np.nan)
-    mean_ratio = np.full(n_rec, np.nan)
-    for k in range(n_rec):
-        r = ratio_profile(np.clip(pops[k], 0.0, None) / pops[k].sum())
-        profiles[k] = r
-        valid = ~np.isnan(r)
-        if valid.any():
-            m = r[valid].mean()
-            mean_ratio[k] = m
-            nonunif[k] = np.abs(r[valid] - m).max()
+    profiles = ratio_profile(np.clip(pops, 0.0, None) / pops.sum(axis=1, keepdims=True))
+    valid = ~np.isnan(profiles)
+    with np.errstate(invalid="ignore"):  # 0/0 gives NaN on rows with no valid ratio
+        mean_ratio = np.where(valid, profiles, 0.0).sum(axis=1) / valid.sum(axis=1)
+    # fmax skips the absent (NaN) entries; a row with none stays NaN
+    nonunif = np.fmax.reduce(np.abs(profiles - mean_ratio[:, None]), axis=1)
 
     ln_astar, ln_a0 = math.log(f) - math.log1p(-f), -E / T0
     kt = gamma0 * (1.0 - 2.0 * f) * traj.times

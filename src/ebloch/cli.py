@@ -27,12 +27,14 @@ from .linalg import as_matrix
 from .propagate import PropagationError, propagate
 from .stationary import FixedPointError, fixed_point, gibbs_state
 from .systems import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     BathModel,
     LadderSystem,
     TransitionSpec,
     TwoLevelSystem,
     build_oscillator,
-    build_two_level_hamiltonian,
     jump_operators,
     rates_from_bath,
     verify_jump_algebra,
@@ -76,6 +78,15 @@ class ScenarioConfig:
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
+
+
+def _float_lines(table) -> list[str]:
+    """One CSV line per row of a 2-D float table, written with one
+    ``%.17g`` format string per row: the text of :func:`_fmt` for every
+    entry, nan, inf, -0 and subnormals included."""
+    table = np.asarray(table, dtype=float)
+    fmt = ",".join(["%.17g"] * table.shape[1])
+    return [fmt % tuple(row) for row in table.tolist()]
 
 
 def format_matrix_text(M) -> str:
@@ -357,11 +368,8 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _csv(header: list[str], rows: list[list[str]], comments: list[str] = ()) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], lines: list[str], comments: list[str] = ()) -> str:
+    return "\n".join([*(f"# {c}" for c in comments), ",".join(header), *lines]) + "\n"
 
 
 def _out(out_dir: str, cfg_path: str | None, default: str) -> str:
@@ -374,30 +382,24 @@ def run_simulate(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
     spec = rhs_spec(cfg)
     rho0 = initial_state(cfg, spec.hamiltonian)
     traj = propagate(spec, rho0, cfg.t_final, cfg.dt, cfg.method, cfg.record_every)
-    dim = spec.dim
-    header = ["t"]
+    header, columns = ["t"], [traj.times]
     if cfg.what in ("populations", "all"):
-        header += [f"p_{i}" for i in range(dim)]
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        header += [f"p_{i}" for i in range(spec.dim)]
+        columns.append(traj.populations())
     if cfg.what in ("coherences", "all"):
-        header += [f"abs_rho_{i}_{j}" for i, j in pairs]
+        rows_i, cols_j = np.triu_indices(spec.dim, 1)
+        header += [f"abs_rho_{i}_{j}" for i, j in zip(rows_i, cols_j)]
+        z = traj.states[:, rows_i, cols_j]
+        # hypot writes the bits of abs() of each complex entry; np.abs on a
+        # complex array can round differently
+        columns.append(np.hypot(z.real, z.imag))
     if cfg.what in ("diagnostics", "all"):
         header += ["trace_dev", "min_eig"]
+        columns += [traj.trace_dev, traj.min_eig]
     if cfg.what == "diagnostics":
         header += ["herm_dev", "top_pop"]
-    rows = []
-    for k, t in enumerate(traj.times):
-        state = traj.states[k]
-        row = [_fmt(t)]
-        if cfg.what in ("populations", "all"):
-            row += [_fmt(state[i, i].real) for i in range(dim)]
-        if cfg.what in ("coherences", "all"):
-            row += [_fmt(abs(state[i, j])) for i, j in pairs]
-        if cfg.what in ("diagnostics", "all"):
-            row += [_fmt(traj.trace_dev[k]), _fmt(traj.min_eig[k])]
-        if cfg.what == "diagnostics":
-            row += [_fmt(traj.herm_dev[k]), _fmt(traj.top_pop[k])]
-        rows.append(row)
+        columns += [traj.herm_dev, traj.top_pop]
+    rows = _float_lines(np.column_stack(columns))
     comments = [f"warning: {w}" for w in traj.warnings]
     path = _out(out_dir, cfg.out_path, "trajectory.csv")
     _write_atomic(path, _csv(header, rows, comments))
@@ -409,11 +411,10 @@ def run_fixed_point(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
     report = fixed_point(spec, bath_T=cfg.bath_T)
     header = ["residual", "gibbs_distance", "spectral_gap", "commutator_norm",
               "multiplicity"]
-    row = [_fmt(report.residual), _fmt(report.gibbs_distance),
-           _fmt(report.spectral_gap), _fmt(report.commutator_norm),
-           str(report.multiplicity)]
+    [row] = _float_lines([[report.residual, report.gibbs_distance,
+                           report.spectral_gap, report.commutator_norm]])
     path = _out(out_dir, cfg.out_path, "fixed_point.csv")
-    _write_atomic(path, _csv(header, [row]))
+    _write_atomic(path, _csv(header, [f"{row},{report.multiplicity}"]))
     state_path = os.path.splitext(path)[0] + ".state.txt"
     _write_atomic(state_path, format_matrix_text(report.rho_stationary))
     return [path, state_path]
@@ -427,23 +428,19 @@ def run_verify_algebra(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str
     :func:`jump_operators` and one :func:`verify_jump_algebra` call.
     """
     rng = np.random.default_rng(seed)
-    draws, hams = [], []
-    for _ in range(cfg.verify_draws):
-        E = float(rng.uniform(0.2, 5.0))
+    gaps, axes = np.empty(cfg.verify_draws), np.empty((cfg.verify_draws, 3))
+    for k in range(cfg.verify_draws):
+        gaps[k] = rng.uniform(0.2, 5.0)
         v = rng.standard_normal(3)
-        v /= np.linalg.norm(v)
-        draws.append((E, v))
-        hams.append(build_two_level_hamiltonian(E, v))
-    H = np.array(hams).reshape(-1, 2, 2)
-    rep = verify_jump_algebra(jump_operators(H), H, [E for E, _ in draws])
+        axes[k] = v / np.linalg.norm(v)
+    ex, ey, ez = axes.T[:, :, None, None]
+    H = (0.5 * gaps)[:, None, None] * (ex * SIGMA_X + ey * SIGMA_Y + ez * SIGMA_Z)
+    rep = verify_jump_algebra(jump_operators(H), H, gaps)
     res = rep.residuals()
     header = ["draw", "E", "eps_x", "eps_y", "eps_z", *res, "max_residual", "passed"]
-    columns = np.column_stack([*res.values(), rep.max_residual]).tolist()
-    rows = [
-        [str(k), _fmt(E), _fmt(v[0]), _fmt(v[1]), _fmt(v[2])]
-        + [_fmt(x) for x in columns[k]] + [str(passed).lower()]
-        for k, ((E, v), passed) in enumerate(zip(draws, rep.passed.tolist()))
-    ]
+    table = np.column_stack([gaps, axes, *res.values(), rep.max_residual])
+    rows = [f"{k},{line},{str(passed).lower()}"
+            for k, (line, passed) in enumerate(zip(_float_lines(table), rep.passed.tolist()))]
     worst = np.max(rep.max_residual, initial=0.0)
     path = _out(out_dir, cfg.out_path, "verify_algebra.csv")
     _write_atomic(path, _csv(header, rows, [f"seed={seed}", f"max_residual={_fmt(worst)}"]))
@@ -461,14 +458,10 @@ def run_canonical(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
                                 record_every=cfg.record_every)
     header = ["t", "mean_ratio", "a", "delta", "max_nonuniformity", "lna_ode",
               "truncation_leak", "clean"]
-    rows = []
-    for k, t in enumerate(diag.times):
-        rows.append([
-            _fmt(t), _fmt(diag.mean_ratio[k]), _fmt(diag.a_series[k]),
-            _fmt(diag.delta_series[k]), _fmt(diag.max_nonuniformity[k]),
-            _fmt(diag.lna_ode[k]), _fmt(diag.truncation_leak[k]),
-            str(bool(diag.clean[k])).lower(),
-        ])
+    table = np.column_stack([diag.times, diag.mean_ratio, diag.a_series, diag.delta_series,
+                             diag.max_nonuniformity, diag.lna_ode, diag.truncation_leak])
+    rows = [f"{line},{str(clean).lower()}"
+            for line, clean in zip(_float_lines(table), diag.clean.tolist())]
     path = _out(out_dir, cfg.out_path, "canonical.csv")
     _write_atomic(path, _csv(header, rows, [f"ode_mismatch={_fmt(diag.ode_mismatch)}"]))
     return [path]
@@ -487,13 +480,12 @@ def run_bench(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
                                             np.random.default_rng(seed)))
     header = ["kernel", "dim", "transitions", "applications", "chunks",
               "ns_per_apply", "ratio_to_gkls", "checksum"]
-    rows = []
-    for row in rows_data:
-        rows.append([
-            row.kernel, str(row.dim), str(row.transitions), str(row.applications),
-            str(row.chunks), _fmt(row.ns_per_apply), _fmt(row.ns_per_apply / gkls_ns),
-            row.checksum,
-        ])
+    rows = [
+        ",".join([row.kernel, str(row.dim), str(row.transitions), str(row.applications),
+                  str(row.chunks), _fmt(row.ns_per_apply), _fmt(row.ns_per_apply / gkls_ns),
+                  row.checksum])
+        for row in rows_data
+    ]
     path = _out(out_dir, cfg.out_path, "bench.csv")
     _write_atomic(path, _csv(header, rows, [
         f"seed={seed}",

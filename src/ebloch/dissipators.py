@@ -59,10 +59,11 @@ class SplitGenerator:
         return s if self.V is None else self.V @ s @ self.V.conj().T
 
     def apply(self, s: np.ndarray) -> np.ndarray:
-        """d(s)/dt of a matrix s in the eigenbasis: ``W`` on the diagonal,
-        ``C`` elementwise on the rest."""
+        """d(s)/dt of a matrix s in the eigenbasis, or of each matrix of an
+        (n, d, d) stack: ``W`` on the diagonal, ``C`` elementwise on the rest."""
         out = self.C * s
-        out.flat[:: len(s) + 1] = self.W @ s.diagonal()
+        idx = np.arange(len(self.C))
+        out[..., idx, idx] = (self.W @ s.diagonal(axis1=-2, axis2=-1).T).T
         return out
 
     @cached_property

@@ -35,8 +35,9 @@ def dag(A: np.ndarray) -> np.ndarray:
 
 
 def herm_part(A: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A^dagger)/2."""
-    return 0.5 * (A + A.conj().T)
+    """Hermitian part (A + A^dagger)/2 of a matrix or of each matrix of an
+    (n, d, d) stack."""
+    return 0.5 * (A + A.conj().swapaxes(-2, -1))
 
 
 def _scale(A: np.ndarray) -> float:

@@ -24,6 +24,9 @@ MAX_SUPEROP_DIM = 64
 AMPLIFY_TOL = 1e-10
 MIN_EIG_WARN = -1e-8
 TOP_POP_WARN = 1e-6
+# records checked, rotated out and diagnosed per stacked pass; all records at
+# once would hold the diagnostics' temporaries for the whole run
+_RECORD_CHUNK = 64
 
 
 class PropagationError(RuntimeError):
@@ -32,10 +35,15 @@ class PropagationError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """Recorded time grid, density-matrix snapshots and per-step diagnostics."""
+    """Recorded time grid, density-matrix snapshots and per-record diagnostics.
+
+    ``states`` is the (n_times, dim, dim) stack of recorded density matrices;
+    ``trace_dev``, ``herm_dev``, ``min_eig`` and ``top_pop`` (NaN without a
+    ladder) hold one value per recorded time.
+    """
 
     times: np.ndarray
-    states: list
+    states: np.ndarray
     trace_dev: np.ndarray
     herm_dev: np.ndarray
     min_eig: np.ndarray
@@ -44,7 +52,7 @@ class Trajectory:
 
     def populations(self) -> np.ndarray:
         """(n_times, dim) array of diagonal entries (real parts)."""
-        return np.array([np.diag(s).real for s in self.states])
+        return self.states.diagonal(axis1=1, axis2=2).real.copy()
 
 
 def step_rk4(spec: RhsSpec, rho, dt: float) -> np.ndarray:
@@ -132,12 +140,18 @@ def _validate_state(rho: np.ndarray) -> None:
         raise ValueError("initial state is not positive semidefinite within -1e-8")
 
 
-def _diagnose(rho: np.ndarray, top_index: int | None):
-    trace_dev = abs(rho.trace() - 1.0)
-    herm_dev = float(np.abs(rho - rho.conj().T).max())
-    min_eig = float(np.linalg.eigvalsh(herm_part(rho)).min())
-    top = float(rho[top_index, top_index].real) if top_index is not None else np.nan
-    return float(trace_dev), herm_dev, min_eig, top
+def _diagnose(states: np.ndarray, top_index: int | None) -> tuple:
+    """(trace_dev, herm_dev, min_eig, top_pop) of each matrix of an
+    (n, d, d) stack of finite states, one length-n array each."""
+    dev = np.trace(states, axis1=1, axis2=2) - 1.0
+    # hypot gives the bits of abs() on one complex trace; np.abs on a complex
+    # array can round differently
+    trace_dev = np.hypot(dev.real, dev.imag)
+    herm_dev = np.abs(states - states.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    min_eig = np.linalg.eigvalsh(herm_part(states)).min(axis=1)
+    top = (states[:, top_index, top_index].real if top_index is not None
+           else np.full(len(states), np.nan))
+    return trace_dev, herm_dev, min_eig, top
 
 
 def propagate(
@@ -168,10 +182,14 @@ def propagate(
     the exact flow, and for RK4 R4(dt W)^g and R4(dt C_ab)^g with the RK4
     stability polynomial R4 (the map of g :func:`step_rk4` steps in exact
     arithmetic).  The growth check takes the right-hand side from the same
-    generator, :meth:`SplitGenerator.apply`.  Every spec warns once about
-    amplifying modes and, for RK4, raises :class:`PropagationError` before
-    the first step when a non-amplifying mode lies outside the stability
-    region.
+    generator, :meth:`SplitGenerator.apply`.  The gap loop only applies the
+    maps and stores each record; every 64 records, one stacked pass checks
+    them (NaN/Inf first, then growth, stopping at the first bad record),
+    rotates them out into the ``states`` stack and diagnoses them, so the
+    eigensolve never sees a record that failed a check.  Every spec warns
+    once about amplifying modes and, for RK4, raises
+    :class:`PropagationError` before the first step when a non-amplifying
+    mode lies outside the stability region.
     """
     raw = np.asarray(rho0, dtype=complex)
     _validate_state(raw)
@@ -205,55 +223,70 @@ def propagate(
     growth_cap = 1e6 * rhs0_norm if rhs0_norm > 1e-12 else np.inf
     state_cap = 1e6 * max(1.0, float(np.abs(rho).max()))
 
-    times, states = [], []
-    diag_rows = []
+    times = np.array(record_idx) * dt
+    states = np.empty((len(record_idx), spec.dim, spec.dim), dtype=complex)
+    diag = np.empty((4, len(record_idx)))
+    chunk = np.empty((min(_RECORD_CHUNK, len(record_idx)),) + s.shape, dtype=complex)
 
-    def record(k: int, s: np.ndarray) -> None:
-        state = gen.rotate_out(s)
-        times.append(k * dt)
-        states.append(state)
-        diag_rows.append(_diagnose(state, top_index))
-        rhs_norm = float(np.linalg.norm(gen.apply(s)))
-        if not np.isfinite(rhs_norm) or rhs_norm > growth_cap \
-                or float(np.abs(state).max()) > state_cap:
+    def flush(start: int, n: int) -> None:
+        """Check the n records chunk[:n] (eigenbasis) from record ``start``
+        on, stopping at the first bad one, then rotate them out into
+        ``states`` and diagnose them."""
+        block = chunk[:n]
+        finite = np.isfinite(block).all(axis=(1, 2))
+        rhs_norm = np.linalg.norm(gen.apply(block), axis=(1, 2))
+        out = gen.rotate_out(block)
+        state_norm = np.abs(out).max(axis=(1, 2))
+        bad = ~finite | ~np.isfinite(rhs_norm) | (rhs_norm > growth_cap) \
+            | (state_norm > state_cap)
+        if bad.any():
+            j = int(np.argmax(bad))
+            t = times[start + j]
+            if not finite[j]:
+                raise PropagationError(f"NaN/Inf encountered before t={t:.6g}")
             raise PropagationError(
-                f"step instability at t={k * dt:.6g}: rhs norm {rhs_norm:.3e} "
-                f"(initial {rhs0_norm:.3e}), state norm {np.abs(state).max():.3e}"
+                f"step instability at t={t:.6g}: rhs norm {rhs_norm[j]:.3e} "
+                f"(initial {rhs0_norm:.3e}), state norm {state_norm[j]:.3e}"
             )
+        states[start:start + n] = out
+        diag[:, start:start + n] = _diagnose(states[start:start + n], top_index)
 
-    record(0, s)
+    chunk[0] = s
+    X = chunk[0]  # F * X zeroes the diagonal, so X may carry the populations
     p = s.diagonal().real  # populations of a Hermitian state
-    X = s.copy()
-    np.fill_diagonal(X, 0.0)
+    start, filled = 0, 1
     if method == "rk4":
         step_W, step_C = _rk4_matrix(dt * gen.W), _rk4_polynomial(dt * gen.C)
     props = {}
-    for prev, k in zip(record_idx, record_idx[1:]):
-        gap = k - prev
-        if gap not in props:
-            if method == "rk4":
-                props[gap] = (np.linalg.matrix_power(step_W, gap),
-                              _conj_symmetric(step_C ** gap))
-            else:
-                props[gap] = (scipy.linalg.expm(gen.W * (gap * dt)),
-                              _conj_symmetric(np.exp(gen.C * (gap * dt))))
-        P, F = props[gap]
-        p = P @ p
-        X = F * X
-        if not (np.isfinite(p.sum()) and np.isfinite(X.sum())):
-            raise PropagationError(f"NaN/Inf encountered before t={k * dt:.6g}")
-        s = X.copy()
-        s.flat[:: len(s) + 1] = p
-        record(k, s)
+    # a chunk is checked only once it is full, so the records after a
+    # diverging one may overflow before the check stops the run
+    with np.errstate(over="ignore", invalid="ignore"):
+        for prev, k in zip(record_idx, record_idx[1:]):
+            gap = k - prev
+            if gap not in props:
+                if method == "rk4":
+                    props[gap] = (np.linalg.matrix_power(step_W, gap),
+                                  _conj_symmetric(step_C ** gap))
+                else:
+                    props[gap] = (scipy.linalg.expm(gen.W * (gap * dt)),
+                                  _conj_symmetric(np.exp(gen.C * (gap * dt))))
+            P, F = props[gap]
+            if filled == len(chunk):
+                flush(start, filled)
+                start, filled = start + filled, 0
+            p = P @ p
+            X = np.multiply(F, X, out=chunk[filled])
+            X.flat[:: len(X) + 1] = p
+            filled += 1
+        flush(start, filled)
 
-    diag = np.array(diag_rows, dtype=float)
     traj = Trajectory(
-        times=np.array(times),
+        times=times,
         states=states,
-        trace_dev=diag[:, 0],
-        herm_dev=diag[:, 1],
-        min_eig=diag[:, 2],
-        top_pop=diag[:, 3],
+        trace_dev=diag[0],
+        herm_dev=diag[1],
+        min_eig=diag[2],
+        top_pop=diag[3],
     )
     worst_eig = traj.min_eig.min()
     if worst_eig < MIN_EIG_WARN:

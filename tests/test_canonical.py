@@ -6,14 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ebloch.canonical import (
-    canonical_experiment,
-    delta_parameter,
-    invariance_condition,
-    lambda_ode_rhs,
-    ratio_profile,
-    thermalization_ode_rhs,
-)
+from ebloch.canonical import canonical_experiment, invariance_condition, ratio_profile
 from ebloch.dissipators import RhsSpec
 from ebloch.propagate import propagate
 from ebloch.systems import (
@@ -62,7 +55,45 @@ def test_ratio_profile_rejects_bad_input():
         ratio_profile(np.array([0.5, 0.4]))
 
 
+def test_ratio_profile_stack_matches_rows_nan_pattern_included():
+    rng = np.random.default_rng(5)
+    p = rng.exponential(size=(30, 7)) * np.exp(-rng.uniform(0.0, 40.0, (30, 7)))
+    p[3] = np.eye(7)[0]  # no pair above the floor: an all-NaN row
+    p /= p.sum(axis=1, keepdims=True)
+    stacked = ratio_profile(p)
+    rows = np.array([ratio_profile(row) for row in p])
+    np.testing.assert_array_equal(np.isnan(stacked), np.isnan(rows))
+    np.testing.assert_array_equal(stacked, rows)
+    assert np.isnan(stacked).any() and not np.isnan(stacked).all()
+    assert np.isnan(stacked[3]).all()
+
+
+def test_ratio_profile_stack_rejects_any_bad_row():
+    p = np.full((4, 3), 1.0 / 3.0)
+    negative, unnormalized = p.copy(), p.copy()
+    negative[2] = [1.1, -0.1, 0.0]
+    unnormalized[3] = [0.5, 0.4, 0.0]
+    with pytest.raises(ValueError, match="negative population"):
+        ratio_profile(negative)
+    with pytest.raises(ValueError, match="sum to 1 within 1e-9, got 0.9"):
+        ratio_profile(unnormalized)
+    for shape in ((2, 2, 2), (3, 1), (1,)):
+        with pytest.raises(ValueError, match="at least two entries"):
+            ratio_profile(np.ones(shape) / shape[-1])
+
+
 # ------------------------------------------------------------ delta parameter
+
+
+def delta_parameter(a: float, bath: BathModel, E: float) -> float:
+    """Mismatch delta with a = (f/(1-f)) e^delta, i.e. delta = ln(a(1-f)/f).
+
+    Zero exactly when a equals the bath Gibbs ratio exp(-E/T).
+    """
+    if not (a > 0.0):
+        raise ValueError(f"a must be positive, got {a}")
+    f = fermi(E, bath.T)
+    return float(math.log(a) + math.log1p(-f) - math.log(f))
 
 
 def test_delta_zero_at_bath_equilibrium():
@@ -113,6 +144,20 @@ def test_invariance_condition_single_defect():
 # ----------------------------------------------------------- thermalization ODE
 
 
+def thermalization_ode_rhs(a: float, bath: BathModel, E: float, gamma0: float) -> float:
+    """d ln a / dt = gamma0 (a(1-f) + f/a - 1).
+
+    Zero exactly at a = f/(1-f) = exp(-E/T); for 0 < a < 1 the sign drives
+    a toward that bath value.
+    """
+    if not (a > 0.0):
+        raise ValueError(f"a must be positive, got {a}")
+    if not (gamma0 > 0.0):
+        raise ValueError(f"gamma0 must be positive, got {gamma0}")
+    f = fermi(E, bath.T)
+    return float(gamma0 * (a * (1.0 - f) + f / a - 1.0))
+
+
 def test_thermalization_rhs_zero_at_bath_ratio():
     bath = BathModel(1.0, 1.0)
     E = 1.0
@@ -140,6 +185,15 @@ def test_thermalization_rhs_scalar_example():
 
 
 # ------------------------------------------------------------------ lambda ODE
+
+
+def lambda_ode_rhs(lam: float, sys: TwoLevelSystem) -> float:
+    """Two-level Gibbs-form dynamics: d lambda/dt = -(gp+gm) lambda + (gp-gm).
+
+    lambda parametrizes rho = 1/2 + lambda H/E; the fixed point
+    lambda* = (gp-gm)/(gp+gm) reproduces the analytic stationary state.
+    """
+    return -sys.gamma_sum * lam + sys.gamma_diff
 
 
 def test_lambda_rhs_fixed_point_matches_stationary_state():
@@ -175,6 +229,21 @@ def test_canonical_experiment_harmonic_stays_canonical():
     # delta shrinks toward 0 as the ladder cools to the bath temperature
     finite = np.isfinite(diag.delta_series)
     assert abs(diag.delta_series[finite][-1]) < abs(diag.delta_series[finite][0])
+
+
+def test_canonical_experiment_row_statistics_match_a_per_row_loop():
+    # the tail of this ladder lies below the population floor, so rows carry NaNs
+    sys_h = build_oscillator(8, 13.0, "harmonic", BathModel(1.0, 1.0))
+    diag = canonical_experiment(sys_h, T0=2.0, t_final=0.5, dt=1e-3, record_every=10)
+    assert np.isnan(diag.ratio_profiles).any()
+    means, nonunif = [], []
+    for r in diag.ratio_profiles:
+        valid = ~np.isnan(r)
+        means.append(r[valid].mean())
+        nonunif.append(np.abs(r[valid] - means[-1]).max())
+    np.testing.assert_allclose(diag.mean_ratio, means, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(diag.max_nonuniformity, nonunif, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(diag.a_series, np.exp(diag.mean_ratio))
 
 
 def test_canonical_experiment_constant_rule_breaks_canonical_form():

@@ -9,6 +9,8 @@ import pytest
 
 from ebloch.cli import (
     ConfigError,
+    _float_lines,
+    _fmt,
     format_matrix_text,
     main,
     parse_config,
@@ -240,6 +242,22 @@ def test_matrix_text_round_trip():
 def test_matrix_text_rejects_ragged_input():
     with pytest.raises(ValueError, match="square"):
         parse_matrix_text("1+0i 0+0i\n1+0i\n")
+
+
+# ------------------------------------------------------------------ CSV rows
+
+
+def test_row_format_writes_the_text_of_the_cell_format():
+    # nan, +-inf, -0, the smallest and largest subnormals, the smallest normal,
+    # the largest finite and values that need all 17 digits
+    edge = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+            2.225073858507201e-308, 2.2250738585072014e-308, 1e-310,
+            1.7976931348623157e308, 0.1, 1 / 3, 2.0 ** 53 + 2, -123456789.012345678]
+    rng = np.random.default_rng(61)
+    wide = rng.standard_normal(20000) * np.exp(rng.uniform(-700.0, 700.0, 20000))
+    table = np.concatenate([edge, wide])[: 5 * 4003].reshape(-1, 5)
+    assert _float_lines(table) == [",".join(_fmt(x) for x in row) for row in table]
+    assert _float_lines([[-0.0, math.nan, 5e-324]]) == ["-0,nan,4.9406564584124654e-324"]
 
 
 # ------------------------------------------------------------------- simulate

@@ -17,7 +17,7 @@ import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ebloch.canonical import canonical_experiment, thermalization_ode_rhs
+from ebloch.canonical import canonical_experiment
 from ebloch.dissipators import RhsSpec, master_rhs
 from ebloch.linalg import herm_part, hermitian_eig, trace_distance, vectorize
 from ebloch.propagate import (
@@ -45,6 +45,7 @@ from ebloch.systems import (
     build_oscillator,
     rates_from_bath,
 )
+from test_canonical import thermalization_ode_rhs
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])

@@ -8,9 +8,11 @@ import pytest
 import scipy.linalg
 
 from ebloch.dissipators import RhsSpec, master_rhs
-from ebloch.linalg import is_hermitian, trace_distance, vectorize
+from ebloch.linalg import herm_part, is_hermitian, trace_distance, vectorize
 from ebloch.propagate import (
     PropagationError,
+    _conj_symmetric,
+    _diagnose,
     build_superoperator,
     propagate,
     step_rk4,
@@ -396,3 +398,112 @@ def test_dense_rk4_gap_maps_match_stagewise_steps(record_every):
     np.testing.assert_array_equal(traj.times, times)
     worst = max(np.abs(a - b).max() for a, b in zip(traj.states, ref))
     assert worst <= 1e-12, f"dense gap maps vs step_rk4 {worst:.3e}"
+
+
+# ------------------------------------------- records checked and diagnosed in chunks
+
+
+def _diagnose_one(rho, top_index):
+    """The per-record diagnostics formula that the stacked ``_diagnose`` replaced."""
+    trace_dev = abs(rho.trace() - 1.0)
+    herm_dev = float(np.abs(rho - rho.conj().T).max())
+    min_eig = float(np.linalg.eigvalsh(herm_part(rho)).min())
+    top = float(rho[top_index, top_index].real) if top_index is not None else np.nan
+    return float(trace_dev), herm_dev, min_eig, top
+
+
+def _ladder_spec(N=5, gamma_pd=-0.1):
+    lad = build_oscillator(N, 1.0, "harmonic", BathModel(1.0, 1.0))
+    spec = RhsSpec.for_ladder(lad, gamma_pd=gamma_pd)
+    assert spec.compiled.V is None  # H is exactly diagonal
+    return spec
+
+
+def _coherent_state(dim, seed=3):
+    A = np.random.default_rng(seed).standard_normal((dim, 2 * dim)).view(complex)
+    return A @ A.conj().T / np.linalg.norm(A) ** 2
+
+
+@pytest.mark.parametrize("case", ["ladder", "tilted"])
+def test_stacked_diagnostics_match_per_record_formula(case):
+    spec = _ladder_spec() if case == "ladder" else tilted_two_level_spec(gamma_pd=-0.2)
+    top = spec.ladder.top_level if spec.ladder is not None else None
+    rng = np.random.default_rng(17)
+    shape = (40, spec.dim, spec.dim)
+    stack = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+             * np.exp(rng.uniform(-30.0, 3.0, (40, 1, 1))))  # non-Hermitian, mixed scales
+    want = np.array([_diagnose_one(rho, top) for rho in stack]).T
+    for got, ref in zip(_diagnose(stack, top), want):
+        np.testing.assert_array_equal(got, ref)
+    # 150 records span three chunks; every diagnostic is the formula applied
+    # to the recorded state, bit for bit
+    traj = propagate(spec, _coherent_state(spec.dim), 1.5, 0.01, "expm", 1)
+    assert traj.states.shape == (151, spec.dim, spec.dim)
+    want = np.array([_diagnose_one(rho, top) for rho in traj.states]).T
+    for name, ref in zip(("trace_dev", "herm_dev", "min_eig", "top_pop"), want):
+        np.testing.assert_array_equal(getattr(traj, name), ref, err_msg=name)
+
+
+@pytest.mark.parametrize("method", ["rk4", "expm"])
+@pytest.mark.parametrize("case", ["ladder", "tilted"])
+def test_trajectory_does_not_depend_on_the_record_chunk(monkeypatch, case, method):
+    spec = _ladder_spec() if case == "ladder" else tilted_two_level_spec(gamma_pd=-0.2)
+    rho0 = _coherent_state(spec.dim)
+    # gaps 3, ..., 3, 1: 69 records, so the last chunk of 64 is partial
+    ref = propagate(spec, rho0, 2.02, 0.01, method, 3)
+    assert len(ref.times) == 69
+    for chunk in (1, 2, 5, 68, 69, 200):
+        monkeypatch.setattr(sys.modules["ebloch.propagate"], "_RECORD_CHUNK", chunk)
+        traj = propagate(spec, rho0, 2.02, 0.01, method, 3)
+        for name in ("times", "states", "trace_dev", "herm_dev", "min_eig", "top_pop"):
+            np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name),
+                                          err_msg=f"{name} at chunk {chunk}")
+
+
+def _per_record_failure(spec, rho0, t_final, dt, record_every):
+    """Message of the PropagationError that an expm run raises when every
+    record is checked as soon as it is made, or None if none is raised."""
+    gen = spec.compiled
+    s = gen.rotate_in(herm_part(rho0))
+    rhs0 = float(np.linalg.norm(gen.apply(s)))
+    growth_cap = 1e6 * rhs0 if rhs0 > 1e-12 else np.inf
+    state_cap = 1e6 * max(1.0, float(np.abs(rho0).max()))
+    n_steps = max(1, round(t_final / dt))
+    steps = list(range(0, n_steps + 1, record_every))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    p, X = s.diagonal().real, s - np.diag(s.diagonal())
+    with np.errstate(all="ignore"):
+        for prev, k in zip([0] + steps, steps):
+            if k:
+                gap = (k - prev) * dt
+                p = scipy.linalg.expm(gen.W * gap) @ p
+                X = _conj_symmetric(np.exp(gen.C * gap)) * X
+                if not (np.isfinite(p.sum()) and np.isfinite(X.sum())):
+                    return f"NaN/Inf encountered before t={k * dt:.6g}"
+                s = X + np.diag(p)
+            rhs = float(np.linalg.norm(gen.apply(s)))
+            size = float(np.abs(gen.rotate_out(s)).max())
+            if not np.isfinite(rhs) or rhs > growth_cap or size > state_cap:
+                return (f"step instability at t={k * dt:.6g}: rhs norm {rhs:.3e} "
+                        f"(initial {rhs0:.3e}), state norm {size:.3e}")
+    return None
+
+
+@pytest.mark.parametrize("case, gamma_pd, dt, message", [
+    ("ladder", 5.0, 1e-3, "step instability at t=0.316:"),  # record 316: fifth chunk
+    ("tilted", 50.0, 1e-3, "step instability at t=0.28:"),  # record 280: fifth chunk
+    ("ladder", 1e4, 1.0, "NaN/Inf encountered before t=1"),  # exp(C dt) overflows
+])
+def test_diverging_run_stops_where_the_per_record_check_does(case, gamma_pd, dt, message):
+    spec = _ladder_spec(4, gamma_pd) if case == "ladder" \
+        else tilted_two_level_spec(gamma_pd=gamma_pd)
+    rho0 = _coherent_state(spec.dim)
+    want = _per_record_failure(spec, rho0, 1000 * dt, dt, 1)
+    assert want.startswith(message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.filterwarnings("ignore", "assembled generator has amplifying modes")
+        with pytest.raises(PropagationError) as info:
+            propagate(spec, rho0, 1000 * dt, dt, "expm", 1)
+    assert str(info.value) == want
