@@ -3,16 +3,12 @@ conservation: canonically scaled jump operators, jump-free dissipator
 kernels, propagation, fixed points and canonical-invariance diagnostics."""
 
 from .linalg import (
-    anticommutator,
     commutator,
-    dag,
     herm_part,
     hermitian_eig,
     is_hermitian,
     is_psd,
-    is_traceless,
     trace_distance,
-    vectorize,
 )
 from .systems import (
     AlgebraReport,
@@ -26,7 +22,6 @@ from .systems import (
     fermi,
     jump_operators,
     rates_from_bath,
-    transition_projector,
     verify_jump_algebra,
 )
 from .dissipators import (
@@ -37,14 +32,11 @@ from .dissipators import (
     gkls_dissipator,
     ladder_jump_list,
     master_rhs,
-    pure_dephasing,
 )
 from .propagate import (
     PropagationError,
     Trajectory,
-    build_superoperator,
     propagate,
-    step_rk4,
 )
 from .stationary import (
     FixedPointError,

@@ -31,6 +31,9 @@ from .systems import LadderSystem, TwoLevelSystem
 # ~1e-14, so even 1e7 accumulated applications stay far below this bin size
 # while any real divergence is caught.
 CHECKSUM_QUANTUM = 1e-3
+# The unitary part is identical for both kernels, so they are compared as
+# bare dissipators.
+INCLUDE_UNITARY = False
 
 
 @dataclass
@@ -94,19 +97,16 @@ def _run_kernel(fn, inputs: np.ndarray, chunks: int) -> tuple[float, complex]:
     return float(np.median(rates)), complex((W * acc).sum())
 
 
-def kernel_pair(system: TwoLevelSystem | LadderSystem, include_unitary: bool = False):
-    """((name, rhs, spec), ...) for the elemental-Bloch kernel and its GKLS twin.
-
-    The unitary part is identical for both, so the comparison defaults to
-    the bare dissipator kernels.
-    """
+def kernel_pair(system: TwoLevelSystem | LadderSystem):
+    """((name, rhs, spec), ...) for the elemental-Bloch kernel and its GKLS twin,
+    both with ``include_unitary = INCLUDE_UNITARY``."""
     if isinstance(system, TwoLevelSystem):
-        spec_e = RhsSpec.for_two_level(system, "ebe2", include_unitary, gamma_pd=0.0)
-        spec_g = RhsSpec.for_two_level(system, "gkls", include_unitary, gamma_pd=0.0)
+        spec_e = RhsSpec.for_two_level(system, "ebe2", INCLUDE_UNITARY, gamma_pd=0.0)
+        spec_g = RhsSpec.for_two_level(system, "gkls", INCLUDE_UNITARY, gamma_pd=0.0)
         names = ("ebe2", "gkls")
     else:
-        spec_e = RhsSpec.for_ladder(system, "eben", include_unitary)
-        spec_g = RhsSpec.for_ladder(system, "gkls", include_unitary)
+        spec_e = RhsSpec.for_ladder(system, "eben", INCLUDE_UNITARY)
+        spec_g = RhsSpec.for_ladder(system, "gkls", INCLUDE_UNITARY)
         names = ("eben", "gkls")
     return (
         (names[0], lambda rho, s=spec_e: master_rhs(rho, s), spec_e),

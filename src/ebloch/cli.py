@@ -299,8 +299,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if verify_draws is not None and verify_draws < 1:
         r.errors.append("[verify] num_draws must be >= 1")
     for name, val in (("t_final", t_final), ("dt", dt)):
-        if val is not None and val <= 0:
-            r.errors.append(f"[integration] {name} must be positive")
+        if val is not None and not 0 < val < np.inf:
+            r.errors.append(f"[integration] {name} must be positive and finite")
 
     if r.errors:
         raise ConfigError(r.errors)

@@ -99,11 +99,12 @@ def _compile(spec: "RhsSpec") -> SplitGenerator:
     else:
         energies, V = energies.real, None
     n = spec.dim
-    W = np.zeros((n, n))
+    # population moves: rate[k] carries population from level src[k] to dst[k]
     if spec.kind == "gkls":
-        # gamma |c|^2 for L = c|x><y| moves population from y to x and damps
-        # every coherence that touches y at half that rate
-        out = np.zeros(n)
+        # L = c|x><y| moves population from y to x at gamma |c|^2
+        dst = np.zeros(len(spec.jumps), dtype=np.intp)
+        src = np.zeros_like(dst)
+        rate = np.zeros(len(dst))
         for k, (L, gamma) in enumerate(spec.jumps):
             if V is not None:
                 L = V.conj().T @ L @ V
@@ -114,11 +115,7 @@ def _compile(spec: "RhsSpec") -> SplitGenerator:
                     f"jump {k} (rate {gamma:g}) is not a single off-diagonal matrix "
                     "unit in the eigenbasis of H, so the spec does not split into "
                     "populations and coherences")
-            rate = gamma * abs(L[x, y]) ** 2
-            W[x, y] += rate
-            W[y, y] -= rate
-            out[y] += rate
-        damping = 0.5 * (out[:, None] + out[None, :])
+            dst[k], src[k], rate[k] = x, y, gamma * abs(L[x, y]) ** 2
     else:
         if spec.kind == "ebe2":
             sys = spec.two_level
@@ -131,13 +128,21 @@ def _compile(spec: "RhsSpec") -> SplitGenerator:
             ii, jj, gp, gm = spec.ladder.transition_arrays
         else:
             raise ValueError("kind 'eben' needs an exactly diagonal Hamiltonian")
-        np.add.at(W, (jj, ii), gp)
-        np.add.at(W, (ii, ii), -gp)
-        np.add.at(W, (ii, jj), gm)
-        np.add.at(W, (jj, jj), -gm)
-        damping = np.zeros((n, n))
-        np.add.at(damping, (ii, jj), 0.5 * (gp + gm))
-        np.add.at(damping, (jj, ii), 0.5 * (gp + gm))
+        # gp lifts population from i to j, gm lowers it from j to i
+        dst, src = np.concatenate([jj, ii]), np.concatenate([ii, jj])
+        rate = np.concatenate([gp, gm])
+    W = np.zeros((n, n))
+    np.add.at(W, (dst, src), rate)
+    out = np.bincount(src, rate, minlength=n)
+    # 0 - out rather than -out: a level without out-rates keeps a +0.0 diagonal
+    W[np.arange(n), np.arange(n)] -= out
+    if spec.kind == "eben":
+        # a transition damps only its own coherence, at half its two rates;
+        # the diagonal is never read, as C's diagonal is zeroed below
+        damping = 0.5 * (W + W.T)
+    else:
+        # every coherence that touches a level decays at half its out-rate
+        damping = 0.5 * (out[:, None] + out[None, :])
     w = energies[:, None] - energies[None, :]
     C = (spec.gamma_pd * w * w - damping).astype(complex)
     if spec.include_unitary:
@@ -277,11 +282,6 @@ class RhsSpec:
                        include_unitary=include_unitary, gamma_pd=gamma_pd)
         raise ValueError(f"ladder specs support kinds 'eben' and 'gkls', got {kind!r}")
 
-    @classmethod
-    def closed(cls, H, include_unitary: bool = True) -> "RhsSpec":
-        """Unitary evolution only (empty jump list)."""
-        return cls(as_matrix(H), "gkls", include_unitary=include_unitary)
-
 
 def _as_states(rho, d: int) -> np.ndarray:
     """``rho`` as a complex (d, d) matrix or (n, d, d) stack."""
@@ -364,18 +364,6 @@ def double_commutator(H, rho) -> np.ndarray:
     M = _as_states(rho, len(H))
     inner = H @ M - M @ H
     return H @ inner - inner @ H
-
-
-def pure_dephasing(rho, H, gamma: float) -> np.ndarray:
-    """Pure-dephasing generator Gamma [H, [H, rho]], Gamma >= 0.
-
-    Vanishes on anything commuting with H and is traceless.  This is the raw
-    operator; the sign with which it enters an assembled equation is chosen
-    via ``RhsSpec.gamma_pd``.
-    """
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
-    return gamma * double_commutator(H, rho)
 
 
 def ladder_jump_list(sys: LadderSystem) -> tuple:

@@ -3,10 +3,9 @@ trajectory recording and physicality monitoring.
 
 Every spec is stepped through its :class:`SplitGenerator`
 (:attr:`RhsSpec.compiled`) in the eigenbasis of H: a rate matrix on the
-populations and one rate per coherence.  :func:`build_superoperator` and
-:func:`step_rk4` are independent oracles for it, used by the tests and
-:mod:`ebloch.bench`.  The trace is never renormalized and eigenvalues are
-never clipped; drift and negativity are diagnostics, not noise to hide.
+populations and one rate per coherence.  The trace is never renormalized
+and eigenvalues are never clipped; drift and negativity are diagnostics,
+not noise to hide.
 """
 
 from __future__ import annotations
@@ -17,10 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .dissipators import RhsSpec, SplitGenerator, master_rhs
+from .dissipators import RhsSpec, SplitGenerator
 from .linalg import herm_part, is_hermitian, is_psd
 
-MAX_SUPEROP_DIM = 64
 AMPLIFY_TOL = 1e-10
 MIN_EIG_WARN = -1e-8
 TOP_POP_WARN = 1e-6
@@ -53,43 +51,6 @@ class Trajectory:
     def populations(self) -> np.ndarray:
         """(n_times, dim) array of diagonal entries (real parts)."""
         return self.states.diagonal(axis1=1, axis2=2).real.copy()
-
-
-def step_rk4(spec: RhsSpec, rho, dt: float) -> np.ndarray:
-    """One classical RK4 step of d(rho)/dt = master_rhs(rho), followed by
-    symmetrization rho <- (rho + rho^dag)/2.  Aborts on NaN/Inf."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    k1 = master_rhs(rho, spec)
-    k2 = master_rhs(rho + (0.5 * dt) * k1, spec)
-    k3 = master_rhs(rho + (0.5 * dt) * k2, spec)
-    k4 = master_rhs(rho + dt * k3, spec)
-    out = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    out = herm_part(out)
-    if not np.all(np.isfinite(out.view(float))):
-        raise PropagationError("NaN/Inf encountered in RK4 step")
-    return out
-
-
-def build_superoperator(spec: RhsSpec) -> np.ndarray:
-    """Matrix S of the linear map rho -> master_rhs(rho) in the
-    column-stacking convention: vectorize(master_rhs(rho)) = S @ vectorize(rho).
-
-    An oracle for :attr:`RhsSpec.compiled`, which :func:`propagate` and
-    :func:`ebloch.stationary.fixed_point` use instead.  Built by one call of
-    the right-hand side on the stack of the dim^2 matrix units; guarded at
-    dim <= 64.  The unit stack, its images and the kernel's temporaries are
-    held at once, about five times the memory of S at dim 32 (some 1.3 GB
-    at dim 64, where S is 268 MB, by scaling).  It inspects no spectrum.
-    """
-    dim = spec.dim
-    if dim > MAX_SUPEROP_DIM:
-        raise ValueError(f"superoperator guard: dim={dim} exceeds {MAX_SUPEROP_DIM}")
-    # unit k = a + b * dim is |a><b|; row k of the transposed images is the
-    # column-stacked image of unit k
-    images = master_rhs(np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
-                        .transpose(0, 2, 1), spec)
-    return images.transpose(0, 2, 1).reshape(dim * dim, -1).T
 
 
 def _rk4_polynomial(z):
@@ -180,7 +141,7 @@ def propagate(
     recorded times is one linear map, built once per distinct g:
     expm(W g dt) on the populations and exp(C g dt) on the coherences for
     the exact flow, and for RK4 R4(dt W)^g and R4(dt C_ab)^g with the RK4
-    stability polynomial R4 (the map of g :func:`step_rk4` steps in exact
+    stability polynomial R4 (the map of g classical RK4 steps in exact
     arithmetic).  The growth check takes the right-hand side from the same
     generator, :meth:`SplitGenerator.apply`.  The gap loop only applies the
     maps and stores each record; every 64 records, one stacked pass checks
@@ -189,17 +150,22 @@ def propagate(
     eigensolve never sees a record that failed a check.  Every spec warns
     once about amplifying modes and, for RK4, raises
     :class:`PropagationError` before the first step when a non-amplifying
-    mode lies outside the stability region.
+    mode lies outside the stability region.  Raises ``ValueError`` unless
+    t_final and dt are positive and finite and the step count fits the
+    record index (an ``intp``).
     """
     raw = np.asarray(rho0, dtype=complex)
     _validate_state(raw)
     rho = herm_part(raw)
     if method not in ("rk4", "expm"):
         raise ValueError(f"method must be 'rk4' or 'expm', got {method!r}")
-    if dt <= 0.0 or t_final <= 0.0:
-        raise ValueError("t_final and dt must be positive")
+    if not (0.0 < dt < np.inf and 0.0 < t_final < np.inf):
+        raise ValueError(f"t_final and dt must be positive and finite, got "
+                         f"t_final={t_final}, dt={dt}")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
+    if not t_final / dt < np.iinfo(np.intp).max:
+        raise ValueError(f"t_final / dt = {t_final / dt:.6g} steps overflow the record index")
     n_steps = max(1, int(round(t_final / dt)))
     record_idx = list(range(0, n_steps + 1, record_every))
     if record_idx[-1] != n_steps:

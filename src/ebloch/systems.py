@@ -16,11 +16,13 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .linalg import as_matrix, hermitian_eig
+from .linalg import hermitian_eig
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+# every jump-operator identity residual must be at most this for ``passed``
+ALGEBRA_TOL = 1e-12
 
 
 def _check_rate(name: str, value: float) -> None:
@@ -151,6 +153,9 @@ class LadderSystem:
         energies = tuple(float(e) for e in self.energies)
         if len(energies) != self.N:
             raise ValueError(f"expected {self.N} energies, got {len(energies)}")
+        for k, e in enumerate(energies):
+            if not np.isfinite(e):
+                raise ValueError(f"energy of level {k} must be finite, got {e}")
         object.__setattr__(self, "energies", energies)
         transitions = tuple(self.transitions)
         seen = set()
@@ -192,7 +197,8 @@ class AlgebraReport:
     """Frobenius residuals of the seven jump-operator identities.
 
     Each residual has shape () for one Hamiltonian or (n,) for an
-    (n, 2, 2) stack; ``max_residual`` and ``passed`` are taken per matrix.
+    (n, 2, 2) stack; ``max_residual`` and ``passed`` (every residual <=
+    ``ALGEBRA_TOL``) are taken per matrix.
     """
 
     sq_p: np.ndarray
@@ -202,7 +208,6 @@ class AlgebraReport:
     triple_p: np.ndarray
     triple_m: np.ndarray
     eigenop: np.ndarray
-    tol: float = 1e-12
 
     @property
     def max_residual(self) -> np.ndarray:
@@ -210,7 +215,7 @@ class AlgebraReport:
 
     @property
     def passed(self) -> np.ndarray:
-        return self.max_residual <= self.tol
+        return self.max_residual <= ALGEBRA_TOL
 
     def residuals(self) -> dict[str, np.ndarray]:
         return {
@@ -257,7 +262,7 @@ def jump_operators(H) -> JumpOperatorPair:
     return JumpOperatorPair(sigma_p, sigma_p.conj().swapaxes(-1, -2))
 
 
-def verify_jump_algebra(pair: JumpOperatorPair, H, E, tol: float = 1e-12) -> AlgebraReport:
+def verify_jump_algebra(pair: JumpOperatorPair, H, E) -> AlgebraReport:
     """Residuals of the seven identities the canonical pair must satisfy.
 
     ``H`` is one 2x2 Hamiltonian with gap ``E``, or an (n, 2, 2) stack with
@@ -265,7 +270,7 @@ def verify_jump_algebra(pair: JumpOperatorPair, H, E, tol: float = 1e-12) -> Alg
     () or (n,).  sq_p/sq_m: sigma^2 = 0; comm: [sigma_p, sigma_m] = 2H/E;
     anti: {sigma_p, sigma_m} = 1; triple_p/m: sigma sigma' sigma = sigma;
     eigenop: [H, sigma_p] = E sigma_p.  Residuals are reported even when they
-    fail; ``passed`` requires all of them <= tol.
+    fail; ``passed`` requires all of them <= ``ALGEBRA_TOL``.
     """
     M = np.asarray(H, dtype=complex)
     sp, sm = pair.sigma_p, pair.sigma_m
@@ -276,7 +281,7 @@ def verify_jump_algebra(pair: JumpOperatorPair, H, E, tol: float = 1e-12) -> Alg
     # one deviation matrix per identity, in AlgebraReport's field order
     deviations = np.stack([sp @ sp, sm @ sm, pm - mp - 2.0 * M / E, pm + mp - np.eye(2),
                            pm @ sp - sp, mp @ sm - sm, M @ sp - sp @ M - E * sp])
-    return AlgebraReport(*np.linalg.norm(deviations, axis=(-2, -1)), tol=tol)
+    return AlgebraReport(*np.linalg.norm(deviations, axis=(-2, -1)))
 
 
 def fermi(E: float, T: float) -> float:
@@ -334,43 +339,3 @@ def build_oscillator(
         gp, gm = rates_from_bath(BathModel(g, bath.T), E)
         transitions.append(TransitionSpec(i=i, j=i + 1, gamma_p=gp, gamma_m=gm, E_t=E))
     return LadderSystem(N=N, energies=energies, transitions=tuple(transitions))
-
-
-def transition_projector(
-    t: TransitionSpec,
-    N: int,
-    energies: Sequence[float] | None = None,
-):
-    """Rank-2 projector machinery for one transition.
-
-    Returns ``(I_t, H_t, project)`` where ``I_t`` projects onto levels
-    (i, j), ``H_t`` is the Hamiltonian restricted to that block, and
-    ``project(rho)`` keeps exactly the four block entries of ``rho``.
-    Without explicit energies the block Hamiltonian is centred,
-    diag(-E_t/2, +E_t/2); block offsets cancel in every generated term, so
-    the two choices produce identical dynamics.
-    """
-    if t.i >= N or t.j >= N:
-        raise ValueError(f"transition ({t.i}, {t.j}) out of range for N={N}")
-    I_t = np.zeros((N, N), dtype=complex)
-    I_t[t.i, t.i] = 1.0
-    I_t[t.j, t.j] = 1.0
-    H_t = np.zeros((N, N), dtype=complex)
-    if energies is None:
-        H_t[t.i, t.i] = -0.5 * t.E_t
-        H_t[t.j, t.j] = 0.5 * t.E_t
-    else:
-        H_t[t.i, t.i] = energies[t.i]
-        H_t[t.j, t.j] = energies[t.j]
-
-    idx = np.array([t.i, t.j], dtype=np.intp)
-
-    def project(rho) -> np.ndarray:
-        M = as_matrix(rho)
-        if M.shape != (N, N):
-            raise ValueError(f"expected a {N}x{N} matrix, got {M.shape}")
-        out = np.zeros_like(M)
-        out[np.ix_(idx, idx)] = M[np.ix_(idx, idx)]
-        return out
-
-    return I_t, H_t, project

@@ -1,0 +1,108 @@
+"""Reference oracles that the tests compare the package against.
+
+The package runs every spec through :class:`ebloch.dissipators.SplitGenerator`;
+these independent routes stay here, out of its API:
+
+* :func:`vectorize` stacks matrix columns, hence
+  ``vectorize(A @ X @ B) == kron(B.T, A) @ vectorize(X)``, the convention of
+  :func:`build_superoperator`;
+* :func:`build_superoperator` probes :func:`ebloch.dissipators.master_rhs`
+  on every matrix unit, and :func:`step_rk4` steps it stage by stage;
+* :func:`transition_projector` gives the term-by-term projector form of one
+  transition of the multi-level elemental-Bloch kernel.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from ebloch.dissipators import RhsSpec, master_rhs
+from ebloch.linalg import as_matrix, herm_part
+from ebloch.propagate import PropagationError
+from ebloch.systems import TransitionSpec
+
+MAX_SUPEROP_DIM = 64
+
+
+def vectorize(M) -> np.ndarray:
+    """Column-stacking vectorization of a square matrix."""
+    return as_matrix(M).reshape(-1, order="F")
+
+
+def step_rk4(spec: RhsSpec, rho, dt: float) -> np.ndarray:
+    """One classical RK4 step of d(rho)/dt = master_rhs(rho), followed by
+    symmetrization rho <- (rho + rho^dag)/2.  Aborts on NaN/Inf."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    k1 = master_rhs(rho, spec)
+    k2 = master_rhs(rho + (0.5 * dt) * k1, spec)
+    k3 = master_rhs(rho + (0.5 * dt) * k2, spec)
+    k4 = master_rhs(rho + dt * k3, spec)
+    out = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = herm_part(out)
+    if not np.all(np.isfinite(out.view(float))):
+        raise PropagationError("NaN/Inf encountered in RK4 step")
+    return out
+
+
+def build_superoperator(spec: RhsSpec) -> np.ndarray:
+    """Matrix S of the linear map rho -> master_rhs(rho) in the
+    column-stacking convention: vectorize(master_rhs(rho)) = S @ vectorize(rho).
+
+    An oracle for :attr:`RhsSpec.compiled`, which :func:`propagate` and
+    :func:`ebloch.stationary.fixed_point` use instead.  Built by one call of
+    the right-hand side on the stack of the dim^2 matrix units; guarded at
+    dim <= 64.  The unit stack, its images and the kernel's temporaries are
+    held at once, about five times the memory of S at dim 32 (some 1.3 GB
+    at dim 64, where S is 268 MB, by scaling).  It inspects no spectrum.
+    """
+    dim = spec.dim
+    if dim > MAX_SUPEROP_DIM:
+        raise ValueError(f"superoperator guard: dim={dim} exceeds {MAX_SUPEROP_DIM}")
+    # unit k = a + b * dim is |a><b|; row k of the transposed images is the
+    # column-stacked image of unit k
+    images = master_rhs(np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
+                        .transpose(0, 2, 1), spec)
+    return images.transpose(0, 2, 1).reshape(dim * dim, -1).T
+
+
+def transition_projector(
+    t: TransitionSpec,
+    N: int,
+    energies: Sequence[float] | None = None,
+):
+    """Rank-2 projector machinery for one transition.
+
+    Returns ``(I_t, H_t, project)`` where ``I_t`` projects onto levels
+    (i, j), ``H_t`` is the Hamiltonian restricted to that block, and
+    ``project(rho)`` keeps exactly the four block entries of ``rho``.
+    Without explicit energies the block Hamiltonian is centred,
+    diag(-E_t/2, +E_t/2); block offsets cancel in every generated term, so
+    the two choices produce identical dynamics.
+    """
+    if t.i >= N or t.j >= N:
+        raise ValueError(f"transition ({t.i}, {t.j}) out of range for N={N}")
+    I_t = np.zeros((N, N), dtype=complex)
+    I_t[t.i, t.i] = 1.0
+    I_t[t.j, t.j] = 1.0
+    H_t = np.zeros((N, N), dtype=complex)
+    if energies is None:
+        H_t[t.i, t.i] = -0.5 * t.E_t
+        H_t[t.j, t.j] = 0.5 * t.E_t
+    else:
+        H_t[t.i, t.i] = energies[t.i]
+        H_t[t.j, t.j] = energies[t.j]
+
+    idx = np.array([t.i, t.j], dtype=np.intp)
+
+    def project(rho) -> np.ndarray:
+        M = as_matrix(rho)
+        if M.shape != (N, N):
+            raise ValueError(f"expected a {N}x{N} matrix, got {M.shape}")
+        out = np.zeros_like(M)
+        out[np.ix_(idx, idx)] = M[np.ix_(idx, idx)]
+        return out
+
+    return I_t, H_t, project

