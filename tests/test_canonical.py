@@ -231,6 +231,24 @@ def test_canonical_experiment_harmonic_stays_canonical():
     assert abs(diag.delta_series[finite][-1]) < abs(diag.delta_series[finite][0])
 
 
+def test_canonical_experiment_records_populations_only():
+    # the criterion-6 quench: 1,201 records of a 14-level ladder.  Its Gibbs
+    # start has no coherences, so the run keeps 1,201 x 14 populations
+    # (134 KB) instead of 1,201 dense 14 x 14 complex states (3.77 MB), and
+    # the traced peak of the whole experiment stays below 1.5 MB
+    import tracemalloc
+    sys_h = build_oscillator(14, 10.0, "harmonic", BathModel(1.0, 1.0))
+    canonical_experiment(sys_h, T0=2.0, t_final=0.1, dt=1e-3, record_every=25)  # warm-up
+    tracemalloc.start()
+    try:
+        diag = canonical_experiment(sys_h, T0=2.0, t_final=30.0, dt=1e-3, record_every=25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diag.times.shape == (1201,)
+    assert peak <= 1_500_000, f"canonical_experiment peaked at {peak / 1e6:.2f} MB"
+
+
 def test_canonical_experiment_row_statistics_match_a_per_row_loop():
     # the tail of this ladder lies below the population floor, so rows carry NaNs
     sys_h = build_oscillator(8, 13.0, "harmonic", BathModel(1.0, 1.0))

@@ -349,6 +349,7 @@ path = out.csv
     ("dt", "nan", "[integration] dt must be positive and finite"),
     ("t_final", "1e300", "steps overflow the record index"),
     ("dt", "1e-300", "steps overflow the record index"),
+    ("t_final", "1e13", "over the record limit"),  # 1e15 steps fit the index, not memory
 ])
 def test_non_finite_or_overflowing_times_exit_as_validation(tmp_path, capsys, sub, key,
                                                              value, message):

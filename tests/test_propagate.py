@@ -438,40 +438,118 @@ def _coherent_state(dim, seed=3):
     return A @ A.conj().T / np.linalg.norm(A) ** 2
 
 
-@pytest.mark.parametrize("case", ["ladder", "tilted"])
-def test_stacked_diagnostics_match_per_record_formula(case):
-    spec = _ladder_spec() if case == "ladder" else tilted_two_level_spec(gamma_pd=-0.2)
-    top = spec.ladder.top_level if spec.ladder is not None else None
-    rng = np.random.default_rng(17)
-    shape = (40, spec.dim, spec.dim)
-    stack = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-             * np.exp(rng.uniform(-30.0, 3.0, (40, 1, 1))))  # non-Hermitian, mixed scales
-    want = np.array([_diagnose_one(rho, top) for rho in stack]).T
-    for got, ref in zip(_diagnose(stack, top), want):
-        np.testing.assert_array_equal(got, ref)
-    # 150 records span three chunks; every diagnostic is the formula applied
-    # to the recorded state, bit for bit
-    traj = propagate(spec, _coherent_state(spec.dim), 1.5, 0.01, "expm", 1)
-    assert traj.states.shape == (151, spec.dim, spec.dim)
+def _gibbs_start(spec, T=0.7):
+    """A Gibbs state of a diagonal H: no coherences, exactly."""
+    rho0 = gibbs_state(spec.hamiltonian, T)
+    assert not np.count_nonzero(rho0 - np.diag(np.diag(rho0)))
+    return rho0
+
+
+def _one_coherence(rho0):
+    """rho0 with the single coherence rho_01 (and its conjugate) switched on."""
+    rho = rho0.copy()
+    c = 1e-3 * np.sqrt(rho[0, 0].real * rho[1, 1].real)
+    rho[0, 1], rho[1, 0] = c, c
+    return rho
+
+
+def _start(case, spec):
+    return _gibbs_start(spec) if case == "gibbs" else _coherent_state(spec.dim)
+
+
+def _spec(case):
+    return tilted_two_level_spec(gamma_pd=-0.2) if case == "tilted" else _ladder_spec()
+
+
+def _assert_diagnostics_are_the_formula(traj, top):
     want = np.array([_diagnose_one(rho, top) for rho in traj.states]).T
     for name, ref in zip(("trace_dev", "herm_dev", "min_eig", "top_pop"), want):
         np.testing.assert_array_equal(getattr(traj, name), ref, err_msg=name)
 
 
+@pytest.mark.parametrize("case", ["ladder", "tilted", "gibbs"])
+def test_stacked_diagnostics_match_per_record_formula(case):
+    spec = _spec(case)
+    top = spec.ladder.top_level if spec.ladder is not None else None
+    rng = np.random.default_rng(17)
+    shape = (40, spec.dim, spec.dim)
+    if case == "gibbs":
+        # populations over mixed scales, some slightly negative, as (n, d)
+        # records and as the diagonal states they stand for
+        pops = rng.uniform(0.0, 1.0, shape[:2]) * np.exp(rng.uniform(-80.0, 0.0, shape[:2]))
+        pops[::3, 1] = -rng.uniform(0.0, 1e-9, len(pops[::3]))
+        pops[::4] /= pops[::4].sum(axis=1, keepdims=True)
+        stack = np.zeros(shape, dtype=complex)
+        stack[:, np.arange(spec.dim), np.arange(spec.dim)] = pops
+        want = np.array([_diagnose_one(rho, top) for rho in stack]).T
+        for got, dense, ref in zip(_diagnose(pops, top), _diagnose(stack, top), want):
+            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(dense, ref)
+    else:
+        stack = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                 * np.exp(rng.uniform(-30.0, 3.0, (40, 1, 1))))  # non-Hermitian, mixed scales
+        want = np.array([_diagnose_one(rho, top) for rho in stack]).T
+        for got, ref in zip(_diagnose(stack, top), want):
+            np.testing.assert_array_equal(got, ref)
+    # 150 records span three chunks; every diagnostic is the formula applied
+    # to the recorded state, bit for bit
+    rho0 = _start(case, spec)
+    for method in ("expm", "rk4") if case == "gibbs" else ("expm",):
+        traj = propagate(spec, rho0, 1.5, 0.01, method, 1)
+        assert traj.states.shape == (151, spec.dim, spec.dim)
+        # a coherence-free start records populations only
+        assert traj._records.shape == ((151, spec.dim) if case == "gibbs" else traj.states.shape)
+        _assert_diagnostics_are_the_formula(traj, top)
+    if case == "gibbs":
+        # one coherence is enough to take the full-matrix route
+        traj = propagate(spec, _one_coherence(rho0), 1.5, 0.01, "expm", 1)
+        assert traj._records.shape == (151, spec.dim, spec.dim)
+        assert traj.states[-1, 0, 1] != 0.0
+        _assert_diagnostics_are_the_formula(traj, top)
+
+
+def test_coherence_free_records_match_the_full_matrix_route():
+    # populations never see the coherences, so a start with one coherence of
+    # 1e-300 takes the full-matrix route and records the same populations
+    spec = _ladder_spec(6)
+    rho0 = _gibbs_start(spec)
+    tiny = rho0.copy()
+    tiny[0, 5] = tiny[5, 0] = 1e-300
+    for method in ("expm", "rk4"):
+        pops = propagate(spec, rho0, 2.02, 0.01, method, 3)
+        full = propagate(spec, tiny, 2.02, 0.01, method, 3)
+        assert pops._records.ndim == 2 and full._records.ndim == 3
+        np.testing.assert_array_equal(pops.populations(), full.populations())
+        states = full.states.copy()
+        states[:, 0, 5] = states[:, 5, 0] = 0.0
+        np.testing.assert_array_equal(pops.states, states)
+        for name in ("times", "trace_dev", "herm_dev", "top_pop"):
+            np.testing.assert_array_equal(getattr(pops, name), getattr(full, name), err_msg=name)
+        # eigvalsh reduces a matrix with any nonzero coherence before it
+        # solves, which rounds differently from the exact min(p)
+        np.testing.assert_allclose(pops.min_eig, full.min_eig, rtol=1e-12)
+        # states is built on each read and never aliases the populations
+        assert pops.states is not pops.states
+        pops.populations()[:] = 0.0
+        assert pops.populations().sum(axis=1).min() > 0.99
+
+
 @pytest.mark.parametrize("method", ["rk4", "expm"])
-@pytest.mark.parametrize("case", ["ladder", "tilted"])
+@pytest.mark.parametrize("case", ["ladder", "tilted", "gibbs"])
 def test_trajectory_does_not_depend_on_the_record_chunk(monkeypatch, case, method):
-    spec = _ladder_spec() if case == "ladder" else tilted_two_level_spec(gamma_pd=-0.2)
-    rho0 = _coherent_state(spec.dim)
+    spec = _spec(case)
+    rho0 = _start(case, spec)
     # gaps 3, ..., 3, 1: 69 records, so the last chunk of 64 is partial
     ref = propagate(spec, rho0, 2.02, 0.01, method, 3)
     assert len(ref.times) == 69
+    assert ref._records.ndim == (2 if case == "gibbs" else 3)
     for chunk in (1, 2, 5, 68, 69, 200):
         monkeypatch.setattr(sys.modules["ebloch.propagate"], "_RECORD_CHUNK", chunk)
         traj = propagate(spec, rho0, 2.02, 0.01, method, 3)
         for name in ("times", "states", "trace_dev", "herm_dev", "min_eig", "top_pop"):
             np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name),
                                           err_msg=f"{name} at chunk {chunk}")
+        np.testing.assert_array_equal(traj.populations(), ref.populations())
 
 
 def _per_record_failure(spec, rho0, t_final, dt, record_every):
@@ -521,3 +599,57 @@ def test_diverging_run_stops_where_the_per_record_check_does(case, gamma_pd, dt,
         with pytest.raises(PropagationError) as info:
             propagate(spec, rho0, 1000 * dt, dt, "expm", 1)
     assert str(info.value) == want
+
+
+def test_coherence_free_start_runs_where_the_coherence_map_overflows():
+    # exp(C dt) overflows at gamma_pd = 1e4, dt = 1; a Gibbs start has no
+    # coherence for inf * 0 to turn into NaN, so it never builds that map and
+    # runs to the end, where a start with one coherence aborts
+    spec = _ladder_spec(4, 1e4)
+    rho0 = _gibbs_start(spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = propagate(spec, rho0, 1000.0, 1.0, "expm", 1)
+    assert [str(w.message).split(" (")[0] for w in caught] == [
+        "assembled generator has amplifying modes"]
+    assert traj.times[-1] == 1000.0
+    states = traj.states
+    assert not np.count_nonzero(states - states[:, np.arange(4), np.arange(4), None]
+                                * np.eye(4))
+    assert traj.trace_dev.max() <= 1e-12 and traj.min_eig.min() >= 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        with pytest.raises(PropagationError, match="NaN/Inf encountered before t=1$"):
+            propagate(spec, _one_coherence(rho0), 1000.0, 1.0, "expm", 1)
+
+
+@pytest.mark.parametrize("case", ["gibbs", "coherent"])
+def test_propagate_bounds_record_memory_before_allocating(case):
+    # 1e15 steps fit the record index; listing their indices or allocating
+    # their records would exhaust memory, so the bound must come first
+    import tracemalloc
+    spec = _ladder_spec()
+    rho0 = _gibbs_start(spec) if case == "gibbs" else _coherent_state(spec.dim)
+    spec.compiled  # compile outside the traced span
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="over the record limit"):
+            propagate(spec, rho0, 1e12, 1e-3, "expm", 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, f"{peak} bytes traced before the record bound"
+
+
+def test_record_bound_counts_the_bytes_of_the_route_taken(monkeypatch):
+    # 101 records at dim 5: (5 * 8 + 40) bytes each as populations, (25 * 16
+    # + 40) as matrices
+    spec = _ladder_spec()
+    monkeypatch.setattr(sys.modules["ebloch.propagate"], "MAX_RECORD_BYTES", 101 * 80)
+    assert propagate(spec, _gibbs_start(spec), 1.0, 0.01, "expm", 1).times.size == 101
+    with pytest.raises(ValueError, match="101 records of dim 5 need 4.44e\\+04 bytes"):
+        propagate(spec, _coherent_state(spec.dim), 1.0, 0.01, "expm", 1)
+    monkeypatch.setattr(sys.modules["ebloch.propagate"], "MAX_RECORD_BYTES", 101 * 80 - 1)
+    with pytest.raises(ValueError, match="over the record limit"):
+        propagate(spec, _gibbs_start(spec), 1.0, 0.01, "expm", 1)
