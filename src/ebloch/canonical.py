@@ -141,9 +141,9 @@ def canonical_experiment(
     cancellation and keep exponentially small tail populations accurate in
     relative terms, which log-ratio profiles need (a dense exponential carries
     absolute round-off at the matrix norm scale and would pollute them).  The
-    Gibbs start is diagonal, so its coherences stay exactly zero and
-    ``propagate`` records only its (n_times, N) populations, which is all
-    that is read here besides ``top_pop``.
+    Gibbs start is diagonal, so ``propagate`` tracks no coherence and its
+    records are the (n_times, N) populations, which is all that is read here
+    besides ``top_pop``.
 
     The one-variable thermalization equation is a Riccati equation with
     constant coefficients and fixed points a* = f/(1-f) and 1.  Its exact

@@ -25,9 +25,9 @@ TOP_POP_WARN = 1e-6
 # records checked, rotated out and diagnosed per stacked pass; all records at
 # once would hold the diagnostics' temporaries for the whole run
 _RECORD_CHUNK = 64
-# largest record stack a run may allocate, in bytes: its states (dim * 8 per
-# record as populations, dim^2 * 16 as matrices) plus its time and four
-# diagnostics (40 per record)
+# largest record stack a run may allocate, in bytes: per record, dim * 8 for
+# the populations, 16 per tracked coherence and 40 for the time and the four
+# diagnostics
 MAX_RECORD_BYTES = 1 << 30
 
 
@@ -37,14 +37,17 @@ class PropagationError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """Recorded time grid, density-matrix snapshots and per-record diagnostics.
+    """Recorded time grid, states and per-record diagnostics.
 
-    ``states`` is the (n_times, dim, dim) stack of recorded density matrices;
     ``trace_dev``, ``herm_dev``, ``min_eig`` and ``top_pop`` (NaN without a
-    ladder) hold one value per recorded time.  A run from a coherence-free
-    start (see :func:`propagate`) records only the (n_times, dim) stack of
-    its populations; :meth:`populations` returns a copy of it and
-    ``states`` builds diag(p) for each record anew whenever it is read.
+    ladder) hold one value per recorded time.  The records are kept in the
+    eigenbasis of H as the (n_times, dim) populations and the (n_times, k)
+    coherences s_ab of the k pairs a < b that are nonzero at the start;
+    every other coherence is zero for all time.  ``states`` assembles the
+    (n_times, dim, dim) stack of density matrices from them, with s_ba =
+    conj(s_ab), and rotates it out of the eigenbasis anew whenever it is
+    read.  :meth:`populations` returns a copy of the population stack when H
+    is exactly diagonal.
     """
 
     times: np.ndarray
@@ -52,24 +55,32 @@ class Trajectory:
     herm_dev: np.ndarray
     min_eig: np.ndarray
     top_pop: np.ndarray
-    # (n_times, dim) populations or (n_times, dim, dim) states
-    _records: np.ndarray = field(repr=False)
+    _pops: np.ndarray = field(repr=False)
+    _cohs: np.ndarray = field(repr=False)
+    _pairs: tuple = field(repr=False)  # (a, b) index arrays of the coherences
+    _gen: SplitGenerator = field(repr=False)
     warnings: list = field(default_factory=list)
+
+    def _states(self, rows=slice(None)) -> np.ndarray:
+        """The records ``rows`` as (n, dim, dim) states in the original basis."""
+        pops, cohs = self._pops[rows], self._cohs[rows]
+        n, dim = pops.shape
+        s = np.zeros((n, dim, dim), dtype=complex)
+        s[:, np.arange(dim), np.arange(dim)] = pops
+        a, b = self._pairs
+        s[:, a, b] = cohs
+        s[:, b, a] = cohs.conj()
+        return self._gen.rotate_out(s)
 
     @property
     def states(self) -> np.ndarray:
-        if self._records.ndim == 3:
-            return self._records
-        n, dim = self._records.shape
-        out = np.zeros((n, dim, dim), dtype=complex)
-        out[:, np.arange(dim), np.arange(dim)] = self._records
-        return out
+        return self._states()
 
     def populations(self) -> np.ndarray:
         """(n_times, dim) array of diagonal entries (real parts)."""
-        if self._records.ndim == 2:
-            return self._records.copy()
-        return self._records.diagonal(axis1=1, axis2=2).real.copy()
+        if self._gen.V is None:
+            return self._pops.copy()
+        return self.states.diagonal(axis1=1, axis2=2).real.copy()
 
 
 def _rk4_polynomial(z):
@@ -85,20 +96,11 @@ def _rk4_matrix(Z: np.ndarray) -> np.ndarray:
     return eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4.0) / 3.0) / 2.0)
 
 
-def _conj_symmetric(F: np.ndarray) -> np.ndarray:
-    """Coherence factors with F[b, a] = conj(F[a, b]) exactly and a zero
-    diagonal, so the stepped coherences keep the Hermitian symmetry of the
-    state they start from.  W evolves the diagonal, so zeroing it loses
-    nothing."""
-    upper = np.triu(F, 1)
-    return upper + upper.conj().T
-
-
-def _check_rk4_stability(gen: SplitGenerator, dt: float) -> None:
-    """Raise before stepping when a non-amplifying mode (Re lambda <=
-    AMPLIFY_TOL, oscillatory ones included) grows by more than the
-    1 + dt * AMPLIFY_TOL per step that the amplifying check tolerates."""
-    modes = gen.spectrum
+def _check_rk4_stability(modes: np.ndarray, dt: float) -> None:
+    """Raise before stepping when one of the modes a run steps that does not
+    amplify (Re lambda <= AMPLIFY_TOL, oscillatory ones included) grows by
+    more than the 1 + dt * AMPLIFY_TOL per step that the amplifying check
+    tolerates."""
     kept = modes[modes.real <= AMPLIFY_TOL]
     if kept.size == 0:
         return
@@ -118,6 +120,14 @@ def _validate_state(rho: np.ndarray) -> None:
         raise ValueError(f"initial state trace {rho.trace():.3e} is not 1 within 1e-9")
     if not is_psd(rho, 1e-8):
         raise ValueError("initial state is not positive semidefinite within -1e-8")
+
+
+def _rhs_norm(W: np.ndarray, c: np.ndarray, pops: np.ndarray, cohs: np.ndarray) -> np.ndarray:
+    """Frobenius norm of d(s)/dt for each record of (n, dim) populations and
+    (n, k) coherences at rates c: W p on the diagonal, c s_ab at each tracked
+    pair and its conjugate at the mirrored one."""
+    return np.hypot(np.linalg.norm(pops @ W.T, axis=1),
+                    np.sqrt(2.0) * np.linalg.norm(c * cohs, axis=1))
 
 
 def _diagnose(records: np.ndarray, top_index: int | None) -> tuple:
@@ -165,33 +175,32 @@ def propagate(
 
     The spec runs as its :class:`SplitGenerator` ``(W, C, V)``
     (:attr:`RhsSpec.compiled`, which raises ``ValueError`` for a spec that
-    does not split): rho0 is rotated into the eigenbasis of H once and each
-    recorded state out once, V s V^dag.  Every gap of g steps between two
-    recorded times is one linear map, built once per distinct g:
-    expm(W g dt) on the populations and exp(C g dt) on the coherences for
-    the exact flow, and for RK4 R4(dt W)^g and R4(dt C_ab)^g with the RK4
-    stability polynomial R4 (the map of g classical RK4 steps in exact
-    arithmetic).  The growth check takes the right-hand side from the same
-    generator, :meth:`SplitGenerator.apply`.  The gap loop only applies the
-    maps and stores each record; every 64 records, one stacked pass checks
-    them (NaN/Inf first, then growth, stopping at the first bad record),
-    rotates them out into the ``states`` stack and diagnoses them, so the
-    eigensolve never sees a record that failed a check.
+    does not split), in which the populations p evolve under W and each
+    coherence s_ab under its own rate C[a, b] alone.  rho0 is rotated into
+    the eigenbasis of H once, and only the coherences a < b that are nonzero
+    there are tracked; the others stay exactly zero.  Every gap of g steps
+    between two recorded times applies one population map, built once per
+    distinct g: expm(W g dt) for the exact flow, R4(dt W)^g for RK4, with
+    the RK4 stability polynomial R4 (the map of g classical RK4 steps in
+    exact arithmetic).  A tracked coherence at step m is in closed form
+    s_ab exp(C[a, b] m dt), or s_ab R4(dt C[a, b])^m for RK4, evaluated
+    once for the whole run.  Then every 64 records, one stacked pass checks
+    them (NaN/Inf first, then growth, stopping at the first bad record) and
+    diagnoses them, so the eigensolve never sees a record that failed a
+    check.  The records stay in the eigenbasis (see :class:`Trajectory`).
+    When H is exactly diagonal (``V`` is None) and no coherence is tracked,
+    as for a Gibbs or level start on a ladder, the checks (with the rhs norm
+    |W p|) and the diagnostics take O(dim) per record, with the bits of the
+    full-matrix formulas; otherwise each record of the pass is assembled
+    and rotated out, V s V^dag.
 
-    A coherence is fed by nothing but itself, so a start with no coherences
-    keeps none.  When H is exactly diagonal (``V`` is None) and every
-    off-diagonal entry of rho0 is zero, as for a Gibbs or level start on a
-    ladder, the run records populations only: each gap applies the
-    population map alone, and the checks (with the rhs norm |W p|) and the
-    diagnostics take O(dim) per record, with the bits of the full-matrix
-    formulas.  Such a run completes even where exp(C g dt) would overflow.
-
-    Every spec warns once about amplifying modes and, for RK4, raises
-    :class:`PropagationError` before the first step when a non-amplifying
-    mode lies outside the stability region.  Raises ``ValueError`` unless
-    t_final and dt are positive and finite, the step count fits the record
-    index (an ``intp``) and the records fit in ``MAX_RECORD_BYTES``; all
-    three are checked before anything is allocated for the records.
+    Every spec warns once about amplifying modes.  For RK4, a mode that the
+    run steps (an eigenvalue of W or a tracked C[a, b]) that does not
+    amplify but lies outside the stability region raises
+    :class:`PropagationError` before the first step.  Raises ``ValueError``
+    unless t_final and dt are positive and finite, the step count fits the
+    record index (an ``intp``) and the records fit in ``MAX_RECORD_BYTES``;
+    all three are checked before anything is allocated for the records.
     """
     raw = np.asarray(rho0, dtype=complex)
     _validate_state(raw)
@@ -213,8 +222,9 @@ def propagate(
     dim = spec.dim
     s = gen.rotate_in(rho)
     p = s.diagonal().real  # populations of a Hermitian state
-    pops_only = gen.V is None and not np.count_nonzero(s - np.diag(s.diagonal()))
-    record_bytes = n_records * ((dim * 8 if pops_only else dim * dim * 16) + 40)
+    # a coherence is fed only by itself: those zero at the start stay zero
+    a, b = np.nonzero(np.triu(s, 1))
+    record_bytes = n_records * (dim * 8 + len(a) * 16 + 40)
     if record_bytes > MAX_RECORD_BYTES:
         raise ValueError(
             f"{n_records} records of dim {dim} need {record_bytes:.3g} bytes, over "
@@ -225,11 +235,13 @@ def propagate(
             f"{gen.max_growth:.3e}); check the sign of gamma_pd",
             stacklevel=2,
         )
+    c = gen.C[a, b]
     if method == "rk4":
-        _check_rk4_stability(gen, dt)
+        _check_rk4_stability(np.concatenate([gen.population_eig[0], c]), dt)
 
     top_index = spec.ladder.top_level if spec.ladder is not None else None
-    rhs0_norm = float(np.linalg.norm(gen.W @ p if pops_only else gen.apply(s)))
+    x0 = s[a, b]
+    rhs0_norm = float(_rhs_norm(gen.W, c, p[None], x0[None])[0])
     # starting at (or round-off close to) a fixed point makes relative rhs
     # growth meaningless; the state-norm cap still catches divergence there
     growth_cap = 1e6 * rhs0_norm if rhs0_norm > 1e-12 else np.inf
@@ -238,81 +250,50 @@ def propagate(
     steps = np.arange(n_records) * min(record_every, n_steps)
     steps[-1] = n_steps
     times = steps * dt
-    if pops_only:
-        records = np.empty((n_records, dim))
-        chunk = records  # the gap loop writes each record in place
-    else:
-        records = np.empty((n_records, dim, dim), dtype=complex)
-        chunk = np.empty((min(_RECORD_CHUNK, n_records), dim, dim), dtype=complex)
+    pops = np.empty((n_records, dim))
+    pops[0] = p
     diag = np.empty((4, n_records))
-
-    def flush(start: int, n: int) -> None:
-        """Check the n records from record ``start`` on, stopping at the
-        first bad one, then rotate them out of the eigenbasis ``chunk[:n]``
-        into ``records`` (populations are written there in place) and
-        diagnose them."""
-        block = records[start:start + n] if pops_only else chunk[:n]
-        axes = tuple(range(1, block.ndim))
-        finite = np.isfinite(block).all(axis=axes)
-        rhs = block @ gen.W.T if pops_only else gen.apply(block)
-        rhs_norm = np.linalg.norm(rhs, axis=axes)
-        out = block if pops_only else gen.rotate_out(block)
-        state_norm = np.abs(out).max(axis=axes)
-        bad = ~finite | ~np.isfinite(rhs_norm) | (rhs_norm > growth_cap) \
-            | (state_norm > state_cap)
-        if bad.any():
-            j = int(np.argmax(bad))
-            t = times[start + j]
-            if not finite[j]:
-                raise PropagationError(f"NaN/Inf encountered before t={t:.6g}")
-            raise PropagationError(
-                f"step instability at t={t:.6g}: rhs norm {rhs_norm[j]:.3e} "
-                f"(initial {rhs0_norm:.3e}), state norm {state_norm[j]:.3e}"
-            )
-        if not pops_only:
-            records[start:start + n] = out
-        diag[:, start:start + n] = _diagnose(records[start:start + n], top_index)
-
-    chunk[0] = p if pops_only else s
-    X = chunk[0]  # F * X zeroes the diagonal, so X may carry the populations
-    start, filled = 0, 1
     if method == "rk4":
         step_W = _rk4_matrix(dt * gen.W)
-        step_C = None if pops_only else _rk4_polynomial(dt * gen.C)
     props = {}
-    # a chunk is checked only once it is full, so the records after a
-    # diverging one may overflow before the check stops the run
+    # records are checked after they are all made, so those after a
+    # diverging one may overflow before the checks stop the run
     with np.errstate(over="ignore", invalid="ignore"):
+        # computed once for the whole run, since vectorized complex exp and
+        # products round the last bit by position in the array, and in place,
+        # since a temporary of the stack's size would double its memory
+        if method == "rk4":
+            cohs = np.power(_rk4_polynomial(dt * c), steps[:, None])
+        else:
+            cohs = np.multiply.outer(times, c)
+            np.exp(cohs, out=cohs)
+        cohs *= x0
         for i in range(1, n_records):
             gap = record_every if i < n_records - 1 else n_steps - int(steps[-2])
             if gap not in props:
-                if method == "rk4":
-                    props[gap] = (np.linalg.matrix_power(step_W, gap),
-                                  None if pops_only else _conj_symmetric(step_C ** gap))
-                else:
-                    props[gap] = (scipy.linalg.expm(gen.W * (gap * dt)), None if pops_only
-                                  else _conj_symmetric(np.exp(gen.C * (gap * dt))))
-            P, F = props[gap]
-            if filled == _RECORD_CHUNK:
-                flush(start, filled)
-                start, filled = start + filled, 0
-            p = P @ p
-            if pops_only:
-                records[i] = p
-            else:
-                X = np.multiply(F, X, out=chunk[filled])
-                X.flat[:: dim + 1] = p
-            filled += 1
-        flush(start, filled)
+                props[gap] = (np.linalg.matrix_power(step_W, gap) if method == "rk4"
+                              else scipy.linalg.expm(gen.W * (gap * dt)))
+            p = pops[i] = props[gap] @ p
+        traj = Trajectory(times, *diag, _pops=pops, _cohs=cohs, _pairs=(a, b), _gen=gen)
+        for start in range(0, n_records, _RECORD_CHUNK):
+            rows = slice(start, start + _RECORD_CHUNK)
+            records = traj._states(rows) if gen.V is not None or len(a) else pops[rows]
+            axes = tuple(range(1, records.ndim))
+            finite = np.isfinite(pops[rows]).all(axis=1) & np.isfinite(cohs[rows]).all(axis=1)
+            rhs = _rhs_norm(gen.W, c, pops[rows], cohs[rows])
+            state_norm = np.abs(records).max(axis=axes)
+            bad = ~finite | ~np.isfinite(rhs) | (rhs > growth_cap) | (state_norm > state_cap)
+            if bad.any():
+                j = int(np.argmax(bad))
+                t = times[start + j]
+                if not finite[j]:
+                    raise PropagationError(f"NaN/Inf encountered before t={t:.6g}")
+                raise PropagationError(
+                    f"step instability at t={t:.6g}: rhs norm {rhs[j]:.3e} "
+                    f"(initial {rhs0_norm:.3e}), state norm {state_norm[j]:.3e}"
+                )
+            diag[:, rows] = _diagnose(records, top_index)
 
-    traj = Trajectory(
-        times=times,
-        trace_dev=diag[0],
-        herm_dev=diag[1],
-        min_eig=diag[2],
-        top_pop=diag[3],
-        _records=records,
-    )
     worst_eig = traj.min_eig.min()
     if worst_eig < MIN_EIG_WARN:
         traj.warnings.append(

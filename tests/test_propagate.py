@@ -11,7 +11,6 @@ from ebloch.dissipators import RhsSpec, master_rhs
 from ebloch.linalg import herm_part, is_hermitian, trace_distance
 from ebloch.propagate import (
     PropagationError,
-    _conj_symmetric,
     _diagnose,
     propagate,
 )
@@ -403,6 +402,40 @@ def test_split_rk4_gap_maps_match_stagewise_steps(record_every):
     assert rel <= 1e-10, f"split gap maps vs step_rk4 {rel:.3e}"
 
 
+def test_rk4_stability_checks_only_the_modes_the_run_steps():
+    # the coherence (0, 32) of this ladder has lambda = -51.2+32j, outside the
+    # RK4 region at dt = 0.1, while eig(W) lies inside it: a Gibbs start
+    # never steps that mode, a start that carries it does
+    lad = build_oscillator(33, 1.0, "constant", BathModel(1.0, 0.7))
+    spec = RhsSpec.for_ladder(lad, "eben", gamma_pd=-0.05)
+    rho0 = _gibbs_start(spec)
+    traj = propagate(spec, rho0, 1.0, 0.1, "rk4")
+    assert traj.times[-1] == 1.0 and traj.trace_dev.max() <= 1e-12
+    with pytest.raises(PropagationError, match=r"unstable: non-amplifying mode "
+                                               r"lambda = -51\.2\+32j gives"):
+        propagate(spec, _one_coherence(rho0, 0, 32), 1.0, 0.1, "rk4")
+
+
+@pytest.mark.parametrize("method", ["expm", "rk4"])
+def test_closed_form_coherences_match_the_superoperator_at_long_times(method):
+    # weak damping keeps the coherences well above round-off at t = 30,
+    # after up to 7 * 30 radians of phase
+    lad = build_oscillator(8, 1.0, "harmonic", BathModel(0.05, 1.0))
+    spec = RhsSpec.for_ladder(lad, gamma_pd=-0.01)
+    rho0 = _coherent_state(8)
+    dt = 0.01
+    traj = propagate(spec, rho0, 30.0, dt, method, 500)
+    if method == "expm":
+        S = build_superoperator(spec)
+        ref = [(scipy.linalg.expm(S * t) @ vectorize(rho0)).reshape(8, 8, order="F")
+               for t in traj.times]
+    else:
+        ref = _stagewise(spec, rho0, dt, 3000, 500)[1]
+    assert np.abs(ref[-1][0, 1]) > 0.1 * np.abs(rho0[0, 1])
+    worst = max(np.abs(a - b).max() for a, b in zip(traj.states, ref))
+    assert worst <= 1e-12, f"closed-form records vs oracle {worst:.3e}"
+
+
 @pytest.mark.parametrize("record_every", [300, 1])
 def test_dense_rk4_gap_maps_match_stagewise_steps(record_every):
     spec = tilted_two_level_spec(gamma_pd=-0.2)
@@ -445,11 +478,11 @@ def _gibbs_start(spec, T=0.7):
     return rho0
 
 
-def _one_coherence(rho0):
-    """rho0 with the single coherence rho_01 (and its conjugate) switched on."""
+def _one_coherence(rho0, a=0, b=1):
+    """rho0 with the single coherence rho_ab (and its conjugate) switched on."""
     rho = rho0.copy()
-    c = 1e-3 * np.sqrt(rho[0, 0].real * rho[1, 1].real)
-    rho[0, 1], rho[1, 0] = c, c
+    c = 1e-3 * np.sqrt(rho[a, a].real * rho[b, b].real)
+    rho[a, b], rho[b, a] = c, c
     return rho
 
 
@@ -497,13 +530,14 @@ def test_stacked_diagnostics_match_per_record_formula(case):
     for method in ("expm", "rk4") if case == "gibbs" else ("expm",):
         traj = propagate(spec, rho0, 1.5, 0.01, method, 1)
         assert traj.states.shape == (151, spec.dim, spec.dim)
-        # a coherence-free start records populations only
-        assert traj._records.shape == ((151, spec.dim) if case == "gibbs" else traj.states.shape)
+        # a coherence-free start tracks no coherence
+        assert traj._pops.shape == (151, spec.dim)
+        assert traj._cohs.shape == (151, 0 if case == "gibbs" else spec.dim * (spec.dim - 1) // 2)
         _assert_diagnostics_are_the_formula(traj, top)
     if case == "gibbs":
-        # one coherence is enough to take the full-matrix route
+        # one coherence is enough to take the full-matrix checks and diagnostics
         traj = propagate(spec, _one_coherence(rho0), 1.5, 0.01, "expm", 1)
-        assert traj._records.shape == (151, spec.dim, spec.dim)
+        assert traj._cohs.shape == (151, 1)
         assert traj.states[-1, 0, 1] != 0.0
         _assert_diagnostics_are_the_formula(traj, top)
 
@@ -518,7 +552,7 @@ def test_coherence_free_records_match_the_full_matrix_route():
     for method in ("expm", "rk4"):
         pops = propagate(spec, rho0, 2.02, 0.01, method, 3)
         full = propagate(spec, tiny, 2.02, 0.01, method, 3)
-        assert pops._records.ndim == 2 and full._records.ndim == 3
+        assert pops._cohs.shape[1] == 0 and full._cohs.shape[1] == 1
         np.testing.assert_array_equal(pops.populations(), full.populations())
         states = full.states.copy()
         states[:, 0, 5] = states[:, 5, 0] = 0.0
@@ -542,7 +576,7 @@ def test_trajectory_does_not_depend_on_the_record_chunk(monkeypatch, case, metho
     # gaps 3, ..., 3, 1: 69 records, so the last chunk of 64 is partial
     ref = propagate(spec, rho0, 2.02, 0.01, method, 3)
     assert len(ref.times) == 69
-    assert ref._records.ndim == (2 if case == "gibbs" else 3)
+    assert (ref._cohs.shape[1] == 0) == (case == "gibbs")
     for chunk in (1, 2, 5, 68, 69, 200):
         monkeypatch.setattr(sys.modules["ebloch.propagate"], "_RECORD_CHUNK", chunk)
         traj = propagate(spec, rho0, 2.02, 0.01, method, 3)
@@ -550,6 +584,13 @@ def test_trajectory_does_not_depend_on_the_record_chunk(monkeypatch, case, metho
             np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name),
                                           err_msg=f"{name} at chunk {chunk}")
         np.testing.assert_array_equal(traj.populations(), ref.populations())
+
+
+def _conj_symmetric(F):
+    """Coherence factors with F[b, a] = conj(F[a, b]) exactly and a zero
+    diagonal, so stepped coherences keep the Hermitian symmetry of the state."""
+    upper = np.triu(F, 1)
+    return upper + upper.conj().T
 
 
 def _per_record_failure(spec, rho0, t_final, dt, record_every):
@@ -624,6 +665,27 @@ def test_coherence_free_start_runs_where_the_coherence_map_overflows():
             propagate(spec, _one_coherence(rho0), 1000.0, 1.0, "expm", 1)
 
 
+def test_untracked_coherence_map_may_overflow():
+    # gamma_pd = 0.4 damps the coherence (0, 1) (Re C = -0.1) and amplifies
+    # (0, 3) (Re C = 3.6), whose exp(C dt) overflows at dt = 200; only the
+    # tracked (0, 1) is evaluated, so no inf * 0 turns into NaN
+    spec = _ladder_spec(4, 0.4)
+    rho0 = _one_coherence(_gibbs_start(spec))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = propagate(spec, rho0, 2000.0, 200.0, "expm", 1)
+    assert [str(w.message).split(" (")[0] for w in caught] == [
+        "assembled generator has amplifying modes"]
+    assert traj.times[-1] == 2000.0
+    states = traj.states
+    untracked = ~np.eye(4, dtype=bool)
+    untracked[0, 1] = untracked[1, 0] = False
+    assert not np.count_nonzero(states[:, untracked])
+    assert 0.0 < np.abs(states[-1, 0, 1]) < np.abs(states[1, 0, 1]) < np.abs(rho0[0, 1])
+    assert traj.trace_dev.max() <= 1e-12 and traj.min_eig.min() >= 0.0
+
+
 @pytest.mark.parametrize("case", ["gibbs", "coherent"])
 def test_propagate_bounds_record_memory_before_allocating(case):
     # 1e15 steps fit the record index; listing their indices or allocating
@@ -643,13 +705,37 @@ def test_propagate_bounds_record_memory_before_allocating(case):
 
 
 def test_record_bound_counts_the_bytes_of_the_route_taken(monkeypatch):
-    # 101 records at dim 5: (5 * 8 + 40) bytes each as populations, (25 * 16
-    # + 40) as matrices
+    # 101 records at dim 5: 5 * 8 bytes of populations, 16 per tracked
+    # coherence and 40 for the time and diagnostics, so 80 for a Gibbs start,
+    # 96 with one coherence and 240 with all ten
     spec = _ladder_spec()
     monkeypatch.setattr(sys.modules["ebloch.propagate"], "MAX_RECORD_BYTES", 101 * 80)
     assert propagate(spec, _gibbs_start(spec), 1.0, 0.01, "expm", 1).times.size == 101
-    with pytest.raises(ValueError, match="101 records of dim 5 need 4.44e\\+04 bytes"):
+    with pytest.raises(ValueError, match="101 records of dim 5 need 9.7e\\+03 bytes"):
+        propagate(spec, _one_coherence(_gibbs_start(spec)), 1.0, 0.01, "expm", 1)
+    with pytest.raises(ValueError, match="101 records of dim 5 need 2.42e\\+04 bytes"):
         propagate(spec, _coherent_state(spec.dim), 1.0, 0.01, "expm", 1)
+    monkeypatch.setattr(sys.modules["ebloch.propagate"], "MAX_RECORD_BYTES", 101 * 96)
+    assert propagate(spec, _one_coherence(_gibbs_start(spec)), 1.0, 0.01, "expm", 1)._cohs.shape \
+        == (101, 1)
     monkeypatch.setattr(sys.modules["ebloch.propagate"], "MAX_RECORD_BYTES", 101 * 80 - 1)
     with pytest.raises(ValueError, match="over the record limit"):
         propagate(spec, _gibbs_start(spec), 1.0, 0.01, "expm", 1)
+
+
+@pytest.mark.parametrize("method", ["expm", "rk4"])
+def test_coherent_records_take_the_memory_of_their_layout(method):
+    # 2,001 records of 32 populations and 496 coherences hold 16.5 MB; a
+    # (2001, 32, 32) stack of matrices alone would hold 32.8 MB
+    import tracemalloc
+    spec = _ladder_spec(32)
+    rho0 = _coherent_state(spec.dim)
+    spec.compiled.population_eig  # compile and diagonalize outside the traced span
+    tracemalloc.start()
+    try:
+        traj = propagate(spec, rho0, 2.0, 1e-3, method, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6, f"{peak / 1e6:.1f} MB traced"
+    assert traj.times.size == 2001 and traj._cohs.shape == (2001, 496)
