@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy  # scipy.linalg loads on first use, at the first expm map
 
 from .dissipators import RhsSpec, SplitGenerator
 from .linalg import herm_part, is_hermitian, is_psd
@@ -46,8 +46,10 @@ class Trajectory:
     every other coherence is zero for all time.  ``states`` assembles the
     (n_times, dim, dim) stack of density matrices from them, with s_ba =
     conj(s_ab), and rotates it out of the eigenbasis anew whenever it is
-    read.  :meth:`populations` returns a copy of the population stack when H
-    is exactly diagonal.
+    read; a read whose stack would exceed ``MAX_RECORD_BYTES`` raises
+    ``ValueError`` before allocating.  :meth:`populations` returns a copy of
+    the population stack when H is exactly diagonal, and reads ``states``
+    otherwise.
     """
 
     times: np.ndarray
@@ -74,6 +76,8 @@ class Trajectory:
 
     @property
     def states(self) -> np.ndarray:
+        n, dim = self._pops.shape
+        _check_record_bytes(f"{n} states of dim {dim}", n * dim * dim * 16)
         return self._states()
 
     def populations(self) -> np.ndarray:
@@ -81,6 +85,12 @@ class Trajectory:
         if self._gen.V is None:
             return self._pops.copy()
         return self.states.diagonal(axis1=1, axis2=2).real.copy()
+
+
+def _check_record_bytes(what: str, nbytes: int) -> None:
+    if nbytes > MAX_RECORD_BYTES:
+        raise ValueError(f"{what} need {nbytes:.3g} bytes, over the record limit of "
+                         f"{MAX_RECORD_BYTES:.3g}; raise record_every or shorten the run")
 
 
 def _rk4_polynomial(z):
@@ -224,11 +234,8 @@ def propagate(
     p = s.diagonal().real  # populations of a Hermitian state
     # a coherence is fed only by itself: those zero at the start stay zero
     a, b = np.nonzero(np.triu(s, 1))
-    record_bytes = n_records * (dim * 8 + len(a) * 16 + 40)
-    if record_bytes > MAX_RECORD_BYTES:
-        raise ValueError(
-            f"{n_records} records of dim {dim} need {record_bytes:.3g} bytes, over "
-            f"the record limit of {MAX_RECORD_BYTES:.3g}; raise record_every or shorten the run")
+    _check_record_bytes(f"{n_records} records of dim {dim}",
+                        n_records * (dim * 8 + len(a) * 16 + 40))
     if gen.max_growth > AMPLIFY_TOL:
         warnings.warn(
             f"assembled generator has amplifying modes (max Re lambda = "

@@ -9,12 +9,12 @@ any a-posteriori rescaling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .linalg import hermitian_eig
 
@@ -288,7 +288,10 @@ def fermi(E: float, T: float) -> float:
     """Fermi factor 1/(exp(E/T) + 1), overflow-safe for large |E/T|."""
     if not (np.isfinite(T) and T > 0.0):
         raise ValueError(f"T must be a positive temperature, got {T}")
-    return float(expit(-E / T))
+    try:
+        return 1.0 / (1.0 + math.exp(E / T))
+    except OverflowError:  # E/T > ~709.78, where the factor rounds to 0
+        return 0.0
 
 
 def rates_from_bath(bath: BathModel, E: float) -> tuple[float, float]:

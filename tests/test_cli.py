@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ebloch
 from ebloch.cli import (
     ConfigError,
     _float_lines,
@@ -362,6 +366,22 @@ def test_non_finite_or_overflowing_times_exit_as_validation(tmp_path, capsys, su
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("what, code", [("populations", 0), ("coherences", 1), ("all", 1)])
+def test_simulate_states_over_the_record_limit_exit_as_validation(tmp_path, capsys,
+                                                                   monkeypatch, what, code):
+    # 301 records of the N=6 Gibbs start take 26 kB; as 6x6 states, 173 kB
+    monkeypatch.setattr(sys.modules["ebloch.propagate"], "MAX_RECORD_BYTES", 100_000)
+    text = OSCILLATOR_RUN_CFG.replace("path = out.csv", f"path = out.csv\nwhat = {what}")
+    cfg = write(tmp_path, "t.cfg", text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == code
+    if code:
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "validation", "messages": [
+            "301 states of dim 6 need 1.73e+05 bytes, over the record limit of 1e+05; "
+            "raise record_every or shorten the run"]}
+    assert (tmp_path / "out.csv").exists() == (code == 0)
+
+
 @pytest.mark.parametrize("sub", ["simulate", "fixed-point"])
 @pytest.mark.parametrize("energy", ["inf", "nan"])
 def test_explicit_system_with_non_finite_energy_exits_as_validation(tmp_path, capsys, sub,
@@ -674,3 +694,40 @@ def test_linear_algebra_failure_exits_as_numerical(tmp_path, capsys, monkeypatch
     assert main(["fixed-point", "--config", cfg, "--out", str(tmp_path)]) == 2
     record = json.loads(capsys.readouterr().err)
     assert record == {"error": "numerical", "messages": ["Singular matrix"]}
+
+
+# ------------------------------------------------------------------ cold start
+
+# run in a fresh interpreter, since the test process has SciPy loaded already
+COLD_START_SCRIPT = """\
+import json, sys
+from ebloch.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print("loaded:" + ",".join(m for m in ("scipy.linalg", "scipy.special") if m in sys.modules))
+"""
+
+
+def _scipy_loaded_after(tmp_path, calls):
+    src = str(Path(ebloch.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argvs = [[sub, "--config", cfg, "--out", str(tmp_path)] for sub, cfg in calls]
+    result = subprocess.run([sys.executable, "-c", COLD_START_SCRIPT, json.dumps(argvs)],
+                            cwd=tmp_path,
+                            env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    loaded = result.stdout.splitlines()[-1].removeprefix("loaded:")
+    return [m for m in loaded.split(",") if m]
+
+
+def test_rk4_and_fixed_point_runs_leave_scipy_linalg_and_special_unloaded(tmp_path):
+    text = OSCILLATOR_RUN_CFG.replace("dt = 0.01", "dt = 0.01\nmethod = rk4")
+    cfg = write(tmp_path, "osc.cfg", text)
+    assert _scipy_loaded_after(tmp_path, [("canonical", cfg), ("fixed-point", cfg)]) == []
+
+
+def test_expm_run_loads_scipy_linalg(tmp_path):
+    text = OSCILLATOR_RUN_CFG.replace("dt = 0.01", "dt = 0.01\nmethod = expm")
+    cfg = write(tmp_path, "osc.cfg", text)
+    assert "scipy.linalg" in _scipy_loaded_after(tmp_path, [("simulate", cfg)])

@@ -739,3 +739,34 @@ def test_coherent_records_take_the_memory_of_their_layout(method):
         tracemalloc.stop()
     assert peak < 25e6, f"{peak / 1e6:.1f} MB traced"
     assert traj.times.size == 2001 and traj._cohs.shape == (2001, 496)
+
+
+def test_reading_states_is_bounded_before_allocating():
+    # 20,001 records of an N=64 Gibbs start hold 11 MB; as (64, 64) complex
+    # states they would need 1.3 GB, over the record limit
+    import tracemalloc
+    spec = _ladder_spec(64)
+    traj = propagate(spec, _gibbs_start(spec), 20.0, 1e-3, "expm", 1)
+    assert traj._pops.nbytes < 11e6
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="20001 states of dim 64 need 1.31e\\+09 bytes"):
+            traj.states
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"{peak} bytes traced before the states bound"
+
+
+def test_populations_of_a_rotated_run_share_the_states_bound(monkeypatch):
+    # 1,001 records of a dim-4 start under a non-diagonal H take at most 168
+    # bytes each (six coherences), and 256 each as 4x4 complex states
+    H = _coherent_state(4, seed=5)
+    spec = RhsSpec(H, "gkls")
+    assert spec.compiled.V is not None
+    monkeypatch.setattr(sys.modules["ebloch.propagate"], "MAX_RECORD_BYTES", 200_000)
+    traj = propagate(spec, gibbs_state(H, 1.0), 1.0, 1e-3, "expm", 1)
+    assert traj.times.size == 1001
+    for read in (lambda: traj.states, traj.populations):
+        with pytest.raises(ValueError, match="1001 states of dim 4 need 2.56e\\+05 bytes"):
+            read()

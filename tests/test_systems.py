@@ -1,7 +1,10 @@
 """Tests for system builders, jump operators and bath rate models."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -209,6 +212,20 @@ def test_fermi_values():
     assert fermi(-800.0, 1.0) == 1.0
     with pytest.raises(ValueError, match="positive temperature"):
         fermi(1.0, 0.0)
+
+
+def test_fermi_matches_expit_bit_for_bit():
+    # exp overflows just above log(DBL_MAX) = 709.78...; step ulp by ulp across it
+    edge = float(np.log(np.finfo(float).max))
+    near = edge + np.arange(-500, 501) * np.spacing(edge)
+    ratios = np.concatenate([np.linspace(-800.0, 800.0, 16001), near, -near,
+                             [0.0, -0.0, 709.8, -709.8, -746.0, 1e300, -1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for T in (0.37, 1.0, 4.0):
+            for x in ratios.tolist():
+                E = x * T
+                assert fermi(E, T) == float(scipy.special.expit(-E / T)), (E, T)
 
 
 def test_rates_from_bath_values():
