@@ -22,8 +22,8 @@ from .linalg import herm_part, is_hermitian, is_psd
 AMPLIFY_TOL = 1e-10
 MIN_EIG_WARN = -1e-8
 TOP_POP_WARN = 1e-6
-# records checked, rotated out and diagnosed per stacked pass; all records at
-# once would hold the diagnostics' temporaries for the whole run
+# records checked and diagnosed per stacked pass; all records at once would
+# hold the diagnostics' temporaries for the whole run
 _RECORD_CHUNK = 64
 # largest record stack a run may allocate, in bytes: per record, dim * 8 for
 # the populations, 16 per tracked coherence and 40 for the time and the four
@@ -39,17 +39,17 @@ class PropagationError(RuntimeError):
 class Trajectory:
     """Recorded time grid, states and per-record diagnostics.
 
-    ``trace_dev``, ``herm_dev``, ``min_eig`` and ``top_pop`` (NaN without a
-    ladder) hold one value per recorded time.  The records are kept in the
+    ``trace_dev``, ``herm_dev`` (0, see :func:`_diagnose`), ``min_eig`` and
+    ``top_pop`` (NaN without a ladder) hold one value per recorded time,
+    computed from the records in the eigenbasis.  The records are kept in the
     eigenbasis of H as the (n_times, dim) populations and the (n_times, k)
     coherences s_ab of the k pairs a < b that are nonzero at the start;
     every other coherence is zero for all time.  ``states`` assembles the
     (n_times, dim, dim) stack of density matrices from them, with s_ba =
     conj(s_ab), and rotates it out of the eigenbasis anew whenever it is
     read; a read whose stack would exceed ``MAX_RECORD_BYTES`` raises
-    ``ValueError`` before allocating.  :meth:`populations` returns a copy of
-    the population stack when H is exactly diagonal, and reads ``states``
-    otherwise.
+    ``ValueError`` before allocating.  :meth:`populations` reads the records,
+    never ``states``.  ``warnings`` lists every warning of the run.
     """
 
     times: np.ndarray
@@ -63,28 +63,33 @@ class Trajectory:
     _gen: SplitGenerator = field(repr=False)
     warnings: list = field(default_factory=list)
 
-    def _states(self, rows=slice(None)) -> np.ndarray:
-        """The records ``rows`` as (n, dim, dim) states in the original basis."""
-        pops, cohs = self._pops[rows], self._cohs[rows]
-        n, dim = pops.shape
-        s = np.zeros((n, dim, dim), dtype=complex)
-        s[:, np.arange(dim), np.arange(dim)] = pops
-        a, b = self._pairs
-        s[:, a, b] = cohs
-        s[:, b, a] = cohs.conj()
-        return self._gen.rotate_out(s)
-
     @property
     def states(self) -> np.ndarray:
         n, dim = self._pops.shape
         _check_record_bytes(f"{n} states of dim {dim}", n * dim * dim * 16)
-        return self._states()
+        return self._gen.rotate_out(_assemble(self._pops, self._cohs, self._pairs))
 
     def populations(self) -> np.ndarray:
-        """(n_times, dim) array of diagonal entries (real parts)."""
-        if self._gen.V is None:
+        """(n_times, dim) diagonal of ``states`` from the records: p itself
+        when V is None, else |V|^2 p + 2 Re sum_ab V[:, a] conj(V[:, b]) s_ab."""
+        V = self._gen.V
+        if V is None:
             return self._pops.copy()
-        return self.states.diagonal(axis1=1, axis2=2).real.copy()
+        a, b = self._pairs
+        return (self._pops @ (np.abs(V) ** 2).T
+                + 2.0 * (self._cohs @ (V[:, a] * V[:, b].conj()).T).real)
+
+
+def _assemble(pops: np.ndarray, cohs: np.ndarray, pairs: tuple) -> np.ndarray:
+    """(n, dim, dim) states in the eigenbasis from (n, dim) populations and
+    (n, k) coherences s_ab at pairs (a, b), with s_ba = conj(s_ab)."""
+    n, dim = pops.shape
+    s = np.zeros((n, dim, dim), dtype=complex)
+    s[:, np.arange(dim), np.arange(dim)] = pops
+    a, b = pairs
+    s[:, a, b] = cohs
+    s[:, b, a] = cohs.conj()
+    return s
 
 
 def _check_record_bytes(what: str, nbytes: int) -> None:
@@ -140,28 +145,20 @@ def _rhs_norm(W: np.ndarray, c: np.ndarray, pops: np.ndarray, cohs: np.ndarray) 
                     np.sqrt(2.0) * np.linalg.norm(c * cohs, axis=1))
 
 
-def _diagnose(records: np.ndarray, top_index: int | None) -> tuple:
-    """(trace_dev, herm_dev, min_eig, top_pop) of each record of a stack of
-    finite records, one length-n array each.  The records are (n, d, d)
-    states, or the (n, d) populations p of states diag(p): for those the same
-    formulas take O(d) per record and give the same bits, since the
-    eigenvalues of diag(p) are p itself and p summed as complex numbers adds
-    in the order of the trace."""
-    if records.ndim == 2:
-        p = records
-        dev = p.astype(complex).sum(axis=1) - 1.0
-        herm_dev = np.zeros(len(p))
-        min_eig = p.min(axis=1)
-    else:
-        p = records.diagonal(axis1=1, axis2=2).real
-        dev = np.trace(records, axis1=1, axis2=2) - 1.0
-        herm_dev = np.abs(records - records.conj().swapaxes(1, 2)).max(axis=(1, 2))
-        min_eig = np.linalg.eigvalsh(herm_part(records)).min(axis=1)
+def _diagnose(pops: np.ndarray, cohs: np.ndarray, pairs: tuple, top_index: int | None) -> tuple:
+    """(trace_dev, herm_dev, min_eig, top_pop), one length-n array each, of
+    n finite records in the eigenbasis: (n, d) populations p and (n, k)
+    coherences at pairs.  The trace sums p as complex numbers, in the order
+    of a trace; herm_dev is 0, the records being Hermitian by construction;
+    min_eig is min(p) without coherences, else eigvalsh of the assembled state."""
+    dev = pops.astype(complex).sum(axis=1) - 1.0
     # hypot gives the bits of abs() on one complex trace; np.abs on a complex
     # array can round differently
     trace_dev = np.hypot(dev.real, dev.imag)
-    top = p[:, top_index] if top_index is not None else np.full(len(p), np.nan)
-    return trace_dev, herm_dev, min_eig, top
+    min_eig = (np.linalg.eigvalsh(_assemble(pops, cohs, pairs)).min(axis=1)
+               if cohs.shape[1] else pops.min(axis=1))
+    top = pops[:, top_index] if top_index is not None else np.full(len(pops), np.nan)
+    return trace_dev, np.zeros(len(pops)), min_eig, top
 
 
 def propagate(
@@ -181,7 +178,8 @@ def propagate(
     ``method='expm'`` applies the exact flow; ``method='rk4'`` takes fixed
     steps.  Raises :class:`PropagationError` on NaN/Inf or when, at a
     recorded time, the right-hand-side norm exceeds 1e6 times its initial
-    value or the largest state entry 1e6 times max(1, its initial value).
+    value or the largest entry of the state in the eigenbasis of H 1e6
+    times max(1, its initial value).
 
     The spec runs as its :class:`SplitGenerator` ``(W, C, V)``
     (:attr:`RhsSpec.compiled`, which raises ``ValueError`` for a spec that
@@ -197,24 +195,24 @@ def propagate(
     once for the whole run.  Then every 64 records, one stacked pass checks
     them (NaN/Inf first, then growth, stopping at the first bad record) and
     diagnoses them, so the eigensolve never sees a record that failed a
-    check.  The records stay in the eigenbasis (see :class:`Trajectory`).
-    When H is exactly diagonal (``V`` is None) and no coherence is tracked,
-    as for a Gibbs or level start on a ladder, the checks (with the rhs norm
-    |W p|) and the diagnostics take O(dim) per record, with the bits of the
-    full-matrix formulas; otherwise each record of the pass is assembled
-    and rotated out, V s V^dag.
+    check.  The records stay in the eigenbasis (see :class:`Trajectory`),
+    and the checks and diagnostics read them there, never rotated out: the
+    state norm is the largest |p_a| or |s_ab| (against a cap from the
+    rotated-in start), and the diagnostics are those of :func:`_diagnose`.
+    Without tracked coherences, as for a Gibbs or level start on a ladder,
+    both take O(dim) per record.
 
-    Every spec warns once about amplifying modes.  For RK4, a mode that the
-    run steps (an eigenvalue of W or a tracked C[a, b]) that does not
-    amplify but lies outside the stability region raises
-    :class:`PropagationError` before the first step.  Raises ``ValueError``
+    Every spec with amplifying modes warns once, through ``warnings`` and in
+    ``Trajectory.warnings``.  For RK4, a mode that the run steps (an
+    eigenvalue of W or a tracked C[a, b]) that does not amplify but lies
+    outside the stability region raises :class:`PropagationError` before
+    the first step.  Raises ``ValueError``
     unless t_final and dt are positive and finite, the step count fits the
     record index (an ``intp``) and the records fit in ``MAX_RECORD_BYTES``;
     all three are checked before anything is allocated for the records.
     """
     raw = np.asarray(rho0, dtype=complex)
     _validate_state(raw)
-    rho = herm_part(raw)
     if method not in ("rk4", "expm"):
         raise ValueError(f"method must be 'rk4' or 'expm', got {method!r}")
     if not (0.0 < dt < np.inf and 0.0 < t_final < np.inf):
@@ -230,18 +228,17 @@ def propagate(
 
     gen = spec.compiled
     dim = spec.dim
-    s = gen.rotate_in(rho)
+    s = gen.rotate_in(herm_part(raw))
     p = s.diagonal().real  # populations of a Hermitian state
     # a coherence is fed only by itself: those zero at the start stay zero
     a, b = np.nonzero(np.triu(s, 1))
     _check_record_bytes(f"{n_records} records of dim {dim}",
                         n_records * (dim * 8 + len(a) * 16 + 40))
+    notes = []
     if gen.max_growth > AMPLIFY_TOL:
-        warnings.warn(
-            f"assembled generator has amplifying modes (max Re lambda = "
-            f"{gen.max_growth:.3e}); check the sign of gamma_pd",
-            stacklevel=2,
-        )
+        notes.append(f"assembled generator has amplifying modes (max Re lambda = "
+                     f"{gen.max_growth:.3e}); check the sign of gamma_pd")
+        warnings.warn(notes[-1], stacklevel=2)
     c = gen.C[a, b]
     if method == "rk4":
         _check_rk4_stability(np.concatenate([gen.population_eig[0], c]), dt)
@@ -252,7 +249,7 @@ def propagate(
     # starting at (or round-off close to) a fixed point makes relative rhs
     # growth meaningless; the state-norm cap still catches divergence there
     growth_cap = 1e6 * rhs0_norm if rhs0_norm > 1e-12 else np.inf
-    state_cap = 1e6 * max(1.0, float(np.abs(rho).max()))
+    state_cap = 1e6 * max(1.0, float(np.abs(s).max()))
 
     steps = np.arange(n_records) * min(record_every, n_steps)
     steps[-1] = n_steps
@@ -281,14 +278,12 @@ def propagate(
                 props[gap] = (np.linalg.matrix_power(step_W, gap) if method == "rk4"
                               else scipy.linalg.expm(gen.W * (gap * dt)))
             p = pops[i] = props[gap] @ p
-        traj = Trajectory(times, *diag, _pops=pops, _cohs=cohs, _pairs=(a, b), _gen=gen)
         for start in range(0, n_records, _RECORD_CHUNK):
             rows = slice(start, start + _RECORD_CHUNK)
-            records = traj._states(rows) if gen.V is not None or len(a) else pops[rows]
-            axes = tuple(range(1, records.ndim))
             finite = np.isfinite(pops[rows]).all(axis=1) & np.isfinite(cohs[rows]).all(axis=1)
             rhs = _rhs_norm(gen.W, c, pops[rows], cohs[rows])
-            state_norm = np.abs(records).max(axis=axes)
+            state_norm = np.maximum(np.abs(pops[rows]).max(axis=1),
+                                    np.abs(cohs[rows]).max(axis=1, initial=0.0))
             bad = ~finite | ~np.isfinite(rhs) | (rhs > growth_cap) | (state_norm > state_cap)
             if bad.any():
                 j = int(np.argmax(bad))
@@ -299,7 +294,9 @@ def propagate(
                     f"step instability at t={t:.6g}: rhs norm {rhs[j]:.3e} "
                     f"(initial {rhs0_norm:.3e}), state norm {state_norm[j]:.3e}"
                 )
-            diag[:, rows] = _diagnose(records, top_index)
+            diag[:, rows] = _diagnose(pops[rows], cohs[rows], (a, b), top_index)
+    traj = Trajectory(times, *diag, _pops=pops, _cohs=cohs, _pairs=(a, b), _gen=gen,
+                      warnings=notes)
 
     worst_eig = traj.min_eig.min()
     if worst_eig < MIN_EIG_WARN:

@@ -26,9 +26,9 @@ class FixedPointReport:
     ``gibbs_distance`` is NaN when no bath temperature applies (non-thermal
     rates).  ``spectral_gap`` is the slowest decaying rate, -max(Re lambda)
     over eigenvalues with strictly negative real part (purely oscillatory
-    modes are excluded).  ``commutator_norm`` reports ||[H, rho]||_F:
-    commutation with the Hamiltonian is verified after the fact, never
-    imposed.
+    modes are excluded).  ``commutator_norm`` reports ||[H, rho]||_F of a
+    state built diagonal in the eigenbasis of H: only the round-off of
+    rotating it out, exactly 0 when H is exactly diagonal.
     """
 
     rho_stationary: np.ndarray

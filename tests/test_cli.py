@@ -321,9 +321,30 @@ def test_simulate_numerical_failure_exit_code(tmp_path, capsys):
     state_path = write(tmp_path, "rho0.txt", format_matrix_text(state))
     text = text.replace("type = level\nindex = 0", f"type = file\npath = {state_path}")
     cfg = write(tmp_path, "div.cfg", text)
-    code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    with pytest.warns(UserWarning, match="amplifying modes"):
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "numerical"
+
+
+def test_simulate_csv_carries_the_amplifying_modes_warning(tmp_path):
+    # gamma_pd = 0.4 amplifies coherences of an N=4 ladder; a level start has
+    # none, so the run ends, and its CSV says what it warned on stderr
+    text = OSCILLATOR_RUN_CFG.replace("N = 6", "N = 4").replace(
+        "[integration]", "[dissipator]\ngamma_pd = 0.4\n\n[initial]\ntype = level\n"
+        "index = 0\n\n[integration]").replace("path = out.csv", "path = out.csv\n"
+                                                 "what = diagnostics")
+    cfg = write(tmp_path, "amp.cfg", text)
+    with pytest.warns(UserWarning, match="amplifying modes") as caught:
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    comments, header, _ = read_csv(tmp_path / "out.csv")
+    assert [str(w.message) for w in caught] == [
+        "assembled generator has amplifying modes (max Re lambda = 3.600e+00); "
+        "check the sign of gamma_pd"]
+    assert comments == [f"# warning: {caught[0].message}",
+                        "# warning: truncation leak: top-level population reached "
+                        "2.207e-02 > 1e-06"]
+    assert header == ["t", "trace_dev", "min_eig", "herm_dev", "top_pop"]
 
 
 OSCILLATOR_RUN_CFG = """\

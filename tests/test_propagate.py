@@ -11,6 +11,7 @@ from ebloch.dissipators import RhsSpec, master_rhs
 from ebloch.linalg import herm_part, is_hermitian, trace_distance
 from ebloch.propagate import (
     PropagationError,
+    _assemble,
     _diagnose,
     propagate,
 )
@@ -494,8 +495,8 @@ def _spec(case):
     return tilted_two_level_spec(gamma_pd=-0.2) if case == "tilted" else _ladder_spec()
 
 
-def _assert_diagnostics_are_the_formula(traj, top):
-    want = np.array([_diagnose_one(rho, top) for rho in traj.states]).T
+def _assert_diagnostics_are_the_formula(traj, top, records):
+    want = np.array([_diagnose_one(rho, top) for rho in records]).T
     for name, ref in zip(("trace_dev", "herm_dev", "min_eig", "top_pop"), want):
         np.testing.assert_array_equal(getattr(traj, name), ref, err_msg=name)
 
@@ -505,27 +506,30 @@ def test_stacked_diagnostics_match_per_record_formula(case):
     spec = _spec(case)
     top = spec.ladder.top_level if spec.ladder is not None else None
     rng = np.random.default_rng(17)
-    shape = (40, spec.dim, spec.dim)
+    n, dim = 40, spec.dim
+    # populations over mixed scales, some slightly negative
+    pops = rng.uniform(0.0, 1.0, (n, dim)) * np.exp(rng.uniform(-80.0, 0.0, (n, dim)))
+    pops[::3, 1] = -rng.uniform(0.0, 1e-9, len(pops[::3]))
+    pops[::4] /= pops[::4].sum(axis=1, keepdims=True)
     if case == "gibbs":
-        # populations over mixed scales, some slightly negative, as (n, d)
-        # records and as the diagonal states they stand for
-        pops = rng.uniform(0.0, 1.0, shape[:2]) * np.exp(rng.uniform(-80.0, 0.0, shape[:2]))
-        pops[::3, 1] = -rng.uniform(0.0, 1e-9, len(pops[::3]))
-        pops[::4] /= pops[::4].sum(axis=1, keepdims=True)
-        stack = np.zeros(shape, dtype=complex)
-        stack[:, np.arange(spec.dim), np.arange(spec.dim)] = pops
-        want = np.array([_diagnose_one(rho, top) for rho in stack]).T
-        for got, dense, ref in zip(_diagnose(pops, top), _diagnose(stack, top), want):
-            np.testing.assert_array_equal(got, ref)
-            np.testing.assert_array_equal(dense, ref)
+        pairs = (np.array([], dtype=int), np.array([], dtype=int))
+        cohs = np.empty((n, 0), dtype=complex)
     else:
-        stack = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-                 * np.exp(rng.uniform(-30.0, 3.0, (40, 1, 1))))  # non-Hermitian, mixed scales
-        want = np.array([_diagnose_one(rho, top) for rho in stack]).T
-        for got, ref in zip(_diagnose(stack, top), want):
-            np.testing.assert_array_equal(got, ref)
+        pairs = np.triu_indices(dim, 1)
+        shape = (n, len(pairs[0]))
+        cohs = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                * np.exp(rng.uniform(-30.0, 3.0, (n, 1))))  # mixed scales
+    # the (n, d) populations and (n, k) coherences against the formula on the
+    # Hermitian states they stand for
+    stack = _assemble(pops, cohs, pairs)
+    assert not np.count_nonzero(stack - stack.conj().swapaxes(1, 2))
+    want = np.array([_diagnose_one(rho, top) for rho in stack]).T
+    for got, ref in zip(_diagnose(pops, cohs, pairs, top), want):
+        np.testing.assert_array_equal(got, ref)
     # 150 records span three chunks; every diagnostic is the formula applied
-    # to the recorded state, bit for bit
+    # to the recorded state, bit for bit: to the state read from ``states``
+    # when H is diagonal, and in the eigenbasis of H otherwise, which the
+    # rotated state matches to round-off
     rho0 = _start(case, spec)
     for method in ("expm", "rk4") if case == "gibbs" else ("expm",):
         traj = propagate(spec, rho0, 1.5, 0.01, method, 1)
@@ -533,18 +537,27 @@ def test_stacked_diagnostics_match_per_record_formula(case):
         # a coherence-free start tracks no coherence
         assert traj._pops.shape == (151, spec.dim)
         assert traj._cohs.shape == (151, 0 if case == "gibbs" else spec.dim * (spec.dim - 1) // 2)
-        _assert_diagnostics_are_the_formula(traj, top)
+        if case == "tilted":
+            _assert_diagnostics_are_the_formula(
+                traj, top, _assemble(traj._pops, traj._cohs, traj._pairs))
+            rotated = np.array([_diagnose_one(rho, top) for rho in traj.states]).T
+            for name, ref in zip(("trace_dev", "herm_dev", "min_eig", "top_pop"), rotated):
+                np.testing.assert_allclose(getattr(traj, name), ref, rtol=0, atol=1e-14,
+                                           err_msg=name)
+        else:
+            _assert_diagnostics_are_the_formula(traj, top, traj.states)
     if case == "gibbs":
-        # one coherence is enough to take the full-matrix checks and diagnostics
+        # one coherence is enough to take the eigensolve of the assembled state
         traj = propagate(spec, _one_coherence(rho0), 1.5, 0.01, "expm", 1)
         assert traj._cohs.shape == (151, 1)
         assert traj.states[-1, 0, 1] != 0.0
-        _assert_diagnostics_are_the_formula(traj, top)
+        _assert_diagnostics_are_the_formula(traj, top, traj.states)
 
 
 def test_coherence_free_records_match_the_full_matrix_route():
     # populations never see the coherences, so a start with one coherence of
-    # 1e-300 takes the full-matrix route and records the same populations
+    # 1e-300, whose min_eig comes from an eigensolve of the assembled state,
+    # records the same populations
     spec = _ladder_spec(6)
     rho0 = _gibbs_start(spec)
     tiny = rho0.copy()
@@ -595,12 +608,13 @@ def _conj_symmetric(F):
 
 def _per_record_failure(spec, rho0, t_final, dt, record_every):
     """Message of the PropagationError that an expm run raises when every
-    record is checked as soon as it is made, or None if none is raised."""
+    record is checked as soon as it is made, or None if none is raised; the
+    state norm is read in the eigenbasis of H."""
     gen = spec.compiled
     s = gen.rotate_in(herm_part(rho0))
     rhs0 = float(np.linalg.norm(gen.apply(s)))
     growth_cap = 1e6 * rhs0 if rhs0 > 1e-12 else np.inf
-    state_cap = 1e6 * max(1.0, float(np.abs(rho0).max()))
+    state_cap = 1e6 * max(1.0, float(np.abs(s).max()))
     n_steps = max(1, round(t_final / dt))
     steps = list(range(0, n_steps + 1, record_every))
     if steps[-1] != n_steps:
@@ -616,7 +630,7 @@ def _per_record_failure(spec, rho0, t_final, dt, record_every):
                     return f"NaN/Inf encountered before t={k * dt:.6g}"
                 s = X + np.diag(p)
             rhs = float(np.linalg.norm(gen.apply(s)))
-            size = float(np.abs(gen.rotate_out(s)).max())
+            size = float(np.abs(s).max())
             if not np.isfinite(rhs) or rhs > growth_cap or size > state_cap:
                 return (f"step instability at t={k * dt:.6g}: rhs norm {rhs:.3e} "
                         f"(initial {rhs0:.3e}), state norm {size:.3e}")
@@ -760,13 +774,40 @@ def test_reading_states_is_bounded_before_allocating():
 
 def test_populations_of_a_rotated_run_share_the_states_bound(monkeypatch):
     # 1,001 records of a dim-4 start under a non-diagonal H take at most 168
-    # bytes each (six coherences), and 256 each as 4x4 complex states
+    # bytes each (six coherences), and 256 each as 4x4 complex states, which
+    # only ``states`` assembles
     H = _coherent_state(4, seed=5)
     spec = RhsSpec(H, "gkls")
     assert spec.compiled.V is not None
     monkeypatch.setattr(sys.modules["ebloch.propagate"], "MAX_RECORD_BYTES", 200_000)
     traj = propagate(spec, gibbs_state(H, 1.0), 1.0, 1e-3, "expm", 1)
     assert traj.times.size == 1001
-    for read in (lambda: traj.states, traj.populations):
-        with pytest.raises(ValueError, match="1001 states of dim 4 need 2.56e\\+05 bytes"):
-            read()
+    with pytest.raises(ValueError, match="1001 states of dim 4 need 2.56e\\+05 bytes"):
+        traj.states
+    # populations are read from the records, never from the states
+    pops = traj.populations()
+    assert pops.shape == (1001, 4)
+    monkeypatch.setattr(sys.modules["ebloch.propagate"], "MAX_RECORD_BYTES", 1 << 30)
+    diagonal = traj.states.diagonal(axis1=1, axis2=2).real
+    np.testing.assert_allclose(pops, diagonal, rtol=0, atol=1e-15)
+
+
+def test_populations_under_a_dense_h_read_the_records():
+    # a random dim-16 H and a coherent start track all 120 coherences; the
+    # populations are read from them without an (n, 16, 16) state stack
+    import tracemalloc
+    H = _coherent_state(16, seed=11)
+    spec = RhsSpec(H, "gkls")
+    assert spec.compiled.V is not None
+    traj = propagate(spec, _coherent_state(16), 1.0, 1e-3, "expm", 1)
+    assert traj._cohs.shape == (1001, 120)
+    tracemalloc.start()
+    try:
+        pops = traj.populations()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack_bytes = 1001 * 16 * 16 * 16
+    assert peak < stack_bytes, f"{peak} bytes traced, one state stack is {stack_bytes}"
+    diagonal = traj.states.diagonal(axis1=1, axis2=2).real
+    np.testing.assert_allclose(pops, diagonal, rtol=0, atol=1e-15)
