@@ -7,7 +7,6 @@ from .linalg import (
     herm_part,
     hermitian_eig,
     is_hermitian,
-    is_psd,
     trace_distance,
 )
 from .systems import (

@@ -397,8 +397,8 @@ def run_simulate(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
         header += ["trace_dev", "min_eig"]
         columns += [traj.trace_dev, traj.min_eig]
     if cfg.what == "diagnostics":
-        header += ["herm_dev", "top_pop"]
-        columns += [traj.herm_dev, traj.top_pop]
+        header.append("top_pop")
+        columns.append(traj.top_pop)
     rows = _float_lines(np.column_stack(columns))
     comments = [f"warning: {w}" for w in traj.warnings]
     path = _out(out_dir, cfg.out_path, "trajectory.csv")

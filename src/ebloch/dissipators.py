@@ -39,13 +39,15 @@ class SplitGenerator:
 
     A state s = V^dag rho V in that basis (s = rho when ``V`` is None, for an
     exactly diagonal H) evolves as dp/dt = W p on its populations p = diag(s)
-    and as d(s_ab)/dt = C[a, b] s_ab on each coherence.  ``W`` is real, with
-    non-negative off-diagonal rates and zero column sums; C[a, b] = -i w_ab
-    [include_unitary] - Gamma_ab + gamma_pd w_ab^2 with the Bohr frequencies
-    w_ab = E_a - E_b, a zero diagonal and C[b, a] = conj(C[a, b]).  The
-    spectrum is eig(W) plus the off-diagonal entries of C.
+    and as d(s_ab)/dt = C[a, b] s_ab on each coherence.  ``E`` holds the
+    real level energies in the order of that basis, so H = V diag(E) V^dag.
+    ``W`` is real, with non-negative off-diagonal rates and zero column sums;
+    C[a, b] = -i w_ab [include_unitary] - Gamma_ab + gamma_pd w_ab^2 with the
+    Bohr frequencies w_ab = E_a - E_b, a zero diagonal and C[b, a] =
+    conj(C[a, b]).  The spectrum is eig(W) plus the off-diagonal entries of C.
     """
 
+    E: np.ndarray
     W: np.ndarray
     C: np.ndarray
     V: np.ndarray | None
@@ -57,14 +59,6 @@ class SplitGenerator:
     def rotate_out(self, s: np.ndarray) -> np.ndarray:
         """V s V^dag: a matrix of the eigenbasis in the original basis."""
         return s if self.V is None else self.V @ s @ self.V.conj().T
-
-    def apply(self, s: np.ndarray) -> np.ndarray:
-        """d(s)/dt of a matrix s in the eigenbasis, or of each matrix of an
-        (n, d, d) stack: ``W`` on the diagonal, ``C`` elementwise on the rest."""
-        out = self.C * s
-        idx = np.arange(len(self.C))
-        out[..., idx, idx] = (self.W @ s.diagonal(axis1=-2, axis2=-1).T).T
-        return out
 
     @cached_property
     def coherence_rates(self) -> np.ndarray:
@@ -91,7 +85,7 @@ class SplitGenerator:
 
 
 def _compile(spec: "RhsSpec") -> SplitGenerator:
-    """(W, C, V) of a spec; raises ValueError when it does not split."""
+    """(E, W, C, V) of a spec; raises ValueError when it does not split."""
     H = spec.hamiltonian
     energies = np.diag(H)
     if np.count_nonzero(H - np.diag(energies)) or np.count_nonzero(energies.imag):
@@ -148,7 +142,7 @@ def _compile(spec: "RhsSpec") -> SplitGenerator:
     if spec.include_unitary:
         C -= 1j * w
     np.fill_diagonal(C, 0.0)
-    return SplitGenerator(W, C, V)
+    return SplitGenerator(energies, W, C, V)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
-PSD_TOL = 1e-8
 
 
 def as_matrix(A) -> np.ndarray:
@@ -39,14 +38,6 @@ def _scale(A: np.ndarray) -> float:
 def is_hermitian(A, tol: float = HERMITICITY_TOL) -> bool:
     M = as_matrix(A)
     return bool(np.abs(M - M.conj().T).max() <= tol * _scale(M))
-
-
-def is_psd(A, tol: float = PSD_TOL) -> bool:
-    """Positive semidefinite up to ``-tol`` on the minimum eigenvalue."""
-    M = as_matrix(A)
-    if not is_hermitian(M):
-        return False
-    return bool(np.linalg.eigvalsh(herm_part(M)).min() >= -tol)
 
 
 def _check_same_dim(A: np.ndarray, B: np.ndarray) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 import scipy  # scipy.linalg loads on first use, at the first expm map
 
 from .dissipators import RhsSpec, SplitGenerator
-from .linalg import herm_part, is_hermitian, is_psd
+from .linalg import herm_part, is_hermitian
 
 AMPLIFY_TOL = 1e-10
 MIN_EIG_WARN = -1e-8
@@ -26,7 +26,7 @@ TOP_POP_WARN = 1e-6
 # hold the diagnostics' temporaries for the whole run
 _RECORD_CHUNK = 64
 # largest record stack a run may allocate, in bytes: per record, dim * 8 for
-# the populations, 16 per tracked coherence and 40 for the time and the four
+# the populations, 16 per tracked coherence and 32 for the time and the three
 # diagnostics
 MAX_RECORD_BYTES = 1 << 30
 
@@ -39,10 +39,9 @@ class PropagationError(RuntimeError):
 class Trajectory:
     """Recorded time grid, states and per-record diagnostics.
 
-    ``trace_dev``, ``herm_dev`` (0, see :func:`_diagnose`), ``min_eig`` and
-    ``top_pop`` (NaN without a ladder) hold one value per recorded time,
-    computed from the records in the eigenbasis.  The records are kept in the
-    eigenbasis of H as the (n_times, dim) populations and the (n_times, k)
+    ``trace_dev``, ``min_eig`` and ``top_pop`` (NaN without a ladder) hold
+    one value per recorded time, computed from the records in the
+    eigenbasis.  The records are kept in the eigenbasis of H as the (n_times, dim) populations and the (n_times, k)
     coherences s_ab of the k pairs a < b that are nonzero at the start;
     every other coherence is zero for all time.  ``states`` assembles the
     (n_times, dim, dim) stack of density matrices from them, with s_ba =
@@ -54,7 +53,6 @@ class Trajectory:
 
     times: np.ndarray
     trace_dev: np.ndarray
-    herm_dev: np.ndarray
     min_eig: np.ndarray
     top_pop: np.ndarray
     _pops: np.ndarray = field(repr=False)
@@ -128,15 +126,6 @@ def _check_rk4_stability(modes: np.ndarray, dt: float) -> None:
         )
 
 
-def _validate_state(rho: np.ndarray) -> None:
-    if not is_hermitian(rho, 1e-10):
-        raise ValueError("initial state is not Hermitian within 1e-10")
-    if abs(rho.trace() - 1.0) > 1e-9:
-        raise ValueError(f"initial state trace {rho.trace():.3e} is not 1 within 1e-9")
-    if not is_psd(rho, 1e-8):
-        raise ValueError("initial state is not positive semidefinite within -1e-8")
-
-
 def _rhs_norm(W: np.ndarray, c: np.ndarray, pops: np.ndarray, cohs: np.ndarray) -> np.ndarray:
     """Frobenius norm of d(s)/dt for each record of (n, dim) populations and
     (n, k) coherences at rates c: W p on the diagonal, c s_ab at each tracked
@@ -145,20 +134,25 @@ def _rhs_norm(W: np.ndarray, c: np.ndarray, pops: np.ndarray, cohs: np.ndarray) 
                     np.sqrt(2.0) * np.linalg.norm(c * cohs, axis=1))
 
 
+def _min_eig(pops: np.ndarray, cohs: np.ndarray, pairs: tuple) -> np.ndarray:
+    """Smallest eigenvalue of each of n states in the eigenbasis, given as
+    (n, d) populations p and (n, k) coherences at pairs: min(p) when no
+    coherence is tracked, else eigvalsh of the assembled states."""
+    return (np.linalg.eigvalsh(_assemble(pops, cohs, pairs)).min(axis=1)
+            if cohs.shape[1] else pops.min(axis=1))
+
+
 def _diagnose(pops: np.ndarray, cohs: np.ndarray, pairs: tuple, top_index: int | None) -> tuple:
-    """(trace_dev, herm_dev, min_eig, top_pop), one length-n array each, of
-    n finite records in the eigenbasis: (n, d) populations p and (n, k)
-    coherences at pairs.  The trace sums p as complex numbers, in the order
-    of a trace; herm_dev is 0, the records being Hermitian by construction;
-    min_eig is min(p) without coherences, else eigvalsh of the assembled state."""
+    """(trace_dev, min_eig, top_pop), one length-n array each, of n finite
+    records in the eigenbasis: (n, d) populations p and (n, k) coherences at
+    pairs.  The trace sums p as complex numbers, in the order of a trace;
+    min_eig is :func:`_min_eig`."""
     dev = pops.astype(complex).sum(axis=1) - 1.0
     # hypot gives the bits of abs() on one complex trace; np.abs on a complex
     # array can round differently
     trace_dev = np.hypot(dev.real, dev.imag)
-    min_eig = (np.linalg.eigvalsh(_assemble(pops, cohs, pairs)).min(axis=1)
-               if cohs.shape[1] else pops.min(axis=1))
     top = pops[:, top_index] if top_index is not None else np.full(len(pops), np.nan)
-    return trace_dev, np.zeros(len(pops)), min_eig, top
+    return trace_dev, _min_eig(pops, cohs, pairs), top
 
 
 def propagate(
@@ -181,7 +175,7 @@ def propagate(
     value or the largest entry of the state in the eigenbasis of H 1e6
     times max(1, its initial value).
 
-    The spec runs as its :class:`SplitGenerator` ``(W, C, V)``
+    The spec runs as its :class:`SplitGenerator` ``(E, W, C, V)``
     (:attr:`RhsSpec.compiled`, which raises ``ValueError`` for a spec that
     does not split), in which the populations p evolve under W and each
     coherence s_ab under its own rate C[a, b] alone.  rho0 is rotated into
@@ -206,13 +200,31 @@ def propagate(
     ``Trajectory.warnings``.  For RK4, a mode that the run steps (an
     eigenvalue of W or a tracked C[a, b]) that does not amplify but lies
     outside the stability region raises :class:`PropagationError` before
-    the first step.  Raises ``ValueError``
-    unless t_final and dt are positive and finite, the step count fits the
-    record index (an ``intp``) and the records fit in ``MAX_RECORD_BYTES``;
-    all three are checked before anything is allocated for the records.
+    the first step.  rho0 is checked first, and ``ValueError`` names the
+    first check it fails: shape (dim, dim), Hermiticity within 1e-10, then
+    in the eigenbasis a trace of 1 within 1e-9 and a smallest eigenvalue,
+    taken as for ``min_eig``, of at least ``MIN_EIG_WARN``.  ``ValueError``
+    is also raised unless t_final and dt are positive and finite, the step
+    count fits the record index (an ``intp``) and the records fit in
+    ``MAX_RECORD_BYTES``; all three are checked before anything is
+    allocated for the records.
     """
     raw = np.asarray(rho0, dtype=complex)
-    _validate_state(raw)
+    dim = spec.dim
+    if raw.shape != (dim, dim):
+        raise ValueError(f"initial state has shape {raw.shape}, not ({dim}, {dim})")
+    if not is_hermitian(raw, 1e-10):
+        raise ValueError("initial state is not Hermitian within 1e-10")
+    gen = spec.compiled
+    s = gen.rotate_in(herm_part(raw))
+    p = s.diagonal().real  # populations of a Hermitian state
+    # a coherence is fed only by itself: those zero at the start stay zero
+    a, b = np.nonzero(np.triu(s, 1))
+    x0 = s[a, b]
+    if abs(p.sum() - 1.0) > 1e-9:
+        raise ValueError(f"initial state trace {p.sum():.3e} is not 1 within 1e-9")
+    if _min_eig(p[None], x0[None], (a, b))[0] < MIN_EIG_WARN:
+        raise ValueError("initial state is not positive semidefinite within -1e-8")
     if method not in ("rk4", "expm"):
         raise ValueError(f"method must be 'rk4' or 'expm', got {method!r}")
     if not (0.0 < dt < np.inf and 0.0 < t_final < np.inf):
@@ -226,14 +238,8 @@ def propagate(
     # records at steps 0, r, 2r, ... and n_steps, counted without listing them
     n_records = len(range(0, n_steps + 1, record_every)) + (n_steps % record_every != 0)
 
-    gen = spec.compiled
-    dim = spec.dim
-    s = gen.rotate_in(herm_part(raw))
-    p = s.diagonal().real  # populations of a Hermitian state
-    # a coherence is fed only by itself: those zero at the start stay zero
-    a, b = np.nonzero(np.triu(s, 1))
     _check_record_bytes(f"{n_records} records of dim {dim}",
-                        n_records * (dim * 8 + len(a) * 16 + 40))
+                        n_records * (dim * 8 + len(a) * 16 + 32))
     notes = []
     if gen.max_growth > AMPLIFY_TOL:
         notes.append(f"assembled generator has amplifying modes (max Re lambda = "
@@ -244,7 +250,6 @@ def propagate(
         _check_rk4_stability(np.concatenate([gen.population_eig[0], c]), dt)
 
     top_index = spec.ladder.top_level if spec.ladder is not None else None
-    x0 = s[a, b]
     rhs0_norm = float(_rhs_norm(gen.W, c, p[None], x0[None])[0])
     # starting at (or round-off close to) a fixed point makes relative rhs
     # growth meaningless; the state-norm cap still catches divergence there
@@ -256,7 +261,7 @@ def propagate(
     times = steps * dt
     pops = np.empty((n_records, dim))
     pops[0] = p
-    diag = np.empty((4, n_records))
+    diag = np.empty((3, n_records))
     if method == "rk4":
         step_W = _rk4_matrix(dt * gen.W)
     props = {}

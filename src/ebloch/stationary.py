@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dissipators import RhsSpec
-from .linalg import as_matrix, commutator, herm_part, hermitian_eig, trace_distance
+from .linalg import as_matrix, commutator, hermitian_eig
 from .propagate import AMPLIFY_TOL
 from .systems import TwoLevelSystem
 
@@ -25,10 +25,10 @@ class FixedPointReport:
 
     ``gibbs_distance`` is NaN when no bath temperature applies (non-thermal
     rates).  ``spectral_gap`` is the slowest decaying rate, -max(Re lambda)
-    over eigenvalues with strictly negative real part (purely oscillatory
-    modes are excluded).  ``commutator_norm`` reports ||[H, rho]||_F of a
-    state built diagonal in the eigenbasis of H: only the round-off of
-    rotating it out, exactly 0 when H is exactly diagonal.
+    over eigenvalues with Re lambda < -``ZERO_EIG_TOL`` (-1e-10), which
+    excludes purely oscillatory modes; NaN if none.  ``commutator_norm`` reports
+    ||[H, rho]||_F of a state built diagonal in the eigenbasis of H: only the
+    round-off of rotating it out, exactly 0 when H is exactly diagonal.
     """
 
     rho_stationary: np.ndarray
@@ -39,16 +39,21 @@ class FixedPointReport:
     multiplicity: int
 
 
-def gibbs_state(H, T: float) -> np.ndarray:
-    """exp(-H/T) / Tr exp(-H/T); T may be inf (maximally mixed state)."""
-    M = as_matrix(H)
+def _gibbs_weights(E: np.ndarray, T: float) -> np.ndarray:
+    """exp(-E/T) / sum exp(-E/T) over level energies E, exponentiated after
+    shifting by min(E) so that no weight overflows; T may be inf (equal
+    weights)."""
     if not (T > 0.0):
         raise ValueError(f"T must be a positive temperature, got {T}")
-    w, V = hermitian_eig(M)
-    x = -(w - w.min()) / T if np.isfinite(T) else np.zeros_like(w)
+    x = -(E - E.min()) / T if np.isfinite(T) else np.zeros_like(E)
     p = np.exp(x)
-    p /= p.sum()
-    return (V * p) @ V.conj().T
+    return p / p.sum()
+
+
+def gibbs_state(H, T: float) -> np.ndarray:
+    """exp(-H/T) / Tr exp(-H/T); T may be inf (maximally mixed state)."""
+    w, V = hermitian_eig(as_matrix(H))
+    return (V * _gibbs_weights(w, T)) @ V.conj().T
 
 
 def two_level_stationary_analytic(sys: TwoLevelSystem) -> np.ndarray:
@@ -102,19 +107,20 @@ def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
     """Stationary state from the null space of the generator.
 
     The spec runs as its :class:`~ebloch.dissipators.SplitGenerator`
-    ``(W, C, V)`` (:attr:`RhsSpec.compiled`, which raises ``ValueError`` for
-    a spec that does not split), so no superoperator is built and ladders
-    of any size are accepted.  The spectrum is eig(W) plus the coherence
-    rates C.  The stationary state is diag(p) in the eigenbasis of H,
-    rotated out as V diag(p) V^dag, with p the trace-normalized real part
-    of the eigenvector of W whose eigenvalue lies nearest zero.
+    ``(E, W, C, V)`` (:attr:`RhsSpec.compiled`, which raises ``ValueError``
+    for a spec that does not split), so no superoperator is built and
+    ladders of any size are accepted.  The spectrum is eig(W) plus the
+    coherence rates C.  The stationary state is diag(p) in the eigenbasis
+    of H, rotated out as V diag(p) V^dag, with p the trace-normalized real
+    part of the eigenvector of W whose eigenvalue lies nearest zero.
     ``multiplicity`` counts the eigenvalues within 1e-10 of zero; when it
     exceeds one (disconnected transition graphs) the reported state is the
     near-null direction of W with the largest trace.  Raises
     :class:`FixedPointError` when no eigenvalue lies within 1e-6 of zero or
-    when the spectrum has real part above 1e-10 (amplifying modes).
-    ``residual`` is the norm of the same generator applied to the state,
-    :meth:`~ebloch.dissipators.SplitGenerator.apply`.
+    when the spectrum has real part above 1e-10 (amplifying modes).  The
+    measures are taken in the eigenbasis, where the state is diag(p):
+    ``residual`` is ||W p|| and ``gibbs_distance`` is (1/2) sum |p - g|, g
+    the Gibbs weights of the energies E (both states being diagonal there).
     """
     gen = spec.compiled
     if gen.max_growth > AMPLIFY_TOL:
@@ -135,14 +141,13 @@ def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
     mode_abs = np.abs(mode_vals)
     candidates = np.flatnonzero(mode_abs <= max(ZERO_EIG_TOL, float(mode_abs.min())))
     traces = np.abs(modes[:, candidates].sum(axis=0))
-    s = herm_part(np.diag(modes[:, candidates[int(np.argmax(traces))]]).astype(complex))
-    tr = s.trace().real
+    v = modes[:, candidates[int(np.argmax(traces))]].real
+    tr = v.sum()
     if abs(tr) < 1e-10:
         raise FixedPointError("stationary direction has (near-)zero trace")
-    s = s / tr
+    p = v / tr
 
-    residual = float(np.linalg.norm(gen.apply(s)))
-    rho = gen.rotate_out(s)
+    rho = gen.rotate_out(np.diag(p).astype(complex))
     # purely oscillatory modes (undamped cross-block coherences on ladders)
     # carry Re lambda = 0 and do not bound relaxation: the gap is the slowest
     # actually-decaying rate
@@ -151,12 +156,12 @@ def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
     if bath_T is None:
         bath_T = effective_temperature(spec)
     if bath_T is not None:
-        gibbs_distance = trace_distance(rho, gibbs_state(spec.hamiltonian, bath_T))
+        gibbs_distance = 0.5 * np.abs(p - _gibbs_weights(gen.E, bath_T)).sum()
     else:
         gibbs_distance = math.nan
     return FixedPointReport(
         rho_stationary=rho,
-        residual=residual,
+        residual=float(np.linalg.norm(gen.W @ p)),
         gibbs_distance=float(gibbs_distance),
         spectral_gap=spectral_gap,
         commutator_norm=float(np.linalg.norm(commutator(spec.hamiltonian, rho))),

@@ -9,7 +9,10 @@ these independent routes stay here, out of its API:
 * :func:`build_superoperator` probes :func:`ebloch.dissipators.master_rhs`
   on every matrix unit, and :func:`step_rk4` steps it stage by stage;
 * :func:`transition_projector` gives the term-by-term projector form of one
-  transition of the multi-level elemental-Bloch kernel.
+  transition of the multi-level elemental-Bloch kernel;
+* :func:`split_apply` applies a :class:`ebloch.dissipators.SplitGenerator`
+  to a dense matrix of its eigenbasis, and :func:`is_psd` tests positivity
+  with a dense eigensolve.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ebloch.dissipators import RhsSpec, master_rhs
-from ebloch.linalg import as_matrix, herm_part
+from ebloch.dissipators import RhsSpec, SplitGenerator, master_rhs
+from ebloch.linalg import as_matrix, herm_part, is_hermitian
 from ebloch.propagate import PropagationError
 from ebloch.systems import TransitionSpec
 
@@ -29,6 +32,25 @@ MAX_SUPEROP_DIM = 64
 def vectorize(M) -> np.ndarray:
     """Column-stacking vectorization of a square matrix."""
     return as_matrix(M).reshape(-1, order="F")
+
+
+def is_psd(A, tol: float = 1e-8) -> bool:
+    """Hermitian and positive semidefinite up to ``-tol`` on the minimum
+    eigenvalue."""
+    M = as_matrix(A)
+    if not is_hermitian(M):
+        return False
+    return bool(np.linalg.eigvalsh(herm_part(M)).min() >= -tol)
+
+
+def split_apply(gen: SplitGenerator, s: np.ndarray) -> np.ndarray:
+    """d(s)/dt of a matrix s in the eigenbasis of ``gen``, or of each matrix
+    of an (n, d, d) stack: ``gen.W`` on the diagonal, ``gen.C`` elementwise
+    on the rest."""
+    out = gen.C * s
+    idx = np.arange(len(gen.C))
+    out[..., idx, idx] = (gen.W @ s.diagonal(axis1=-2, axis2=-1).T).T
+    return out
 
 
 def step_rk4(spec: RhsSpec, rho, dt: float) -> np.ndarray:

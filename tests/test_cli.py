@@ -344,7 +344,7 @@ def test_simulate_csv_carries_the_amplifying_modes_warning(tmp_path):
     assert comments == [f"# warning: {caught[0].message}",
                         "# warning: truncation leak: top-level population reached "
                         "2.207e-02 > 1e-06"]
-    assert header == ["t", "trace_dev", "min_eig", "herm_dev", "top_pop"]
+    assert header == ["t", "trace_dev", "min_eig", "top_pop"]
 
 
 OSCILLATOR_RUN_CFG = """\

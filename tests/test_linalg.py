@@ -11,10 +11,9 @@ from ebloch.linalg import (
     herm_part,
     hermitian_eig,
     is_hermitian,
-    is_psd,
     trace_distance,
 )
-from oracles import vectorize
+from oracles import is_psd, vectorize
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

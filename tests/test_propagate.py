@@ -23,7 +23,7 @@ from ebloch.systems import (
     build_two_level_hamiltonian,
     rates_from_bath,
 )
-from oracles import build_superoperator, step_rk4, vectorize
+from oracles import build_superoperator, split_apply, step_rk4, vectorize
 
 
 def thermal_two_level(E=1.0, T=1.0, gamma=1.0, eps=(0.48, 0.36, 0.8)):
@@ -234,8 +234,21 @@ def test_propagate_validates_initial_state():
         propagate(spec, np.array([[1.0, 0.5], [0.0, 0.0]]), 1.0, 0.1)
     with pytest.raises(ValueError, match="positive semidefinite"):
         propagate(spec, np.diag([1.5, -0.5]).astype(complex), 1.0, 0.1)
+    # positive populations in the eigenbasis of the tilted H, negative only
+    # through the coherence: eigenvalues 1.1 and -0.1
+    assert spec.compiled.V is not None
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        propagate(spec, np.array([[0.5, 0.6], [0.6, 0.5]]), 1.0, 0.1)
     with pytest.raises(ValueError, match="method"):
         propagate(spec, np.eye(2) / 2, 1.0, 0.1, method="euler")
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_propagate_rejects_a_start_of_the_wrong_shape(dim):
+    spec = RhsSpec.for_ladder(build_oscillator(4, 1.0, "harmonic", BathModel(1.0, 1.0)))
+    rho0 = np.full((dim, dim), 0.1 / dim) + np.eye(dim) * 0.9 / dim
+    with pytest.raises(ValueError, match=rf"shape \({dim}, {dim}\).*\(4, 4\)"):
+        propagate(spec, rho0, 1.0, 0.1)
 
 
 @pytest.mark.parametrize("t_final, dt, match", [
@@ -454,10 +467,9 @@ def test_dense_rk4_gap_maps_match_stagewise_steps(record_every):
 def _diagnose_one(rho, top_index):
     """The per-record diagnostics formula that the stacked ``_diagnose`` replaced."""
     trace_dev = abs(rho.trace() - 1.0)
-    herm_dev = float(np.abs(rho - rho.conj().T).max())
     min_eig = float(np.linalg.eigvalsh(herm_part(rho)).min())
     top = float(rho[top_index, top_index].real) if top_index is not None else np.nan
-    return float(trace_dev), herm_dev, min_eig, top
+    return float(trace_dev), min_eig, top
 
 
 def _ladder_spec(N=5, gamma_pd=-0.1):
@@ -497,7 +509,7 @@ def _spec(case):
 
 def _assert_diagnostics_are_the_formula(traj, top, records):
     want = np.array([_diagnose_one(rho, top) for rho in records]).T
-    for name, ref in zip(("trace_dev", "herm_dev", "min_eig", "top_pop"), want):
+    for name, ref in zip(("trace_dev", "min_eig", "top_pop"), want):
         np.testing.assert_array_equal(getattr(traj, name), ref, err_msg=name)
 
 
@@ -541,7 +553,7 @@ def test_stacked_diagnostics_match_per_record_formula(case):
             _assert_diagnostics_are_the_formula(
                 traj, top, _assemble(traj._pops, traj._cohs, traj._pairs))
             rotated = np.array([_diagnose_one(rho, top) for rho in traj.states]).T
-            for name, ref in zip(("trace_dev", "herm_dev", "min_eig", "top_pop"), rotated):
+            for name, ref in zip(("trace_dev", "min_eig", "top_pop"), rotated):
                 np.testing.assert_allclose(getattr(traj, name), ref, rtol=0, atol=1e-14,
                                            err_msg=name)
         else:
@@ -570,7 +582,7 @@ def test_coherence_free_records_match_the_full_matrix_route():
         states = full.states.copy()
         states[:, 0, 5] = states[:, 5, 0] = 0.0
         np.testing.assert_array_equal(pops.states, states)
-        for name in ("times", "trace_dev", "herm_dev", "top_pop"):
+        for name in ("times", "trace_dev", "top_pop"):
             np.testing.assert_array_equal(getattr(pops, name), getattr(full, name), err_msg=name)
         # eigvalsh reduces a matrix with any nonzero coherence before it
         # solves, which rounds differently from the exact min(p)
@@ -593,7 +605,7 @@ def test_trajectory_does_not_depend_on_the_record_chunk(monkeypatch, case, metho
     for chunk in (1, 2, 5, 68, 69, 200):
         monkeypatch.setattr(sys.modules["ebloch.propagate"], "_RECORD_CHUNK", chunk)
         traj = propagate(spec, rho0, 2.02, 0.01, method, 3)
-        for name in ("times", "states", "trace_dev", "herm_dev", "min_eig", "top_pop"):
+        for name in ("times", "states", "trace_dev", "min_eig", "top_pop"):
             np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name),
                                           err_msg=f"{name} at chunk {chunk}")
         np.testing.assert_array_equal(traj.populations(), ref.populations())
@@ -612,7 +624,7 @@ def _per_record_failure(spec, rho0, t_final, dt, record_every):
     state norm is read in the eigenbasis of H."""
     gen = spec.compiled
     s = gen.rotate_in(herm_part(rho0))
-    rhs0 = float(np.linalg.norm(gen.apply(s)))
+    rhs0 = float(np.linalg.norm(split_apply(gen, s)))
     growth_cap = 1e6 * rhs0 if rhs0 > 1e-12 else np.inf
     state_cap = 1e6 * max(1.0, float(np.abs(s).max()))
     n_steps = max(1, round(t_final / dt))
@@ -629,7 +641,7 @@ def _per_record_failure(spec, rho0, t_final, dt, record_every):
                 if not (np.isfinite(p.sum()) and np.isfinite(X.sum())):
                     return f"NaN/Inf encountered before t={k * dt:.6g}"
                 s = X + np.diag(p)
-            rhs = float(np.linalg.norm(gen.apply(s)))
+            rhs = float(np.linalg.norm(split_apply(gen, s)))
             size = float(np.abs(s).max())
             if not np.isfinite(rhs) or rhs > growth_cap or size > state_cap:
                 return (f"step instability at t={k * dt:.6g}: rhs norm {rhs:.3e} "
@@ -720,19 +732,19 @@ def test_propagate_bounds_record_memory_before_allocating(case):
 
 def test_record_bound_counts_the_bytes_of_the_route_taken(monkeypatch):
     # 101 records at dim 5: 5 * 8 bytes of populations, 16 per tracked
-    # coherence and 40 for the time and diagnostics, so 80 for a Gibbs start,
-    # 96 with one coherence and 240 with all ten
+    # coherence and 32 for the time and diagnostics, so 72 for a Gibbs start,
+    # 88 with one coherence and 232 with all ten
     spec = _ladder_spec()
-    monkeypatch.setattr(sys.modules["ebloch.propagate"], "MAX_RECORD_BYTES", 101 * 80)
+    monkeypatch.setattr(sys.modules["ebloch.propagate"], "MAX_RECORD_BYTES", 101 * 72)
     assert propagate(spec, _gibbs_start(spec), 1.0, 0.01, "expm", 1).times.size == 101
-    with pytest.raises(ValueError, match="101 records of dim 5 need 9.7e\\+03 bytes"):
+    with pytest.raises(ValueError, match="101 records of dim 5 need 8.89e\\+03 bytes"):
         propagate(spec, _one_coherence(_gibbs_start(spec)), 1.0, 0.01, "expm", 1)
-    with pytest.raises(ValueError, match="101 records of dim 5 need 2.42e\\+04 bytes"):
+    with pytest.raises(ValueError, match="101 records of dim 5 need 2.34e\\+04 bytes"):
         propagate(spec, _coherent_state(spec.dim), 1.0, 0.01, "expm", 1)
-    monkeypatch.setattr(sys.modules["ebloch.propagate"], "MAX_RECORD_BYTES", 101 * 96)
+    monkeypatch.setattr(sys.modules["ebloch.propagate"], "MAX_RECORD_BYTES", 101 * 88)
     assert propagate(spec, _one_coherence(_gibbs_start(spec)), 1.0, 0.01, "expm", 1)._cohs.shape \
         == (101, 1)
-    monkeypatch.setattr(sys.modules["ebloch.propagate"], "MAX_RECORD_BYTES", 101 * 80 - 1)
+    monkeypatch.setattr(sys.modules["ebloch.propagate"], "MAX_RECORD_BYTES", 101 * 72 - 1)
     with pytest.raises(ValueError, match="over the record limit"):
         propagate(spec, _gibbs_start(spec), 1.0, 0.01, "expm", 1)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ebloch.dissipators import RhsSpec
-from ebloch.linalg import commutator, is_psd, trace_distance
+from ebloch.linalg import commutator, trace_distance
 from ebloch.propagate import propagate
 from ebloch.stationary import (
     effective_temperature,
@@ -23,6 +23,7 @@ from ebloch.systems import (
     build_two_level_hamiltonian,
     rates_from_bath,
 )
+from oracles import is_psd, split_apply
 
 
 def thermal_two_level(E, T, gamma=1.0, eps=(0.6, 0.0, 0.8)):
@@ -213,6 +214,58 @@ def test_fixed_point_error_when_no_stationary_state():
     report = fixed_point(spec)  # diagonal sector still stationary
     assert report.multiplicity >= 2
 
+
+
+def _fixed_point_specs():
+    """(spec, bath T) pairs: harmonic and constant ladders of 2 to 64 levels
+    under eben and gkls, and tilted two-level systems under ebe2 and gkls."""
+    for N in (2, 3, 4, 5, 8, 13, 21, 34, 48, 64):
+        for rule in ("harmonic", "constant"):
+            for T in (0.4, 1.5):
+                lad = build_oscillator(N, 1.0, rule, BathModel(0.7, T))
+                for kind in ("eben", "gkls"):
+                    yield RhsSpec.for_ladder(lad, kind), T
+    for E, T in ((0.5, 0.3), (1.0, 1.0), (2.5, 4.0)):
+        for eps in ((0.6, 0.0, 0.8), (0.48, 0.36, 0.8)):
+            sys2 = thermal_two_level(E, T, gamma=0.9, eps=eps)
+            for kind in ("ebe2", "gkls"):
+                yield RhsSpec.for_two_level(sys2, kind), T
+
+
+def test_fixed_point_measures_in_the_eigenbasis_match_the_dense_formulas():
+    # residual ||W p|| and gibbs_distance (1/2) sum |p - g| against the dense
+    # generator applied to the rotated-in state and the trace distance of
+    # the rotated-out state from the dense Gibbs state, at T and 2T
+    count = 0
+    for spec, T in _fixed_point_specs():
+        gen = spec.compiled
+        for bath_T in (T, 2 * T):
+            report = fixed_point(spec, bath_T)
+            rho = report.rho_stationary
+            residual = float(np.linalg.norm(split_apply(gen, gen.rotate_in(rho))))
+            distance = trace_distance(rho, gibbs_state(spec.hamiltonian, bath_T))
+            assert abs(report.residual - residual) <= 1e-14, (spec.kind, spec.dim, bath_T)
+            assert abs(report.gibbs_distance - distance) <= 1e-14, (spec.kind, spec.dim, bath_T)
+            count += 1
+    assert count == 184
+
+
+def test_fixed_point_and_a_gibbs_start_take_no_dense_eigensolve(monkeypatch):
+    # on a ladder every measure of the fixed point and every check of a run
+    # from a state diagonal in the eigenbasis reads the diagonal alone
+    lad = build_oscillator(64, 1.0, "harmonic", BathModel(1.0, 1.0))
+    spec = RhsSpec.for_ladder(lad)
+    rho0 = gibbs_state(lad.hamiltonian, 2.0)
+
+    def dense_eigensolve(*args, **kwargs):
+        raise AssertionError("dense eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigh", dense_eigensolve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", dense_eigensolve)
+    report = fixed_point(spec)
+    assert report.gibbs_distance <= 1e-12
+    traj = propagate(spec, rho0, 1.0, 0.1, "expm", 1)
+    assert traj.min_eig.min() > 0.0
 
 # ------------------------------------------------------- effective_temperature
 
