@@ -10,11 +10,15 @@ not noise to hide.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy  # scipy.linalg loads on first use, at the first expm map
+# the bare package only (about 15 ms; no run loads scipy.linalg): a SciPy
+# routine is reached through this binding as scipy.<sub>.<fn> at call time,
+# and perfbench's tracer reads scipy.linalg.expm through it when it installs
+import scipy
 
 from .dissipators import RhsSpec, SplitGenerator
 from .linalg import herm_part, is_hermitian
@@ -109,6 +113,43 @@ def _rk4_matrix(Z: np.ndarray) -> np.ndarray:
     return eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4.0) / 3.0) / 2.0)
 
 
+# [13/13] Pade coefficients b_0..b_13 over b_0, so that V(0) is the identity
+# and exp(0) comes out exact, and the 1-norm up to which they meet double
+# precision unscaled (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005)
+_PADE13 = tuple(b / 64764752532480000 for b in (
+    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+    129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
+    40840800, 960960, 16380, 182, 1))
+_THETA13 = 5.371920351148152
+
+
+def expm(A) -> np.ndarray:
+    """exp(A) of a square matrix by [13/13] Pade scaling and squaring: A is
+    scaled by 2^-s with s = max(0, ceil(log2(||A||_1 / theta_13))), the
+    Pade quotient is taken with one linear solve, and the result is squared
+    s times.  exp(0) is the identity exactly; a matrix whose 1-norm is not
+    finite gives an all-NaN map."""
+    A = np.asarray(A)
+    norm = np.linalg.norm(A, 1)
+    if not np.isfinite(norm):
+        return np.full_like(A, np.nan)
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    A = A / 2.0 ** s
+    b = _PADE13
+    eye = np.eye(len(A), dtype=A.dtype)
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    R = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        R = R @ R
+    return R
+
+
 def _check_rk4_stability(modes: np.ndarray, dt: float) -> None:
     """Raise before stepping when one of the modes a run steps that does not
     amplify (Re lambda <= AMPLIFY_TOL, oscillatory ones included) grows by
@@ -182,9 +223,10 @@ def propagate(
     the eigenbasis of H once, and only the coherences a < b that are nonzero
     there are tracked; the others stay exactly zero.  Every gap of g steps
     between two recorded times applies one population map, built once per
-    distinct g: expm(W g dt) for the exact flow, R4(dt W)^g for RK4, with
-    the RK4 stability polynomial R4 (the map of g classical RK4 steps in
-    exact arithmetic).  A tracked coherence at step m is in closed form
+    distinct g: expm(W g dt) for the exact flow, taken by :func:`expm`
+    ([13/13] Pade scaling and squaring in NumPy), and R4(dt W)^g for RK4,
+    with the RK4 stability polynomial R4 (the map of g classical RK4 steps
+    in exact arithmetic).  A tracked coherence at step m is in closed form
     s_ab exp(C[a, b] m dt), or s_ab R4(dt C[a, b])^m for RK4, evaluated
     once for the whole run.  Then every 64 records, one stacked pass checks
     them (NaN/Inf first, then growth, stopping at the first bad record) and
@@ -281,7 +323,7 @@ def propagate(
             gap = record_every if i < n_records - 1 else n_steps - int(steps[-2])
             if gap not in props:
                 props[gap] = (np.linalg.matrix_power(step_W, gap) if method == "rk4"
-                              else scipy.linalg.expm(gen.W * (gap * dt)))
+                              else expm(gen.W * (gap * dt)))
             p = pops[i] = props[gap] @ p
         for start in range(0, n_records, _RECORD_CHUNK):
             rows = slice(start, start + _RECORD_CHUNK)

@@ -51,8 +51,19 @@ def _gibbs_weights(E: np.ndarray, T: float) -> np.ndarray:
 
 
 def gibbs_state(H, T: float) -> np.ndarray:
-    """exp(-H/T) / Tr exp(-H/T); T may be inf (maximally mixed state)."""
-    w, V = hermitian_eig(as_matrix(H))
+    """exp(-H/T) / Tr exp(-H/T); T may be inf (maximally mixed state).
+
+    An exactly diagonal, real H takes no eigensolve: its weights are summed
+    in ascending energy order, as for the eigenvalues, so the state is the
+    same bit for bit."""
+    M = as_matrix(H)
+    E = M.diagonal().real
+    if not np.any(M - np.diag(E)):
+        order = np.argsort(E)
+        p = np.empty_like(E)
+        p[order] = _gibbs_weights(E[order], T)
+        return np.diag(p.astype(complex))
+    w, V = hermitian_eig(M)
     return (V * _gibbs_weights(w, T)) @ V.conj().T
 
 

@@ -748,7 +748,16 @@ def test_rk4_and_fixed_point_runs_leave_scipy_linalg_and_special_unloaded(tmp_pa
     assert _scipy_loaded_after(tmp_path, [("canonical", cfg), ("fixed-point", cfg)]) == []
 
 
-def test_expm_run_loads_scipy_linalg(tmp_path):
-    text = OSCILLATOR_RUN_CFG.replace("dt = 0.01", "dt = 0.01\nmethod = expm")
-    cfg = write(tmp_path, "osc.cfg", text)
-    assert "scipy.linalg" in _scipy_loaded_after(tmp_path, [("simulate", cfg)])
+def test_no_run_loads_scipy_linalg_or_special(tmp_path):
+    # the exact flow is NumPy's own Pade expm, so expm runs load neither
+    osc = OSCILLATOR_RUN_CFG.replace("dt = 0.01", "dt = 0.01\nmethod = expm")
+    gp, gm = thermal_rates()
+    tilted = (TWO_LEVEL_CFG.format(gp=gp, gm=gm).replace("eps = 0, 0, 1", "eps = 0.6, 0, 0.8")
+              + "\n[dissipator]\nkind = gkls\n\n[bench]\napplications = 100\nchunks = 2\n")
+    calls = [("simulate", write(tmp_path, "osc.cfg", osc)),
+             ("simulate", write(tmp_path, "tilted.cfg", tilted)),
+             ("canonical", write(tmp_path, "rk4.cfg", osc.replace("expm", "rk4"))),
+             ("fixed-point", str(tmp_path / "osc.cfg")),
+             ("bench", str(tmp_path / "tilted.cfg")),
+             ("verify-algebra", write(tmp_path, "v.cfg", VERIFY_CFG.format(n=20)))]
+    assert _scipy_loaded_after(tmp_path, calls) == []

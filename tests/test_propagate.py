@@ -1,5 +1,6 @@
 """Tests for RK4/expm propagation, the superoperator, and diagnostics."""
 
+import math
 import sys
 import warnings
 
@@ -13,11 +14,14 @@ from ebloch.propagate import (
     PropagationError,
     _assemble,
     _diagnose,
+    expm,
     propagate,
 )
 from ebloch.stationary import FixedPointError, fixed_point, gibbs_state
 from ebloch.systems import (
     BathModel,
+    LadderSystem,
+    TransitionSpec,
     TwoLevelSystem,
     build_oscillator,
     build_two_level_hamiltonian,
@@ -73,6 +77,86 @@ def test_matrix_exp_against_taylor_series():
             series += term
         got = matrix_exp(A)
         assert np.linalg.norm(got - series) <= 1e-10 * np.linalg.norm(series)
+
+
+# ------------------------------------------------------------------------ expm
+
+
+def _squarings(A):
+    """Squarings that [13/13] Pade scaling and squaring takes for A."""
+    norm = np.linalg.norm(A, 1)
+    return max(0, math.ceil(math.log2(norm / 5.371920351148152))) if norm else 0
+
+
+def _rel_error(got, ref):
+    return np.linalg.norm(got - ref, 1) / np.linalg.norm(ref, 1)
+
+
+def test_expm_matches_scipy_on_the_exact_ladders_and_two_level_rates():
+    mats = []
+    for kind, N in (("eben", 32), ("gkls", 24)):
+        for T in (0.7, 1.5):
+            lad = build_oscillator(N, 1.0, "harmonic", BathModel(1.0, T))
+            mats += [RhsSpec.for_ladder(lad, kind).compiled.W * t for t in (0.02, 0.05)]
+    for kind in ("ebe2", "gkls"):
+        W = RhsSpec.for_two_level(thermal_two_level(eps=(0.6, 0.0, 0.8)), kind).compiled.W
+        mats += [W * t for t in (1e-3, 0.1, 1.0, 10.0, 100.0)]
+    for A in mats:
+        assert _rel_error(expm(A), scipy.linalg.expm(A)) <= 1e-14
+
+
+def test_expm_matches_scipy_on_random_rate_matrices():
+    """The bound covers both routines' own errors: SciPy's reaches 1.1e-14
+    (against a 50-digit reference) at 1-norms just above theta_13, and each
+    squaring can double either one, since the stationary mode of a rate
+    matrix has eigenvalue 1.  So it is 2e-14 up to three squarings and
+    doubles with each further one, to 6.4e-13 at eight."""
+    rng = np.random.default_rng(16)
+    seen = set()
+    for n in range(2, 9):
+        for norm in np.geomspace(1e-8, 1e3, 45):
+            W = rng.random((n, n))
+            np.fill_diagonal(W, 0.0)
+            W -= np.diag(W.sum(axis=0))
+            A = W * (norm / np.linalg.norm(W, 1))
+            s = _squarings(A)
+            seen.add(s)
+            assert _rel_error(expm(A), scipy.linalg.expm(A)) <= 2e-14 * max(1.0, 2.0 ** (s - 3))
+    assert seen == set(range(9))
+
+
+def test_expm_of_zero_is_the_identity_exactly():
+    for n in (1, 2, 5, 32):
+        np.testing.assert_array_equal(expm(np.zeros((n, n))), np.eye(n))
+
+
+def test_expm_of_a_non_finite_matrix_is_nan_and_the_run_stops_at_its_check():
+    assert np.isnan(expm(np.array([[-np.inf, 1.0], [0.0, 0.0]]))).all()
+    assert np.isnan(expm(np.array([[np.nan, 0.0], [0.0, 0.0]]))).all()
+    # two rates of 1e308 into the middle level: its W diagonal is -inf
+    lad = LadderSystem(3, (0.0, 1.0, 2.0), (TransitionSpec(0, 1, 1e308, 1e308, 1.0),
+                                            TransitionSpec(1, 2, 1e308, 1e308, 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow is the input
+        spec = RhsSpec.for_ladder(lad)
+        assert spec.compiled.W[1, 1] == -np.inf
+        with pytest.raises(PropagationError, match="step instability at t=0: rhs norm nan"):
+            propagate(spec, np.diag([1.0, 0.0, 0.0]), 0.1, 0.01)
+
+
+def test_each_distinct_record_gap_builds_one_expm_map(monkeypatch):
+    # the exact workload's grid: gaps 5, 5, 2 steps, so two maps
+    spec = RhsSpec.for_ladder(build_oscillator(6, 1.0, "harmonic", BathModel(1.0, 1.0)))
+    built = []
+    real = sys.modules["ebloch.propagate"].expm
+    monkeypatch.setattr(sys.modules["ebloch.propagate"], "expm",
+                        lambda A: built.append(A) or real(A))
+    traj = propagate(spec, gibbs_state(spec.hamiltonian, 2.0), 0.12, 0.01, "expm", 5)
+    assert len(traj.times) == 4
+    W = spec.compiled.W
+    assert len(built) == 2
+    np.testing.assert_array_equal(built[0], W * 0.05)
+    np.testing.assert_array_equal(built[1], W * 0.02)
 
 
 # -------------------------------------------------------------------- step_rk4

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from ebloch.dissipators import RhsSpec
-from ebloch.linalg import commutator, trace_distance
+from ebloch.linalg import commutator, hermitian_eig, trace_distance
 from ebloch.propagate import propagate
 from ebloch.stationary import (
+    _gibbs_weights,
     effective_temperature,
     fixed_point,
     gibbs_state,
@@ -63,6 +64,30 @@ def test_gibbs_commutes_with_hamiltonian():
     H = 0.5 * (A + A.conj().T)
     rho = gibbs_state(H, 0.7)
     assert np.linalg.norm(commutator(H, rho)) <= 1e-12
+
+
+def test_gibbs_state_of_a_diagonal_h_is_the_eigensolve_route_without_one(monkeypatch):
+    def eigh_route(H, T):
+        w, V = hermitian_eig(H)
+        return (V * _gibbs_weights(w, T)) @ V.conj().T
+
+    unsorted = LadderSystem(4, (0.0, 2.3, 0.7, 1.9), (TransitionSpec(0, 2, 0.1, 0.4, 0.7),
+                                                     TransitionSpec(2, 3, 0.2, 0.5, 1.2),
+                                                     TransitionSpec(3, 1, 0.3, 0.6, 0.4)))
+    hams = [build_oscillator(N, E, rule, BathModel(1.0, 1.0)).hamiltonian
+            for N in (2, 3, 7, 16, 32) for E in (0.3, 2.5) for rule in ("harmonic", "constant")]
+    hams += [unsorted.hamiltonian, build_two_level_hamiltonian(1.0, (0, 0, 1))]
+    cases = [(H, T) for H in hams for T in (0.2, 1.0, 5.0, math.inf)]
+    refs = [eigh_route(H, T) for H, T in cases]
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigensolve of a diagonal H")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for (H, T), ref in zip(cases, refs):
+        rho = gibbs_state(H, T)
+        assert rho.dtype == complex
+        np.testing.assert_array_equal(rho, ref)
 
 
 def test_gibbs_rejects_nonpositive_temperature():
