@@ -90,12 +90,11 @@ def _float_lines(table) -> list[str]:
 
 
 def format_matrix_text(M) -> str:
-    """State-matrix file format: one row per line, entries as re+imi pairs."""
-    M = as_matrix(M)
-    lines = []
-    for row in M:
-        lines.append(" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row))
-    return "\n".join(lines) + "\n"
+    """State-matrix file format: one row per line, entries as re+imi pairs,
+    each row written by one template of ``%.17g%+.17gi`` per entry."""
+    M = np.ascontiguousarray(as_matrix(M))
+    fmt = " ".join(["%.17g%+.17gi"] * len(M))
+    return "\n".join([fmt % tuple(row) for row in M.view(float).tolist()]) + "\n"
 
 
 def parse_matrix_text(text: str) -> np.ndarray:
@@ -106,7 +105,8 @@ def parse_matrix_text(text: str) -> np.ndarray:
         if not line or line.startswith("#"):
             continue
         try:
-            rows.append([complex(tok.replace("i", "j")) for tok in line.split()])
+            rows.append([complex(tok[:-1] + "j" if tok.endswith("i") else tok)
+                         for tok in line.split()])
         except ValueError as exc:
             raise ValueError(f"state file line {lineno}: {exc}") from None
     if not rows:
@@ -388,7 +388,7 @@ def run_simulate(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
         columns.append(traj.populations())
     if cfg.what in ("coherences", "all"):
         rows_i, cols_j = np.triu_indices(spec.dim, 1)
-        header += [f"abs_rho_{i}_{j}" for i, j in zip(rows_i, cols_j)]
+        header += [f"abs_rho_{i}_{j}" for i, j in zip(rows_i.tolist(), cols_j.tolist())]
         z = traj.states[:, rows_i, cols_j]
         # hypot writes the bits of abs() of each complex entry; np.abs on a
         # complex array can round differently
@@ -407,6 +407,9 @@ def run_simulate(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
 
 
 def run_fixed_point(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
+    """Write the fixed-point CSV and state file.  Under an exactly diagonal H
+    the state is diag(p) bit for bit, so row i is written as p[i] among
+    ``0+0i`` entries, in the text of :func:`format_matrix_text`."""
     spec = rhs_spec(cfg)
     report = fixed_point(spec, bath_T=cfg.bath_T)
     header = ["residual", "gibbs_distance", "spectral_gap", "commutator_norm",
@@ -416,7 +419,14 @@ def run_fixed_point(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
     path = _out(out_dir, cfg.out_path, "fixed_point.csv")
     _write_atomic(path, _csv(header, [f"{row},{report.multiplicity}"]))
     state_path = os.path.splitext(path)[0] + ".state.txt"
-    _write_atomic(state_path, format_matrix_text(report.rho_stationary))
+    rho = report.rho_stationary
+    if spec.compiled.V is None:
+        n = len(rho)
+        text = "".join(["0+0i " * i + "%.17g+0i" % x + " 0+0i" * (n - 1 - i) + "\n"
+                        for i, x in enumerate(rho.diagonal().real.tolist())])
+    else:
+        text = format_matrix_text(rho)
+    _write_atomic(state_path, text)
     return [path, state_path]
 
 

@@ -102,7 +102,8 @@ def _compile(spec: "RhsSpec") -> SplitGenerator:
         for k, (L, gamma) in enumerate(spec.jumps):
             if V is not None:
                 L = V.conj().T @ L @ V
-            nz = np.flatnonzero(np.abs(L) > JUMP_ZERO * np.abs(L).max())
+            mag = np.abs(L)
+            nz = np.flatnonzero(mag > JUMP_ZERO * mag.max())
             x, y = divmod(int(nz[0]), n) if nz.size == 1 else (0, 0)
             if x == y:
                 raise ValueError(

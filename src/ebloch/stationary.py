@@ -170,11 +170,13 @@ def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
         gibbs_distance = 0.5 * np.abs(p - _gibbs_weights(gen.E, bath_T)).sum()
     else:
         gibbs_distance = math.nan
+    # [H, diag(p)] is exactly 0 under a diagonal H: no dense products
+    comm = 0.0 if gen.V is None else float(np.linalg.norm(commutator(spec.hamiltonian, rho)))
     return FixedPointReport(
         rho_stationary=rho,
         residual=float(np.linalg.norm(gen.W @ p)),
         gibbs_distance=float(gibbs_distance),
         spectral_gap=spectral_gap,
-        commutator_norm=float(np.linalg.norm(commutator(spec.hamiltonian, rho))),
+        commutator_norm=comm,
         multiplicity=multiplicity,
     )

@@ -26,7 +26,7 @@ ALGEBRA_TOL = 1e-12
 
 
 def _check_rate(name: str, value: float) -> None:
-    if not (np.isfinite(value) and value >= 0.0):
+    if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{name} must be a finite non-negative rate, got {value}")
 
 
@@ -60,7 +60,7 @@ class TwoLevelSystem:
     gamma_pd: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.E) and self.E > 0.0):
+        if not (math.isfinite(self.E) and self.E > 0.0):
             raise ValueError(f"E must be a positive energy gap, got {self.E}")
         object.__setattr__(self, "eps", _unit_bloch_vector(self.eps))
         _check_rate("gamma_p", self.gamma_p)
@@ -106,7 +106,7 @@ class BathModel:
 
     def __post_init__(self):
         _check_rate("gamma", self.gamma)
-        if not (np.isfinite(self.T) and self.T > 0.0):
+        if not (math.isfinite(self.T) and self.T > 0.0):
             raise ValueError(f"T must be a positive temperature, got {self.T}")
 
 
@@ -125,7 +125,7 @@ class TransitionSpec:
             raise ValueError(f"invalid transition indices ({self.i}, {self.j})")
         _check_rate("gamma_p", self.gamma_p)
         _check_rate("gamma_m", self.gamma_m)
-        if not (np.isfinite(self.E_t) and self.E_t > 0.0):
+        if not (math.isfinite(self.E_t) and self.E_t > 0.0):
             raise ValueError(f"E_t must be positive, got {self.E_t}")
 
     @property
@@ -154,7 +154,7 @@ class LadderSystem:
         if len(energies) != self.N:
             raise ValueError(f"expected {self.N} energies, got {len(energies)}")
         for k, e in enumerate(energies):
-            if not np.isfinite(e):
+            if not math.isfinite(e):
                 raise ValueError(f"energy of level {k} must be finite, got {e}")
         object.__setattr__(self, "energies", energies)
         transitions = tuple(self.transitions)
@@ -231,7 +231,7 @@ class AlgebraReport:
 
 def build_two_level_hamiltonian(E: float, eps) -> np.ndarray:
     """(E/2)(eps_x sx + eps_y sy + eps_z sz): traceless Hermitian, gap E."""
-    if not (np.isfinite(E) and E > 0.0):
+    if not (math.isfinite(E) and E > 0.0):
         raise ValueError(f"E must be a positive energy gap, got {E}")
     ex, ey, ez = _unit_bloch_vector(eps)
     return 0.5 * E * (ex * SIGMA_X + ey * SIGMA_Y + ez * SIGMA_Z)
@@ -286,7 +286,7 @@ def verify_jump_algebra(pair: JumpOperatorPair, H, E) -> AlgebraReport:
 
 def fermi(E: float, T: float) -> float:
     """Fermi factor 1/(exp(E/T) + 1), overflow-safe for large |E/T|."""
-    if not (np.isfinite(T) and T > 0.0):
+    if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"T must be a positive temperature, got {T}")
     try:
         return 1.0 / (1.0 + math.exp(E / T))
@@ -300,7 +300,7 @@ def rates_from_bath(bath: BathModel, E: float) -> tuple[float, float]:
     The sum is exactly ``gamma`` and the ratio gamma_p/gamma_m equals
     exp(-E/T) to round-off (detailed balance).
     """
-    if not (np.isfinite(E) and E > 0.0):
+    if not (math.isfinite(E) and E > 0.0):
         raise ValueError(f"E must be a positive energy gap, got {E}")
     gamma_p = bath.gamma * fermi(E, bath.T)
     return gamma_p, bath.gamma - gamma_p
@@ -322,7 +322,7 @@ def build_oscillator(
     """
     if not isinstance(N, int) or N < 2:
         raise ValueError(f"N must be an integer >= 2, got {N}")
-    if not (np.isfinite(E) and E > 0.0):
+    if not (math.isfinite(E) and E > 0.0):
         raise ValueError(f"E must be a positive level spacing, got {E}")
     if isinstance(coupling, str):
         if coupling not in ("harmonic", "constant"):
@@ -334,7 +334,7 @@ def build_oscillator(
         if len(gammas) != N - 1:
             raise ValueError(f"coupling table needs {N - 1} entries, got {len(gammas)}")
     for i, g in enumerate(gammas):
-        if not (np.isfinite(g) and g >= 0.0):
+        if not (math.isfinite(g) and g >= 0.0):
             raise ValueError(f"coupling gamma_{i} must be non-negative, got {g}")
     energies = tuple(i * E for i in range(N))
     transitions = []

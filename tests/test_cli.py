@@ -23,6 +23,7 @@ from ebloch.cli import (
     rhs_spec,
 )
 from ebloch.dissipators import RhsSpec
+from ebloch.stationary import FixedPointReport, fixed_point
 from ebloch.systems import SIGMA_X, SIGMA_Z
 
 TWO_LEVEL_CFG = """\
@@ -249,6 +250,54 @@ def test_matrix_text_rejects_ragged_input():
         parse_matrix_text("1+0i 0+0i\n1+0i\n")
 
 
+def entry_text(M):
+    """State-file text written one entry at a time, the reference for the
+    row template and for the diagonal writer of ``fixed-point``."""
+    return "".join(" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row) + "\n"
+                   for row in np.asarray(M, dtype=complex))
+
+
+# nan, +-inf, -0, the smallest subnormal, a huge and negative values
+EDGE = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300,
+        -0.5, 0.1, 1 / 3]
+
+
+def complex_matrix(re, im):
+    M = np.empty(np.shape(re), dtype=complex)
+    M.real, M.imag = re, im
+    return M
+
+
+def test_matrix_text_row_template_writes_the_per_entry_text():
+    rng = np.random.default_rng(62)
+    edge = complex_matrix(rng.choice(EDGE, (12, 12)), rng.choice(EDGE, (12, 12)))
+    wide = complex_matrix(*rng.standard_normal((2, 40, 40)) * np.exp(
+        rng.uniform(-700.0, 700.0, (2, 40, 40))))
+    for M in (edge, edge.T, wide, wide[::2, 1::2], np.diag(EDGE).astype(complex)):
+        assert format_matrix_text(M) == entry_text(M)
+    assert format_matrix_text([[complex(-0.0, 5e-324)]]) == "-0+4.9406564584124654e-324i\n"
+
+
+@pytest.mark.parametrize("entry", ["inf+0i", "-inf+0i", "0+infi", "0-infi", "nan+0i",
+                                   "1+nani"])
+def test_matrix_text_with_a_non_finite_entry_is_rejected_as_non_finite(entry):
+    # only the trailing imaginary unit is read as j, so "inf" parses
+    with pytest.raises(ValueError, match="state file contains non-finite entries"):
+        parse_matrix_text(f"{entry} 0+0i\n0+0i 1+0i\n")
+
+
+def test_state_file_with_an_infinite_entry_exits_as_validation(tmp_path, capsys):
+    gp, gm = thermal_rates()
+    state_path = write(tmp_path, "rho0.txt",
+                       format_matrix_text(complex_matrix([[math.inf, 0], [0, 1]], 0.0)))
+    text = TWO_LEVEL_CFG.format(gp=gp, gm=gm).replace(
+        "type = gibbs\nT = 1.0", f"type = file\npath = {state_path}")
+    cfg = write(tmp_path, "inf.cfg", text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "validation", "messages": ["state file contains non-finite entries"]}
+
+
 # ------------------------------------------------------------------ CSV rows
 
 
@@ -439,6 +488,58 @@ def test_fixed_point_outputs_report_and_state(tmp_path):
     rho = parse_matrix_text((tmp_path / "traj.state.txt").read_text())
     assert rho.shape == (2, 2)
     assert abs(np.trace(rho) - 1.0) <= 1e-12
+
+
+FIXED_POINT_SYSTEMS = {
+    "eben32": "[system]\ntype = oscillator\nN = 32\nspacing = 1.0\nbath_T = 0.7\n",
+    "gkls24": "[system]\ntype = oscillator\nN = 24\nspacing = 1.0\nbath_T = 1.3\n"
+              "coupling_rule = constant\n[dissipator]\nkind = gkls\n",
+    "explicit": CONFIG_SYSTEMS["explicit"][0],
+    "tilted_ebe2": CONFIG_SYSTEMS["two_level"][0],
+    "tilted_gkls": CONFIG_SYSTEMS["two_level"][0] + "[dissipator]\nkind = gkls\n",
+}
+
+
+@pytest.mark.parametrize("system", sorted(FIXED_POINT_SYSTEMS))
+def test_fixed_point_state_file_is_the_per_entry_text(tmp_path, system):
+    text = FIXED_POINT_SYSTEMS[system] + "[output]\npath = fp.csv\n"
+    cfg = parse_config(text)
+    report = fixed_point(rhs_spec(cfg), bath_T=cfg.bath_T)
+    assert main(["fixed-point", "--config", write(tmp_path, "fp.cfg", text),
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "fp.state.txt").read_text() == entry_text(report.rho_stationary)
+
+
+@pytest.mark.parametrize("system", ["eben32", "tilted_gkls"])
+def test_fixed_point_state_writers_keep_edge_values(tmp_path, monkeypatch, system):
+    # a ladder (V None) writes row i from p[i]; a tilted H writes the matrix
+    from ebloch import cli
+
+    text = FIXED_POINT_SYSTEMS[system] + "[output]\npath = fp.csv\n"
+    dim = rhs_spec(parse_config(text)).dim
+    rng = np.random.default_rng(63)
+    if system == "eben32":
+        rho = np.diag(rng.choice(EDGE, dim)).astype(complex)
+        rho[np.arange(len(EDGE)), np.arange(len(EDGE))] = EDGE
+    else:
+        rho = complex_matrix(rng.choice(EDGE, (dim, dim)), rng.choice(EDGE, (dim, dim)))
+    report = FixedPointReport(rho, 0.0, 0.0, 1.0, 0.0, 1)
+    monkeypatch.setattr(cli, "fixed_point", lambda spec, bath_T=None: report)
+    assert main(["fixed-point", "--config", write(tmp_path, "fp.cfg", text),
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "fp.state.txt").read_text() == entry_text(rho)
+
+
+def test_simulate_coherence_header_names_every_pair_at_n32(tmp_path):
+    text = (FIXED_POINT_SYSTEMS["eben32"] + "[integration]\nt_final = 0.1\ndt = 0.05\n"
+            "[output]\npath = sim.csv\nwhat = all\n")
+    assert main(["simulate", "--config", write(tmp_path, "sim.cfg", text),
+                 "--out", str(tmp_path)]) == 0
+    _, header, _ = read_csv(tmp_path / "sim.csv")
+    rows_i, cols_j = np.triu_indices(32, 1)
+    assert header == ["t", *[f"p_{i}" for i in range(32)],
+                      *[f"abs_rho_{i}_{j}" for i, j in zip(rows_i, cols_j)],
+                      "trace_dev", "min_eig"]
 
 
 def test_spec_without_a_split_exits_as_validation(tmp_path, capsys, monkeypatch):

@@ -292,6 +292,28 @@ def test_fixed_point_and_a_gibbs_start_take_no_dense_eigensolve(monkeypatch):
     traj = propagate(spec, rho0, 1.0, 0.1, "expm", 1)
     assert traj.min_eig.min() > 0.0
 
+
+def test_fixed_point_of_a_diagonal_h_forms_no_commutator(monkeypatch):
+    # [H, diag(p)] is exactly 0 under a diagonal H, so commutator_norm is
+    # 0.0 without the two dense products
+    import ebloch.stationary as stationary
+
+    def dense_commutator(*args):
+        raise AssertionError("dense commutator under a diagonal H")
+
+    ladders = 0
+    for spec, T in _fixed_point_specs():
+        if spec.compiled.V is not None:
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(stationary, "commutator", dense_commutator)
+            report = fixed_point(spec, T)
+        dense = float(np.linalg.norm(commutator(spec.hamiltonian, report.rho_stationary)))
+        assert report.commutator_norm == dense == 0.0
+        assert math.copysign(1.0, report.commutator_norm) == 1.0
+        ladders += 1
+    assert ladders > 0
+
 # ------------------------------------------------------- effective_temperature
 
 
