@@ -25,8 +25,7 @@ bath = BathModel(gamma=1.0, T=T)
 for rule in ("harmonic", "constant", [1.0 + i * i for i in range(N - 1)]):
     ladder = build_oscillator(N, E, rule, bath)
     report = fixed_point(RhsSpec.for_ladder(ladder))
-    p = np.diag(report.rho_stationary).real
-    ratios = p[1:10] / p[:9]
+    ratios = report.p[1:10] / report.p[:9]
     label = rule if isinstance(rule, str) else "gamma_i = 1 + i^2"
     print(f"coupling rule: {label}")
     print(f"  population ratios p_(i+1)/p_i (levels 0..8):")

@@ -3,7 +3,6 @@ conservation: canonically scaled jump operators, jump-free dissipator
 kernels, propagation, fixed points and canonical-invariance diagnostics."""
 
 from .linalg import (
-    commutator,
     herm_part,
     hermitian_eig,
     is_hermitian,

@@ -408,24 +408,22 @@ def run_simulate(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
 
 def run_fixed_point(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
     """Write the fixed-point CSV and state file.  Under an exactly diagonal H
-    the state is diag(p) bit for bit, so row i is written as p[i] among
-    ``0+0i`` entries, in the text of :func:`format_matrix_text`."""
+    the state is diag(p) bit for bit, so row i is written from ``report.p``
+    as p[i] among ``0+0i`` entries, in the text of
+    :func:`format_matrix_text`; no state matrix is built."""
     spec = rhs_spec(cfg)
     report = fixed_point(spec, bath_T=cfg.bath_T)
-    header = ["residual", "gibbs_distance", "spectral_gap", "commutator_norm",
-              "multiplicity"]
-    [row] = _float_lines([[report.residual, report.gibbs_distance,
-                           report.spectral_gap, report.commutator_norm]])
+    header = ["residual", "gibbs_distance", "spectral_gap", "multiplicity"]
+    [row] = _float_lines([[report.residual, report.gibbs_distance, report.spectral_gap]])
     path = _out(out_dir, cfg.out_path, "fixed_point.csv")
     _write_atomic(path, _csv(header, [f"{row},{report.multiplicity}"]))
     state_path = os.path.splitext(path)[0] + ".state.txt"
-    rho = report.rho_stationary
     if spec.compiled.V is None:
-        n = len(rho)
-        text = "".join(["0+0i " * i + "%.17g+0i" % x + " 0+0i" * (n - 1 - i) + "\n"
-                        for i, x in enumerate(rho.diagonal().real.tolist())])
+        p = report.p.tolist()
+        text = "".join(["0+0i " * i + "%.17g+0i" % x + " 0+0i" * (len(p) - 1 - i) + "\n"
+                        for i, x in enumerate(p)])
     else:
-        text = format_matrix_text(rho)
+        text = format_matrix_text(report.rho_stationary)
     _write_atomic(state_path, text)
     return [path, state_path]
 

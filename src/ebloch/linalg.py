@@ -31,25 +31,15 @@ def herm_part(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.conj().swapaxes(-2, -1))
 
 
-def _scale(A: np.ndarray) -> float:
-    return max(1.0, float(np.abs(A).max()))
-
-
 def is_hermitian(A, tol: float = HERMITICITY_TOL) -> bool:
-    M = as_matrix(A)
-    return bool(np.abs(M - M.conj().T).max() <= tol * _scale(M))
-
-
-def _check_same_dim(A: np.ndarray, B: np.ndarray) -> None:
-    if A.shape != B.shape:
-        raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
-
-
-def commutator(A, B) -> np.ndarray:
-    """[A, B] = AB - BA.  Traceless to round-off for any inputs."""
-    A, B = as_matrix(A), as_matrix(B)
-    _check_same_dim(A, B)
-    return A @ B - B @ A
+    """Whether ``A``, one (d, d) matrix or each matrix of an (n, d, d) stack,
+    deviates from its conjugate transpose by at most ``tol`` times max(1, its
+    largest entry)."""
+    M = np.asarray(A, dtype=complex)
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"expected a square matrix or an (n, d, d) stack, got shape {M.shape}")
+    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
+    return bool(np.all(np.abs(M - M.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= tol * scale))
 
 
 def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
@@ -59,18 +49,13 @@ def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
     ``eigh`` call.  Returns ``(w, V)`` with ``w`` ascending, of shape (d,) or
     (n, d), and orthonormal columns ``V`` of the shape of ``H``.  Each column
     is rotated so that its largest-magnitude component (first index on ties)
-    is real and positive.  Raises ``ValueError`` if any matrix deviates from
-    Hermiticity by more than ``HERMITICITY_TOL`` times max(1, its largest
-    entry).
+    is real and positive.  Raises ``ValueError`` unless :func:`is_hermitian`
+    holds.
     """
     M = np.asarray(H, dtype=complex)
-    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
-        raise ValueError(f"expected a square matrix or an (n, d, d) stack, got shape {M.shape}")
-    Mh = M.conj().swapaxes(-1, -2)
-    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
-    if not np.all(np.abs(M - Mh).max(axis=(-2, -1)) <= HERMITICITY_TOL * scale):
+    if not is_hermitian(M):
         raise ValueError("matrix is not Hermitian within tolerance")
-    w, V = np.linalg.eigh(0.5 * (M + Mh))
+    w, V = np.linalg.eigh(herm_part(M))
     top = np.take_along_axis(V, np.abs(V).argmax(axis=-2)[..., None, :], axis=-2)
     return w, V * (top.conj() / np.abs(top))
 

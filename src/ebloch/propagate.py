@@ -45,14 +45,15 @@ class Trajectory:
 
     ``trace_dev``, ``min_eig`` and ``top_pop`` (NaN without a ladder) hold
     one value per recorded time, computed from the records in the
-    eigenbasis.  The records are kept in the eigenbasis of H as the (n_times, dim) populations and the (n_times, k)
-    coherences s_ab of the k pairs a < b that are nonzero at the start;
-    every other coherence is zero for all time.  ``states`` assembles the
-    (n_times, dim, dim) stack of density matrices from them, with s_ba =
-    conj(s_ab), and rotates it out of the eigenbasis anew whenever it is
-    read; a read whose stack would exceed ``MAX_RECORD_BYTES`` raises
-    ``ValueError`` before allocating.  :meth:`populations` reads the records,
-    never ``states``.  ``warnings`` lists every warning of the run.
+    eigenbasis.  The records are kept in the eigenbasis of H as the
+    (n_times, dim) populations and the (n_times, k) coherences s_ab of the
+    k pairs a < b that are nonzero at the start; every other coherence is
+    zero for all time.  ``states`` assembles the (n_times, dim, dim) stack
+    of density matrices from them, with s_ba = conj(s_ab), and rotates it
+    out of the eigenbasis anew whenever it is read; a read whose stack would
+    exceed ``MAX_RECORD_BYTES`` raises ``ValueError`` before allocating.
+    :meth:`populations` reads the records, never ``states``.  ``warnings``
+    lists every warning of the run.
     """
 
     times: np.ndarray

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dissipators import RhsSpec
-from .linalg import as_matrix, commutator, hermitian_eig
+from .dissipators import RhsSpec, SplitGenerator
+from .linalg import as_matrix, hermitian_eig
 from .propagate import AMPLIFY_TOL
 from .systems import TwoLevelSystem
 
@@ -23,20 +23,25 @@ class FixedPointError(RuntimeError):
 class FixedPointReport:
     """Numerical fixed point plus the quality measures attached to it.
 
-    ``gibbs_distance`` is NaN when no bath temperature applies (non-thermal
-    rates).  ``spectral_gap`` is the slowest decaying rate, -max(Re lambda)
-    over eigenvalues with Re lambda < -``ZERO_EIG_TOL`` (-1e-10), which
-    excludes purely oscillatory modes; NaN if none.  ``commutator_norm`` reports
-    ||[H, rho]||_F of a state built diagonal in the eigenbasis of H: only the
-    round-off of rotating it out, exactly 0 when H is exactly diagonal.
+    ``p`` holds the stationary populations in the eigenbasis of H, where the
+    state is diag(p).  ``rho_stationary`` rotates diag(p) out of that basis
+    anew whenever it is read.  ``gibbs_distance`` is NaN when no bath
+    temperature applies (non-thermal rates).  ``spectral_gap`` is the slowest
+    decaying rate, -max(Re lambda) over eigenvalues with Re lambda <
+    -``ZERO_EIG_TOL`` (-1e-10), which excludes purely oscillatory modes; NaN
+    if none.
     """
 
-    rho_stationary: np.ndarray
+    p: np.ndarray
     residual: float
     gibbs_distance: float
     spectral_gap: float
-    commutator_norm: float
     multiplicity: int
+    _gen: SplitGenerator = field(repr=False)
+
+    @property
+    def rho_stationary(self) -> np.ndarray:
+        return self._gen.rotate_out(np.diag(self.p).astype(complex))
 
 
 def _gibbs_weights(E: np.ndarray, T: float) -> np.ndarray:
@@ -122,16 +127,17 @@ def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
     for a spec that does not split), so no superoperator is built and
     ladders of any size are accepted.  The spectrum is eig(W) plus the
     coherence rates C.  The stationary state is diag(p) in the eigenbasis
-    of H, rotated out as V diag(p) V^dag, with p the trace-normalized real
-    part of the eigenvector of W whose eigenvalue lies nearest zero.
-    ``multiplicity`` counts the eigenvalues within 1e-10 of zero; when it
-    exceeds one (disconnected transition graphs) the reported state is the
-    near-null direction of W with the largest trace.  Raises
-    :class:`FixedPointError` when no eigenvalue lies within 1e-6 of zero or
-    when the spectrum has real part above 1e-10 (amplifying modes).  The
-    measures are taken in the eigenbasis, where the state is diag(p):
-    ``residual`` is ||W p|| and ``gibbs_distance`` is (1/2) sum |p - g|, g
-    the Gibbs weights of the energies E (both states being diagonal there).
+    of H, with p the trace-normalized real part of the eigenvector of W
+    whose eigenvalue lies nearest zero; the report keeps p and rotates the
+    state out only when it is read.  ``multiplicity`` counts the eigenvalues
+    within 1e-10 of zero; when it exceeds one (disconnected transition
+    graphs) the reported state is the near-null direction of W with the
+    largest trace.  Raises :class:`FixedPointError` when no eigenvalue lies
+    within 1e-6 of zero or when the spectrum has real part above 1e-10
+    (amplifying modes).  The measures are taken in the eigenbasis, where the
+    state is diag(p): ``residual`` is ||W p|| and ``gibbs_distance`` is
+    (1/2) sum |p - g|, g the Gibbs weights of the energies E (both states
+    being diagonal there).
     """
     gen = spec.compiled
     if gen.max_growth > AMPLIFY_TOL:
@@ -158,7 +164,6 @@ def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
         raise FixedPointError("stationary direction has (near-)zero trace")
     p = v / tr
 
-    rho = gen.rotate_out(np.diag(p).astype(complex))
     # purely oscillatory modes (undamped cross-block coherences on ladders)
     # carry Re lambda = 0 and do not bound relaxation: the gap is the slowest
     # actually-decaying rate
@@ -170,13 +175,11 @@ def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
         gibbs_distance = 0.5 * np.abs(p - _gibbs_weights(gen.E, bath_T)).sum()
     else:
         gibbs_distance = math.nan
-    # [H, diag(p)] is exactly 0 under a diagonal H: no dense products
-    comm = 0.0 if gen.V is None else float(np.linalg.norm(commutator(spec.hamiltonian, rho)))
     return FixedPointReport(
-        rho_stationary=rho,
+        p=p,
         residual=float(np.linalg.norm(gen.W @ p)),
         gibbs_distance=float(gibbs_distance),
         spectral_gap=spectral_gap,
-        commutator_norm=comm,
         multiplicity=multiplicity,
+        _gen=gen,
     )

@@ -12,7 +12,8 @@ these independent routes stay here, out of its API:
   transition of the multi-level elemental-Bloch kernel;
 * :func:`split_apply` applies a :class:`ebloch.dissipators.SplitGenerator`
   to a dense matrix of its eigenbasis, and :func:`is_psd` tests positivity
-  with a dense eigensolve.
+  with a dense eigensolve;
+* :func:`commutator` forms [A, B] with two dense products.
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ MAX_SUPEROP_DIM = 64
 def vectorize(M) -> np.ndarray:
     """Column-stacking vectorization of a square matrix."""
     return as_matrix(M).reshape(-1, order="F")
+
+
+def commutator(A, B) -> np.ndarray:
+    """[A, B] = AB - BA."""
+    A, B = as_matrix(A), as_matrix(B)
+    return A @ B - B @ A
 
 
 def is_psd(A, tol: float = 1e-8) -> bool:

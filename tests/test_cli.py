@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -480,8 +481,7 @@ def test_fixed_point_outputs_report_and_state(tmp_path):
     cfg = write(tmp_path, "fp.cfg", TWO_LEVEL_CFG.format(gp=gp, gm=gm))
     assert main(["fixed-point", "--config", cfg, "--out", str(tmp_path)]) == 0
     comments, header, rows = read_csv(tmp_path / "traj.csv")
-    assert header == ["residual", "gibbs_distance", "spectral_gap", "commutator_norm",
-                      "multiplicity"]
+    assert header == ["residual", "gibbs_distance", "spectral_gap", "multiplicity"]
     vals = dict(zip(header, rows[0]))
     assert float(vals["residual"]) <= 1e-10
     assert float(vals["gibbs_distance"]) <= 1e-10
@@ -512,22 +512,25 @@ def test_fixed_point_state_file_is_the_per_entry_text(tmp_path, system):
 
 @pytest.mark.parametrize("system", ["eben32", "tilted_gkls"])
 def test_fixed_point_state_writers_keep_edge_values(tmp_path, monkeypatch, system):
-    # a ladder (V None) writes row i from p[i]; a tilted H writes the matrix
+    # a ladder (V None) writes row i from p[i]; a tilted H writes its
+    # rotated-out state through format_matrix_text
     from ebloch import cli
 
     text = FIXED_POINT_SYSTEMS[system] + "[output]\npath = fp.csv\n"
-    dim = rhs_spec(parse_config(text)).dim
+    spec = rhs_spec(parse_config(text))
     rng = np.random.default_rng(63)
-    if system == "eben32":
-        rho = np.diag(rng.choice(EDGE, dim)).astype(complex)
-        rho[np.arange(len(EDGE)), np.arange(len(EDGE))] = EDGE
-    else:
-        rho = complex_matrix(rng.choice(EDGE, (dim, dim)), rng.choice(EDGE, (dim, dim)))
-    report = FixedPointReport(rho, 0.0, 0.0, 1.0, 0.0, 1)
+    if system == "tilted_gkls":
+        rho = complex_matrix(rng.choice(EDGE, (spec.dim, spec.dim)),
+                             rng.choice(EDGE, (spec.dim, spec.dim)))
+        assert format_matrix_text(rho) == entry_text(rho)
+        return
+    p = rng.choice(EDGE, spec.dim)
+    p[:len(EDGE)] = EDGE
+    report = FixedPointReport(p, 0.0, 0.0, 1.0, 1, spec.compiled)
     monkeypatch.setattr(cli, "fixed_point", lambda spec, bath_T=None: report)
     assert main(["fixed-point", "--config", write(tmp_path, "fp.cfg", text),
                  "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "fp.state.txt").read_text() == entry_text(rho)
+    assert (tmp_path / "fp.state.txt").read_text() == entry_text(np.diag(p).astype(complex))
 
 
 def test_simulate_coherence_header_names_every_pair_at_n32(tmp_path):
@@ -802,6 +805,34 @@ path = bench.csv
     _, header, rows = read_csv(tmp_path / "bench.csv")
     sums = {r[header.index("kernel")]: r[header.index("checksum")] for r in rows}
     assert sums["eben"] == sums["gkls"]
+
+
+def readme_csv_columns() -> dict:
+    """Backticked column names of each bullet under README's "CSV columns
+    per subcommand", up to the bullet's first ';' or full stop."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("CSV columns per subcommand:\n", 1)[1].strip().split("\n\n", 1)[0]
+    columns = {}
+    for bullet in section.split("\n* "):
+        name, body = " ".join(bullet.lstrip("* ").split()).split(": ", 1)
+        columns[name.strip("`")] = re.findall(r"`([^`]+)`", re.split(r";|\.(?: |$)", body)[0])
+    return columns
+
+
+def test_readme_csv_columns_are_the_headers_the_cli_writes(tmp_path):
+    gp, gm = thermal_rates()
+    two_level = TWO_LEVEL_CFG.format(gp=gp, gm=gm) + "[bench]\napplications = 8\nchunks = 2\n"
+    ladder = ("[system]\ntype = oscillator\nN = 4\nspacing = 1.0\nbath_T = 1.0\n"
+              "[integration]\nt_final = 0.1\ndt = 0.01\nrecord_every = 5\n"
+              "[canonical]\nT0 = 2.0\n[output]\npath = traj.csv\n")
+    documented = readme_csv_columns()
+    for command, text in (("fixed-point", two_level), ("canonical", ladder),
+                          ("bench", two_level)):
+        out = tmp_path / command
+        assert main([command, "--config", write(tmp_path, f"{command}.cfg", text),
+                     "--out", str(out)]) == 0
+        _, header, _ = read_csv(out / "traj.csv")
+        assert documented[command] == header, command
 
 
 def test_linear_algebra_failure_exits_as_numerical(tmp_path, capsys, monkeypatch):

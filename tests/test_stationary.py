@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ebloch.dissipators import RhsSpec
-from ebloch.linalg import commutator, hermitian_eig, trace_distance
+from ebloch.dissipators import RhsSpec, SplitGenerator
+from ebloch.linalg import hermitian_eig, trace_distance
 from ebloch.propagate import propagate
 from ebloch.stationary import (
     _gibbs_weights,
@@ -24,7 +24,7 @@ from ebloch.systems import (
     build_two_level_hamiltonian,
     rates_from_bath,
 )
-from oracles import is_psd, split_apply
+from oracles import commutator, is_psd, split_apply
 
 
 def thermal_two_level(E, T, gamma=1.0, eps=(0.6, 0.0, 0.8)):
@@ -140,7 +140,6 @@ def test_fixed_point_matches_analytic_and_gibbs():
         assert report.residual <= 1e-10
         assert report.multiplicity == 1
         assert report.spectral_gap > 0
-        assert report.commutator_norm <= 1e-10
 
 
 def test_fixed_point_nonthermal_rates_match_closed_form_only():
@@ -293,26 +292,32 @@ def test_fixed_point_and_a_gibbs_start_take_no_dense_eigensolve(monkeypatch):
     assert traj.min_eig.min() > 0.0
 
 
-def test_fixed_point_of_a_diagonal_h_forms_no_commutator(monkeypatch):
-    # [H, diag(p)] is exactly 0 under a diagonal H, so commutator_norm is
-    # 0.0 without the two dense products
-    import ebloch.stationary as stationary
+def test_fixed_point_rotates_its_state_out_only_when_read(monkeypatch):
+    # the report keeps p in the eigenbasis: fixed_point makes no rotate_out
+    # call, and each read of rho_stationary makes one and returns the
+    # rotated-out diag(p) bit for bit
+    rotate_out = SplitGenerator.rotate_out
+    calls = []
 
-    def dense_commutator(*args):
-        raise AssertionError("dense commutator under a diagonal H")
+    def counted(self, s):
+        calls.append(s)
+        return rotate_out(self, s)
 
-    ladders = 0
-    for spec, T in _fixed_point_specs():
-        if spec.compiled.V is not None:
-            continue
-        with monkeypatch.context() as patch:
-            patch.setattr(stationary, "commutator", dense_commutator)
-            report = fixed_point(spec, T)
-        dense = float(np.linalg.norm(commutator(spec.hamiltonian, report.rho_stationary)))
-        assert report.commutator_norm == dense == 0.0
-        assert math.copysign(1.0, report.commutator_norm) == 1.0
-        ladders += 1
-    assert ladders > 0
+    monkeypatch.setattr(SplitGenerator, "rotate_out", counted)
+    ladder = RhsSpec.for_ladder(build_oscillator(8, 1.0, "harmonic", BathModel(1.0, 1.0)))
+    tilted = RhsSpec.for_two_level(thermal_two_level(1.0, 1.0, eps=(0.48, 0.36, 0.8)))
+    assert ladder.compiled.V is None and tilted.compiled.V is not None
+    for spec in (ladder, tilted):
+        report = fixed_point(spec)
+        assert calls == []
+        eager = rotate_out(spec.compiled, np.diag(report.p).astype(complex))
+        for reads in (1, 2):
+            rho = report.rho_stationary
+            assert len(calls) == reads
+            assert rho.dtype == eager.dtype and rho.shape == eager.shape
+            assert rho.tobytes() == eager.tobytes()
+        calls.clear()
+
 
 # ------------------------------------------------------- effective_temperature
 

@@ -8,7 +8,6 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebloch.linalg import commutator
 from ebloch.systems import (
     BathModel,
     JumpOperatorPair,
@@ -22,7 +21,7 @@ from ebloch.systems import (
     rates_from_bath,
     verify_jump_algebra,
 )
-from oracles import transition_projector
+from oracles import commutator, transition_projector
 
 
 def random_direction(rng):
