@@ -192,6 +192,9 @@ def _build_system(r: _Reader):
         if has_rates:
             gp = r.get("system", "gamma_p", float, default=0.0)
             gm = r.get("system", "gamma_m", float, default=0.0)
+            for key in ("gamma", "bath_T"):
+                if r.cp.has_option("system", key):
+                    r.errors.append(f"[system] {key} cannot be combined with gamma_p/gamma_m")
         else:
             gamma = r.get("system", "gamma", float)
             bath_T = r.get("system", "bath_T", float)
@@ -201,8 +204,7 @@ def _build_system(r: _Reader):
         try:
             if gp is None:
                 gp, gm = rates_from_bath(BathModel(gamma=gamma, T=bath_T), E)
-            system = TwoLevelSystem(E=E, eps=eps, gamma_p=gp, gamma_m=gm,
-                                    gamma_pd=abs(gamma_pd))
+            system = TwoLevelSystem(E=E, eps=eps, gamma_p=gp, gamma_m=gm)
         except (TypeError, ValueError) as exc:
             r.errors.append(f"[system] {exc}")
     elif kind == "oscillator":
@@ -215,6 +217,9 @@ def _build_system(r: _Reader):
         table = r.get("system", "gamma_table", _floats, default=None)
         if rule == "table" and table is None:
             r.errors.append("[system] coupling_rule = table needs gamma_table")
+        if rule in ("harmonic", "constant") and r.cp.has_option("system", "gamma_table"):
+            r.errors.append(f"[system] gamma_table is read only under coupling_rule = table, "
+                            f"not {rule}")
         if r.errors or None in (N, spacing, bath_T):
             return None, kind, gamma_pd, bath_T
         coupling = table if rule == "table" else rule

@@ -93,8 +93,9 @@ def _compile(spec: "RhsSpec") -> SplitGenerator:
     else:
         energies, V = energies.real, None
     n = spec.dim
+    system = spec.two_level or spec.ladder
     # population moves: rate[k] carries population from level src[k] to dst[k]
-    if spec.kind == "gkls":
+    if system is None:
         # L = c|x><y| moves population from y to x at gamma |c|^2
         dst = np.zeros(len(spec.jumps), dtype=np.intp)
         src = np.zeros_like(dst)
@@ -112,17 +113,12 @@ def _compile(spec: "RhsSpec") -> SplitGenerator:
                     "populations and coherences")
             dst[k], src[k], rate[k] = x, y, gamma * abs(L[x, y]) ** 2
     else:
-        if spec.kind == "ebe2":
-            sys = spec.two_level
-            if not np.array_equal(H, sys.hamiltonian):
-                raise ValueError("kind 'ebe2' splits only under its system's own Hamiltonian")
+        if spec.ladder is None:
             # one transition from the lower to the upper eigenlevel
             ii, jj = np.argsort(energies)[:, None]
-            gp, gm = np.array([sys.gamma_p]), np.array([sys.gamma_m])
-        elif V is None:
-            ii, jj, gp, gm = spec.ladder.transition_arrays
+            gp, gm = np.array([system.gamma_p]), np.array([system.gamma_m])
         else:
-            raise ValueError("kind 'eben' needs an exactly diagonal Hamiltonian")
+            ii, jj, gp, gm = system.transition_arrays
         # gp lifts population from i to j, gm lowers it from j to i
         dst, src = np.concatenate([jj, ii]), np.concatenate([ii, jj])
         rate = np.concatenate([gp, gm])
@@ -150,6 +146,12 @@ def _compile(spec: "RhsSpec") -> SplitGenerator:
 class RhsSpec:
     """Everything needed to evaluate d(rho)/dt.
 
+    A spec holds at most one system (a ``two_level`` for ``ebe2``, a
+    ``ladder`` for ``eben``, either for their ``gkls`` twins); it then runs
+    under that system's own Hamiltonian and takes no ``jumps``, as it
+    compiles from the system's transitions.  Other specs are ``gkls`` specs
+    with their ``jumps`` as given (none: a closed system).
+
     ``gamma_pd`` is the signed coefficient with which the double commutator
     [H, [H, rho]] is added to the assembled equation.  It is applied exactly
     as written; a damping term therefore needs a negative value (for a
@@ -172,16 +174,14 @@ class RhsSpec:
         object.__setattr__(self, "hamiltonian", H)
         if self.kind not in KINDS:
             raise ValueError(f"dissipator kind must be one of {KINDS}, got {self.kind!r}")
-        if self.kind == "ebe2":
-            if self.two_level is None:
-                raise ValueError("kind 'ebe2' needs a TwoLevelSystem payload")
-            if H.shape != (2, 2):
-                raise ValueError("kind 'ebe2' needs a 2x2 Hamiltonian")
-        if self.kind == "eben":
-            if self.ladder is None:
-                raise ValueError("kind 'eben' needs a LadderSystem payload")
-            if H.shape != (self.ladder.N, self.ladder.N):
-                raise ValueError("Hamiltonian dimension does not match the ladder")
+        needs = {"ebe2": TwoLevelSystem, "eben": LadderSystem}.get(self.kind)
+        system = self.two_level or self.ladder
+        if needs is not None and not isinstance(system, needs):
+            raise ValueError(f"kind {self.kind!r} needs a {needs.__name__} payload")
+        if system is not None and (self.jumps or (self.two_level and self.ladder)
+                                   or not np.array_equal(H, system.hamiltonian)):
+            raise ValueError("a system spec takes one system, runs under that system's "
+                             "own Hamiltonian and takes no explicit jump list")
         jumps = []
         for L, gamma in self.jumps:
             L = as_matrix(L)
@@ -191,8 +191,6 @@ class RhsSpec:
             if not (np.isfinite(gamma) and gamma >= 0.0):
                 raise ValueError(f"jump rates must be non-negative, got {gamma}")
             jumps.append((L, gamma))
-        if self.kind == "gkls" and not jumps and (self.two_level or self.ladder):
-            raise ValueError("kind 'gkls' with a system payload needs an explicit jump list")
         object.__setattr__(self, "jumps", tuple(jumps))
         if not np.isfinite(self.gamma_pd):
             raise ValueError("gamma_pd must be finite")
@@ -203,10 +201,17 @@ class RhsSpec:
 
     @cached_property
     def jump_terms(self) -> tuple:
-        """``(K, ((gamma, L, L^dag), ...))`` with K = sum_j gamma_j L_j^dag L_j,
-        precomputed once; any real jump-operator solver would hoist these out
-        of the propagation loop."""
-        terms = tuple((gamma, L, L.conj().T) for L, gamma in self.jumps)
+        """``(K, ((gamma, L, L^dag), ...))`` with K = sum_j gamma_j L_j^dag L_j
+        over the explicit jumps or a system's GKLS jumps (the canonical pair
+        at (gamma_p, gamma_m), or :func:`ladder_jump_list`), built on first use."""
+        jumps = self.jumps
+        if self.two_level is not None:
+            pair = jump_operators(self.hamiltonian)
+            jumps = ((pair.sigma_p, self.two_level.gamma_p),
+                     (pair.sigma_m, self.two_level.gamma_m))
+        elif self.ladder is not None:
+            jumps = ladder_jump_list(self.ladder)
+        terms = tuple((gamma, L, L.conj().T) for L, gamma in jumps)
         K = np.zeros_like(self.hamiltonian)
         for gamma, L, Ld in terms:
             K += gamma * (Ld @ L)
@@ -217,13 +222,13 @@ class RhsSpec:
         """The spec's :class:`SplitGenerator` in the eigenbasis of H.
 
         An exactly diagonal H is used as it is (``V`` is None); any other H
-        is diagonalized by :func:`~ebloch.linalg.hermitian_eig`.  ``eben``
-        and ``ebe2`` are transitions between levels; each ``gkls`` jump,
-        rotated to V^dag L V, must be a single off-diagonal matrix unit
-        (entries below ``JUMP_ZERO`` times its largest count as zero).  Raises
-        ``ValueError`` naming the first jump that is not, for ``eben`` under
-        a non-diagonal H and for ``ebe2`` under another H than its system's:
-        such specs have no population/coherence split and are not supported.
+        is diagonalized by :func:`~ebloch.linalg.hermitian_eig`.  A system
+        spec compiles from its transitions (the two sorted eigenlevels, or
+        the ladder's); its kind picks only the coherence damping.  Each
+        explicit jump, rotated to V^dag L V, must be a single off-diagonal
+        matrix unit (entries below ``JUMP_ZERO`` times its largest count as
+        zero); otherwise raises ``ValueError`` naming the first jump that is
+        not, as such a spec has no population/coherence split.
         """
         return _compile(self)
 
@@ -233,25 +238,11 @@ class RhsSpec:
         sys: TwoLevelSystem,
         kind: str = "ebe2",
         include_unitary: bool = True,
-        gamma_pd: float | None = None,
+        gamma_pd: float = 0.0,
     ) -> "RhsSpec":
-        """EBE2 spec, or its GKLS twin built from the canonical jump pair.
-
-        ``gamma_pd=None`` takes the system's non-negative magnitude as
-        written; pass an explicit signed value to choose the damping sign.
-        """
-        H = sys.hamiltonian
-        if gamma_pd is None:
-            gamma_pd = sys.gamma_pd
-        if kind == "ebe2":
-            return cls(H, "ebe2", two_level=sys, include_unitary=include_unitary,
-                       gamma_pd=gamma_pd)
-        if kind == "gkls":
-            pair = jump_operators(H)
-            jumps = ((pair.sigma_p, sys.gamma_p), (pair.sigma_m, sys.gamma_m))
-            return cls(H, "gkls", two_level=sys, jumps=jumps,
-                       include_unitary=include_unitary, gamma_pd=gamma_pd)
-        raise ValueError(f"two-level specs support kinds 'ebe2' and 'gkls', got {kind!r}")
+        """EBE2 spec, or its GKLS twin with the canonical jump pair."""
+        return cls(sys.hamiltonian, kind, two_level=sys, include_unitary=include_unitary,
+                   gamma_pd=gamma_pd)
 
     @classmethod
     def for_ladder(
@@ -266,16 +257,11 @@ class RhsSpec:
         The two coincide on populations and on states confined to a single
         transition block, but treat coherences between a block and outside
         levels differently; the GKLS twin is exposed exactly so that this
-        difference can be measured.
+        difference can be measured.  Both compile from the transitions; the
+        twin's jumps (:func:`ladder_jump_list`) serve :func:`master_rhs`.
         """
-        H = sys.hamiltonian
-        if kind == "eben":
-            return cls(H, "eben", ladder=sys, include_unitary=include_unitary,
-                       gamma_pd=gamma_pd)
-        if kind == "gkls":
-            return cls(H, "gkls", ladder=sys, jumps=ladder_jump_list(sys),
-                       include_unitary=include_unitary, gamma_pd=gamma_pd)
-        raise ValueError(f"ladder specs support kinds 'eben' and 'gkls', got {kind!r}")
+        return cls(sys.hamiltonian, kind, ladder=sys, include_unitary=include_unitary,
+                   gamma_pd=gamma_pd)
 
 
 def _as_states(rho, d: int) -> np.ndarray:

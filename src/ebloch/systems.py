@@ -45,19 +45,18 @@ def _unit_bloch_vector(eps) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class TwoLevelSystem:
-    """Two-level system: gap E, Bloch axis eps, exchange rates and dephasing.
+    """Two-level system: gap E, Bloch axis eps and exchange rates.
 
     ``gamma_p`` is the upward (energy-gaining) rate, ``gamma_m`` the downward
-    one.  ``gamma_pd`` is the non-negative pure-dephasing magnitude; the sign
-    with which the double-commutator term enters an assembled equation is
-    owned by :class:`ebloch.dissipators.RhsSpec`.
+    one.  Pure dephasing is not a property of the system: its signed
+    double-commutator coefficient ``gamma_pd`` belongs to
+    :class:`ebloch.dissipators.RhsSpec`.
     """
 
     E: float
     eps: tuple[float, float, float]
     gamma_p: float = 0.0
     gamma_m: float = 0.0
-    gamma_pd: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.E) and self.E > 0.0):
@@ -65,7 +64,6 @@ class TwoLevelSystem:
         object.__setattr__(self, "eps", _unit_bloch_vector(self.eps))
         _check_rate("gamma_p", self.gamma_p)
         _check_rate("gamma_m", self.gamma_m)
-        _check_rate("gamma_pd", self.gamma_pd)
 
     @cached_property
     def hamiltonian(self) -> np.ndarray:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end and config parsing."""
 
+import ast
 import json
 import math
 import os
@@ -203,6 +204,67 @@ kind = ebe2
 """
     with pytest.raises(ConfigError, match="two_level"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("rule", ["harmonic", "constant"])
+def test_gamma_table_outside_the_table_rule_exits_as_validation(tmp_path, capsys, rule):
+    text = ("[system]\ntype = oscillator\nN = 4\nspacing = nope\nbath_T = 1.0\n"
+            f"coupling_rule = {rule}\ngamma_table = 5, 0, 7\n")
+    cfg = write(tmp_path, "t.cfg", text)
+    assert main(["fixed-point", "--config", cfg, "--out", str(tmp_path)]) == 1
+    messages = json.loads(capsys.readouterr().err)["messages"]
+    assert len(messages) == 2  # collected with the spacing error
+    assert any("gamma_table" in m and rule in m for m in messages)
+    assert not (tmp_path / "fixed_point.csv").exists()
+
+
+@pytest.mark.parametrize("keys", [("gamma",), ("bath_T",), ("gamma", "bath_T")])
+def test_thermal_keys_beside_explicit_two_level_rates_exit_as_validation(tmp_path, capsys,
+                                                                         keys):
+    text = TWO_LEVEL_CFG.format(gp=0.3, gm=0.7).replace("E = 1.0", "E = nope")
+    text = text.replace("gamma_m = 0.7\n", "gamma_m = 0.7\n" + "".join(
+        f"{key} = 1.0\n" for key in keys))
+    cfg = write(tmp_path, "t.cfg", text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    messages = json.loads(capsys.readouterr().err)["messages"]
+    assert len(messages) == len(keys) + 1  # collected with the E error
+    for key in keys:
+        assert any(m.startswith(f"[system] {key} ") for m in messages), key
+    assert not (tmp_path / "traj.csv").exists()
+
+
+def cli_config_keys() -> set:
+    """(section, key) of every ``get``/``has_option`` call in ``cli.py``
+    whose first two arguments are string literals."""
+    tree = ast.parse(Path(ebloch.__file__).with_name("cli.py").read_text())
+    keys = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("get", "has_option") and len(node.args) >= 2
+                and all(isinstance(a, ast.Constant) and isinstance(a.value, str)
+                        for a in node.args[:2])):
+            keys.add((node.args[0].value, node.args[1].value))
+    return keys
+
+
+def readme_config_keys() -> set:
+    """(section, key) of every line of README's config-reference ini block,
+    commented keys included."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("### Config reference", 1)[1].split("```ini\n", 1)[1]
+    keys, section = set(), None
+    for line in block.split("\n```", 1)[0].splitlines():
+        if m := re.match(r"\[(\w+)\]", line):
+            section = m.group(1)
+        elif m := re.match(r"#?\s*(\w+)\s*=", line):
+            keys.add((section, m.group(1)))
+    return keys
+
+
+def test_readme_config_reference_names_every_key_the_parser_reads():
+    read = cli_config_keys()
+    assert ("system", "gamma_table") in read and ("dissipator", "gamma_pd") in read
+    assert readme_config_keys() == read
 
 
 CONFIG_SYSTEMS = {

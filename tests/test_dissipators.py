@@ -21,7 +21,7 @@ from ebloch.dissipators import (
     master_rhs,
 )
 from ebloch.linalg import is_hermitian
-from ebloch.stationary import gibbs_state
+from ebloch.stationary import fixed_point, gibbs_state
 from ebloch.systems import (
     BathModel,
     LadderSystem,
@@ -375,10 +375,20 @@ def test_rhs_spec_validation():
     with pytest.raises(ValueError, match="LadderSystem"):
         RhsSpec(np.eye(3), "eben")
     lad = build_oscillator(3, 1.0, "harmonic", BathModel(1.0, 1.0))
-    with pytest.raises(ValueError, match="does not match"):
+    with pytest.raises(ValueError, match="own Hamiltonian"):
         RhsSpec(np.eye(2), "eben", ladder=lad)
     with pytest.raises(ValueError, match="non-negative"):
         RhsSpec(sys2.hamiltonian, "gkls", jumps=((SZ, -1.0),))
+
+
+def test_two_level_dephasing_is_set_only_on_the_spec():
+    # the system has no dephasing field whose magnitude a default could
+    # apply with the amplifying sign
+    with pytest.raises(TypeError):
+        TwoLevelSystem(1.0, (0, 0, 1), 0.3, 0.7, gamma_pd=0.8)
+    spec = RhsSpec.for_two_level(TwoLevelSystem(1.0, (0, 0, 1), 0.3, 0.7))
+    assert spec.gamma_pd == 0.0
+    assert fixed_point(spec).multiplicity == 1
 
 
 # -------------------------------------------------------------- stacked inputs

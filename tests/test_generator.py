@@ -17,7 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ebloch.canonical import canonical_experiment
-from ebloch.dissipators import RhsSpec, master_rhs
+import ebloch.dissipators
+import ebloch.systems
+from ebloch.dissipators import RhsSpec, ladder_jump_list, master_rhs
 from ebloch.linalg import herm_part, hermitian_eig, trace_distance
 from ebloch.propagate import (
     MIN_EIG_WARN,
@@ -204,9 +206,9 @@ def test_split_covers_transition_specs_only():
         RhsSpec(H, "gkls", jumps=((unit, 1.0), (on_diagonal, 1.0))).compiled
     with pytest.raises(ValueError, match="jump 0 "):
         RhsSpec(H, "gkls", jumps=((np.zeros((4, 4)), 1.0),)).compiled
-    with pytest.raises(ValueError, match="'eben' needs an exactly diagonal"):
+    with pytest.raises(ValueError, match="own Hamiltonian"):
         RhsSpec(H + 0.1 * two_entries + 0.1 * two_entries.T, "eben", ladder=lad).compiled
-    with pytest.raises(ValueError, match="'ebe2' splits only"):
+    with pytest.raises(ValueError, match="own Hamiltonian"):
         RhsSpec(SIGMA_X / 2, "ebe2", two_level=sys2).compiled
 
 
@@ -219,6 +221,72 @@ def test_propagate_and_fixed_point_reject_specs_without_a_split(make_spec):
             propagate(spec, rho0, 1.0, 0.1, method)
     with pytest.raises(ValueError, match="jump 0 .* not a single off-diagonal"):
         fixed_point(spec)
+
+
+# ------------------------------------- system specs compile from transitions
+
+
+@pytest.mark.parametrize("rule", ["harmonic", "constant"])
+@pytest.mark.parametrize("T", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("include_unitary, gamma_pd", [(True, -0.1), (False, 0.0)])
+def test_ladder_gkls_twin_compiles_to_the_bits_of_its_jump_list(rule, T, include_unitary,
+                                                                gamma_pd):
+    for N in range(2, 34):
+        lad = build_oscillator(N, 1.0, rule, BathModel(1.0, T))
+        gen = RhsSpec.for_ladder(lad, "gkls", include_unitary, gamma_pd).compiled
+        scanned = RhsSpec(lad.hamiltonian, "gkls", jumps=ladder_jump_list(lad),
+                          include_unitary=include_unitary, gamma_pd=gamma_pd).compiled
+        np.testing.assert_array_equal(gen.W, scanned.W)
+        np.testing.assert_array_equal(gen.C, scanned.C)
+
+
+def test_two_level_gkls_twin_compiles_to_the_bits_of_ebe2():
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        v = rng.standard_normal(3)
+        gp, gm = rng.uniform(0.05, 2.0, 2)
+        sys2 = TwoLevelSystem(float(rng.uniform(0.2, 5.0)), tuple(v / np.linalg.norm(v)),
+                              float(gp), float(gm))
+        gkls = RhsSpec.for_two_level(sys2, "gkls", True, -0.2).compiled
+        ebe2 = RhsSpec.for_two_level(sys2, "ebe2", True, -0.2).compiled
+        for field in ("E", "W", "C", "V"):
+            np.testing.assert_array_equal(getattr(gkls, field), getattr(ebe2, field))
+
+
+def test_system_specs_solve_and_propagate_without_building_jumps(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def refuse(*args):
+        raise Built(args)
+
+    for module in (ebloch.dissipators, ebloch.systems):
+        monkeypatch.setattr(module, "jump_operators", refuse, raising=False)
+    monkeypatch.setattr(ebloch.dissipators, "ladder_jump_list", refuse)
+    lad = build_oscillator(5, 1.0, "harmonic", BathModel(1.0, 0.8))
+    tilted = TwoLevelSystem(1.0, (0.6, 0.0, 0.8), 0.3, 0.7)
+    for spec in (RhsSpec.for_ladder(lad, "gkls", True, -0.1),
+                 RhsSpec.for_two_level(tilted, "gkls", True, -0.1)):
+        rho0 = np.full((spec.dim, spec.dim), 0.5 / spec.dim, dtype=complex)
+        rho0[np.diag_indices(spec.dim)] = 1.0 / spec.dim
+        assert fixed_point(spec).residual <= 1e-12
+        for method in ("expm", "rk4"):
+            propagate(spec, rho0, 0.5, 0.05, method)
+        with pytest.raises(Built):
+            master_rhs(rho0, spec)
+
+
+def test_system_specs_are_checked_at_construction():
+    # one H for both systems, so only the two payloads are at fault
+    lad = LadderSystem(2, (-0.5, 0.5), (TransitionSpec(0, 1, 0.3, 0.7, 1.0),))
+    sys2 = TwoLevelSystem(1.0, (0.0, 0.0, -1.0), 0.3, 0.7)
+    np.testing.assert_array_equal(sys2.hamiltonian, lad.hamiltonian)
+    with pytest.raises(ValueError, match="takes one system"):
+        RhsSpec(lad.hamiltonian, "gkls", two_level=sys2, ladder=lad)
+    with pytest.raises(ValueError, match="no explicit jump list"):
+        RhsSpec(lad.hamiltonian, "gkls", ladder=lad, jumps=ladder_jump_list(lad))
+    with pytest.raises(ValueError, match="own Hamiltonian"):
+        RhsSpec(SIGMA_X / 2, "gkls", two_level=sys2)
 
 
 def test_split_rate_matrix_conserves_trace_and_coherences_are_hermitian():
