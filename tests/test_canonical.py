@@ -1,6 +1,7 @@
 """Tests for canonical-invariance diagnostics and the reduced thermalization ODE."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -16,6 +17,8 @@ from ebloch.systems import (
     fermi,
     rates_from_bath,
 )
+
+from oracles import uniformization
 
 
 # -------------------------------------------------------------- ratio_profile
@@ -319,3 +322,59 @@ def test_canonical_experiment_rejects_non_ladder_systems():
     )
     with pytest.raises(ValueError, match="nearest-neighbour"):
         canonical_experiment(skip, 2.0, 1.0, 1e-2)
+
+
+# ------------------------------------------------------------ the exact flow
+
+
+def _worst_relative_population_error(monkeypatch, lad, T0, t_final, dt, record_every):
+    """Largest relative deviation of any population that canonical_experiment
+    records from the uniformization series of the ladder's rate matrix."""
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(propagate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(sys.modules["ebloch.canonical"], "propagate", recorded)
+    canonical_experiment(lad, T0, t_final, dt, record_every=record_every)
+    pops = runs[-1].populations()
+    ref = uniformization(RhsSpec.for_ladder(lad, "eben").compiled.W, pops[0], runs[-1].times)
+    assert ref.min() > 0.0
+    return float(np.abs(pops / ref - 1.0).max())
+
+
+def test_canonical_experiment_populations_match_uniformization_on_the_criterion_6_ladder(
+        monkeypatch):
+    # 1,201 records whose smallest populations fall to 3.5e-57; RK4 at
+    # dt = 1e-3 errs there by about 1e-9 relative
+    lad = build_oscillator(14, 10.0, "harmonic", BathModel(1.0, 1.0))
+    assert _worst_relative_population_error(monkeypatch, lad, 2.0, 30.0, 1e-3, 25) <= 1e-12
+
+
+def test_canonical_experiment_populations_match_uniformization_on_random_oscillators(
+        monkeypatch):
+    rng = np.random.default_rng(2121)
+    for n in range(12):
+        N = int(rng.integers(3, 17))
+        coupling = ("harmonic", "constant", rng.uniform(0.2, 3.0, N - 1).tolist())[n % 3]
+        bath = BathModel(float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.5, 3.0)))
+        lad = build_oscillator(N, float(rng.uniform(0.5, 6.0)), coupling, bath)
+        T0, t_final = float(rng.uniform(0.3, 4.0)), float(rng.uniform(1.0, 10.0))
+        worst = _worst_relative_population_error(monkeypatch, lad, T0, t_final, 0.01,
+                                                 int(rng.integers(1, 20)))
+        assert worst <= 1e-12, (n, worst)
+
+
+def test_canonical_experiment_reaches_no_rk4_code(monkeypatch):
+    from ebloch.dissipators import SplitGenerator
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical_experiment reached RK4 code")
+
+    monkeypatch.setattr(sys.modules["ebloch.propagate"], "_rk4_matrix", refuse)
+    monkeypatch.setattr(sys.modules["ebloch.propagate"], "_check_rk4_stability", refuse)
+    monkeypatch.setattr(SplitGenerator, "population_eig", property(refuse))
+    lad = build_oscillator(14, 10.0, "harmonic", BathModel(1.0, 1.0))
+    diag = canonical_experiment(lad, T0=2.0, t_final=3.0, dt=1e-3, record_every=25)
+    assert diag.ode_mismatch <= 1e-8

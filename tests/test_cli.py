@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end and config parsing."""
 
 import ast
+import importlib.util
 import json
 import math
 import os
@@ -234,13 +235,13 @@ def test_thermal_keys_beside_explicit_two_level_rates_exit_as_validation(tmp_pat
 
 
 def cli_config_keys() -> set:
-    """(section, key) of every ``get``/``has_option`` call in ``cli.py``
-    whose first two arguments are string literals."""
+    """(section, key) of every ``get``/``has`` call in ``cli.py`` whose
+    first two arguments are string literals."""
     tree = ast.parse(Path(ebloch.__file__).with_name("cli.py").read_text())
     keys = set()
     for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("get", "has_option") and len(node.args) >= 2
+                and node.func.attr in ("get", "has") and len(node.args) >= 2
                 and all(isinstance(a, ast.Constant) and isinstance(a.value, str)
                         for a in node.args[:2])):
             keys.add((node.args[0].value, node.args[1].value))
@@ -275,6 +276,53 @@ CONFIG_SYSTEMS = {
     "explicit": ("[system]\ntype = explicit\nenergies = 0, 1.0, 2.7\n"
                  "transitions = 0:1:0.2:0.8; 1:2:0.1:0.9; 0:2:0.05:0.6\n", ("eben", "gkls")),
 }
+
+
+@pytest.mark.parametrize("text, message", [
+    (CONFIG_SYSTEMS["oscillator"][0] + "gamma_pd = 0.4\n",
+     "[system] gamma_pd is not a key this config reads"),
+    (CONFIG_SYSTEMS["explicit"][0] + "bath_T = 1.0\n",
+     "[system] bath_t is not a key this config reads"),
+    (CONFIG_SYSTEMS["oscillator"][0] + "[integraton]\ndt = 0.01\n",
+     "[integraton] dt is not a key this config reads"),
+], ids=["oscillator-system-gamma_pd", "explicit-system-bath_T", "misspelt-section"])
+def test_keys_the_config_does_not_read_exit_as_validation(tmp_path, capsys, text, message):
+    cfg = write(tmp_path, "k.cfg", text + "[output]\npath = fp.csv\n")
+    assert main(["fixed-point", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "validation", "messages": [message]}
+    assert not (tmp_path / "fp.csv").exists()
+
+
+def test_unread_keys_are_collected_with_the_other_errors():
+    text = CONFIG_SYSTEMS["oscillator"][0].replace("N = 5", "N = five") + "[output]\npth = x\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.errors == ["[system] N = 'five': not a valid int",
+                                "[output] pth is not a key this config reads"]
+
+
+def test_a_failed_system_type_leaves_its_keys_unscanned():
+    text = CONFIG_SYSTEMS["oscillator"][0].replace("oscillator", "ladder")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.errors == [
+        "[system] type = 'ladder': must be one of two_level, oscillator, explicit"]
+
+
+def test_every_benchmark_job_config_parses(monkeypatch):
+    # a read-only import of the benchmark's job builder: no bytecode is
+    # written next to it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        for seed in (1, 3, 7):
+            workload = workloads.build(name, seed)
+            for job in workload.warmup + workload.jobs:
+                parse_config(job.config_text())
 
 
 @pytest.mark.parametrize("system", sorted(CONFIG_SYSTEMS))
@@ -827,6 +875,16 @@ def test_canonical_requires_ladder(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_canonical_rejects_rk4(tmp_path, capsys):
+    text = OSCILLATOR_RUN_CFG.replace("dt = 0.01", "dt = 0.01\nmethod = rk4")
+    cfg = write(tmp_path, "rk4.cfg", text)
+    assert main(["canonical", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "validation",
+        "messages": ["[integration] method = rk4: canonical runs the exact flow only"]}
+    assert not (tmp_path / "out.csv").exists()
+
+
 # ----------------------------------------------------------------------- bench
 
 
@@ -939,7 +997,9 @@ def _scipy_loaded_after(tmp_path, calls):
 def test_rk4_and_fixed_point_runs_leave_scipy_linalg_and_special_unloaded(tmp_path):
     text = OSCILLATOR_RUN_CFG.replace("dt = 0.01", "dt = 0.01\nmethod = rk4")
     cfg = write(tmp_path, "osc.cfg", text)
-    assert _scipy_loaded_after(tmp_path, [("canonical", cfg), ("fixed-point", cfg)]) == []
+    canonical = write(tmp_path, "canonical.cfg", OSCILLATOR_RUN_CFG)
+    assert _scipy_loaded_after(tmp_path, [("simulate", cfg), ("canonical", canonical),
+                                          ("fixed-point", cfg)]) == []
 
 
 def test_no_run_loads_scipy_linalg_or_special(tmp_path):
@@ -950,7 +1010,8 @@ def test_no_run_loads_scipy_linalg_or_special(tmp_path):
               + "\n[dissipator]\nkind = gkls\n\n[bench]\napplications = 100\nchunks = 2\n")
     calls = [("simulate", write(tmp_path, "osc.cfg", osc)),
              ("simulate", write(tmp_path, "tilted.cfg", tilted)),
-             ("canonical", write(tmp_path, "rk4.cfg", osc.replace("expm", "rk4"))),
+             ("simulate", write(tmp_path, "rk4.cfg", osc.replace("expm", "rk4"))),
+             ("canonical", write(tmp_path, "canonical.cfg", OSCILLATOR_RUN_CFG)),
              ("fixed-point", str(tmp_path / "osc.cfg")),
              ("bench", str(tmp_path / "tilted.cfg")),
              ("verify-algebra", write(tmp_path, "v.cfg", VERIFY_CFG.format(n=20)))]
