@@ -43,7 +43,7 @@ print(f"|EBE - GKLS| on a random state: {np.linalg.norm(diff):.3e}")
 # relaxation to the Gibbs state, with the one-parameter lambda description
 lam0 = -0.9
 rho0 = 0.5 * np.eye(2) + (lam0 / E) * sys2.hamiltonian
-traj = propagate(RhsSpec.for_two_level(sys2), rho0, t_final=6.0, dt=0.01,
+traj = propagate(RhsSpec.for_system(sys2), rho0, t_final=6.0, dt=0.01,
                  method="expm", record_every=100)
 lam_star = sys2.gamma_diff / sys2.gamma_sum
 print(f"\nlambda* = (gp-gm)/(gp+gm) = {lam_star:.6f}")

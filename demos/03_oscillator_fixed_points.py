@@ -24,7 +24,7 @@ bath = BathModel(gamma=1.0, T=T)
 
 for rule in ("harmonic", "constant", [1.0 + i * i for i in range(N - 1)]):
     ladder = build_oscillator(N, E, rule, bath)
-    report = fixed_point(RhsSpec.for_ladder(ladder))
+    report = fixed_point(RhsSpec.for_system(ladder))
     ratios = report.p[1:10] / report.p[:9]
     label = rule if isinstance(rule, str) else "gamma_i = 1 + i^2"
     print(f"coupling rule: {label}")
@@ -37,7 +37,7 @@ for rule in ("harmonic", "constant", [1.0 + i * i for i in range(N - 1)]):
 
 # the same fixed point emerges from plain time evolution
 ladder = build_oscillator(N, E, "harmonic", bath)
-spec = RhsSpec.for_ladder(ladder)
+spec = RhsSpec.for_system(ladder)
 report = fixed_point(spec)
 rho0 = gibbs_state(ladder.hamiltonian, 3.0)  # start hot
 traj = propagate(spec, rho0, t_final=20.0 / report.spectral_gap, dt=0.01,

@@ -98,20 +98,11 @@ def _run_kernel(fn, inputs: np.ndarray, chunks: int) -> tuple[float, complex]:
 
 
 def kernel_pair(system: TwoLevelSystem | LadderSystem):
-    """((name, rhs, spec), ...) for the elemental-Bloch kernel and its GKLS twin,
-    both with ``include_unitary = INCLUDE_UNITARY``."""
-    if isinstance(system, TwoLevelSystem):
-        spec_e = RhsSpec.for_two_level(system, "ebe2", INCLUDE_UNITARY, gamma_pd=0.0)
-        spec_g = RhsSpec.for_two_level(system, "gkls", INCLUDE_UNITARY, gamma_pd=0.0)
-        names = ("ebe2", "gkls")
-    else:
-        spec_e = RhsSpec.for_ladder(system, "eben", INCLUDE_UNITARY)
-        spec_g = RhsSpec.for_ladder(system, "gkls", INCLUDE_UNITARY)
-        names = ("eben", "gkls")
-    return (
-        (names[0], lambda rho, s=spec_e: master_rhs(rho, s), spec_e),
-        (names[1], lambda rho, s=spec_g: master_rhs(rho, s), spec_g),
-    )
+    """((kind, rhs, spec), ...) for the system's elemental-Bloch kernel and its
+    GKLS twin, both with ``include_unitary = INCLUDE_UNITARY``."""
+    specs = (RhsSpec.for_system(system, None, INCLUDE_UNITARY),
+             RhsSpec.for_system(system, "gkls", INCLUDE_UNITARY))
+    return tuple((spec.kind, lambda rho, s=spec: master_rhs(rho, s), spec) for spec in specs)
 
 
 def max_deviation(system, inputs: np.ndarray) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .canonical import canonical_experiment
-from .dissipators import RhsSpec
+from .dissipators import KINDS, RhsSpec
 from .linalg import as_matrix
 from .propagate import PropagationError, propagate
 from .stationary import FixedPointError, fixed_point, gibbs_state
@@ -57,11 +57,7 @@ class ConfigError(ValueError):
 class ScenarioConfig:
     """Validated run description assembled from one config file."""
 
-    system: TwoLevelSystem | LadderSystem
-    system_kind: str
-    dissipator_kind: str
-    include_unitary: bool
-    gamma_pd: float
+    spec: RhsSpec
     bath_T: float | None
     initial: tuple
     t_final: float | None
@@ -182,17 +178,15 @@ def _transitions(raw: str) -> tuple[tuple[int, int, float, float], ...]:
 
 
 def _build_system(r: _Reader):
-    """Returns (system, system_kind, gamma_pd, bath_T) or Nones on error."""
+    """Returns (system, system_kind, bath_T) or Nones on error."""
     kind = r.get("system", "type", choices=("two_level", "oscillator", "explicit"))
     if kind is None:
-        return None, None, 0.0, None
-    gamma_pd = 0.0
+        return None, None, None
     bath_T = None
     system = None
     if kind == "two_level":
         E = r.get("system", "E", float)
         eps = r.get("system", "eps", _floats)
-        gamma_pd = r.get("system", "gamma_pd", float, default=0.0)
         has_rates = r.has("system", "gamma_p") or r.has("system", "gamma_m")
         if has_rates:
             gp = r.get("system", "gamma_p", float, default=0.0)
@@ -205,7 +199,7 @@ def _build_system(r: _Reader):
             bath_T = r.get("system", "bath_T", float)
             gp = gm = None
         if None in (E, eps) or r.errors:
-            return None, kind, gamma_pd, bath_T
+            return None, kind, bath_T
         try:
             if gp is None:
                 gp, gm = rates_from_bath(BathModel(gamma=gamma, T=bath_T), E)
@@ -226,7 +220,7 @@ def _build_system(r: _Reader):
             r.errors.append(f"[system] gamma_table is read only under coupling_rule = table, "
                             f"not {rule}")
         if r.errors or None in (N, spacing, bath_T):
-            return None, kind, gamma_pd, bath_T
+            return None, kind, bath_T
         coupling = table if rule == "table" else rule
         try:
             system = build_oscillator(N, spacing, coupling, BathModel(gamma=gamma, T=bath_T))
@@ -236,7 +230,7 @@ def _build_system(r: _Reader):
         energies = r.get("system", "energies", _floats)
         trans = r.get("system", "transitions", _transitions)
         if r.errors or None in (energies, trans):
-            return None, kind, gamma_pd, bath_T
+            return None, kind, bath_T
         try:
             specs = tuple(
                 TransitionSpec(i=i, j=j, gamma_p=gp, gamma_m=gm,
@@ -246,7 +240,7 @@ def _build_system(r: _Reader):
             system = LadderSystem(N=len(energies), energies=energies, transitions=specs)
         except (TypeError, ValueError, IndexError) as exc:
             r.errors.append(f"[system] {exc}")
-    return system, kind, gamma_pd, bath_T
+    return system, kind, bath_T
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -264,20 +258,24 @@ def parse_config(text: str) -> ScenarioConfig:
     if not cp.has_section("system"):
         raise ConfigError(["missing required section [system]"])
 
-    system, system_kind, gamma_pd, bath_T = _build_system(r)
+    system, system_kind, bath_T = _build_system(r)
 
-    default_kind = "ebe2" if system_kind == "two_level" else "eben"
-    dissipator_kind = r.get("dissipator", "kind", str, default=default_kind,
-                            choices=("gkls", "ebe2", "eben"))
+    kind = r.get("dissipator", "kind", str, default=None, choices=KINDS)
     include_unitary = r.get("dissipator", "include_unitary", _bool, default=True)
-    gamma_pd = r.get("dissipator", "gamma_pd", float, default=gamma_pd)
+    gamma_pd = r.get("dissipator", "gamma_pd", float, default=0.0)
+    spec = None
+    if None not in (system, include_unitary, gamma_pd):
+        try:
+            spec = RhsSpec.for_system(system, kind, include_unitary, gamma_pd)
+        except ValueError as exc:
+            r.errors.append(f"[dissipator] {exc}")
 
     initial = ("gibbs", None)
     if cp.has_section("initial"):
         itype = r.get("initial", "type", str, default="gibbs",
                       choices=("gibbs", "level", "file"))
         if itype == "gibbs":
-            initial = ("gibbs", r.get("initial", "T", float))
+            initial = ("gibbs", r.get("initial", "T", float, default=None))
         elif itype == "level":
             initial = ("level", r.get("initial", "index", int))
         elif itype == "file":
@@ -300,10 +298,6 @@ def parse_config(text: str) -> ScenarioConfig:
     bench_chunks = r.get("bench", "chunks", int, default=5)
     canonical_T0 = r.get("canonical", "T0", float, default=None)
 
-    if system is not None and dissipator_kind == "ebe2" and isinstance(system, LadderSystem):
-        r.errors.append("[dissipator] kind = ebe2 requires a two_level system")
-    if system is not None and dissipator_kind == "eben" and isinstance(system, TwoLevelSystem):
-        r.errors.append("[dissipator] kind = eben requires an oscillator or explicit system")
     if record_every is not None and record_every < 1:
         r.errors.append("[integration] record_every must be >= 1")
     if verify_draws is not None and verify_draws < 1:
@@ -319,11 +313,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if r.errors:
         raise ConfigError(r.errors)
     return ScenarioConfig(
-        system=system,
-        system_kind=system_kind,
-        dissipator_kind=dissipator_kind,
-        include_unitary=include_unitary,
-        gamma_pd=gamma_pd,
+        spec=spec,
         bath_T=bath_T,
         initial=initial,
         t_final=t_final,
@@ -337,14 +327,6 @@ def parse_config(text: str) -> ScenarioConfig:
         bench_chunks=bench_chunks,
         canonical_T0=canonical_T0,
     )
-
-
-def rhs_spec(cfg: ScenarioConfig) -> RhsSpec:
-    if isinstance(cfg.system, TwoLevelSystem):
-        return RhsSpec.for_two_level(cfg.system, cfg.dissipator_kind,
-                                     cfg.include_unitary, gamma_pd=cfg.gamma_pd)
-    return RhsSpec.for_ladder(cfg.system, cfg.dissipator_kind,
-                              cfg.include_unitary, gamma_pd=cfg.gamma_pd)
 
 
 def initial_state(cfg: ScenarioConfig, H: np.ndarray) -> np.ndarray:
@@ -393,7 +375,7 @@ def _out(out_dir: str, cfg_path: str | None, default: str) -> str:
 def run_simulate(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
     if cfg.t_final is None or cfg.dt is None:
         raise ConfigError(["[integration] simulate needs t_final and dt"])
-    spec = rhs_spec(cfg)
+    spec = cfg.spec
     rho0 = initial_state(cfg, spec.hamiltonian)
     traj = propagate(spec, rho0, cfg.t_final, cfg.dt, cfg.method, cfg.record_every)
     header, columns = ["t"], [traj.times]
@@ -425,7 +407,7 @@ def run_fixed_point(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
     the state is diag(p) bit for bit, so row i is written from ``report.p``
     as p[i] among ``0+0i`` entries, in the text of
     :func:`format_matrix_text`; no state matrix is built."""
-    spec = rhs_spec(cfg)
+    spec = cfg.spec
     report = fixed_point(spec, bath_T=cfg.bath_T)
     header = ["residual", "gibbs_distance", "spectral_gap", "multiplicity"]
     [row] = _float_lines([[report.residual, report.gibbs_distance, report.spectral_gap]])
@@ -470,7 +452,7 @@ def run_verify_algebra(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str
 
 
 def run_canonical(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
-    if not isinstance(cfg.system, LadderSystem):
+    if not isinstance(cfg.spec.system, LadderSystem):
         raise ConfigError(["canonical needs an oscillator or explicit ladder system"])
     if cfg.canonical_T0 is None:
         raise ConfigError(["[canonical] missing required key 'T0'"])
@@ -478,7 +460,7 @@ def run_canonical(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
         raise ConfigError(["[integration] canonical needs t_final and dt"])
     if cfg.method == "rk4":
         raise ConfigError(["[integration] method = rk4: canonical runs the exact flow only"])
-    diag = canonical_experiment(cfg.system, cfg.canonical_T0, cfg.t_final, cfg.dt,
+    diag = canonical_experiment(cfg.spec.system, cfg.canonical_T0, cfg.t_final, cfg.dt,
                                 record_every=cfg.record_every)
     header = ["t", "mean_ratio", "a", "delta", "max_nonuniformity", "lna_ode",
               "truncation_leak", "clean"]
@@ -493,15 +475,15 @@ def run_canonical(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
 
 def run_bench(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
     rng = np.random.default_rng(seed)
-    rows_data = bench_mod.run_bench(cfg.system, cfg.bench_applications,
+    rows_data = bench_mod.run_bench(cfg.spec.system, cfg.bench_applications,
                                     cfg.bench_chunks, rng)
     by_kernel = {row.kernel: row for row in rows_data}
     gkls_ns = by_kernel["gkls"].ns_per_apply
     checksums = {row.checksum for row in rows_data}
     n_dev = min(cfg.bench_applications, 20000)
     dev = bench_mod.max_deviation(
-        cfg.system, bench_mod.random_states(rows_data[0].dim, n_dev,
-                                            np.random.default_rng(seed)))
+        cfg.spec.system, bench_mod.random_states(rows_data[0].dim, n_dev,
+                                                 np.random.default_rng(seed)))
     header = ["kernel", "dim", "transitions", "applications", "chunks",
               "ns_per_apply", "ratio_to_gkls", "checksum"]
     rows = [

@@ -93,7 +93,7 @@ def _compile(spec: "RhsSpec") -> SplitGenerator:
     else:
         energies, V = energies.real, None
     n = spec.dim
-    system = spec.two_level or spec.ladder
+    system = spec.system
     # population moves: rate[k] carries population from level src[k] to dst[k]
     if system is None:
         # L = c|x><y| moves population from y to x at gamma |c|^2
@@ -113,7 +113,7 @@ def _compile(spec: "RhsSpec") -> SplitGenerator:
                     "populations and coherences")
             dst[k], src[k], rate[k] = x, y, gamma * abs(L[x, y]) ** 2
     else:
-        if spec.ladder is None:
+        if isinstance(system, TwoLevelSystem):
             # one transition from the lower to the upper eigenlevel
             ii, jj = np.argsort(energies)[:, None]
             gp, gm = np.array([system.gamma_p]), np.array([system.gamma_m])
@@ -146,11 +146,11 @@ def _compile(spec: "RhsSpec") -> SplitGenerator:
 class RhsSpec:
     """Everything needed to evaluate d(rho)/dt.
 
-    A spec holds at most one system (a ``two_level`` for ``ebe2``, a
-    ``ladder`` for ``eben``, either for their ``gkls`` twins); it then runs
-    under that system's own Hamiltonian and takes no ``jumps``, as it
-    compiles from the system's transitions.  Other specs are ``gkls`` specs
-    with their ``jumps`` as given (none: a closed system).
+    A spec holds at most one ``system`` (a :class:`TwoLevelSystem` for
+    ``ebe2``, a :class:`LadderSystem` for ``eben``, either for their ``gkls``
+    twins); it then runs under that system's own Hamiltonian and takes no
+    ``jumps``, as it compiles from the system's transitions.  Other specs are
+    ``gkls`` specs with their ``jumps`` as given (none: a closed system).
 
     ``gamma_pd`` is the signed coefficient with which the double commutator
     [H, [H, rho]] is added to the assembled equation.  It is applied exactly
@@ -163,8 +163,7 @@ class RhsSpec:
 
     hamiltonian: np.ndarray
     kind: str
-    two_level: TwoLevelSystem | None = None
-    ladder: LadderSystem | None = None
+    system: TwoLevelSystem | LadderSystem | None = None
     jumps: tuple = ()
     include_unitary: bool = True
     gamma_pd: float = 0.0
@@ -175,13 +174,13 @@ class RhsSpec:
         if self.kind not in KINDS:
             raise ValueError(f"dissipator kind must be one of {KINDS}, got {self.kind!r}")
         needs = {"ebe2": TwoLevelSystem, "eben": LadderSystem}.get(self.kind)
-        system = self.two_level or self.ladder
+        system = self.system
         if needs is not None and not isinstance(system, needs):
-            raise ValueError(f"kind {self.kind!r} needs a {needs.__name__} payload")
-        if system is not None and (self.jumps or (self.two_level and self.ladder)
-                                   or not np.array_equal(H, system.hamiltonian)):
-            raise ValueError("a system spec takes one system, runs under that system's "
-                             "own Hamiltonian and takes no explicit jump list")
+            raise ValueError(f"kind {self.kind!r} needs a {needs.__name__}, "
+                             f"not {type(system).__name__}")
+        if system is not None and (self.jumps or not np.array_equal(H, system.hamiltonian)):
+            raise ValueError("a system spec runs under that system's own Hamiltonian "
+                             "and takes no explicit jump list")
         jumps = []
         for L, gamma in self.jumps:
             L = as_matrix(L)
@@ -205,12 +204,13 @@ class RhsSpec:
         over the explicit jumps or a system's GKLS jumps (the canonical pair
         at (gamma_p, gamma_m), or :func:`ladder_jump_list`), built on first use."""
         jumps = self.jumps
-        if self.two_level is not None:
+        system = self.system
+        if isinstance(system, TwoLevelSystem):
             pair = jump_operators(self.hamiltonian)
-            jumps = ((pair.sigma_p, self.two_level.gamma_p),
-                     (pair.sigma_m, self.two_level.gamma_m))
-        elif self.ladder is not None:
-            jumps = ladder_jump_list(self.ladder)
+            jumps = ((pair.sigma_p, system.gamma_p),
+                     (pair.sigma_m, system.gamma_m))
+        elif system is not None:
+            jumps = ladder_jump_list(system)
         terms = tuple((gamma, L, L.conj().T) for L, gamma in jumps)
         K = np.zeros_like(self.hamiltonian)
         for gamma, L, Ld in terms:
@@ -233,34 +233,28 @@ class RhsSpec:
         return _compile(self)
 
     @classmethod
-    def for_two_level(
+    def for_system(
         cls,
-        sys: TwoLevelSystem,
-        kind: str = "ebe2",
+        sys: TwoLevelSystem | LadderSystem,
+        kind: str | None = None,
         include_unitary: bool = True,
         gamma_pd: float = 0.0,
     ) -> "RhsSpec":
-        """EBE2 spec, or its GKLS twin with the canonical jump pair."""
-        return cls(sys.hamiltonian, kind, two_level=sys, include_unitary=include_unitary,
-                   gamma_pd=gamma_pd)
+        """The spec of a system under its own Hamiltonian.
 
-    @classmethod
-    def for_ladder(
-        cls,
-        sys: LadderSystem,
-        kind: str = "eben",
-        include_unitary: bool = True,
-        gamma_pd: float = 0.0,
-    ) -> "RhsSpec":
-        """EBEN spec, or the pairwise-GKLS alternative for comparisons.
-
-        The two coincide on populations and on states confined to a single
-        transition block, but treat coherences between a block and outside
-        levels differently; the GKLS twin is exposed exactly so that this
-        difference can be measured.  Both compile from the transitions; the
-        twin's jumps (:func:`ladder_jump_list`) serve :func:`master_rhs`.
+        ``kind`` None picks the system's elemental-Bloch kind, ``ebe2`` for a
+        :class:`TwoLevelSystem` and ``eben`` for a :class:`LadderSystem`;
+        ``gkls`` gives its GKLS twin (the canonical jump pair, or
+        :func:`ladder_jump_list`).  On a ladder the two coincide on
+        populations and on states confined to a single transition block, but
+        treat coherences between a block and outside levels differently; the
+        twin is exposed exactly so that this difference can be measured.
+        Every kind compiles from the transitions; the twin's jumps serve
+        :func:`master_rhs`.
         """
-        return cls(sys.hamiltonian, kind, ladder=sys, include_unitary=include_unitary,
+        if kind is None:
+            kind = "ebe2" if isinstance(sys, TwoLevelSystem) else "eben"
+        return cls(sys.hamiltonian, kind, sys, include_unitary=include_unitary,
                    gamma_pd=gamma_pd)
 
 
@@ -370,9 +364,9 @@ def master_rhs(rho, spec: RhsSpec) -> np.ndarray:
     M = _as_states(rho, spec.dim)
     H = spec.hamiltonian
     if spec.kind == "ebe2":
-        out = ebe_two_level(M, spec.two_level)
+        out = ebe_two_level(M, spec.system)
     elif spec.kind == "eben":
-        out = ebe_multi_level(M, spec.ladder)
+        out = ebe_multi_level(M, spec.system)
     else:
         out = _gkls(M, spec.jump_terms)
     if spec.include_unitary:

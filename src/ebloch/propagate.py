@@ -22,6 +22,7 @@ import scipy
 
 from .dissipators import RhsSpec, SplitGenerator
 from .linalg import herm_part, is_hermitian
+from .systems import LadderSystem
 
 AMPLIFY_TOL = 1e-10
 MIN_EIG_WARN = -1e-8
@@ -292,7 +293,7 @@ def propagate(
     if method == "rk4":
         _check_rk4_stability(np.concatenate([gen.population_eig[0], c]), dt)
 
-    top_index = spec.ladder.top_level if spec.ladder is not None else None
+    top_index = spec.system.top_level if isinstance(spec.system, LadderSystem) else None
     rhs0_norm = float(_rhs_norm(gen.W, c, p[None], x0[None])[0])
     # starting at (or round-off close to) a fixed point makes relative rhs
     # growth meaningless; the state-norm cap still catches divergence there

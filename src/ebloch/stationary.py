@@ -91,11 +91,11 @@ def effective_temperature(spec: RhsSpec) -> float | None:
     None for inverted or inconsistent rates.
     """
     pairs = []
-    if spec.two_level is not None:
-        s = spec.two_level
+    s = spec.system
+    if isinstance(s, TwoLevelSystem):
         pairs.append((s.E, s.gamma_p, s.gamma_m))
-    elif spec.ladder is not None:
-        for t in spec.ladder.transitions:
+    elif s is not None:
+        for t in s.transitions:
             pairs.append((t.E_t, t.gamma_p, t.gamma_m))
     if not pairs:
         return None

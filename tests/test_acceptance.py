@@ -112,7 +112,7 @@ def test_criterion_03_two_level_stationary_state():
         rng = np.random.default_rng(1003)
         for _ in range(100):
             sys2, T = thermal_two_level(rng)
-            report = fixed_point(RhsSpec.for_two_level(sys2))
+            report = fixed_point(RhsSpec.for_system(sys2))
             d_closed = trace_distance(report.rho_stationary,
                                       two_level_stationary_analytic(sys2))
             assert d_closed <= 1e-10, f"closed-form distance {d_closed:.3e}"
@@ -124,7 +124,7 @@ def test_criterion_04_oscillator_gibbs_fixed_point():
         E, T = 1.0, 1.0
         for rule in ("harmonic", "constant", [1.0 + i * i for i in range(11)]):
             lad = build_oscillator(12, E, rule, BathModel(1.0, T))
-            report = fixed_point(RhsSpec.for_ladder(lad))
+            report = fixed_point(RhsSpec.for_system(lad))
             p = np.diag(report.rho_stationary).real
             ratios = p[1:10] / p[0:9]  # levels 0..8
             worst = np.abs(ratios - np.exp(-E / T)).max()
@@ -141,14 +141,14 @@ def test_criterion_05_trajectory_physicality():
         gp, gm = rates_from_bath(BathModel(1.0, 1.0), 1.0)
         sys2 = TwoLevelSystem(1.0, (0.48, 0.36, 0.8), gp, gm)
         rho0 = np.array([[0.7, 0.25 + 0.1j], [0.25 - 0.1j, 0.3]], dtype=complex)
-        traj = propagate(RhsSpec.for_two_level(sys2), rho0, 10.0, 0.01, "expm", 10)
+        traj = propagate(RhsSpec.for_system(sys2), rho0, 10.0, 0.01, "expm", 10)
         assert traj.trace_dev.max() <= 1e-10
         assert _herm_dev(traj.states) <= 1e-12
         assert traj.min_eig.min() >= -1e-8
 
         lad = build_oscillator(12, 3.0, "harmonic", BathModel(1.0, 1.0))
         for T0 in (2.0, 0.5):
-            traj = propagate(RhsSpec.for_ladder(lad),
+            traj = propagate(RhsSpec.for_system(lad),
                              gibbs_state(lad.hamiltonian, T0), 10.0, 0.01, "expm", 10)
             assert traj.trace_dev.max() <= 1e-10
             assert _herm_dev(traj.states) <= 1e-12
@@ -185,7 +185,7 @@ def test_criterion_08_two_level_lambda_dynamics():
         sys2 = TwoLevelSystem(1.3, (0.0, 0.6, 0.8), gp, gm)
         lam0 = -0.6
         rho0 = 0.5 * np.eye(2) + (lam0 / sys2.E) * sys2.hamiltonian
-        traj = propagate(RhsSpec.for_two_level(sys2), rho0, 5.0, 0.01, "expm", 5)
+        traj = propagate(RhsSpec.for_system(sys2), rho0, 5.0, 0.01, "expm", 5)
         lam_star = sys2.gamma_diff / sys2.gamma_sum
         H = sys2.hamiltonian
         lam_fit = np.array([2.0 * np.trace(s @ H).real / sys2.E for s in traj.states])
@@ -201,15 +201,15 @@ def test_criterion_09_superoperator_spectrum():
         specs = []
         for _ in range(3):
             sys2, _T = thermal_two_level(rng)
-            specs.append(RhsSpec.for_two_level(sys2, "ebe2"))
+            specs.append(RhsSpec.for_system(sys2, "ebe2"))
         sys2, _T = thermal_two_level(rng)
-        specs.append(RhsSpec.for_two_level(sys2, "gkls"))
-        specs.append(RhsSpec.for_two_level(sys2, "ebe2", gamma_pd=-0.3))
-        specs.append(RhsSpec.for_ladder(build_oscillator(5, 1.0, "harmonic", bath)))
-        specs.append(RhsSpec.for_ladder(build_oscillator(6, 1.3, "constant", bath)))
-        specs.append(RhsSpec.for_ladder(
+        specs.append(RhsSpec.for_system(sys2, "gkls"))
+        specs.append(RhsSpec.for_system(sys2, "ebe2", gamma_pd=-0.3))
+        specs.append(RhsSpec.for_system(build_oscillator(5, 1.0, "harmonic", bath)))
+        specs.append(RhsSpec.for_system(build_oscillator(6, 1.3, "constant", bath)))
+        specs.append(RhsSpec.for_system(
             build_oscillator(6, 0.7, [1.0 + i * i for i in range(5)], bath)))
-        specs.append(RhsSpec.for_ladder(build_oscillator(4, 1.0, "harmonic", bath), "gkls"))
+        specs.append(RhsSpec.for_system(build_oscillator(4, 1.0, "harmonic", bath), "gkls"))
         for k, spec in enumerate(specs):
             ev = np.linalg.eigvals(build_superoperator(spec))
             n_zero = int(np.sum(np.abs(ev) <= 1e-10))

@@ -212,7 +212,7 @@ def test_two_level_lambda_dynamics_match_closed_form():
     sys2 = TwoLevelSystem(1.3, (0.0, 0.6, 0.8), gp, gm)
     lam0 = -0.6
     rho0 = 0.5 * np.eye(2) + (lam0 / sys2.E) * sys2.hamiltonian
-    traj = propagate(RhsSpec.for_two_level(sys2), rho0, 5.0, 0.01, "expm", 10)
+    traj = propagate(RhsSpec.for_system(sys2), rho0, 5.0, 0.01, "expm", 10)
     lam_star = sys2.gamma_diff / sys2.gamma_sum
     H = sys2.hamiltonian
     lam_fit = np.array([2.0 * np.trace(s @ H).real / sys2.E for s in traj.states])
@@ -339,7 +339,7 @@ def _worst_relative_population_error(monkeypatch, lad, T0, t_final, dt, record_e
     monkeypatch.setattr(sys.modules["ebloch.canonical"], "propagate", recorded)
     canonical_experiment(lad, T0, t_final, dt, record_every=record_every)
     pops = runs[-1].populations()
-    ref = uniformization(RhsSpec.for_ladder(lad, "eben").compiled.W, pops[0], runs[-1].times)
+    ref = uniformization(RhsSpec.for_system(lad, "eben").compiled.W, pops[0], runs[-1].times)
     assert ref.min() > 0.0
     return float(np.abs(pops / ref - 1.0).max())
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end and config parsing."""
 
 import ast
+import dataclasses
 import importlib.util
 import json
 import math
@@ -23,11 +24,10 @@ from ebloch.cli import (
     main,
     parse_config,
     parse_matrix_text,
-    rhs_spec,
 )
 from ebloch.dissipators import RhsSpec
 from ebloch.stationary import FixedPointReport, fixed_point
-from ebloch.systems import SIGMA_X, SIGMA_Z
+from ebloch.systems import SIGMA_X, SIGMA_Z, TwoLevelSystem
 
 TWO_LEVEL_CFG = """\
 [system]
@@ -79,8 +79,8 @@ def test_parse_minimal_two_level_defaults():
     cfg = parse_config(TWO_LEVEL_CFG.format(gp=gp, gm=gm))
     assert cfg.method == "expm"
     assert cfg.record_every == 10
-    assert cfg.dissipator_kind == "ebe2"
-    assert cfg.include_unitary is True
+    assert cfg.spec.kind == "ebe2"
+    assert cfg.spec.include_unitary is True
     assert cfg.what == "all"
 
 
@@ -92,15 +92,12 @@ E = 1.0
 eps = 0, 0, 1
 gamma = 1.0
 bath_T = 2.0
-gamma_pd = -0.1
 """)
-    assert cfg.system_kind == "two_level"
-    defaults = {name: getattr(cfg, name) for name in vars(cfg)
-                if name not in ("system", "system_kind")}
+    spec = cfg.spec
+    assert isinstance(spec.system, TwoLevelSystem)
+    assert (spec.kind, spec.include_unitary, spec.gamma_pd) == ("ebe2", True, 0.0)
+    defaults = {name: getattr(cfg, name) for name in vars(cfg) if name != "spec"}
     assert defaults == {
-        "dissipator_kind": "ebe2",
-        "include_unitary": True,
-        "gamma_pd": -0.1,
         "bath_T": 2.0,
         "initial": ("gibbs", None),
         "t_final": None,
@@ -161,9 +158,9 @@ gamma = 0.5
 bath_T = 1.0
 """
     cfg = parse_config(text)
-    sums = [t.gamma_sum for t in cfg.system.transitions]
+    sums = [t.gamma_sum for t in cfg.spec.system.transitions]
     np.testing.assert_allclose(sums, [0.5 * (i + 1) for i in range(11)], rtol=1e-13)
-    assert cfg.dissipator_kind == "eben"
+    assert cfg.spec.kind == "eben"
 
 
 def test_parse_explicit_system():
@@ -174,8 +171,8 @@ energies = 0, 1.0, 2.7
 transitions = 0:1:0.2:0.8; 1:2:0.1:0.9
 """
     cfg = parse_config(text)
-    assert cfg.system.N == 3
-    assert cfg.system.transitions[1].E_t == pytest.approx(1.7)
+    assert cfg.spec.system.N == 3
+    assert cfg.spec.system.transitions[1].E_t == pytest.approx(1.7)
 
 
 def test_parse_two_level_thermal_shortcut():
@@ -188,7 +185,8 @@ gamma = 1.0
 bath_T = 0.5
 """
     cfg = parse_config(text)
-    assert cfg.system.gamma_p / cfg.system.gamma_m == pytest.approx(math.exp(-4.0), rel=1e-12)
+    sys2 = cfg.spec.system
+    assert sys2.gamma_p / sys2.gamma_m == pytest.approx(math.exp(-4.0), rel=1e-12)
     assert cfg.bath_T == 0.5
 
 
@@ -203,8 +201,31 @@ bath_T = 1.0
 [dissipator]
 kind = ebe2
 """
-    with pytest.raises(ConfigError, match="two_level"):
+    with pytest.raises(ConfigError, match="kind 'ebe2' needs a TwoLevelSystem"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("system, kind", [("oscillator", "ebe2"), ("two_level", "eben")])
+def test_kind_system_mismatch_is_collected_with_the_other_errors(system, kind):
+    text = (CONFIG_SYSTEMS[system][0] + f"[dissipator]\nkind = {kind}\n"
+            "[integration]\nt_final = -3\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert len(exc.value.errors) == 2
+    assert exc.value.errors[0].startswith(f"[dissipator] kind {kind!r} needs a ")
+    assert exc.value.errors[1] == "[integration] t_final must be positive and finite"
+
+
+def test_gibbs_start_without_t_takes_the_system_bath_temperature(tmp_path):
+    text = (CONFIG_SYSTEMS["oscillator"][0].replace("N = 5", "N = 4")
+            + "[integration]\nt_final = 0.5\ndt = 0.05\n")
+    outputs = []
+    for name, initial in (("default", ""), ("gibbs", "[initial]\ntype = gibbs\n")):
+        out = tmp_path / name
+        assert main(["simulate", "--config", write(tmp_path, f"{name}.cfg", text + initial),
+                     "--out", str(out)]) == 0
+        outputs.append((out / "trajectory.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("rule", ["harmonic", "constant"])
@@ -281,11 +302,14 @@ CONFIG_SYSTEMS = {
 @pytest.mark.parametrize("text, message", [
     (CONFIG_SYSTEMS["oscillator"][0] + "gamma_pd = 0.4\n",
      "[system] gamma_pd is not a key this config reads"),
+    (CONFIG_SYSTEMS["two_level"][0] + "gamma_pd = -0.1\n",
+     "[system] gamma_pd is not a key this config reads"),
     (CONFIG_SYSTEMS["explicit"][0] + "bath_T = 1.0\n",
      "[system] bath_t is not a key this config reads"),
     (CONFIG_SYSTEMS["oscillator"][0] + "[integraton]\ndt = 0.01\n",
      "[integraton] dt is not a key this config reads"),
-], ids=["oscillator-system-gamma_pd", "explicit-system-bath_T", "misspelt-section"])
+], ids=["oscillator-system-gamma_pd", "two_level-system-gamma_pd", "explicit-system-bath_T",
+        "misspelt-section"])
 def test_keys_the_config_does_not_read_exit_as_validation(tmp_path, capsys, text, message):
     cfg = write(tmp_path, "k.cfg", text + "[output]\npath = fp.csv\n")
     assert main(["fixed-point", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -333,7 +357,7 @@ def test_every_spec_a_config_builds_compiles(system, include_unitary, gamma_pd):
     for kind in kinds:
         cfg = parse_config(text + f"[dissipator]\nkind = {kind}\n"
                            f"include_unitary = {include_unitary}\ngamma_pd = {gamma_pd}\n")
-        gen = rhs_spec(cfg).compiled
+        gen = cfg.spec.compiled
         assert (gen.V is None) == (system != "two_level")
 
 
@@ -614,7 +638,7 @@ FIXED_POINT_SYSTEMS = {
 def test_fixed_point_state_file_is_the_per_entry_text(tmp_path, system):
     text = FIXED_POINT_SYSTEMS[system] + "[output]\npath = fp.csv\n"
     cfg = parse_config(text)
-    report = fixed_point(rhs_spec(cfg), bath_T=cfg.bath_T)
+    report = fixed_point(cfg.spec, bath_T=cfg.bath_T)
     assert main(["fixed-point", "--config", write(tmp_path, "fp.cfg", text),
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "fp.state.txt").read_text() == entry_text(report.rho_stationary)
@@ -627,7 +651,7 @@ def test_fixed_point_state_writers_keep_edge_values(tmp_path, monkeypatch, syste
     from ebloch import cli
 
     text = FIXED_POINT_SYSTEMS[system] + "[output]\npath = fp.csv\n"
-    spec = rhs_spec(parse_config(text))
+    spec = parse_config(text).spec
     rng = np.random.default_rng(63)
     if system == "tilted_gkls":
         rho = complex_matrix(rng.choice(EDGE, (spec.dim, spec.dim)),
@@ -659,8 +683,9 @@ def test_spec_without_a_split_exits_as_validation(tmp_path, capsys, monkeypatch)
     from ebloch import cli
 
     # no config builds such a spec; sigma_x does not shift energy by one gap of sigma_z/2
-    monkeypatch.setattr(cli, "rhs_spec",
-                        lambda cfg: RhsSpec(SIGMA_Z / 2, "gkls", jumps=((SIGMA_X, 1.0),)))
+    spec = RhsSpec(SIGMA_Z / 2, "gkls", jumps=((SIGMA_X, 1.0),))
+    monkeypatch.setattr(cli, "parse_config",
+                        lambda text: dataclasses.replace(parse_config(text), spec=spec))
     gp, gm = thermal_rates()
     cfg = write(tmp_path, "fp.cfg", TWO_LEVEL_CFG.format(gp=gp, gm=gm))
     for sub in ("fixed-point", "simulate"):

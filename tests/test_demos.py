@@ -23,3 +23,10 @@ def test_demo_runs_standalone(name, tmp_path):
                             env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_quick_start_runs(capsys):
+    text = (DEMOS.parent / "README.md").read_text()
+    block = text.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md (Quick start)", "exec"), {})
+    assert float(capsys.readouterr().out) <= 1e-12

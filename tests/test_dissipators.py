@@ -332,8 +332,8 @@ def test_master_rhs_ebe2_equals_gkls_spec():
     rng = np.random.default_rng(31)
     for _ in range(100):
         sys2 = random_two_level(rng)
-        spec_e = RhsSpec.for_two_level(sys2, "ebe2")
-        spec_g = RhsSpec.for_two_level(sys2, "gkls")
+        spec_e = RhsSpec.for_system(sys2, "ebe2")
+        spec_g = RhsSpec.for_system(sys2, "gkls")
         rho = random_density(rng, 2)
         diff = master_rhs(rho, spec_e) - master_rhs(rho, spec_g)
         assert np.linalg.norm(diff) <= 1e-12 * sys2.gamma_sum
@@ -346,7 +346,7 @@ def test_master_rhs_gibbs_stationary_with_any_dephasing():
     sys2 = TwoLevelSystem(E, (0, 0.6, 0.8), gp, gm)
     rho_g = gibbs_state(sys2.hamiltonian, bath.T)
     for gamma_pd in (0.0, 0.8, -0.8):
-        spec = RhsSpec.for_two_level(sys2, gamma_pd=gamma_pd)
+        spec = RhsSpec.for_system(sys2, gamma_pd=gamma_pd)
         assert np.linalg.norm(master_rhs(rho_g, spec)) <= 1e-12
 
 
@@ -354,9 +354,9 @@ def test_master_rhs_trace_and_hermiticity_preserving():
     rng = np.random.default_rng(32)
     lad = build_oscillator(5, 1.0, "harmonic", BathModel(1.0, 1.0))
     specs = [
-        RhsSpec.for_ladder(lad),
-        RhsSpec.for_ladder(lad, "gkls"),
-        RhsSpec.for_two_level(random_two_level(rng), "ebe2", gamma_pd=-0.2),
+        RhsSpec.for_system(lad),
+        RhsSpec.for_system(lad, "gkls"),
+        RhsSpec.for_system(random_two_level(rng), "ebe2", gamma_pd=-0.2),
     ]
     for spec in specs:
         for _ in range(20):
@@ -364,6 +364,22 @@ def test_master_rhs_trace_and_hermiticity_preserving():
             out = master_rhs(rho, spec)
             assert abs(np.trace(out)) <= 1e-12
             assert np.abs(out - out.conj().T).max() <= 1e-12 * max(1, np.abs(out).max())
+
+
+def test_for_system_picks_and_checks_the_kind_by_system():
+    sys2 = TwoLevelSystem(1.0, (0, 0, 1), 0.3, 0.7)
+    lad = build_oscillator(3, 1.0, "harmonic", BathModel(1.0, 1.0))
+    assert RhsSpec.for_system(sys2).kind == "ebe2"
+    assert RhsSpec.for_system(lad).kind == "eben"
+    for system in (sys2, lad):
+        spec = RhsSpec.for_system(system, "gkls", False, -0.1)
+        assert (spec.kind, spec.system, spec.include_unitary, spec.gamma_pd) == (
+            "gkls", system, False, -0.1)
+        np.testing.assert_array_equal(spec.hamiltonian, system.hamiltonian)
+    with pytest.raises(ValueError, match="kind 'ebe2' needs a TwoLevelSystem"):
+        RhsSpec.for_system(lad, "ebe2")
+    with pytest.raises(ValueError, match="kind 'eben' needs a LadderSystem"):
+        RhsSpec.for_system(sys2, "eben")
 
 
 def test_rhs_spec_validation():
@@ -376,7 +392,7 @@ def test_rhs_spec_validation():
         RhsSpec(np.eye(3), "eben")
     lad = build_oscillator(3, 1.0, "harmonic", BathModel(1.0, 1.0))
     with pytest.raises(ValueError, match="own Hamiltonian"):
-        RhsSpec(np.eye(2), "eben", ladder=lad)
+        RhsSpec(np.eye(2), "eben", system=lad)
     with pytest.raises(ValueError, match="non-negative"):
         RhsSpec(sys2.hamiltonian, "gkls", jumps=((SZ, -1.0),))
 
@@ -386,7 +402,7 @@ def test_two_level_dephasing_is_set_only_on_the_spec():
     # apply with the amplifying sign
     with pytest.raises(TypeError):
         TwoLevelSystem(1.0, (0, 0, 1), 0.3, 0.7, gamma_pd=0.8)
-    spec = RhsSpec.for_two_level(TwoLevelSystem(1.0, (0, 0, 1), 0.3, 0.7))
+    spec = RhsSpec.for_system(TwoLevelSystem(1.0, (0, 0, 1), 0.3, 0.7))
     assert spec.gamma_pd == 0.0
     assert fixed_point(spec).multiplicity == 1
 
@@ -409,7 +425,7 @@ def rhs_specs(draw):
                           .filter(lambda v: np.linalg.norm(v) > 0.1)))
         sys2 = TwoLevelSystem(draw(st.floats(0.2, 5.0)), tuple(v / np.linalg.norm(v)),
                               draw(rate), draw(rate))
-        return RhsSpec.for_two_level(sys2, draw(st.sampled_from(["ebe2", "gkls"])),
+        return RhsSpec.for_system(sys2, draw(st.sampled_from(["ebe2", "gkls"])),
                                      include_unitary, gamma_pd)
     n = draw(st.integers(2, 6))
     if family == "closed":
@@ -425,7 +441,7 @@ def rhs_specs(draw):
     transitions = tuple(TransitionSpec(i, j, draw(st.floats(0.0, 2.0)), draw(rate),
                                        energies[j] - energies[i]) for i, j in pairs)
     lad = LadderSystem(n, tuple(energies), transitions)
-    return RhsSpec.for_ladder(lad, draw(st.sampled_from(["eben", "gkls"])),
+    return RhsSpec.for_system(lad, draw(st.sampled_from(["eben", "gkls"])),
                               include_unitary, gamma_pd)
 
 
@@ -471,9 +487,9 @@ def test_stacked_entry_points_reject_bad_shapes(shape):
     lad = build_oscillator(2, 1.0, "harmonic", BathModel(1.0, 1.0))
     rho = np.zeros(shape, dtype=complex)
     calls = [
-        lambda: master_rhs(rho, RhsSpec.for_two_level(sys2, "ebe2")),
-        lambda: master_rhs(rho, RhsSpec.for_two_level(sys2, "gkls")),
-        lambda: master_rhs(rho, RhsSpec.for_ladder(lad)),
+        lambda: master_rhs(rho, RhsSpec.for_system(sys2, "ebe2")),
+        lambda: master_rhs(rho, RhsSpec.for_system(sys2, "gkls")),
+        lambda: master_rhs(rho, RhsSpec.for_system(lad)),
         lambda: master_rhs(rho, RhsSpec(SZ, "gkls")),
         lambda: ebe_two_level(rho, sys2),
         lambda: ebe_multi_level(rho, lad),

@@ -151,13 +151,13 @@ def oscillator_a(N=4):
 @given(transition_graphs(), spec_options)
 def test_split_matches_probed_superoperator(lad, options):
     kind, include_unitary, gamma_pd = options
-    assert_split_matches_probe(RhsSpec.for_ladder(lad, kind, include_unitary, gamma_pd))
+    assert_split_matches_probe(RhsSpec.for_system(lad, kind, include_unitary, gamma_pd))
 
 
 @SETTINGS
 @given(tilted_two_level(), two_level_options)
 def test_eigenbasis_split_matches_rotated_probe_on_two_level_specs(sys2, options):
-    assert_split_matches_probe(RhsSpec.for_two_level(sys2, *options))
+    assert_split_matches_probe(RhsSpec.for_system(sys2, *options))
 
 
 @SETTINGS
@@ -175,7 +175,7 @@ def test_eigenbasis_split_matches_rotated_probe_on_closed_systems(n, seed, inclu
 @pytest.mark.parametrize("kind", ["ebe2", "gkls"])
 def test_descending_diagonal_two_level_transition_starts_at_level_1(kind):
     # eps = (0, 0, 1) gives H = diag(E/2, -E/2): level 1 is the lower one
-    gen = RhsSpec.for_two_level(TwoLevelSystem(1.0, (0.0, 0.0, 1.0), 0.3, 0.7), kind).compiled
+    gen = RhsSpec.for_system(TwoLevelSystem(1.0, (0.0, 0.0, 1.0), 0.3, 0.7), kind).compiled
     assert gen.V is None
     np.testing.assert_allclose(gen.W, [[-0.7, 0.3], [0.7, -0.3]], rtol=1e-15, atol=0.0)
 
@@ -183,14 +183,14 @@ def test_descending_diagonal_two_level_transition_starts_at_level_1(kind):
 def test_split_covers_transition_specs_only():
     bath = BathModel(1.0, 1.0)
     lad = build_oscillator(4, 1.0, "harmonic", bath)
-    assert RhsSpec.for_ladder(lad, "eben").compiled.V is None
-    assert RhsSpec.for_ladder(lad, "gkls").compiled.V is None
+    assert RhsSpec.for_system(lad, "eben").compiled.V is None
+    assert RhsSpec.for_system(lad, "gkls").compiled.V is None
     assert RhsSpec(np.diag([0.0, 1.0, 3.0]), "gkls").compiled.V is None  # closed
 
     gp, gm = rates_from_bath(bath, 1.0)
     sys2 = TwoLevelSystem(1.0, (0.6, 0.0, 0.8), gp, gm)
     _, V = hermitian_eig(sys2.hamiltonian)
-    for spec in (RhsSpec.for_two_level(sys2, "ebe2"), RhsSpec.for_two_level(sys2, "gkls"),
+    for spec in (RhsSpec.for_system(sys2, "ebe2"), RhsSpec.for_system(sys2, "gkls"),
                  RhsSpec(sys2.hamiltonian, "gkls")):
         np.testing.assert_array_equal(spec.compiled.V, V)
 
@@ -207,9 +207,9 @@ def test_split_covers_transition_specs_only():
     with pytest.raises(ValueError, match="jump 0 "):
         RhsSpec(H, "gkls", jumps=((np.zeros((4, 4)), 1.0),)).compiled
     with pytest.raises(ValueError, match="own Hamiltonian"):
-        RhsSpec(H + 0.1 * two_entries + 0.1 * two_entries.T, "eben", ladder=lad).compiled
+        RhsSpec(H + 0.1 * two_entries + 0.1 * two_entries.T, "eben", system=lad).compiled
     with pytest.raises(ValueError, match="own Hamiltonian"):
-        RhsSpec(SIGMA_X / 2, "ebe2", two_level=sys2).compiled
+        RhsSpec(SIGMA_X / 2, "ebe2", system=sys2).compiled
 
 
 @pytest.mark.parametrize("make_spec", [sigma_x_on_sigma_z, oscillator_a])
@@ -233,7 +233,7 @@ def test_ladder_gkls_twin_compiles_to_the_bits_of_its_jump_list(rule, T, include
                                                                 gamma_pd):
     for N in range(2, 34):
         lad = build_oscillator(N, 1.0, rule, BathModel(1.0, T))
-        gen = RhsSpec.for_ladder(lad, "gkls", include_unitary, gamma_pd).compiled
+        gen = RhsSpec.for_system(lad, "gkls", include_unitary, gamma_pd).compiled
         scanned = RhsSpec(lad.hamiltonian, "gkls", jumps=ladder_jump_list(lad),
                           include_unitary=include_unitary, gamma_pd=gamma_pd).compiled
         np.testing.assert_array_equal(gen.W, scanned.W)
@@ -247,8 +247,8 @@ def test_two_level_gkls_twin_compiles_to_the_bits_of_ebe2():
         gp, gm = rng.uniform(0.05, 2.0, 2)
         sys2 = TwoLevelSystem(float(rng.uniform(0.2, 5.0)), tuple(v / np.linalg.norm(v)),
                               float(gp), float(gm))
-        gkls = RhsSpec.for_two_level(sys2, "gkls", True, -0.2).compiled
-        ebe2 = RhsSpec.for_two_level(sys2, "ebe2", True, -0.2).compiled
+        gkls = RhsSpec.for_system(sys2, "gkls", True, -0.2).compiled
+        ebe2 = RhsSpec.for_system(sys2, "ebe2", True, -0.2).compiled
         for field in ("E", "W", "C", "V"):
             np.testing.assert_array_equal(getattr(gkls, field), getattr(ebe2, field))
 
@@ -265,8 +265,8 @@ def test_system_specs_solve_and_propagate_without_building_jumps(monkeypatch):
     monkeypatch.setattr(ebloch.dissipators, "ladder_jump_list", refuse)
     lad = build_oscillator(5, 1.0, "harmonic", BathModel(1.0, 0.8))
     tilted = TwoLevelSystem(1.0, (0.6, 0.0, 0.8), 0.3, 0.7)
-    for spec in (RhsSpec.for_ladder(lad, "gkls", True, -0.1),
-                 RhsSpec.for_two_level(tilted, "gkls", True, -0.1)):
+    for spec in (RhsSpec.for_system(lad, "gkls", True, -0.1),
+                 RhsSpec.for_system(tilted, "gkls", True, -0.1)):
         rho0 = np.full((spec.dim, spec.dim), 0.5 / spec.dim, dtype=complex)
         rho0[np.diag_indices(spec.dim)] = 1.0 / spec.dim
         assert fixed_point(spec).residual <= 1e-12
@@ -277,21 +277,17 @@ def test_system_specs_solve_and_propagate_without_building_jumps(monkeypatch):
 
 
 def test_system_specs_are_checked_at_construction():
-    # one H for both systems, so only the two payloads are at fault
     lad = LadderSystem(2, (-0.5, 0.5), (TransitionSpec(0, 1, 0.3, 0.7, 1.0),))
     sys2 = TwoLevelSystem(1.0, (0.0, 0.0, -1.0), 0.3, 0.7)
-    np.testing.assert_array_equal(sys2.hamiltonian, lad.hamiltonian)
-    with pytest.raises(ValueError, match="takes one system"):
-        RhsSpec(lad.hamiltonian, "gkls", two_level=sys2, ladder=lad)
     with pytest.raises(ValueError, match="no explicit jump list"):
-        RhsSpec(lad.hamiltonian, "gkls", ladder=lad, jumps=ladder_jump_list(lad))
+        RhsSpec(lad.hamiltonian, "gkls", system=lad, jumps=ladder_jump_list(lad))
     with pytest.raises(ValueError, match="own Hamiltonian"):
-        RhsSpec(SIGMA_X / 2, "gkls", two_level=sys2)
+        RhsSpec(SIGMA_X / 2, "gkls", system=sys2)
 
 
 def test_split_rate_matrix_conserves_trace_and_coherences_are_hermitian():
     lad = build_oscillator(6, 1.3, "harmonic", BathModel(1.0, 0.8))
-    gen = RhsSpec.for_ladder(lad, gamma_pd=-0.1).compiled
+    gen = RhsSpec.for_system(lad, gamma_pd=-0.1).compiled
     np.testing.assert_allclose(gen.W.sum(axis=0), 0.0, atol=1e-15)
     assert np.all(gen.W - np.diag(np.diag(gen.W)) >= 0.0)
     np.testing.assert_array_equal(gen.C, gen.C.conj().T)
@@ -303,7 +299,7 @@ def test_split_rate_matrix_conserves_trace_and_coherences_are_hermitian():
 
 def test_split_rk4_matches_stagewise_oracle_on_criterion_6_ladder():
     lad = build_oscillator(14, 10.0, "harmonic", BathModel(1.0, 1.0))
-    spec = RhsSpec.for_ladder(lad)
+    spec = RhsSpec.for_system(lad)
     rho = gibbs_state(lad.hamiltonian, 2.0)
     traj = propagate(spec, rho, 1.0, 1e-3, "rk4", 100)
     ref = [np.diag(rho).real]
@@ -323,7 +319,7 @@ def test_split_rk4_matches_stagewise_oracle_on_criterion_6_ladder():
                          [(4, 0.0, True), (9, -0.2, False), (16, -0.05, True)])
 def test_split_expm_matches_dense_trajectory(kind, N, gamma_pd, include_unitary):
     lad = build_oscillator(N, 0.7, "harmonic", BathModel(1.0, 1.2))
-    spec = RhsSpec.for_ladder(lad, kind, include_unitary, gamma_pd)
+    spec = RhsSpec.for_system(lad, kind, include_unitary, gamma_pd)
     rng = np.random.default_rng(N)
     A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     rho0 = A @ A.conj().T
@@ -346,7 +342,7 @@ def test_split_expm_matches_dense_trajectory(kind, N, gamma_pd, include_unitary)
 def test_split_amplifying_modes_warn_and_refuse_a_fixed_point_at_any_size():
     # N=20 is beyond the dim <= 16 spectrum check of build_superoperator
     lad = build_oscillator(20, 1.0, "harmonic", BathModel(1.0, 1.0))
-    spec = RhsSpec.for_ladder(lad, gamma_pd=+0.5)
+    spec = RhsSpec.for_system(lad, gamma_pd=+0.5)
     rho0 = gibbs_state(lad.hamiltonian, 1.0)
     with pytest.warns(UserWarning, match="amplifying modes"):
         propagate(spec, rho0, 1.0, 0.1, "expm")
@@ -354,12 +350,12 @@ def test_split_amplifying_modes_warn_and_refuse_a_fixed_point_at_any_size():
         fixed_point(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        propagate(RhsSpec.for_ladder(lad, gamma_pd=-0.5), rho0, 1.0, 0.1, "expm")
+        propagate(RhsSpec.for_system(lad, gamma_pd=-0.5), rho0, 1.0, 0.1, "expm")
 
 
 def test_split_rk4_outside_stability_region_raises_before_stepping(monkeypatch):
     lad = build_oscillator(20, 1.0, "harmonic", BathModel(1.0, 1.0))
-    spec = RhsSpec.for_ladder(lad)
+    spec = RhsSpec.for_system(lad)
     rho0 = gibbs_state(lad.hamiltonian, 2.0)
     calls = []
     monkeypatch.setattr(sys.modules["ebloch.dissipators"], "master_rhs",
@@ -375,7 +371,7 @@ def test_split_rk4_outside_stability_region_raises_before_stepping(monkeypatch):
 
 def test_split_rk4_gap_maps_keep_relative_accuracy_over_the_criterion_6_quench():
     lad = build_oscillator(14, 10.0, "harmonic", BathModel(1.0, 1.0))
-    spec = RhsSpec.for_ladder(lad)
+    spec = RhsSpec.for_system(lad)
     rho = gibbs_state(lad.hamiltonian, 2.0)
     dt, n_steps, every = 1e-3, 30_000, 25
     step = _rk4_matrix(dt * spec.compiled.W)
@@ -399,10 +395,10 @@ def test_generator_rhs_norm_matches_master_rhs():
     rng = np.random.default_rng(11)
     lad = build_oscillator(7, 1.3, "harmonic", BathModel(1.0, 0.9))
     tilted = TwoLevelSystem(1.0, (0.6, 0.0, 0.8), 0.3, 0.7)
-    specs = [RhsSpec.for_ladder(lad, "eben", True, -0.1),
-             RhsSpec.for_ladder(lad, "gkls", False, 0.0),
-             RhsSpec.for_two_level(tilted, "ebe2", True, -0.2),
-             RhsSpec.for_two_level(tilted, "gkls", False, 0.0)]
+    specs = [RhsSpec.for_system(lad, "eben", True, -0.1),
+             RhsSpec.for_system(lad, "gkls", False, 0.0),
+             RhsSpec.for_system(tilted, "ebe2", True, -0.2),
+             RhsSpec.for_system(tilted, "gkls", False, 0.0)]
     assert [s.compiled.V is None for s in specs] == [True, True, False, False]
     for spec in specs:
         gen = spec.compiled
@@ -416,7 +412,7 @@ def test_generator_rhs_norm_matches_master_rhs():
 @pytest.mark.parametrize("method", ["rk4", "expm"])
 def test_split_propagate_evaluates_no_master_rhs(monkeypatch, method):
     lad = build_oscillator(8, 1.0, "harmonic", BathModel(1.0, 1.0))
-    spec = RhsSpec.for_ladder(lad, gamma_pd=-0.1)
+    spec = RhsSpec.for_system(lad, gamma_pd=-0.1)
     calls = []
     monkeypatch.setattr(sys.modules["ebloch.dissipators"], "master_rhs",
                         lambda rho, s: calls.append(1) or master_rhs(rho, s))
@@ -427,7 +423,7 @@ def test_split_propagate_evaluates_no_master_rhs(monkeypatch, method):
 
 def test_split_growth_check_aborts_amplifying_coherences():
     lad = build_oscillator(4, 1.0, "harmonic", BathModel(1.0, 1.0))
-    spec = RhsSpec.for_ladder(lad, gamma_pd=+50.0)
+    spec = RhsSpec.for_system(lad, gamma_pd=+50.0)
     assert spec.compiled is not None
     psi = np.full(4, 0.5, dtype=complex)
     with pytest.raises(PropagationError, match="instability"):
@@ -475,7 +471,7 @@ def _compare_fixed_points(spec, compare_state):
 @given(transition_graphs(connected=True, thermal=True), spec_options)
 def test_split_fixed_point_matches_probed_on_connected_graphs(lad, options):
     kind, include_unitary, gamma_pd = options
-    spec = RhsSpec.for_ladder(lad, kind, include_unitary, min(gamma_pd, 0.0))
+    spec = RhsSpec.for_system(lad, kind, include_unitary, min(gamma_pd, 0.0))
     _compare_fixed_points(spec, compare_state=True)
 
 
@@ -485,14 +481,14 @@ def test_split_fixed_point_matches_probed_on_disconnected_graphs(lad, options):
     # the stationary manifold has several directions, so the picked state
     # depends on the eigenvector basis; spectrum-derived numbers must agree
     kind, include_unitary, gamma_pd = options
-    spec = RhsSpec.for_ladder(lad, kind, include_unitary, min(gamma_pd, 0.0))
+    spec = RhsSpec.for_system(lad, kind, include_unitary, min(gamma_pd, 0.0))
     _compare_fixed_points(spec, compare_state=False)
     assert fixed_point(spec).multiplicity >= 2
 
 
 def test_split_fixed_point_beyond_the_superoperator_guard():
     lad = build_oscillator(128, 1.0, "harmonic", BathModel(1.0, 1.0))
-    spec = RhsSpec.for_ladder(lad)
+    spec = RhsSpec.for_system(lad)
     with pytest.raises(ValueError, match="guard"):
         build_superoperator(spec)
     t0 = time.perf_counter()

@@ -97,9 +97,9 @@ def test_expm_matches_scipy_on_the_exact_ladders_and_two_level_rates():
     for kind, N in (("eben", 32), ("gkls", 24)):
         for T in (0.7, 1.5):
             lad = build_oscillator(N, 1.0, "harmonic", BathModel(1.0, T))
-            mats += [RhsSpec.for_ladder(lad, kind).compiled.W * t for t in (0.02, 0.05)]
+            mats += [RhsSpec.for_system(lad, kind).compiled.W * t for t in (0.02, 0.05)]
     for kind in ("ebe2", "gkls"):
-        W = RhsSpec.for_two_level(thermal_two_level(eps=(0.6, 0.0, 0.8)), kind).compiled.W
+        W = RhsSpec.for_system(thermal_two_level(eps=(0.6, 0.0, 0.8)), kind).compiled.W
         mats += [W * t for t in (1e-3, 0.1, 1.0, 10.0, 100.0)]
     for A in mats:
         assert _rel_error(expm(A), scipy.linalg.expm(A)) <= 1e-14
@@ -138,7 +138,7 @@ def test_expm_of_a_non_finite_matrix_is_nan_and_the_run_stops_at_its_check():
                                             TransitionSpec(1, 2, 1e308, 1e308, 1.0)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the overflow is the input
-        spec = RhsSpec.for_ladder(lad)
+        spec = RhsSpec.for_system(lad)
         assert spec.compiled.W[1, 1] == -np.inf
         with pytest.raises(PropagationError, match="step instability at t=0: rhs norm nan"):
             propagate(spec, np.diag([1.0, 0.0, 0.0]), 0.1, 0.01)
@@ -146,7 +146,7 @@ def test_expm_of_a_non_finite_matrix_is_nan_and_the_run_stops_at_its_check():
 
 def test_each_distinct_record_gap_builds_one_expm_map(monkeypatch):
     # the exact workload's grid: gaps 5, 5, 2 steps, so two maps
-    spec = RhsSpec.for_ladder(build_oscillator(6, 1.0, "harmonic", BathModel(1.0, 1.0)))
+    spec = RhsSpec.for_system(build_oscillator(6, 1.0, "harmonic", BathModel(1.0, 1.0)))
     built = []
     real = sys.modules["ebloch.propagate"].expm
     monkeypatch.setattr(sys.modules["ebloch.propagate"], "expm",
@@ -198,7 +198,7 @@ def test_step_rk4_aborts_on_nan():
 def test_superoperator_consistent_with_master_rhs():
     rng = np.random.default_rng(40)
     lad = build_oscillator(4, 1.0, "harmonic", BathModel(1.0, 1.0))
-    for spec in (RhsSpec.for_two_level(thermal_two_level()), RhsSpec.for_ladder(lad)):
+    for spec in (RhsSpec.for_system(thermal_two_level()), RhsSpec.for_system(lad)):
         S = build_superoperator(spec)
         for _ in range(10):
             A = rng.standard_normal((spec.dim,) * 2) + 1j * rng.standard_normal((spec.dim,) * 2)
@@ -220,7 +220,7 @@ def test_superoperator_unitary_only_bohr_frequencies():
 
 
 def test_superoperator_spectrum_ebe2():
-    spec = RhsSpec.for_two_level(thermal_two_level())
+    spec = RhsSpec.for_system(thermal_two_level())
     ev = np.linalg.eigvals(build_superoperator(spec))
     assert np.sum(np.abs(ev) <= 1e-10) == 1
     nonzero = ev[np.abs(ev) > 1e-10]
@@ -229,7 +229,7 @@ def test_superoperator_spectrum_ebe2():
 
 def test_superoperator_annihilates_gibbs():
     sys2 = thermal_two_level(E=1.2, T=0.8)
-    S = build_superoperator(RhsSpec.for_two_level(sys2))
+    S = build_superoperator(RhsSpec.for_system(sys2))
     v = S @ vectorize(gibbs_state(sys2.hamiltonian, 0.8))
     assert np.abs(v).max() <= 1e-10
 
@@ -237,13 +237,13 @@ def test_superoperator_annihilates_gibbs():
 def test_superoperator_dimension_guard():
     lad = build_oscillator(65, 1.0, "constant", BathModel(1.0, 1.0))
     with pytest.raises(ValueError, match="guard"):
-        build_superoperator(RhsSpec.for_ladder(lad))
+        build_superoperator(RhsSpec.for_system(lad))
 
 
 def test_dense_max_growth_is_the_superoperator_spectral_abscissa():
     # build_superoperator inspects no spectrum; the generator's max_growth is
     # the one amplifying check, read off the coherence rates
-    spec = RhsSpec.for_two_level(thermal_two_level(), gamma_pd=+2.0)
+    spec = RhsSpec.for_system(thermal_two_level(), gamma_pd=+2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         S = build_superoperator(spec)
@@ -258,14 +258,14 @@ def test_dense_max_growth_is_the_superoperator_spectral_abscissa():
 def test_propagate_gibbs_initial_state_is_constant():
     sys2 = thermal_two_level(E=1.0, T=1.0)
     rho_g = gibbs_state(sys2.hamiltonian, 1.0)
-    traj = propagate(RhsSpec.for_two_level(sys2), rho_g, 5.0, 0.01, "expm", 10)
+    traj = propagate(RhsSpec.for_system(sys2), rho_g, 5.0, 0.01, "expm", 10)
     for state in traj.states:
         assert np.abs(state - rho_g).max() <= 1e-9
 
 
 def test_propagate_rk4_and_expm_agree():
     sys2 = thermal_two_level()
-    spec = RhsSpec.for_two_level(sys2)
+    spec = RhsSpec.for_system(sys2)
     kw = dict(t_final=5.0, dt=1e-3, record_every=250)
     tr = propagate(spec, COHERENT_RHO0, method="rk4", **kw)
     te = propagate(spec, COHERENT_RHO0, method="expm", **kw)
@@ -283,7 +283,7 @@ def test_propagate_closed_system_conserves_purity():
 
 def test_propagate_trace_drift_bounds():
     sys2 = thermal_two_level()
-    spec = RhsSpec.for_two_level(sys2)
+    spec = RhsSpec.for_system(sys2)
     tr = propagate(spec, COHERENT_RHO0, 10.0, 1e-3, "rk4", 500)
     assert tr.trace_dev.max() <= 1e-10
     te = propagate(spec, COHERENT_RHO0, 10.0, 1e-2, "expm", 100)
@@ -293,7 +293,7 @@ def test_propagate_trace_drift_bounds():
 def test_propagate_monotone_approach_to_gibbs():
     sys2 = thermal_two_level(E=1.0, T=1.0)
     rho_g = gibbs_state(sys2.hamiltonian, 1.0)
-    traj = propagate(RhsSpec.for_two_level(sys2), COHERENT_RHO0, 8.0, 0.01, "expm", 20)
+    traj = propagate(RhsSpec.for_system(sys2), COHERENT_RHO0, 8.0, 0.01, "expm", 20)
     dists = [trace_distance(s, rho_g) for s in traj.states]
     for a, b in zip(dists, dists[1:]):
         assert b <= a + 1e-12
@@ -302,7 +302,7 @@ def test_propagate_monotone_approach_to_gibbs():
 def test_propagate_records_final_time_and_diagnostics():
     lad = build_oscillator(5, 1.0, "harmonic", BathModel(1.0, 1.0))
     rho0 = gibbs_state(lad.hamiltonian, 2.0)
-    traj = propagate(RhsSpec.for_ladder(lad), rho0, 1.05, 0.1, "rk4", 4)
+    traj = propagate(RhsSpec.for_system(lad), rho0, 1.05, 0.1, "rk4", 4)
     # steps: 10 -> records at 0, 4, 8, 10
     np.testing.assert_allclose(traj.times, [0.0, 0.4, 0.8, 1.0], atol=1e-12)
     assert len(traj.states) == 4
@@ -311,7 +311,7 @@ def test_propagate_records_final_time_and_diagnostics():
 
 
 def test_propagate_validates_initial_state():
-    spec = RhsSpec.for_two_level(thermal_two_level())
+    spec = RhsSpec.for_system(thermal_two_level())
     with pytest.raises(ValueError, match="trace"):
         propagate(spec, np.eye(2), 1.0, 0.1)
     with pytest.raises(ValueError, match="Hermitian"):
@@ -329,7 +329,7 @@ def test_propagate_validates_initial_state():
 
 @pytest.mark.parametrize("dim", [3, 5])
 def test_propagate_rejects_a_start_of_the_wrong_shape(dim):
-    spec = RhsSpec.for_ladder(build_oscillator(4, 1.0, "harmonic", BathModel(1.0, 1.0)))
+    spec = RhsSpec.for_system(build_oscillator(4, 1.0, "harmonic", BathModel(1.0, 1.0)))
     rho0 = np.full((dim, dim), 0.1 / dim) + np.eye(dim) * 0.9 / dim
     with pytest.raises(ValueError, match=rf"shape \({dim}, {dim}\).*\(4, 4\)"):
         propagate(spec, rho0, 1.0, 0.1)
@@ -345,14 +345,14 @@ def test_propagate_rejects_a_start_of_the_wrong_shape(dim):
     (1e300, 1e-300, "overflow the record index"),  # the quotient itself is inf
 ])
 def test_propagate_rejects_non_finite_or_overflowing_times(t_final, dt, match):
-    spec = RhsSpec.for_two_level(thermal_two_level())
+    spec = RhsSpec.for_system(thermal_two_level())
     with pytest.raises(ValueError, match=match):
         propagate(spec, np.eye(2) / 2, t_final, dt)
 
 
 def test_propagate_aborts_on_divergence():
     # strongly amplifying dephasing sign blows coherences up
-    spec = RhsSpec.for_two_level(thermal_two_level(), gamma_pd=+50.0)
+    spec = RhsSpec.for_system(thermal_two_level(), gamma_pd=+50.0)
     rho0 = np.array([[0.5, 0.4], [0.4, 0.5]], dtype=complex)
     with pytest.raises(PropagationError, match="instability"):
         with pytest.warns(UserWarning):
@@ -366,11 +366,11 @@ def test_propagate_flags_undamped_cross_block_coherence():
     psi = np.zeros(3, dtype=complex)
     psi[0] = psi[2] = 1 / np.sqrt(2)
     rho0 = np.outer(psi, psi.conj())
-    traj = propagate(RhsSpec.for_ladder(lad), rho0, 8.0, 0.01, "expm", 40)
+    traj = propagate(RhsSpec.for_system(lad), rho0, 8.0, 0.01, "expm", 40)
     assert traj.min_eig.min() < -1e-8
     assert any("positivity" in w for w in traj.warnings)
     # the pairwise jump construction damps that coherence and stays positive
-    traj_g = propagate(RhsSpec.for_ladder(lad, "gkls"), rho0, 8.0, 0.01, "expm", 40)
+    traj_g = propagate(RhsSpec.for_system(lad, "gkls"), rho0, 8.0, 0.01, "expm", 40)
     assert traj_g.min_eig.min() >= -1e-8
     assert not any("positivity" in w for w in traj_g.warnings)
 
@@ -378,7 +378,7 @@ def test_propagate_flags_undamped_cross_block_coherence():
 def test_propagate_flags_truncation_leak():
     lad = build_oscillator(4, 1.0, "harmonic", BathModel(1.0, 1.0))
     rho0 = gibbs_state(lad.hamiltonian, 3.0)  # hot start on a short ladder
-    traj = propagate(RhsSpec.for_ladder(lad), rho0, 1.0, 0.01, "expm", 10)
+    traj = propagate(RhsSpec.for_system(lad), rho0, 1.0, 0.01, "expm", 10)
     assert any("truncation" in w for w in traj.warnings)
 
 
@@ -387,7 +387,7 @@ def test_propagate_flags_truncation_leak():
 
 def tilted_two_level_spec(gamma_pd=0.0):
     sys2 = TwoLevelSystem(1.0, (0.6, 0.0, 0.8), 0.3, 0.7)
-    spec = RhsSpec.for_two_level(sys2, gamma_pd=gamma_pd)
+    spec = RhsSpec.for_system(sys2, gamma_pd=gamma_pd)
     assert spec.compiled.V is not None  # H is not diagonal
     return spec
 
@@ -440,7 +440,7 @@ def test_dense_rk4_matches_stagewise_oracle(kind, include_unitary, gamma_pd):
         eps /= np.linalg.norm(eps)
         sys2 = TwoLevelSystem(float(rng.uniform(0.2, 3.0)), eps,
                               float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.05, 1.0)))
-        spec = RhsSpec.for_two_level(sys2, kind, include_unitary, gamma_pd)
+        spec = RhsSpec.for_system(sys2, kind, include_unitary, gamma_pd)
         assert spec.compiled.V is not None
         A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         rho = A @ A.conj().T
@@ -488,7 +488,7 @@ def _stagewise(spec, rho, dt, n_steps, record_every):
 @pytest.mark.parametrize("record_every", [300, 1])  # gaps 300, 300, 300, 100 / all 1
 def test_split_rk4_gap_maps_match_stagewise_steps(record_every):
     lad = build_oscillator(6, 1.0, "harmonic", BathModel(1.0, 1.0))
-    spec = RhsSpec.for_ladder(lad, gamma_pd=-0.1)
+    spec = RhsSpec.for_system(lad, gamma_pd=-0.1)
     assert spec.compiled is not None
     A = np.random.default_rng(3).standard_normal((6, 12)).view(complex)
     rho0 = A @ A.conj().T / np.linalg.norm(A) ** 2
@@ -505,7 +505,7 @@ def test_rk4_stability_checks_only_the_modes_the_run_steps():
     # RK4 region at dt = 0.1, while eig(W) lies inside it: a Gibbs start
     # never steps that mode, a start that carries it does
     lad = build_oscillator(33, 1.0, "constant", BathModel(1.0, 0.7))
-    spec = RhsSpec.for_ladder(lad, "eben", gamma_pd=-0.05)
+    spec = RhsSpec.for_system(lad, "eben", gamma_pd=-0.05)
     rho0 = _gibbs_start(spec)
     traj = propagate(spec, rho0, 1.0, 0.1, "rk4")
     assert traj.times[-1] == 1.0 and traj.trace_dev.max() <= 1e-12
@@ -519,7 +519,7 @@ def test_closed_form_coherences_match_the_superoperator_at_long_times(method):
     # weak damping keeps the coherences well above round-off at t = 30,
     # after up to 7 * 30 radians of phase
     lad = build_oscillator(8, 1.0, "harmonic", BathModel(0.05, 1.0))
-    spec = RhsSpec.for_ladder(lad, gamma_pd=-0.01)
+    spec = RhsSpec.for_system(lad, gamma_pd=-0.01)
     rho0 = _coherent_state(8)
     dt = 0.01
     traj = propagate(spec, rho0, 30.0, dt, method, 500)
@@ -558,7 +558,7 @@ def _diagnose_one(rho, top_index):
 
 def _ladder_spec(N=5, gamma_pd=-0.1):
     lad = build_oscillator(N, 1.0, "harmonic", BathModel(1.0, 1.0))
-    spec = RhsSpec.for_ladder(lad, gamma_pd=gamma_pd)
+    spec = RhsSpec.for_system(lad, gamma_pd=gamma_pd)
     assert spec.compiled.V is None  # H is exactly diagonal
     return spec
 
@@ -600,7 +600,7 @@ def _assert_diagnostics_are_the_formula(traj, top, records):
 @pytest.mark.parametrize("case", ["ladder", "tilted", "gibbs"])
 def test_stacked_diagnostics_match_per_record_formula(case):
     spec = _spec(case)
-    top = spec.ladder.top_level if spec.ladder is not None else None
+    top = spec.system.top_level if isinstance(spec.system, LadderSystem) else None
     rng = np.random.default_rng(17)
     n, dim = 40, spec.dim
     # populations over mixed scales, some slightly negative

@@ -133,7 +133,7 @@ def test_fixed_point_matches_analytic_and_gibbs():
         v = rng.standard_normal(3)
         sys2 = thermal_two_level(E, T, gamma=float(rng.uniform(0.3, 2.0)),
                                  eps=tuple(v / np.linalg.norm(v)))
-        report = fixed_point(RhsSpec.for_two_level(sys2))
+        report = fixed_point(RhsSpec.for_system(sys2))
         assert trace_distance(report.rho_stationary,
                               two_level_stationary_analytic(sys2)) <= 1e-10
         assert report.gibbs_distance <= 1e-10
@@ -144,7 +144,7 @@ def test_fixed_point_matches_analytic_and_gibbs():
 
 def test_fixed_point_nonthermal_rates_match_closed_form_only():
     sys2 = TwoLevelSystem(1.0, (0, 0.6, 0.8), 1.4, 0.3)  # inverted
-    report = fixed_point(RhsSpec.for_two_level(sys2))
+    report = fixed_point(RhsSpec.for_system(sys2))
     assert trace_distance(report.rho_stationary,
                           two_level_stationary_analytic(sys2)) <= 1e-10
     assert math.isnan(report.gibbs_distance)
@@ -153,7 +153,7 @@ def test_fixed_point_nonthermal_rates_match_closed_form_only():
 def test_fixed_point_oscillator_gibbs_for_any_coupling_rule():
     for rule in ("harmonic", "constant", [1.0 + i * i for i in range(7)]):
         lad = build_oscillator(8, 1.0, rule, BathModel(1.0, 1.0))
-        report = fixed_point(RhsSpec.for_ladder(lad))
+        report = fixed_point(RhsSpec.for_system(lad))
         assert report.gibbs_distance <= 1e-8
         assert report.residual <= 1e-10
         p = np.diag(report.rho_stationary).real
@@ -169,13 +169,13 @@ def test_fixed_point_unequal_spacing_ladder_is_still_gibbs():
         gp, gm = rates_from_bath(BathModel(0.8 + 0.3 * i, T), E_t)
         transitions.append(TransitionSpec(i, i + 1, gp, gm, E_t))
     lad = LadderSystem(3, energies, tuple(transitions))
-    report = fixed_point(RhsSpec.for_ladder(lad))
+    report = fixed_point(RhsSpec.for_system(lad))
     assert report.gibbs_distance <= 1e-10
 
 
 def test_fixed_point_agrees_with_long_time_propagation():
     sys2 = thermal_two_level(E=1.0, T=0.8)
-    spec = RhsSpec.for_two_level(sys2)
+    spec = RhsSpec.for_system(sys2)
     report = fixed_point(spec)
     t_final = 20.0 / report.spectral_gap
     rho0 = np.diag([1.0, 0.0]).astype(complex)
@@ -198,16 +198,16 @@ def test_fixed_point_on_cyclic_and_branching_graphs():
 
     triangle = LadderSystem(3, energies, (
         thermal(0, 1, 1.0, T), thermal(1, 2, 0.6, T), thermal(0, 2, 1.7, T)))
-    report = fixed_point(RhsSpec.for_ladder(triangle))
+    report = fixed_point(RhsSpec.for_system(triangle))
     assert report.gibbs_distance <= 1e-10
     assert report.multiplicity == 1
 
     vee = LadderSystem(3, energies, (thermal(0, 1, 1.0, T), thermal(0, 2, 0.5, T)))
-    assert fixed_point(RhsSpec.for_ladder(vee)).gibbs_distance <= 1e-10
+    assert fixed_point(RhsSpec.for_system(vee)).gibbs_distance <= 1e-10
 
     frustrated = LadderSystem(3, energies, (
         thermal(0, 1, 1.0, 0.5), thermal(1, 2, 0.6, 2.0), thermal(0, 2, 1.7, 1.0)))
-    report = fixed_point(RhsSpec.for_ladder(frustrated))
+    report = fixed_point(RhsSpec.for_system(frustrated))
     assert math.isnan(report.gibbs_distance)
     assert report.residual <= 1e-10
     assert report.multiplicity == 1
@@ -221,7 +221,7 @@ def test_fixed_point_flags_multiplicity_on_disconnected_graph():
         TransitionSpec(2, 3, 0.2, 0.8, 1.0),
     )
     lad = LadderSystem(4, energies, transitions)
-    report = fixed_point(RhsSpec.for_ladder(lad))
+    report = fixed_point(RhsSpec.for_system(lad))
     assert report.multiplicity >= 2
     assert report.residual <= 1e-10
 
@@ -248,12 +248,12 @@ def _fixed_point_specs():
             for T in (0.4, 1.5):
                 lad = build_oscillator(N, 1.0, rule, BathModel(0.7, T))
                 for kind in ("eben", "gkls"):
-                    yield RhsSpec.for_ladder(lad, kind), T
+                    yield RhsSpec.for_system(lad, kind), T
     for E, T in ((0.5, 0.3), (1.0, 1.0), (2.5, 4.0)):
         for eps in ((0.6, 0.0, 0.8), (0.48, 0.36, 0.8)):
             sys2 = thermal_two_level(E, T, gamma=0.9, eps=eps)
             for kind in ("ebe2", "gkls"):
-                yield RhsSpec.for_two_level(sys2, kind), T
+                yield RhsSpec.for_system(sys2, kind), T
 
 
 def test_fixed_point_measures_in_the_eigenbasis_match_the_dense_formulas():
@@ -278,7 +278,7 @@ def test_fixed_point_and_a_gibbs_start_take_no_dense_eigensolve(monkeypatch):
     # on a ladder every measure of the fixed point and every check of a run
     # from a state diagonal in the eigenbasis reads the diagonal alone
     lad = build_oscillator(64, 1.0, "harmonic", BathModel(1.0, 1.0))
-    spec = RhsSpec.for_ladder(lad)
+    spec = RhsSpec.for_system(lad)
     rho0 = gibbs_state(lad.hamiltonian, 2.0)
 
     def dense_eigensolve(*args, **kwargs):
@@ -304,8 +304,8 @@ def test_fixed_point_rotates_its_state_out_only_when_read(monkeypatch):
         return rotate_out(self, s)
 
     monkeypatch.setattr(SplitGenerator, "rotate_out", counted)
-    ladder = RhsSpec.for_ladder(build_oscillator(8, 1.0, "harmonic", BathModel(1.0, 1.0)))
-    tilted = RhsSpec.for_two_level(thermal_two_level(1.0, 1.0, eps=(0.48, 0.36, 0.8)))
+    ladder = RhsSpec.for_system(build_oscillator(8, 1.0, "harmonic", BathModel(1.0, 1.0)))
+    tilted = RhsSpec.for_system(thermal_two_level(1.0, 1.0, eps=(0.48, 0.36, 0.8)))
     assert ladder.compiled.V is None and tilted.compiled.V is not None
     for spec in (ladder, tilted):
         report = fixed_point(spec)
@@ -324,16 +324,16 @@ def test_fixed_point_rotates_its_state_out_only_when_read(monkeypatch):
 
 def test_effective_temperature_two_level():
     sys2 = thermal_two_level(E=1.0, T=0.7)
-    assert effective_temperature(RhsSpec.for_two_level(sys2)) == pytest.approx(0.7, rel=1e-12)
+    assert effective_temperature(RhsSpec.for_system(sys2)) == pytest.approx(0.7, rel=1e-12)
     balanced = TwoLevelSystem(1.0, (0, 0, 1), 0.5, 0.5)
-    assert effective_temperature(RhsSpec.for_two_level(balanced)) == math.inf
+    assert effective_temperature(RhsSpec.for_system(balanced)) == math.inf
     inverted = TwoLevelSystem(1.0, (0, 0, 1), 0.9, 0.1)
-    assert effective_temperature(RhsSpec.for_two_level(inverted)) is None
+    assert effective_temperature(RhsSpec.for_system(inverted)) is None
 
 
 def test_effective_temperature_ladder_consistency():
     lad = build_oscillator(5, 1.0, "harmonic", BathModel(1.0, 1.2))
-    assert effective_temperature(RhsSpec.for_ladder(lad)) == pytest.approx(1.2, rel=1e-9)
+    assert effective_temperature(RhsSpec.for_system(lad)) == pytest.approx(1.2, rel=1e-9)
     mixed = LadderSystem(
         3,
         (0.0, 1.0, 2.0),
@@ -342,4 +342,4 @@ def test_effective_temperature_ladder_consistency():
             TransitionSpec(1, 2, *rates_from_bath(BathModel(1.0, 2.0), 1.0), 1.0),
         ),
     )
-    assert effective_temperature(RhsSpec.for_ladder(mixed)) is None
+    assert effective_temperature(RhsSpec.for_system(mixed)) is None
