@@ -13,7 +13,6 @@ from .systems import (
     BathModel,
     JumpOperatorPair,
     LadderSystem,
-    TransitionSpec,
     TwoLevelSystem,
     build_oscillator,
     build_two_level_hamiltonian,

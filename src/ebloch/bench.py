@@ -122,7 +122,7 @@ def run_bench(
         raise ValueError("need applications >= chunks >= 1")
     pair = kernel_pair(system)
     dim = pair[0][2].dim
-    n_trans = len(system.transitions) if isinstance(system, LadderSystem) else 1
+    n_trans = len(system.transitions[0]) if isinstance(system, LadderSystem) else 1
     inputs = random_states(dim, applications, rng)
     rows = []
     for name, fn, _spec in pair:

@@ -101,26 +101,23 @@ def _thermal_ladder_parameters(sys: LadderSystem) -> tuple[float, float, float]:
     """(E, f, gamma0) of an equally spaced single-bath ladder; raises if the
     transitions are not the full nearest-neighbour chain with one shared
     Fermi factor."""
-    expected = {(i, i + 1) for i in range(sys.N - 1)}
-    actual = {(t.i, t.j) for t in sys.transitions}
-    if actual != expected:
+    ii, jj, gp, gm = sys.transitions
+    if sorted(zip(ii.tolist(), jj.tolist())) != [(i, i + 1) for i in range(sys.N - 1)]:
         raise ValueError("canonical experiment needs the full nearest-neighbour ladder")
-    by_lower = {t.i: t for t in sys.transitions}
-    ordered = [by_lower[i] for i in range(sys.N - 1)]
-    E = ordered[0].E_t
-    fs = []
-    for t in ordered:
-        if abs(t.E_t - E) > 1e-9 * max(1.0, E):
-            raise ValueError("canonical experiment needs equal level spacing")
-        if t.gamma_sum <= 0.0:
-            raise ValueError("every transition needs a positive total rate")
-        fs.append(t.gamma_p / t.gamma_sum)
-    f = fs[0]
-    if any(abs(x - f) > 1e-9 for x in fs):
+    gaps, gsum = np.diff(sys.energies), gp + gm
+    E = float(gaps[0])
+    if np.any(np.abs(gaps - E) > 1e-9 * max(1.0, E)):
+        raise ValueError("canonical experiment needs equal level spacing")
+    if np.any(gsum <= 0.0):
+        raise ValueError("every transition needs a positive total rate")
+    fs = gp / gsum
+    rung0 = int(np.argmin(ii))  # the transition between levels 0 and 1
+    f = float(fs[rung0])
+    if np.any(np.abs(fs - f) > 1e-9):
         raise ValueError("canonical experiment needs one bath temperature for all rungs")
     if not (0.0 < f < 0.5):
         raise ValueError("bath must have a finite positive temperature (f in (0, 1/2))")
-    return E, f, ordered[0].gamma_sum
+    return E, f, float(gsum[rung0])
 
 
 def canonical_experiment(

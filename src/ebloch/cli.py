@@ -15,7 +15,6 @@ import functools
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ from .systems import (
     SIGMA_Z,
     BathModel,
     LadderSystem,
-    TransitionSpec,
     TwoLevelSystem,
     build_oscillator,
     jump_operators,
@@ -232,13 +230,8 @@ def _build_system(r: _Reader):
         if r.errors or None in (energies, trans):
             return None, kind, bath_T
         try:
-            specs = tuple(
-                TransitionSpec(i=i, j=j, gamma_p=gp, gamma_m=gm,
-                               E_t=energies[j] - energies[i])
-                for i, j, gp, gm in trans
-            )
-            system = LadderSystem(N=len(energies), energies=energies, transitions=specs)
-        except (TypeError, ValueError, IndexError) as exc:
+            system = LadderSystem(energies, trans)
+        except (TypeError, ValueError) as exc:
             r.errors.append(f"[system] {exc}")
     return system, kind, bath_T
 
@@ -353,7 +346,9 @@ def initial_state(cfg: ScenarioConfig, H: np.ndarray) -> np.ndarray:
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    # mode 0666, not mkstemp's 0600: the umask sets the output's mode
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -454,6 +449,12 @@ def run_verify_algebra(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str
 def run_canonical(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
     if not isinstance(cfg.spec.system, LadderSystem):
         raise ConfigError(["canonical needs an oscillator or explicit ladder system"])
+    runs = {"kind": "eben", "include_unitary": True, "gamma_pd": 0.0}
+    ignored = [f"[dissipator] {key} = {str(getattr(cfg.spec, key)).lower()}: canonical runs "
+               "only kind = eben with include_unitary = true and gamma_pd = 0"
+               for key, value in runs.items() if getattr(cfg.spec, key) != value]
+    if ignored:
+        raise ConfigError(ignored)
     if cfg.canonical_T0 is None:
         raise ConfigError(["[canonical] missing required key 'T0'"])
     if cfg.t_final is None or cfg.dt is None:

@@ -118,7 +118,7 @@ def _compile(spec: "RhsSpec") -> SplitGenerator:
             ii, jj = np.argsort(energies)[:, None]
             gp, gm = np.array([system.gamma_p]), np.array([system.gamma_m])
         else:
-            ii, jj, gp, gm = system.transition_arrays
+            ii, jj, gp, gm = system.transitions
         # gp lifts population from i to j, gm lowers it from j to i
         dst, src = np.concatenate([jj, ii]), np.concatenate([ii, jj])
         rate = np.concatenate([gp, gm])
@@ -307,8 +307,9 @@ def ebe_two_level(rho, sys: TwoLevelSystem) -> np.ndarray:
 def ebe_multi_level(rho, sys: LadderSystem) -> np.ndarray:
     """Multi-level elemental-Bloch dissipator: one block term per transition.
 
-    Per transition t on levels (i, j) with partial projector I_t, partial
-    Hamiltonian H_t = I_t H I_t and partial state rho_t = I_t rho I_t:
+    Per transition t on levels (i, j), with gap E_t = E_j - E_i, partial
+    projector I_t, partial Hamiltonian H_t = I_t H I_t and partial state
+    rho_t = I_t rho I_t:
 
         -(gp+gm)(rho_t - Tr rho_t * I_t/2)
         + (gp-gm)((H_t - Tr H_t * I_t/2)/E_t) Tr rho_t
@@ -322,7 +323,7 @@ def ebe_multi_level(rho, sys: LadderSystem) -> np.ndarray:
     transition are left untouched.
     """
     M = _as_states(rho, sys.N)
-    ii, jj, gp, gm = sys.transition_arrays
+    ii, jj, gp, gm = sys.transitions
     out = np.zeros_like(M)
     gsum = gp + gm
     flow = gp * M[..., ii, ii] - gm * M[..., jj, jj]
@@ -345,13 +346,13 @@ def ladder_jump_list(sys: LadderSystem) -> tuple:
     """Pairwise-GKLS jump list for a ladder: per transition, the embedded
     block raising/lowering operators |j><i| and |i><j| with their rates."""
     jumps = []
-    for t in sys.transitions:
+    for i, j, gp, gm in zip(*sys.transitions):
         up = np.zeros((sys.N, sys.N), dtype=complex)
-        up[t.j, t.i] = 1.0
+        up[j, i] = 1.0
         down = np.zeros((sys.N, sys.N), dtype=complex)
-        down[t.i, t.j] = 1.0
-        jumps.append((up, t.gamma_p))
-        jumps.append((down, t.gamma_m))
+        down[i, j] = 1.0
+        jumps.append((up, gp))
+        jumps.append((down, gm))
     return tuple(jumps)
 
 

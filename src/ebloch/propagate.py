@@ -293,7 +293,7 @@ def propagate(
     if method == "rk4":
         _check_rk4_stability(np.concatenate([gen.population_eig[0], c]), dt)
 
-    top_index = spec.system.top_level if isinstance(spec.system, LadderSystem) else None
+    top_index = spec.system.N - 1 if isinstance(spec.system, LadderSystem) else None
     rhs0_norm = float(_rhs_norm(gen.W, c, p[None], x0[None])[0])
     # starting at (or round-off close to) a fixed point makes relative rhs
     # growth meaningless; the state-norm cap still catches divergence there

@@ -95,8 +95,9 @@ def effective_temperature(spec: RhsSpec) -> float | None:
     if isinstance(s, TwoLevelSystem):
         pairs.append((s.E, s.gamma_p, s.gamma_m))
     elif s is not None:
-        for t in s.transitions:
-            pairs.append((t.E_t, t.gamma_p, t.gamma_m))
+        ii, jj, gp, gm = s.transitions
+        levels = np.asarray(s.energies)
+        pairs += zip((levels[jj] - levels[ii]).tolist(), gp.tolist(), gm.tolist())
     if not pairs:
         return None
     temps = []

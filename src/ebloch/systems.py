@@ -108,86 +108,60 @@ class BathModel:
             raise ValueError(f"T must be a positive temperature, got {self.T}")
 
 
-@dataclass(frozen=True)
-class TransitionSpec:
-    """One population-exchange channel between levels i (lower) and j (upper)."""
-
-    i: int
-    j: int
-    gamma_p: float
-    gamma_m: float
-    E_t: float
-
-    def __post_init__(self):
-        if self.i < 0 or self.j < 0 or self.i == self.j:
-            raise ValueError(f"invalid transition indices ({self.i}, {self.j})")
-        _check_rate("gamma_p", self.gamma_p)
-        _check_rate("gamma_m", self.gamma_m)
-        if not (math.isfinite(self.E_t) and self.E_t > 0.0):
-            raise ValueError(f"E_t must be positive, got {self.E_t}")
-
-    @property
-    def gamma_sum(self) -> float:
-        return self.gamma_p + self.gamma_m
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LadderSystem:
     """N-level diagonal Hamiltonian plus explicit pairwise transitions.
 
-    Energies need not be monotone; each transition only requires a positive
-    gap ``E_t = energies[j] - energies[i]``.  Detailed balance is a property
-    of how the rates were constructed (see :func:`build_oscillator`), not an
-    invariant, so non-thermal rate sets can be explored.
+    ``transitions`` takes one ``(i, j, gamma_p, gamma_m)`` row per channel
+    and is stored as the read-only arrays ``(ii, jj, gamma_p, gamma_m)`` in
+    the order given; gamma_p lifts population from level i to level j.
+    Energies need not be monotone, but level j must lie above level i.
+    Detailed balance is a property of how the rates were constructed (see
+    :func:`build_oscillator`), not an invariant, so non-thermal rate sets
+    can be explored.
     """
 
-    N: int
     energies: tuple[float, ...]
-    transitions: tuple[TransitionSpec, ...]
+    transitions: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ValueError("a ladder needs at least two levels")
         energies = tuple(float(e) for e in self.energies)
-        if len(energies) != self.N:
-            raise ValueError(f"expected {self.N} energies, got {len(energies)}")
+        if len(energies) < 2:
+            raise ValueError("a ladder needs at least two levels")
         for k, e in enumerate(energies):
             if not math.isfinite(e):
                 raise ValueError(f"energy of level {k} must be finite, got {e}")
         object.__setattr__(self, "energies", energies)
-        transitions = tuple(self.transitions)
+        rows = list(self.transitions)
         seen = set()
-        for t in transitions:
-            if t.i >= self.N or t.j >= self.N:
-                raise ValueError(f"transition ({t.i}, {t.j}) out of range for N={self.N}")
-            pair = (min(t.i, t.j), max(t.i, t.j))
+        for i, j, gp, gm in rows:
+            name = f"transition ({i}, {j})"
+            if not (0 <= i < len(energies) and 0 <= j < len(energies)):
+                raise ValueError(f"{name} out of range for N={len(energies)}")
+            if i == j:
+                raise ValueError(f"{name} needs two distinct levels")
+            pair = (min(i, j), max(i, j))
             if pair in seen:
-                raise ValueError(f"duplicate transition pair {pair}")
+                raise ValueError(f"{name} repeats the pair {pair}")
             seen.add(pair)
-            gap = energies[t.j] - energies[t.i]
-            if abs(gap - t.E_t) > 1e-9 * max(1.0, abs(t.E_t)):
-                raise ValueError(
-                    f"transition ({t.i}, {t.j}): E_t={t.E_t} does not match "
-                    f"energy difference {gap}"
-                )
-        object.__setattr__(self, "transitions", transitions)
+            _check_rate(f"{name} gamma_p", gp)
+            _check_rate(f"{name} gamma_m", gm)
+            gap = energies[j] - energies[i]
+            if not gap > 0.0:
+                raise ValueError(f"{name} needs level {j} above level {i}, got gap {gap}")
+        arrays = tuple(np.array([row[k] for row in rows], dtype=np.intp if k < 2 else float)
+                       for k in range(4))
+        for a in arrays:
+            a.flags.writeable = False
+        object.__setattr__(self, "transitions", arrays)
+
+    @property
+    def N(self) -> int:
+        return len(self.energies)
 
     @cached_property
     def hamiltonian(self) -> np.ndarray:
         return np.diag(np.asarray(self.energies, dtype=complex))
-
-    @cached_property
-    def transition_arrays(self) -> tuple[np.ndarray, ...]:
-        """(ii, jj, gamma_p, gamma_m) as flat arrays, in transition order."""
-        ii = np.array([t.i for t in self.transitions], dtype=np.intp)
-        jj = np.array([t.j for t in self.transitions], dtype=np.intp)
-        gp = np.array([t.gamma_p for t in self.transitions], dtype=float)
-        gm = np.array([t.gamma_m for t in self.transitions], dtype=float)
-        return ii, jj, gp, gm
-
-    @property
-    def top_level(self) -> int:
-        return self.N - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,9 +308,6 @@ def build_oscillator(
     for i, g in enumerate(gammas):
         if not (math.isfinite(g) and g >= 0.0):
             raise ValueError(f"coupling gamma_{i} must be non-negative, got {g}")
-    energies = tuple(i * E for i in range(N))
-    transitions = []
-    for i, g in enumerate(gammas):
-        gp, gm = rates_from_bath(BathModel(g, bath.T), E)
-        transitions.append(TransitionSpec(i=i, j=i + 1, gamma_p=gp, gamma_m=gm, E_t=E))
-    return LadderSystem(N=N, energies=energies, transitions=tuple(transitions))
+    transitions = [(i, i + 1, *rates_from_bath(BathModel(g, bath.T), E))
+                   for i, g in enumerate(gammas)]
+    return LadderSystem(tuple(i * E for i in range(N)), transitions)

@@ -28,7 +28,6 @@ import numpy as np
 from ebloch.dissipators import RhsSpec, SplitGenerator, master_rhs
 from ebloch.linalg import as_matrix, herm_part, is_hermitian
 from ebloch.propagate import PropagationError
-from ebloch.systems import TransitionSpec
 
 MAX_SUPEROP_DIM = 64
 
@@ -139,11 +138,14 @@ def build_superoperator(spec: RhsSpec) -> np.ndarray:
 
 
 def transition_projector(
-    t: TransitionSpec,
+    i: int,
+    j: int,
+    E_t: float,
     N: int,
     energies: Sequence[float] | None = None,
 ):
-    """Rank-2 projector machinery for one transition.
+    """Rank-2 projector machinery for the transition between levels i and
+    j, with gap E_t.
 
     Returns ``(I_t, H_t, project)`` where ``I_t`` projects onto levels
     (i, j), ``H_t`` is the Hamiltonian restricted to that block, and
@@ -152,20 +154,20 @@ def transition_projector(
     diag(-E_t/2, +E_t/2); block offsets cancel in every generated term, so
     the two choices produce identical dynamics.
     """
-    if t.i >= N or t.j >= N:
-        raise ValueError(f"transition ({t.i}, {t.j}) out of range for N={N}")
+    if i >= N or j >= N:
+        raise ValueError(f"transition ({i}, {j}) out of range for N={N}")
     I_t = np.zeros((N, N), dtype=complex)
-    I_t[t.i, t.i] = 1.0
-    I_t[t.j, t.j] = 1.0
+    I_t[i, i] = 1.0
+    I_t[j, j] = 1.0
     H_t = np.zeros((N, N), dtype=complex)
     if energies is None:
-        H_t[t.i, t.i] = -0.5 * t.E_t
-        H_t[t.j, t.j] = 0.5 * t.E_t
+        H_t[i, i] = -0.5 * E_t
+        H_t[j, j] = 0.5 * E_t
     else:
-        H_t[t.i, t.i] = energies[t.i]
-        H_t[t.j, t.j] = energies[t.j]
+        H_t[i, i] = energies[i]
+        H_t[j, j] = energies[j]
 
-    idx = np.array([t.i, t.j], dtype=np.intp)
+    idx = np.array([i, j], dtype=np.intp)
 
     def project(rho) -> np.ndarray:
         M = as_matrix(rho)

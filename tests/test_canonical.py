@@ -313,13 +313,9 @@ def test_canonical_experiment_requires_a_finite_positive_start_temperature(T0):
 
 
 def test_canonical_experiment_rejects_non_ladder_systems():
-    from ebloch.systems import LadderSystem, TransitionSpec
+    from ebloch.systems import LadderSystem
 
-    skip = LadderSystem(
-        3,
-        (0.0, 1.0, 2.0),
-        (TransitionSpec(0, 2, 0.2, 0.8, 2.0),),
-    )
+    skip = LadderSystem((0.0, 1.0, 2.0), [(0, 2, 0.2, 0.8)])
     with pytest.raises(ValueError, match="nearest-neighbour"):
         canonical_experiment(skip, 2.0, 1.0, 1e-2)
 

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -28,6 +29,7 @@ from ebloch.cli import (
 from ebloch.dissipators import RhsSpec
 from ebloch.stationary import FixedPointReport, fixed_point
 from ebloch.systems import SIGMA_X, SIGMA_Z, TwoLevelSystem
+from test_systems import INVALID_LADDERS
 
 TWO_LEVEL_CFG = """\
 [system]
@@ -158,8 +160,8 @@ gamma = 0.5
 bath_T = 1.0
 """
     cfg = parse_config(text)
-    sums = [t.gamma_sum for t in cfg.spec.system.transitions]
-    np.testing.assert_allclose(sums, [0.5 * (i + 1) for i in range(11)], rtol=1e-13)
+    _, _, gp, gm = cfg.spec.system.transitions
+    np.testing.assert_allclose(gp + gm, [0.5 * (i + 1) for i in range(11)], rtol=1e-13)
     assert cfg.spec.kind == "eben"
 
 
@@ -172,7 +174,8 @@ transitions = 0:1:0.2:0.8; 1:2:0.1:0.9
 """
     cfg = parse_config(text)
     assert cfg.spec.system.N == 3
-    assert cfg.spec.system.transitions[1].E_t == pytest.approx(1.7)
+    ii, jj, _, _ = cfg.spec.system.transitions
+    assert (ii.tolist(), jj.tolist()) == ([0, 1], [1, 2])
 
 
 def test_parse_two_level_thermal_shortcut():
@@ -335,7 +338,8 @@ def test_a_failed_system_type_leaves_its_keys_unscanned():
 
 def test_every_benchmark_job_config_parses(monkeypatch):
     # a read-only import of the benchmark's job builder: no bytecode is
-    # written next to it
+    # written next to it; compiling each spec catches a system the
+    # benchmark builds that the package no longer represents
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -346,7 +350,7 @@ def test_every_benchmark_job_config_parses(monkeypatch):
         for seed in (1, 3, 7):
             workload = workloads.build(name, seed)
             for job in workload.warmup + workload.jobs:
-                parse_config(job.config_text())
+                parse_config(job.config_text()).spec.compiled
 
 
 @pytest.mark.parametrize("system", sorted(CONFIG_SYSTEMS))
@@ -602,6 +606,18 @@ def test_explicit_system_with_non_finite_energy_exits_as_validation(tmp_path, ca
                       "messages": [f"[system] energy of level 2 must be finite, got {energy}"]}
 
 
+@pytest.mark.parametrize("case", INVALID_LADDERS)
+def test_explicit_system_reports_each_invalid_ladder(tmp_path, capsys, case):
+    energies, rows, message = INVALID_LADDERS[case]
+    text = ("[system]\ntype = explicit\n"
+            f"energies = {', '.join(map(str, energies))}\n"
+            f"transitions = {'; '.join(':'.join(map(str, row)) for row in rows)}\n")
+    cfg = write(tmp_path, "e.cfg", text)
+    assert main(["fixed-point", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "validation",
+                                                   "messages": [f"[system] {message}"]}
+
+
 def test_simulate_missing_config_file(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "validation"
@@ -809,6 +825,36 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path):
     assert exc.value.code == 2
 
 
+def test_outputs_honor_the_umask(tmp_path):
+    gp, gm = thermal_rates()
+    cfg = write(tmp_path, "fp.cfg", TWO_LEVEL_CFG.format(gp=gp, gm=gm))
+    out = tmp_path / "out"
+    old = os.umask(0o022)
+    try:
+        for _ in range(2):  # a new file, then one that replaces it
+            assert main(["fixed-point", "--config", cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert sorted(p.name for p in out.iterdir()) == ["traj.csv", "traj.state.txt"]
+    assert [stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()] == [0o644, 0o644]
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_temporary(tmp_path, monkeypatch):
+    from ebloch import cli
+
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError, match="no space"):
+        cli._write_atomic(str(target), "new\n")
+    assert os.listdir(tmp_path) == ["out.csv"]
+    assert target.read_text() == "old\n"
+
+
 # ------------------------------------------------------------------- canonical
 
 
@@ -908,6 +954,23 @@ def test_canonical_rejects_rk4(tmp_path, capsys):
         "error": "validation",
         "messages": ["[integration] method = rk4: canonical runs the exact flow only"]}
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_canonical_rejects_dissipator_keys_it_cannot_apply(tmp_path, capsys):
+    text = OSCILLATOR_RUN_CFG + "[dissipator]\nkind = gkls\ninclude_unitary = false\n" \
+                                "gamma_pd = -0.5\n"
+    cfg = write(tmp_path, "d.cfg", text)
+    assert main(["canonical", "--config", cfg, "--out", str(tmp_path)]) == 1
+    rule = ": canonical runs only kind = eben with include_unitary = true and gamma_pd = 0"
+    assert json.loads(capsys.readouterr().err) == {"error": "validation", "messages": [
+        f"[dissipator] {key}{rule}"
+        for key in ("kind = gkls", "include_unitary = false", "gamma_pd = -0.5")]}
+    assert not (tmp_path / "out.csv").exists()
+    # the same keys at the values canonical runs are accepted
+    text = OSCILLATOR_RUN_CFG + "[dissipator]\nkind = eben\ninclude_unitary = true\n" \
+                                "gamma_pd = 0\n"
+    cfg = write(tmp_path, "d.cfg", text)
+    assert main(["canonical", "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
 # ----------------------------------------------------------------------- bench

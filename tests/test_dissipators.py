@@ -25,7 +25,6 @@ from ebloch.stationary import fixed_point, gibbs_state
 from ebloch.systems import (
     BathModel,
     LadderSystem,
-    TransitionSpec,
     TwoLevelSystem,
     build_oscillator,
     build_two_level_hamiltonian,
@@ -55,16 +54,17 @@ def random_two_level(rng, with_rates=True):
 def literal_multi_level(rho, sys):
     # term-by-term projector form, the independent oracle for the vectorized kernel
     out = np.zeros_like(rho)
-    for t in sys.transitions:
-        I_t, H_t, project = transition_projector(t, sys.N, sys.energies)
+    for i, j, gp, gm in zip(*sys.transitions):
+        E_t = sys.energies[j] - sys.energies[i]
+        I_t, H_t, project = transition_projector(i, j, E_t, sys.N, sys.energies)
         rho_t = project(rho)
         tr_t = rho_t.trace()
-        gsum = t.gamma_p + t.gamma_m
-        gdiff = t.gamma_p - t.gamma_m
+        gsum = gp + gm
+        gdiff = gp - gm
         out = out - gsum * (rho_t - 0.5 * tr_t * I_t)
-        out = out + gdiff * ((H_t - 0.5 * H_t.trace() * I_t) / t.E_t) * tr_t
+        out = out + gdiff * ((H_t - 0.5 * H_t.trace() * I_t) / E_t) * tr_t
         inner = H_t @ rho_t - rho_t @ H_t
-        out = out + gsum * (H_t @ inner - inner @ H_t) / (2.0 * t.E_t**2)
+        out = out + gsum * (H_t @ inner - inner @ H_t) / (2.0 * E_t**2)
     return out
 
 
@@ -72,8 +72,9 @@ def rate_equation_oracle(p, sys):
     # dp_i/dt = -(f g_i + (1-f) g_{i-1}) p_i + (1-f) g_i p_{i+1} + f g_{i-1} p_{i-1}
     # written for a nearest-neighbour ladder with one bath
     n = sys.N
-    f = sys.transitions[0].gamma_p / sys.transitions[0].gamma_sum
-    g = {t.i: t.gamma_sum for t in sys.transitions}
+    ii, _, gp, gm = (a.tolist() for a in sys.transitions)
+    f = gp[0] / (gp[0] + gm[0])
+    g = {i: up + down for i, up, down in zip(ii, gp, gm)}
     dp = np.zeros(n)
     for i in range(n):
         gi = g.get(i, 0.0)
@@ -200,12 +201,7 @@ def test_ebe_multi_level_matches_literal_projector_form():
 def test_ebe_multi_level_on_arbitrary_graph_matches_literal():
     rng = np.random.default_rng(26)
     energies = (0.0, 0.9, 2.1, 3.7)
-    transitions = (
-        TransitionSpec(0, 1, 0.3, 0.7, 0.9),
-        TransitionSpec(1, 3, 0.2, 0.8, 2.8),
-        TransitionSpec(0, 2, 0.1, 0.5, 2.1),
-    )
-    lad = LadderSystem(4, energies, transitions)
+    lad = LadderSystem(energies, [(0, 1, 0.3, 0.7), (1, 3, 0.2, 0.8), (0, 2, 0.1, 0.5)])
     for _ in range(30):
         rho = random_density(rng, 4)
         assert np.abs(ebe_multi_level(rho, lad) - literal_multi_level(rho, lad)).max() <= 1e-14
@@ -218,24 +214,20 @@ def test_ebe_multi_level_block_state_reduces_to_two_level():
     # act on such a state -- that part is covered by the rate-equation test.)
     full = build_oscillator(5, 1.3, "harmonic", BathModel(0.8, 1.1))
     rng = np.random.default_rng(27)
+    rows = list(zip(*(a.tolist() for a in full.transitions)))
     for keep in range(4):
-        t = full.transitions[keep]
+        i, j, gp, gm = rows[keep]
         only = LadderSystem(
-            5,
             full.energies,
-            tuple(
-                tr if k == keep
-                else TransitionSpec(tr.i, tr.j, 0.0, 0.0, tr.E_t)
-                for k, tr in enumerate(full.transitions)
-            ),
+            [row if k == keep else (*row[:2], 0.0, 0.0) for k, row in enumerate(rows)],
         )
         block = random_density(rng, 2)
         rho = np.zeros((5, 5), dtype=complex)
-        rho[np.ix_([t.i, t.j], [t.i, t.j])] = block
+        rho[np.ix_([i, j], [i, j])] = block
         # eigenbasis order inside the block: lower level first, so eps_z = -1
-        sys2 = TwoLevelSystem(t.E_t, (0, 0, -1), t.gamma_p, t.gamma_m)
+        sys2 = TwoLevelSystem(full.energies[j] - full.energies[i], (0, 0, -1), gp, gm)
         expected = np.zeros((5, 5), dtype=complex)
-        expected[np.ix_([t.i, t.j], [t.i, t.j])] = ebe_two_level(block, sys2)
+        expected[np.ix_([i, j], [i, j])] = ebe_two_level(block, sys2)
         np.testing.assert_allclose(ebe_multi_level(rho, only), expected, atol=1e-13)
 
 
@@ -272,7 +264,7 @@ def test_ladder_jump_list_structure():
     assert len(jumps) == 4  # two transitions, up and down each
     up0, g_up0 = jumps[0]
     assert up0[1, 0] == 1.0 and np.count_nonzero(up0) == 1
-    assert g_up0 == lad.transitions[0].gamma_p
+    assert g_up0 == lad.transitions[2][0]  # gamma_p of transition 0
 
 
 def test_pairwise_gkls_agrees_on_diagonal_but_not_on_cross_block_coherences():
@@ -438,9 +430,8 @@ def rhs_specs(draw):
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
                           .filter(lambda p: p[0] < p[1]), min_size=1, max_size=2 * n,
                           unique=True))
-    transitions = tuple(TransitionSpec(i, j, draw(st.floats(0.0, 2.0)), draw(rate),
-                                       energies[j] - energies[i]) for i, j in pairs)
-    lad = LadderSystem(n, tuple(energies), transitions)
+    transitions = [(i, j, draw(st.floats(0.0, 2.0)), draw(rate)) for i, j in pairs]
+    lad = LadderSystem(tuple(energies), transitions)
     return RhsSpec.for_system(lad, draw(st.sampled_from(["eben", "gkls"])),
                               include_unitary, gamma_pd)
 

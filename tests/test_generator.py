@@ -39,7 +39,6 @@ from ebloch.systems import (
     SIGMA_Z,
     BathModel,
     LadderSystem,
-    TransitionSpec,
     TwoLevelSystem,
     build_oscillator,
     rates_from_bath,
@@ -94,8 +93,8 @@ def transition_graphs(draw, max_n=16, connected=None, thermal=False):
             gp, gm = rates_from_bath(BathModel(draw(st.floats(0.05, 2.0)), T), E_t)
         else:
             gp, gm = draw(st.floats(0.0, 2.0)), draw(st.floats(0.05, 2.0))
-        transitions.append(TransitionSpec(i, j, gp, gm, E_t))
-    return LadderSystem(n, energies, tuple(transitions))
+        transitions.append((i, j, gp, gm))
+    return LadderSystem(energies, transitions)
 
 
 spec_options = st.tuples(st.sampled_from(["eben", "gkls"]), st.booleans(),
@@ -277,7 +276,7 @@ def test_system_specs_solve_and_propagate_without_building_jumps(monkeypatch):
 
 
 def test_system_specs_are_checked_at_construction():
-    lad = LadderSystem(2, (-0.5, 0.5), (TransitionSpec(0, 1, 0.3, 0.7, 1.0),))
+    lad = LadderSystem((-0.5, 0.5), [(0, 1, 0.3, 0.7)])
     sys2 = TwoLevelSystem(1.0, (0.0, 0.0, -1.0), 0.3, 0.7)
     with pytest.raises(ValueError, match="no explicit jump list"):
         RhsSpec(lad.hamiltonian, "gkls", system=lad, jumps=ladder_jump_list(lad))
@@ -333,7 +332,7 @@ def test_split_expm_matches_dense_trajectory(kind, N, gamma_pd, include_unitary)
     worst = max(np.abs(a - b).max() for a, b in zip(traj.states, dense))
     assert worst <= 1e-12, f"split vs dense expm {worst:.3e}"
     # the warnings the dense states call for, and no others
-    leak = bool(max(s[lad.top_level, lad.top_level].real for s in dense) > TOP_POP_WARN)
+    leak = bool(max(s[-1, -1].real for s in dense) > TOP_POP_WARN)
     negative = bool(min(np.linalg.eigvalsh(herm_part(s)).min() for s in dense) < MIN_EIG_WARN)
     assert [w.split(":")[0] for w in traj.warnings] == \
         ["positivity violated"] * negative + ["truncation leak"] * leak
@@ -507,8 +506,8 @@ def test_canonical_closed_form_matches_rk4_of_thermalization_rhs():
     lad = build_oscillator(6, 2.0, "harmonic", BathModel(1.0, 1.0))
     dt, n = 1e-3, 200
     diag = canonical_experiment(lad, T0=2.0, t_final=n * dt, dt=dt, record_every=50)
-    rung = lad.transitions[0]
-    E, gamma0, f = rung.E_t, rung.gamma_sum, rung.gamma_p / rung.gamma_sum
+    _, _, gp, gm = (a.tolist() for a in lad.transitions)
+    E, gamma0, f = lad.energies[1] - lad.energies[0], gp[0] + gm[0], gp[0] / (gp[0] + gm[0])
     bath = BathModel(gamma0, E / math.log((1.0 - f) / f))
 
     def ode(y):

@@ -21,7 +21,6 @@ from ebloch.stationary import FixedPointError, fixed_point, gibbs_state
 from ebloch.systems import (
     BathModel,
     LadderSystem,
-    TransitionSpec,
     TwoLevelSystem,
     build_oscillator,
     build_two_level_hamiltonian,
@@ -134,8 +133,7 @@ def test_expm_of_a_non_finite_matrix_is_nan_and_the_run_stops_at_its_check():
     assert np.isnan(expm(np.array([[-np.inf, 1.0], [0.0, 0.0]]))).all()
     assert np.isnan(expm(np.array([[np.nan, 0.0], [0.0, 0.0]]))).all()
     # two rates of 1e308 into the middle level: its W diagonal is -inf
-    lad = LadderSystem(3, (0.0, 1.0, 2.0), (TransitionSpec(0, 1, 1e308, 1e308, 1.0),
-                                            TransitionSpec(1, 2, 1e308, 1e308, 1.0)))
+    lad = LadderSystem((0.0, 1.0, 2.0), [(0, 1, 1e308, 1e308), (1, 2, 1e308, 1e308)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the overflow is the input
         spec = RhsSpec.for_system(lad)
@@ -600,7 +598,7 @@ def _assert_diagnostics_are_the_formula(traj, top, records):
 @pytest.mark.parametrize("case", ["ladder", "tilted", "gibbs"])
 def test_stacked_diagnostics_match_per_record_formula(case):
     spec = _spec(case)
-    top = spec.system.top_level if isinstance(spec.system, LadderSystem) else None
+    top = spec.system.N - 1 if isinstance(spec.system, LadderSystem) else None
     rng = np.random.default_rng(17)
     n, dim = 40, spec.dim
     # populations over mixed scales, some slightly negative

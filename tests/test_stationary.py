@@ -18,7 +18,6 @@ from ebloch.stationary import (
 from ebloch.systems import (
     BathModel,
     LadderSystem,
-    TransitionSpec,
     TwoLevelSystem,
     build_oscillator,
     build_two_level_hamiltonian,
@@ -71,9 +70,8 @@ def test_gibbs_state_of_a_diagonal_h_is_the_eigensolve_route_without_one(monkeyp
         w, V = hermitian_eig(H)
         return (V * _gibbs_weights(w, T)) @ V.conj().T
 
-    unsorted = LadderSystem(4, (0.0, 2.3, 0.7, 1.9), (TransitionSpec(0, 2, 0.1, 0.4, 0.7),
-                                                     TransitionSpec(2, 3, 0.2, 0.5, 1.2),
-                                                     TransitionSpec(3, 1, 0.3, 0.6, 0.4)))
+    unsorted = LadderSystem((0.0, 2.3, 0.7, 1.9), [(0, 2, 0.1, 0.4), (2, 3, 0.2, 0.5),
+                                                   (3, 1, 0.3, 0.6)])
     hams = [build_oscillator(N, E, rule, BathModel(1.0, 1.0)).hamiltonian
             for N in (2, 3, 7, 16, 32) for E in (0.3, 2.5) for rule in ("harmonic", "constant")]
     hams += [unsorted.hamiltonian, build_two_level_hamiltonian(1.0, (0, 0, 1))]
@@ -167,8 +165,8 @@ def test_fixed_point_unequal_spacing_ladder_is_still_gibbs():
     for i in range(2):
         E_t = energies[i + 1] - energies[i]
         gp, gm = rates_from_bath(BathModel(0.8 + 0.3 * i, T), E_t)
-        transitions.append(TransitionSpec(i, i + 1, gp, gm, E_t))
-    lad = LadderSystem(3, energies, tuple(transitions))
+        transitions.append((i, i + 1, gp, gm))
+    lad = LadderSystem(energies, transitions)
     report = fixed_point(RhsSpec.for_system(lad))
     assert report.gibbs_distance <= 1e-10
 
@@ -194,18 +192,18 @@ def test_fixed_point_on_cyclic_and_branching_graphs():
     def thermal(i, j, g, Tt):
         E_t = energies[j] - energies[i]
         gp, gm = rates_from_bath(BathModel(g, Tt), E_t)
-        return TransitionSpec(i, j, gp, gm, E_t)
+        return (i, j, gp, gm)
 
-    triangle = LadderSystem(3, energies, (
+    triangle = LadderSystem(energies, (
         thermal(0, 1, 1.0, T), thermal(1, 2, 0.6, T), thermal(0, 2, 1.7, T)))
     report = fixed_point(RhsSpec.for_system(triangle))
     assert report.gibbs_distance <= 1e-10
     assert report.multiplicity == 1
 
-    vee = LadderSystem(3, energies, (thermal(0, 1, 1.0, T), thermal(0, 2, 0.5, T)))
+    vee = LadderSystem(energies, (thermal(0, 1, 1.0, T), thermal(0, 2, 0.5, T)))
     assert fixed_point(RhsSpec.for_system(vee)).gibbs_distance <= 1e-10
 
-    frustrated = LadderSystem(3, energies, (
+    frustrated = LadderSystem(energies, (
         thermal(0, 1, 1.0, 0.5), thermal(1, 2, 0.6, 2.0), thermal(0, 2, 1.7, 1.0)))
     report = fixed_point(RhsSpec.for_system(frustrated))
     assert math.isnan(report.gibbs_distance)
@@ -216,11 +214,7 @@ def test_fixed_point_on_cyclic_and_branching_graphs():
 def test_fixed_point_flags_multiplicity_on_disconnected_graph():
     # two disjoint two-level islands: a two-dimensional stationary manifold
     energies = (0.0, 1.0, 2.0, 3.0)
-    transitions = (
-        TransitionSpec(0, 1, 0.3, 0.7, 1.0),
-        TransitionSpec(2, 3, 0.2, 0.8, 1.0),
-    )
-    lad = LadderSystem(4, energies, transitions)
+    lad = LadderSystem(energies, [(0, 1, 0.3, 0.7), (2, 3, 0.2, 0.8)])
     report = fixed_point(RhsSpec.for_system(lad))
     assert report.multiplicity >= 2
     assert report.residual <= 1e-10
@@ -335,11 +329,10 @@ def test_effective_temperature_ladder_consistency():
     lad = build_oscillator(5, 1.0, "harmonic", BathModel(1.0, 1.2))
     assert effective_temperature(RhsSpec.for_system(lad)) == pytest.approx(1.2, rel=1e-9)
     mixed = LadderSystem(
-        3,
         (0.0, 1.0, 2.0),
-        (
-            TransitionSpec(0, 1, *rates_from_bath(BathModel(1.0, 1.0), 1.0), 1.0),
-            TransitionSpec(1, 2, *rates_from_bath(BathModel(1.0, 2.0), 1.0), 1.0),
-        ),
+        [
+            (0, 1, *rates_from_bath(BathModel(1.0, 1.0), 1.0)),
+            (1, 2, *rates_from_bath(BathModel(1.0, 2.0), 1.0)),
+        ],
     )
     assert effective_temperature(RhsSpec.for_system(mixed)) is None

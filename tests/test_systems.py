@@ -1,5 +1,7 @@
 """Tests for system builders, jump operators and bath rate models."""
 
+import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -12,7 +14,6 @@ from ebloch.systems import (
     BathModel,
     JumpOperatorPair,
     LadderSystem,
-    TransitionSpec,
     TwoLevelSystem,
     build_oscillator,
     build_two_level_hamiltonian,
@@ -268,27 +269,29 @@ def test_rates_detailed_balance():
 
 def test_build_oscillator_harmonic_table():
     lad = build_oscillator(4, 1.0, "harmonic", BathModel(0.7, 1.0))
-    gs = [t.gamma_sum for t in lad.transitions]
-    np.testing.assert_allclose(gs, [0.7, 1.4, 2.1], rtol=1e-14)
+    _, _, gp, gm = lad.transitions
+    np.testing.assert_allclose(gp + gm, [0.7, 1.4, 2.1], rtol=1e-14)
     np.testing.assert_allclose(lad.energies, [0, 1, 2, 3])
 
 
 def test_build_oscillator_constant_table():
     lad = build_oscillator(4, 1.0, "constant", BathModel(0.7, 1.0))
-    np.testing.assert_allclose([t.gamma_sum for t in lad.transitions], [0.7] * 3, rtol=1e-14)
+    _, _, gp, gm = lad.transitions
+    np.testing.assert_allclose(gp + gm, [0.7] * 3, rtol=1e-14)
 
 
 def test_build_oscillator_two_levels_matches_two_level_rates():
     bath = BathModel(1.3, 0.9)
     lad = build_oscillator(2, 1.1, "harmonic", bath)
     gp, gm = rates_from_bath(bath, 1.1)
-    t = lad.transitions[0]
-    assert (t.gamma_p, t.gamma_m) == (gp, gm)
+    _, _, lad_gp, lad_gm = lad.transitions
+    assert (lad_gp[0], lad_gm[0]) == (gp, gm)
 
 
 def test_build_oscillator_explicit_table_and_errors():
     lad = build_oscillator(4, 1.0, [0.5, 1.5, 2.5], BathModel(1.0, 1.0))
-    np.testing.assert_allclose([t.gamma_sum for t in lad.transitions], [0.5, 1.5, 2.5])
+    _, _, gp, gm = lad.transitions
+    np.testing.assert_allclose(gp + gm, [0.5, 1.5, 2.5])
     with pytest.raises(ValueError, match="3 entries"):
         build_oscillator(4, 1.0, [1.0], BathModel(1.0, 1.0))
     with pytest.raises(ValueError, match="non-negative"):
@@ -297,31 +300,64 @@ def test_build_oscillator_explicit_table_and_errors():
         build_oscillator(3, 1.0, "quadratic", BathModel(1.0, 1.0))
 
 
-def test_ladder_validation():
-    t01 = TransitionSpec(0, 1, 0.1, 0.9, 1.0)
-    with pytest.raises(ValueError, match="out of range"):
-        LadderSystem(2, (0.0, 1.0), (TransitionSpec(0, 5, 0.1, 0.9, 1.0),))
-    with pytest.raises(ValueError, match="duplicate"):
-        LadderSystem(2, (0.0, 1.0), (t01, TransitionSpec(1, 0, 0.1, 0.9, 1.0)))
-    with pytest.raises(ValueError, match="does not match"):
-        LadderSystem(2, (0.0, 2.0), (t01,))
-    with pytest.raises(ValueError, match="E_t must be positive"):
-        TransitionSpec(0, 1, 0.1, 0.9, -1.0)
+def test_ladder_stores_its_energies_and_one_transition_table():
+    lad = LadderSystem((0.0, 2.5, 1.0), [(0, 2, 0.5, 1.5), (2, 1, 0.25, 0.75)])
+    assert [f.name for f in dataclasses.fields(lad)] == ["energies", "transitions"]
+    assert lad.N == 3 and lad.energies == (0.0, 2.5, 1.0)
+    ii, jj, gp, gm = lad.transitions
+    # rows are kept in the order given; energies need not be monotone
+    assert (ii.tolist(), jj.tolist()) == ([0, 2], [2, 1])
+    assert (gp.tolist(), gm.tolist()) == ([0.5, 0.25], [1.5, 0.75])
+    assert ii.dtype == np.intp and gp.dtype == float
+    for a in lad.transitions:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+# (energies, transition rows, the ValueError message); the CLI's explicit
+# system reports the same message under [system]
+INVALID_LADDERS = {
+    "one level": ((0.0,), [(0, 1, 0.5, 1.0)], "a ladder needs at least two levels"),
+    "nan energy": ((0.0, np.nan), [(0, 1, 0.5, 1.0)], "energy of level 1 must be finite, got nan"),
+    "index out of range": ((0.0, 1.0), [(0, 5, 0.5, 1.0)],
+                           "transition (0, 5) out of range for N=2"),
+    "negative index": ((0.0, 1.0), [(-1, 1, 0.5, 1.0)],
+                       "transition (-1, 1) out of range for N=2"),
+    "i == j": ((0.0, 1.0), [(1, 1, 0.5, 1.0)], "transition (1, 1) needs two distinct levels"),
+    "pair in both orientations": ((0.0, 1.0), [(0, 1, 0.5, 1.0), (1, 0, 0.5, 1.0)],
+                                  "transition (1, 0) repeats the pair (0, 1)"),
+    "negative rate": ((0.0, 1.0), [(0, 1, -0.5, 1.0)],
+                      "transition (0, 1) gamma_p must be a finite non-negative rate, got -0.5"),
+    "nan rate": ((0.0, 1.0), [(0, 1, 0.5, np.nan)],
+                 "transition (0, 1) gamma_m must be a finite non-negative rate, got nan"),
+    "infinite rate": ((0.0, 1.0), [(0, 1, np.inf, 1.0)],
+                      "transition (0, 1) gamma_p must be a finite non-negative rate, got inf"),
+    "zero gap": ((1.0, 1.0), [(0, 1, 0.5, 1.0)],
+                 "transition (0, 1) needs level 1 above level 0, got gap 0.0"),
+    "negative gap": ((0.0, 1.0), [(1, 0, 0.5, 1.0)],
+                     "transition (1, 0) needs level 0 above level 1, got gap -1.0"),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_LADDERS)
+def test_ladder_rejects_invalid_input(case):
+    energies, rows, message = INVALID_LADDERS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LadderSystem(energies, rows)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_ladder_rejects_non_finite_energies(bad):
     # the transition (0, 1) never sees level 2, so only the energy check can catch it
     with pytest.raises(ValueError, match="energy of level 2 must be finite"):
-        LadderSystem(3, (0.0, 1.0, bad), (TransitionSpec(0, 1, 0.5, 1.0, 1.0),))
+        LadderSystem((0.0, 1.0, bad), [(0, 1, 0.5, 1.0)])
 
 
 # ----------------------------------------------------------------- projectors
 
 
 def test_transition_projector_basics():
-    t = TransitionSpec(0, 1, 0.1, 0.9, 1.0)
-    I_t, H_t, project = transition_projector(t, 3)
+    I_t, H_t, project = transition_projector(0, 1, 1.0, 3)
     np.testing.assert_allclose(I_t, np.diag([1.0, 1.0, 0.0]), atol=1e-15)
     assert np.trace(I_t) == pytest.approx(2.0)
     np.testing.assert_allclose(I_t @ I_t, I_t, atol=1e-15)
@@ -335,8 +371,7 @@ def test_transition_projector_basics():
 def test_transition_projector_keeps_exactly_the_block():
     rng = np.random.default_rng(15)
     rho = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    t = TransitionSpec(1, 3, 0.2, 0.8, 2.0)
-    _, _, project = transition_projector(t, 4)
+    _, _, project = transition_projector(1, 3, 2.0, 4)
     out = project(rho)
     for a in range(4):
         for b in range(4):
@@ -347,10 +382,9 @@ def test_transition_projector_keeps_exactly_the_block():
 
 
 def test_transition_projector_with_energies():
-    t = TransitionSpec(0, 2, 0.1, 0.9, 2.5)
-    _, H_t, _ = transition_projector(t, 3, energies=(0.0, 1.0, 2.5))
+    _, H_t, _ = transition_projector(0, 2, 2.5, 3, energies=(0.0, 1.0, 2.5))
     np.testing.assert_allclose(H_t, np.diag([0.0, 0.0, 2.5]), atol=1e-15)
-    _, H_c, _ = transition_projector(t, 3)
+    _, H_c, _ = transition_projector(0, 2, 2.5, 3)
     np.testing.assert_allclose(H_c, np.diag([-1.25, 0.0, 1.25]), atol=1e-15)
     with pytest.raises(ValueError, match="out of range"):
-        transition_projector(t, 2)
+        transition_projector(0, 2, 2.5, 2)
