@@ -94,7 +94,12 @@ def _run_kernel(fn, inputs: np.ndarray, chunks: int) -> tuple[float, complex]:
         t1 = time.perf_counter()
         if hi > lo:
             rates.append((t1 - t0) / (hi - lo) * 1e9)
-    return float(np.median(rates)), complex((W * acc).sum())
+    # the median by hand: np.median's first call imports numpy.ma, and
+    # statistics imports decimal and fractions at every start of the CLI
+    rates.sort()
+    mid = len(rates) // 2
+    median = rates[mid] if len(rates) % 2 else (rates[mid - 1] + rates[mid]) / 2
+    return median, complex((W * acc).sum())
 
 
 def kernel_pair(system: TwoLevelSystem | LadderSystem):

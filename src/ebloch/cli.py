@@ -57,7 +57,7 @@ class ScenarioConfig:
 
     spec: RhsSpec
     bath_T: float | None
-    initial: tuple
+    initial: tuple | None  # (type, argument); None without an [initial] section
     t_final: float | None
     dt: float | None
     method: str
@@ -74,13 +74,17 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _float_lines(table) -> list[str]:
+def _float_lines(table, labels=None) -> list[str]:
     """One CSV line per row of a 2-D float table, written with one
     ``%.17g`` format string per row: the text of :func:`_fmt` for every
-    entry, nan, inf, -0 and subnormals included."""
+    entry, nan, inf, -0 and subnormals included.  ``labels``, one string
+    per row, are appended as a last column through the same template."""
     table = np.asarray(table, dtype=float)
     fmt = ",".join(["%.17g"] * table.shape[1])
-    return [fmt % tuple(row) for row in table.tolist()]
+    if labels is None:
+        return [fmt % tuple(row) for row in table.tolist()]
+    fmt += ",%s"
+    return [fmt % (*row, label) for row, label in zip(table.tolist(), labels)]
 
 
 def format_matrix_text(M) -> str:
@@ -242,7 +246,8 @@ def parse_config(text: str) -> ScenarioConfig:
     Raises :class:`ConfigError` carrying every problem found; syntax errors
     from the INI layer keep their line numbers.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are read verbatim: no %-interpolation
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -263,7 +268,7 @@ def parse_config(text: str) -> ScenarioConfig:
         except ValueError as exc:
             r.errors.append(f"[dissipator] {exc}")
 
-    initial = ("gibbs", None)
+    initial = None
     if cp.has_section("initial"):
         itype = r.get("initial", "type", str, default="gibbs",
                       choices=("gibbs", "level", "file"))
@@ -323,7 +328,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def initial_state(cfg: ScenarioConfig, H: np.ndarray) -> np.ndarray:
-    kind, arg = cfg.initial
+    kind, arg = cfg.initial or ("gibbs", None)
     dim = H.shape[0]
     if kind == "gibbs":
         T = arg if arg is not None else cfg.bath_T
@@ -437,9 +442,10 @@ def run_verify_algebra(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str
     rep = verify_jump_algebra(jump_operators(H), H, gaps)
     res = rep.residuals()
     header = ["draw", "E", "eps_x", "eps_y", "eps_z", *res, "max_residual", "passed"]
-    table = np.column_stack([gaps, axes, *res.values(), rep.max_residual])
-    rows = [f"{k},{line},{str(passed).lower()}"
-            for k, (line, passed) in enumerate(zip(_float_lines(table), rep.passed.tolist()))]
+    # %.17g writes the draw index k as the integer text str(k)
+    table = np.column_stack([np.arange(cfg.verify_draws), gaps, axes, *res.values(),
+                             rep.max_residual])
+    rows = _float_lines(table, ["true" if passed else "false" for passed in rep.passed.tolist()])
     worst = np.max(rep.max_residual, initial=0.0)
     path = _out(out_dir, cfg.out_path, "verify_algebra.csv")
     _write_atomic(path, _csv(header, rows, [f"seed={seed}", f"max_residual={_fmt(worst)}"]))
@@ -467,8 +473,7 @@ def run_canonical(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
               "truncation_leak", "clean"]
     table = np.column_stack([diag.times, diag.mean_ratio, diag.a_series, diag.delta_series,
                              diag.max_nonuniformity, diag.lna_ode, diag.truncation_leak])
-    rows = [f"{line},{str(clean).lower()}"
-            for line, clean in zip(_float_lines(table), diag.clean.tolist())]
+    rows = _float_lines(table, ["true" if clean else "false" for clean in diag.clean.tolist()])
     path = _out(out_dir, cfg.out_path, "canonical.csv")
     _write_atomic(path, _csv(header, rows, [f"ode_mismatch={_fmt(diag.ode_mismatch)}"]))
     return [path]
@@ -506,6 +511,14 @@ def run_bench(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
         )
     return [path]
 
+
+# why a subcommand that sets up no initial state rejects an [initial] section,
+# which it would otherwise ignore; fixed-point and bench still accept one, as
+# configs shared with simulate carry it
+_NO_INITIAL = {
+    "verify-algebra": "verify-algebra draws random two-level Hamiltonians",
+    "canonical": "canonical always starts from Gibbs at [canonical] T0",
+}
 
 _RUNNERS = {
     "simulate": run_simulate,
@@ -552,6 +565,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         return _fail("validation", exc.errors, 1)
 
+    if cfg.initial is not None and args.subcommand in _NO_INITIAL:
+        return _fail("validation", [f"[initial] is not read: {_NO_INITIAL[args.subcommand]}"], 1)
     try:
         paths = _RUNNERS[args.subcommand](cfg, args.seed, args.out)
     except ConfigError as exc:
@@ -560,7 +575,8 @@ def main(argv=None) -> int:
     except (PropagationError, FixedPointError, RuntimeError, FloatingPointError,
             np.linalg.LinAlgError) as exc:
         return _fail("numerical", [exc], 2)
-    except (ValueError, TypeError) as exc:
+    # OSError: an output that cannot be created or written
+    except (ValueError, TypeError, OSError) as exc:
         return _fail("validation", [exc], 1)
     for path in paths:
         print(path)

@@ -27,9 +27,17 @@ from .systems import LadderSystem
 AMPLIFY_TOL = 1e-10
 MIN_EIG_WARN = -1e-8
 TOP_POP_WARN = 1e-6
-# records checked and diagnosed per stacked pass; all records at once would
-# hold the diagnostics' temporaries for the whole run
-_RECORD_CHUNK = 64
+# records per stacked check-and-diagnose pass: as many as fill this many
+# bytes at 16 d^2 per record when coherences are tracked (the assembled stack
+# that _min_eig eigensolves) and 8 d otherwise (the population rows); the
+# pass's temporaries are a small multiple of that
+_CHECK_BYTES = 1 << 20
+# flops that one product call's fixed overhead is counted as: about 2.5 us,
+# or 1e5 flops at the 40 GFLOP/s that squaring reaches (one x86-64 core with
+# OpenBLAS, d = 8 to 256).  Squaring a d x d record map, 2 d^3 flops, pays
+# once it saves 2 d^3 / _CALL_FLOPS calls.  A call's cost grows with d^2
+# besides, so at large d the rule squares less than it could, never more
+_CALL_FLOPS = 1 << 16
 # largest record stack a run may allocate, in bytes: per record, dim * 8 for
 # the populations, 16 per tracked coherence and 32 for the time and the three
 # diagnostics
@@ -223,22 +231,32 @@ def propagate(
     does not split), in which the populations p evolve under W and each
     coherence s_ab under its own rate C[a, b] alone.  rho0 is rotated into
     the eigenbasis of H once, and only the coherences a < b that are nonzero
-    there are tracked; the others stay exactly zero.  Every gap of g steps
-    between two recorded times applies one population map, built once per
+    there are tracked; the others stay exactly zero.  A gap of g steps
+    between two recorded times has one population map M, built once per
     distinct g: expm(W g dt) for the exact flow, taken by :func:`expm`
     ([13/13] Pade scaling and squaring in NumPy), and R4(dt W)^g for RK4,
     with the RK4 stability polynomial R4 (the map of g classical RK4 steps
-    in exact arithmetic).  A tracked coherence at step m is in closed form
-    s_ab exp(C[a, b] m dt), or s_ab R4(dt C[a, b])^m for RK4, evaluated
-    once for the whole run.  Then every 64 records, one stacked pass checks
-    them (NaN/Inf first, then growth, stopping at the first bad record) and
-    diagnoses them, so the eigensolve never sees a record that failed a
-    check.  The records stay in the eigenbasis (see :class:`Trajectory`),
-    and the checks and diagnostics read them there, never rotated out: the
-    state norm is the largest |p_a| or |s_ab| (against a cap from the
-    rotated-in start), and the diagnostics are those of :func:`_diagnose`.
-    Without tracked coherences, as for a Gibbs or level start on a ladder,
-    both take O(dim) per record.
+    in exact arithmetic).  The records that follow the start
+    ``record_every`` steps apart are made by doubling their map: with
+    F = M^h, rows [f, f + h) are rows [f - h, f) times F^T, one product
+    call each, and F is squared when f reaches 2h while the squaring, 2 d^3
+    flops, costs less than the overhead of the calls it saves
+    (``_CALL_FLOPS`` each).  A run with too few records for its d never
+    squares, and each record is then M times the last.  A final shorter
+    gap applies its own map once.  A tracked coherence at step m is in
+    closed form s_ab exp(C[a, b] m dt), or s_ab R4(dt C[a, b])^m for RK4,
+    evaluated once for the whole run.  Then stacked passes check the
+    records (NaN/Inf first, then growth, stopping at the first bad record)
+    and diagnose them, so the eigensolve never sees a record that failed a
+    check.  A pass takes as many records as fill ``_CHECK_BYTES`` at
+    16 d^2 bytes each with tracked coherences and 8 d without, so its
+    temporaries stay a small multiple of that whatever the run's length.
+    The records stay in the eigenbasis (see :class:`Trajectory`), and the
+    checks and diagnostics read them there, never rotated out: the state
+    norm is the largest |p_a| or |s_ab| (against a cap from the rotated-in
+    start), and the diagnostics are those of :func:`_diagnose`.  Without
+    tracked coherences, as for a Gibbs or level start on a ladder, both
+    take O(dim) per record.
 
     Every spec with amplifying modes warns once, through ``warnings`` and in
     ``Trajectory.warnings``.  For RK4, a mode that the run steps (an
@@ -308,7 +326,14 @@ def propagate(
     diag = np.empty((3, n_records))
     if method == "rk4":
         step_W = _rk4_matrix(dt * gen.W)
-    props = {}
+
+    def gap_map(gap):
+        return (np.linalg.matrix_power(step_W, gap) if method == "rk4"
+                else expm(gen.W * (gap * dt)))
+
+    last_gap = n_steps - int(steps[-2])
+    # rows [0, m) lie record_every steps apart
+    m = n_records - (last_gap != record_every)
     # records are checked after they are all made, so those after a
     # diverging one may overflow before the checks stop the run
     with np.errstate(over="ignore", invalid="ignore"):
@@ -321,14 +346,22 @@ def propagate(
             cohs = np.multiply.outer(times, c)
             np.exp(cohs, out=cohs)
         cohs *= x0
-        for i in range(1, n_records):
-            gap = record_every if i < n_records - 1 else n_steps - int(steps[-2])
-            if gap not in props:
-                props[gap] = (np.linalg.matrix_power(step_W, gap) if method == "rk4"
-                              else expm(gen.W * (gap * dt)))
-            p = pops[i] = props[gap] @ p
-        for start in range(0, n_records, _RECORD_CHUNK):
-            rows = slice(start, start + _RECORD_CHUNK)
+        # with F = M^h, rows [f, f + h) are rows [f - h, f) times F^T; F is
+        # squared at f = 2h while that costs less than the calls it saves
+        F = gap_map(record_every) if m > 1 else None
+        h = f = 1
+        while f < m:
+            k = min(h, m - f)
+            np.matmul(pops[f - h:f - h + k], F.T, out=pops[f:f + k])
+            f += k
+            if f == 2 * h and h < m - f and 4 * h * dim**3 <= _CALL_FLOPS * (m - f):
+                F, h = F @ F, 2 * h
+        if m < n_records:
+            pops[-1] = gap_map(last_gap) @ pops[-2]
+        per_record = 16 * dim * dim if len(a) else 8 * dim
+        chunk = max(1, _CHECK_BYTES // per_record)
+        for start in range(0, n_records, chunk):
+            rows = slice(start, start + chunk)
             finite = np.isfinite(pops[rows]).all(axis=1) & np.isfinite(cohs[rows]).all(axis=1)
             rhs = _rhs_norm(gen.W, c, pops[rows], cohs[rows])
             state_norm = np.maximum(np.abs(pops[rows]).max(axis=1),

@@ -101,7 +101,7 @@ bath_T = 2.0
     defaults = {name: getattr(cfg, name) for name in vars(cfg) if name != "spec"}
     assert defaults == {
         "bath_T": 2.0,
-        "initial": ("gibbs", None),
+        "initial": None,
         "t_final": None,
         "dt": None,
         "method": "expm",
@@ -453,6 +453,14 @@ def test_row_format_writes_the_text_of_the_cell_format():
     assert _float_lines([[-0.0, math.nan, 5e-324]]) == ["-0,nan,4.9406564584124654e-324"]
 
 
+def test_row_format_appends_a_label_column():
+    table = np.array([[0.1, math.nan], [-0.0, 2.5]])
+    labels = ["true", "false"]
+    assert _float_lines(table, labels) == [f"{line},{label}" for line, label
+                                           in zip(_float_lines(table), labels)]
+    assert _float_lines(table, labels) == ["0.10000000000000001,nan,true", "-0,2.5,false"]
+
+
 # ------------------------------------------------------------------- simulate
 
 
@@ -616,6 +624,28 @@ def test_explicit_system_reports_each_invalid_ladder(tmp_path, capsys, case):
     assert main(["fixed-point", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert json.loads(capsys.readouterr().err) == {"error": "validation",
                                                    "messages": [f"[system] {message}"]}
+
+
+@pytest.mark.parametrize("name", ["traj%1.csv", "traj%(what)s.csv", "traj%%.csv"])
+def test_config_values_are_read_verbatim(tmp_path, name):
+    gp, gm = thermal_rates()
+    text = TWO_LEVEL_CFG.format(gp=gp, gm=gm).replace("path = traj.csv", f"path = {name}")
+    cfg = write(tmp_path, "v.cfg", text)
+    assert parse_config(text).out_path == name
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, "v.cfg"])
+
+
+def test_an_output_directory_that_cannot_be_created_exits_as_validation(tmp_path, capsys):
+    gp, gm = thermal_rates()
+    cfg = write(tmp_path, "fp.cfg", TWO_LEVEL_CFG.format(gp=gp, gm=gm))
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "x"
+    assert main(["fixed-point", "--config", cfg, "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "validation"
+    assert record["messages"] == [f"[Errno 20] Not a directory: {str(out)!r}"]
+    assert (tmp_path / "afile").read_text() == ""
 
 
 def test_simulate_missing_config_file(tmp_path, capsys):
@@ -973,6 +1003,27 @@ def test_canonical_rejects_dissipator_keys_it_cannot_apply(tmp_path, capsys):
     assert main(["canonical", "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("subcommand, config, why", [
+    ("canonical", OSCILLATOR_RUN_CFG, "canonical always starts from Gibbs at [canonical] T0"),
+    ("verify-algebra", "[system]\ntype = two_level\nE = 1.0\neps = 0, 0, 1\ngamma_p = 0.3\n"
+                       "gamma_m = 0.7\n\n[verify]\nnum_draws = 5\n\n[output]\npath = out.csv\n",
+     "verify-algebra draws random two-level Hamiltonians"),
+])
+def test_runs_without_an_initial_state_reject_an_initial_section(tmp_path, capsys,
+                                                                  subcommand, config, why):
+    # any [initial] section, even one that restates the default, would be
+    # ignored: the quench always starts from Gibbs at [canonical] T0, and
+    # verify-algebra propagates nothing
+    assert main([subcommand, "--config", write(tmp_path, "ok.cfg", config),
+                 "--out", str(tmp_path / "ok")]) == 0
+    for section in ("type = level\nindex = 1\n", "type = gibbs\n", ""):
+        cfg = write(tmp_path, "c.cfg", config + "[initial]\n" + section)
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "validation", "messages": [f"[initial] is not read: {why}"]}
+        assert not (tmp_path / "out.csv").exists()
+
+
 # ----------------------------------------------------------------------- bench
 
 
@@ -1065,15 +1116,17 @@ import json, sys
 from ebloch.cli import main
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-print("loaded:" + ",".join(m for m in ("scipy.linalg", "scipy.special") if m in sys.modules))
+print("loaded:" + ",".join(m for m in json.loads(sys.argv[2]) if m in sys.modules))
 """
 
 
-def _scipy_loaded_after(tmp_path, calls):
+def _loaded_after(tmp_path, calls, modules=("scipy.linalg", "scipy.special")):
+    """Which of ``modules`` a fresh interpreter has loaded after the calls."""
     src = str(Path(ebloch.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argvs = [[sub, "--config", cfg, "--out", str(tmp_path)] for sub, cfg in calls]
-    result = subprocess.run([sys.executable, "-c", COLD_START_SCRIPT, json.dumps(argvs)],
+    result = subprocess.run([sys.executable, "-c", COLD_START_SCRIPT, json.dumps(argvs),
+                             json.dumps(modules)],
                             cwd=tmp_path,
                             env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True, timeout=120)
@@ -1086,7 +1139,7 @@ def test_rk4_and_fixed_point_runs_leave_scipy_linalg_and_special_unloaded(tmp_pa
     text = OSCILLATOR_RUN_CFG.replace("dt = 0.01", "dt = 0.01\nmethod = rk4")
     cfg = write(tmp_path, "osc.cfg", text)
     canonical = write(tmp_path, "canonical.cfg", OSCILLATOR_RUN_CFG)
-    assert _scipy_loaded_after(tmp_path, [("simulate", cfg), ("canonical", canonical),
+    assert _loaded_after(tmp_path, [("simulate", cfg), ("canonical", canonical),
                                           ("fixed-point", cfg)]) == []
 
 
@@ -1103,4 +1156,13 @@ def test_no_run_loads_scipy_linalg_or_special(tmp_path):
              ("fixed-point", str(tmp_path / "osc.cfg")),
              ("bench", str(tmp_path / "tilted.cfg")),
              ("verify-algebra", write(tmp_path, "v.cfg", VERIFY_CFG.format(n=20)))]
-    assert _scipy_loaded_after(tmp_path, calls) == []
+    assert _loaded_after(tmp_path, calls) == []
+
+
+def test_bench_leaves_numpy_ma_and_statistics_unloaded(tmp_path):
+    # the median over chunks is taken by hand: np.median imports numpy.ma,
+    # and statistics imports decimal and fractions
+    gp, gm = thermal_rates()
+    text = TWO_LEVEL_CFG.format(gp=gp, gm=gm) + "\n[bench]\napplications = 100\nchunks = 4\n"
+    assert _loaded_after(tmp_path, [("bench", write(tmp_path, "b.cfg", text))],
+                         ("numpy.ma", "statistics", "decimal")) == []

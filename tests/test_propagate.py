@@ -14,6 +14,7 @@ from ebloch.propagate import (
     PropagationError,
     _assemble,
     _diagnose,
+    _rk4_matrix,
     expm,
     propagate,
 )
@@ -543,7 +544,7 @@ def test_dense_rk4_gap_maps_match_stagewise_steps(record_every):
     assert worst <= 1e-12, f"dense gap maps vs step_rk4 {worst:.3e}"
 
 
-# ------------------------------------------- records checked and diagnosed in chunks
+# ------------------------------------------- records checked and diagnosed in passes
 
 
 def _diagnose_one(rho, top_index):
@@ -620,7 +621,7 @@ def test_stacked_diagnostics_match_per_record_formula(case):
     want = np.array([_diagnose_one(rho, top) for rho in stack]).T
     for got, ref in zip(_diagnose(pops, cohs, pairs, top), want):
         np.testing.assert_array_equal(got, ref)
-    # 150 records span three chunks; every diagnostic is the formula applied
+    # over 150 records, every diagnostic is the formula applied
     # to the recorded state, bit for bit: to the state read from ``states``
     # when H is diagonal, and in the eigenbasis of H otherwise, which the
     # rotated state matches to round-off
@@ -680,17 +681,84 @@ def test_coherence_free_records_match_the_full_matrix_route():
 def test_trajectory_does_not_depend_on_the_record_chunk(monkeypatch, case, method):
     spec = _spec(case)
     rho0 = _start(case, spec)
-    # gaps 3, ..., 3, 1: 69 records, so the last chunk of 64 is partial
+    # gaps 3, ..., 3, 1: 69 records, so a chunk of 64 leaves a partial one
     ref = propagate(spec, rho0, 2.02, 0.01, method, 3)
     assert len(ref.times) == 69
     assert (ref._cohs.shape[1] == 0) == (case == "gibbs")
+    dim = spec.dim
+    per_record = 8 * dim if case == "gibbs" else 16 * dim * dim
     for chunk in (1, 2, 5, 68, 69, 200):
-        monkeypatch.setattr(sys.modules["ebloch.propagate"], "_RECORD_CHUNK", chunk)
+        # a byte budget of exactly `chunk` records per pass
+        monkeypatch.setattr(sys.modules["ebloch.propagate"], "_CHECK_BYTES", chunk * per_record)
         traj = propagate(spec, rho0, 2.02, 0.01, method, 3)
         for name in ("times", "states", "trace_dev", "min_eig", "top_pop"):
             np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name),
                                           err_msg=f"{name} at chunk {chunk}")
         np.testing.assert_array_equal(traj.populations(), ref.populations())
+
+
+def _record_loop(spec, rho0, steps, dt, method):
+    """Populations at the given steps, one gap map per record applied as
+    ``M @ p``, the maps built as ``propagate`` builds them."""
+    gen = spec.compiled
+    step_W = _rk4_matrix(dt * gen.W)
+    p = gen.rotate_in(herm_part(rho0)).diagonal().real
+    out = [p]
+    for gap in np.diff(steps):
+        M = (np.linalg.matrix_power(step_W, int(gap)) if method == "rk4"
+             else expm(gen.W * (int(gap) * dt)))
+        p = M @ p
+        out.append(p)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("method", ["expm", "rk4"])
+def test_doubled_records_match_the_per_record_loop(method):
+    # the quench ladder, whose Gibbs tail falls to 3.5e-57; 20,000 records of
+    # dim 14 square their map up to M^8192.  Both routes drift
+    # from the exact powers of the gap map by O(n eps): against a long-double
+    # chain, the loop by 1.8e-13 and the doubling by 4.3e-13 at n = 20,000
+    lad = build_oscillator(14, 10.0, "harmonic", BathModel(1.0, 1.0))
+    spec = RhsSpec.for_system(lad)
+    rho0 = gibbs_state(spec.hamiltonian, 2.0)
+    dt = 1e-3
+    traj = propagate(spec, rho0, 20000 * dt, dt, method, 1)
+    ref = _record_loop(spec, rho0, np.arange(20001), dt, method)
+    assert ref.min() < 1e-56
+    rel = (np.abs(traj._pops - ref) / ref).max()
+    assert rel <= 1e-12, f"doubled records vs the loop {rel:.3e}"
+
+
+@pytest.mark.parametrize("method", ["expm", "rk4"])
+@pytest.mark.parametrize("t_final, steps", [
+    (0.05, [0, 5]),  # one regular record
+    (0.07, [0, 5, 7]),  # one regular record and a shorter last gap
+    (0.12, [0, 5, 10, 12]),  # two regular records
+])
+def test_records_that_take_no_squaring_are_the_loop_bit_for_bit(method, t_final, steps):
+    # at dim 32, squaring the map for one or two records saves no call
+    spec = _ladder_spec(32, 0.0)
+    rho0 = _gibbs_start(spec)
+    traj = propagate(spec, rho0, t_final, 0.01, method, 5)
+    np.testing.assert_array_equal(traj.times, np.array(steps) * 0.01)
+    np.testing.assert_array_equal(traj._pops, _record_loop(spec, rho0, steps, 0.01, method))
+
+
+@pytest.mark.parametrize("dim, coherent, t_final, passes", [
+    (14, False, 1.2, 1),  # 1,201 records of 112 bytes in one pass
+    (32, True, 2.0, 32),  # 2,001 records of 16 KiB: 64 per pass
+])
+def test_records_are_checked_in_passes_of_the_byte_budget(monkeypatch, dim, coherent,
+                                                          t_final, passes):
+    spec = _ladder_spec(dim)
+    rho0 = _coherent_state(dim) if coherent else _gibbs_start(spec)
+    calls = []
+    real_diagnose = sys.modules["ebloch.propagate"]._diagnose
+    monkeypatch.setattr(sys.modules["ebloch.propagate"], "_diagnose",
+                        lambda *a: calls.append(len(a[0])) or real_diagnose(*a))
+    traj = propagate(spec, rho0, t_final, 1e-3, "expm", 1)
+    assert len(calls) == passes and sum(calls) == traj.times.size
+    assert (traj._cohs.shape[1] > 0) == coherent
 
 
 def _conj_symmetric(F):
@@ -732,8 +800,8 @@ def _per_record_failure(spec, rho0, t_final, dt, record_every):
 
 
 @pytest.mark.parametrize("case, gamma_pd, dt, message", [
-    ("ladder", 5.0, 1e-3, "step instability at t=0.316:"),  # record 316: fifth chunk
-    ("tilted", 50.0, 1e-3, "step instability at t=0.28:"),  # record 280: fifth chunk
+    ("ladder", 5.0, 1e-3, "step instability at t=0.316:"),  # record 316
+    ("tilted", 50.0, 1e-3, "step instability at t=0.28:"),  # record 280
     ("ladder", 1e4, 1.0, "NaN/Inf encountered before t=1"),  # exp(C dt) overflows
 ])
 def test_diverging_run_stops_where_the_per_record_check_does(case, gamma_pd, dt, message):
