@@ -104,9 +104,11 @@ def _run_kernel(fn, inputs: np.ndarray, chunks: int) -> tuple[float, complex]:
 
 def kernel_pair(system: TwoLevelSystem | LadderSystem):
     """((kind, rhs, spec), ...) for the system's elemental-Bloch kernel and its
-    GKLS twin, both with ``include_unitary = INCLUDE_UNITARY``."""
+    GKLS twin, both with ``include_unitary = INCLUDE_UNITARY``.  The twin's
+    jump terms are built here, so that no timed chunk pays for them."""
     specs = (RhsSpec.for_system(system, None, INCLUDE_UNITARY),
              RhsSpec.for_system(system, "gkls", INCLUDE_UNITARY))
+    specs[1].jump_terms
     return tuple((spec.kind, lambda rho, s=spec: master_rhs(rho, s), spec) for spec in specs)
 
 

@@ -15,10 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-# the bare package only (about 15 ms; no run loads scipy.linalg): a SciPy
-# routine is reached through this binding as scipy.<sub>.<fn> at call time,
-# and perfbench's tracer reads scipy.linalg.expm through it when it installs
-import scipy
 
 from .dissipators import RhsSpec, SplitGenerator
 from .linalg import herm_part, is_hermitian
@@ -28,9 +24,10 @@ AMPLIFY_TOL = 1e-10
 MIN_EIG_WARN = -1e-8
 TOP_POP_WARN = 1e-6
 # records per stacked check-and-diagnose pass: as many as fill this many
-# bytes at 16 d^2 per record when coherences are tracked (the assembled stack
-# that _min_eig eigensolves) and 8 d otherwise (the population rows); the
-# pass's temporaries are a small multiple of that
+# bytes at 16 d^2 per record when coherences are tracked (the stack that
+# _min_eig assembles and eigensolves) and 16 d otherwise (the complex copy of
+# the populations that _diagnose sums, or W p and its square in _rhs_norm),
+# so that a pass peaks near this budget
 _CHECK_BYTES = 1 << 20
 # flops that one product call's fixed overhead is counted as: about 2.5 us,
 # or 1e5 flops at the 40 GFLOP/s that squaring reaches (one x86-64 core with
@@ -42,6 +39,16 @@ _CALL_FLOPS = 1 << 16
 # the populations, 16 per tracked coherence and 32 for the time and the three
 # diagnostics
 MAX_RECORD_BYTES = 1 << 30
+
+
+def __getattr__(name):
+    # perfbench's tracer reads propagate.scipy when it installs, and nothing
+    # else does, so SciPy is imported only then; ROADMAP item 1a deletes this
+    # along with the tracer's scipy.linalg.expm overlay
+    if name == "scipy":
+        import scipy
+        return scipy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PropagationError(RuntimeError):
@@ -99,8 +106,10 @@ def _assemble(pops: np.ndarray, cohs: np.ndarray, pairs: tuple) -> np.ndarray:
     s = np.zeros((n, dim, dim), dtype=complex)
     s[:, np.arange(dim), np.arange(dim)] = pops
     a, b = pairs
+    # conjugated in place, where cohs.conj() would take half the stack again
+    s[:, b, a] = cohs
+    np.conjugate(s, out=s)
     s[:, a, b] = cohs
-    s[:, b, a] = cohs.conj()
     return s
 
 
@@ -249,8 +258,9 @@ def propagate(
     records (NaN/Inf first, then growth, stopping at the first bad record)
     and diagnose them, so the eigensolve never sees a record that failed a
     check.  A pass takes as many records as fill ``_CHECK_BYTES`` at
-    16 d^2 bytes each with tracked coherences and 8 d without, so its
-    temporaries stay a small multiple of that whatever the run's length.
+    16 d^2 bytes each with tracked coherences and 16 d without, the size of
+    its largest temporaries, so a pass peaks near that budget whatever the
+    run's length.
     The records stay in the eigenbasis (see :class:`Trajectory`), and the
     checks and diagnostics read them there, never rotated out: the state
     norm is the largest |p_a| or |s_ab| (against a cap from the rotated-in
@@ -358,7 +368,7 @@ def propagate(
                 F, h = F @ F, 2 * h
         if m < n_records:
             pops[-1] = gap_map(last_gap) @ pops[-2]
-        per_record = 16 * dim * dim if len(a) else 8 * dim
+        per_record = 16 * dim * dim if len(a) else 16 * dim
         chunk = max(1, _CHECK_BYTES // per_record)
         for start in range(0, n_records, chunk):
             rows = slice(start, start + chunk)

@@ -1120,7 +1120,7 @@ print("loaded:" + ",".join(m for m in json.loads(sys.argv[2]) if m in sys.module
 """
 
 
-def _loaded_after(tmp_path, calls, modules=("scipy.linalg", "scipy.special")):
+def _loaded_after(tmp_path, calls, modules=("scipy", "scipy.linalg", "scipy.special")):
     """Which of ``modules`` a fresh interpreter has loaded after the calls."""
     src = str(Path(ebloch.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -507,9 +507,15 @@ def test_batched_bench_checksum_equals_per_state_accumulation(case):
         system, n = TwoLevelSystem(1.0, (0.48, 0.36, 0.8), gp, gm), 50_000
     else:
         system, n = build_oscillator(6, 1.0, "harmonic", BathModel(1.0, 1.0)), 2_000
-    (_, fn_e, spec), (_, fn_g, _) = bench.kernel_pair(system)
+    pair = bench.kernel_pair(system)
+    (_, fn_e, spec), (kind, fn_g, twin) = pair
+    # the twin's jump terms are built before any chunk is timed, and no
+    # timed chunk builds anything a spec caches
+    assert kind == "gkls" and "jump_terms" in twin.__dict__
+    cached = [set(s.__dict__) for _, _, s in pair]
     inputs = bench.random_states(spec.dim, n, np.random.default_rng(1010))
     # one per-state reference: both kernels' batched checksums must equal it
     reference = per_state_checksum(fn_e, inputs)
     for fn in (fn_e, fn_g):
         assert bench._checksum(bench._run_kernel(fn, inputs, 5)[1]) == reference
+    assert [set(s.__dict__) for _, _, s in pair] == cached

@@ -686,7 +686,7 @@ def test_trajectory_does_not_depend_on_the_record_chunk(monkeypatch, case, metho
     assert len(ref.times) == 69
     assert (ref._cohs.shape[1] == 0) == (case == "gibbs")
     dim = spec.dim
-    per_record = 8 * dim if case == "gibbs" else 16 * dim * dim
+    per_record = 16 * dim if case == "gibbs" else 16 * dim * dim
     for chunk in (1, 2, 5, 68, 69, 200):
         # a byte budget of exactly `chunk` records per pass
         monkeypatch.setattr(sys.modules["ebloch.propagate"], "_CHECK_BYTES", chunk * per_record)
@@ -745,20 +745,46 @@ def test_records_that_take_no_squaring_are_the_loop_bit_for_bit(method, t_final,
 
 
 @pytest.mark.parametrize("dim, coherent, t_final, passes", [
-    (14, False, 1.2, 1),  # 1,201 records of 112 bytes in one pass
+    (14, False, 1.2, 1),  # 1,201 records of 224 bytes in one pass
     (32, True, 2.0, 32),  # 2,001 records of 16 KiB: 64 per pass
+    (64, False, 20.0, 20),  # 20,001 records of 1 KiB: 1,024 per pass
 ])
 def test_records_are_checked_in_passes_of_the_byte_budget(monkeypatch, dim, coherent,
                                                           t_final, passes):
+    import tracemalloc
+    mod = sys.modules["ebloch.propagate"]
     spec = _ladder_spec(dim)
     rho0 = _coherent_state(dim) if coherent else _gibbs_start(spec)
+    spec.compiled  # compile outside the traced span
+    # bytes that each call of the growth check and of the diagnostics
+    # allocates at its peak, over what was held when it was called
+    peaks = {"_rhs_norm": [], "_diagnose": []}
+
+    def traced(name, fn):
+        def call(*args):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fn(*args)
+            peaks[name].append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+        return call
+
+    for name in peaks:
+        monkeypatch.setattr(mod, name, traced(name, getattr(mod, name)))
     calls = []
-    real_diagnose = sys.modules["ebloch.propagate"]._diagnose
-    monkeypatch.setattr(sys.modules["ebloch.propagate"], "_diagnose",
-                        lambda *a: calls.append(len(a[0])) or real_diagnose(*a))
-    traj = propagate(spec, rho0, t_final, 1e-3, "expm", 1)
+    real_diagnose = mod._diagnose
+    monkeypatch.setattr(mod, "_diagnose", lambda *a: calls.append(len(a[0])) or real_diagnose(*a))
+    tracemalloc.start()
+    try:
+        traj = propagate(spec, rho0, t_final, 1e-3, "expm", 1)
+    finally:
+        tracemalloc.stop()
     assert len(calls) == passes and sum(calls) == traj.times.size
     assert (traj._cohs.shape[1] > 0) == coherent
+    # the growth check runs once more, on the start alone, to set its cap
+    assert len(peaks["_rhs_norm"]) == passes + 1
+    for name, seen in peaks.items():
+        assert max(seen) <= 1.1 * mod._CHECK_BYTES, f"{name} peaks at {max(seen)} bytes"
 
 
 def _conj_symmetric(F):
