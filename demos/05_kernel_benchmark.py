@@ -8,7 +8,7 @@
 import numpy as np
 
 from ebloch import BathModel, TwoLevelSystem, build_oscillator, rates_from_bath
-from ebloch.bench import max_deviation, random_states, run_bench
+from ebloch.bench import kernel_pair, max_deviation, random_states, run_bench
 
 rng = np.random.default_rng(0)
 
@@ -17,7 +17,8 @@ two_level = TwoLevelSystem(1.0, (0.48, 0.36, 0.8), gamma_p, gamma_m)
 ladder = build_oscillator(10, 1.0, "harmonic", BathModel(1.0, 1.0))
 
 for system, n_apps in ((two_level, 100_000), (ladder, 20_000)):
-    rows = run_bench(system, n_apps, 5, rng)
+    pair = kernel_pair(system)
+    rows = run_bench(pair, n_apps, 5, rng)
     gkls_ns = next(r.ns_per_apply for r in rows if r.kernel == "gkls")
     name = type(system).__name__
     print(f"--- {name}: {n_apps} applications, median-of-5 chunks")
@@ -26,7 +27,7 @@ for system, n_apps in ((two_level, 100_000), (ladder, 20_000)):
               f"{r.ns_per_apply:9.0f} ns/apply  ratio={r.ns_per_apply / gkls_ns:.3f}  "
               f"checksum={r.checksum}")
     match = len({r.checksum for r in rows}) == 1
-    dev = max_deviation(system, random_states(rows[0].dim, 5000, np.random.default_rng(0)))
+    dev = max_deviation(pair, random_states(rows[0].dim, 5000, np.random.default_rng(0)))
     print(f"  checksums match: {match}; max kernel deviation on 5000 inputs: {dev:.3e}\n")
 
 print("Ladder inputs are random diagonal states: on populations the two")

@@ -112,24 +112,21 @@ def kernel_pair(system: TwoLevelSystem | LadderSystem):
     return tuple((spec.kind, lambda rho, s=spec: master_rhs(rho, s), spec) for spec in specs)
 
 
-def max_deviation(system, inputs: np.ndarray) -> float:
-    """Largest Frobenius distance between the two kernels over ``inputs``."""
-    (_, fn_a, _), (_, fn_b, _) = kernel_pair(system)
+def max_deviation(pair, inputs: np.ndarray) -> float:
+    """Largest Frobenius distance between the two kernels of ``pair``, a
+    :func:`kernel_pair`, over ``inputs``."""
+    (_, fn_a, _), (_, fn_b, _) = pair
     return float(np.linalg.norm(fn_a(inputs) - fn_b(inputs), axis=(1, 2)).max(initial=0.0))
 
 
-def run_bench(
-    system: TwoLevelSystem | LadderSystem,
-    applications: int,
-    chunks: int,
-    rng: np.random.Generator,
-) -> list[BenchRow]:
-    """Timing table over ``applications`` identical inputs for both kernels."""
+def run_bench(pair, applications: int, chunks: int, rng: np.random.Generator) -> list[BenchRow]:
+    """Timing table over ``applications`` identical inputs for both kernels
+    of ``pair``, a :func:`kernel_pair`."""
     if applications < chunks or chunks < 1:
         raise ValueError("need applications >= chunks >= 1")
-    pair = kernel_pair(system)
-    dim = pair[0][2].dim
-    n_trans = len(system.transitions[0]) if isinstance(system, LadderSystem) else 1
+    spec = pair[0][2]
+    dim = spec.dim
+    n_trans = len(spec.system.transitions[0]) if isinstance(spec.system, LadderSystem) else 1
     inputs = random_states(dim, applications, rng)
     rows = []
     for name, fn, _spec in pair:

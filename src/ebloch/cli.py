@@ -1,19 +1,20 @@
 """Config-driven command-line front end.
 
 Subcommands: simulate, fixed-point, verify-algebra, canonical, bench.
-One sectioned key-value config file per run (INI syntax, documented in the
-README), deterministic CSV output (17 significant digits, atomic writes),
-seeded randomness recorded in output headers.  Exit codes: 0 success,
-1 validation error, 2 numerical failure.
+One sectioned key-value config file per run (the INI dialect that
+:func:`read_sections` reads, documented in the README), deterministic CSV
+output (17 significant digits, atomic writes), seeded randomness recorded in
+output headers.  Exit codes: 0 success, 1 validation or usage error,
+2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -41,6 +42,7 @@ from .systems import (
 SUBCOMMANDS = ("simulate", "fixed-point", "verify-algebra", "canonical", "bench")
 
 _REQUIRED = object()
+_INLINE_COMMENT = re.compile(r"\s#")
 
 
 class ConfigError(ValueError):
@@ -118,17 +120,67 @@ def parse_matrix_text(text: str) -> np.ndarray:
     return M
 
 
-class _Reader:
-    """configparser access that accumulates errors and records each (section, key) read."""
+def read_sections(text: str) -> dict[str, dict[str, str]]:
+    """``{section: {key: value}}`` of a config document, read in one pass in
+    the dialect of README's config reference: ``[section]`` headers,
+    ``key = value`` lines (keys lower-cased, values verbatim), full-line
+    ``#`` or ``;`` comments and inline ``#`` comments after whitespace.  Any
+    other line raises :class:`ConfigError`, one error per bad line."""
+    sections: dict[str, dict[str, str]] = {}
+    keys = None
+    errors = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line[0] in "#;":
+            continue
+        if comment := _INLINE_COMMENT.search(line):
+            line = line[:comment.start()].rstrip()
+        if line[0] == "[":
+            name = line[1:-1].strip()
+            keys = {}  # a bad header's keys go nowhere: its own line is the error
+            if line[-1] != "]":
+                problem = "unclosed section header"
+            elif not name:
+                problem = "empty section name"
+            elif name in sections:
+                problem = f"duplicate section [{name}]"
+            else:
+                sections[name] = keys
+                continue
+        else:
+            key, eq, value = line.partition("=")
+            key = key.strip().lower()
+            if not eq:
+                problem = ("'key: value' is not read, write 'key = value'" if ":" in line
+                           else "not a section header, 'key = value' or comment")
+            elif not key:
+                problem = "no key before '='"
+            elif keys is None:
+                problem = "key before the first [section] header"
+            elif key in keys:
+                problem = f"duplicate key '{key}'"
+            else:
+                keys[key] = value.strip()
+                continue
+        errors.append(f"syntax error: line {lineno}: {problem}: {line!r}")
+    if errors:
+        raise ConfigError(errors)
+    return sections
 
-    def __init__(self, cp: configparser.ConfigParser):
-        self.cp = cp
+
+class _Reader:
+    """Key lookups in :func:`read_sections` output that accumulate errors
+    and record each (section, key) read."""
+
+    def __init__(self, sections: dict[str, dict[str, str]]):
+        self.sections = sections
         self.errors: list[str] = []
         self.read: set[tuple[str, str]] = set()
 
     def has(self, section, key) -> bool:
-        self.read.add((section, self.cp.optionxform(key)))
-        return self.cp.has_option(section, key)
+        key = key.lower()
+        self.read.add((section, key))
+        return key in self.sections.get(section, ())
 
     def get(self, section, key, cast=str, default=_REQUIRED, choices=None):
         if not self.has(section, key):
@@ -136,7 +188,7 @@ class _Reader:
                 self.errors.append(f"[{section}] missing required key '{key}'")
                 return None
             return default
-        raw = self.cp.get(section, key).strip()
+        raw = self.sections[section][key.lower()]
         try:
             value = cast(raw)
         except (TypeError, ValueError):
@@ -244,16 +296,11 @@ def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a config document.
 
     Raises :class:`ConfigError` carrying every problem found; syntax errors
-    from the INI layer keep their line numbers.
+    name their lines, and come alone.
     """
-    # values are read verbatim: no %-interpolation
-    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError([f"syntax error: {exc}"]) from None
-    r = _Reader(cp)
-    if not cp.has_section("system"):
+    sections = read_sections(text)
+    r = _Reader(sections)
+    if "system" not in sections:
         raise ConfigError(["missing required section [system]"])
 
     system, system_kind, bath_T = _build_system(r)
@@ -269,7 +316,7 @@ def parse_config(text: str) -> ScenarioConfig:
             r.errors.append(f"[dissipator] {exc}")
 
     initial = None
-    if cp.has_section("initial"):
+    if "initial" in sections:
         itype = r.get("initial", "type", str, default="gibbs",
                       choices=("gibbs", "level", "file"))
         if itype == "gibbs":
@@ -303,10 +350,11 @@ def parse_config(text: str) -> ScenarioConfig:
     for name, val in (("t_final", t_final), ("dt", dt)):
         if val is not None and not 0 < val < np.inf:
             r.errors.append(f"[integration] {name} must be positive and finite")
-    for section in cp.sections():  # [system] only if its type, and so its branch, was read
+    # [system] only if its type, and so its branch, was read
+    for section, keys in sections.items():
         if section != "system" or system_kind is not None:
             r.errors += [f"[{section}] {key} is not a key this config reads"
-                         for key in cp.options(section) if (section, key) not in r.read]
+                         for key in keys if (section, key) not in r.read]
 
     if r.errors:
         raise ConfigError(r.errors)
@@ -480,16 +528,15 @@ def run_canonical(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
 
 
 def run_bench(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
-    rng = np.random.default_rng(seed)
-    rows_data = bench_mod.run_bench(cfg.spec.system, cfg.bench_applications,
-                                    cfg.bench_chunks, rng)
+    pair = bench_mod.kernel_pair(cfg.spec.system)
+    rows_data = bench_mod.run_bench(pair, cfg.bench_applications, cfg.bench_chunks,
+                                    np.random.default_rng(seed))
     by_kernel = {row.kernel: row for row in rows_data}
     gkls_ns = by_kernel["gkls"].ns_per_apply
     checksums = {row.checksum for row in rows_data}
     n_dev = min(cfg.bench_applications, 20000)
     dev = bench_mod.max_deviation(
-        cfg.spec.system, bench_mod.random_states(rows_data[0].dim, n_dev,
-                                                 np.random.default_rng(seed)))
+        pair, bench_mod.random_states(rows_data[0].dim, n_dev, np.random.default_rng(seed)))
     header = ["kernel", "dim", "transitions", "applications", "chunks",
               "ns_per_apply", "ratio_to_gkls", "checksum"]
     rows = [
@@ -535,11 +582,19 @@ def _fail(kind: str, messages, code: int) -> int:
     return code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors as :class:`ConfigError`, so that they exit 1, not
+    with argparse's 2, the code of a numerical failure; subparsers share it."""
+
+    def error(self, message):
+        raise ConfigError([f"{self.prog}: {message}"])
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; every ``parse_args``
     call returns a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ebloch",
         description="Master-equation scenarios from a sectioned key-value config",
     )
@@ -553,8 +608,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-
+    try:
+        args = _parser().parse_args(argv)
+    except ConfigError as exc:
+        return _fail("validation", exc.errors, 1)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()

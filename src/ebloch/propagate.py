@@ -66,8 +66,9 @@ class Trajectory:
     k pairs a < b that are nonzero at the start; every other coherence is
     zero for all time.  ``states`` assembles the (n_times, dim, dim) stack
     of density matrices from them, with s_ba = conj(s_ab), and rotates it
-    out of the eigenbasis anew whenever it is read; a read whose stack would
-    exceed ``MAX_RECORD_BYTES`` raises ``ValueError`` before allocating.
+    out of the eigenbasis in place anew whenever it is read; a read whose
+    stack would exceed ``MAX_RECORD_BYTES`` raises ``ValueError`` before
+    allocating.
     :meth:`populations` reads the records, never ``states``.  ``warnings``
     lists every warning of the run.
     """
@@ -86,7 +87,14 @@ class Trajectory:
     def states(self) -> np.ndarray:
         n, dim = self._pops.shape
         _check_record_bytes(f"{n} states of dim {dim}", n * dim * dim * 16)
-        return self._gen.rotate_out(_assemble(self._pops, self._cohs, self._pairs))
+        s = _assemble(self._pops, self._cohs, self._pairs)
+        if self._gen.V is not None:
+            # rotated in place, in passes of _CHECK_BYTES: the two products
+            # of a pass take one pass of bytes each, not a stack each
+            step = max(1, _CHECK_BYTES // (16 * dim * dim))
+            for lo in range(0, n, step):
+                s[lo:lo + step] = self._gen.rotate_out(s[lo:lo + step])
+        return s
 
     def populations(self) -> np.ndarray:
         """(n_times, dim) diagonal of ``states`` from the records: p itself

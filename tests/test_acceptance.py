@@ -222,11 +222,12 @@ def test_criterion_10_bench_integrity():
         gp, gm = rates_from_bath(BathModel(1.0, 1.0), 1.0)
         sys2 = TwoLevelSystem(1.0, (0.48, 0.36, 0.8), gp, gm)
         rng = np.random.default_rng(1010)
-        rows = bench.run_bench(sys2, 1_000_000, 5, rng)
+        pair = bench.kernel_pair(sys2)
+        rows = bench.run_bench(pair, 1_000_000, 5, rng)
         checksums = {row.checksum for row in rows}
         assert len(checksums) == 1, f"checksums differ: {sorted(checksums)}"
         assert all(row.ns_per_apply > 0 for row in rows)
         # spot-check the underlying map agreement at the equivalence tolerance
         dev = bench.max_deviation(
-            sys2, bench.random_states(2, 20000, np.random.default_rng(1010)))
+            pair, bench.random_states(2, 20000, np.random.default_rng(1010)))
         assert dev <= 1e-12 * (gp + gm), f"kernel deviation {dev:.3e}"

@@ -25,6 +25,7 @@ from ebloch.cli import (
     main,
     parse_config,
     parse_matrix_text,
+    read_sections,
 )
 from ebloch.dissipators import RhsSpec
 from ebloch.stationary import FixedPointReport, fixed_point
@@ -144,9 +145,67 @@ dt = 0.1
 
 
 def test_parse_syntax_error_reports_line():
+    for text, line, problem in [
+        ("[system\ntype = two_level\n", 1, "unclosed section header"),
+        ("# a comment\n\n[system]\ntype: two_level\n", 4, "'key: value' is not read"),
+        ("; a comment\ntype = two_level\n[system]\n", 2, "key before the first [section]"),
+        ("[system]\ntype = two_level\n  E 1.0\n", 3, "not a section header"),
+        ("[system]\ntype = two_level\n[output]\n[system]\n", 4, "duplicate section [system]"),
+        ("[system]\ntype = two_level\nE = 1\n\nTYPE = oscillator\n", 5, "duplicate key 'type'"),
+        ("[system]\n= two_level\n", 2, "no key before '='"),
+        ("[]\n", 1, "empty section name"),
+    ]:
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        [error] = exc.value.errors
+        assert error.startswith(f"syntax error: line {line}: {problem}"), error
+
+
+def test_every_bad_line_is_reported():
     with pytest.raises(ConfigError) as exc:
-        parse_config("[system\ntype = two_level\n")
-    assert any("line" in e.lower() for e in exc.value.errors)
+        read_sections("E = 1\n[system]\ntype two_level\n[bad\n")
+    assert [e.split(":")[1] for e in exc.value.errors] == [" line 1", " line 3", " line 4"]
+
+
+def test_config_dialect_comments_case_and_indentation():
+    sections = read_sections("""\
+; full-line comments start with ; or #
+[system]   # a header may carry an inline comment
+  Type = explicit
+\tenergies = 0, 1.0, 2.7   # an inline comment follows whitespace
+    # an indented comment line
+transitions = 0:1:0.2:0.8 ; 1:2:0.1:0.9
+[output]
+path = out#1.csv
+what = 100%  ;  kept
+""")
+    assert sections == {
+        "system": {"type": "explicit", "energies": "0, 1.0, 2.7",
+                   "transitions": "0:1:0.2:0.8 ; 1:2:0.1:0.9"},
+        "output": {"path": "out#1.csv", "what": "100%  ;  kept"},
+    }
+
+
+def test_a_spaced_semicolon_keeps_every_transition(tmp_path):
+    # a ; is never an inline comment: both transitions are read, and the
+    # ladder 0-1-2 is connected, with one stationary state
+    text = ("[system]\ntype = explicit\nenergies = 0, 1.0, 2.7\n"
+            "transitions = 0:1:0.2:0.8 ; 1:2:0.1:0.9\n[output]\npath = fp.csv\n")
+    ii, jj, _, _ = parse_config(text).spec.system.transitions
+    assert (ii.tolist(), jj.tolist()) == ([0, 1], [1, 2])
+    cfg = write(tmp_path, "x.cfg", text)
+    assert main(["fixed-point", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, header, rows = read_csv(tmp_path / "fp.csv")
+    assert dict(zip(header, rows[0]))["multiplicity"] == "1"
+
+
+def test_a_spaced_semicolon_note_is_part_of_the_value(tmp_path, capsys):
+    gp, gm = thermal_rates()
+    text = TWO_LEVEL_CFG.format(gp=gp, gm=gm) + "[dissipator]\nkind = gkls ; note\n"
+    cfg = write(tmp_path, "x.cfg", text)
+    assert main(["fixed-point", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "validation", "messages": [
+        "[dissipator] kind = 'gkls ; note': must be one of gkls, ebe2, eben"]}
 
 
 def test_parse_oscillator_materializes_harmonic_table():
@@ -290,6 +349,19 @@ def test_readme_config_reference_names_every_key_the_parser_reads():
     read = cli_config_keys()
     assert ("system", "gamma_table") in read and ("dissipator", "gamma_pd") in read
     assert readme_config_keys() == read
+
+
+def test_readme_config_reference_is_valid_syntax():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("### Config reference", 1)[1].split("```ini\n", 1)[1]
+    sections = read_sections(block.split("\n```", 1)[0])
+    assert list(sections) == ["system", "dissipator", "initial", "integration", "output",
+                              "verify", "bench", "canonical"]
+    # every uncommented key, with its inline note cut off
+    assert sections["system"]["transitions"] == "0:1:0.2:0.8; 1:2:0.1:0.9"
+    assert sections["dissipator"]["kind"] == "ebe2"
+    assert sections["initial"] == {"type": "gibbs | level | file", "t": "1.0", "index": "0",
+                                   "path": "state.txt"}
 
 
 CONFIG_SYSTEMS = {
@@ -850,9 +922,31 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path):
     assert "# seed=5" in comments
     comments, _, _ = read_csv(tmp_path / "b" / "verify_algebra.csv")
     assert "# seed=0" in comments
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-subcommand", "--config", cfg])
-    assert exc.value.code == 2
+    assert main(["no-such-subcommand", "--config", cfg]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "ebloch: the following arguments are required: subcommand"),
+    (["simulate"], "ebloch simulate: the following arguments are required: --config"),
+    (["no-such", "--config", "x.cfg"], "ebloch: argument subcommand: invalid choice: 'no-such'"),
+    (["simulate", "--config", "x.cfg", "--seed", "notanint"],
+     "ebloch simulate: argument --seed: invalid int value: 'notanint'"),
+], ids=["no-subcommand", "no-config", "unknown-subcommand", "bad-seed"])
+def test_usage_errors_exit_as_validation(capsys, argv, message):
+    assert main(argv) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "validation" and len(record["messages"]) == 1
+    assert record["messages"][0].startswith(message), record
+
+
+def test_help_exits_0_and_a_usage_error_exits_1_from_the_shell(tmp_path):
+    src = str(Path(ebloch.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    codes = [subprocess.run([sys.executable, "-m", "ebloch.cli", *argv], cwd=tmp_path, env=env,
+                            capture_output=True, timeout=120).returncode
+             for argv in (["--help"], ["simulate", "-h"], ["simulate"])]
+    assert codes == [0, 0, 1]
 
 
 def test_outputs_honor_the_umask(tmp_path):
@@ -1156,7 +1250,9 @@ def test_no_run_loads_scipy_linalg_or_special(tmp_path):
              ("fixed-point", str(tmp_path / "osc.cfg")),
              ("bench", str(tmp_path / "tilted.cfg")),
              ("verify-algebra", write(tmp_path, "v.cfg", VERIFY_CFG.format(n=20)))]
-    assert _loaded_after(tmp_path, calls) == []
+    # the config reader is the package's own: no run imports configparser
+    assert _loaded_after(tmp_path, calls, ("scipy", "scipy.linalg", "scipy.special",
+                                           "configparser")) == []
 
 
 def test_bench_leaves_numpy_ma_and_statistics_unloaded(tmp_path):

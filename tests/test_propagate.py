@@ -999,3 +999,28 @@ def test_populations_under_a_dense_h_read_the_records():
     assert peak < stack_bytes, f"{peak} bytes traced, one state stack is {stack_bytes}"
     diagonal = traj.states.diagonal(axis1=1, axis2=2).real
     np.testing.assert_allclose(pops, diagonal, rtol=0, atol=1e-15)
+
+
+def test_reading_rotated_states_holds_one_stack_and_passes_of_the_byte_budget():
+    # 1,001 records of a coherent dim-16 start under a non-diagonal H: the
+    # (1001, 16, 16) stack takes 4.1 MB, and each pass of its rotation out of
+    # the eigenbasis at most two 1 MiB temporaries
+    import tracemalloc
+    from ebloch.propagate import _CHECK_BYTES, _assemble
+    H = _coherent_state(16, seed=11)
+    spec = RhsSpec(H, "gkls")
+    V = spec.compiled.V
+    assert V is not None
+    traj = propagate(spec, _coherent_state(16), 1.0, 1e-3, "expm", 1)
+    stack_bytes = 1001 * 16 * 16 * 16
+    tracemalloc.start()
+    try:
+        states = traj.states
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack_bytes > 3 * _CHECK_BYTES
+    assert peak <= stack_bytes + 3 * _CHECK_BYTES, f"{peak} bytes traced for {stack_bytes}"
+    # each matrix's products are the ones the whole-stack product makes
+    whole = V @ _assemble(traj._pops, traj._cohs, traj._pairs) @ V.conj().T
+    np.testing.assert_array_equal(states, whole)
