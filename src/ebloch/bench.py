@@ -119,27 +119,17 @@ def max_deviation(pair, inputs: np.ndarray) -> float:
     return float(np.linalg.norm(fn_a(inputs) - fn_b(inputs), axis=(1, 2)).max(initial=0.0))
 
 
-def run_bench(pair, applications: int, chunks: int, rng: np.random.Generator) -> list[BenchRow]:
-    """Timing table over ``applications`` identical inputs for both kernels
-    of ``pair``, a :func:`kernel_pair`."""
-    if applications < chunks or chunks < 1:
+def run_bench(pair, inputs: np.ndarray, chunks: int) -> list[BenchRow]:
+    """Timing table of both kernels of ``pair``, a :func:`kernel_pair`, over
+    the same ``inputs``, an (n, d, d) stack such as :func:`random_states`."""
+    if not 1 <= chunks <= len(inputs):
         raise ValueError("need applications >= chunks >= 1")
     spec = pair[0][2]
-    dim = spec.dim
     n_trans = len(spec.system.transitions[0]) if isinstance(spec.system, LadderSystem) else 1
-    inputs = random_states(dim, applications, rng)
     rows = []
     for name, fn, _spec in pair:
         ns, acc = _run_kernel(fn, inputs, chunks)
-        rows.append(
-            BenchRow(
-                kernel=name,
-                dim=dim,
-                transitions=n_trans,
-                applications=applications,
-                chunks=chunks,
-                ns_per_apply=ns,
-                checksum=_checksum(acc),
-            )
-        )
+        rows.append(BenchRow(kernel=name, dim=spec.dim, transitions=n_trans,
+                             applications=len(inputs), chunks=chunks, ns_per_apply=ns,
+                             checksum=_checksum(acc)))
     return rows

@@ -132,8 +132,8 @@ def canonical_experiment(
     The state is propagated with the exact flow of ``propagate``: the
     records ``record_every`` steps apart come from one map expm(W g dt),
     doubled by repeated squaring while that saves calls, and are checked in
-    passes of as many records as fill 1 MiB at 8 N bytes each, so a
-    1,201-record quench of N = 14 takes one pass.  Against a
+    passes of as many records as fill 1 MiB at 16 N bytes each, so a
+    1,201-record quench of N = 14 (269 kB) takes one pass.  Against a
     uniformization series, whose terms are non-negative, every recorded
     population agrees to 1e-12 relative in the tests (4e-14 on a 14-level
     quench whose tail falls to 3.5e-57), as log-ratio profiles need.  The

@@ -46,7 +46,8 @@ _INLINE_COMMENT = re.compile(r"\s#")
 
 
 class ConfigError(ValueError):
-    """Carries every validation problem found in a config, not just the first."""
+    """Carries every problem that one validation pass finds: all those of
+    reading a config, or the one later check that failed (see README)."""
 
     def __init__(self, errors):
         self.errors = list(errors)
@@ -529,14 +530,16 @@ def run_canonical(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
 
 def run_bench(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
     pair = bench_mod.kernel_pair(cfg.spec.system)
-    rows_data = bench_mod.run_bench(pair, cfg.bench_applications, cfg.bench_chunks,
-                                    np.random.default_rng(seed))
+    if not 1 <= cfg.bench_chunks <= cfg.bench_applications:  # checked before the draw
+        raise ValueError("need applications >= chunks >= 1")
+    inputs = bench_mod.random_states(cfg.spec.dim, cfg.bench_applications,
+                                     np.random.default_rng(seed))
+    rows_data = bench_mod.run_bench(pair, inputs, cfg.bench_chunks)
     by_kernel = {row.kernel: row for row in rows_data}
     gkls_ns = by_kernel["gkls"].ns_per_apply
     checksums = {row.checksum for row in rows_data}
     n_dev = min(cfg.bench_applications, 20000)
-    dev = bench_mod.max_deviation(
-        pair, bench_mod.random_states(rows_data[0].dim, n_dev, np.random.default_rng(seed)))
+    dev = bench_mod.max_deviation(pair, inputs[:n_dev])
     header = ["kernel", "dim", "transitions", "applications", "chunks",
               "ns_per_apply", "ratio_to_gkls", "checksum"]
     rows = [

@@ -39,18 +39,32 @@ class SplitGenerator:
 
     A state s = V^dag rho V in that basis (s = rho when ``V`` is None, for an
     exactly diagonal H) evolves as dp/dt = W p on its populations p = diag(s)
-    and as d(s_ab)/dt = C[a, b] s_ab on each coherence.  ``E`` holds the
-    real level energies in the order of that basis, so H = V diag(E) V^dag.
-    ``W`` is real, with non-negative off-diagonal rates and zero column sums;
-    C[a, b] = -i w_ab [include_unitary] - Gamma_ab + gamma_pd w_ab^2 with the
-    Bohr frequencies w_ab = E_a - E_b, a zero diagonal and C[b, a] =
-    conj(C[a, b]).  The spectrum is eig(W) plus the off-diagonal entries of C.
+    and as d(s_ab)/dt = C_ab s_ab on each coherence, with C_ab given by
+    :meth:`rates`.  ``E`` holds the real level energies in the order of that
+    basis, so H = V diag(E) V^dag.  ``W`` is real, with non-negative
+    off-diagonal rates and zero column sums.  ``rule`` holds what the rates
+    read from the spec, ``(kind, gamma_pd, include_unitary)``.  The spectrum
+    is eig(W) plus every C_ab with a != b.
     """
 
     E: np.ndarray
     W: np.ndarray
-    C: np.ndarray
+    rule: tuple
     V: np.ndarray | None
+
+    def rates(self, a, b) -> np.ndarray:
+        """C_ab = -i w_ab [include_unitary] - Gamma_ab + gamma_pd w_ab^2 for
+        broadcastable index arrays a != b, w_ab = E_a - E_b.  Gamma_ab is
+        (W_ab + W_ba)/2 under ``eben``, as a transition damps only its own
+        coherence, and half the two levels' out-rates under any other kind."""
+        kind, gamma_pd, include_unitary = self.rule
+        w = self.E[a] - self.E[b]
+        if kind == "eben":
+            damping = 0.5 * (self.W[a, b] + self.W[b, a])
+        else:  # 0.0 - W_aa is level a's out-rate to the bit, +0.0 included
+            damping = 0.5 * ((0.0 - self.W[a, a]) + (0.0 - self.W[b, b]))
+        c = (gamma_pd * w * w - damping).astype(complex)
+        return c - 1j * w if include_unitary else c
 
     def rotate_in(self, rho: np.ndarray) -> np.ndarray:
         """V^dag rho V: a matrix of the original basis in the eigenbasis."""
@@ -61,31 +75,33 @@ class SplitGenerator:
         return s if self.V is None else self.V @ s @ self.V.conj().T
 
     @cached_property
-    def coherence_rates(self) -> np.ndarray:
-        """The off-diagonal entries of C, one eigenvalue per coherence."""
-        return self.C[~np.eye(len(self.C), dtype=bool)]
-
-    @cached_property
     def population_eig(self) -> tuple:
         """(eigenvalues, column eigenvectors) of ``W``."""
         return np.linalg.eig(self.W)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """eig(W) followed by :attr:`coherence_rates`."""
-        return np.concatenate([self.population_eig[0], self.coherence_rates])
+        """eig(W) followed by C_ab of every pair a != b in row-major order."""
+        idx = np.arange(len(self.E))
+        rates = self.rates(idx[:, None], idx)[~np.eye(len(idx), dtype=bool)]
+        return np.concatenate([self.population_eig[0], rates])
 
     @cached_property
     def max_growth(self) -> float:
         """Largest real part in the spectrum, floored at 0.  ``W`` is a rate
-        matrix, whose eigenvalues have Re <= 0 (Gershgorin), so only C is
-        inspected and W is not diagonalized."""
-        rates = self.coherence_rates
-        return max(0.0, float(rates.real.max())) if rates.size else 0.0
+        matrix, whose eigenvalues have Re <= 0 (Gershgorin), and every
+        Gamma_ab >= 0, so only a positive gamma_pd can amplify."""
+        if self.rule[1] <= 0.0:  # gamma_pd
+            return 0.0
+        n = len(self.E)
+        a = np.arange(n)[:, None]
+        # each level's n - 1 partners, in blocks of shifts that bound the memory
+        return max(0.0, *(float(self.rates(a, (a + k) % n).real.max(initial=0.0))
+                          for k in np.array_split(np.arange(1, n), -(-n * n // 2**18))))
 
 
 def _compile(spec: "RhsSpec") -> SplitGenerator:
-    """(E, W, C, V) of a spec; raises ValueError when it does not split."""
+    """(E, W, rule, V) of a spec; raises ValueError when it does not split."""
     H = spec.hamiltonian
     energies = np.diag(H)
     if np.count_nonzero(H - np.diag(energies)) or np.count_nonzero(energies.imag):
@@ -124,22 +140,9 @@ def _compile(spec: "RhsSpec") -> SplitGenerator:
         rate = np.concatenate([gp, gm])
     W = np.zeros((n, n))
     np.add.at(W, (dst, src), rate)
-    out = np.bincount(src, rate, minlength=n)
-    # 0 - out rather than -out: a level without out-rates keeps a +0.0 diagonal
-    W[np.arange(n), np.arange(n)] -= out
-    if spec.kind == "eben":
-        # a transition damps only its own coherence, at half its two rates;
-        # the diagonal is never read, as C's diagonal is zeroed below
-        damping = 0.5 * (W + W.T)
-    else:
-        # every coherence that touches a level decays at half its out-rate
-        damping = 0.5 * (out[:, None] + out[None, :])
-    w = energies[:, None] - energies[None, :]
-    C = (spec.gamma_pd * w * w - damping).astype(complex)
-    if spec.include_unitary:
-        C -= 1j * w
-    np.fill_diagonal(C, 0.0)
-    return SplitGenerator(energies, W, C, V)
+    # 0 - out-rates rather than their negation: a level without any keeps a +0.0
+    W[np.arange(n), np.arange(n)] -= np.bincount(src, rate, minlength=n)
+    return SplitGenerator(energies, W, (spec.kind, spec.gamma_pd, spec.include_unitary), V)
 
 
 @dataclass(frozen=True, eq=False)

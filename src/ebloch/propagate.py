@@ -243,12 +243,12 @@ def propagate(
     value or the largest entry of the state in the eigenbasis of H 1e6
     times max(1, its initial value).
 
-    The spec runs as its :class:`SplitGenerator` ``(E, W, C, V)``
-    (:attr:`RhsSpec.compiled`, which raises ``ValueError`` for a spec that
-    does not split), in which the populations p evolve under W and each
-    coherence s_ab under its own rate C[a, b] alone.  rho0 is rotated into
-    the eigenbasis of H once, and only the coherences a < b that are nonzero
-    there are tracked; the others stay exactly zero.  A gap of g steps
+    The spec runs as its :class:`SplitGenerator` (:attr:`RhsSpec.compiled`,
+    which raises ``ValueError`` for a spec that does not split), in which
+    the populations p evolve under W and each coherence s_ab under its own
+    rate C_ab alone.  rho0 is rotated into the eigenbasis of H once, and
+    only the coherences a < b that are nonzero there are tracked, their
+    rates read from ``rates``; the others stay exactly zero.  A gap of g steps
     between two recorded times has one population map M, built once per
     distinct g: expm(W g dt) for the exact flow, taken by :func:`expm`
     ([13/13] Pade scaling and squaring in NumPy), and R4(dt W)^g for RK4,
@@ -261,7 +261,7 @@ def propagate(
     (``_CALL_FLOPS`` each).  A run with too few records for its d never
     squares, and each record is then M times the last.  A final shorter
     gap applies its own map once.  A tracked coherence at step m is in
-    closed form s_ab exp(C[a, b] m dt), or s_ab R4(dt C[a, b])^m for RK4,
+    closed form s_ab exp(C_ab m dt), or s_ab R4(dt C_ab)^m for RK4,
     evaluated once for the whole run.  Then stacked passes check the
     records (NaN/Inf first, then growth, stopping at the first bad record)
     and diagnose them, so the eigensolve never sees a record that failed a
@@ -278,7 +278,7 @@ def propagate(
 
     Every spec with amplifying modes warns once, through ``warnings`` and in
     ``Trajectory.warnings``.  For RK4, a mode that the run steps (an
-    eigenvalue of W or a tracked C[a, b]) that does not amplify but lies
+    eigenvalue of W or a tracked C_ab) that does not amplify but lies
     outside the stability region raises :class:`PropagationError` before
     the first step.  rho0 is checked first, and ``ValueError`` names the
     first check it fails: shape (dim, dim), Hermiticity within 1e-10, then
@@ -325,7 +325,7 @@ def propagate(
         notes.append(f"assembled generator has amplifying modes (max Re lambda = "
                      f"{gen.max_growth:.3e}); check the sign of gamma_pd")
         warnings.warn(notes[-1], stacklevel=2)
-    c = gen.C[a, b]
+    c = gen.rates(a, b)
     if method == "rk4":
         _check_rk4_stability(np.concatenate([gen.population_eig[0], c]), dt)
 

@@ -124,10 +124,10 @@ def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
     """Stationary state from the null space of the generator.
 
     The spec runs as its :class:`~ebloch.dissipators.SplitGenerator`
-    ``(E, W, C, V)`` (:attr:`RhsSpec.compiled`, which raises ``ValueError``
-    for a spec that does not split), so no superoperator is built and
-    ladders of any size are accepted.  The spectrum is eig(W) plus the
-    coherence rates C.  The stationary state is diag(p) in the eigenbasis
+    (:attr:`RhsSpec.compiled`, which raises ``ValueError`` for a spec that
+    does not split), so no superoperator is built and ladders of any size
+    are accepted.  The spectrum is eig(W) plus the coherence rates C_ab of
+    every pair a != b.  The stationary state is diag(p) in the eigenbasis
     of H, with p the trace-normalized real part of the eigenvector of W
     whose eigenvalue lies nearest zero; the report keeps p and rotates the
     state out only when it is read.  ``multiplicity`` counts the eigenvalues

@@ -10,6 +10,9 @@ these independent routes stay here, out of its API:
   on every matrix unit, and :func:`step_rk4` steps it stage by stage;
 * :func:`transition_projector` gives the term-by-term projector form of one
   transition of the multi-level elemental-Bloch kernel;
+* :func:`dense_rates` reads every coherence rate of a
+  :class:`ebloch.dissipators.SplitGenerator` into one N x N matrix, and
+  :func:`formula_rates` builds that matrix from a spec's damping formulas;
 * :func:`split_apply` applies a :class:`ebloch.dissipators.SplitGenerator`
   to a dense matrix of its eigenbasis, and :func:`is_psd` tests positivity
   with a dense eigensolve;
@@ -52,12 +55,39 @@ def is_psd(A, tol: float = 1e-8) -> bool:
     return bool(np.linalg.eigvalsh(herm_part(M)).min() >= -tol)
 
 
+def dense_rates(gen: SplitGenerator) -> np.ndarray:
+    """C[a, b] = ``gen.rates(a, b)`` for every a != b, with a zero diagonal."""
+    idx = np.arange(len(gen.E))
+    C = gen.rates(idx[:, None], idx)
+    np.fill_diagonal(C, 0.0)
+    return C
+
+
+def formula_rates(spec: RhsSpec) -> np.ndarray:
+    """The dense C of ``spec.compiled`` built in one pass from its W and E:
+    C = gamma_pd w^2 - Gamma - i w [include_unitary] with w_ab = E_a - E_b,
+    Gamma = (W + W^T)/2 for ``eben`` and half the two levels' out-rates
+    -W_aa for every other kind, and a zero diagonal."""
+    gen = spec.compiled
+    if spec.kind == "eben":
+        damping = 0.5 * (gen.W + gen.W.T)
+    else:
+        out = np.abs(np.diag(gen.W))  # -W_aa, and +0.0 for a level with none
+        damping = 0.5 * (out[:, None] + out[None, :])
+    w = gen.E[:, None] - gen.E[None, :]
+    C = (spec.gamma_pd * w * w - damping).astype(complex)
+    if spec.include_unitary:
+        C -= 1j * w
+    np.fill_diagonal(C, 0.0)
+    return C
+
+
 def split_apply(gen: SplitGenerator, s: np.ndarray) -> np.ndarray:
     """d(s)/dt of a matrix s in the eigenbasis of ``gen``, or of each matrix
-    of an (n, d, d) stack: ``gen.W`` on the diagonal, ``gen.C`` elementwise
-    on the rest."""
-    out = gen.C * s
-    idx = np.arange(len(gen.C))
+    of an (n, d, d) stack: ``gen.W`` on the diagonal, :func:`dense_rates`
+    elementwise on the rest."""
+    out = dense_rates(gen) * s
+    idx = np.arange(len(gen.E))
     out[..., idx, idx] = (gen.W @ s.diagonal(axis1=-2, axis2=-1).T).T
     return out
 

@@ -223,7 +223,7 @@ def test_criterion_10_bench_integrity():
         sys2 = TwoLevelSystem(1.0, (0.48, 0.36, 0.8), gp, gm)
         rng = np.random.default_rng(1010)
         pair = bench.kernel_pair(sys2)
-        rows = bench.run_bench(pair, 1_000_000, 5, rng)
+        rows = bench.run_bench(pair, bench.random_states(2, 1_000_000, rng), 5)
         checksums = {row.checksum for row in rows}
         assert len(checksums) == 1, f"checksums differ: {sorted(checksums)}"
         assert all(row.ns_per_apply > 0 for row in rows)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import ebloch
+from ebloch import bench
 from ebloch.cli import (
     ConfigError,
     _float_lines,
@@ -1134,6 +1135,27 @@ def test_bench_checksums_match(tmp_path):
     assert sums["ebe2"] == sums["gkls"]
     ratio = float(rows[0][header.index("ratio_to_gkls")])
     assert ratio > 0
+
+
+def test_bench_takes_its_deviation_over_the_inputs_it_timed(tmp_path, monkeypatch):
+    # above 20,000 applications a two-level run checks the first 20,000
+    seen = []
+    deviation = bench.max_deviation
+
+    def spy(pair, inputs):
+        seen.append(np.copy(inputs))
+        return deviation(pair, inputs)
+
+    monkeypatch.setattr(bench, "max_deviation", spy)
+    gp, gm = thermal_rates()
+    text = TWO_LEVEL_CFG.format(gp=gp, gm=gm) + "\n[bench]\napplications = 20003\nchunks = 2\n"
+    cfg = write(tmp_path, "bench.cfg", text)
+    assert main(["bench", "--config", cfg, "--seed", "5", "--out", str(tmp_path)]) == 0
+    timed = bench.random_states(2, 20003, np.random.default_rng(5))
+    [inputs] = seen
+    np.testing.assert_array_equal(inputs, timed[:20000])
+    comments, _, _ = read_csv(tmp_path / "traj.csv")
+    assert comments[-1].endswith(" over 20000 inputs")
 
 
 def test_bench_ladder_uses_diagonal_inputs(tmp_path):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from ebloch.canonical import canonical_experiment
 import ebloch.dissipators
 import ebloch.systems
-from ebloch.dissipators import RhsSpec, ladder_jump_list, master_rhs
+from ebloch.dissipators import RhsSpec, SplitGenerator, ladder_jump_list, master_rhs
 from ebloch.linalg import herm_part, hermitian_eig, trace_distance
 from ebloch.propagate import (
     MIN_EIG_WARN,
@@ -43,7 +43,14 @@ from ebloch.systems import (
     build_oscillator,
     rates_from_bath,
 )
-from oracles import build_superoperator, split_apply, step_rk4, vectorize
+from oracles import (
+    build_superoperator,
+    dense_rates,
+    formula_rates,
+    split_apply,
+    step_rk4,
+    vectorize,
+)
 from test_canonical import thermalization_ode_rhs
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
@@ -54,13 +61,14 @@ def split_superoperator(gen) -> np.ndarray:
     """Column-stacking superoperator assembled from (W, C), in the
     eigenbasis of H."""
     n = len(gen.W)
+    C = dense_rates(gen)
     S = np.zeros((n * n, n * n), dtype=complex)
     diag = np.arange(n) * (n + 1)
     S[np.ix_(diag, diag)] = gen.W
     for a in range(n):
         for b in range(n):
             if a != b:
-                S[a + b * n, a + b * n] = gen.C[a, b]
+                S[a + b * n, a + b * n] = C[a, b]
     return S
 
 
@@ -222,6 +230,118 @@ def test_propagate_and_fixed_point_reject_specs_without_a_split(make_spec):
         fixed_point(spec)
 
 
+# ------------------------------------------------------ the coherence rates
+
+
+def random_rate_specs(rng, count):
+    """Specs of every route, each with a random include_unitary and a
+    gamma_pd of either sign or zero: tilted two-level ``ebe2`` and ``gkls``
+    specs; ``eben`` and ``gkls`` ladders whose top levels no transition
+    touches; explicit jump lists, each jump one eigenlevel move, under a
+    diagonal or a tilted H."""
+    for k in range(count):
+        options = {"include_unitary": bool(rng.integers(2)),
+                   "gamma_pd": float(rng.choice([-1.0, 0.0, 1.0]) * rng.uniform(0.01, 0.5))}
+        route = k % 3
+        if route == 0:
+            v = rng.standard_normal(3)
+            system = TwoLevelSystem(float(rng.uniform(0.2, 3.0)), tuple(v / np.linalg.norm(v)),
+                                    float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.05, 2.0)))
+            yield RhsSpec.for_system(system, str(rng.choice(["ebe2", "gkls"])), **options)
+        elif route == 1:
+            n = int(rng.integers(3, 9))
+            energies = tuple(np.cumsum(rng.uniform(0.1, 1.5, n)) - 0.5)
+            touched = int(rng.integers(2, n + 1))
+            pairs = [(i, j) for j in range(touched) for i in range(j)]
+            keep = sorted(rng.permutation(len(pairs))[:int(rng.integers(1, len(pairs) + 1))])
+            transitions = [(*pairs[q], float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.05, 1.0)))
+                           for q in keep]
+            yield RhsSpec.for_system(LadderSystem(energies, transitions),
+                                     str(rng.choice(["eben", "gkls"])), **options)
+        else:
+            n = int(rng.integers(2, 7))
+            H = np.diag(rng.uniform(-1.0, 1.0, n)).astype(complex)
+            if rng.integers(2):
+                A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                H = H + 0.3 * (A + A.conj().T)
+            V = RhsSpec(H, "gkls").compiled.V
+            jumps = []
+            for _ in range(int(rng.integers(0, 5))):
+                x, y = rng.choice(n, 2, replace=False)
+                L = np.zeros((n, n), dtype=complex)
+                L[x, y] = rng.uniform(0.3, 1.5) * np.exp(2j * np.pi * rng.uniform())
+                jumps.append((L if V is None else V @ L @ V.conj().T,
+                              float(rng.uniform(0.0, 1.0))))
+            yield RhsSpec(H, "gkls", jumps=tuple(jumps), **options)
+
+
+def test_rates_are_the_bits_of_the_dense_formulas():
+    rng = np.random.default_rng(28)
+    for spec in random_rate_specs(rng, 240):
+        gen = spec.compiled
+        C = formula_rates(spec)
+        assert dense_rates(gen).tobytes() == C.tobytes()
+        # pairs in any order and shape, as propagate asks for its tracked ones
+        a, b = np.nonzero(~np.eye(spec.dim, dtype=bool))
+        order = rng.permutation(len(a))
+        assert gen.rates(a[order], b[order]).tobytes() == C[a[order], b[order]].tobytes()
+
+
+def test_max_growth_evaluates_no_rate_unless_gamma_pd_is_positive(monkeypatch):
+    rng = np.random.default_rng(29)
+    specs = list(random_rate_specs(rng, 150))
+    expected = [max(0.0, float(formula_rates(spec)[~np.eye(spec.dim, dtype=bool)].real.max(
+        initial=0.0))) for spec in specs]
+
+    def refuse(self, a, b):
+        raise AssertionError("a coherence rate was evaluated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SplitGenerator, "rates", refuse)
+        for spec, growth in zip(specs, expected):
+            if spec.gamma_pd <= 0.0:
+                assert growth == 0.0
+                assert spec.compiled.max_growth == 0.0
+    for spec, growth in zip(specs, expected):
+        assert spec.compiled.max_growth == growth
+    assert any(growth > 0.0 for growth in expected)
+
+
+@pytest.mark.parametrize("method", ["expm", "rk4"])
+@pytest.mark.parametrize("gamma_pd", [0.0, -0.2])
+def test_propagate_evaluates_the_rates_of_its_tracked_pairs_once(monkeypatch, method,
+                                                                 gamma_pd):
+    calls = []
+    rates = SplitGenerator.rates
+
+    def spy(self, a, b):
+        calls.append((np.copy(a), np.copy(b)))
+        return rates(self, a, b)
+
+    monkeypatch.setattr(SplitGenerator, "rates", spy)
+    lad = build_oscillator(6, 1.0, "harmonic", BathModel(1.0, 0.8))
+    spec = RhsSpec.for_system(lad, "gkls", True, gamma_pd)
+    rho0 = np.diag(np.full(6, 1 / 6)).astype(complex)
+    for i, j in ((0, 1), (1, 3), (2, 5)):
+        rho0[i, j] = rho0[j, i] = 0.02
+    propagate(spec, rho0, 0.5, 0.05, method)
+    assert len(calls) == 1
+    a, b = calls[0]
+    assert a.tolist() == [0, 1, 2] and b.tolist() == [1, 3, 5]
+
+
+def test_split_generator_holds_no_dense_complex_matrix():
+    rng = np.random.default_rng(30)
+    for spec in random_rate_specs(rng, 90):
+        gen = spec.compiled
+        assert list(vars(gen)) == ["E", "W", "rule", "V"]
+        assert gen.rule == (spec.kind, spec.gamma_pd, spec.include_unitary)
+        dense = [name for name, value in vars(gen).items()
+                 if np.iscomplexobj(value) and np.shape(value) == (spec.dim, spec.dim)]
+        # a tilted H keeps its eigenbasis; nothing else is an N x N complex array
+        assert dense == ([] if gen.V is None else ["V"])
+
+
 # ------------------------------------- system specs compile from transitions
 
 
@@ -236,7 +356,7 @@ def test_ladder_gkls_twin_compiles_to_the_bits_of_its_jump_list(rule, T, include
         scanned = RhsSpec(lad.hamiltonian, "gkls", jumps=ladder_jump_list(lad),
                           include_unitary=include_unitary, gamma_pd=gamma_pd).compiled
         np.testing.assert_array_equal(gen.W, scanned.W)
-        np.testing.assert_array_equal(gen.C, scanned.C)
+        np.testing.assert_array_equal(dense_rates(gen), dense_rates(scanned))
 
 
 def test_two_level_gkls_twin_compiles_to_the_bits_of_ebe2():
@@ -248,8 +368,9 @@ def test_two_level_gkls_twin_compiles_to_the_bits_of_ebe2():
                               float(gp), float(gm))
         gkls = RhsSpec.for_system(sys2, "gkls", True, -0.2).compiled
         ebe2 = RhsSpec.for_system(sys2, "ebe2", True, -0.2).compiled
-        for field in ("E", "W", "C", "V"):
+        for field in ("E", "W", "V"):
             np.testing.assert_array_equal(getattr(gkls, field), getattr(ebe2, field))
+        np.testing.assert_array_equal(dense_rates(gkls), dense_rates(ebe2))
 
 
 def test_system_specs_solve_and_propagate_without_building_jumps(monkeypatch):
@@ -289,8 +410,9 @@ def test_split_rate_matrix_conserves_trace_and_coherences_are_hermitian():
     gen = RhsSpec.for_system(lad, gamma_pd=-0.1).compiled
     np.testing.assert_allclose(gen.W.sum(axis=0), 0.0, atol=1e-15)
     assert np.all(gen.W - np.diag(np.diag(gen.W)) >= 0.0)
-    np.testing.assert_array_equal(gen.C, gen.C.conj().T)
-    np.testing.assert_array_equal(np.diag(gen.C), 0.0)
+    C = dense_rates(gen)
+    np.testing.assert_array_equal(C, C.conj().T)
+    np.testing.assert_array_equal(np.diag(C), 0.0)
 
 
 # ------------------------------------------------------------ propagation

@@ -27,7 +27,7 @@ from ebloch.systems import (
     build_two_level_hamiltonian,
     rates_from_bath,
 )
-from oracles import build_superoperator, split_apply, step_rk4, vectorize
+from oracles import build_superoperator, dense_rates, split_apply, step_rk4, vectorize
 
 
 def thermal_two_level(E=1.0, T=1.0, gamma=1.0, eps=(0.48, 0.36, 0.8)):
@@ -808,12 +808,13 @@ def _per_record_failure(spec, rho0, t_final, dt, record_every):
     if steps[-1] != n_steps:
         steps.append(n_steps)
     p, X = s.diagonal().real, s - np.diag(s.diagonal())
+    C = dense_rates(gen)
     with np.errstate(all="ignore"):
         for prev, k in zip([0] + steps, steps):
             if k:
                 gap = (k - prev) * dt
                 p = scipy.linalg.expm(gen.W * gap) @ p
-                X = _conj_symmetric(np.exp(gen.C * gap)) * X
+                X = _conj_symmetric(np.exp(C * gap)) * X
                 if not (np.isfinite(p.sum()) and np.isfinite(X.sum())):
                     return f"NaN/Inf encountered before t={k * dt:.6g}"
                 s = X + np.diag(p)
