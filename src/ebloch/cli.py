@@ -563,11 +563,12 @@ def run_bench(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
 
 
 # why a subcommand that sets up no initial state rejects an [initial] section,
-# which it would otherwise ignore; fixed-point and bench still accept one, as
-# configs shared with simulate carry it
+# which it would otherwise ignore; fixed-point still accepts one, as configs
+# shared with simulate carry it
 _NO_INITIAL = {
     "verify-algebra": "verify-algebra draws random two-level Hamiltonians",
     "canonical": "canonical always starts from Gibbs at [canonical] T0",
+    "bench": "bench applies its kernels to random states",
 }
 
 _RUNNERS = {

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_matrix, hermitian_eig
+from .linalg import as_matrix, eigenbasis
 from .systems import LadderSystem, TwoLevelSystem, jump_operators
 
 KINDS = ("gkls", "ebe2", "eben")
@@ -102,12 +102,7 @@ class SplitGenerator:
 
 def _compile(spec: "RhsSpec") -> SplitGenerator:
     """(E, W, rule, V) of a spec; raises ValueError when it does not split."""
-    H = spec.hamiltonian
-    energies = np.diag(H)
-    if np.count_nonzero(H - np.diag(energies)) or np.count_nonzero(energies.imag):
-        energies, V = hermitian_eig(H)
-    else:
-        energies, V = energies.real, None
+    energies, V = eigenbasis(spec.hamiltonian)
     n = spec.dim
     system = spec.system
     # population moves: rate[k] carries population from level src[k] to dst[k]
@@ -181,7 +176,8 @@ class RhsSpec:
         if needs is not None and not isinstance(system, needs):
             raise ValueError(f"kind {self.kind!r} needs a {needs.__name__}, "
                              f"not {type(system).__name__}")
-        if system is not None and (self.jumps or not np.array_equal(H, system.hamiltonian)):
+        if system is not None and (self.jumps or not (H is system.hamiltonian
+                                                   or np.array_equal(H, system.hamiltonian))):
             raise ValueError("a system spec runs under that system's own Hamiltonian "
                              "and takes no explicit jump list")
         jumps = []
@@ -224,8 +220,8 @@ class RhsSpec:
     def compiled(self) -> SplitGenerator:
         """The spec's :class:`SplitGenerator` in the eigenbasis of H.
 
-        An exactly diagonal H is used as it is (``V`` is None); any other H
-        is diagonalized by :func:`~ebloch.linalg.hermitian_eig`.  A system
+        The basis is that of :func:`~ebloch.linalg.eigenbasis`: an exactly
+        diagonal H is used as it is (``V`` is None).  A system
         spec compiles from its transitions (the two sorted eigenlevels, or
         the ladder's); its kind picks only the coherence damping.  Each
         explicit jump, rotated to V^dag L V, must be a single off-diagonal

@@ -60,6 +60,17 @@ def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
     return w, V * (top.conj() / np.abs(top))
 
 
+def eigenbasis(H) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(E, V)`` with H = V diag(E) V^dag: H's diagonal and ``V`` None if every
+    off-diagonal entry is zero (-0.0 too) and the diagonal real and finite, found
+    with no array of H's size; else :func:`hermitian_eig`, which raises on NaN or inf."""
+    M = as_matrix(H)
+    d = M.diagonal()
+    if np.count_nonzero(M) == np.count_nonzero(d) and np.isfinite(d).all() and not d.imag.any():
+        return d.real, None
+    return hermitian_eig(M)
+
+
 def trace_distance(rho, sigma) -> float:
     """(1/2)||rho - sigma||_1 for Hermitian arguments."""
     d = as_matrix(rho) - as_matrix(sigma)

@@ -299,7 +299,7 @@ def propagate(
     s = gen.rotate_in(herm_part(raw))
     p = s.diagonal().real  # populations of a Hermitian state
     # a coherence is fed only by itself: those zero at the start stay zero
-    a, b = np.nonzero(np.triu(s, 1))
+    a, b = np.nonzero(np.triu(s != 0, 1))
     x0 = s[a, b]
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"initial state trace {p.sum():.3e} is not 1 within 1e-9")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dissipators import RhsSpec, SplitGenerator
-from .linalg import as_matrix, hermitian_eig
+from .linalg import eigenbasis
 from .propagate import AMPLIFY_TOL
 from .systems import TwoLevelSystem
 
@@ -61,15 +61,13 @@ def gibbs_state(H, T: float) -> np.ndarray:
     An exactly diagonal, real H takes no eigensolve: its weights are summed
     in ascending energy order, as for the eigenvalues, so the state is the
     same bit for bit."""
-    M = as_matrix(H)
-    E = M.diagonal().real
-    if not np.any(M - np.diag(E)):
+    E, V = eigenbasis(H)
+    if V is None:
         order = np.argsort(E)
         p = np.empty_like(E)
         p[order] = _gibbs_weights(E[order], T)
         return np.diag(p.astype(complex))
-    w, V = hermitian_eig(M)
-    return (V * _gibbs_weights(w, T)) @ V.conj().T
+    return (V * _gibbs_weights(E, T)) @ V.conj().T
 
 
 def two_level_stationary_analytic(sys: TwoLevelSystem) -> np.ndarray:

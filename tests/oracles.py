@@ -17,6 +17,9 @@ these independent routes stay here, out of its API:
   to a dense matrix of its eigenbasis, and :func:`is_psd` tests positivity
   with a dense eigensolve;
 * :func:`commutator` forms [A, B] with two dense products;
+* :func:`dense_compile_basis` and :func:`dense_gibbs_state` decide whether H
+  is diagonal by forming H minus its diagonal, where
+  :func:`ebloch.linalg.eigenbasis` counts nonzero entries;
 * :func:`uniformization` gives the exact flow of a rate matrix as a series
   of non-negative terms.
 """
@@ -29,8 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from ebloch.dissipators import RhsSpec, SplitGenerator, master_rhs
-from ebloch.linalg import as_matrix, herm_part, is_hermitian
+from ebloch.linalg import as_matrix, herm_part, hermitian_eig, is_hermitian
 from ebloch.propagate import PropagationError
+from ebloch.stationary import _gibbs_weights
 
 MAX_SUPEROP_DIM = 64
 
@@ -53,6 +57,30 @@ def is_psd(A, tol: float = 1e-8) -> bool:
     if not is_hermitian(M):
         return False
     return bool(np.linalg.eigvalsh(herm_part(M)).min() >= -tol)
+
+
+def dense_compile_basis(H) -> tuple:
+    """(E, V) of H: its diagonal and None unless H - diag(diag H) or the
+    diagonal's imaginary part has a nonzero entry, else ``hermitian_eig``."""
+    H = as_matrix(H)
+    energies = np.diag(H)
+    if np.count_nonzero(H - np.diag(energies)) or np.count_nonzero(energies.imag):
+        return hermitian_eig(H)
+    return energies.real, None
+
+
+def dense_gibbs_state(H, T: float) -> np.ndarray:
+    """exp(-H/T) / Tr exp(-H/T), with no eigensolve when H - diag(Re diag H)
+    has no nonzero entry; the weights are then summed in ascending order."""
+    M = as_matrix(H)
+    E = M.diagonal().real
+    if not np.any(M - np.diag(E)):
+        order = np.argsort(E)
+        p = np.empty_like(E)
+        p[order] = _gibbs_weights(E[order], T)
+        return np.diag(p.astype(complex))
+    w, V = hermitian_eig(M)
+    return (V * _gibbs_weights(w, T)) @ V.conj().T
 
 
 def dense_rates(gen: SplitGenerator) -> np.ndarray:

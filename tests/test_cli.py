@@ -54,6 +54,9 @@ record_every = 10
 path = traj.csv
 what = all
 """
+GIBBS_START = "[initial]\ntype = gibbs\nT = 1.0\n\n"
+# bench sets up no start, so its configs carry no [initial] section
+TWO_LEVEL_BENCH_CFG = TWO_LEVEL_CFG.replace(GIBBS_START, "")
 
 
 def thermal_rates(E=1.0, T=1.0, gamma=1.0):
@@ -1103,12 +1106,16 @@ def test_canonical_rejects_dissipator_keys_it_cannot_apply(tmp_path, capsys):
     ("verify-algebra", "[system]\ntype = two_level\nE = 1.0\neps = 0, 0, 1\ngamma_p = 0.3\n"
                        "gamma_m = 0.7\n\n[verify]\nnum_draws = 5\n\n[output]\npath = out.csv\n",
      "verify-algebra draws random two-level Hamiltonians"),
+    ("bench", "[system]\ntype = two_level\nE = 1.0\neps = 0, 0, 1\ngamma_p = 0.3\n"
+              "gamma_m = 0.7\n\n[bench]\napplications = 8\nchunks = 2\n\n[output]\n"
+              "path = out.csv\n",
+     "bench applies its kernels to random states"),
 ])
 def test_runs_without_an_initial_state_reject_an_initial_section(tmp_path, capsys,
                                                                   subcommand, config, why):
     # any [initial] section, even one that restates the default, would be
     # ignored: the quench always starts from Gibbs at [canonical] T0, and
-    # verify-algebra propagates nothing
+    # neither verify-algebra nor bench propagates anything
     assert main([subcommand, "--config", write(tmp_path, "ok.cfg", config),
                  "--out", str(tmp_path / "ok")]) == 0
     for section in ("type = level\nindex = 1\n", "type = gibbs\n", ""):
@@ -1124,7 +1131,7 @@ def test_runs_without_an_initial_state_reject_an_initial_section(tmp_path, capsy
 
 def test_bench_checksums_match(tmp_path):
     gp, gm = thermal_rates()
-    text = TWO_LEVEL_CFG.format(gp=gp, gm=gm) + "\n[bench]\napplications = 2000\nchunks = 4\n"
+    text = TWO_LEVEL_BENCH_CFG.format(gp=gp, gm=gm) + "\n[bench]\napplications = 2000\nchunks = 4\n"
     cfg = write(tmp_path, "bench.cfg", text)
     assert main(["bench", "--config", cfg, "--seed", "11", "--out", str(tmp_path)]) == 0
     comments, header, rows = read_csv(tmp_path / "traj.csv")
@@ -1148,7 +1155,7 @@ def test_bench_takes_its_deviation_over_the_inputs_it_timed(tmp_path, monkeypatc
 
     monkeypatch.setattr(bench, "max_deviation", spy)
     gp, gm = thermal_rates()
-    text = TWO_LEVEL_CFG.format(gp=gp, gm=gm) + "\n[bench]\napplications = 20003\nchunks = 2\n"
+    text = TWO_LEVEL_BENCH_CFG.format(gp=gp, gm=gm) + "\n[bench]\napplications = 20003\nchunks = 2\n"
     cfg = write(tmp_path, "bench.cfg", text)
     assert main(["bench", "--config", cfg, "--seed", "5", "--out", str(tmp_path)]) == 0
     timed = bench.random_states(2, 20003, np.random.default_rng(5))
@@ -1196,7 +1203,7 @@ def readme_csv_columns() -> dict:
 
 def test_readme_csv_columns_are_the_headers_the_cli_writes(tmp_path):
     gp, gm = thermal_rates()
-    two_level = TWO_LEVEL_CFG.format(gp=gp, gm=gm) + "[bench]\napplications = 8\nchunks = 2\n"
+    two_level = TWO_LEVEL_BENCH_CFG.format(gp=gp, gm=gm) + "[bench]\napplications = 8\nchunks = 2\n"
     ladder = ("[system]\ntype = oscillator\nN = 4\nspacing = 1.0\nbath_T = 1.0\n"
               "[integration]\nt_final = 0.1\ndt = 0.01\nrecord_every = 5\n"
               "[canonical]\nT0 = 2.0\n[output]\npath = traj.csv\n")
@@ -1270,7 +1277,7 @@ def test_no_run_loads_scipy_linalg_or_special(tmp_path):
              ("simulate", write(tmp_path, "rk4.cfg", osc.replace("expm", "rk4"))),
              ("canonical", write(tmp_path, "canonical.cfg", OSCILLATOR_RUN_CFG)),
              ("fixed-point", str(tmp_path / "osc.cfg")),
-             ("bench", str(tmp_path / "tilted.cfg")),
+             ("bench", write(tmp_path, "tilted_bench.cfg", tilted.replace(GIBBS_START, ""))),
              ("verify-algebra", write(tmp_path, "v.cfg", VERIFY_CFG.format(n=20)))]
     # the config reader is the package's own: no run imports configparser
     assert _loaded_after(tmp_path, calls, ("scipy", "scipy.linalg", "scipy.special",
@@ -1281,6 +1288,6 @@ def test_bench_leaves_numpy_ma_and_statistics_unloaded(tmp_path):
     # the median over chunks is taken by hand: np.median imports numpy.ma,
     # and statistics imports decimal and fractions
     gp, gm = thermal_rates()
-    text = TWO_LEVEL_CFG.format(gp=gp, gm=gm) + "\n[bench]\napplications = 100\nchunks = 4\n"
+    text = TWO_LEVEL_BENCH_CFG.format(gp=gp, gm=gm) + "\n[bench]\napplications = 100\nchunks = 4\n"
     assert _loaded_after(tmp_path, [("bench", write(tmp_path, "b.cfg", text))],
                          ("numpy.ma", "statistics", "decimal")) == []

@@ -1,18 +1,24 @@
 """Tests for the dense complex-matrix kernel."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ebloch.dissipators import RhsSpec
 from ebloch.linalg import (
     as_matrix,
+    eigenbasis,
     herm_part,
     hermitian_eig,
     is_hermitian,
     trace_distance,
 )
-from oracles import commutator, is_psd, vectorize
+from ebloch.stationary import gibbs_state
+from ebloch.systems import BathModel, build_oscillator
+from oracles import commutator, dense_compile_basis, dense_gibbs_state, is_psd, vectorize
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -151,6 +157,75 @@ def test_hermitian_eig_stack_with_one_non_hermitian_member_raises():
 def test_hermitian_eig_rejects_bad_shapes(shape):
     with pytest.raises(ValueError, match="square"):
         hermitian_eig(np.zeros(shape))
+
+
+def _with_diagonal(E, off=0.0) -> np.ndarray:
+    H = np.full((len(E), len(E)), complex(off))
+    np.fill_diagonal(H, E)
+    return H
+
+
+def _basis_cases() -> dict:
+    """name: (H, whether the dense tests find it diagonal)."""
+    rng = np.random.default_rng(5)
+    subnormal = _with_diagonal([1.0, 0.0, -2.0])
+    subnormal[0, 2] = 5e-324
+    A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    return {
+        "one level": (_with_diagonal([0.3]), True),
+        "unsorted diagonal": (_with_diagonal(rng.permutation(3.0 * rng.standard_normal(9))), True),
+        "ladder": (build_oscillator(16, 0.7, "harmonic", BathModel(1.0, 1.0)).hamiltonian, True),
+        "negative zeros": (_with_diagonal([2.0, -1.0, 0.5, 0.0], complex(-0.0, -0.0)), True),
+        "subnormal coupling": (subnormal, False),
+        "imaginary diagonal": (_with_diagonal([1.0, 0.5 + 1e-13j, -2.0]), False),
+        "tilted": (A + A.conj().T, False),
+    }
+
+
+BASIS_CASES = _basis_cases()
+
+
+@pytest.mark.parametrize("name", BASIS_CASES)
+def test_eigenbasis_makes_the_decision_of_the_dense_tests(name):
+    H, diagonal = BASIS_CASES[name]
+    E0, V0 = dense_compile_basis(H)
+    assert (V0 is None) == diagonal
+    gen = RhsSpec(H, "gkls").compiled
+    for E, V in (eigenbasis(H), (gen.E, gen.V)):
+        assert E.tobytes() == E0.tobytes()
+        assert V is None if V0 is None else V.tobytes() == V0.tobytes()
+    for T in (0.7, math.inf):
+        assert gibbs_state(H, T).tobytes() == dense_gibbs_state(H, T).tobytes()
+
+
+@pytest.mark.parametrize("H", [_with_diagonal([0.0, math.nan]), _with_diagonal([math.inf, 1.0]),
+                               _with_diagonal([1.0, -math.inf]), _with_diagonal([1.0, 0.5j])],
+                         ids=["nan", "inf", "-inf", "imaginary"])
+def test_eigenbasis_rejects_a_diagonal_the_dense_tests_reject(H):
+    # a count of nonzero entries alone would call each of these diagonal;
+    # an infinite entry meets inf - inf on the way to the rejection
+    for call in (dense_compile_basis, eigenbasis, lambda H: RhsSpec(H, "gkls").compiled,
+                 lambda H: dense_gibbs_state(H, 0.7), lambda H: gibbs_state(H, 0.7)):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not Hermitian"):
+            call(H)
+
+
+def test_a_diagonal_h_costs_no_array_of_its_size():
+    import tracemalloc
+    spec = RhsSpec.for_system(build_oscillator(1024, 1.0, "harmonic", BathModel(1.0, 1.0)))
+    tracemalloc.start()
+    try:
+        gen = spec.compiled
+        compile_peak = tracemalloc.get_traced_memory()[1]
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rho = gibbs_state(spec.hamiltonian, 0.5)
+        gibbs_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert gen.V is None
+    assert compile_peak <= gen.W.nbytes + 2**20
+    assert gibbs_peak <= rho.nbytes + 2**20
 
 
 def test_vectorize_column_stacking():
