@@ -41,7 +41,7 @@ spec = RhsSpec.for_system(ladder)
 report = fixed_point(spec)
 rho0 = gibbs_state(ladder.hamiltonian, 3.0)  # start hot
 traj = propagate(spec, rho0, t_final=20.0 / report.spectral_gap, dt=0.01,
-                 method="expm", record_every=1000)
+                 record_every=1000)
 print(f"propagated from T0=3: final distance to the numerical fixed point = "
       f"{trace_distance(traj.states[-1], report.rho_stationary):.3e}")
 print(f"trajectory warnings: {traj.warnings or 'none'}")

@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,6 @@ class ScenarioConfig:
     initial: tuple | None  # (type, argument); None without an [initial] section
     t_final: float | None
     dt: float | None
-    method: str
     record_every: int
     out_path: str | None
     what: str
@@ -297,7 +297,8 @@ def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a config document.
 
     Raises :class:`ConfigError` carrying every problem found; syntax errors
-    name their lines, and come alone.
+    name their lines, and come alone.  The deprecated ``[integration]
+    method`` key changes nothing and warns with a ``FutureWarning``.
     """
     sections = read_sections(text)
     r = _Reader(sections)
@@ -332,7 +333,9 @@ def parse_config(text: str) -> ScenarioConfig:
 
     t_final = r.get("integration", "t_final", float, default=None)
     dt = r.get("integration", "dt", float, default=None)
-    method = r.get("integration", "method", str, default="expm", choices=("expm", "rk4"))
+    if r.get("integration", "method", default=None, choices=("expm", "rk4")) is not None:
+        warnings.warn("[integration] method has no effect, as every run takes the exact flow; "
+                      "a later release rejects the key", FutureWarning, stacklevel=2)
     record_every = r.get("integration", "record_every", int, default=1)
 
     out_path = r.get("output", "path", str, default=None)
@@ -365,7 +368,6 @@ def parse_config(text: str) -> ScenarioConfig:
         initial=initial,
         t_final=t_final,
         dt=dt,
-        method=method,
         record_every=record_every,
         out_path=out_path,
         what=what,
@@ -426,7 +428,7 @@ def run_simulate(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
         raise ConfigError(["[integration] simulate needs t_final and dt"])
     spec = cfg.spec
     rho0 = initial_state(cfg, spec.hamiltonian)
-    traj = propagate(spec, rho0, cfg.t_final, cfg.dt, cfg.method, cfg.record_every)
+    traj = propagate(spec, rho0, cfg.t_final, cfg.dt, cfg.record_every)
     header, columns = ["t"], [traj.times]
     if cfg.what in ("populations", "all"):
         header += [f"p_{i}" for i in range(spec.dim)]
@@ -514,8 +516,6 @@ def run_canonical(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
         raise ConfigError(["[canonical] missing required key 'T0'"])
     if cfg.t_final is None or cfg.dt is None:
         raise ConfigError(["[integration] canonical needs t_final and dt"])
-    if cfg.method == "rk4":
-        raise ConfigError(["[integration] method = rk4: canonical runs the exact flow only"])
     diag = canonical_experiment(cfg.spec.system, cfg.canonical_T0, cfg.t_final, cfg.dt,
                                 record_every=cfg.record_every)
     header = ["t", "mean_ratio", "a", "delta", "max_nonuniformity", "lna_ode",

@@ -1,5 +1,5 @@
-"""Time evolution under any RhsSpec: fixed-step RK4, exact exponential,
-trajectory recording and physicality monitoring.
+"""Time evolution under any RhsSpec: its exact flow, trajectory recording
+and physicality monitoring.
 
 Every spec is stepped through its :class:`SplitGenerator`
 (:attr:`RhsSpec.compiled`) in the eigenbasis of H: a rate matrix on the
@@ -127,19 +127,6 @@ def _check_record_bytes(what: str, nbytes: int) -> None:
                          f"{MAX_RECORD_BYTES:.3g}; raise record_every or shorten the run")
 
 
-def _rk4_polynomial(z):
-    """R4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, the map of one classical RK4
-    step of dy/dt = lambda y at z = dt * lambda; elementwise on arrays."""
-    return 1.0 + z * (1.0 + z * (1.0 + z * (1.0 + z / 4.0) / 3.0) / 2.0)
-
-
-def _rk4_matrix(Z: np.ndarray) -> np.ndarray:
-    """R4(Z) for a square matrix Z, so that one RK4 step of dp/dt = W p is
-    p <- R4(dt W) p."""
-    eye = np.eye(len(Z))
-    return eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4.0) / 3.0) / 2.0)
-
-
 # [13/13] Pade coefficients b_0..b_13 over b_0, so that V(0) is the identity
 # and exp(0) comes out exact, and the 1-norm up to which they meet double
 # precision unscaled (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005)
@@ -177,23 +164,6 @@ def expm(A) -> np.ndarray:
     return R
 
 
-def _check_rk4_stability(modes: np.ndarray, dt: float) -> None:
-    """Raise before stepping when one of the modes a run steps that does not
-    amplify (Re lambda <= AMPLIFY_TOL, oscillatory ones included) grows by
-    more than the 1 + dt * AMPLIFY_TOL per step that the amplifying check
-    tolerates."""
-    kept = modes[modes.real <= AMPLIFY_TOL]
-    if kept.size == 0:
-        return
-    growth = np.abs(_rk4_polynomial(dt * kept))
-    worst = int(np.argmax(growth))
-    if growth[worst] > 1.0 + dt * AMPLIFY_TOL:
-        raise PropagationError(
-            f"RK4 step dt={dt:.6g} is unstable: non-amplifying mode lambda = "
-            f"{complex(kept[worst]):.6g} gives |R4(dt lambda)| = {growth[worst]:.3e} > 1"
-        )
-
-
 def _rhs_norm(W: np.ndarray, c: np.ndarray, pops: np.ndarray, cohs: np.ndarray) -> np.ndarray:
     """Frobenius norm of d(s)/dt for each record of (n, dim) populations and
     (n, k) coherences at rates c: W p on the diagonal, c s_ab at each tracked
@@ -228,7 +198,6 @@ def propagate(
     rho0,
     t_final: float,
     dt: float,
-    method: str = "expm",
     record_every: int = 1,
 ) -> Trajectory:
     """Propagate rho0 to t_final and record every ``record_every``-th step.
@@ -237,11 +206,10 @@ def propagate(
     at n * dt, not at t_final when dt does not divide it.  The quotient is a
     float rounded half to even: with dt=0.1, t_final=1.05 ends at 1.0 and
     t_final=1.25 at 1.2.  The trajectory always contains t=0 and n * dt.
-    ``method='expm'`` applies the exact flow; ``method='rk4'`` takes fixed
-    steps.  Raises :class:`PropagationError` on NaN/Inf or when, at a
-    recorded time, the right-hand-side norm exceeds 1e6 times its initial
-    value or the largest entry of the state in the eigenbasis of H 1e6
-    times max(1, its initial value).
+    Raises :class:`PropagationError` on NaN/Inf or when, at a recorded
+    time, the right-hand-side norm exceeds 1e6 times its initial value or
+    the largest entry of the state in the eigenbasis of H 1e6 times
+    max(1, its initial value).
 
     The spec runs as its :class:`SplitGenerator` (:attr:`RhsSpec.compiled`,
     which raises ``ValueError`` for a spec that does not split), in which
@@ -250,10 +218,8 @@ def propagate(
     only the coherences a < b that are nonzero there are tracked, their
     rates read from ``rates``; the others stay exactly zero.  A gap of g steps
     between two recorded times has one population map M, built once per
-    distinct g: expm(W g dt) for the exact flow, taken by :func:`expm`
-    ([13/13] Pade scaling and squaring in NumPy), and R4(dt W)^g for RK4,
-    with the RK4 stability polynomial R4 (the map of g classical RK4 steps
-    in exact arithmetic).  The records that follow the start
+    distinct g: expm(W g dt), taken by :func:`expm` ([13/13] Pade scaling
+    and squaring in NumPy).  The records that follow the start
     ``record_every`` steps apart are made by doubling their map: with
     F = M^h, rows [f, f + h) are rows [f - h, f) times F^T, one product
     call each, and F is squared when f reaches 2h while the squaring, 2 d^3
@@ -261,14 +227,13 @@ def propagate(
     (``_CALL_FLOPS`` each).  A run with too few records for its d never
     squares, and each record is then M times the last.  A final shorter
     gap applies its own map once.  A tracked coherence at step m is in
-    closed form s_ab exp(C_ab m dt), or s_ab R4(dt C_ab)^m for RK4,
-    evaluated once for the whole run.  Then stacked passes check the
-    records (NaN/Inf first, then growth, stopping at the first bad record)
-    and diagnose them, so the eigensolve never sees a record that failed a
-    check.  A pass takes as many records as fill ``_CHECK_BYTES`` at
-    16 d^2 bytes each with tracked coherences and 16 d without, the size of
-    its largest temporaries, so a pass peaks near that budget whatever the
-    run's length.
+    closed form s_ab exp(C_ab m dt), evaluated once for the whole run.
+    Then stacked passes check the records (NaN/Inf first, then growth,
+    stopping at the first bad record) and diagnose them, so the eigensolve
+    never sees a record that failed a check.  A pass takes as many records
+    as fill ``_CHECK_BYTES`` at 16 d^2 bytes each with tracked coherences
+    and 16 d without, the size of its largest temporaries, so a pass peaks
+    near that budget whatever the run's length.
     The records stay in the eigenbasis (see :class:`Trajectory`), and the
     checks and diagnostics read them there, never rotated out: the state
     norm is the largest |p_a| or |s_ab| (against a cap from the rotated-in
@@ -277,17 +242,14 @@ def propagate(
     take O(dim) per record.
 
     Every spec with amplifying modes warns once, through ``warnings`` and in
-    ``Trajectory.warnings``.  For RK4, a mode that the run steps (an
-    eigenvalue of W or a tracked C_ab) that does not amplify but lies
-    outside the stability region raises :class:`PropagationError` before
-    the first step.  rho0 is checked first, and ``ValueError`` names the
-    first check it fails: shape (dim, dim), Hermiticity within 1e-10, then
-    in the eigenbasis a trace of 1 within 1e-9 and a smallest eigenvalue,
-    taken as for ``min_eig``, of at least ``MIN_EIG_WARN``.  ``ValueError``
-    is also raised unless t_final and dt are positive and finite, the step
-    count fits the record index (an ``intp``) and the records fit in
-    ``MAX_RECORD_BYTES``; all three are checked before anything is
-    allocated for the records.
+    ``Trajectory.warnings``.  rho0 is checked first, and ``ValueError``
+    names the first check it fails: shape (dim, dim), Hermiticity within
+    1e-10, then in the eigenbasis a trace of 1 within 1e-9 and a smallest
+    eigenvalue, taken as for ``min_eig``, of at least ``MIN_EIG_WARN``.
+    ``ValueError`` is also raised unless t_final and dt are positive and
+    finite, the step count fits the record index (an ``intp``) and the
+    records fit in ``MAX_RECORD_BYTES``; all three are checked before
+    anything is allocated for the records.
     """
     raw = np.asarray(rho0, dtype=complex)
     dim = spec.dim
@@ -305,8 +267,6 @@ def propagate(
         raise ValueError(f"initial state trace {p.sum():.3e} is not 1 within 1e-9")
     if _min_eig(p[None], x0[None], (a, b))[0] < MIN_EIG_WARN:
         raise ValueError("initial state is not positive semidefinite within -1e-8")
-    if method not in ("rk4", "expm"):
-        raise ValueError(f"method must be 'rk4' or 'expm', got {method!r}")
     if not (0.0 < dt < np.inf and 0.0 < t_final < np.inf):
         raise ValueError(f"t_final and dt must be positive and finite, got "
                          f"t_final={t_final}, dt={dt}")
@@ -326,8 +286,6 @@ def propagate(
                      f"{gen.max_growth:.3e}); check the sign of gamma_pd")
         warnings.warn(notes[-1], stacklevel=2)
     c = gen.rates(a, b)
-    if method == "rk4":
-        _check_rk4_stability(np.concatenate([gen.population_eig[0], c]), dt)
 
     top_index = spec.system.N - 1 if isinstance(spec.system, LadderSystem) else None
     rhs0_norm = float(_rhs_norm(gen.W, c, p[None], x0[None])[0])
@@ -342,13 +300,6 @@ def propagate(
     pops = np.empty((n_records, dim))
     pops[0] = p
     diag = np.empty((3, n_records))
-    if method == "rk4":
-        step_W = _rk4_matrix(dt * gen.W)
-
-    def gap_map(gap):
-        return (np.linalg.matrix_power(step_W, gap) if method == "rk4"
-                else expm(gen.W * (gap * dt)))
-
     last_gap = n_steps - int(steps[-2])
     # rows [0, m) lie record_every steps apart
     m = n_records - (last_gap != record_every)
@@ -358,15 +309,12 @@ def propagate(
         # computed once for the whole run, since vectorized complex exp and
         # products round the last bit by position in the array, and in place,
         # since a temporary of the stack's size would double its memory
-        if method == "rk4":
-            cohs = np.power(_rk4_polynomial(dt * c), steps[:, None])
-        else:
-            cohs = np.multiply.outer(times, c)
-            np.exp(cohs, out=cohs)
+        cohs = np.multiply.outer(times, c)
+        np.exp(cohs, out=cohs)
         cohs *= x0
         # with F = M^h, rows [f, f + h) are rows [f - h, f) times F^T; F is
         # squared at f = 2h while that costs less than the calls it saves
-        F = gap_map(record_every) if m > 1 else None
+        F = expm(gen.W * (record_every * dt)) if m > 1 else None
         h = f = 1
         while f < m:
             k = min(h, m - f)
@@ -375,7 +323,7 @@ def propagate(
             if f == 2 * h and h < m - f and 4 * h * dim**3 <= _CALL_FLOPS * (m - f):
                 F, h = F @ F, 2 * h
         if m < n_records:
-            pops[-1] = gap_map(last_gap) @ pops[-2]
+            pops[-1] = expm(gen.W * (last_gap * dt)) @ pops[-2]
         per_record = 16 * dim * dim if len(a) else 16 * dim
         chunk = max(1, _CHECK_BYTES // per_record)
         for start in range(0, n_records, chunk):

@@ -7,7 +7,7 @@ these independent routes stay here, out of its API:
   ``vectorize(A @ X @ B) == kron(B.T, A) @ vectorize(X)``, the convention of
   :func:`build_superoperator`;
 * :func:`build_superoperator` probes :func:`ebloch.dissipators.master_rhs`
-  on every matrix unit, and :func:`step_rk4` steps it stage by stage;
+  on every matrix unit;
 * :func:`transition_projector` gives the term-by-term projector form of one
   transition of the multi-level elemental-Bloch kernel;
 * :func:`dense_rates` reads every coherence rate of a
@@ -33,7 +33,6 @@ import numpy as np
 
 from ebloch.dissipators import RhsSpec, SplitGenerator, master_rhs
 from ebloch.linalg import as_matrix, herm_part, hermitian_eig, is_hermitian
-from ebloch.propagate import PropagationError
 from ebloch.stationary import _gibbs_weights
 
 MAX_SUPEROP_DIM = 64
@@ -117,22 +116,6 @@ def split_apply(gen: SplitGenerator, s: np.ndarray) -> np.ndarray:
     out = dense_rates(gen) * s
     idx = np.arange(len(gen.E))
     out[..., idx, idx] = (gen.W @ s.diagonal(axis1=-2, axis2=-1).T).T
-    return out
-
-
-def step_rk4(spec: RhsSpec, rho, dt: float) -> np.ndarray:
-    """One classical RK4 step of d(rho)/dt = master_rhs(rho), followed by
-    symmetrization rho <- (rho + rho^dag)/2.  Aborts on NaN/Inf."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    k1 = master_rhs(rho, spec)
-    k2 = master_rhs(rho + (0.5 * dt) * k1, spec)
-    k3 = master_rhs(rho + (0.5 * dt) * k2, spec)
-    k4 = master_rhs(rho + dt * k3, spec)
-    out = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    out = herm_part(out)
-    if not np.all(np.isfinite(out.view(float))):
-        raise PropagationError("NaN/Inf encountered in RK4 step")
     return out
 
 

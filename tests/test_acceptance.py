@@ -141,7 +141,7 @@ def test_criterion_05_trajectory_physicality():
         gp, gm = rates_from_bath(BathModel(1.0, 1.0), 1.0)
         sys2 = TwoLevelSystem(1.0, (0.48, 0.36, 0.8), gp, gm)
         rho0 = np.array([[0.7, 0.25 + 0.1j], [0.25 - 0.1j, 0.3]], dtype=complex)
-        traj = propagate(RhsSpec.for_system(sys2), rho0, 10.0, 0.01, "expm", 10)
+        traj = propagate(RhsSpec.for_system(sys2), rho0, 10.0, 0.01, 10)
         assert traj.trace_dev.max() <= 1e-10
         assert _herm_dev(traj.states) <= 1e-12
         assert traj.min_eig.min() >= -1e-8
@@ -149,7 +149,7 @@ def test_criterion_05_trajectory_physicality():
         lad = build_oscillator(12, 3.0, "harmonic", BathModel(1.0, 1.0))
         for T0 in (2.0, 0.5):
             traj = propagate(RhsSpec.for_system(lad),
-                             gibbs_state(lad.hamiltonian, T0), 10.0, 0.01, "expm", 10)
+                             gibbs_state(lad.hamiltonian, T0), 10.0, 0.01, 10)
             assert traj.trace_dev.max() <= 1e-10
             assert _herm_dev(traj.states) <= 1e-12
             assert traj.min_eig.min() >= -1e-8
@@ -185,7 +185,7 @@ def test_criterion_08_two_level_lambda_dynamics():
         sys2 = TwoLevelSystem(1.3, (0.0, 0.6, 0.8), gp, gm)
         lam0 = -0.6
         rho0 = 0.5 * np.eye(2) + (lam0 / sys2.E) * sys2.hamiltonian
-        traj = propagate(RhsSpec.for_system(sys2), rho0, 5.0, 0.01, "expm", 5)
+        traj = propagate(RhsSpec.for_system(sys2), rho0, 5.0, 0.01, 5)
         lam_star = sys2.gamma_diff / sys2.gamma_sum
         H = sys2.hamiltonian
         lam_fit = np.array([2.0 * np.trace(s @ H).real / sys2.E for s in traj.states])

@@ -212,7 +212,7 @@ def test_two_level_lambda_dynamics_match_closed_form():
     sys2 = TwoLevelSystem(1.3, (0.0, 0.6, 0.8), gp, gm)
     lam0 = -0.6
     rho0 = 0.5 * np.eye(2) + (lam0 / sys2.E) * sys2.hamiltonian
-    traj = propagate(RhsSpec.for_system(sys2), rho0, 5.0, 0.01, "expm", 10)
+    traj = propagate(RhsSpec.for_system(sys2), rho0, 5.0, 0.01, 10)
     lam_star = sys2.gamma_diff / sys2.gamma_sum
     H = sys2.hamiltonian
     lam_fit = np.array([2.0 * np.trace(s @ H).real / sys2.E for s in traj.states])
@@ -362,14 +362,13 @@ def test_canonical_experiment_populations_match_uniformization_on_random_oscilla
         assert worst <= 1e-12, (n, worst)
 
 
-def test_canonical_experiment_reaches_no_rk4_code(monkeypatch):
+
+def test_canonical_experiment_takes_no_eigenvalues_of_w(monkeypatch):
     from ebloch.dissipators import SplitGenerator
 
     def refuse(*args, **kwargs):
-        raise AssertionError("canonical_experiment reached RK4 code")
+        raise AssertionError("canonical_experiment diagonalized W")
 
-    monkeypatch.setattr(sys.modules["ebloch.propagate"], "_rk4_matrix", refuse)
-    monkeypatch.setattr(sys.modules["ebloch.propagate"], "_check_rk4_stability", refuse)
     monkeypatch.setattr(SplitGenerator, "population_eig", property(refuse))
     lad = build_oscillator(14, 10.0, "harmonic", BathModel(1.0, 1.0))
     diag = canonical_experiment(lad, T0=2.0, t_final=3.0, dt=1e-3, record_every=25)

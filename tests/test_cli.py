@@ -84,7 +84,6 @@ def read_csv(path):
 def test_parse_minimal_two_level_defaults():
     gp, gm = thermal_rates()
     cfg = parse_config(TWO_LEVEL_CFG.format(gp=gp, gm=gm))
-    assert cfg.method == "expm"
     assert cfg.record_every == 10
     assert cfg.spec.kind == "ebe2"
     assert cfg.spec.include_unitary is True
@@ -109,7 +108,6 @@ bath_T = 2.0
         "initial": None,
         "t_final": None,
         "dt": None,
-        "method": "expm",
         "record_every": 1,
         "out_path": None,
         "what": "all",
@@ -422,11 +420,16 @@ def test_every_benchmark_job_config_parses(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec.loader.exec_module(workloads)
-    for name in workloads.WORKLOADS:
-        for seed in (1, 3, 7):
-            workload = workloads.build(name, seed)
-            for job in workload.warmup + workload.jobs:
-                parse_config(job.config_text()).spec.compiled
+    for seed in (1, 3, 7):
+        with pytest.warns(FutureWarning) as record:
+            for name in workloads.WORKLOADS:
+                workload = workloads.build(name, seed)
+                for job in workload.warmup + workload.jobs:
+                    parse_config(job.config_text()).spec.compiled
+        # the jobs that set the deprecated [integration] method: small's 48
+        # simulate jobs (24 of them rk4) and its warm-up, exact's 4 jobs and
+        # 4 warm-ups
+        assert sum(w.category is FutureWarning for w in record) == 57
 
 
 @pytest.mark.parametrize("system", sorted(CONFIG_SYSTEMS))
@@ -587,8 +590,7 @@ def test_simulate_numerical_failure_exit_code(tmp_path, capsys):
     gp, gm = thermal_rates()
     text = TWO_LEVEL_CFG.format(gp=gp, gm=gm) + "\n[dissipator]\nkind = ebe2\ngamma_pd = 60.0\n"
     text = text.replace("type = gibbs\nT = 1.0", "type = level\nindex = 0")
-    # amplifying dephasing with an off-diagonal initial state diverges under rk4
-    text = text.replace("record_every = 10", "record_every = 10\nmethod = rk4")
+    # amplifying dephasing with an off-diagonal initial state diverges
     state = np.array([[0.5, 0.4], [0.4, 0.5]], dtype=complex)
     state_path = write(tmp_path, "rho0.txt", format_matrix_text(state))
     text = text.replace("type = level\nindex = 0", f"type = file\npath = {state_path}")
@@ -831,9 +833,8 @@ def test_tilted_two_level_runs_probe_no_superoperator(tmp_path, monkeypatch, kin
     gp, gm = thermal_rates()
     text = TWO_LEVEL_CFG.format(gp=gp, gm=gm).replace("eps = 0, 0, 1", "eps = 0.6, 0, 0.8")
     text += f"\n[dissipator]\nkind = {kind}\n"
-    expm = write(tmp_path, "expm.cfg", text)
-    rk4 = write(tmp_path, "rk4.cfg", text.replace("record_every = 10", "record_every = 10\nmethod = rk4"))
-    for sub, cfg in (("fixed-point", expm), ("simulate", expm), ("simulate", rk4)):
+    cfg = write(tmp_path, "tilted.cfg", text)
+    for sub in ("fixed-point", "simulate"):
         assert main([sub, "--config", cfg, "--out", str(tmp_path)]) == 0
     assert calls == []
 
@@ -1074,13 +1075,29 @@ def test_canonical_requires_ladder(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_canonical_rejects_rk4(tmp_path, capsys):
-    text = OSCILLATOR_RUN_CFG.replace("dt = 0.01", "dt = 0.01\nmethod = rk4")
-    cfg = write(tmp_path, "rk4.cfg", text)
-    assert main(["canonical", "--config", cfg, "--out", str(tmp_path)]) == 1
+@pytest.mark.parametrize("value", ["rk4", "expm"])
+@pytest.mark.parametrize("sub", ["simulate", "canonical"])
+def test_deprecated_method_key_warns_and_changes_no_output(tmp_path, sub, value):
+    plain = write(tmp_path, "plain.cfg", OSCILLATOR_RUN_CFG)
+    keyed = write(tmp_path, "keyed.cfg",
+                  OSCILLATOR_RUN_CFG.replace("dt = 0.01", f"dt = 0.01\nmethod = {value}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([sub, "--config", plain, "--out", str(tmp_path / "plain")]) == 0
+    with pytest.warns(FutureWarning, match=r"\[integration\] method has no effect") as record:
+        assert main([sub, "--config", keyed, "--out", str(tmp_path / "keyed")]) == 0
+    assert len(record) == 1
+    assert ((tmp_path / "keyed" / "out.csv").read_bytes()
+            == (tmp_path / "plain" / "out.csv").read_bytes())
+
+
+def test_method_key_outside_its_choices_exits_as_validation(tmp_path, capsys):
+    text = OSCILLATOR_RUN_CFG.replace("dt = 0.01", "dt = 0.01\nmethod = euler")
+    cfg = write(tmp_path, "euler.cfg", text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert json.loads(capsys.readouterr().err) == {
         "error": "validation",
-        "messages": ["[integration] method = rk4: canonical runs the exact flow only"]}
+        "messages": ["[integration] method = 'euler': must be one of expm, rk4"]}
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -1258,23 +1275,20 @@ def _loaded_after(tmp_path, calls, modules=("scipy", "scipy.linalg", "scipy.spec
     return [m for m in loaded.split(",") if m]
 
 
-def test_rk4_and_fixed_point_runs_leave_scipy_linalg_and_special_unloaded(tmp_path):
-    text = OSCILLATOR_RUN_CFG.replace("dt = 0.01", "dt = 0.01\nmethod = rk4")
-    cfg = write(tmp_path, "osc.cfg", text)
-    canonical = write(tmp_path, "canonical.cfg", OSCILLATOR_RUN_CFG)
-    assert _loaded_after(tmp_path, [("simulate", cfg), ("canonical", canonical),
-                                          ("fixed-point", cfg)]) == []
+def test_simulate_canonical_and_fixed_point_runs_leave_scipy_linalg_and_special_unloaded(tmp_path):
+    cfg = write(tmp_path, "osc.cfg", OSCILLATOR_RUN_CFG)
+    assert _loaded_after(tmp_path, [("simulate", cfg), ("canonical", cfg),
+                                    ("fixed-point", cfg)]) == []
 
 
 def test_no_run_loads_scipy_linalg_or_special(tmp_path):
-    # the exact flow is NumPy's own Pade expm, so expm runs load neither
-    osc = OSCILLATOR_RUN_CFG.replace("dt = 0.01", "dt = 0.01\nmethod = expm")
+    # the exact flow is NumPy's own Pade expm, so no run loads either
+    osc = OSCILLATOR_RUN_CFG
     gp, gm = thermal_rates()
     tilted = (TWO_LEVEL_CFG.format(gp=gp, gm=gm).replace("eps = 0, 0, 1", "eps = 0.6, 0, 0.8")
               + "\n[dissipator]\nkind = gkls\n\n[bench]\napplications = 100\nchunks = 2\n")
     calls = [("simulate", write(tmp_path, "osc.cfg", osc)),
              ("simulate", write(tmp_path, "tilted.cfg", tilted)),
-             ("simulate", write(tmp_path, "rk4.cfg", osc.replace("expm", "rk4"))),
              ("canonical", write(tmp_path, "canonical.cfg", OSCILLATOR_RUN_CFG)),
              ("fixed-point", str(tmp_path / "osc.cfg")),
              ("bench", write(tmp_path, "tilted_bench.cfg", tilted.replace(GIBBS_START, ""))),

@@ -1,8 +1,8 @@
 """Tests for the population/coherence split in the eigenbasis of H.
 
-The probed superoperator and the stage-wise RK4 step are independent
-oracles in ``tests/oracles.py``; every test here compares the split against
-one of them (the superoperator's exponential and null vector included).
+The probed superoperator is the independent oracle in ``tests/oracles.py``;
+every test here compares the split against it (its exponential and null
+vector included).
 """
 
 import math
@@ -25,7 +25,6 @@ from ebloch.propagate import (
     MIN_EIG_WARN,
     TOP_POP_WARN,
     PropagationError,
-    _rk4_matrix,
     propagate,
 )
 from ebloch.stationary import (
@@ -48,7 +47,6 @@ from oracles import (
     dense_rates,
     formula_rates,
     split_apply,
-    step_rk4,
     vectorize,
 )
 from test_canonical import thermalization_ode_rhs
@@ -223,9 +221,8 @@ def test_split_covers_transition_specs_only():
 def test_propagate_and_fixed_point_reject_specs_without_a_split(make_spec):
     spec = make_spec()
     rho0 = np.eye(spec.dim, dtype=complex) / spec.dim
-    for method in ("expm", "rk4"):
-        with pytest.raises(ValueError, match="jump 0 .* not a single off-diagonal"):
-            propagate(spec, rho0, 1.0, 0.1, method)
+    with pytest.raises(ValueError, match="jump 0 .* not a single off-diagonal"):
+        propagate(spec, rho0, 1.0, 0.1)
     with pytest.raises(ValueError, match="jump 0 .* not a single off-diagonal"):
         fixed_point(spec)
 
@@ -307,10 +304,8 @@ def test_max_growth_evaluates_no_rate_unless_gamma_pd_is_positive(monkeypatch):
     assert any(growth > 0.0 for growth in expected)
 
 
-@pytest.mark.parametrize("method", ["expm", "rk4"])
 @pytest.mark.parametrize("gamma_pd", [0.0, -0.2])
-def test_propagate_evaluates_the_rates_of_its_tracked_pairs_once(monkeypatch, method,
-                                                                 gamma_pd):
+def test_propagate_evaluates_the_rates_of_its_tracked_pairs_once(monkeypatch, gamma_pd):
     calls = []
     rates = SplitGenerator.rates
 
@@ -324,7 +319,7 @@ def test_propagate_evaluates_the_rates_of_its_tracked_pairs_once(monkeypatch, me
     rho0 = np.diag(np.full(6, 1 / 6)).astype(complex)
     for i, j in ((0, 1), (1, 3), (2, 5)):
         rho0[i, j] = rho0[j, i] = 0.02
-    propagate(spec, rho0, 0.5, 0.05, method)
+    propagate(spec, rho0, 0.5, 0.05)
     assert len(calls) == 1
     a, b = calls[0]
     assert a.tolist() == [0, 1, 2] and b.tolist() == [1, 3, 5]
@@ -390,8 +385,7 @@ def test_system_specs_solve_and_propagate_without_building_jumps(monkeypatch):
         rho0 = np.full((spec.dim, spec.dim), 0.5 / spec.dim, dtype=complex)
         rho0[np.diag_indices(spec.dim)] = 1.0 / spec.dim
         assert fixed_point(spec).residual <= 1e-12
-        for method in ("expm", "rk4"):
-            propagate(spec, rho0, 0.5, 0.05, method)
+        propagate(spec, rho0, 0.5, 0.05)
         with pytest.raises(Built):
             master_rhs(rho0, spec)
 
@@ -418,23 +412,6 @@ def test_split_rate_matrix_conserves_trace_and_coherences_are_hermitian():
 # ------------------------------------------------------------ propagation
 
 
-def test_split_rk4_matches_stagewise_oracle_on_criterion_6_ladder():
-    lad = build_oscillator(14, 10.0, "harmonic", BathModel(1.0, 1.0))
-    spec = RhsSpec.for_system(lad)
-    rho = gibbs_state(lad.hamiltonian, 2.0)
-    traj = propagate(spec, rho, 1.0, 1e-3, "rk4", 100)
-    ref = [np.diag(rho).real]
-    for k in range(1, 1001):
-        rho = step_rk4(spec, rho, 1e-3)
-        if k % 100 == 0:
-            ref.append(np.diag(rho).real)
-    ref = np.array(ref)
-    pops = traj.populations()
-    assert ref.min() < 1e-33  # the relaxing tail is resolved, not flushed
-    rel = np.abs(pops - ref) / ref
-    assert rel.max() <= 1e-10, f"worst relative deviation {rel.max():.3e}"
-
-
 @pytest.mark.parametrize("kind", ["eben", "gkls"])
 @pytest.mark.parametrize("N, gamma_pd, include_unitary",
                          [(4, 0.0, True), (9, -0.2, False), (16, -0.05, True)])
@@ -445,7 +422,7 @@ def test_split_expm_matches_dense_trajectory(kind, N, gamma_pd, include_unitary)
     A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     rho0 = A @ A.conj().T
     rho0 /= np.trace(rho0)
-    kw = dict(t_final=1.0, dt=0.05, method="expm", record_every=7)  # gaps 7, 7, 6
+    kw = dict(t_final=1.0, dt=0.05, record_every=7)  # gaps 7, 7, 6
     traj = propagate(spec, rho0, **kw)
     np.testing.assert_allclose(traj.times, np.array([0, 7, 14, 20]) * 0.05)
     S = build_superoperator(spec)
@@ -466,50 +443,12 @@ def test_split_amplifying_modes_warn_and_refuse_a_fixed_point_at_any_size():
     spec = RhsSpec.for_system(lad, gamma_pd=+0.5)
     rho0 = gibbs_state(lad.hamiltonian, 1.0)
     with pytest.warns(UserWarning, match="amplifying modes"):
-        propagate(spec, rho0, 1.0, 0.1, "expm")
+        propagate(spec, rho0, 1.0, 0.1)
     with pytest.raises(FixedPointError, match="amplifying modes"):
         fixed_point(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        propagate(RhsSpec.for_system(lad, gamma_pd=-0.5), rho0, 1.0, 0.1, "expm")
-
-
-def test_split_rk4_outside_stability_region_raises_before_stepping(monkeypatch):
-    lad = build_oscillator(20, 1.0, "harmonic", BathModel(1.0, 1.0))
-    spec = RhsSpec.for_system(lad)
-    rho0 = gibbs_state(lad.hamiltonian, 2.0)
-    calls = []
-    monkeypatch.setattr(sys.modules["ebloch.dissipators"], "master_rhs",
-                        lambda rho, s: calls.append(1) or master_rhs(rho, s))
-    with pytest.raises(PropagationError, match="unstable") as info:
-        propagate(spec, rho0, 10.0, 0.2, "rk4")
-    assert not calls
-    growth = float(str(info.value).split("| = ")[1].split()[0])
-    assert 30.0 < growth < 40.0
-    # a step inside the region runs
-    propagate(spec, rho0, 1.0, 0.01, "rk4", 10)
-
-
-def test_split_rk4_gap_maps_keep_relative_accuracy_over_the_criterion_6_quench():
-    lad = build_oscillator(14, 10.0, "harmonic", BathModel(1.0, 1.0))
-    spec = RhsSpec.for_system(lad)
-    rho = gibbs_state(lad.hamiltonian, 2.0)
-    dt, n_steps, every = 1e-3, 30_000, 25
-    step = _rk4_matrix(dt * spec.compiled.W)
-    # the accuracy claim rests on this: powers and products of a non-negative
-    # matrix with a positive vector involve no cancellation
-    assert np.all(step >= 0.0)
-    traj = propagate(spec, rho, n_steps * dt, dt, "rk4", every)
-    p = np.diag(rho).real
-    ref = [p]
-    for k in range(1, n_steps + 1):
-        p = step @ p
-        if k % every == 0:
-            ref.append(p)
-    ref = np.array(ref)
-    assert ref.min() < 1e-50  # the relaxed tail is resolved, not flushed
-    rel = np.abs(traj.populations() - ref) / ref
-    assert rel.max() <= 1e-10, f"worst relative deviation {rel.max():.3e}"
+        propagate(RhsSpec.for_system(lad, gamma_pd=-0.5), rho0, 1.0, 0.1)
 
 
 def test_generator_rhs_norm_matches_master_rhs():
@@ -530,14 +469,13 @@ def test_generator_rhs_norm_matches_master_rhs():
             assert abs(np.linalg.norm(split_apply(gen, gen.rotate_in(rho))) - ref) <= 1e-12 * ref
 
 
-@pytest.mark.parametrize("method", ["rk4", "expm"])
-def test_split_propagate_evaluates_no_master_rhs(monkeypatch, method):
+def test_split_propagate_evaluates_no_master_rhs(monkeypatch):
     lad = build_oscillator(8, 1.0, "harmonic", BathModel(1.0, 1.0))
     spec = RhsSpec.for_system(lad, gamma_pd=-0.1)
     calls = []
     monkeypatch.setattr(sys.modules["ebloch.dissipators"], "master_rhs",
                         lambda rho, s: calls.append(1) or master_rhs(rho, s))
-    traj = propagate(spec, gibbs_state(lad.hamiltonian, 2.0), 1.0, 0.01, method, 10)
+    traj = propagate(spec, gibbs_state(lad.hamiltonian, 2.0), 1.0, 0.01, 10)
     assert len(traj.times) == 11
     assert not calls
 
@@ -549,7 +487,7 @@ def test_split_growth_check_aborts_amplifying_coherences():
     psi = np.full(4, 0.5, dtype=complex)
     with pytest.raises(PropagationError, match="instability"):
         with pytest.warns(UserWarning, match="amplifying modes"):
-            propagate(spec, np.outer(psi, psi.conj()), 10.0, 1e-3, "expm", 100)
+            propagate(spec, np.outer(psi, psi.conj()), 10.0, 1e-3, 100)
 
 
 # ----------------------------------------------------------- fixed points

@@ -1,4 +1,4 @@
-"""Tests for RK4/expm propagation, the superoperator, and diagnostics."""
+"""Tests for propagation, the superoperator, and diagnostics."""
 
 import math
 import sys
@@ -14,7 +14,6 @@ from ebloch.propagate import (
     PropagationError,
     _assemble,
     _diagnose,
-    _rk4_matrix,
     expm,
     propagate,
 )
@@ -27,7 +26,7 @@ from ebloch.systems import (
     build_two_level_hamiltonian,
     rates_from_bath,
 )
-from oracles import build_superoperator, dense_rates, split_apply, step_rk4, vectorize
+from oracles import build_superoperator, dense_rates, split_apply, vectorize
 
 
 def thermal_two_level(E=1.0, T=1.0, gamma=1.0, eps=(0.48, 0.36, 0.8)):
@@ -150,45 +149,12 @@ def test_each_distinct_record_gap_builds_one_expm_map(monkeypatch):
     real = sys.modules["ebloch.propagate"].expm
     monkeypatch.setattr(sys.modules["ebloch.propagate"], "expm",
                         lambda A: built.append(A) or real(A))
-    traj = propagate(spec, gibbs_state(spec.hamiltonian, 2.0), 0.12, 0.01, "expm", 5)
+    traj = propagate(spec, gibbs_state(spec.hamiltonian, 2.0), 0.12, 0.01, 5)
     assert len(traj.times) == 4
     W = spec.compiled.W
     assert len(built) == 2
     np.testing.assert_array_equal(built[0], W * 0.05)
     np.testing.assert_array_equal(built[1], W * 0.02)
-
-
-# -------------------------------------------------------------------- step_rk4
-
-
-def test_step_rk4_fixes_eigenprojector_of_closed_system():
-    H = build_two_level_hamiltonian(1.0, (0.6, 0, 0.8))
-    w, V = np.linalg.eigh(H)
-    proj = np.outer(V[:, 1], V[:, 1].conj())
-    out = step_rk4(RhsSpec(H, "gkls"), proj, 0.05)
-    assert np.abs(out - proj).max() <= 1e-12
-
-
-def test_step_rk4_matches_exact_unitary_to_dt4():
-    H = build_two_level_hamiltonian(1.0, (0, 0.6, 0.8))
-    spec = RhsSpec(H, "gkls")
-    rho = COHERENT_RHO0.copy()
-    dt = 1e-3
-    n = 1000
-    for _ in range(n):
-        rho = step_rk4(spec, rho, dt)
-    U = matrix_exp(-1j * H * (n * dt))
-    exact = U @ COHERENT_RHO0 @ U.conj().T
-    assert np.abs(rho - exact).max() <= 1e-8
-    # purity drift stays at the integrator error scale
-    assert abs(np.trace(rho @ rho).real - np.trace(COHERENT_RHO0 @ COHERENT_RHO0).real) <= 1e-10
-
-
-def test_step_rk4_aborts_on_nan():
-    spec = RhsSpec(np.diag([1.0, -1.0]), "gkls")
-    bad = np.array([[np.nan, 0], [0, 1.0]], dtype=complex)
-    with pytest.raises(PropagationError, match="NaN"):
-        step_rk4(spec, bad, 0.1)
 
 
 # ------------------------------------------------------------- superoperator
@@ -257,25 +223,14 @@ def test_dense_max_growth_is_the_superoperator_spectral_abscissa():
 def test_propagate_gibbs_initial_state_is_constant():
     sys2 = thermal_two_level(E=1.0, T=1.0)
     rho_g = gibbs_state(sys2.hamiltonian, 1.0)
-    traj = propagate(RhsSpec.for_system(sys2), rho_g, 5.0, 0.01, "expm", 10)
+    traj = propagate(RhsSpec.for_system(sys2), rho_g, 5.0, 0.01, 10)
     for state in traj.states:
         assert np.abs(state - rho_g).max() <= 1e-9
 
 
-def test_propagate_rk4_and_expm_agree():
-    sys2 = thermal_two_level()
-    spec = RhsSpec.for_system(sys2)
-    kw = dict(t_final=5.0, dt=1e-3, record_every=250)
-    tr = propagate(spec, COHERENT_RHO0, method="rk4", **kw)
-    te = propagate(spec, COHERENT_RHO0, method="expm", **kw)
-    np.testing.assert_allclose(tr.times, te.times)
-    worst = max(trace_distance(a, b) for a, b in zip(tr.states, te.states))
-    assert worst <= 1e-8
-
-
 def test_propagate_closed_system_conserves_purity():
     H = build_two_level_hamiltonian(1.0, (0.6, 0, 0.8))
-    traj = propagate(RhsSpec(H, "gkls"), COHERENT_RHO0, 5.0, 0.01, "expm", 20)
+    traj = propagate(RhsSpec(H, "gkls"), COHERENT_RHO0, 5.0, 0.01, 20)
     purities = [np.trace(s @ s).real for s in traj.states]
     assert max(purities) - min(purities) <= 1e-10
 
@@ -283,16 +238,14 @@ def test_propagate_closed_system_conserves_purity():
 def test_propagate_trace_drift_bounds():
     sys2 = thermal_two_level()
     spec = RhsSpec.for_system(sys2)
-    tr = propagate(spec, COHERENT_RHO0, 10.0, 1e-3, "rk4", 500)
-    assert tr.trace_dev.max() <= 1e-10
-    te = propagate(spec, COHERENT_RHO0, 10.0, 1e-2, "expm", 100)
-    assert te.trace_dev.max() <= 1e-12
+    traj = propagate(spec, COHERENT_RHO0, 10.0, 1e-2, 100)
+    assert traj.trace_dev.max() <= 1e-12
 
 
 def test_propagate_monotone_approach_to_gibbs():
     sys2 = thermal_two_level(E=1.0, T=1.0)
     rho_g = gibbs_state(sys2.hamiltonian, 1.0)
-    traj = propagate(RhsSpec.for_system(sys2), COHERENT_RHO0, 8.0, 0.01, "expm", 20)
+    traj = propagate(RhsSpec.for_system(sys2), COHERENT_RHO0, 8.0, 0.01, 20)
     dists = [trace_distance(s, rho_g) for s in traj.states]
     for a, b in zip(dists, dists[1:]):
         assert b <= a + 1e-12
@@ -301,7 +254,7 @@ def test_propagate_monotone_approach_to_gibbs():
 def test_propagate_records_final_time_and_diagnostics():
     lad = build_oscillator(5, 1.0, "harmonic", BathModel(1.0, 1.0))
     rho0 = gibbs_state(lad.hamiltonian, 2.0)
-    traj = propagate(RhsSpec.for_system(lad), rho0, 1.05, 0.1, "rk4", 4)
+    traj = propagate(RhsSpec.for_system(lad), rho0, 1.05, 0.1, 4)
     # steps: 10 -> records at 0, 4, 8, 10
     np.testing.assert_allclose(traj.times, [0.0, 0.4, 0.8, 1.0], atol=1e-12)
     assert len(traj.states) == 4
@@ -322,8 +275,6 @@ def test_propagate_validates_initial_state():
     assert spec.compiled.V is not None
     with pytest.raises(ValueError, match="positive semidefinite"):
         propagate(spec, np.array([[0.5, 0.6], [0.6, 0.5]]), 1.0, 0.1)
-    with pytest.raises(ValueError, match="method"):
-        propagate(spec, np.eye(2) / 2, 1.0, 0.1, method="euler")
 
 
 @pytest.mark.parametrize("dim", [3, 5])
@@ -355,7 +306,7 @@ def test_propagate_aborts_on_divergence():
     rho0 = np.array([[0.5, 0.4], [0.4, 0.5]], dtype=complex)
     with pytest.raises(PropagationError, match="instability"):
         with pytest.warns(UserWarning):
-            propagate(spec, rho0, 10.0, 1e-3, "expm", 100)
+            propagate(spec, rho0, 10.0, 1e-3, 100)
 
 
 def test_propagate_flags_undamped_cross_block_coherence():
@@ -365,11 +316,11 @@ def test_propagate_flags_undamped_cross_block_coherence():
     psi = np.zeros(3, dtype=complex)
     psi[0] = psi[2] = 1 / np.sqrt(2)
     rho0 = np.outer(psi, psi.conj())
-    traj = propagate(RhsSpec.for_system(lad), rho0, 8.0, 0.01, "expm", 40)
+    traj = propagate(RhsSpec.for_system(lad), rho0, 8.0, 0.01, 40)
     assert traj.min_eig.min() < -1e-8
     assert any("positivity" in w for w in traj.warnings)
     # the pairwise jump construction damps that coherence and stays positive
-    traj_g = propagate(RhsSpec.for_system(lad, "gkls"), rho0, 8.0, 0.01, "expm", 40)
+    traj_g = propagate(RhsSpec.for_system(lad, "gkls"), rho0, 8.0, 0.01, 40)
     assert traj_g.min_eig.min() >= -1e-8
     assert not any("positivity" in w for w in traj_g.warnings)
 
@@ -377,7 +328,7 @@ def test_propagate_flags_undamped_cross_block_coherence():
 def test_propagate_flags_truncation_leak():
     lad = build_oscillator(4, 1.0, "harmonic", BathModel(1.0, 1.0))
     rho0 = gibbs_state(lad.hamiltonian, 3.0)  # hot start on a short ladder
-    traj = propagate(RhsSpec.for_system(lad), rho0, 1.0, 0.01, "expm", 10)
+    traj = propagate(RhsSpec.for_system(lad), rho0, 1.0, 0.01, 10)
     assert any("truncation" in w for w in traj.warnings)
 
 
@@ -389,19 +340,6 @@ def tilted_two_level_spec(gamma_pd=0.0):
     spec = RhsSpec.for_system(sys2, gamma_pd=gamma_pd)
     assert spec.compiled.V is not None  # H is not diagonal
     return spec
-
-
-def test_dense_rk4_outside_stability_region_raises_before_stepping(monkeypatch):
-    spec = tilted_two_level_spec()
-    calls = []
-    monkeypatch.setattr(sys.modules["ebloch.dissipators"], "master_rhs",
-                        lambda rho, s: calls.append(np.shape(rho)) or master_rhs(rho, s))
-    with pytest.raises(PropagationError, match="unstable") as info:
-        propagate(spec, COHERENT_RHO0, 30.0, 3.0, "rk4")
-    # no superoperator probe and no step
-    assert calls == []
-    growth = float(str(info.value).split("| = ")[1].split()[0])
-    assert 2.0 < growth < 3.0
 
 
 def test_dense_amplifying_modes_refuse_a_fixed_point():
@@ -418,130 +356,29 @@ def test_dense_fixed_point_diagonalizes_its_superoperator_once(monkeypatch):
     assert calls == ["eig"]
 
 
-@pytest.mark.parametrize("method", ["expm", "rk4"])
-def test_dense_amplifying_modes_warn_exactly_once(method):
+def test_dense_amplifying_modes_warn_exactly_once():
     spec = tilted_two_level_spec(gamma_pd=+2.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        propagate(spec, COHERENT_RHO0, 0.5, 0.01, method, 10)
+        propagate(spec, COHERENT_RHO0, 0.5, 0.01, 10)
     messages = [str(w.message) for w in caught]
     assert sum("amplifying modes" in m for m in messages) == 1, messages
 
 
-@pytest.mark.parametrize("kind", ["ebe2", "gkls"])
-@pytest.mark.parametrize("include_unitary", [True, False])
-@pytest.mark.parametrize("gamma_pd", [0.0, -0.2])
-def test_dense_rk4_matches_stagewise_oracle(kind, include_unitary, gamma_pd):
-    rng = np.random.default_rng(7)
-    dt, n_steps = 0.05, 200
-    for _ in range(3):
-        eps = rng.standard_normal(3)
-        eps /= np.linalg.norm(eps)
-        sys2 = TwoLevelSystem(float(rng.uniform(0.2, 3.0)), eps,
-                              float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.05, 1.0)))
-        spec = RhsSpec.for_system(sys2, kind, include_unitary, gamma_pd)
-        assert spec.compiled.V is not None
-        A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        rho = A @ A.conj().T
-        rho /= np.trace(rho)
-        traj = propagate(spec, rho, n_steps * dt, dt, "rk4", 20)
-        ref = [rho]
-        for k in range(1, n_steps + 1):
-            rho = step_rk4(spec, rho, dt)
-            if k % 20 == 0:
-                ref.append(rho)
-        worst = max(np.abs(a - b).max() for a, b in zip(traj.states, ref))
-        assert worst <= 1e-12, f"dense RK4 vs step_rk4 {worst:.3e}"
-
-
-# -------------------------------------------- RK4 stability, record-gap maps
-
-
-def test_rk4_oscillatory_mode_outside_stability_region_raises_before_stepping(monkeypatch):
-    # modes +-3i have Re lambda = 0; |R4(3i)| ~ 1.5 amplifies them every step
-    spec = RhsSpec(np.diag([0.0, 3.0]), "gkls")
-    diagnosed = []
-    real_diagnose = sys.modules["ebloch.propagate"]._diagnose
-    monkeypatch.setattr(sys.modules["ebloch.propagate"], "_diagnose",
-                        lambda *a: diagnosed.append(1) or real_diagnose(*a))
-    with pytest.raises(PropagationError, match="unstable") as info:
-        propagate(spec, COHERENT_RHO0, 10.0, 1.0, "rk4")
-    assert not diagnosed  # not even t=0 was recorded
-    growth = float(str(info.value).split("| = ")[1].split()[0])
-    assert 1.4 < growth < 1.6
-    # inside the region (|R4(1.5i)| ~ 0.94) the same spec runs
-    traj = propagate(spec, COHERENT_RHO0, 10.0, 0.5, "rk4")
-    assert np.abs(traj.states[-1]).max() <= np.abs(COHERENT_RHO0).max()
-
-
-def _stagewise(spec, rho, dt, n_steps, record_every):
-    times, states = [0.0], [rho]
-    for k in range(1, n_steps + 1):
-        rho = step_rk4(spec, rho, dt)
-        if k % record_every == 0 or k == n_steps:
-            times.append(k * dt)
-            states.append(rho)
-    return np.array(times), states
-
-
-@pytest.mark.parametrize("record_every", [300, 1])  # gaps 300, 300, 300, 100 / all 1
-def test_split_rk4_gap_maps_match_stagewise_steps(record_every):
-    lad = build_oscillator(6, 1.0, "harmonic", BathModel(1.0, 1.0))
-    spec = RhsSpec.for_system(lad, gamma_pd=-0.1)
-    assert spec.compiled is not None
-    A = np.random.default_rng(3).standard_normal((6, 12)).view(complex)
-    rho0 = A @ A.conj().T / np.linalg.norm(A) ** 2
-    dt = 0.01
-    traj = propagate(spec, rho0, 1000 * dt, dt, "rk4", record_every)
-    times, ref = _stagewise(spec, rho0, dt, 1000, record_every)
-    np.testing.assert_array_equal(traj.times, times)
-    rel = max((np.abs(a - b) / np.abs(b)).max() for a, b in zip(traj.states, ref))
-    assert rel <= 1e-10, f"split gap maps vs step_rk4 {rel:.3e}"
-
-
-def test_rk4_stability_checks_only_the_modes_the_run_steps():
-    # the coherence (0, 32) of this ladder has lambda = -51.2+32j, outside the
-    # RK4 region at dt = 0.1, while eig(W) lies inside it: a Gibbs start
-    # never steps that mode, a start that carries it does
-    lad = build_oscillator(33, 1.0, "constant", BathModel(1.0, 0.7))
-    spec = RhsSpec.for_system(lad, "eben", gamma_pd=-0.05)
-    rho0 = _gibbs_start(spec)
-    traj = propagate(spec, rho0, 1.0, 0.1, "rk4")
-    assert traj.times[-1] == 1.0 and traj.trace_dev.max() <= 1e-12
-    with pytest.raises(PropagationError, match=r"unstable: non-amplifying mode "
-                                               r"lambda = -51\.2\+32j gives"):
-        propagate(spec, _one_coherence(rho0, 0, 32), 1.0, 0.1, "rk4")
-
-
-@pytest.mark.parametrize("method", ["expm", "rk4"])
-def test_closed_form_coherences_match_the_superoperator_at_long_times(method):
+def test_closed_form_coherences_match_the_superoperator_at_long_times():
     # weak damping keeps the coherences well above round-off at t = 30,
     # after up to 7 * 30 radians of phase
     lad = build_oscillator(8, 1.0, "harmonic", BathModel(0.05, 1.0))
     spec = RhsSpec.for_system(lad, gamma_pd=-0.01)
     rho0 = _coherent_state(8)
     dt = 0.01
-    traj = propagate(spec, rho0, 30.0, dt, method, 500)
-    if method == "expm":
-        S = build_superoperator(spec)
-        ref = [(scipy.linalg.expm(S * t) @ vectorize(rho0)).reshape(8, 8, order="F")
-               for t in traj.times]
-    else:
-        ref = _stagewise(spec, rho0, dt, 3000, 500)[1]
+    traj = propagate(spec, rho0, 30.0, dt, 500)
+    S = build_superoperator(spec)
+    ref = [(scipy.linalg.expm(S * t) @ vectorize(rho0)).reshape(8, 8, order="F")
+           for t in traj.times]
     assert np.abs(ref[-1][0, 1]) > 0.1 * np.abs(rho0[0, 1])
     worst = max(np.abs(a - b).max() for a, b in zip(traj.states, ref))
     assert worst <= 1e-12, f"closed-form records vs oracle {worst:.3e}"
-
-
-@pytest.mark.parametrize("record_every", [300, 1])
-def test_dense_rk4_gap_maps_match_stagewise_steps(record_every):
-    spec = tilted_two_level_spec(gamma_pd=-0.2)
-    dt = 0.01
-    traj = propagate(spec, COHERENT_RHO0, 1000 * dt, dt, "rk4", record_every)
-    times, ref = _stagewise(spec, COHERENT_RHO0, dt, 1000, record_every)
-    np.testing.assert_array_equal(traj.times, times)
-    worst = max(np.abs(a - b).max() for a, b in zip(traj.states, ref))
-    assert worst <= 1e-12, f"dense gap maps vs step_rk4 {worst:.3e}"
 
 
 # ------------------------------------------- records checked and diagnosed in passes
@@ -626,24 +463,23 @@ def test_stacked_diagnostics_match_per_record_formula(case):
     # when H is diagonal, and in the eigenbasis of H otherwise, which the
     # rotated state matches to round-off
     rho0 = _start(case, spec)
-    for method in ("expm", "rk4") if case == "gibbs" else ("expm",):
-        traj = propagate(spec, rho0, 1.5, 0.01, method, 1)
-        assert traj.states.shape == (151, spec.dim, spec.dim)
-        # a coherence-free start tracks no coherence
-        assert traj._pops.shape == (151, spec.dim)
-        assert traj._cohs.shape == (151, 0 if case == "gibbs" else spec.dim * (spec.dim - 1) // 2)
-        if case == "tilted":
-            _assert_diagnostics_are_the_formula(
-                traj, top, _assemble(traj._pops, traj._cohs, traj._pairs))
-            rotated = np.array([_diagnose_one(rho, top) for rho in traj.states]).T
-            for name, ref in zip(("trace_dev", "min_eig", "top_pop"), rotated):
-                np.testing.assert_allclose(getattr(traj, name), ref, rtol=0, atol=1e-14,
-                                           err_msg=name)
-        else:
-            _assert_diagnostics_are_the_formula(traj, top, traj.states)
+    traj = propagate(spec, rho0, 1.5, 0.01, 1)
+    assert traj.states.shape == (151, spec.dim, spec.dim)
+    # a coherence-free start tracks no coherence
+    assert traj._pops.shape == (151, spec.dim)
+    assert traj._cohs.shape == (151, 0 if case == "gibbs" else spec.dim * (spec.dim - 1) // 2)
+    if case == "tilted":
+        _assert_diagnostics_are_the_formula(
+            traj, top, _assemble(traj._pops, traj._cohs, traj._pairs))
+        rotated = np.array([_diagnose_one(rho, top) for rho in traj.states]).T
+        for name, ref in zip(("trace_dev", "min_eig", "top_pop"), rotated):
+            np.testing.assert_allclose(getattr(traj, name), ref, rtol=0, atol=1e-14,
+                                       err_msg=name)
+    else:
+        _assert_diagnostics_are_the_formula(traj, top, traj.states)
     if case == "gibbs":
         # one coherence is enough to take the eigensolve of the assembled state
-        traj = propagate(spec, _one_coherence(rho0), 1.5, 0.01, "expm", 1)
+        traj = propagate(spec, _one_coherence(rho0), 1.5, 0.01, 1)
         assert traj._cohs.shape == (151, 1)
         assert traj.states[-1, 0, 1] != 0.0
         _assert_diagnostics_are_the_formula(traj, top, traj.states)
@@ -657,32 +493,30 @@ def test_coherence_free_records_match_the_full_matrix_route():
     rho0 = _gibbs_start(spec)
     tiny = rho0.copy()
     tiny[0, 5] = tiny[5, 0] = 1e-300
-    for method in ("expm", "rk4"):
-        pops = propagate(spec, rho0, 2.02, 0.01, method, 3)
-        full = propagate(spec, tiny, 2.02, 0.01, method, 3)
-        assert pops._cohs.shape[1] == 0 and full._cohs.shape[1] == 1
-        np.testing.assert_array_equal(pops.populations(), full.populations())
-        states = full.states.copy()
-        states[:, 0, 5] = states[:, 5, 0] = 0.0
-        np.testing.assert_array_equal(pops.states, states)
-        for name in ("times", "trace_dev", "top_pop"):
-            np.testing.assert_array_equal(getattr(pops, name), getattr(full, name), err_msg=name)
-        # eigvalsh reduces a matrix with any nonzero coherence before it
-        # solves, which rounds differently from the exact min(p)
-        np.testing.assert_allclose(pops.min_eig, full.min_eig, rtol=1e-12)
-        # states is built on each read and never aliases the populations
-        assert pops.states is not pops.states
-        pops.populations()[:] = 0.0
-        assert pops.populations().sum(axis=1).min() > 0.99
+    pops = propagate(spec, rho0, 2.02, 0.01, 3)
+    full = propagate(spec, tiny, 2.02, 0.01, 3)
+    assert pops._cohs.shape[1] == 0 and full._cohs.shape[1] == 1
+    np.testing.assert_array_equal(pops.populations(), full.populations())
+    states = full.states.copy()
+    states[:, 0, 5] = states[:, 5, 0] = 0.0
+    np.testing.assert_array_equal(pops.states, states)
+    for name in ("times", "trace_dev", "top_pop"):
+        np.testing.assert_array_equal(getattr(pops, name), getattr(full, name), err_msg=name)
+    # eigvalsh reduces a matrix with any nonzero coherence before it
+    # solves, which rounds differently from the exact min(p)
+    np.testing.assert_allclose(pops.min_eig, full.min_eig, rtol=1e-12)
+    # states is built on each read and never aliases the populations
+    assert pops.states is not pops.states
+    pops.populations()[:] = 0.0
+    assert pops.populations().sum(axis=1).min() > 0.99
 
 
-@pytest.mark.parametrize("method", ["rk4", "expm"])
 @pytest.mark.parametrize("case", ["ladder", "tilted", "gibbs"])
-def test_trajectory_does_not_depend_on_the_record_chunk(monkeypatch, case, method):
+def test_trajectory_does_not_depend_on_the_record_chunk(monkeypatch, case):
     spec = _spec(case)
     rho0 = _start(case, spec)
     # gaps 3, ..., 3, 1: 69 records, so a chunk of 64 leaves a partial one
-    ref = propagate(spec, rho0, 2.02, 0.01, method, 3)
+    ref = propagate(spec, rho0, 2.02, 0.01, 3)
     assert len(ref.times) == 69
     assert (ref._cohs.shape[1] == 0) == (case == "gibbs")
     dim = spec.dim
@@ -690,30 +524,26 @@ def test_trajectory_does_not_depend_on_the_record_chunk(monkeypatch, case, metho
     for chunk in (1, 2, 5, 68, 69, 200):
         # a byte budget of exactly `chunk` records per pass
         monkeypatch.setattr(sys.modules["ebloch.propagate"], "_CHECK_BYTES", chunk * per_record)
-        traj = propagate(spec, rho0, 2.02, 0.01, method, 3)
+        traj = propagate(spec, rho0, 2.02, 0.01, 3)
         for name in ("times", "states", "trace_dev", "min_eig", "top_pop"):
             np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name),
                                           err_msg=f"{name} at chunk {chunk}")
         np.testing.assert_array_equal(traj.populations(), ref.populations())
 
 
-def _record_loop(spec, rho0, steps, dt, method):
+def _record_loop(spec, rho0, steps, dt):
     """Populations at the given steps, one gap map per record applied as
     ``M @ p``, the maps built as ``propagate`` builds them."""
     gen = spec.compiled
-    step_W = _rk4_matrix(dt * gen.W)
     p = gen.rotate_in(herm_part(rho0)).diagonal().real
     out = [p]
     for gap in np.diff(steps):
-        M = (np.linalg.matrix_power(step_W, int(gap)) if method == "rk4"
-             else expm(gen.W * (int(gap) * dt)))
-        p = M @ p
+        p = expm(gen.W * (int(gap) * dt)) @ p
         out.append(p)
     return np.array(out)
 
 
-@pytest.mark.parametrize("method", ["expm", "rk4"])
-def test_doubled_records_match_the_per_record_loop(method):
+def test_doubled_records_match_the_per_record_loop():
     # the quench ladder, whose Gibbs tail falls to 3.5e-57; 20,000 records of
     # dim 14 square their map up to M^8192.  Both routes drift
     # from the exact powers of the gap map by O(n eps): against a long-double
@@ -722,26 +552,25 @@ def test_doubled_records_match_the_per_record_loop(method):
     spec = RhsSpec.for_system(lad)
     rho0 = gibbs_state(spec.hamiltonian, 2.0)
     dt = 1e-3
-    traj = propagate(spec, rho0, 20000 * dt, dt, method, 1)
-    ref = _record_loop(spec, rho0, np.arange(20001), dt, method)
+    traj = propagate(spec, rho0, 20000 * dt, dt, 1)
+    ref = _record_loop(spec, rho0, np.arange(20001), dt)
     assert ref.min() < 1e-56
     rel = (np.abs(traj._pops - ref) / ref).max()
     assert rel <= 1e-12, f"doubled records vs the loop {rel:.3e}"
 
 
-@pytest.mark.parametrize("method", ["expm", "rk4"])
 @pytest.mark.parametrize("t_final, steps", [
     (0.05, [0, 5]),  # one regular record
     (0.07, [0, 5, 7]),  # one regular record and a shorter last gap
     (0.12, [0, 5, 10, 12]),  # two regular records
 ])
-def test_records_that_take_no_squaring_are_the_loop_bit_for_bit(method, t_final, steps):
+def test_records_that_take_no_squaring_are_the_loop_bit_for_bit(t_final, steps):
     # at dim 32, squaring the map for one or two records saves no call
     spec = _ladder_spec(32, 0.0)
     rho0 = _gibbs_start(spec)
-    traj = propagate(spec, rho0, t_final, 0.01, method, 5)
+    traj = propagate(spec, rho0, t_final, 0.01, 5)
     np.testing.assert_array_equal(traj.times, np.array(steps) * 0.01)
-    np.testing.assert_array_equal(traj._pops, _record_loop(spec, rho0, steps, 0.01, method))
+    np.testing.assert_array_equal(traj._pops, _record_loop(spec, rho0, steps, 0.01))
 
 
 @pytest.mark.parametrize("dim, coherent, t_final, passes", [
@@ -776,7 +605,7 @@ def test_records_are_checked_in_passes_of_the_byte_budget(monkeypatch, dim, cohe
     monkeypatch.setattr(mod, "_diagnose", lambda *a: calls.append(len(a[0])) or real_diagnose(*a))
     tracemalloc.start()
     try:
-        traj = propagate(spec, rho0, t_final, 1e-3, "expm", 1)
+        traj = propagate(spec, rho0, t_final, 1e-3, 1)
     finally:
         tracemalloc.stop()
     assert len(calls) == passes and sum(calls) == traj.times.size
@@ -841,7 +670,7 @@ def test_diverging_run_stops_where_the_per_record_check_does(case, gamma_pd, dt,
         warnings.simplefilter("error", RuntimeWarning)
         warnings.filterwarnings("ignore", "assembled generator has amplifying modes")
         with pytest.raises(PropagationError) as info:
-            propagate(spec, rho0, 1000 * dt, dt, "expm", 1)
+            propagate(spec, rho0, 1000 * dt, dt, 1)
     assert str(info.value) == want
 
 
@@ -854,7 +683,7 @@ def test_coherence_free_start_runs_where_the_coherence_map_overflows():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         warnings.simplefilter("error", RuntimeWarning)
-        traj = propagate(spec, rho0, 1000.0, 1.0, "expm", 1)
+        traj = propagate(spec, rho0, 1000.0, 1.0, 1)
     assert [str(w.message).split(" (")[0] for w in caught] == [
         "assembled generator has amplifying modes"]
     assert traj.times[-1] == 1000.0
@@ -865,7 +694,7 @@ def test_coherence_free_start_runs_where_the_coherence_map_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         with pytest.raises(PropagationError, match="NaN/Inf encountered before t=1$"):
-            propagate(spec, _one_coherence(rho0), 1000.0, 1.0, "expm", 1)
+            propagate(spec, _one_coherence(rho0), 1000.0, 1.0, 1)
 
 
 def test_untracked_coherence_map_may_overflow():
@@ -877,7 +706,7 @@ def test_untracked_coherence_map_may_overflow():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         warnings.simplefilter("error", RuntimeWarning)
-        traj = propagate(spec, rho0, 2000.0, 200.0, "expm", 1)
+        traj = propagate(spec, rho0, 2000.0, 200.0, 1)
     assert [str(w.message).split(" (")[0] for w in caught] == [
         "assembled generator has amplifying modes"]
     assert traj.times[-1] == 2000.0
@@ -900,7 +729,7 @@ def test_propagate_bounds_record_memory_before_allocating(case):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="over the record limit"):
-            propagate(spec, rho0, 1e12, 1e-3, "expm", 1)
+            propagate(spec, rho0, 1e12, 1e-3, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -913,30 +742,29 @@ def test_record_bound_counts_the_bytes_of_the_route_taken(monkeypatch):
     # 88 with one coherence and 232 with all ten
     spec = _ladder_spec()
     monkeypatch.setattr(sys.modules["ebloch.propagate"], "MAX_RECORD_BYTES", 101 * 72)
-    assert propagate(spec, _gibbs_start(spec), 1.0, 0.01, "expm", 1).times.size == 101
+    assert propagate(spec, _gibbs_start(spec), 1.0, 0.01, 1).times.size == 101
     with pytest.raises(ValueError, match="101 records of dim 5 need 8.89e\\+03 bytes"):
-        propagate(spec, _one_coherence(_gibbs_start(spec)), 1.0, 0.01, "expm", 1)
+        propagate(spec, _one_coherence(_gibbs_start(spec)), 1.0, 0.01, 1)
     with pytest.raises(ValueError, match="101 records of dim 5 need 2.34e\\+04 bytes"):
-        propagate(spec, _coherent_state(spec.dim), 1.0, 0.01, "expm", 1)
+        propagate(spec, _coherent_state(spec.dim), 1.0, 0.01, 1)
     monkeypatch.setattr(sys.modules["ebloch.propagate"], "MAX_RECORD_BYTES", 101 * 88)
-    assert propagate(spec, _one_coherence(_gibbs_start(spec)), 1.0, 0.01, "expm", 1)._cohs.shape \
+    assert propagate(spec, _one_coherence(_gibbs_start(spec)), 1.0, 0.01, 1)._cohs.shape \
         == (101, 1)
     monkeypatch.setattr(sys.modules["ebloch.propagate"], "MAX_RECORD_BYTES", 101 * 72 - 1)
     with pytest.raises(ValueError, match="over the record limit"):
-        propagate(spec, _gibbs_start(spec), 1.0, 0.01, "expm", 1)
+        propagate(spec, _gibbs_start(spec), 1.0, 0.01, 1)
 
 
-@pytest.mark.parametrize("method", ["expm", "rk4"])
-def test_coherent_records_take_the_memory_of_their_layout(method):
+def test_coherent_records_take_the_memory_of_their_layout():
     # 2,001 records of 32 populations and 496 coherences hold 16.5 MB; a
     # (2001, 32, 32) stack of matrices alone would hold 32.8 MB
     import tracemalloc
     spec = _ladder_spec(32)
     rho0 = _coherent_state(spec.dim)
-    spec.compiled.population_eig  # compile and diagonalize outside the traced span
+    spec.compiled  # compile outside the traced span
     tracemalloc.start()
     try:
-        traj = propagate(spec, rho0, 2.0, 1e-3, method, 1)
+        traj = propagate(spec, rho0, 2.0, 1e-3, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -949,7 +777,7 @@ def test_reading_states_is_bounded_before_allocating():
     # states they would need 1.3 GB, over the record limit
     import tracemalloc
     spec = _ladder_spec(64)
-    traj = propagate(spec, _gibbs_start(spec), 20.0, 1e-3, "expm", 1)
+    traj = propagate(spec, _gibbs_start(spec), 20.0, 1e-3, 1)
     assert traj._pops.nbytes < 11e6
     tracemalloc.start()
     try:
@@ -969,7 +797,7 @@ def test_populations_of_a_rotated_run_share_the_states_bound(monkeypatch):
     spec = RhsSpec(H, "gkls")
     assert spec.compiled.V is not None
     monkeypatch.setattr(sys.modules["ebloch.propagate"], "MAX_RECORD_BYTES", 200_000)
-    traj = propagate(spec, gibbs_state(H, 1.0), 1.0, 1e-3, "expm", 1)
+    traj = propagate(spec, gibbs_state(H, 1.0), 1.0, 1e-3, 1)
     assert traj.times.size == 1001
     with pytest.raises(ValueError, match="1001 states of dim 4 need 2.56e\\+05 bytes"):
         traj.states
@@ -988,7 +816,7 @@ def test_populations_under_a_dense_h_read_the_records():
     H = _coherent_state(16, seed=11)
     spec = RhsSpec(H, "gkls")
     assert spec.compiled.V is not None
-    traj = propagate(spec, _coherent_state(16), 1.0, 1e-3, "expm", 1)
+    traj = propagate(spec, _coherent_state(16), 1.0, 1e-3, 1)
     assert traj._cohs.shape == (1001, 120)
     tracemalloc.start()
     try:
@@ -1012,7 +840,7 @@ def test_reading_rotated_states_holds_one_stack_and_passes_of_the_byte_budget():
     spec = RhsSpec(H, "gkls")
     V = spec.compiled.V
     assert V is not None
-    traj = propagate(spec, _coherent_state(16), 1.0, 1e-3, "expm", 1)
+    traj = propagate(spec, _coherent_state(16), 1.0, 1e-3, 1)
     stack_bytes = 1001 * 16 * 16 * 16
     tracemalloc.start()
     try:

@@ -177,7 +177,7 @@ def test_fixed_point_agrees_with_long_time_propagation():
     report = fixed_point(spec)
     t_final = 20.0 / report.spectral_gap
     rho0 = np.diag([1.0, 0.0]).astype(complex)
-    traj = propagate(spec, rho0, t_final, t_final / 2000, "expm", 2000)
+    traj = propagate(spec, rho0, t_final, t_final / 2000, 2000)
     assert trace_distance(traj.states[-1], report.rho_stationary) <= 1e-6
 
 
@@ -282,7 +282,7 @@ def test_fixed_point_and_a_gibbs_start_take_no_dense_eigensolve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", dense_eigensolve)
     report = fixed_point(spec)
     assert report.gibbs_distance <= 1e-12
-    traj = propagate(spec, rho0, 1.0, 0.1, "expm", 1)
+    traj = propagate(spec, rho0, 1.0, 0.1, 1)
     assert traj.min_eig.min() > 0.0
 
 
