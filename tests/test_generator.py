@@ -50,6 +50,7 @@ from oracles import (
     vectorize,
 )
 from test_canonical import thermalization_ode_rhs
+from test_propagate import EXACT_FLOW
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -304,6 +305,7 @@ def test_max_growth_evaluates_no_rate_unless_gamma_pd_is_positive(monkeypatch):
     assert any(growth > 0.0 for growth in expected)
 
 
+@EXACT_FLOW
 @pytest.mark.parametrize("gamma_pd", [0.0, -0.2])
 def test_propagate_evaluates_the_rates_of_its_tracked_pairs_once(monkeypatch, gamma_pd):
     calls = []
@@ -469,6 +471,7 @@ def test_generator_rhs_norm_matches_master_rhs():
             assert abs(np.linalg.norm(split_apply(gen, gen.rotate_in(rho))) - ref) <= 1e-12 * ref
 
 
+@EXACT_FLOW
 def test_split_propagate_evaluates_no_master_rhs(monkeypatch):
     lad = build_oscillator(8, 1.0, "harmonic", BathModel(1.0, 1.0))
     spec = RhsSpec.for_system(lad, gamma_pd=-0.1)

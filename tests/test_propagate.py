@@ -36,6 +36,11 @@ def thermal_two_level(E=1.0, T=1.0, gamma=1.0, eps=(0.48, 0.36, 0.8)):
 
 COHERENT_RHO0 = np.array([[0.7, 0.25 + 0.1j], [0.25 - 0.1j, 0.3]], dtype=complex)
 
+# propagate's one path is the exact flow: expm(W t) on the populations and
+# exp(C_ab t) per coherence.  Tests that once ran it beside a fixed-step
+# integrator keep "expm" in their case id.
+EXACT_FLOW = pytest.mark.parametrize((), [pytest.param(id="expm")])
+
 
 # ---------------------------------------------------------- matrix_exp oracle
 
@@ -356,6 +361,7 @@ def test_dense_fixed_point_diagonalizes_its_superoperator_once(monkeypatch):
     assert calls == ["eig"]
 
 
+@EXACT_FLOW
 def test_dense_amplifying_modes_warn_exactly_once():
     spec = tilted_two_level_spec(gamma_pd=+2.0)
     with warnings.catch_warnings(record=True) as caught:
@@ -365,6 +371,7 @@ def test_dense_amplifying_modes_warn_exactly_once():
     assert sum("amplifying modes" in m for m in messages) == 1, messages
 
 
+@EXACT_FLOW
 def test_closed_form_coherences_match_the_superoperator_at_long_times():
     # weak damping keeps the coherences well above round-off at t = 30,
     # after up to 7 * 30 radians of phase
@@ -511,6 +518,7 @@ def test_coherence_free_records_match_the_full_matrix_route():
     assert pops.populations().sum(axis=1).min() > 0.99
 
 
+@EXACT_FLOW
 @pytest.mark.parametrize("case", ["ladder", "tilted", "gibbs"])
 def test_trajectory_does_not_depend_on_the_record_chunk(monkeypatch, case):
     spec = _spec(case)
@@ -543,6 +551,7 @@ def _record_loop(spec, rho0, steps, dt):
     return np.array(out)
 
 
+@EXACT_FLOW
 def test_doubled_records_match_the_per_record_loop():
     # the quench ladder, whose Gibbs tail falls to 3.5e-57; 20,000 records of
     # dim 14 square their map up to M^8192.  Both routes drift
@@ -559,6 +568,7 @@ def test_doubled_records_match_the_per_record_loop():
     assert rel <= 1e-12, f"doubled records vs the loop {rel:.3e}"
 
 
+@EXACT_FLOW
 @pytest.mark.parametrize("t_final, steps", [
     (0.05, [0, 5]),  # one regular record
     (0.07, [0, 5, 7]),  # one regular record and a shorter last gap
@@ -755,6 +765,7 @@ def test_record_bound_counts_the_bytes_of_the_route_taken(monkeypatch):
         propagate(spec, _gibbs_start(spec), 1.0, 0.01, 1)
 
 
+@EXACT_FLOW
 def test_coherent_records_take_the_memory_of_their_layout():
     # 2,001 records of 32 populations and 496 coherences hold 16.5 MB; a
     # (2001, 32, 32) stack of matrices alone would hold 32.8 MB
