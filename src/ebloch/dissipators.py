@@ -101,7 +101,8 @@ class SplitGenerator:
 
 
 def _compile(spec: "RhsSpec") -> SplitGenerator:
-    """(E, W, rule, V) of a spec; raises ValueError when it does not split."""
+    """(E, W, rule, V) of a spec; raises ValueError when it does not split
+    or a level's out-rate is not finite."""
     energies, V = eigenbasis(spec.hamiltonian)
     n = spec.dim
     system = spec.system
@@ -133,10 +134,14 @@ def _compile(spec: "RhsSpec") -> SplitGenerator:
         # gp lifts population from i to j, gm lowers it from j to i
         dst, src = np.concatenate([jj, ii]), np.concatenate([ii, jj])
         rate = np.concatenate([gp, gm])
+    out = np.bincount(src, rate, minlength=n)
+    if not np.isfinite(out).all():  # each entry of W is at most its source's out-rate
+        k = int(np.argmin(np.isfinite(out)))
+        raise ValueError(f"level {k} has a non-finite out-rate {out[k]:g}")
     W = np.zeros((n, n))
     np.add.at(W, (dst, src), rate)
     # 0 - out-rates rather than their negation: a level without any keeps a +0.0
-    W[np.arange(n), np.arange(n)] -= np.bincount(src, rate, minlength=n)
+    W[np.arange(n), np.arange(n)] -= out
     return SplitGenerator(energies, W, (spec.kind, spec.gamma_pd, spec.include_unitary), V)
 
 
@@ -227,7 +232,8 @@ class RhsSpec:
         explicit jump, rotated to V^dag L V, must be a single off-diagonal
         matrix unit (entries below ``JUMP_ZERO`` times its largest count as
         zero); otherwise raises ``ValueError`` naming the first jump that is
-        not, as such a spec has no population/coherence split.
+        not, as such a spec has no population/coherence split.  A level whose
+        out-rate is not finite raises ``ValueError`` naming it.
         """
         return _compile(self)
 

@@ -692,6 +692,20 @@ def test_explicit_system_with_non_finite_energy_exits_as_validation(tmp_path, ca
                       "messages": [f"[system] energy of level 2 must be finite, got {energy}"]}
 
 
+@pytest.mark.parametrize("sub", ["simulate", "fixed-point"])
+def test_explicit_system_whose_out_rate_overflows_exits_as_validation(tmp_path, capsys, sub):
+    # two rates of 1e308 out of level 1 sum to inf
+    text = ("[system]\ntype = explicit\nenergies = 0, 1, 2\n"
+            "transitions = 0:1:1e308:1e308; 1:2:1e308:1e308\n"
+            "[initial]\ntype = level\nindex = 0\n[integration]\nt_final = 1.0\ndt = 0.1\n")
+    cfg = write(tmp_path, "e.cfg", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([sub, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "validation", "messages": ["level 1 has a non-finite out-rate inf"]}
+
+
 @pytest.mark.parametrize("case", INVALID_LADDERS)
 def test_explicit_system_reports_each_invalid_ladder(tmp_path, capsys, case):
     energies, rows, message = INVALID_LADDERS[case]

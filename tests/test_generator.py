@@ -218,6 +218,16 @@ def test_split_covers_transition_specs_only():
         RhsSpec(SIGMA_X / 2, "ebe2", system=sys2).compiled
 
 
+def test_a_jump_whose_rate_overflows_is_rejected_at_compile():
+    # gamma |L[x, y]|^2 = 4e308 is inf: level y's out-rate, and W with it
+    L = np.zeros((3, 3))
+    L[0, 2] = 2.0
+    spec = RhsSpec(np.diag([0.0, 1.0, 2.5]), "gkls", jumps=((L, 1e308),))
+    with np.errstate(over="ignore"):  # the overflow is the input
+        with pytest.raises(ValueError, match="^level 2 has a non-finite out-rate inf$"):
+            spec.compiled
+
+
 @pytest.mark.parametrize("make_spec", [sigma_x_on_sigma_z, oscillator_a])
 def test_propagate_and_fixed_point_reject_specs_without_a_split(make_spec):
     spec = make_spec()

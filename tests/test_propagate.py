@@ -1,6 +1,7 @@
 """Tests for propagation, the superoperator, and diagnostics."""
 
 import math
+import re
 import sys
 import warnings
 
@@ -9,7 +10,7 @@ import pytest
 import scipy.linalg
 
 from ebloch.dissipators import RhsSpec, master_rhs
-from ebloch.linalg import herm_part, is_hermitian, trace_distance
+from ebloch.linalg import herm_part, trace_distance
 from ebloch.propagate import (
     PropagationError,
     _assemble,
@@ -26,7 +27,7 @@ from ebloch.systems import (
     build_two_level_hamiltonian,
     rates_from_bath,
 )
-from oracles import build_superoperator, dense_rates, split_apply, vectorize
+from oracles import build_superoperator, dense_rates, vectorize
 
 
 def thermal_two_level(E=1.0, T=1.0, gamma=1.0, eps=(0.48, 0.36, 0.8)):
@@ -40,47 +41,6 @@ COHERENT_RHO0 = np.array([[0.7, 0.25 + 0.1j], [0.25 - 0.1j, 0.3]], dtype=complex
 # exp(C_ab t) per coherence.  Tests that once ran it beside a fixed-step
 # integrator keep "expm" in their case id.
 EXACT_FLOW = pytest.mark.parametrize((), [pytest.param(id="expm")])
-
-
-# ---------------------------------------------------------- matrix_exp oracle
-
-
-def matrix_exp(A) -> np.ndarray:
-    """Matrix exponential, the oracle for exact unitary evolution.
-
-    Hermitian input goes through the eigendecomposition; everything else
-    uses Pade scaling-and-squaring (scipy.linalg.expm).
-    """
-    M = np.asarray(A, dtype=complex)
-    if is_hermitian(M, 1e-12):
-        w, V = np.linalg.eigh(0.5 * (M + M.conj().T))
-        return (V * np.exp(w)) @ V.conj().T
-    return scipy.linalg.expm(M)
-
-
-def random_complex(rng, n):
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-def test_matrix_exp_zero_and_diagonal():
-    np.testing.assert_allclose(matrix_exp(np.zeros((3, 3))), np.eye(3), atol=1e-15)
-    np.testing.assert_allclose(
-        matrix_exp(np.diag([1.5, -0.3])), np.diag(np.exp([1.5, -0.3])), rtol=1e-14
-    )
-
-
-def test_matrix_exp_against_taylor_series():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        A = random_complex(rng, 4)
-        A *= 0.8 / np.linalg.norm(A)
-        series = np.eye(4, dtype=complex)
-        term = np.eye(4, dtype=complex)
-        for k in range(1, 50):
-            term = term @ A / k
-            series += term
-        got = matrix_exp(A)
-        assert np.linalg.norm(got - series) <= 1e-10 * np.linalg.norm(series)
 
 
 # ------------------------------------------------------------------------ expm
@@ -137,14 +97,17 @@ def test_expm_of_zero_is_the_identity_exactly():
 def test_expm_of_a_non_finite_matrix_is_nan_and_the_run_stops_at_its_check():
     assert np.isnan(expm(np.array([[-np.inf, 1.0], [0.0, 0.0]]))).all()
     assert np.isnan(expm(np.array([[np.nan, 0.0], [0.0, 0.0]]))).all()
-    # two rates of 1e308 into the middle level: its W diagonal is -inf
+    # two rates of 1e308 out of the middle level: its out-rate is inf, so no W
     lad = LadderSystem((0.0, 1.0, 2.0), [(0, 1, 1e308, 1e308), (1, 2, 1e308, 1e308)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow is the input
-        spec = RhsSpec.for_system(lad)
-        assert spec.compiled.W[1, 1] == -np.inf
-        with pytest.raises(PropagationError, match="step instability at t=0: rhs norm nan"):
-            propagate(spec, np.diag([1.0, 0.0, 0.0]), 0.1, 0.01)
+    with pytest.raises(ValueError, match="^level 1 has a non-finite out-rate inf$"):
+        RhsSpec.for_system(lad).compiled
+    # rates of 1e300 give a finite W, but W times a gap of 1e10 overflows: the
+    # map is NaN, and the check of the records stops the run
+    lad = LadderSystem((0.0, 1.0, 2.0), [(0, 1, 1e300, 1e300), (1, 2, 1e300, 1e300)])
+    spec = RhsSpec.for_system(lad)
+    assert np.isfinite(spec.compiled.W).all()
+    with pytest.raises(PropagationError, match=r"^NaN/Inf encountered before t=1e\+10$"):
+        propagate(spec, np.diag([1.0, 0.0, 0.0]), 1e10, 1e10)
 
 
 def test_each_distinct_record_gap_builds_one_expm_map(monkeypatch):
@@ -305,6 +268,15 @@ def test_propagate_rejects_non_finite_or_overflowing_times(t_final, dt, match):
         propagate(spec, np.eye(2) / 2, t_final, dt)
 
 
+@pytest.mark.parametrize("record_every", ["expm", 2.5, 0])
+def test_propagate_rejects_a_record_every_that_is_not_a_positive_integer(record_every):
+    # "expm" is what a call written for the old fifth argument, method, passes
+    spec = RhsSpec.for_system(thermal_two_level())
+    with pytest.raises(ValueError, match=re.escape(
+            f"record_every must be an integer >= 1, got {record_every!r}")):
+        propagate(spec, np.eye(2) / 2, 1.0, 0.1, record_every)
+
+
 def test_propagate_aborts_on_divergence():
     # strongly amplifying dephasing sign blows coherences up
     spec = RhsSpec.for_system(thermal_two_level(), gamma_pd=+50.0)
@@ -366,7 +338,8 @@ def test_dense_amplifying_modes_warn_exactly_once():
     spec = tilted_two_level_spec(gamma_pd=+2.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        propagate(spec, COHERENT_RHO0, 0.5, 0.01, 10)
+        with pytest.raises(PropagationError, match="instability"):
+            propagate(spec, COHERENT_RHO0, 0.5, 0.01, 10)
     messages = [str(w.message) for w in caught]
     assert sum("amplifying modes" in m for m in messages) == 1, messages
 
@@ -595,24 +568,20 @@ def test_records_are_checked_in_passes_of_the_byte_budget(monkeypatch, dim, cohe
     spec = _ladder_spec(dim)
     rho0 = _coherent_state(dim) if coherent else _gibbs_start(spec)
     spec.compiled  # compile outside the traced span
-    # bytes that each call of the growth check and of the diagnostics
+    # records per pass, and the bytes that each pass of the diagnostics
     # allocates at its peak, over what was held when it was called
-    peaks = {"_rhs_norm": [], "_diagnose": []}
-
-    def traced(name, fn):
-        def call(*args):
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = fn(*args)
-            peaks[name].append(tracemalloc.get_traced_memory()[1] - before)
-            return out
-        return call
-
-    for name in peaks:
-        monkeypatch.setattr(mod, name, traced(name, getattr(mod, name)))
-    calls = []
+    calls, peaks = [], []
     real_diagnose = mod._diagnose
-    monkeypatch.setattr(mod, "_diagnose", lambda *a: calls.append(len(a[0])) or real_diagnose(*a))
+
+    def traced(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = real_diagnose(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        calls.append(len(args[0]))
+        return out
+
+    monkeypatch.setattr(mod, "_diagnose", traced)
     tracemalloc.start()
     try:
         traj = propagate(spec, rho0, t_final, 1e-3, 1)
@@ -620,74 +589,51 @@ def test_records_are_checked_in_passes_of_the_byte_budget(monkeypatch, dim, cohe
         tracemalloc.stop()
     assert len(calls) == passes and sum(calls) == traj.times.size
     assert (traj._cohs.shape[1] > 0) == coherent
-    # the growth check runs once more, on the start alone, to set its cap
-    assert len(peaks["_rhs_norm"]) == passes + 1
-    for name, seen in peaks.items():
-        assert max(seen) <= 1.1 * mod._CHECK_BYTES, f"{name} peaks at {max(seen)} bytes"
+    assert max(peaks) <= 1.1 * mod._CHECK_BYTES, f"_diagnose peaks at {max(peaks)} bytes"
 
 
-def _conj_symmetric(F):
-    """Coherence factors with F[b, a] = conj(F[a, b]) exactly and a zero
-    diagonal, so stepped coherences keep the Hermitian symmetry of the state."""
-    upper = np.triu(F, 1)
-    return upper + upper.conj().T
-
-
-def _per_record_failure(spec, rho0, t_final, dt, record_every):
-    """Message of the PropagationError that an expm run raises when every
-    record is checked as soon as it is made, or None if none is raised; the
-    state norm is read in the eigenbasis of H."""
-    gen = spec.compiled
-    s = gen.rotate_in(herm_part(rho0))
-    rhs0 = float(np.linalg.norm(split_apply(gen, s)))
-    growth_cap = 1e6 * rhs0 if rhs0 > 1e-12 else np.inf
-    state_cap = 1e6 * max(1.0, float(np.abs(s).max()))
-    n_steps = max(1, round(t_final / dt))
-    steps = list(range(0, n_steps + 1, record_every))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    p, X = s.diagonal().real, s - np.diag(s.diagonal())
-    C = dense_rates(gen)
-    with np.errstate(all="ignore"):
-        for prev, k in zip([0] + steps, steps):
-            if k:
-                gap = (k - prev) * dt
-                p = scipy.linalg.expm(gen.W * gap) @ p
-                X = _conj_symmetric(np.exp(C * gap)) * X
-                if not (np.isfinite(p.sum()) and np.isfinite(X.sum())):
-                    return f"NaN/Inf encountered before t={k * dt:.6g}"
-                s = X + np.diag(p)
-            rhs = float(np.linalg.norm(split_apply(gen, s)))
-            size = float(np.abs(s).max())
-            if not np.isfinite(rhs) or rhs > growth_cap or size > state_cap:
-                return (f"step instability at t={k * dt:.6g}: rhs norm {rhs:.3e} "
-                        f"(initial {rhs0:.3e}), state norm {size:.3e}")
-    return None
-
-
-@pytest.mark.parametrize("case, gamma_pd, dt, message", [
-    ("ladder", 5.0, 1e-3, "step instability at t=0.316:"),  # record 316
-    ("tilted", 50.0, 1e-3, "step instability at t=0.28:"),  # record 280
-    ("ladder", 1e4, 1.0, "NaN/Inf encountered before t=1"),  # exp(C dt) overflows
+@pytest.mark.parametrize("case, gamma_pd, dt", [
+    ("ladder", 5.0, 1e-3),
+    ("tilted", 50.0, 1e-3),
+    ("ladder", 1e4, 1.0),  # exp(C dt) would overflow at the first step
 ])
-def test_diverging_run_stops_where_the_per_record_check_does(case, gamma_pd, dt, message):
+def test_amplifying_start_is_refused_before_its_first_step(monkeypatch, case, gamma_pd, dt):
+    import tracemalloc
+    mod = sys.modules["ebloch.propagate"]
     spec = _ladder_spec(4, gamma_pd) if case == "ladder" \
         else tilted_two_level_spec(gamma_pd=gamma_pd)
     rho0 = _coherent_state(spec.dim)
-    want = _per_record_failure(spec, rho0, 1000 * dt, dt, 1)
-    assert want.startswith(message)
+    gen = spec.compiled  # compile outside the traced span
+    a, b = np.nonzero(np.triu(gen.rotate_in(herm_part(rho0)) != 0, 1))
+    growth = dense_rates(gen)[a, b].real
+    j = int(np.argmax(growth))
+    assert growth[j] > 0.0
+    want = (f"coherence instability: tracked pair ({a[j]}, {b[j]}) grows at "
+            f"Re C = {growth[j]:.6g} > 1e-10")
+    # records that would take about 80 MB, well within the record limit
+    n_steps = 80_000_000 // (spec.dim * 8 + len(a) * 16 + 32)
+    built = []
+    monkeypatch.setattr(mod, "expm", lambda A: built.append(A))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         warnings.filterwarnings("ignore", "assembled generator has amplifying modes")
-        with pytest.raises(PropagationError) as info:
-            propagate(spec, rho0, 1000 * dt, dt, 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PropagationError, match="instability") as info:
+                propagate(spec, rho0, n_steps * dt, dt, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert str(info.value) == want
+    assert not built
+    assert peak < 1 << 20, f"{peak} bytes traced before the growth check"
 
 
 def test_coherence_free_start_runs_where_the_coherence_map_overflows():
     # exp(C dt) overflows at gamma_pd = 1e4, dt = 1; a Gibbs start has no
     # coherence for inf * 0 to turn into NaN, so it never builds that map and
-    # runs to the end, where a start with one coherence aborts
+    # runs to the end, where a start with one coherence is refused before its
+    # first step
     spec = _ladder_spec(4, 1e4)
     rho0 = _gibbs_start(spec)
     with warnings.catch_warnings(record=True) as caught:
@@ -703,7 +649,7 @@ def test_coherence_free_start_runs_where_the_coherence_map_overflows():
     assert traj.trace_dev.max() <= 1e-12 and traj.min_eig.min() >= 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        with pytest.raises(PropagationError, match="NaN/Inf encountered before t=1$"):
+        with pytest.raises(PropagationError, match="instability: tracked pair \\(0, 1\\)"):
             propagate(spec, _one_coherence(rho0), 1000.0, 1.0, 1)
 
 
