@@ -1,7 +1,9 @@
 """Config-driven command-line front end.
 
+Usage: ``ebloch <subcommand> --config PATH [--seed N] [--out DIR]``, each
+option also as ``--opt=value`` (see README); ``-h``/``--help`` prints it.
 Subcommands: simulate, fixed-point, verify-algebra, canonical, bench.
-One sectioned key-value config file per run (the INI dialect that
+One sectioned key-value config file per run (UTF-8, in the INI dialect that
 :func:`read_sections` reads, documented in the README), deterministic CSV
 output (17 significant digits, atomic writes), seeded randomness recorded in
 output headers.  Exit codes: 0 success, 1 validation or usage error,
@@ -10,8 +12,6 @@ output headers.  Exit codes: 0 success, 1 validation or usage error,
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import re
@@ -44,6 +44,11 @@ SUBCOMMANDS = ("simulate", "fixed-point", "verify-algebra", "canonical", "bench"
 
 _REQUIRED = object()
 _INLINE_COMMENT = re.compile(r"\s#")
+# an argv token that is a value, not an option: no leading '-', '-' alone or
+# a negative number
+_VALUE = re.compile(r"[^-].*|-?|-\d*\.?\d+", re.S)
+_USAGE = ("usage: ebloch <subcommand> --config <path> [--seed N] [--out <dir>]\n"
+          f"subcommands: {', '.join(SUBCOMMANDS)}")
 
 
 class ConfigError(ValueError):
@@ -400,14 +405,21 @@ def initial_state(cfg: ScenarioConfig, H: np.ndarray) -> np.ndarray:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
+    data = memoryview(text.encode())
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     # mode 0666, not mkstemp's 0600: the umask sets the output's mode
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        fd = os.open(tmp, flags, 0o666)
+    except OSError:  # made, then retried once; makedirs names a directory it cannot make
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        fd = os.open(tmp, flags, 0o666)
+    try:
+        try:
+            while data:  # os.write may write only a part
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -586,50 +598,65 @@ def _fail(kind: str, messages, code: int) -> int:
     return code
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Raises usage errors as :class:`ConfigError`, so that they exit 1, not
-    with argparse's 2, the code of a numerical failure; subparsers share it."""
-
-    def error(self, message):
-        raise ConfigError([f"{self.prog}: {message}"])
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; every ``parse_args``
-    call returns a fresh namespace."""
-    parser = _ArgumentParser(
-        prog="ebloch",
-        description="Master-equation scenarios from a sectioned key-value config",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the scenario config")
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-        p.add_argument("--out", default=".", help="output directory (default .)")
-    return parser
+def _parse_argv(argv) -> tuple | None:
+    """``(subcommand, config, seed, out)`` read from argv in one pass, or None
+    for -h/--help; a usage error raises :class:`ConfigError`."""
+    if argv and argv[0] in ("-h", "--help"):
+        return None
+    if not argv or not _VALUE.fullmatch(argv[0]):
+        raise ConfigError(["ebloch: the following arguments are required: subcommand"])
+    sub, *rest = argv
+    if sub not in SUBCOMMANDS:
+        raise ConfigError([f"ebloch: argument subcommand: invalid choice: {sub!r} "
+                           f"(choose from {', '.join(map(repr, SUBCOMMANDS))})"])
+    args, extra, tokens = {"--config": None, "--seed": 0, "--out": "."}, [], iter(rest)
+    for tok in tokens:
+        if tok in ("-h", "--help"):
+            return None
+        opt, eq, value = tok.partition("=")
+        if opt not in args:
+            extra.append(tok)
+        # with no token left, "--" stands in: an option, so no value
+        elif not eq and not _VALUE.fullmatch(value := next(tokens, "--")):
+            raise ConfigError([f"ebloch {sub}: argument {opt}: expected one argument"])
+        elif opt != "--seed":
+            args[opt] = value
+        else:
+            try:
+                args[opt] = int(value)
+            except ValueError:
+                raise ConfigError([f"ebloch {sub}: argument --seed: invalid int value: "
+                                   f"{value!r}"]) from None
+    if args["--config"] is None:
+        raise ConfigError([f"ebloch {sub}: the following arguments are required: --config"])
+    if extra:
+        raise ConfigError([f"ebloch: unrecognized arguments: {' '.join(extra)}"])
+    return sub, *args.values()
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
     except ConfigError as exc:
         return _fail("validation", exc.errors, 1)
+    if args is None:
+        print(_USAGE)
+        return 0
+    subcommand, config, seed, out = args
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+        with open(config, "rb") as fh:
+            text = fh.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail("validation", [f"cannot read config: {exc}"], 1)
     try:
         cfg = parse_config(text)
     except ConfigError as exc:
         return _fail("validation", exc.errors, 1)
 
-    if cfg.initial is not None and args.subcommand in _NO_INITIAL:
-        return _fail("validation", [f"[initial] is not read: {_NO_INITIAL[args.subcommand]}"], 1)
+    if cfg.initial is not None and subcommand in _NO_INITIAL:
+        return _fail("validation", [f"[initial] is not read: {_NO_INITIAL[subcommand]}"], 1)
     try:
-        paths = _RUNNERS[args.subcommand](cfg, args.seed, args.out)
+        paths = _RUNNERS[subcommand](cfg, seed, out)
     except ConfigError as exc:
         return _fail("validation", exc.errors, 1)
     # LinAlgError subclasses ValueError, so the numerical family goes first

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_matrix, eigenbasis
+from .linalg import as_matrix, eigenbasis, is_hermitian
 from .systems import LadderSystem, TwoLevelSystem, jump_operators
 
 KINDS = ("gkls", "ebe2", "eben")
@@ -123,7 +123,8 @@ def _compile(spec: "RhsSpec") -> SplitGenerator:
                     f"jump {k} (rate {gamma:g}) is not a single off-diagonal matrix "
                     "unit in the eigenbasis of H, so the spec does not split into "
                     "populations and coherences")
-            dst[k], src[k], rate[k] = x, y, gamma * abs(L[x, y]) ** 2
+            with np.errstate(over="ignore"):  # an inf out-rate is rejected below
+                dst[k], src[k], rate[k] = x, y, gamma * abs(L[x, y]) ** 2
     else:
         if isinstance(system, TwoLevelSystem):
             # one transition from the lower to the upper eigenlevel
@@ -138,8 +139,7 @@ def _compile(spec: "RhsSpec") -> SplitGenerator:
     if not np.isfinite(out).all():  # each entry of W is at most its source's out-rate
         k = int(np.argmin(np.isfinite(out)))
         raise ValueError(f"level {k} has a non-finite out-rate {out[k]:g}")
-    W = np.zeros((n, n))
-    np.add.at(W, (dst, src), rate)
+    W = np.bincount(dst * n + src, rate, minlength=n * n).reshape(n, n)
     # 0 - out-rates rather than their negation: a level without any keeps a +0.0
     W[np.arange(n), np.arange(n)] -= out
     return SplitGenerator(energies, W, (spec.kind, spec.gamma_pd, spec.include_unitary), V)
@@ -185,6 +185,8 @@ class RhsSpec:
                                                    or np.array_equal(H, system.hamiltonian))):
             raise ValueError("a system spec runs under that system's own Hamiltonian "
                              "and takes no explicit jump list")
+        if system is None and not is_hermitian(H):  # a system's own H is Hermitian as built
+            raise ValueError("Hamiltonian is not Hermitian within tolerance")
         jumps = []
         for L, gamma in self.jumps:
             L = as_matrix(L)

@@ -55,6 +55,11 @@ def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
     M = np.asarray(H, dtype=complex)
     if not is_hermitian(M):
         raise ValueError("matrix is not Hermitian within tolerance")
+    return _phased_eigh(M)
+
+
+def _phased_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hermitian_eig` with no check."""
     w, V = np.linalg.eigh(herm_part(M))
     top = np.take_along_axis(V, np.abs(V).argmax(axis=-2)[..., None, :], axis=-2)
     return w, V * (top.conj() / np.abs(top))
@@ -63,12 +68,16 @@ def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
 def eigenbasis(H) -> tuple[np.ndarray, np.ndarray | None]:
     """``(E, V)`` with H = V diag(E) V^dag: H's diagonal and ``V`` None if every
     off-diagonal entry is zero (-0.0 too) and the diagonal real and finite, found
-    with no array of H's size; else :func:`hermitian_eig`, which raises on NaN or inf."""
+    with no array of H's size.  Any other diagonal H takes :func:`hermitian_eig`
+    and its check; a dense H is decomposed as there but unchecked, since
+    ``RhsSpec`` and ``gibbs_state`` check it where it enters."""
     M = as_matrix(H)
     d = M.diagonal()
-    if np.count_nonzero(M) == np.count_nonzero(d) and np.isfinite(d).all() and not d.imag.any():
-        return d.real, None
-    return hermitian_eig(M)
+    if np.count_nonzero(M) == np.count_nonzero(d):
+        if np.isfinite(d).all() and not d.imag.any():
+            return d.real, None
+        return hermitian_eig(M)
+    return _phased_eigh(M)
 
 
 def trace_distance(rho, sigma) -> float:

@@ -163,6 +163,18 @@ def expm(A) -> np.ndarray:
     return R
 
 
+def _record_map(W: np.ndarray, gap: int, dt: float) -> np.ndarray:
+    """expm(W gap dt), the population map of ``gap`` steps; raises
+    :class:`PropagationError` where scaling and squaring a stiff W leaves a
+    finite map that is not column stochastic within 1e-9."""
+    M = expm(W * (gap * dt))
+    err = np.abs(M.sum(axis=0) - 1.0).max()
+    if 1e-9 < err < np.inf:  # NaN and inf are left to the check of the records
+        raise PropagationError(f"the population map of a {gap}-step gap is not stochastic: "
+                               f"its column sums differ from 1 by up to {err:.3g}")
+    return M
+
+
 def _min_eig(pops: np.ndarray, cohs: np.ndarray, pairs: tuple) -> np.ndarray:
     """Smallest eigenvalue of each of n states in the eigenbasis, given as
     (n, d) populations p and (n, k) coherences at pairs: min(p) when no
@@ -199,7 +211,8 @@ def propagate(
     t_final=1.25 at 1.2.  The trajectory always contains t=0 and n * dt.
     Raises :class:`PropagationError` before the first step when a tracked
     coherence amplifies (Re C_ab > ``AMPLIFY_TOL``), naming the pair with
-    the largest Re C_ab, and on a NaN/Inf record.
+    the largest Re C_ab, on a finite record map that is not column
+    stochastic within 1e-9, and on a NaN/Inf record.
 
     The spec runs as its :class:`SplitGenerator` (:attr:`RhsSpec.compiled`,
     which raises ``ValueError`` for a spec that does not split), in which
@@ -302,7 +315,7 @@ def propagate(
         cohs *= x0
         # with F = M^h, rows [f, f + h) are rows [f - h, f) times F^T; F is
         # squared at f = 2h while that costs less than the calls it saves
-        F = expm(gen.W * (record_every * dt)) if m > 1 else None
+        F = _record_map(gen.W, record_every, dt) if m > 1 else None
         h = f = 1
         while f < m:
             k = min(h, m - f)
@@ -311,7 +324,7 @@ def propagate(
             if f == 2 * h and h < m - f and 4 * h * dim**3 <= _CALL_FLOPS * (m - f):
                 F, h = F @ F, 2 * h
         if m < n_records:
-            pops[-1] = expm(gen.W * (last_gap * dt)) @ pops[-2]
+            pops[-1] = _record_map(gen.W, last_gap, dt) @ pops[-2]
         per_record = 16 * dim * dim if len(a) else 16 * dim
         chunk = max(1, _CHECK_BYTES // per_record)
         for start in range(0, n_records, chunk):

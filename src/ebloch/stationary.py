@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dissipators import RhsSpec, SplitGenerator
-from .linalg import eigenbasis
+from .linalg import eigenbasis, is_hermitian
 from .propagate import AMPLIFY_TOL
 from .systems import TwoLevelSystem
 
@@ -60,13 +60,16 @@ def gibbs_state(H, T: float) -> np.ndarray:
 
     An exactly diagonal, real H takes no eigensolve: its weights are summed
     in ascending energy order, as for the eigenvalues, so the state is the
-    same bit for bit."""
+    same bit for bit.  Raises ``ValueError`` unless H is Hermitian within
+    tolerance."""
     E, V = eigenbasis(H)
     if V is None:
         order = np.argsort(E)
         p = np.empty_like(E)
         p[order] = _gibbs_weights(E[order], T)
         return np.diag(p.astype(complex))
+    if not is_hermitian(H):  # eigenbasis checks only a diagonal H
+        raise ValueError("matrix is not Hermitian within tolerance")
     return (V * _gibbs_weights(E, T)) @ V.conj().T
 
 

@@ -706,6 +706,21 @@ def test_explicit_system_whose_out_rate_overflows_exits_as_validation(tmp_path, 
         "error": "validation", "messages": ["level 1 has a non-finite out-rate inf"]}
 
 
+def test_a_stiff_ladder_whose_record_map_is_not_stochastic_exits_as_numerical(tmp_path, capsys):
+    # every rate 1e16 at dt 1: scaling and squaring leaves expm(W) with a
+    # column that sums to 8.78, which would grow the populations
+    text = ("[system]\ntype = explicit\nenergies = 0, 1, 2\n"
+            "transitions = 0:1:1e16:1e16; 1:2:1e16:1e16\n"
+            "[initial]\ntype = level\nindex = 0\n[integration]\nt_final = 1.0\ndt = 1.0\n")
+    cfg = write(tmp_path, "e.cfg", text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "numerical"
+    assert re.fullmatch(r"the population map of a 1-step gap is not stochastic: its column "
+                        r"sums differ from 1 by up to 7\.78", record["messages"][0]), record
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("case", INVALID_LADDERS)
 def test_explicit_system_reports_each_invalid_ladder(tmp_path, capsys, case):
     energies, rows, message = INVALID_LADDERS[case]
@@ -931,12 +946,9 @@ def test_verify_algebra_makes_one_eigensolve_and_matches_a_per_draw_loop(tmp_pat
 
 
 def test_cached_parser_keeps_no_state_between_calls(tmp_path):
-    from ebloch import cli
-
     cfg = write(tmp_path, "v.cfg", VERIFY_CFG.format(n=3))
     assert main(["verify-algebra", "--config", cfg, "--seed", "5", "--out", str(tmp_path / "a")]) == 0
     assert main(["verify-algebra", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
-    assert cli._parser() is cli._parser()
     comments, _, _ = read_csv(tmp_path / "a" / "verify_algebra.csv")
     assert "# seed=5" in comments
     comments, _, _ = read_csv(tmp_path / "b" / "verify_algebra.csv")
@@ -947,15 +959,57 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     ([], "ebloch: the following arguments are required: subcommand"),
     (["simulate"], "ebloch simulate: the following arguments are required: --config"),
-    (["no-such", "--config", "x.cfg"], "ebloch: argument subcommand: invalid choice: 'no-such'"),
+    (["no-such", "--config", "x.cfg"], "ebloch: argument subcommand: invalid choice: 'no-such' "
+     "(choose from 'simulate', 'fixed-point', 'verify-algebra', 'canonical', 'bench')"),
     (["simulate", "--config", "x.cfg", "--seed", "notanint"],
      "ebloch simulate: argument --seed: invalid int value: 'notanint'"),
-], ids=["no-subcommand", "no-config", "unknown-subcommand", "bad-seed"])
+    (["simulate", "--config"], "ebloch simulate: argument --config: expected one argument"),
+    (["simulate", "--config", "--seed", "1"],
+     "ebloch simulate: argument --config: expected one argument"),
+    (["simulate", "--config", "x.cfg", "--foo", "1"], "ebloch: unrecognized arguments: --foo 1"),
+    (["simulate", "--config", "x.cfg", "stray"], "ebloch: unrecognized arguments: stray"),
+    # an option's prefix is not the option
+    (["simulate", "--conf", "x.cfg"],
+     "ebloch simulate: the following arguments are required: --config"),
+    (["simulate", "--config=x.cfg", "--seed="],
+     "ebloch simulate: argument --seed: invalid int value: ''"),
+], ids=["no-subcommand", "no-config", "unknown-subcommand", "bad-seed", "config-without-value",
+        "config-before-an-option", "unknown-option", "stray-positional", "option-prefix",
+        "empty-seed"])
 def test_usage_errors_exit_as_validation(capsys, argv, message):
     assert main(argv) == 1
     record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "validation" and len(record["messages"]) == 1
-    assert record["messages"][0].startswith(message), record
+    assert record == {"error": "validation", "messages": [message]}
+
+
+def test_options_take_their_value_after_an_equals_sign(tmp_path):
+    cfg = write(tmp_path, "v.cfg", VERIFY_CFG.format(n=3))
+    assert main(["verify-algebra", "--config", cfg, "--seed", "5", "--out", str(tmp_path / "a")]) == 0
+    assert main(["verify-algebra", f"--config={cfg}", "--seed=5", f"--out={tmp_path / 'b'}"]) == 0
+    assert ((tmp_path / "a" / "verify_algebra.csv").read_bytes()
+            == (tmp_path / "b" / "verify_algebra.csv").read_bytes())
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["simulate", "-h"],
+                                  ["fixed-point", "--config", "x.cfg", "--help"]])
+def test_help_prints_the_readme_usage_line_and_returns_0(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = re.search(r"^ebloch <subcommand> .*$", readme, re.M).group(0)
+    assert out.splitlines() == [f"usage: {usage}",
+                                "subcommands: simulate, fixed-point, verify-algebra, canonical, bench"]
+    assert err == ""
+
+
+def test_a_config_that_is_not_utf8_exits_as_validation(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"# caf\xe9\n[system]\ntype = two_level\n")
+    assert main(["fixed-point", "--config", str(path), "--out", str(tmp_path)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "validation", "messages": [
+        "cannot read config: 'utf-8' codec can't decode byte 0xe9 in position 5: "
+        "invalid continuation byte"]}
 
 
 def test_help_exits_0_and_a_usage_error_exits_1_from_the_shell(tmp_path):

@@ -223,9 +223,28 @@ def test_a_jump_whose_rate_overflows_is_rejected_at_compile():
     L = np.zeros((3, 3))
     L[0, 2] = 2.0
     spec = RhsSpec(np.diag([0.0, 1.0, 2.5]), "gkls", jumps=((L, 1e308),))
-    with np.errstate(over="ignore"):  # the overflow is the input
-        with pytest.raises(ValueError, match="^level 2 has a non-finite out-rate inf$"):
-            spec.compiled
+    # no RuntimeWarning first: pytest turns one into an error
+    with pytest.raises(ValueError, match="^level 2 has a non-finite out-rate inf$"):
+        spec.compiled
+
+
+def test_an_explicit_hamiltonian_is_checked_when_the_spec_is_made():
+    with pytest.raises(ValueError, match="^Hamiltonian is not Hermitian within tolerance$"):
+        RhsSpec(np.array([[0.0, 1.0], [0.0, 1.0]]), "gkls")
+    with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
+        gibbs_state(np.array([[0.0, 1.0], [0.0, 1.0]]), 1.0)
+
+
+def test_two_level_specs_compile_to_the_bits_of_hermitian_eig():
+    # a system's own H is not checked again at compile, and decomposes the same
+    rng = np.random.default_rng(33)
+    for _ in range(1000):
+        v = rng.standard_normal(3)
+        sys2 = TwoLevelSystem(float(rng.uniform(0.2, 5.0)), tuple(v / np.linalg.norm(v)),
+                              0.3, 0.7)
+        gen = RhsSpec.for_system(sys2, "ebe2").compiled
+        E, V = hermitian_eig(sys2.hamiltonian)
+        assert gen.E.tobytes() == E.tobytes() and gen.V.tobytes() == V.tobytes()
 
 
 @pytest.mark.parametrize("make_spec", [sigma_x_on_sigma_z, oscillator_a])
