@@ -32,7 +32,7 @@ for system, n_apps in ((two_level, 100_000), (ladder, 20_000)):
     dev = max_deviation(pair, inputs[:5000])
     print(f"  checksums match: {match}; max kernel deviation on 5000 inputs: {dev:.3e}\n")
 
-print("Ladder inputs are random diagonal states: on populations the two")
-print("constructions agree exactly, while coherences between levels that do")
-print("not share a transition are treated differently by design (the jump")
-print("route damps them, the block route leaves them to the unitary part).")
+print("Ladder inputs are dense random states, as for the two-level system: the")
+print("jump-free kernel damps every coherence at half the out-rates of its two")
+print("levels, as the pairwise jump list does, so the checksums also cover")
+print("coherences between levels that share no transition.")

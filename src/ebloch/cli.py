@@ -26,7 +26,7 @@ from .canonical import canonical_experiment
 from .dissipators import KINDS, RhsSpec
 from .linalg import as_matrix
 from .propagate import PropagationError, propagate
-from .stationary import FixedPointError, fixed_point, gibbs_state
+from .stationary import FixedPointError, fixed_point, gibbs_in_basis
 from .systems import (
     SIGMA_X,
     SIGMA_Y,
@@ -383,14 +383,15 @@ def parse_config(text: str) -> ScenarioConfig:
     )
 
 
-def initial_state(cfg: ScenarioConfig, H: np.ndarray) -> np.ndarray:
+def initial_state(cfg: ScenarioConfig) -> np.ndarray:
+    """The configured start; a Gibbs start takes the spec's compiled eigenbasis."""
     kind, arg = cfg.initial or ("gibbs", None)
-    dim = H.shape[0]
+    dim = cfg.spec.dim
     if kind == "gibbs":
         T = arg if arg is not None else cfg.bath_T
         if T is None:
             raise ConfigError(["[initial] gibbs initial state needs T (or a system bath_T)"])
-        return gibbs_state(H, T)
+        return gibbs_in_basis(cfg.spec.compiled.E, cfg.spec.compiled.V, T)
     if kind == "level":
         if not (0 <= arg < dim):
             raise ConfigError([f"[initial] level index {arg} out of range for dim {dim}"])
@@ -439,7 +440,7 @@ def run_simulate(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
     if cfg.t_final is None or cfg.dt is None:
         raise ConfigError(["[integration] simulate needs t_final and dt"])
     spec = cfg.spec
-    rho0 = initial_state(cfg, spec.hamiltonian)
+    rho0 = initial_state(cfg)
     traj = propagate(spec, rho0, cfg.t_final, cfg.dt, cfg.record_every)
     header, columns = ["t"], [traj.times]
     if cfg.what in ("populations", "all"):

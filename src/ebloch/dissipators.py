@@ -7,9 +7,9 @@ Two independent routes to the same dissipative map exist on purpose:
   elemental-Bloch decomposition (mixing toward equal populations, energy
   relaxation, dephasing) with no jump operators at all.
 
-For a canonically scaled two-level pair the two routes coincide as linear
-maps, which the test suite checks numerically instead of trusting either
-implementation.
+For a canonically scaled two-level pair, and for a ladder against its
+pairwise jump list, the two routes coincide as linear maps, which the test
+suite checks numerically instead of trusting either implementation.
 
 Every kernel and :func:`master_rhs` maps one (d, d) matrix or each matrix of
 an (n, d, d) stack, checking the shape once per call.
@@ -43,8 +43,9 @@ class SplitGenerator:
     :meth:`rates`.  ``E`` holds the real level energies in the order of that
     basis, so H = V diag(E) V^dag.  ``W`` is real, with non-negative
     off-diagonal rates and zero column sums.  ``rule`` holds what the rates
-    read from the spec, ``(kind, gamma_pd, include_unitary)``.  The spectrum
-    is eig(W) plus every C_ab with a != b.
+    read from the spec, ``(gamma_pd, include_unitary)``; every kind of a
+    system compiles to the same generator.  The spectrum is eig(W) plus
+    every C_ab with a != b.
     """
 
     E: np.ndarray
@@ -54,15 +55,12 @@ class SplitGenerator:
 
     def rates(self, a, b) -> np.ndarray:
         """C_ab = -i w_ab [include_unitary] - Gamma_ab + gamma_pd w_ab^2 for
-        broadcastable index arrays a != b, w_ab = E_a - E_b.  Gamma_ab is
-        (W_ab + W_ba)/2 under ``eben``, as a transition damps only its own
-        coherence, and half the two levels' out-rates under any other kind."""
-        kind, gamma_pd, include_unitary = self.rule
+        broadcastable index arrays a != b, w_ab = E_a - E_b, where Gamma_ab
+        is half the sum of the out-rates -W_aa and -W_bb of the two levels."""
+        gamma_pd, include_unitary = self.rule
         w = self.E[a] - self.E[b]
-        if kind == "eben":
-            damping = 0.5 * (self.W[a, b] + self.W[b, a])
-        else:  # 0.0 - W_aa is level a's out-rate to the bit, +0.0 included
-            damping = 0.5 * ((0.0 - self.W[a, a]) + (0.0 - self.W[b, b]))
+        # 0.0 - W_aa is level a's out-rate to the bit, +0.0 included
+        damping = 0.5 * ((0.0 - self.W[a, a]) + (0.0 - self.W[b, b]))
         c = (gamma_pd * w * w - damping).astype(complex)
         return c - 1j * w if include_unitary else c
 
@@ -91,7 +89,7 @@ class SplitGenerator:
         """Largest real part in the spectrum, floored at 0.  ``W`` is a rate
         matrix, whose eigenvalues have Re <= 0 (Gershgorin), and every
         Gamma_ab >= 0, so only a positive gamma_pd can amplify."""
-        if self.rule[1] <= 0.0:  # gamma_pd
+        if self.rule[0] <= 0.0:  # gamma_pd
             return 0.0
         n = len(self.E)
         a = np.arange(n)[:, None]
@@ -142,7 +140,7 @@ def _compile(spec: "RhsSpec") -> SplitGenerator:
     W = np.bincount(dst * n + src, rate, minlength=n * n).reshape(n, n)
     # 0 - out-rates rather than their negation: a level without any keeps a +0.0
     W[np.arange(n), np.arange(n)] -= out
-    return SplitGenerator(energies, W, (spec.kind, spec.gamma_pd, spec.include_unitary), V)
+    return SplitGenerator(energies, W, (spec.gamma_pd, spec.include_unitary), V)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +228,7 @@ class RhsSpec:
         The basis is that of :func:`~ebloch.linalg.eigenbasis`: an exactly
         diagonal H is used as it is (``V`` is None).  A system
         spec compiles from its transitions (the two sorted eigenlevels, or
-        the ladder's); its kind picks only the coherence damping.  Each
+        the ladder's), to the same generator under every kind.  Each
         explicit jump, rotated to V^dag L V, must be a single off-diagonal
         matrix unit (entries below ``JUMP_ZERO`` times its largest count as
         zero); otherwise raises ``ValueError`` naming the first jump that is
@@ -252,12 +250,10 @@ class RhsSpec:
         ``kind`` None picks the system's elemental-Bloch kind, ``ebe2`` for a
         :class:`TwoLevelSystem` and ``eben`` for a :class:`LadderSystem`;
         ``gkls`` gives its GKLS twin (the canonical jump pair, or
-        :func:`ladder_jump_list`).  On a ladder the two coincide on
-        populations and on states confined to a single transition block, but
-        treat coherences between a block and outside levels differently; the
-        twin is exposed exactly so that this difference can be measured.
-        Every kind compiles from the transitions; the twin's jumps serve
-        :func:`master_rhs`.
+        :func:`ladder_jump_list`).  The two are the same equation: both
+        compile to one generator from the transitions, and the kind picks
+        only the kernel that :func:`master_rhs` runs, jump-free or through
+        the twin's jumps, so that the two routes can be compared.
         """
         if kind is None:
             kind = "ebe2" if isinstance(sys, TwoLevelSystem) else "eben"
@@ -312,32 +308,33 @@ def ebe_two_level(rho, sys: TwoLevelSystem) -> np.ndarray:
 
 
 def ebe_multi_level(rho, sys: LadderSystem) -> np.ndarray:
-    """Multi-level elemental-Bloch dissipator: one block term per transition.
+    """Multi-level elemental-Bloch dissipator, jump-free: each transition's
+    two-level equation, within its block and between it and the other levels.
 
-    Per transition t on levels (i, j), with gap E_t = E_j - E_i, partial
-    projector I_t, partial Hamiltonian H_t = I_t H I_t and partial state
+    Per transition t on levels i and j, E_j > E_i, with gap E_t = E_j - E_i,
+    partial projector I_t, its complement Q_t = 1 - I_t, partial Hamiltonian
+    H_t = I_t H I_t, h_t = (H_t - Tr H_t * I_t/2)/E_t and partial state
     rho_t = I_t rho I_t:
 
-        -(gp+gm)(rho_t - Tr rho_t * I_t/2)
-        + (gp-gm)((H_t - Tr H_t * I_t/2)/E_t) Tr rho_t
+        -(gp+gm)(rho_t - Tr rho_t * I_t/2) + (gp-gm) h_t Tr rho_t
         + (gp+gm)[H_t, [H_t, rho_t]]/(2 E_t^2)
+        - (gp+gm)/4 (I_t rho Q_t + Q_t rho I_t) - (gm-gp)/2 (h_t rho Q_t + Q_t rho h_t)
 
-    For the diagonal ladder Hamiltonian these three terms collapse exactly
-    (E_t cancels) to a population current gp*rho_ii - gm*rho_jj between the
-    two diagonal entries plus damping of the block coherence at (gp+gm)/2,
-    which is what is evaluated below.  Contributions are accumulated in
-    transition index order.  Coherences between levels that share no
-    transition are left untouched.
+    For the diagonal ladder H, h_t = (P_j - P_i)/2 and E_t cancels: t moves
+    gp rho_ii - gm rho_jj from i to j and damps rho_ij at (gp+gm)/2, and
+    rho_ik at gp/2 and rho_jk at gm/2 for every level k outside the block,
+    half of t's out-rates gp from i and gm from j.  Summed over transitions,
+    with r_a the total out-rate of level a, every entry decays as
+    -(r_a + r_b)/2 rho_ab and the diagonal gains the in-flows gp rho_ii at j
+    and gm rho_jj at i: the pairwise GKLS dissipator of
+    :func:`ladder_jump_list`, evaluated below in that closed form.
     """
     M = _as_states(rho, sys.N)
     ii, jj, gp, gm = sys.transitions
-    out = np.zeros_like(M)
-    gsum = gp + gm
-    flow = gp * M[..., ii, ii] - gm * M[..., jj, jj]
-    np.add.at(out, (..., ii, ii), -flow)
-    np.add.at(out, (..., jj, jj), flow)
-    np.add.at(out, (..., ii, jj), -0.5 * gsum * M[..., ii, jj])
-    np.add.at(out, (..., jj, ii), -0.5 * gsum * M[..., jj, ii])
+    r = np.bincount(ii, gp, minlength=sys.N) + np.bincount(jj, gm, minlength=sys.N)
+    out = -0.5 * (r[:, None] + r) * M
+    np.add.at(out, (..., jj, jj), gp * M[..., ii, ii])
+    np.add.at(out, (..., ii, ii), gm * M[..., jj, jj])
     return out
 
 

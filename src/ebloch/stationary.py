@@ -55,22 +55,26 @@ def _gibbs_weights(E: np.ndarray, T: float) -> np.ndarray:
     return p / p.sum()
 
 
-def gibbs_state(H, T: float) -> np.ndarray:
-    """exp(-H/T) / Tr exp(-H/T); T may be inf (maximally mixed state).
-
-    An exactly diagonal, real H takes no eigensolve: its weights are summed
-    in ascending energy order, as for the eigenvalues, so the state is the
-    same bit for bit.  Raises ``ValueError`` unless H is Hermitian within
-    tolerance."""
-    E, V = eigenbasis(H)
+def gibbs_in_basis(E: np.ndarray, V: np.ndarray | None, T: float) -> np.ndarray:
+    """exp(-H/T) / Tr exp(-H/T) of H = V diag(E) V^dag; with ``V`` None (H
+    diagonal) the weights are summed in ascending energy order, as for the
+    eigenvalues of ``eigh``, so the state is the same bit for bit."""
     if V is None:
         order = np.argsort(E)
         p = np.empty_like(E)
         p[order] = _gibbs_weights(E[order], T)
         return np.diag(p.astype(complex))
-    if not is_hermitian(H):  # eigenbasis checks only a diagonal H
-        raise ValueError("matrix is not Hermitian within tolerance")
     return (V * _gibbs_weights(E, T)) @ V.conj().T
+
+
+def gibbs_state(H, T: float) -> np.ndarray:
+    """exp(-H/T) / Tr exp(-H/T); T may be inf (maximally mixed state).  An
+    exactly diagonal, real H takes no eigensolve.  Raises ``ValueError``
+    unless H is Hermitian within tolerance."""
+    E, V = eigenbasis(H)
+    if V is not None and not is_hermitian(H):  # eigenbasis checks only a diagonal H
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return gibbs_in_basis(E, V, T)
 
 
 def two_level_stationary_analytic(sys: TwoLevelSystem) -> np.ndarray:
@@ -166,9 +170,9 @@ def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
         raise FixedPointError("stationary direction has (near-)zero trace")
     p = v / tr
 
-    # purely oscillatory modes (undamped cross-block coherences on ladders)
-    # carry Re lambda = 0 and do not bound relaxation: the gap is the slowest
-    # actually-decaying rate
+    # purely oscillatory modes (with gamma_pd = 0, coherences between two
+    # levels that have no out-rate) carry Re lambda = 0 and do not bound
+    # relaxation: the gap is the slowest actually-decaying rate
     decaying = eigvals.real < -ZERO_EIG_TOL
     spectral_gap = float(-eigvals[decaying].real.max()) if decaying.any() else math.nan
     if bath_T is None:

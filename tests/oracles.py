@@ -93,14 +93,10 @@ def dense_rates(gen: SplitGenerator) -> np.ndarray:
 def formula_rates(spec: RhsSpec) -> np.ndarray:
     """The dense C of ``spec.compiled`` built in one pass from its W and E:
     C = gamma_pd w^2 - Gamma - i w [include_unitary] with w_ab = E_a - E_b,
-    Gamma = (W + W^T)/2 for ``eben`` and half the two levels' out-rates
-    -W_aa for every other kind, and a zero diagonal."""
+    Gamma half the two levels' out-rates -W_aa, and a zero diagonal."""
     gen = spec.compiled
-    if spec.kind == "eben":
-        damping = 0.5 * (gen.W + gen.W.T)
-    else:
-        out = np.abs(np.diag(gen.W))  # -W_aa, and +0.0 for a level with none
-        damping = 0.5 * (out[:, None] + out[None, :])
+    out = np.abs(np.diag(gen.W))  # -W_aa, and +0.0 for a level with none
+    damping = 0.5 * (out[:, None] + out[None, :])
     w = gen.E[:, None] - gen.E[None, :]
     C = (spec.gamma_pd * w * w - damping).astype(complex)
     if spec.include_unitary:

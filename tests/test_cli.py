@@ -29,7 +29,7 @@ from ebloch.cli import (
     read_sections,
 )
 from ebloch.dissipators import RhsSpec
-from ebloch.stationary import FixedPointReport, fixed_point
+from ebloch.stationary import FixedPointReport, fixed_point, gibbs_state
 from ebloch.systems import SIGMA_X, SIGMA_Z, TwoLevelSystem
 from test_systems import INVALID_LADDERS
 
@@ -613,7 +613,7 @@ def test_simulate_csv_carries_the_amplifying_modes_warning(tmp_path):
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
     comments, header, _ = read_csv(tmp_path / "out.csv")
     assert [str(w.message) for w in caught] == [
-        "assembled generator has amplifying modes (max Re lambda = 3.600e+00); "
+        "assembled generator has amplifying modes (max Re lambda = 2.369e+00); "
         "check the sign of gamma_pd"]
     assert comments == [f"# warning: {caught[0].message}",
                         "# warning: truncation leak: top-level population reached "
@@ -818,6 +818,70 @@ def test_fixed_point_state_writers_keep_edge_values(tmp_path, monkeypatch, syste
     assert main(["fixed-point", "--config", write(tmp_path, "fp.cfg", text),
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "fp.state.txt").read_text() == entry_text(np.diag(p).astype(complex))
+
+
+def test_fixed_point_files_are_the_same_under_eben_and_gkls(tmp_path):
+    # both ladder kinds compile to one generator; ladders drawn as the
+    # benchmark's ladder fixed points are
+    rng = np.random.default_rng(64)
+    for k in range(12):
+        system = (f"[system]\ntype = oscillator\nN = {3 + k % 6}\n"
+                  f"spacing = {rng.uniform(0.5, 2.0)!r}\n"
+                  f"coupling_rule = {('harmonic', 'constant')[k % 2]}\n"
+                  f"gamma = {rng.uniform(0.5, 1.5)!r}\nbath_T = {rng.uniform(0.5, 2.0)!r}\n")
+        written = []
+        for kind in ("eben", "gkls"):
+            text = system + f"[dissipator]\nkind = {kind}\n\n[output]\npath = fp.csv\n"
+            out = tmp_path / f"{k}{kind}"
+            assert main(["fixed-point", "--config", write(tmp_path, "fp.cfg", text),
+                         "--out", str(out)]) == 0
+            written.append([(out / name).read_bytes() for name in ("fp.csv", "fp.state.txt")])
+        assert written[0] == written[1]
+
+
+def test_fixed_point_without_the_unitary_part_has_one_stationary_state(tmp_path):
+    # every coherence of the N=6 ladder decays, so only the populations'
+    # stationary direction has lambda = 0
+    text = ("[system]\ntype = oscillator\nN = 6\nspacing = 1.0\nbath_T = 1.0\n\n"
+            "[dissipator]\ninclude_unitary = false\n\n[output]\npath = fp.csv\n")
+    assert main(["fixed-point", "--config", write(tmp_path, "fp.cfg", text),
+                 "--out", str(tmp_path)]) == 0
+    _, header, rows = read_csv(tmp_path / "fp.csv")
+    assert rows[0][header.index("multiplicity")] == "1"
+
+
+def test_simulate_keeps_a_cross_block_coherent_start_positive(tmp_path):
+    # (|0> + |2>)/sqrt(2) on a cold N=3 ladder: levels 0 and 2 share no
+    # transition, and their coherence decays at half their out-rates
+    state = write(tmp_path, "psi.txt", "0.5 0 0.5\n0 0 0\n0.5 0 0.5\n")
+    text = ("[system]\ntype = oscillator\nN = 3\nspacing = 1.0\nbath_T = 0.2\n\n"
+            f"[initial]\ntype = file\npath = {state}\n\n"
+            "[integration]\nt_final = 10.0\ndt = 0.01\n\n"
+            "[output]\npath = out.csv\nwhat = diagnostics\n")
+    assert main(["simulate", "--config", write(tmp_path, "psi.cfg", text),
+                 "--out", str(tmp_path)]) == 0
+    comments, header, rows = read_csv(tmp_path / "out.csv")
+    # half the population sits on the top level from the start
+    assert [c.split(":")[1] for c in comments] == [" truncation leak"]
+    assert min(float(row[header.index("min_eig")]) for row in rows) >= -1e-12
+
+
+@pytest.mark.parametrize("system", ["two_level", "oscillator"])
+def test_gibbs_start_takes_the_eigenbasis_of_the_compiled_spec(tmp_path, monkeypatch, system):
+    # the start is the state gibbs_state builds, and a tilted H is decomposed
+    # once per run (a ladder's diagonal H not at all)
+    from ebloch import cli
+
+    text = CONFIG_SYSTEMS[system][0] + (
+        "[initial]\ntype = gibbs\nT = 1.5\n\n[integration]\nt_final = 1.0\ndt = 0.1\n\n"
+        "[output]\npath = sim.csv\n")
+    cfg = parse_config(text)
+    assert cli.initial_state(cfg).tobytes() == gibbs_state(cfg.spec.hamiltonian, 1.5).tobytes()
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(args) or eigh(*args))
+    assert main(["simulate", "--config", write(tmp_path, "sim.cfg", text),
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == (system == "two_level")
 
 
 def test_simulate_coherence_header_names_every_pair_at_n32(tmp_path):
@@ -1250,7 +1314,12 @@ def test_bench_takes_its_deviation_over_the_inputs_it_timed(tmp_path, monkeypatc
     assert comments[-1].endswith(" over 20000 inputs")
 
 
-def test_bench_ladder_uses_diagonal_inputs(tmp_path):
+def test_bench_ladder_uses_dense_inputs(tmp_path, monkeypatch):
+    # the ladder kernels are one map on every state, so the checksum gate
+    # covers coherences too
+    draw, drawn = bench.random_states, []
+    monkeypatch.setattr(bench, "random_states", lambda *args: drawn.append(draw(*args))
+                        or drawn[-1])
     text = """\
 [system]
 type = oscillator
@@ -1269,6 +1338,8 @@ path = bench.csv
 """
     cfg = write(tmp_path, "bl.cfg", text)
     assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 0
+    [inputs] = drawn
+    assert np.count_nonzero(inputs[:, ~np.eye(6, dtype=bool)]) == 500 * 30
     _, header, rows = read_csv(tmp_path / "bench.csv")
     sums = {r[header.index("kernel")]: r[header.index("checksum")] for r in rows}
     assert sums["eben"] == sums["gkls"]

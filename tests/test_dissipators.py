@@ -31,7 +31,7 @@ from ebloch.systems import (
     jump_operators,
     rates_from_bath,
 )
-from oracles import transition_projector
+from oracles import split_apply, transition_projector
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -52,20 +52,39 @@ def random_two_level(rng, with_rates=True):
 
 
 def literal_multi_level(rho, sys):
-    # term-by-term projector form, the independent oracle for the vectorized kernel
+    # term-by-term projector form, the independent oracle for the vectorized
+    # kernel: each transition's block terms, then its terms between the block
+    # and the other levels
     out = np.zeros_like(rho)
     for i, j, gp, gm in zip(*sys.transitions):
         E_t = sys.energies[j] - sys.energies[i]
         I_t, H_t, project = transition_projector(i, j, E_t, sys.N, sys.energies)
+        Q_t = np.eye(sys.N) - I_t
+        h_t = (H_t - 0.5 * H_t.trace() * I_t) / E_t
         rho_t = project(rho)
         tr_t = rho_t.trace()
         gsum = gp + gm
         gdiff = gp - gm
         out = out - gsum * (rho_t - 0.5 * tr_t * I_t)
-        out = out + gdiff * ((H_t - 0.5 * H_t.trace() * I_t) / E_t) * tr_t
+        out = out + gdiff * h_t * tr_t
         inner = H_t @ rho_t - rho_t @ H_t
         out = out + gsum * (H_t @ inner - inner @ H_t) / (2.0 * E_t**2)
+        out = out - 0.25 * gsum * (I_t @ rho @ Q_t + Q_t @ rho @ I_t)
+        out = out + 0.5 * gdiff * (h_t @ rho @ Q_t + Q_t @ rho @ h_t)
     return out
+
+
+def random_ladder(rng):
+    """2 to 9 levels at distinct, unsorted energies; each upward pair is a
+    transition with probability 1/2 (at least one is), at rates in [0, 2)."""
+    N = int(rng.integers(2, 10))
+    energies = rng.permutation(np.cumsum(rng.uniform(0.2, 1.5, N)))
+    pairs = [(i, j) for i in range(N) for j in range(N) if energies[j] > energies[i]]
+    keep = rng.random(len(pairs)) < 0.5
+    keep[rng.integers(len(pairs))] = True
+    rows = [(i, j, *rng.uniform(0.0, 2.0, 2).tolist())
+            for (i, j), kept in zip(pairs, keep) if kept]
+    return LadderSystem(tuple(energies.tolist()), rows)
 
 
 def rate_equation_oracle(p, sys):
@@ -267,22 +286,43 @@ def test_ladder_jump_list_structure():
     assert g_up0 == lad.transitions[2][0]  # gamma_p of transition 0
 
 
-def test_pairwise_gkls_agrees_on_diagonal_but_not_on_cross_block_coherences():
-    lad = build_oscillator(4, 1.0, "harmonic", BathModel(1.0, 1.0))
-    jumps = ladder_jump_list(lad)
+def test_ebe_multi_level_equals_pairwise_gkls_on_random_ladders():
+    # the equivalence the source paper claims: on any transition graph the
+    # jump-free kernel, its operator form and the compiled generator are the
+    # GKLS dissipator of the pairwise jump list, on dense states
     rng = np.random.default_rng(30)
-    p = rng.dirichlet(np.ones(4))
-    rho_diag = np.diag(p).astype(complex)
-    np.testing.assert_allclose(
-        ebe_multi_level(rho_diag, lad), gkls_dissipator(rho_diag, jumps), atol=1e-13
-    )
-    # coherence between levels 0 and 2: EBEN leaves it untouched, GKLS damps it
+    for _ in range(240):
+        lad = random_ladder(rng)
+        gen = RhsSpec.for_system(lad, include_unitary=False).compiled
+        assert gen.V is None
+        jumps = ladder_jump_list(lad)
+        for rho in bench.random_states(lad.N, 2, rng):
+            want = gkls_dissipator(rho, jumps)
+            for got in (ebe_multi_level(rho, lad), literal_multi_level(rho, lad),
+                        split_apply(gen, rho)):
+                assert np.abs(got - want).max() <= 1e-13
+    # a coherence between levels that share no transition is damped too
+    lad = build_oscillator(4, 1.0, "harmonic", BathModel(1.0, 1.0))
     rho = np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex)
     rho[0, 2] = rho[2, 0] = 0.4
     d_eben = ebe_multi_level(rho, lad)
-    d_gkls = gkls_dissipator(rho, jumps)
-    assert d_eben[0, 2] == 0.0
-    assert abs(d_gkls[0, 2]) > 0.01
+    assert abs(d_eben[0, 2]) > 0.01
+    np.testing.assert_allclose(d_eben, gkls_dissipator(rho, ladder_jump_list(lad)),
+                               rtol=0, atol=1e-15)
+
+
+def test_ladder_kinds_compile_to_one_generator():
+    rng = np.random.default_rng(31)
+    for _ in range(240):
+        lad = random_ladder(rng)
+        options = dict(include_unitary=bool(rng.integers(2)),
+                       gamma_pd=float(rng.choice([0.0, -0.3, 0.2])))
+        eben, gkls = (RhsSpec.for_system(lad, kind, **options).compiled
+                      for kind in ("eben", "gkls"))
+        assert eben.rule == gkls.rule
+        assert eben.E.tobytes() == gkls.E.tobytes() and eben.W.tobytes() == gkls.W.tobytes()
+        a, b = np.nonzero(~np.eye(lad.N, dtype=bool))
+        assert eben.rates(a, b).tobytes() == gkls.rates(a, b).tobytes()
 
 
 # ------------------------------------------------------------- pure dephasing
@@ -490,6 +530,30 @@ def test_stacked_entry_points_reject_bad_shapes(shape):
     for call in calls:
         with pytest.raises(ValueError):
             call()
+
+
+@pytest.mark.parametrize("dim, n", [(2, 1), (3, 2 * bench.DRAW_CHUNK + 5), (10, 700)])
+def test_random_states_are_the_whole_array_draw(dim, n):
+    # the chunked draw keeps the order of one draw of every real part, then
+    # every imaginary part, and gives valid dense states
+    got = bench.random_states(dim, n, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    rho = A @ A.conj().transpose(0, 2, 1)
+    assert got.tobytes() == (rho / np.einsum("kii->k", rho).real[:, None, None]).tobytes()
+    assert is_hermitian(got) and np.linalg.eigvalsh(got).min() > 0.0
+
+
+def test_random_states_hold_no_second_array_of_their_size():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        states = bench.random_states(10, 20_000, np.random.default_rng(9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * states.nbytes, f"{peak} bytes traced for {states.nbytes}"
 
 
 def per_state_checksum(fn, inputs):

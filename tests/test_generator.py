@@ -361,7 +361,7 @@ def test_split_generator_holds_no_dense_complex_matrix():
     for spec in random_rate_specs(rng, 90):
         gen = spec.compiled
         assert list(vars(gen)) == ["E", "W", "rule", "V"]
-        assert gen.rule == (spec.kind, spec.gamma_pd, spec.include_unitary)
+        assert gen.rule == (spec.gamma_pd, spec.include_unitary)
         dense = [name for name, value in vars(gen).items()
                  if np.iscomplexobj(value) and np.shape(value) == (spec.dim, spec.dim)]
         # a tilted H keeps its eigenbasis; nothing else is an N x N complex array
