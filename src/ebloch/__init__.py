@@ -28,7 +28,6 @@ from .dissipators import (
     ebe_two_level,
     gkls_dissipator,
     ladder_jump_list,
-    master_rhs,
 )
 from .propagate import (
     PropagationError,

@@ -19,16 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipators import RhsSpec, master_rhs
+from .dissipators import RhsSpec, _gkls, ebe_multi_level, ebe_two_level
 from .systems import LadderSystem, TwoLevelSystem
 
 # Coarse checksum quantum: per-application kernel disagreement is bounded by
 # ~1e-14, so even 1e7 accumulated applications stay far below this bin size
 # while any real divergence is caught.
 CHECKSUM_QUANTUM = 1e-3
-# The unitary part is identical for both kernels, so they are compared as
-# bare dissipators.
-INCLUDE_UNITARY = False
 # states formed per step of the random draw
 DRAW_CHUNK = 1024
 
@@ -99,13 +96,15 @@ def _run_kernel(fn, inputs: np.ndarray, chunks: int) -> tuple[float, complex]:
 
 
 def kernel_pair(system: TwoLevelSystem | LadderSystem):
-    """((kind, rhs, spec), ...) for the system's elemental-Bloch kernel and its
-    GKLS twin, both with ``include_unitary = INCLUDE_UNITARY``.  The twin's
-    jump terms are built here, so that no timed chunk pays for them."""
-    specs = (RhsSpec.for_system(system, None, INCLUDE_UNITARY),
-             RhsSpec.for_system(system, "gkls", INCLUDE_UNITARY))
-    specs[1].jump_terms
-    return tuple((spec.kind, lambda rho, s=spec: master_rhs(rho, s), spec) for spec in specs)
+    """((name, kernel, system), ...) for the system's elemental-Bloch kernel
+    and its GKLS jump list, both bare dissipators: the unitary part is the
+    same for both.  The jump terms are built here, so that no timed chunk
+    pays for them."""
+    two_level = isinstance(system, TwoLevelSystem)
+    name, ebe = ("ebe2", ebe_two_level) if two_level else ("eben", ebe_multi_level)
+    terms = RhsSpec.for_system(system).jump_terms
+    return ((name, lambda rho: ebe(rho, system), system),
+            ("gkls", lambda rho: _gkls(rho, terms), system))
 
 
 def max_deviation(pair, inputs: np.ndarray) -> float:
@@ -120,12 +119,12 @@ def run_bench(pair, inputs: np.ndarray, chunks: int) -> list[BenchRow]:
     the same ``inputs``, an (n, d, d) stack such as :func:`random_states`."""
     if not 1 <= chunks <= len(inputs):
         raise ValueError("need applications >= chunks >= 1")
-    spec = pair[0][2]
-    n_trans = len(spec.system.transitions[0]) if isinstance(spec.system, LadderSystem) else 1
+    system = pair[0][2]
+    n_trans = len(system.transitions[0]) if isinstance(system, LadderSystem) else 1
     rows = []
-    for name, fn, _spec in pair:
+    for name, fn, _ in pair:
         ns, acc = _run_kernel(fn, inputs, chunks)
-        rows.append(BenchRow(kernel=name, dim=spec.dim, transitions=n_trans,
+        rows.append(BenchRow(kernel=name, dim=inputs.shape[1], transitions=n_trans,
                              applications=len(inputs), chunks=chunks, ns_per_apply=ns,
                              checksum=_checksum(acc)))
     return rows

@@ -157,7 +157,7 @@ def canonical_experiment(
         raise ValueError(f"T0 must be a finite positive temperature, got {T0}")
     E, f, gamma0 = _thermal_ladder_parameters(sys)
     rho0 = gibbs_state(sys.hamiltonian, T0)
-    spec = RhsSpec.for_system(sys, "eben")
+    spec = RhsSpec.for_system(sys)
     traj = propagate(spec, rho0, t_final, dt, record_every=record_every)
 
     pops = traj.populations()

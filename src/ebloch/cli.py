@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .canonical import canonical_experiment
-from .dissipators import KINDS, RhsSpec
+from .dissipators import RhsSpec
 from .linalg import as_matrix
 from .propagate import PropagationError, propagate
 from .stationary import FixedPointError, fixed_point, gibbs_in_basis
@@ -198,8 +198,8 @@ class _Reader:
         try:
             value = cast(raw)
         except (TypeError, ValueError):
-            kind = getattr(cast, "__name__", str(cast)).lstrip("_")
-            self.errors.append(f"[{section}] {key} = {raw!r}: not a valid {kind}")
+            expected = getattr(cast, "__name__", str(cast)).lstrip("_")
+            self.errors.append(f"[{section}] {key} = {raw!r}: not a valid {expected}")
             return None
         if choices is not None and value not in choices:
             self.errors.append(
@@ -238,13 +238,13 @@ def _transitions(raw: str) -> tuple[tuple[int, int, float, float], ...]:
 
 
 def _build_system(r: _Reader):
-    """Returns (system, system_kind, bath_T) or Nones on error."""
-    kind = r.get("system", "type", choices=("two_level", "oscillator", "explicit"))
-    if kind is None:
+    """Returns (system, system_type, bath_T) or Nones on error."""
+    stype = r.get("system", "type", choices=("two_level", "oscillator", "explicit"))
+    if stype is None:
         return None, None, None
     bath_T = None
     system = None
-    if kind == "two_level":
+    if stype == "two_level":
         E = r.get("system", "E", float)
         eps = r.get("system", "eps", _floats)
         has_rates = r.has("system", "gamma_p") or r.has("system", "gamma_m")
@@ -259,14 +259,14 @@ def _build_system(r: _Reader):
             bath_T = r.get("system", "bath_T", float)
             gp = gm = None
         if None in (E, eps) or r.errors:
-            return None, kind, bath_T
+            return None, stype, bath_T
         try:
             if gp is None:
                 gp, gm = rates_from_bath(BathModel(gamma=gamma, T=bath_T), E)
             system = TwoLevelSystem(E=E, eps=eps, gamma_p=gp, gamma_m=gm)
         except (TypeError, ValueError) as exc:
             r.errors.append(f"[system] {exc}")
-    elif kind == "oscillator":
+    elif stype == "oscillator":
         N = r.get("system", "N", int)
         spacing = r.get("system", "spacing", float)
         rule = r.get("system", "coupling_rule", str, default="harmonic",
@@ -280,7 +280,7 @@ def _build_system(r: _Reader):
             r.errors.append(f"[system] gamma_table is read only under coupling_rule = table, "
                             f"not {rule}")
         if r.errors or None in (N, spacing, bath_T):
-            return None, kind, bath_T
+            return None, stype, bath_T
         coupling = table if rule == "table" else rule
         try:
             system = build_oscillator(N, spacing, coupling, BathModel(gamma=gamma, T=bath_T))
@@ -290,12 +290,12 @@ def _build_system(r: _Reader):
         energies = r.get("system", "energies", _floats)
         trans = r.get("system", "transitions", _transitions)
         if r.errors or None in (energies, trans):
-            return None, kind, bath_T
+            return None, stype, bath_T
         try:
             system = LadderSystem(energies, trans)
         except (TypeError, ValueError) as exc:
             r.errors.append(f"[system] {exc}")
-    return system, kind, bath_T
+    return system, stype, bath_T
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -303,22 +303,31 @@ def parse_config(text: str) -> ScenarioConfig:
 
     Raises :class:`ConfigError` carrying every problem found; syntax errors
     name their lines, and come alone.  The deprecated ``[integration]
-    method`` key changes nothing and warns with a ``FutureWarning``.
+    method`` and ``[dissipator] kind`` keys change nothing and each warns
+    with a ``FutureWarning``; a ``kind`` must still name a route that the
+    system has.
     """
     sections = read_sections(text)
     r = _Reader(sections)
     if "system" not in sections:
         raise ConfigError(["missing required section [system]"])
 
-    system, system_kind, bath_T = _build_system(r)
+    system, system_type, bath_T = _build_system(r)
 
-    kind = r.get("dissipator", "kind", str, default=None, choices=KINDS)
+    kind = r.get("dissipator", "kind", default=None, choices=("gkls", "ebe2", "eben"))
+    if kind is not None:
+        warnings.warn("[dissipator] kind has no effect, as every route compiles to one "
+                      "generator; a later release rejects the key", FutureWarning, stacklevel=2)
     include_unitary = r.get("dissipator", "include_unitary", _bool, default=True)
     gamma_pd = r.get("dissipator", "gamma_pd", float, default=0.0)
     spec = None
+    needs = {"ebe2": TwoLevelSystem, "eben": LadderSystem}.get(kind, object)
     if None not in (system, include_unitary, gamma_pd):
         try:
-            spec = RhsSpec.for_system(system, kind, include_unitary, gamma_pd)
+            if not isinstance(system, needs):
+                raise ValueError(f"kind {kind!r} needs a {needs.__name__}, "
+                                 f"not {type(system).__name__}")
+            spec = RhsSpec.for_system(system, include_unitary=include_unitary, gamma_pd=gamma_pd)
         except ValueError as exc:
             r.errors.append(f"[dissipator] {exc}")
 
@@ -361,7 +370,7 @@ def parse_config(text: str) -> ScenarioConfig:
             r.errors.append(f"[integration] {name} must be positive and finite")
     # [system] only if its type, and so its branch, was read
     for section, keys in sections.items():
-        if section != "system" or system_kind is not None:
+        if section != "system" or system_type is not None:
             r.errors += [f"[{section}] {key} is not a key this config reads"
                          for key in keys if (section, key) not in r.read]
 
@@ -385,14 +394,14 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def initial_state(cfg: ScenarioConfig) -> np.ndarray:
     """The configured start; a Gibbs start takes the spec's compiled eigenbasis."""
-    kind, arg = cfg.initial or ("gibbs", None)
+    itype, arg = cfg.initial or ("gibbs", None)
     dim = cfg.spec.dim
-    if kind == "gibbs":
+    if itype == "gibbs":
         T = arg if arg is not None else cfg.bath_T
         if T is None:
             raise ConfigError(["[initial] gibbs initial state needs T (or a system bath_T)"])
         return gibbs_in_basis(cfg.spec.compiled.E, cfg.spec.compiled.V, T)
-    if kind == "level":
+    if itype == "level":
         if not (0 <= arg < dim):
             raise ConfigError([f"[initial] level index {arg} out of range for dim {dim}"])
         rho = np.zeros((dim, dim), dtype=complex)
@@ -519,12 +528,6 @@ def run_verify_algebra(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str
 def run_canonical(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
     if not isinstance(cfg.spec.system, LadderSystem):
         raise ConfigError(["canonical needs an oscillator or explicit ladder system"])
-    runs = {"kind": "eben", "include_unitary": True, "gamma_pd": 0.0}
-    ignored = [f"[dissipator] {key} = {str(getattr(cfg.spec, key)).lower()}: canonical runs "
-               "only kind = eben with include_unitary = true and gamma_pd = 0"
-               for key, value in runs.items() if getattr(cfg.spec, key) != value]
-    if ignored:
-        raise ConfigError(ignored)
     if cfg.canonical_T0 is None:
         raise ConfigError(["[canonical] missing required key 'T0'"])
     if cfg.t_final is None or cfg.dt is None:
@@ -593,8 +596,8 @@ _RUNNERS = {
 }
 
 
-def _fail(kind: str, messages, code: int) -> int:
-    record = {"error": kind, "messages": [str(m) for m in messages]}
+def _fail(error: str, messages, code: int) -> int:
+    record = {"error": error, "messages": [str(m) for m in messages]}
     print(json.dumps(record), file=sys.stderr)
     return code
 

@@ -11,13 +11,13 @@ For a canonically scaled two-level pair, and for a ladder against its
 pairwise jump list, the two routes coincide as linear maps, which the test
 suite checks numerically instead of trusting either implementation.
 
-Every kernel and :func:`master_rhs` maps one (d, d) matrix or each matrix of
-an (n, d, d) stack, checking the shape once per call.
+Every kernel maps one (d, d) matrix or each matrix of an (n, d, d) stack,
+checking the shape once per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,7 +25,6 @@ import numpy as np
 from .linalg import as_matrix, eigenbasis, is_hermitian
 from .systems import LadderSystem, TwoLevelSystem, jump_operators
 
-KINDS = ("gkls", "ebe2", "eben")
 # entries of a rotated jump below this fraction of its largest count as zero
 JUMP_ZERO = 1e-12
 
@@ -43,9 +42,8 @@ class SplitGenerator:
     :meth:`rates`.  ``E`` holds the real level energies in the order of that
     basis, so H = V diag(E) V^dag.  ``W`` is real, with non-negative
     off-diagonal rates and zero column sums.  ``rule`` holds what the rates
-    read from the spec, ``(gamma_pd, include_unitary)``; every kind of a
-    system compiles to the same generator.  The spectrum is eig(W) plus
-    every C_ab with a != b.
+    read from the spec, ``(gamma_pd, include_unitary)``.  The spectrum is
+    eig(W) plus every C_ab with a != b.
     """
 
     E: np.ndarray
@@ -147,11 +145,11 @@ def _compile(spec: "RhsSpec") -> SplitGenerator:
 class RhsSpec:
     """Everything needed to evaluate d(rho)/dt.
 
-    A spec holds at most one ``system`` (a :class:`TwoLevelSystem` for
-    ``ebe2``, a :class:`LadderSystem` for ``eben``, either for their ``gkls``
-    twins); it then runs under that system's own Hamiltonian and takes no
-    ``jumps``, as it compiles from the system's transitions.  Other specs are
-    ``gkls`` specs with their ``jumps`` as given (none: a closed system).
+    A spec holds at most one ``system`` (a :class:`TwoLevelSystem` or a
+    :class:`LadderSystem`); it then runs under that system's own Hamiltonian
+    and takes no ``jumps``, as it compiles from the system's transitions.
+    Other specs carry their ``jumps`` as given (none: a closed system).
+    Every field after ``hamiltonian`` is keyword-only.
 
     ``gamma_pd`` is the signed coefficient with which the double commutator
     [H, [H, rho]] is added to the assembled equation.  It is applied exactly
@@ -163,7 +161,7 @@ class RhsSpec:
     """
 
     hamiltonian: np.ndarray
-    kind: str
+    _: KW_ONLY
     system: TwoLevelSystem | LadderSystem | None = None
     jumps: tuple = ()
     include_unitary: bool = True
@@ -172,13 +170,7 @@ class RhsSpec:
     def __post_init__(self):
         H = as_matrix(self.hamiltonian)
         object.__setattr__(self, "hamiltonian", H)
-        if self.kind not in KINDS:
-            raise ValueError(f"dissipator kind must be one of {KINDS}, got {self.kind!r}")
-        needs = {"ebe2": TwoLevelSystem, "eben": LadderSystem}.get(self.kind)
         system = self.system
-        if needs is not None and not isinstance(system, needs):
-            raise ValueError(f"kind {self.kind!r} needs a {needs.__name__}, "
-                             f"not {type(system).__name__}")
         if system is not None and (self.jumps or not (H is system.hamiltonian
                                                    or np.array_equal(H, system.hamiltonian))):
             raise ValueError("a system spec runs under that system's own Hamiltonian "
@@ -228,7 +220,7 @@ class RhsSpec:
         The basis is that of :func:`~ebloch.linalg.eigenbasis`: an exactly
         diagonal H is used as it is (``V`` is None).  A system
         spec compiles from its transitions (the two sorted eigenlevels, or
-        the ladder's), to the same generator under every kind.  Each
+        the ladder's), the same generator as its GKLS jump list.  Each
         explicit jump, rotated to V^dag L V, must be a single off-diagonal
         matrix unit (entries below ``JUMP_ZERO`` times its largest count as
         zero); otherwise raises ``ValueError`` naming the first jump that is
@@ -241,23 +233,14 @@ class RhsSpec:
     def for_system(
         cls,
         sys: TwoLevelSystem | LadderSystem,
-        kind: str | None = None,
+        *,
         include_unitary: bool = True,
         gamma_pd: float = 0.0,
     ) -> "RhsSpec":
-        """The spec of a system under its own Hamiltonian.
-
-        ``kind`` None picks the system's elemental-Bloch kind, ``ebe2`` for a
-        :class:`TwoLevelSystem` and ``eben`` for a :class:`LadderSystem`;
-        ``gkls`` gives its GKLS twin (the canonical jump pair, or
-        :func:`ladder_jump_list`).  The two are the same equation: both
-        compile to one generator from the transitions, and the kind picks
-        only the kernel that :func:`master_rhs` runs, jump-free or through
-        the twin's jumps, so that the two routes can be compared.
-        """
-        if kind is None:
-            kind = "ebe2" if isinstance(sys, TwoLevelSystem) else "eben"
-        return cls(sys.hamiltonian, kind, sys, include_unitary=include_unitary,
+        """The spec of a system under its own Hamiltonian.  Its elemental-Bloch
+        kernel (:func:`ebe_two_level` or :func:`ebe_multi_level`) and its GKLS
+        jump list (:attr:`jump_terms`) are two routes to this one equation."""
+        return cls(sys.hamiltonian, system=sys, include_unitary=include_unitary,
                    gamma_pd=gamma_pd)
 
 
@@ -284,7 +267,7 @@ def gkls_dissipator(rho, jumps) -> np.ndarray:
     """Standard dissipator sum_j gamma_j (L rho L^dag - (1/2){L^dag L, rho});
     the jumps are validated as a :class:`RhsSpec`'s."""
     M = np.asarray(rho, dtype=complex)
-    spec = RhsSpec(np.zeros(M.shape[-1:] * 2), "gkls", jumps=jumps)
+    spec = RhsSpec(np.zeros(M.shape[-1:] * 2), jumps=jumps)
     return _gkls(_as_states(M, spec.dim), spec.jump_terms)
 
 
@@ -358,24 +341,3 @@ def ladder_jump_list(sys: LadderSystem) -> tuple:
         jumps.append((up, gp))
         jumps.append((down, gm))
     return tuple(jumps)
-
-
-def master_rhs(rho, spec: RhsSpec) -> np.ndarray:
-    """Assembled right-hand side: -i[H, rho] + dissipator + gamma_pd [H,[H,rho]].
-
-    Linear in rho; for Hermitian unit-trace input the output is Hermitian and
-    traceless to round-off.
-    """
-    M = _as_states(rho, spec.dim)
-    H = spec.hamiltonian
-    if spec.kind == "ebe2":
-        out = ebe_two_level(M, spec.system)
-    elif spec.kind == "eben":
-        out = ebe_multi_level(M, spec.system)
-    else:
-        out = _gkls(M, spec.jump_terms)
-    if spec.include_unitary:
-        out += -1j * (H @ M - M @ H)
-    if spec.gamma_pd != 0.0:
-        out += spec.gamma_pd * double_commutator(H, M)
-    return out

@@ -6,8 +6,9 @@ these independent routes stay here, out of its API:
 * :func:`vectorize` stacks matrix columns, hence
   ``vectorize(A @ X @ B) == kron(B.T, A) @ vectorize(X)``, the convention of
   :func:`build_superoperator`;
-* :func:`build_superoperator` probes :func:`ebloch.dissipators.master_rhs`
-  on every matrix unit;
+* :func:`master_rhs` assembles d(rho)/dt of a spec from one of the package's
+  two kernels, the elemental-Bloch one or the GKLS jump list, and
+  :func:`build_superoperator` probes it on every matrix unit;
 * :func:`transition_projector` gives the term-by-term projector form of one
   transition of the multi-level elemental-Bloch kernel;
 * :func:`dense_rates` reads every coherence rate of a
@@ -31,9 +32,18 @@ from typing import Sequence
 
 import numpy as np
 
-from ebloch.dissipators import RhsSpec, SplitGenerator, master_rhs
+from ebloch.dissipators import (
+    RhsSpec,
+    SplitGenerator,
+    _as_states,
+    _gkls,
+    double_commutator,
+    ebe_multi_level,
+    ebe_two_level,
+)
 from ebloch.linalg import as_matrix, herm_part, hermitian_eig, is_hermitian
 from ebloch.stationary import _gibbs_weights
+from ebloch.systems import TwoLevelSystem
 
 MAX_SUPEROP_DIM = 64
 
@@ -153,8 +163,33 @@ def uniformization(W, p0, times) -> np.ndarray:
     return out
 
 
-def build_superoperator(spec: RhsSpec) -> np.ndarray:
-    """Matrix S of the linear map rho -> master_rhs(rho) in the
+def master_rhs(rho, spec: RhsSpec, jumps: bool = False) -> np.ndarray:
+    """Assembled right-hand side: -i[H, rho] + dissipator + gamma_pd [H,[H,rho]]
+    of one matrix or of each matrix in a stack.
+
+    The dissipator is the elemental-Bloch kernel of the spec's system
+    (:func:`ebe_two_level` or :func:`ebe_multi_level`), or the GKLS form over
+    :attr:`RhsSpec.jump_terms` when ``jumps`` is set or the spec has no
+    system.  Linear in rho; for Hermitian unit-trace input the output is
+    Hermitian and traceless to round-off.
+    """
+    M = _as_states(rho, spec.dim)
+    H, system = spec.hamiltonian, spec.system
+    if jumps or system is None:
+        out = _gkls(M, spec.jump_terms)
+    elif isinstance(system, TwoLevelSystem):
+        out = ebe_two_level(M, system)
+    else:
+        out = ebe_multi_level(M, system)
+    if spec.include_unitary:
+        out += -1j * (H @ M - M @ H)
+    if spec.gamma_pd != 0.0:
+        out += spec.gamma_pd * double_commutator(H, M)
+    return out
+
+
+def build_superoperator(spec: RhsSpec, jumps: bool = False) -> np.ndarray:
+    """Matrix S of the linear map rho -> master_rhs(rho, spec, jumps) in the
     column-stacking convention: vectorize(master_rhs(rho)) = S @ vectorize(rho).
 
     An oracle for :attr:`RhsSpec.compiled`, which :func:`propagate` and
@@ -170,7 +205,7 @@ def build_superoperator(spec: RhsSpec) -> np.ndarray:
     # unit k = a + b * dim is |a><b|; row k of the transposed images is the
     # column-stacked image of unit k
     images = master_rhs(np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
-                        .transpose(0, 2, 1), spec)
+                        .transpose(0, 2, 1), spec, jumps)
     return images.transpose(0, 2, 1).reshape(dim * dim, -1).T
 
 

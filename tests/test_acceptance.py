@@ -198,20 +198,21 @@ def test_criterion_09_superoperator_spectrum():
     with _Budget("9 superoperator spectrum (one zero mode, none amplifying)", 10.0):
         rng = np.random.default_rng(1009)
         bath = BathModel(1.0, 1.0)
+        # (spec, jumps): jumps probes the GKLS kernel instead of the elemental one
         specs = []
         for _ in range(3):
             sys2, _T = thermal_two_level(rng)
-            specs.append(RhsSpec.for_system(sys2, "ebe2"))
+            specs.append((RhsSpec.for_system(sys2), False))
         sys2, _T = thermal_two_level(rng)
-        specs.append(RhsSpec.for_system(sys2, "gkls"))
-        specs.append(RhsSpec.for_system(sys2, "ebe2", gamma_pd=-0.3))
-        specs.append(RhsSpec.for_system(build_oscillator(5, 1.0, "harmonic", bath)))
-        specs.append(RhsSpec.for_system(build_oscillator(6, 1.3, "constant", bath)))
-        specs.append(RhsSpec.for_system(
-            build_oscillator(6, 0.7, [1.0 + i * i for i in range(5)], bath)))
-        specs.append(RhsSpec.for_system(build_oscillator(4, 1.0, "harmonic", bath), "gkls"))
-        for k, spec in enumerate(specs):
-            ev = np.linalg.eigvals(build_superoperator(spec))
+        specs.append((RhsSpec.for_system(sys2), True))
+        specs.append((RhsSpec.for_system(sys2, gamma_pd=-0.3), False))
+        specs.append((RhsSpec.for_system(build_oscillator(5, 1.0, "harmonic", bath)), False))
+        specs.append((RhsSpec.for_system(build_oscillator(6, 1.3, "constant", bath)), False))
+        specs.append((RhsSpec.for_system(
+            build_oscillator(6, 0.7, [1.0 + i * i for i in range(5)], bath)), False))
+        specs.append((RhsSpec.for_system(build_oscillator(4, 1.0, "harmonic", bath)), True))
+        for k, (spec, jumps) in enumerate(specs):
+            ev = np.linalg.eigvals(build_superoperator(spec, jumps))
             n_zero = int(np.sum(np.abs(ev) <= 1e-10))
             assert n_zero == 1, f"spec {k}: {n_zero} near-zero eigenvalues"
             assert ev.real.max() <= 1e-10, f"spec {k}: max Re {ev.real.max():.3e}"

@@ -335,7 +335,7 @@ def _worst_relative_population_error(monkeypatch, lad, T0, t_final, dt, record_e
     monkeypatch.setattr(sys.modules["ebloch.canonical"], "propagate", recorded)
     canonical_experiment(lad, T0, t_final, dt, record_every=record_every)
     pops = runs[-1].populations()
-    ref = uniformization(RhsSpec.for_system(lad, "eben").compiled.W, pops[0], runs[-1].times)
+    ref = uniformization(RhsSpec.for_system(lad).compiled.W, pops[0], runs[-1].times)
     assert ref.min() > 0.0
     return float(np.abs(pops / ref - 1.0).max())
 

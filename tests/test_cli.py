@@ -85,7 +85,7 @@ def test_parse_minimal_two_level_defaults():
     gp, gm = thermal_rates()
     cfg = parse_config(TWO_LEVEL_CFG.format(gp=gp, gm=gm))
     assert cfg.record_every == 10
-    assert cfg.spec.kind == "ebe2"
+    assert isinstance(cfg.spec.system, TwoLevelSystem)
     assert cfg.spec.include_unitary is True
     assert cfg.what == "all"
 
@@ -101,7 +101,7 @@ bath_T = 2.0
 """)
     spec = cfg.spec
     assert isinstance(spec.system, TwoLevelSystem)
-    assert (spec.kind, spec.include_unitary, spec.gamma_pd) == ("ebe2", True, 0.0)
+    assert (spec.jumps, spec.include_unitary, spec.gamma_pd) == ((), True, 0.0)
     defaults = {name: getattr(cfg, name) for name in vars(cfg) if name != "spec"}
     assert defaults == {
         "bath_T": 2.0,
@@ -223,7 +223,6 @@ bath_T = 1.0
     cfg = parse_config(text)
     _, _, gp, gm = cfg.spec.system.transitions
     np.testing.assert_allclose(gp + gm, [0.5 * (i + 1) for i in range(11)], rtol=1e-13)
-    assert cfg.spec.kind == "eben"
 
 
 def test_parse_explicit_system():
@@ -265,7 +264,8 @@ bath_T = 1.0
 [dissipator]
 kind = ebe2
 """
-    with pytest.raises(ConfigError, match="kind 'ebe2' needs a TwoLevelSystem"):
+    with (pytest.raises(ConfigError, match="kind 'ebe2' needs a TwoLevelSystem, not LadderSystem"),
+          pytest.warns(FutureWarning)):
         parse_config(text)
 
 
@@ -273,7 +273,7 @@ kind = ebe2
 def test_kind_system_mismatch_is_collected_with_the_other_errors(system, kind):
     text = (CONFIG_SYSTEMS[system][0] + f"[dissipator]\nkind = {kind}\n"
             "[integration]\nt_final = -3\n")
-    with pytest.raises(ConfigError) as exc:
+    with pytest.raises(ConfigError) as exc, pytest.warns(FutureWarning):
         parse_config(text)
     assert len(exc.value.errors) == 2
     assert exc.value.errors[0].startswith(f"[dissipator] kind {kind!r} needs a ")
@@ -426,10 +426,18 @@ def test_every_benchmark_job_config_parses(monkeypatch):
                 workload = workloads.build(name, seed)
                 for job in workload.warmup + workload.jobs:
                     parse_config(job.config_text()).spec.compiled
+        assert all(w.category is FutureWarning for w in record)
+        messages = [str(w.message) for w in record]
         # the jobs that set the deprecated [integration] method: small's 48
         # simulate jobs (24 of them rk4) and its warm-up, exact's 4 jobs and
-        # 4 warm-ups
-        assert sum(w.category is FutureWarning for w in record) == 57
+        # 4 warm-ups: 49 + 8 = 57
+        assert sum(m.startswith("[integration] method") for m in messages) == 57
+        # the jobs that set the deprecated [dissipator] kind: exact's 4 jobs
+        # and 4 warm-ups; small's 10 verify-algebra, 80 two-level and 30
+        # ladder fixed points, 48 simulate and 30 two-level bench jobs and its
+        # warm-up (its one ladder bench sets none): 8 + 199 = 207
+        assert sum(m.startswith("[dissipator] kind") for m in messages) == 207
+        assert len(messages) == 57 + 207
 
 
 @pytest.mark.parametrize("system", sorted(CONFIG_SYSTEMS))
@@ -437,11 +445,16 @@ def test_every_benchmark_job_config_parses(monkeypatch):
 @pytest.mark.parametrize("gamma_pd", [-0.2, 0.0, 0.2])
 def test_every_spec_a_config_builds_compiles(system, include_unitary, gamma_pd):
     text, kinds = CONFIG_SYSTEMS[system]
+    options = f"include_unitary = {include_unitary}\ngamma_pd = {gamma_pd}\n"
+    gen = parse_config(text + "[dissipator]\n" + options).spec.compiled
+    assert (gen.V is None) == (system != "two_level")
+    # the deprecated kind still names a route the system has, and changes nothing
     for kind in kinds:
-        cfg = parse_config(text + f"[dissipator]\nkind = {kind}\n"
-                           f"include_unitary = {include_unitary}\ngamma_pd = {gamma_pd}\n")
-        gen = cfg.spec.compiled
-        assert (gen.V is None) == (system != "two_level")
+        with pytest.warns(FutureWarning, match=r"\[dissipator\] kind has no effect"):
+            cfg = parse_config(text + f"[dissipator]\nkind = {kind}\n" + options)
+        keyed = cfg.spec.compiled
+        assert keyed.rule == gen.rule
+        assert keyed.W.tobytes() == gen.W.tobytes() and keyed.E.tobytes() == gen.E.tobytes()
 
 
 @pytest.mark.parametrize("num_draws", [0, -5])
@@ -588,7 +601,7 @@ def test_simulate_validation_failure_exit_code(tmp_path, capsys):
 
 def test_simulate_numerical_failure_exit_code(tmp_path, capsys):
     gp, gm = thermal_rates()
-    text = TWO_LEVEL_CFG.format(gp=gp, gm=gm) + "\n[dissipator]\nkind = ebe2\ngamma_pd = 60.0\n"
+    text = TWO_LEVEL_CFG.format(gp=gp, gm=gm) + "\n[dissipator]\ngamma_pd = 60.0\n"
     text = text.replace("type = gibbs\nT = 1.0", "type = level\nindex = 0")
     # amplifying dephasing with an off-diagonal initial state diverges
     state = np.array([[0.5, 0.4], [0.4, 0.5]], dtype=complex)
@@ -777,6 +790,7 @@ def test_fixed_point_outputs_report_and_state(tmp_path):
     assert abs(np.trace(rho) - 1.0) <= 1e-12
 
 
+# the gkls entries keep the deprecated kind key, which the CLI reads and ignores
 FIXED_POINT_SYSTEMS = {
     "eben32": "[system]\ntype = oscillator\nN = 32\nspacing = 1.0\nbath_T = 0.7\n",
     "gkls24": "[system]\ntype = oscillator\nN = 24\nspacing = 1.0\nbath_T = 1.3\n"
@@ -785,8 +799,10 @@ FIXED_POINT_SYSTEMS = {
     "tilted_ebe2": CONFIG_SYSTEMS["two_level"][0],
     "tilted_gkls": CONFIG_SYSTEMS["two_level"][0] + "[dissipator]\nkind = gkls\n",
 }
+IGNORE_KIND = pytest.mark.filterwarnings(r"ignore:\[dissipator\] kind:FutureWarning")
 
 
+@IGNORE_KIND
 @pytest.mark.parametrize("system", sorted(FIXED_POINT_SYSTEMS))
 def test_fixed_point_state_file_is_the_per_entry_text(tmp_path, system):
     text = FIXED_POINT_SYSTEMS[system] + "[output]\npath = fp.csv\n"
@@ -797,6 +813,7 @@ def test_fixed_point_state_file_is_the_per_entry_text(tmp_path, system):
     assert (tmp_path / "fp.state.txt").read_text() == entry_text(report.rho_stationary)
 
 
+@IGNORE_KIND
 @pytest.mark.parametrize("system", ["eben32", "tilted_gkls"])
 def test_fixed_point_state_writers_keep_edge_values(tmp_path, monkeypatch, system):
     # a ladder (V None) writes row i from p[i]; a tilted H writes its
@@ -821,8 +838,8 @@ def test_fixed_point_state_writers_keep_edge_values(tmp_path, monkeypatch, syste
 
 
 def test_fixed_point_files_are_the_same_under_eben_and_gkls(tmp_path):
-    # both ladder kinds compile to one generator; ladders drawn as the
-    # benchmark's ladder fixed points are
+    # the deprecated kind changes no byte, and neither does leaving it out;
+    # ladders drawn as the benchmark's ladder fixed points are
     rng = np.random.default_rng(64)
     for k in range(12):
         system = (f"[system]\ntype = oscillator\nN = {3 + k % 6}\n"
@@ -830,13 +847,17 @@ def test_fixed_point_files_are_the_same_under_eben_and_gkls(tmp_path):
                   f"coupling_rule = {('harmonic', 'constant')[k % 2]}\n"
                   f"gamma = {rng.uniform(0.5, 1.5)!r}\nbath_T = {rng.uniform(0.5, 2.0)!r}\n")
         written = []
-        for kind in ("eben", "gkls"):
-            text = system + f"[dissipator]\nkind = {kind}\n\n[output]\npath = fp.csv\n"
+        for kind in ("eben", "gkls", None):
+            key = f"[dissipator]\nkind = {kind}\n\n" if kind else ""
+            text = system + key + "[output]\npath = fp.csv\n"
             out = tmp_path / f"{k}{kind}"
-            assert main(["fixed-point", "--config", write(tmp_path, "fp.cfg", text),
-                         "--out", str(out)]) == 0
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                assert main(["fixed-point", "--config", write(tmp_path, "fp.cfg", text),
+                             "--out", str(out)]) == 0
+            assert [w.category for w in record] == [FutureWarning] * bool(kind)
             written.append([(out / name).read_bytes() for name in ("fp.csv", "fp.state.txt")])
-        assert written[0] == written[1]
+        assert written[0] == written[1] == written[2]
 
 
 def test_fixed_point_without_the_unitary_part_has_one_stationary_state(tmp_path):
@@ -900,7 +921,7 @@ def test_spec_without_a_split_exits_as_validation(tmp_path, capsys, monkeypatch)
     from ebloch import cli
 
     # no config builds such a spec; sigma_x does not shift energy by one gap of sigma_z/2
-    spec = RhsSpec(SIGMA_Z / 2, "gkls", jumps=((SIGMA_X, 1.0),))
+    spec = RhsSpec(SIGMA_Z / 2, jumps=((SIGMA_X, 1.0),))
     monkeypatch.setattr(cli, "parse_config",
                         lambda text: dataclasses.replace(parse_config(text), spec=spec))
     gp, gm = thermal_rates()
@@ -914,21 +935,24 @@ def test_spec_without_a_split_exits_as_validation(tmp_path, capsys, monkeypatch)
 
 @pytest.mark.parametrize("kind", ["ebe2", "gkls"])
 def test_tilted_two_level_runs_probe_no_superoperator(tmp_path, monkeypatch, kind):
+    # whatever the deprecated kind names, no run applies a dissipator kernel
     calls = []
-    real_rhs = sys.modules["ebloch.dissipators"].master_rhs
-    counted_rhs = lambda *a: calls.append("master_rhs") or real_rhs(*a)
-    # every binding of master_rhs in the package, so no module can reach the probe
-    bindings = [m for name, m in list(sys.modules.items())
-                if name.split(".")[0] == "ebloch" and getattr(m, "master_rhs", None) is real_rhs]
-    assert sys.modules["ebloch.dissipators"] in bindings
-    for module in bindings:
-        monkeypatch.setattr(module, "master_rhs", counted_rhs)
+    dissipators = sys.modules["ebloch.dissipators"]
+    for name in ("ebe_two_level", "_gkls", "double_commutator"):
+        real = getattr(dissipators, name)
+        counted = lambda *a, name=name, real=real: calls.append(name) or real(*a)
+        # every binding in the package, so no module can reach the kernel
+        bindings = [m for mod, m in list(sys.modules.items())
+                    if mod.split(".")[0] == "ebloch" and getattr(m, name, None) is real]
+        for module in bindings:
+            monkeypatch.setattr(module, name, counted)
     gp, gm = thermal_rates()
     text = TWO_LEVEL_CFG.format(gp=gp, gm=gm).replace("eps = 0, 0, 1", "eps = 0.6, 0, 0.8")
     text += f"\n[dissipator]\nkind = {kind}\n"
     cfg = write(tmp_path, "tilted.cfg", text)
     for sub in ("fixed-point", "simulate"):
-        assert main([sub, "--config", cfg, "--out", str(tmp_path)]) == 0
+        with pytest.warns(FutureWarning, match=r"\[dissipator\] kind has no effect"):
+            assert main([sub, "--config", cfg, "--out", str(tmp_path)]) == 0
     assert calls == []
 
 
@@ -1233,21 +1257,22 @@ def test_method_key_outside_its_choices_exits_as_validation(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_canonical_rejects_dissipator_keys_it_cannot_apply(tmp_path, capsys):
-    text = OSCILLATOR_RUN_CFG + "[dissipator]\nkind = gkls\ninclude_unitary = false\n" \
-                                "gamma_pd = -0.5\n"
-    cfg = write(tmp_path, "d.cfg", text)
-    assert main(["canonical", "--config", cfg, "--out", str(tmp_path)]) == 1
-    rule = ": canonical runs only kind = eben with include_unitary = true and gamma_pd = 0"
-    assert json.loads(capsys.readouterr().err) == {"error": "validation", "messages": [
-        f"[dissipator] {key}{rule}"
-        for key in ("kind = gkls", "include_unitary = false", "gamma_pd = -0.5")]}
-    assert not (tmp_path / "out.csv").exists()
-    # the same keys at the values canonical runs are accepted
-    text = OSCILLATOR_RUN_CFG + "[dissipator]\nkind = eben\ninclude_unitary = true\n" \
-                                "gamma_pd = 0\n"
-    cfg = write(tmp_path, "d.cfg", text)
-    assert main(["canonical", "--config", cfg, "--out", str(tmp_path)]) == 0
+def test_canonical_writes_the_same_bytes_under_every_dissipator_setting(tmp_path):
+    # canonical records populations only, and they move under W, which the
+    # transitions alone build: no [dissipator] key can change a byte
+    plain = write(tmp_path, "plain.cfg", OSCILLATOR_RUN_CFG)
+    assert main(["canonical", "--config", plain, "--out", str(tmp_path / "plain")]) == 0
+    want = (tmp_path / "plain" / "out.csv").read_bytes()
+    for kind in ("eben", "gkls"):
+        for include_unitary in ("true", "false"):
+            for gamma_pd in ("-0.5", "0", "0.5"):
+                text = (OSCILLATOR_RUN_CFG + f"[dissipator]\nkind = {kind}\n"
+                        f"include_unitary = {include_unitary}\ngamma_pd = {gamma_pd}\n")
+                out = tmp_path / f"{kind}-{include_unitary}-{gamma_pd}"
+                with pytest.warns(FutureWarning, match=r"\[dissipator\] kind has no effect"):
+                    assert main(["canonical", "--config", write(tmp_path, "d.cfg", text),
+                                 "--out", str(out)]) == 0
+                assert (out / "out.csv").read_bytes() == want, out.name
 
 
 @pytest.mark.parametrize("subcommand, config, why", [
@@ -1387,6 +1412,31 @@ def test_linear_algebra_failure_exits_as_numerical(tmp_path, capsys, monkeypatch
     assert record == {"error": "numerical", "messages": ["Singular matrix"]}
 
 
+# ------------------------------------------------------------ determinism
+
+
+def test_a_blas_thread_count_moves_only_the_last_bits(tmp_path):
+    # output is byte-identical only at one BLAS thread count; across counts a
+    # multithreaded BLAS may sum in another order (README, Output)
+    text = ("[system]\ntype = oscillator\nN = 200\nspacing = 1.0\nbath_T = 1.0\n\n"
+            "[initial]\ntype = level\nindex = 0\n\n"
+            "[integration]\nt_final = 5.0\ndt = 0.01\nrecord_every = 1\n\n"
+            "[output]\npath = pops.csv\nwhat = populations\n")
+    cfg = write(tmp_path, "n200.cfg", text)
+    src = str(Path(ebloch.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "ebloch.cli", "simulate", "--config", cfg,
+                        "--out", str(out)], check=True, capture_output=True, timeout=120,
+                       env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads})
+        _, _, rows = read_csv(out / "pops.csv")
+        tables.append(np.array(rows, dtype=float))
+    assert tables[0].shape == (501, 201)
+    np.testing.assert_allclose(tables[1], tables[0], rtol=1e-12, atol=1e-30)
+
+
 # ------------------------------------------------------------------ cold start
 
 # run in a fresh interpreter, since the test process has SciPy loaded already
@@ -1425,7 +1475,7 @@ def test_no_run_loads_scipy_linalg_or_special(tmp_path):
     osc = OSCILLATOR_RUN_CFG
     gp, gm = thermal_rates()
     tilted = (TWO_LEVEL_CFG.format(gp=gp, gm=gm).replace("eps = 0, 0, 1", "eps = 0.6, 0, 0.8")
-              + "\n[dissipator]\nkind = gkls\n\n[bench]\napplications = 100\nchunks = 2\n")
+              + "\n[bench]\napplications = 100\nchunks = 2\n")
     calls = [("simulate", write(tmp_path, "osc.cfg", osc)),
              ("simulate", write(tmp_path, "tilted.cfg", tilted)),
              ("canonical", write(tmp_path, "canonical.cfg", OSCILLATOR_RUN_CFG)),

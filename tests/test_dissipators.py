@@ -18,7 +18,6 @@ from ebloch.dissipators import (
     ebe_two_level,
     gkls_dissipator,
     ladder_jump_list,
-    master_rhs,
 )
 from ebloch.linalg import is_hermitian
 from ebloch.stationary import fixed_point, gibbs_state
@@ -31,7 +30,7 @@ from ebloch.systems import (
     jump_operators,
     rates_from_bath,
 )
-from oracles import split_apply, transition_projector
+from oracles import master_rhs, split_apply, transition_projector
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -311,20 +310,6 @@ def test_ebe_multi_level_equals_pairwise_gkls_on_random_ladders():
                                rtol=0, atol=1e-15)
 
 
-def test_ladder_kinds_compile_to_one_generator():
-    rng = np.random.default_rng(31)
-    for _ in range(240):
-        lad = random_ladder(rng)
-        options = dict(include_unitary=bool(rng.integers(2)),
-                       gamma_pd=float(rng.choice([0.0, -0.3, 0.2])))
-        eben, gkls = (RhsSpec.for_system(lad, kind, **options).compiled
-                      for kind in ("eben", "gkls"))
-        assert eben.rule == gkls.rule
-        assert eben.E.tobytes() == gkls.E.tobytes() and eben.W.tobytes() == gkls.W.tobytes()
-        a, b = np.nonzero(~np.eye(lad.N, dtype=bool))
-        assert eben.rates(a, b).tobytes() == gkls.rates(a, b).tobytes()
-
-
 # ------------------------------------------------------------- pure dephasing
 
 
@@ -356,7 +341,7 @@ def test_master_rhs_closed_system_eigenprojector_is_stationary():
     H = build_two_level_hamiltonian(1.0, (0.6, 0, 0.8))
     w, V = np.linalg.eigh(H)
     proj = np.outer(V[:, 0], V[:, 0].conj())
-    out = master_rhs(proj, RhsSpec(H, "gkls"))
+    out = master_rhs(proj, RhsSpec(H))
     assert np.linalg.norm(out) <= 1e-12
 
 
@@ -364,10 +349,9 @@ def test_master_rhs_ebe2_equals_gkls_spec():
     rng = np.random.default_rng(31)
     for _ in range(100):
         sys2 = random_two_level(rng)
-        spec_e = RhsSpec.for_system(sys2, "ebe2")
-        spec_g = RhsSpec.for_system(sys2, "gkls")
+        spec = RhsSpec.for_system(sys2)
         rho = random_density(rng, 2)
-        diff = master_rhs(rho, spec_e) - master_rhs(rho, spec_g)
+        diff = master_rhs(rho, spec) - master_rhs(rho, spec, jumps=True)
         assert np.linalg.norm(diff) <= 1e-12 * sys2.gamma_sum
 
 
@@ -385,48 +369,48 @@ def test_master_rhs_gibbs_stationary_with_any_dephasing():
 def test_master_rhs_trace_and_hermiticity_preserving():
     rng = np.random.default_rng(32)
     lad = build_oscillator(5, 1.0, "harmonic", BathModel(1.0, 1.0))
-    specs = [
-        RhsSpec.for_system(lad),
-        RhsSpec.for_system(lad, "gkls"),
-        RhsSpec.for_system(random_two_level(rng), "ebe2", gamma_pd=-0.2),
+    cases = [
+        (RhsSpec.for_system(lad), False),
+        (RhsSpec.for_system(lad), True),
+        (RhsSpec.for_system(random_two_level(rng), gamma_pd=-0.2), False),
     ]
-    for spec in specs:
+    for spec, jumps in cases:
         for _ in range(20):
             rho = random_density(rng, spec.dim)
-            out = master_rhs(rho, spec)
+            out = master_rhs(rho, spec, jumps)
             assert abs(np.trace(out)) <= 1e-12
             assert np.abs(out - out.conj().T).max() <= 1e-12 * max(1, np.abs(out).max())
 
 
-def test_for_system_picks_and_checks_the_kind_by_system():
+def test_for_system_takes_its_options_by_keyword():
     sys2 = TwoLevelSystem(1.0, (0, 0, 1), 0.3, 0.7)
     lad = build_oscillator(3, 1.0, "harmonic", BathModel(1.0, 1.0))
-    assert RhsSpec.for_system(sys2).kind == "ebe2"
-    assert RhsSpec.for_system(lad).kind == "eben"
     for system in (sys2, lad):
-        spec = RhsSpec.for_system(system, "gkls", False, -0.1)
-        assert (spec.kind, spec.system, spec.include_unitary, spec.gamma_pd) == (
-            "gkls", system, False, -0.1)
+        spec = RhsSpec.for_system(system, include_unitary=False, gamma_pd=-0.1)
+        assert (spec.system, spec.jumps, spec.include_unitary, spec.gamma_pd) == (
+            system, (), False, -0.1)
         np.testing.assert_array_equal(spec.hamiltonian, system.hamiltonian)
-    with pytest.raises(ValueError, match="kind 'ebe2' needs a TwoLevelSystem"):
-        RhsSpec.for_system(lad, "ebe2")
-    with pytest.raises(ValueError, match="kind 'eben' needs a LadderSystem"):
-        RhsSpec.for_system(sys2, "eben")
+
+
+def test_a_positional_option_after_the_hamiltonian_is_a_type_error():
+    # a leftover kind argument would otherwise bind to include_unitary (a
+    # truthy string) or to system
+    lad = build_oscillator(3, 1.0, "harmonic", BathModel(1.0, 1.0))
+    with pytest.raises(TypeError):
+        RhsSpec.for_system(lad, "gkls")
+    with pytest.raises(TypeError):
+        RhsSpec(lad.hamiltonian, "gkls")
+    with pytest.raises(TypeError):
+        RhsSpec(lad.hamiltonian, lad)
 
 
 def test_rhs_spec_validation():
     sys2 = TwoLevelSystem(1.0, (0, 0, 1), 0.5, 0.5)
-    with pytest.raises(ValueError, match="kind"):
-        RhsSpec(sys2.hamiltonian, "bogus")
-    with pytest.raises(ValueError, match="TwoLevelSystem"):
-        RhsSpec(sys2.hamiltonian, "ebe2")
-    with pytest.raises(ValueError, match="LadderSystem"):
-        RhsSpec(np.eye(3), "eben")
     lad = build_oscillator(3, 1.0, "harmonic", BathModel(1.0, 1.0))
     with pytest.raises(ValueError, match="own Hamiltonian"):
-        RhsSpec(np.eye(2), "eben", system=lad)
+        RhsSpec(np.eye(2), system=lad)
     with pytest.raises(ValueError, match="non-negative"):
-        RhsSpec(sys2.hamiltonian, "gkls", jumps=((SZ, -1.0),))
+        RhsSpec(sys2.hamiltonian, jumps=((SZ, -1.0),))
 
 
 def test_two_level_dephasing_is_set_only_on_the_spec():
@@ -447,7 +431,8 @@ STACK_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
 
 @st.composite
 def rhs_specs(draw):
-    """Tilted two-level (ebe2/gkls), random ladder (eben/gkls) or closed spec."""
+    """(spec, jumps) of a tilted two-level or random ladder spec, either
+    kernel, or of a closed spec."""
     include_unitary = draw(st.booleans())
     gamma_pd = draw(st.sampled_from([0.0, -0.3, 0.4]))
     rate = st.floats(0.05, 2.0)
@@ -457,14 +442,14 @@ def rhs_specs(draw):
                           .filter(lambda v: np.linalg.norm(v) > 0.1)))
         sys2 = TwoLevelSystem(draw(st.floats(0.2, 5.0)), tuple(v / np.linalg.norm(v)),
                               draw(rate), draw(rate))
-        return RhsSpec.for_system(sys2, draw(st.sampled_from(["ebe2", "gkls"])),
-                                     include_unitary, gamma_pd)
+        return (RhsSpec.for_system(sys2, include_unitary=include_unitary, gamma_pd=gamma_pd),
+                draw(st.booleans()))
     n = draw(st.integers(2, 6))
     if family == "closed":
         A = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n * n,
                                    max_size=2 * n * n))).reshape(2, n, n)
         H = A[0] + 1j * A[1]
-        return RhsSpec(H + H.conj().T, "gkls", include_unitary=include_unitary)
+        return RhsSpec(H + H.conj().T, include_unitary=include_unitary), True
     gaps = draw(st.lists(st.floats(0.1, 1.5), min_size=n - 1, max_size=n - 1))
     energies = np.concatenate([[0.0], np.cumsum(gaps)])
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
@@ -472,8 +457,8 @@ def rhs_specs(draw):
                           unique=True))
     transitions = [(i, j, draw(st.floats(0.0, 2.0)), draw(rate)) for i, j in pairs]
     lad = LadderSystem(tuple(energies), transitions)
-    return RhsSpec.for_system(lad, draw(st.sampled_from(["eben", "gkls"])),
-                              include_unitary, gamma_pd)
+    return (RhsSpec.for_system(lad, include_unitary=include_unitary, gamma_pd=gamma_pd),
+            draw(st.booleans()))
 
 
 def per_state(fn, stack):
@@ -486,10 +471,11 @@ def random_stack(rng, n, d):
 
 @STACK_SETTINGS
 @given(rhs_specs(), st.integers(1, 7), st.integers(0, 2**32 - 1))
-def test_master_rhs_on_a_stack_equals_per_state_calls(spec, n, seed):
+def test_master_rhs_on_a_stack_equals_per_state_calls(spec_jumps, n, seed):
+    spec, jumps = spec_jumps
     stack = random_stack(np.random.default_rng(seed), n, spec.dim)
-    got = master_rhs(stack, spec)
-    want = per_state(lambda M: master_rhs(M, spec), stack)
+    got = master_rhs(stack, spec, jumps)
+    want = per_state(lambda M: master_rhs(M, spec, jumps), stack)
     assert got.shape == stack.shape
     assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
 
@@ -518,10 +504,10 @@ def test_stacked_entry_points_reject_bad_shapes(shape):
     lad = build_oscillator(2, 1.0, "harmonic", BathModel(1.0, 1.0))
     rho = np.zeros(shape, dtype=complex)
     calls = [
-        lambda: master_rhs(rho, RhsSpec.for_system(sys2, "ebe2")),
-        lambda: master_rhs(rho, RhsSpec.for_system(sys2, "gkls")),
+        lambda: master_rhs(rho, RhsSpec.for_system(sys2)),
+        lambda: master_rhs(rho, RhsSpec.for_system(sys2), jumps=True),
         lambda: master_rhs(rho, RhsSpec.for_system(lad)),
-        lambda: master_rhs(rho, RhsSpec(SZ, "gkls")),
+        lambda: master_rhs(rho, RhsSpec(SZ)),
         lambda: ebe_two_level(rho, sys2),
         lambda: ebe_multi_level(rho, lad),
         lambda: gkls_dissipator(rho, ((SX, 1.0),)),
@@ -565,21 +551,19 @@ def per_state_checksum(fn, inputs):
 
 
 @pytest.mark.parametrize("case", ["two_level", "ladder"])
-def test_batched_bench_checksum_equals_per_state_accumulation(case):
+def test_batched_bench_checksum_equals_per_state_accumulation(case, monkeypatch):
     if case == "two_level":  # acceptance criterion 10's system
         gp, gm = rates_from_bath(BathModel(1.0, 1.0), 1.0)
         system, n = TwoLevelSystem(1.0, (0.48, 0.36, 0.8), gp, gm), 50_000
     else:
         system, n = build_oscillator(6, 1.0, "harmonic", BathModel(1.0, 1.0)), 2_000
-    pair = bench.kernel_pair(system)
-    (_, fn_e, spec), (kind, fn_g, twin) = pair
-    # the twin's jump terms are built before any chunk is timed, and no
-    # timed chunk builds anything a spec caches
-    assert kind == "gkls" and "jump_terms" in twin.__dict__
-    cached = [set(s.__dict__) for _, _, s in pair]
-    inputs = bench.random_states(spec.dim, n, np.random.default_rng(1010))
+    (name, fn_e, _), (twin, fn_g, _) = bench.kernel_pair(system)
+    assert (name, twin) == ({"two_level": "ebe2", "ladder": "eben"}[case], "gkls")
+    # the jump terms are built before any chunk is timed: no timed chunk
+    # can reach a spec
+    monkeypatch.setattr(bench, "RhsSpec", None)
+    inputs = bench.random_states(system.hamiltonian.shape[0], n, np.random.default_rng(1010))
     # one per-state reference: both kernels' batched checksums must equal it
     reference = per_state_checksum(fn_e, inputs)
     for fn in (fn_e, fn_g):
         assert bench._checksum(bench._run_kernel(fn, inputs, 5)[1]) == reference
-    assert [set(s.__dict__) for _, _, s in pair] == cached

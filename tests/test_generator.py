@@ -6,7 +6,6 @@ vector included).
 """
 
 import math
-import sys
 import time
 import warnings
 
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 from ebloch.canonical import canonical_experiment
 import ebloch.dissipators
 import ebloch.systems
-from ebloch.dissipators import RhsSpec, SplitGenerator, ladder_jump_list, master_rhs
+from ebloch.dissipators import RhsSpec, SplitGenerator, ladder_jump_list
 from ebloch.linalg import herm_part, hermitian_eig, trace_distance
 from ebloch.propagate import (
     MIN_EIG_WARN,
@@ -40,12 +39,14 @@ from ebloch.systems import (
     LadderSystem,
     TwoLevelSystem,
     build_oscillator,
+    jump_operators,
     rates_from_bath,
 )
 from oracles import (
     build_superoperator,
     dense_rates,
     formula_rates,
+    master_rhs,
     split_apply,
     vectorize,
 )
@@ -104,10 +105,8 @@ def transition_graphs(draw, max_n=16, connected=None, thermal=False):
     return LadderSystem(energies, transitions)
 
 
-spec_options = st.tuples(st.sampled_from(["eben", "gkls"]), st.booleans(),
-                         st.sampled_from([0.0, -0.2, 0.3]))
-two_level_options = st.tuples(st.sampled_from(["ebe2", "gkls"]), st.booleans(),
-                              st.sampled_from([0.0, -0.2, 0.3]))
+# (jumps, include_unitary, gamma_pd): jumps picks the oracle's kernel
+spec_options = st.tuples(st.booleans(), st.booleans(), st.sampled_from([0.0, -0.2, 0.3]))
 
 
 @st.composite
@@ -122,32 +121,32 @@ def tilted_two_level(draw):
                           draw(st.floats(0.0, 2.0)), draw(st.floats(0.05, 2.0)))
 
 
-def rotated_superoperator(spec, V) -> np.ndarray:
+def rotated_superoperator(spec, V, jumps=False) -> np.ndarray:
     """The probed superoperator in the eigenbasis V of H (as it is for V
     None): vec(V^dag rho V) = kron(V^T, V^dag) vec(rho)."""
-    S = build_superoperator(spec)
+    S = build_superoperator(spec, jumps)
     if V is None:
         return S
     U = np.kron(V.conj(), V)
     return U.conj().T @ S @ U
 
 
-def assert_split_matches_probe(spec):
+def assert_split_matches_probe(spec, jumps=False):
     gen = spec.compiled
-    S = rotated_superoperator(spec, gen.V)
+    S = rotated_superoperator(spec, gen.V, jumps)
     err = np.abs(split_superoperator(gen) - S).max()
     assert err <= 1e-13 * max(1.0, np.abs(S).max())
 
 
 def sigma_x_on_sigma_z():
     """sigma_x under H = sigma_z/2 is not one matrix unit in the eigenbasis."""
-    return RhsSpec(SIGMA_Z / 2, "gkls", jumps=((SIGMA_X, 1.0),))
+    return RhsSpec(SIGMA_Z / 2, jumps=((SIGMA_X, 1.0),))
 
 
 def oscillator_a(N=4):
     """The covariant oscillator jump a, over N - 1 transitions at once."""
     a = np.diag(np.sqrt(np.arange(1.0, N)), 1)
-    return RhsSpec(np.diag(np.arange(float(N))), "gkls", jumps=((a, 1.0),))
+    return RhsSpec(np.diag(np.arange(float(N))), jumps=((a, 1.0),))
 
 
 # ------------------------------------------------------------- the split
@@ -156,14 +155,17 @@ def oscillator_a(N=4):
 @SETTINGS
 @given(transition_graphs(), spec_options)
 def test_split_matches_probed_superoperator(lad, options):
-    kind, include_unitary, gamma_pd = options
-    assert_split_matches_probe(RhsSpec.for_system(lad, kind, include_unitary, gamma_pd))
+    jumps, include_unitary, gamma_pd = options
+    spec = RhsSpec.for_system(lad, include_unitary=include_unitary, gamma_pd=gamma_pd)
+    assert_split_matches_probe(spec, jumps)
 
 
 @SETTINGS
-@given(tilted_two_level(), two_level_options)
+@given(tilted_two_level(), spec_options)
 def test_eigenbasis_split_matches_rotated_probe_on_two_level_specs(sys2, options):
-    assert_split_matches_probe(RhsSpec.for_system(sys2, *options))
+    jumps, include_unitary, gamma_pd = options
+    spec = RhsSpec.for_system(sys2, include_unitary=include_unitary, gamma_pd=gamma_pd)
+    assert_split_matches_probe(spec, jumps)
 
 
 @SETTINGS
@@ -172,32 +174,33 @@ def test_eigenbasis_split_matches_rotated_probe_on_two_level_specs(sys2, options
 def test_eigenbasis_split_matches_rotated_probe_on_closed_systems(n, seed, include_unitary,
                                                                   gamma_pd):
     A = np.random.default_rng(seed).standard_normal((n, 2 * n)).view(complex)
-    spec = RhsSpec(A + A.conj().T, "gkls", include_unitary=include_unitary,
-                   gamma_pd=gamma_pd)
+    spec = RhsSpec(A + A.conj().T, include_unitary=include_unitary, gamma_pd=gamma_pd)
     assert spec.compiled.V is not None
     assert_split_matches_probe(spec)
 
 
-@pytest.mark.parametrize("kind", ["ebe2", "gkls"])
-def test_descending_diagonal_two_level_transition_starts_at_level_1(kind):
+@pytest.mark.parametrize("kernel", ["ebe2", "gkls"])
+def test_descending_diagonal_two_level_transition_starts_at_level_1(kernel):
     # eps = (0, 0, 1) gives H = diag(E/2, -E/2): level 1 is the lower one
-    gen = RhsSpec.for_system(TwoLevelSystem(1.0, (0.0, 0.0, 1.0), 0.3, 0.7), kind).compiled
+    spec = RhsSpec.for_system(TwoLevelSystem(1.0, (0.0, 0.0, 1.0), 0.3, 0.7))
+    gen = spec.compiled
     assert gen.V is None
     np.testing.assert_allclose(gen.W, [[-0.7, 0.3], [0.7, -0.3]], rtol=1e-15, atol=0.0)
+    # and so does each kernel: the populations are entries 0 and 3 of vec(rho)
+    S = build_superoperator(spec, jumps=kernel == "gkls")
+    np.testing.assert_allclose(S[np.ix_([0, 3], [0, 3])], gen.W, rtol=0.0, atol=1e-15)
 
 
 def test_split_covers_transition_specs_only():
     bath = BathModel(1.0, 1.0)
     lad = build_oscillator(4, 1.0, "harmonic", bath)
-    assert RhsSpec.for_system(lad, "eben").compiled.V is None
-    assert RhsSpec.for_system(lad, "gkls").compiled.V is None
-    assert RhsSpec(np.diag([0.0, 1.0, 3.0]), "gkls").compiled.V is None  # closed
+    assert RhsSpec.for_system(lad).compiled.V is None
+    assert RhsSpec(np.diag([0.0, 1.0, 3.0])).compiled.V is None  # closed
 
     gp, gm = rates_from_bath(bath, 1.0)
     sys2 = TwoLevelSystem(1.0, (0.6, 0.0, 0.8), gp, gm)
     _, V = hermitian_eig(sys2.hamiltonian)
-    for spec in (RhsSpec.for_system(sys2, "ebe2"), RhsSpec.for_system(sys2, "gkls"),
-                 RhsSpec(sys2.hamiltonian, "gkls")):
+    for spec in (RhsSpec.for_system(sys2), RhsSpec(sys2.hamiltonian)):
         np.testing.assert_array_equal(spec.compiled.V, V)
 
     H = lad.hamiltonian
@@ -207,22 +210,22 @@ def test_split_covers_transition_specs_only():
     two_entries[2, 1] = 1.0
     on_diagonal = np.diag([0.0, 1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="jump 0 "):
-        RhsSpec(H, "gkls", jumps=((two_entries, 1.0),)).compiled
+        RhsSpec(H, jumps=((two_entries, 1.0),)).compiled
     with pytest.raises(ValueError, match="jump 1 "):
-        RhsSpec(H, "gkls", jumps=((unit, 1.0), (on_diagonal, 1.0))).compiled
+        RhsSpec(H, jumps=((unit, 1.0), (on_diagonal, 1.0))).compiled
     with pytest.raises(ValueError, match="jump 0 "):
-        RhsSpec(H, "gkls", jumps=((np.zeros((4, 4)), 1.0),)).compiled
+        RhsSpec(H, jumps=((np.zeros((4, 4)), 1.0),)).compiled
     with pytest.raises(ValueError, match="own Hamiltonian"):
-        RhsSpec(H + 0.1 * two_entries + 0.1 * two_entries.T, "eben", system=lad).compiled
+        RhsSpec(H + 0.1 * two_entries + 0.1 * two_entries.T, system=lad).compiled
     with pytest.raises(ValueError, match="own Hamiltonian"):
-        RhsSpec(SIGMA_X / 2, "ebe2", system=sys2).compiled
+        RhsSpec(SIGMA_X / 2, system=sys2).compiled
 
 
 def test_a_jump_whose_rate_overflows_is_rejected_at_compile():
     # gamma |L[x, y]|^2 = 4e308 is inf: level y's out-rate, and W with it
     L = np.zeros((3, 3))
     L[0, 2] = 2.0
-    spec = RhsSpec(np.diag([0.0, 1.0, 2.5]), "gkls", jumps=((L, 1e308),))
+    spec = RhsSpec(np.diag([0.0, 1.0, 2.5]), jumps=((L, 1e308),))
     # no RuntimeWarning first: pytest turns one into an error
     with pytest.raises(ValueError, match="^level 2 has a non-finite out-rate inf$"):
         spec.compiled
@@ -230,7 +233,7 @@ def test_a_jump_whose_rate_overflows_is_rejected_at_compile():
 
 def test_an_explicit_hamiltonian_is_checked_when_the_spec_is_made():
     with pytest.raises(ValueError, match="^Hamiltonian is not Hermitian within tolerance$"):
-        RhsSpec(np.array([[0.0, 1.0], [0.0, 1.0]]), "gkls")
+        RhsSpec(np.array([[0.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
         gibbs_state(np.array([[0.0, 1.0], [0.0, 1.0]]), 1.0)
 
@@ -242,7 +245,7 @@ def test_two_level_specs_compile_to_the_bits_of_hermitian_eig():
         v = rng.standard_normal(3)
         sys2 = TwoLevelSystem(float(rng.uniform(0.2, 5.0)), tuple(v / np.linalg.norm(v)),
                               0.3, 0.7)
-        gen = RhsSpec.for_system(sys2, "ebe2").compiled
+        gen = RhsSpec.for_system(sys2).compiled
         E, V = hermitian_eig(sys2.hamiltonian)
         assert gen.E.tobytes() == E.tobytes() and gen.V.tobytes() == V.tobytes()
 
@@ -262,10 +265,9 @@ def test_propagate_and_fixed_point_reject_specs_without_a_split(make_spec):
 
 def random_rate_specs(rng, count):
     """Specs of every route, each with a random include_unitary and a
-    gamma_pd of either sign or zero: tilted two-level ``ebe2`` and ``gkls``
-    specs; ``eben`` and ``gkls`` ladders whose top levels no transition
-    touches; explicit jump lists, each jump one eigenlevel move, under a
-    diagonal or a tilted H."""
+    gamma_pd of either sign or zero: tilted two-level specs; ladders whose
+    top levels no transition touches; explicit jump lists, each jump one
+    eigenlevel move, under a diagonal or a tilted H."""
     for k in range(count):
         options = {"include_unitary": bool(rng.integers(2)),
                    "gamma_pd": float(rng.choice([-1.0, 0.0, 1.0]) * rng.uniform(0.01, 0.5))}
@@ -274,7 +276,7 @@ def random_rate_specs(rng, count):
             v = rng.standard_normal(3)
             system = TwoLevelSystem(float(rng.uniform(0.2, 3.0)), tuple(v / np.linalg.norm(v)),
                                     float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.05, 2.0)))
-            yield RhsSpec.for_system(system, str(rng.choice(["ebe2", "gkls"])), **options)
+            yield RhsSpec.for_system(system, **options)
         elif route == 1:
             n = int(rng.integers(3, 9))
             energies = tuple(np.cumsum(rng.uniform(0.1, 1.5, n)) - 0.5)
@@ -283,15 +285,14 @@ def random_rate_specs(rng, count):
             keep = sorted(rng.permutation(len(pairs))[:int(rng.integers(1, len(pairs) + 1))])
             transitions = [(*pairs[q], float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.05, 1.0)))
                            for q in keep]
-            yield RhsSpec.for_system(LadderSystem(energies, transitions),
-                                     str(rng.choice(["eben", "gkls"])), **options)
+            yield RhsSpec.for_system(LadderSystem(energies, transitions), **options)
         else:
             n = int(rng.integers(2, 7))
             H = np.diag(rng.uniform(-1.0, 1.0, n)).astype(complex)
             if rng.integers(2):
                 A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                 H = H + 0.3 * (A + A.conj().T)
-            V = RhsSpec(H, "gkls").compiled.V
+            V = RhsSpec(H).compiled.V
             jumps = []
             for _ in range(int(rng.integers(0, 5))):
                 x, y = rng.choice(n, 2, replace=False)
@@ -299,7 +300,7 @@ def random_rate_specs(rng, count):
                 L[x, y] = rng.uniform(0.3, 1.5) * np.exp(2j * np.pi * rng.uniform())
                 jumps.append((L if V is None else V @ L @ V.conj().T,
                               float(rng.uniform(0.0, 1.0))))
-            yield RhsSpec(H, "gkls", jumps=tuple(jumps), **options)
+            yield RhsSpec(H, jumps=tuple(jumps), **options)
 
 
 def test_rates_are_the_bits_of_the_dense_formulas():
@@ -346,7 +347,7 @@ def test_propagate_evaluates_the_rates_of_its_tracked_pairs_once(monkeypatch, ga
 
     monkeypatch.setattr(SplitGenerator, "rates", spy)
     lad = build_oscillator(6, 1.0, "harmonic", BathModel(1.0, 0.8))
-    spec = RhsSpec.for_system(lad, "gkls", True, gamma_pd)
+    spec = RhsSpec.for_system(lad, gamma_pd=gamma_pd)
     rho0 = np.diag(np.full(6, 1 / 6)).astype(complex)
     for i, j in ((0, 1), (1, 3), (2, 5)):
         rho0[i, j] = rho0[j, i] = 0.02
@@ -378,25 +379,32 @@ def test_ladder_gkls_twin_compiles_to_the_bits_of_its_jump_list(rule, T, include
                                                                 gamma_pd):
     for N in range(2, 34):
         lad = build_oscillator(N, 1.0, rule, BathModel(1.0, T))
-        gen = RhsSpec.for_system(lad, "gkls", include_unitary, gamma_pd).compiled
-        scanned = RhsSpec(lad.hamiltonian, "gkls", jumps=ladder_jump_list(lad),
+        gen = RhsSpec.for_system(lad, include_unitary=include_unitary,
+                                 gamma_pd=gamma_pd).compiled
+        scanned = RhsSpec(lad.hamiltonian, jumps=ladder_jump_list(lad),
                           include_unitary=include_unitary, gamma_pd=gamma_pd).compiled
         np.testing.assert_array_equal(gen.W, scanned.W)
         np.testing.assert_array_equal(dense_rates(gen), dense_rates(scanned))
 
 
-def test_two_level_gkls_twin_compiles_to_the_bits_of_ebe2():
+def test_two_level_canonical_jump_pair_compiles_to_the_system_generator():
+    # the explicit jumps pass through the eigenbasis rotation V^dag L V, so
+    # only E and V keep their bits
     rng = np.random.default_rng(19)
     for _ in range(300):
         v = rng.standard_normal(3)
         gp, gm = rng.uniform(0.05, 2.0, 2)
         sys2 = TwoLevelSystem(float(rng.uniform(0.2, 5.0)), tuple(v / np.linalg.norm(v)),
                               float(gp), float(gm))
-        gkls = RhsSpec.for_system(sys2, "gkls", True, -0.2).compiled
-        ebe2 = RhsSpec.for_system(sys2, "ebe2", True, -0.2).compiled
-        for field in ("E", "W", "V"):
-            np.testing.assert_array_equal(getattr(gkls, field), getattr(ebe2, field))
-        np.testing.assert_array_equal(dense_rates(gkls), dense_rates(ebe2))
+        system = RhsSpec.for_system(sys2, gamma_pd=-0.2).compiled
+        pair = jump_operators(sys2.hamiltonian)
+        jumps = RhsSpec(sys2.hamiltonian, jumps=((pair.sigma_p, gp), (pair.sigma_m, gm)),
+                        gamma_pd=-0.2).compiled
+        for field in ("E", "V"):
+            np.testing.assert_array_equal(getattr(jumps, field), getattr(system, field))
+        tol = 1e-14 * (gp + gm)
+        np.testing.assert_allclose(jumps.W, system.W, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(dense_rates(jumps), dense_rates(system), rtol=0.0, atol=tol)
 
 
 def test_system_specs_solve_and_propagate_without_building_jumps(monkeypatch):
@@ -411,23 +419,23 @@ def test_system_specs_solve_and_propagate_without_building_jumps(monkeypatch):
     monkeypatch.setattr(ebloch.dissipators, "ladder_jump_list", refuse)
     lad = build_oscillator(5, 1.0, "harmonic", BathModel(1.0, 0.8))
     tilted = TwoLevelSystem(1.0, (0.6, 0.0, 0.8), 0.3, 0.7)
-    for spec in (RhsSpec.for_system(lad, "gkls", True, -0.1),
-                 RhsSpec.for_system(tilted, "gkls", True, -0.1)):
+    for spec in (RhsSpec.for_system(lad, gamma_pd=-0.1),
+                 RhsSpec.for_system(tilted, gamma_pd=-0.1)):
         rho0 = np.full((spec.dim, spec.dim), 0.5 / spec.dim, dtype=complex)
         rho0[np.diag_indices(spec.dim)] = 1.0 / spec.dim
         assert fixed_point(spec).residual <= 1e-12
         propagate(spec, rho0, 0.5, 0.05)
         with pytest.raises(Built):
-            master_rhs(rho0, spec)
+            master_rhs(rho0, spec, jumps=True)
 
 
 def test_system_specs_are_checked_at_construction():
     lad = LadderSystem((-0.5, 0.5), [(0, 1, 0.3, 0.7)])
     sys2 = TwoLevelSystem(1.0, (0.0, 0.0, -1.0), 0.3, 0.7)
     with pytest.raises(ValueError, match="no explicit jump list"):
-        RhsSpec(lad.hamiltonian, "gkls", system=lad, jumps=ladder_jump_list(lad))
+        RhsSpec(lad.hamiltonian, system=lad, jumps=ladder_jump_list(lad))
     with pytest.raises(ValueError, match="own Hamiltonian"):
-        RhsSpec(SIGMA_X / 2, "gkls", system=sys2)
+        RhsSpec(SIGMA_X / 2, system=sys2)
 
 
 def test_split_rate_matrix_conserves_trace_and_coherences_are_hermitian():
@@ -443,12 +451,12 @@ def test_split_rate_matrix_conserves_trace_and_coherences_are_hermitian():
 # ------------------------------------------------------------ propagation
 
 
-@pytest.mark.parametrize("kind", ["eben", "gkls"])
+@pytest.mark.parametrize("kernel", ["eben", "gkls"])
 @pytest.mark.parametrize("N, gamma_pd, include_unitary",
                          [(4, 0.0, True), (9, -0.2, False), (16, -0.05, True)])
-def test_split_expm_matches_dense_trajectory(kind, N, gamma_pd, include_unitary):
+def test_split_expm_matches_dense_trajectory(kernel, N, gamma_pd, include_unitary):
     lad = build_oscillator(N, 0.7, "harmonic", BathModel(1.0, 1.2))
-    spec = RhsSpec.for_system(lad, kind, include_unitary, gamma_pd)
+    spec = RhsSpec.for_system(lad, include_unitary=include_unitary, gamma_pd=gamma_pd)
     rng = np.random.default_rng(N)
     A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     rho0 = A @ A.conj().T
@@ -456,7 +464,7 @@ def test_split_expm_matches_dense_trajectory(kind, N, gamma_pd, include_unitary)
     kw = dict(t_final=1.0, dt=0.05, record_every=7)  # gaps 7, 7, 6
     traj = propagate(spec, rho0, **kw)
     np.testing.assert_allclose(traj.times, np.array([0, 7, 14, 20]) * 0.05)
-    S = build_superoperator(spec)
+    S = build_superoperator(spec, jumps=kernel == "gkls")
     dense = [(scipy.linalg.expm(S * t) @ vectorize(rho0)).reshape(N, N, order="F")
              for t in traj.times]
     worst = max(np.abs(a - b).max() for a, b in zip(traj.states, dense))
@@ -486,27 +494,30 @@ def test_generator_rhs_norm_matches_master_rhs():
     rng = np.random.default_rng(11)
     lad = build_oscillator(7, 1.3, "harmonic", BathModel(1.0, 0.9))
     tilted = TwoLevelSystem(1.0, (0.6, 0.0, 0.8), 0.3, 0.7)
-    specs = [RhsSpec.for_system(lad, "eben", True, -0.1),
-             RhsSpec.for_system(lad, "gkls", False, 0.0),
-             RhsSpec.for_system(tilted, "ebe2", True, -0.2),
-             RhsSpec.for_system(tilted, "gkls", False, 0.0)]
-    assert [s.compiled.V is None for s in specs] == [True, True, False, False]
-    for spec in specs:
+    cases = [(RhsSpec.for_system(lad, gamma_pd=-0.1), False),
+             (RhsSpec.for_system(lad, include_unitary=False), True),
+             (RhsSpec.for_system(tilted, gamma_pd=-0.2), False),
+             (RhsSpec.for_system(tilted, include_unitary=False), True)]
+    assert [s.compiled.V is None for s, _ in cases] == [True, True, False, False]
+    for spec, jumps in cases:
         gen = spec.compiled
         for _ in range(5):
             A = rng.standard_normal((spec.dim,) * 2) + 1j * rng.standard_normal((spec.dim,) * 2)
             rho = A + A.conj().T
-            ref = np.linalg.norm(master_rhs(rho, spec))
+            ref = np.linalg.norm(master_rhs(rho, spec, jumps))
             assert abs(np.linalg.norm(split_apply(gen, gen.rotate_in(rho))) - ref) <= 1e-12 * ref
 
 
 @EXACT_FLOW
 def test_split_propagate_evaluates_no_master_rhs(monkeypatch):
+    # nor any kernel that master_rhs assembles from
     lad = build_oscillator(8, 1.0, "harmonic", BathModel(1.0, 1.0))
     spec = RhsSpec.for_system(lad, gamma_pd=-0.1)
     calls = []
-    monkeypatch.setattr(sys.modules["ebloch.dissipators"], "master_rhs",
-                        lambda rho, s: calls.append(1) or master_rhs(rho, s))
+    for name in ("ebe_two_level", "ebe_multi_level", "_gkls", "double_commutator"):
+        kernel = getattr(ebloch.dissipators, name)
+        monkeypatch.setattr(ebloch.dissipators, name,
+                            lambda *a, k=kernel: calls.append(1) or k(*a))
     traj = propagate(spec, gibbs_state(lad.hamiltonian, 2.0), 1.0, 0.01, 10)
     assert len(traj.times) == 11
     assert not calls
@@ -525,11 +536,12 @@ def test_split_growth_check_aborts_amplifying_coherences():
 # ----------------------------------------------------------- fixed points
 
 
-def probed_fixed_point(spec):
-    """(multiplicity, spectral gap, state) from eig of the probed
-    superoperator: the state is the trace-normalized Hermitian part of the
-    near-null eigenvector with the largest trace."""
-    ev, vecs = np.linalg.eig(build_superoperator(spec))
+def probed_fixed_point(spec, jumps=False):
+    """(multiplicity, spectral gap, state) from eig of the superoperator
+    probed through the kernel that ``jumps`` picks: the state is the
+    trace-normalized Hermitian part of the near-null eigenvector with the
+    largest trace."""
+    ev, vecs = np.linalg.eig(build_superoperator(spec, jumps))
     absvals = np.abs(ev)
     decaying = ev.real < -1e-10
     gap = float(-ev[decaying].real.max()) if decaying.any() else math.nan
@@ -539,9 +551,9 @@ def probed_fixed_point(spec):
     return int(np.sum(absvals <= 1e-10)), gap, rho / rho.trace().real
 
 
-def _compare_fixed_points(spec, compare_state):
+def _compare_fixed_points(spec, jumps, compare_state):
     split = fixed_point(spec)
-    multiplicity, gap, rho = probed_fixed_point(spec)
+    multiplicity, gap, rho = probed_fixed_point(spec, jumps)
     assert split.multiplicity == multiplicity
     if math.isnan(gap):
         assert math.isnan(split.spectral_gap)
@@ -561,9 +573,9 @@ def _compare_fixed_points(spec, compare_state):
 @SETTINGS
 @given(transition_graphs(connected=True, thermal=True), spec_options)
 def test_split_fixed_point_matches_probed_on_connected_graphs(lad, options):
-    kind, include_unitary, gamma_pd = options
-    spec = RhsSpec.for_system(lad, kind, include_unitary, min(gamma_pd, 0.0))
-    _compare_fixed_points(spec, compare_state=True)
+    jumps, include_unitary, gamma_pd = options
+    spec = RhsSpec.for_system(lad, include_unitary=include_unitary, gamma_pd=min(gamma_pd, 0.0))
+    _compare_fixed_points(spec, jumps, compare_state=True)
 
 
 @SETTINGS
@@ -571,9 +583,9 @@ def test_split_fixed_point_matches_probed_on_connected_graphs(lad, options):
 def test_split_fixed_point_matches_probed_on_disconnected_graphs(lad, options):
     # the stationary manifold has several directions, so the picked state
     # depends on the eigenvector basis; spectrum-derived numbers must agree
-    kind, include_unitary, gamma_pd = options
-    spec = RhsSpec.for_system(lad, kind, include_unitary, min(gamma_pd, 0.0))
-    _compare_fixed_points(spec, compare_state=False)
+    jumps, include_unitary, gamma_pd = options
+    spec = RhsSpec.for_system(lad, include_unitary=include_unitary, gamma_pd=min(gamma_pd, 0.0))
+    _compare_fixed_points(spec, jumps, compare_state=False)
     assert fixed_point(spec).multiplicity >= 2
 
 

@@ -190,7 +190,7 @@ def test_eigenbasis_makes_the_decision_of_the_dense_tests(name):
     H, diagonal = BASIS_CASES[name]
     E0, V0 = dense_compile_basis(H)
     assert (V0 is None) == diagonal
-    gen = RhsSpec(H, "gkls").compiled
+    gen = RhsSpec(H).compiled
     for E, V in (eigenbasis(H), (gen.E, gen.V)):
         assert E.tobytes() == E0.tobytes()
         assert V is None if V0 is None else V.tobytes() == V0.tobytes()
@@ -204,7 +204,7 @@ def test_eigenbasis_makes_the_decision_of_the_dense_tests(name):
 def test_eigenbasis_rejects_a_diagonal_the_dense_tests_reject(H):
     # a count of nonzero entries alone would call each of these diagonal;
     # an infinite entry meets inf - inf on the way to the rejection
-    for call in (dense_compile_basis, eigenbasis, lambda H: RhsSpec(H, "gkls").compiled,
+    for call in (dense_compile_basis, eigenbasis, lambda H: RhsSpec(H).compiled,
                  lambda H: dense_gibbs_state(H, 0.7), lambda H: gibbs_state(H, 0.7)):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not Hermitian"):
             call(H)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ebloch.dissipators import RhsSpec, master_rhs
+from ebloch.dissipators import RhsSpec
 from ebloch.linalg import herm_part, trace_distance
 from ebloch.propagate import (
     PropagationError,
@@ -27,7 +27,7 @@ from ebloch.systems import (
     build_two_level_hamiltonian,
     rates_from_bath,
 )
-from oracles import build_superoperator, dense_rates, vectorize
+from oracles import build_superoperator, dense_rates, master_rhs, vectorize
 
 
 def thermal_two_level(E=1.0, T=1.0, gamma=1.0, eps=(0.48, 0.36, 0.8)):
@@ -58,13 +58,12 @@ def _rel_error(got, ref):
 
 def test_expm_matches_scipy_on_the_exact_ladders_and_two_level_rates():
     mats = []
-    for kind, N in (("eben", 32), ("gkls", 24)):
+    for N in (32, 24):
         for T in (0.7, 1.5):
             lad = build_oscillator(N, 1.0, "harmonic", BathModel(1.0, T))
-            mats += [RhsSpec.for_system(lad, kind).compiled.W * t for t in (0.02, 0.05)]
-    for kind in ("ebe2", "gkls"):
-        W = RhsSpec.for_system(thermal_two_level(eps=(0.6, 0.0, 0.8)), kind).compiled.W
-        mats += [W * t for t in (1e-3, 0.1, 1.0, 10.0, 100.0)]
+            mats += [RhsSpec.for_system(lad).compiled.W * t for t in (0.02, 0.05)]
+    W = RhsSpec.for_system(thermal_two_level(eps=(0.6, 0.0, 0.8))).compiled.W
+    mats += [W * t for t in (1e-3, 0.1, 1.0, 10.0, 100.0)]
     for A in mats:
         assert _rel_error(expm(A), scipy.linalg.expm(A)) <= 1e-14
 
@@ -132,18 +131,20 @@ def test_superoperator_consistent_with_master_rhs():
     rng = np.random.default_rng(40)
     lad = build_oscillator(4, 1.0, "harmonic", BathModel(1.0, 1.0))
     for spec in (RhsSpec.for_system(thermal_two_level()), RhsSpec.for_system(lad)):
-        S = build_superoperator(spec)
-        for _ in range(10):
-            A = rng.standard_normal((spec.dim,) * 2) + 1j * rng.standard_normal((spec.dim,) * 2)
-            lhs = S @ vectorize(A)
-            rhs = vectorize(master_rhs(A, spec))
-            assert np.abs(lhs - rhs).max() <= 1e-12 * max(1, np.abs(rhs).max())
+        for jumps in (False, True):
+            S = build_superoperator(spec, jumps)
+            for _ in range(10):
+                A = (rng.standard_normal((spec.dim,) * 2)
+                     + 1j * rng.standard_normal((spec.dim,) * 2))
+                lhs = S @ vectorize(A)
+                rhs = vectorize(master_rhs(A, spec, jumps))
+                assert np.abs(lhs - rhs).max() <= 1e-12 * max(1, np.abs(rhs).max())
 
 
 def test_superoperator_unitary_only_bohr_frequencies():
     # diagonal H: S is diagonal in the matrix-unit basis, entries -i(E_a - E_b)
     energies = np.array([0.0, 1.0, 2.7])
-    spec = RhsSpec(np.diag(energies), "gkls")
+    spec = RhsSpec(np.diag(energies))
     S = build_superoperator(spec)
     expected = np.zeros((9, 9), dtype=complex)
     for b in range(3):
@@ -198,7 +199,7 @@ def test_propagate_gibbs_initial_state_is_constant():
 
 def test_propagate_closed_system_conserves_purity():
     H = build_two_level_hamiltonian(1.0, (0.6, 0, 0.8))
-    traj = propagate(RhsSpec(H, "gkls"), COHERENT_RHO0, 5.0, 0.01, 20)
+    traj = propagate(RhsSpec(H), COHERENT_RHO0, 5.0, 0.01, 20)
     purities = [np.trace(s @ s).real for s in traj.states]
     assert max(purities) - min(purities) <= 1e-10
 
@@ -294,12 +295,15 @@ def test_propagate_keeps_a_cross_block_coherent_start_positive():
     psi = np.zeros(3, dtype=complex)
     psi[0] = psi[2] = 1 / np.sqrt(2)
     rho0 = np.outer(psi, psi.conj())
-    trajs = [propagate(RhsSpec.for_system(lad, kind), rho0, 8.0, 0.01, 40)
-             for kind in ("eben", "gkls")]
-    for traj in trajs:
-        assert traj.min_eig.min() >= -1e-12
-        assert not any("positivity" in w for w in traj.warnings)
-    assert trajs[0].states.tobytes() == trajs[1].states.tobytes()
+    spec = RhsSpec.for_system(lad)
+    traj = propagate(spec, rho0, 8.0, 0.01, 40)
+    assert traj.min_eig.min() >= -1e-12
+    assert not any("positivity" in w for w in traj.warnings)
+    for jumps in (False, True):
+        S = build_superoperator(spec, jumps)
+        dense = [(scipy.linalg.expm(S * t) @ vectorize(rho0)).reshape(3, 3, order="F")
+                 for t in traj.times]
+        assert np.abs(traj.states - np.array(dense)).max() <= 1e-12
 
 
 def test_propagate_flags_truncation_leak():
@@ -752,7 +756,7 @@ def test_populations_of_a_rotated_run_share_the_states_bound(monkeypatch):
     # bytes each (six coherences), and 256 each as 4x4 complex states, which
     # only ``states`` assembles
     H = _coherent_state(4, seed=5)
-    spec = RhsSpec(H, "gkls")
+    spec = RhsSpec(H)
     assert spec.compiled.V is not None
     monkeypatch.setattr(sys.modules["ebloch.propagate"], "MAX_RECORD_BYTES", 200_000)
     traj = propagate(spec, gibbs_state(H, 1.0), 1.0, 1e-3, 1)
@@ -772,7 +776,7 @@ def test_populations_under_a_dense_h_read_the_records():
     # populations are read from them without an (n, 16, 16) state stack
     import tracemalloc
     H = _coherent_state(16, seed=11)
-    spec = RhsSpec(H, "gkls")
+    spec = RhsSpec(H)
     assert spec.compiled.V is not None
     traj = propagate(spec, _coherent_state(16), 1.0, 1e-3, 1)
     assert traj._cohs.shape == (1001, 120)
@@ -795,7 +799,7 @@ def test_reading_rotated_states_holds_one_stack_and_passes_of_the_byte_budget():
     import tracemalloc
     from ebloch.propagate import _CHECK_BYTES, _assemble
     H = _coherent_state(16, seed=11)
-    spec = RhsSpec(H, "gkls")
+    spec = RhsSpec(H)
     V = spec.compiled.V
     assert V is not None
     traj = propagate(spec, _coherent_state(16), 1.0, 1e-3, 1)

@@ -228,7 +228,7 @@ def test_fixed_point_error_when_no_stationary_state():
     # which this package does not model, so instead check the guard directly
     # on a spec whose only near-zero candidate is removed by dephasing.
     H = build_two_level_hamiltonian(1.0, (0, 0, 1))
-    spec = RhsSpec(H, "gkls", jumps=(), include_unitary=True, gamma_pd=-0.5)
+    spec = RhsSpec(H, jumps=(), include_unitary=True, gamma_pd=-0.5)
     report = fixed_point(spec)  # diagonal sector still stationary
     assert report.multiplicity >= 2
 
@@ -236,18 +236,14 @@ def test_fixed_point_error_when_no_stationary_state():
 
 def _fixed_point_specs():
     """(spec, bath T) pairs: harmonic and constant ladders of 2 to 64 levels
-    under eben and gkls, and tilted two-level systems under ebe2 and gkls."""
+    and tilted two-level systems."""
     for N in (2, 3, 4, 5, 8, 13, 21, 34, 48, 64):
         for rule in ("harmonic", "constant"):
             for T in (0.4, 1.5):
-                lad = build_oscillator(N, 1.0, rule, BathModel(0.7, T))
-                for kind in ("eben", "gkls"):
-                    yield RhsSpec.for_system(lad, kind), T
+                yield RhsSpec.for_system(build_oscillator(N, 1.0, rule, BathModel(0.7, T))), T
     for E, T in ((0.5, 0.3), (1.0, 1.0), (2.5, 4.0)):
         for eps in ((0.6, 0.0, 0.8), (0.48, 0.36, 0.8)):
-            sys2 = thermal_two_level(E, T, gamma=0.9, eps=eps)
-            for kind in ("ebe2", "gkls"):
-                yield RhsSpec.for_system(sys2, kind), T
+            yield RhsSpec.for_system(thermal_two_level(E, T, gamma=0.9, eps=eps)), T
 
 
 def test_fixed_point_measures_in_the_eigenbasis_match_the_dense_formulas():
@@ -262,10 +258,10 @@ def test_fixed_point_measures_in_the_eigenbasis_match_the_dense_formulas():
             rho = report.rho_stationary
             residual = float(np.linalg.norm(split_apply(gen, gen.rotate_in(rho))))
             distance = trace_distance(rho, gibbs_state(spec.hamiltonian, bath_T))
-            assert abs(report.residual - residual) <= 1e-14, (spec.kind, spec.dim, bath_T)
-            assert abs(report.gibbs_distance - distance) <= 1e-14, (spec.kind, spec.dim, bath_T)
+            assert abs(report.residual - residual) <= 1e-14, (spec.dim, bath_T)
+            assert abs(report.gibbs_distance - distance) <= 1e-14, (spec.dim, bath_T)
             count += 1
-    assert count == 184
+    assert count == 92
 
 
 def test_fixed_point_and_a_gibbs_start_take_no_dense_eigensolve(monkeypatch):
