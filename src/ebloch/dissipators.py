@@ -43,7 +43,8 @@ class SplitGenerator:
     basis, so H = V diag(E) V^dag.  ``W`` is real, with non-negative
     off-diagonal rates and zero column sums.  ``rule`` holds what the rates
     read from the spec, ``(gamma_pd, include_unitary)``.  The spectrum is
-    eig(W) plus every C_ab with a != b.
+    eig(W) plus every C_ab with a != b, all with Re <= 0: W is a rate matrix
+    (Gershgorin), and Re C_ab = gamma_pd w_ab^2 - Gamma_ab with gamma_pd <= 0.
     """
 
     E: np.ndarray
@@ -81,19 +82,6 @@ class SplitGenerator:
         idx = np.arange(len(self.E))
         rates = self.rates(idx[:, None], idx)[~np.eye(len(idx), dtype=bool)]
         return np.concatenate([self.population_eig[0], rates])
-
-    @cached_property
-    def max_growth(self) -> float:
-        """Largest real part in the spectrum, floored at 0.  ``W`` is a rate
-        matrix, whose eigenvalues have Re <= 0 (Gershgorin), and every
-        Gamma_ab >= 0, so only a positive gamma_pd can amplify."""
-        if self.rule[0] <= 0.0:  # gamma_pd
-            return 0.0
-        n = len(self.E)
-        a = np.arange(n)[:, None]
-        # each level's n - 1 partners, in blocks of shifts that bound the memory
-        return max(0.0, *(float(self.rates(a, (a + k) % n).real.max(initial=0.0))
-                          for k in np.array_split(np.arange(1, n), -(-n * n // 2**18))))
 
 
 def _compile(spec: "RhsSpec") -> SplitGenerator:
@@ -151,13 +139,12 @@ class RhsSpec:
     Other specs carry their ``jumps`` as given (none: a closed system).
     Every field after ``hamiltonian`` is keyword-only.
 
-    ``gamma_pd`` is the signed coefficient with which the double commutator
-    [H, [H, rho]] is added to the assembled equation.  It is applied exactly
-    as written; a damping term therefore needs a negative value (for a
-    diagonal H the double commutator multiplies each coherence by the squared
-    gap, so a positive coefficient amplifies them).  Amplifying generators
-    are flagged by :mod:`ebloch.propagate` and :mod:`ebloch.stationary`
-    rather than forbidden.
+    ``gamma_pd`` is the coefficient with which the double commutator
+    [H, [H, rho]] is added to the assembled equation.  It must be finite and
+    at most 0: gamma_pd [H, [H, rho]] is then the GKLS jump L = H at rate
+    -2 gamma_pd, which damps each coherence at the squared gap, so every
+    accepted spec is completely positive.  A positive value, under which the
+    coherences would grow, raises ``ValueError`` naming the value.
     """
 
     hamiltonian: np.ndarray
@@ -187,8 +174,8 @@ class RhsSpec:
                 raise ValueError(f"jump rates must be non-negative, got {gamma}")
             jumps.append((L, gamma))
         object.__setattr__(self, "jumps", tuple(jumps))
-        if not np.isfinite(self.gamma_pd):
-            raise ValueError("gamma_pd must be finite")
+        if not (self.gamma_pd <= 0.0 and np.isfinite(self.gamma_pd)):
+            raise ValueError(f"gamma_pd must be finite and <= 0, got {self.gamma_pd}")
 
     @property
     def dim(self) -> int:

@@ -11,7 +11,6 @@ not noise to hide.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,6 @@ from .dissipators import RhsSpec, SplitGenerator
 from .linalg import herm_part, is_hermitian
 from .systems import LadderSystem
 
-AMPLIFY_TOL = 1e-10
 MIN_EIG_WARN = -1e-8
 TOP_POP_WARN = 1e-6
 # records per stacked check-and-diagnose pass: as many as fill this many
@@ -51,7 +49,7 @@ def __getattr__(name):
 
 
 class PropagationError(RuntimeError):
-    """Numerical failure during time evolution (amplifying coherence or NaN/Inf)."""
+    """Numerical failure during time evolution (non-stochastic map or NaN/Inf)."""
 
 
 @dataclass
@@ -209,10 +207,8 @@ def propagate(
     at n * dt, not at t_final when dt does not divide it.  The quotient is a
     float rounded half to even: with dt=0.1, t_final=1.05 ends at 1.0 and
     t_final=1.25 at 1.2.  The trajectory always contains t=0 and n * dt.
-    Raises :class:`PropagationError` before the first step when a tracked
-    coherence amplifies (Re C_ab > ``AMPLIFY_TOL``), naming the pair with
-    the largest Re C_ab, on a finite record map that is not column
-    stochastic within 1e-9, and on a NaN/Inf record.
+    Raises :class:`PropagationError` on a finite record map that is not
+    column stochastic within 1e-9 and on a NaN/Inf record.
 
     The spec runs as its :class:`SplitGenerator` (:attr:`RhsSpec.compiled`,
     which raises ``ValueError`` for a spec that does not split), in which
@@ -230,29 +226,27 @@ def propagate(
     (``_CALL_FLOPS`` each).  A run with too few records for its d never
     squares, and each record is then M times the last.  A final shorter
     gap applies its own map once.  A tracked coherence at step m is in
-    closed form s_ab exp(C_ab m dt), evaluated once for the whole run.
-    exp(W t) is column stochastic, so only such a coherence can grow, and
-    its rate decides that before the first step.  Stacked passes then check
-    the records for NaN/Inf, which a finite W times a long gap can still
-    give, and diagnose them, so the eigensolve never sees a non-finite
-    record.  A pass takes as many records as fill ``_CHECK_BYTES`` at 16 d^2
-    bytes each with tracked coherences and 16 d without, the size of its
-    largest temporaries, so a pass peaks near that budget whatever the
-    run's length.
+    closed form s_ab exp(C_ab m dt), evaluated once for the whole run; a
+    spec is accepted only with gamma_pd <= 0, so Re C_ab <= 0 and no
+    coherence grows.  Stacked passes then check the records for NaN/Inf,
+    which a finite W times a long gap can still give, and diagnose them,
+    so the eigensolve never sees a non-finite record.  A pass takes as many
+    records as fill ``_CHECK_BYTES`` at 16 d^2 bytes each with tracked
+    coherences and 16 d without, the size of its largest temporaries, so a
+    pass peaks near that budget whatever the run's length.
     The records stay in the eigenbasis (see :class:`Trajectory`), and the
     diagnostics of :func:`_diagnose` read them there, never rotated out.
     Without tracked coherences, as for a Gibbs or level start on a ladder,
     they take O(dim) per record.
 
-    Every spec with amplifying modes warns once, through ``warnings`` and in
-    ``Trajectory.warnings``.  rho0 is checked first, and ``ValueError``
-    names the first check it fails: shape (dim, dim), Hermiticity within
-    1e-10, then in the eigenbasis a trace of 1 within 1e-9 and a smallest
-    eigenvalue, taken as for ``min_eig``, of at least ``MIN_EIG_WARN``.
-    ``ValueError`` is also raised unless t_final and dt are positive and
-    finite, record_every an integer >= 1, the step count fits the record
-    index (an ``intp``) and the records fit in ``MAX_RECORD_BYTES``; all
-    four are checked before anything is allocated for the records.
+    rho0 is checked first, and ``ValueError`` names the first check it
+    fails: shape (dim, dim), Hermiticity within 1e-10, then in the
+    eigenbasis a trace of 1 within 1e-9 and a smallest eigenvalue, taken as
+    for ``min_eig``, of at least ``MIN_EIG_WARN``.  ``ValueError`` is also
+    raised unless t_final and dt are positive and finite, record_every an
+    integer >= 1, the step count fits the record index (an ``intp``) and
+    the records fit in ``MAX_RECORD_BYTES``; all four are checked before
+    anything is allocated for the records.
     """
     raw = np.asarray(rho0, dtype=complex)
     dim = spec.dim
@@ -283,16 +277,7 @@ def propagate(
 
     _check_record_bytes(f"{n_records} records of dim {dim}",
                         n_records * (dim * 8 + len(a) * 16 + 32))
-    notes = []
-    if gen.max_growth > AMPLIFY_TOL:
-        notes.append(f"assembled generator has amplifying modes (max Re lambda = "
-                     f"{gen.max_growth:.3e}); check the sign of gamma_pd")
-        warnings.warn(notes[-1], stacklevel=2)
     c = gen.rates(a, b)
-    if c.real.max(initial=0.0) > AMPLIFY_TOL:
-        j = int(np.argmax(c.real))
-        raise PropagationError(f"coherence instability: tracked pair ({a[j]}, {b[j]}) "
-                               f"grows at Re C = {c[j].real:.6g} > {AMPLIFY_TOL:.0e}")
 
     top_index = spec.system.N - 1 if isinstance(spec.system, LadderSystem) else None
 
@@ -334,8 +319,7 @@ def propagate(
                 t = times[start + int(np.argmin(finite))]
                 raise PropagationError(f"NaN/Inf encountered before t={t:.6g}")
             diag[:, rows] = _diagnose(pops[rows], cohs[rows], (a, b), top_index)
-    traj = Trajectory(times, *diag, _pops=pops, _cohs=cohs, _pairs=(a, b), _gen=gen,
-                      warnings=notes)
+    traj = Trajectory(times, *diag, _pops=pops, _cohs=cohs, _pairs=(a, b), _gen=gen)
 
     worst_eig = traj.min_eig.min()
     if worst_eig < MIN_EIG_WARN:

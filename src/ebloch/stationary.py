@@ -9,7 +9,6 @@ import numpy as np
 
 from .dissipators import RhsSpec, SplitGenerator
 from .linalg import eigenbasis, is_hermitian
-from .propagate import AMPLIFY_TOL
 from .systems import TwoLevelSystem
 
 ZERO_EIG_TOL = 1e-10
@@ -95,34 +94,21 @@ def effective_temperature(spec: RhsSpec) -> float | None:
     transition agree on it (to 1e-9 relative); inf for gamma_p = gamma_m;
     None for inverted or inconsistent rates.
     """
-    pairs = []
+    rows = []
     s = spec.system
     if isinstance(s, TwoLevelSystem):
-        pairs.append((s.E, s.gamma_p, s.gamma_m))
+        rows = [(s.E, s.gamma_p, s.gamma_m)]
     elif s is not None:
         ii, jj, gp, gm = s.transitions
         levels = np.asarray(s.energies)
-        pairs += zip((levels[jj] - levels[ii]).tolist(), gp.tolist(), gm.tolist())
-    if not pairs:
+        rows = list(zip((levels[jj] - levels[ii]).tolist(), gp.tolist(), gm.tolist()))
+    if not rows or not all(0.0 < gp <= gm for _, gp, gm in rows):
         return None
-    temps = []
-    for E, gp, gm in pairs:
-        if gp <= 0.0 or gm <= 0.0:
-            return None
-        if gp == gm:
-            temps.append(math.inf)
-        elif gp < gm:
-            temps.append(E / math.log(gm / gp))
-        else:
-            return None
-    if all(math.isinf(t) for t in temps):
-        return math.inf
-    if any(math.isinf(t) for t in temps):
-        return None
+    temps = [math.inf if gp == gm else E / math.log(gm / gp) for E, gp, gm in rows]
     t0 = temps[0]
-    if any(abs(t - t0) > 1e-9 * abs(t0) for t in temps):
-        return None
-    return t0
+    if math.isinf(t0):
+        return t0 if all(math.isinf(t) for t in temps) else None
+    return t0 if all(abs(t - t0) <= 1e-9 * abs(t0) for t in temps) else None
 
 
 def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
@@ -139,18 +125,13 @@ def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
     within 1e-10 of zero; when it exceeds one (disconnected transition
     graphs) the reported state is the near-null direction of W with the
     largest trace.  Raises :class:`FixedPointError` when no eigenvalue lies
-    within 1e-6 of zero or when the spectrum has real part above 1e-10
-    (amplifying modes).  The measures are taken in the eigenbasis, where the
-    state is diag(p): ``residual`` is ||W p|| and ``gibbs_distance`` is
-    (1/2) sum |p - g|, g the Gibbs weights of the energies E (both states
-    being diagonal there).
+    within 1e-6 of zero; none has a positive real part, as a spec is
+    accepted only with gamma_pd <= 0.  The measures are taken in the
+    eigenbasis, where the state is diag(p): ``residual`` is ||W p|| and
+    ``gibbs_distance`` is (1/2) sum |p - g|, g the Gibbs weights of the
+    energies E (both states being diagonal there).
     """
     gen = spec.compiled
-    if gen.max_growth > AMPLIFY_TOL:
-        raise FixedPointError(
-            f"generator has amplifying modes (max Re lambda = {gen.max_growth:.3e}); "
-            "check the sign of gamma_pd"
-        )
     eigvals = gen.spectrum
     absvals = np.abs(eigvals)
     nearest = float(absvals.min())

@@ -48,8 +48,8 @@ class TwoLevelSystem:
     """Two-level system: gap E, Bloch axis eps and exchange rates.
 
     ``gamma_p`` is the upward (energy-gaining) rate, ``gamma_m`` the downward
-    one.  Pure dephasing is not a property of the system: its signed
-    double-commutator coefficient ``gamma_pd`` belongs to
+    one.  Pure dephasing is not a property of the system: its
+    double-commutator coefficient ``gamma_pd`` (at most 0) belongs to
     :class:`ebloch.dissipators.RhsSpec`.
     """
 

@@ -22,7 +22,9 @@ these independent routes stay here, out of its API:
   is diagonal by forming H minus its diagonal, where
   :func:`ebloch.linalg.eigenbasis` counts nonzero entries;
 * :func:`uniformization` gives the exact flow of a rate matrix as a series
-  of non-negative terms.
+  of non-negative terms;
+* :func:`choi_margin` tests a superoperator for complete positivity through
+  its Choi matrix.
 """
 
 from __future__ import annotations
@@ -207,6 +209,23 @@ def build_superoperator(spec: RhsSpec, jumps: bool = False) -> np.ndarray:
     images = master_rhs(np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
                         .transpose(0, 2, 1), spec, jumps)
     return images.transpose(0, 2, 1).reshape(dim * dim, -1).T
+
+
+def choi_margin(S: np.ndarray) -> float:
+    """Least eigenvalue of the Choi matrix of a Hermiticity-preserving
+    generator S, in the convention of :func:`build_superoperator`, on the
+    complement of the maximally entangled vector.  exp(S t) is completely
+    positive for every t >= 0 exactly when it is >= 0 (Wolf and Cirac,
+    Commun. Math. Phys. 279, 147, 2008); for one pair this is Bloch's
+    T2 <= 2 T1."""
+    d = math.isqrt(len(S))
+    # S[a + b d, i + j d] is entry (a, b) of the image of |i><j|, and entry
+    # (i d + a, j d + b) of the Choi matrix sum_ij |i><j| (x) L(|i><j|)
+    choi = S.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+    omega = np.eye(d).reshape(-1) / math.sqrt(d)
+    # columns 1: of the QR of [omega, I] are an orthonormal basis of omega's complement
+    Q = np.linalg.qr(np.column_stack([omega, np.eye(d * d)]))[0][:, 1:]
+    return float(np.linalg.eigvalsh(herm_part(Q.T @ choi @ Q))[0])
 
 
 def transition_projector(

@@ -446,6 +446,13 @@ def test_every_benchmark_job_config_parses(monkeypatch):
 def test_every_spec_a_config_builds_compiles(system, include_unitary, gamma_pd):
     text, kinds = CONFIG_SYSTEMS[system]
     options = f"include_unitary = {include_unitary}\ngamma_pd = {gamma_pd}\n"
+    if gamma_pd > 0.0:
+        # the one setting that is not completely positive builds no spec
+        with pytest.raises(ConfigError) as info:
+            parse_config(text + "[dissipator]\n" + options)
+        assert info.value.errors == [f"[dissipator] gamma_pd must be finite and <= 0, "
+                                     f"got {gamma_pd}"]
+        return
     gen = parse_config(text + "[dissipator]\n" + options).spec.compiled
     assert (gen.V is None) == (system != "two_level")
     # the deprecated kind still names a route the system has, and changes nothing
@@ -600,38 +607,34 @@ def test_simulate_validation_failure_exit_code(tmp_path, capsys):
 
 
 def test_simulate_numerical_failure_exit_code(tmp_path, capsys):
-    gp, gm = thermal_rates()
-    text = TWO_LEVEL_CFG.format(gp=gp, gm=gm) + "\n[dissipator]\ngamma_pd = 60.0\n"
-    text = text.replace("type = gibbs\nT = 1.0", "type = level\nindex = 0")
-    # amplifying dephasing with an off-diagonal initial state diverges
-    state = np.array([[0.5, 0.4], [0.4, 0.5]], dtype=complex)
-    state_path = write(tmp_path, "rho0.txt", format_matrix_text(state))
-    text = text.replace("type = level\nindex = 0", f"type = file\npath = {state_path}")
+    # rates of 1e300 give a finite W, but W times one step of 1e10 overflows
+    # the population map, and the check of the records stops the run
+    text = ("[system]\ntype = explicit\nenergies = 0, 1, 2\n"
+            "transitions = 0:1:1e300:1e300; 1:2:1e300:1e300\n\n"
+            "[initial]\ntype = level\nindex = 0\n\n"
+            "[integration]\nt_final = 1e10\ndt = 1e10\n\n[output]\npath = traj.csv\n")
     cfg = write(tmp_path, "div.cfg", text)
-    with pytest.warns(UserWarning, match="amplifying modes"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
     assert code == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "numerical"
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "numerical", "messages": ["NaN/Inf encountered before t=1e+10"]}
+    assert not (tmp_path / "traj.csv").exists()
 
 
-def test_simulate_csv_carries_the_amplifying_modes_warning(tmp_path):
-    # gamma_pd = 0.4 amplifies coherences of an N=4 ladder; a level start has
-    # none, so the run ends, and its CSV says what it warned on stderr
-    text = OSCILLATOR_RUN_CFG.replace("N = 6", "N = 4").replace(
-        "[integration]", "[dissipator]\ngamma_pd = 0.4\n\n[initial]\ntype = level\n"
-        "index = 0\n\n[integration]").replace("path = out.csv", "path = out.csv\n"
-                                                 "what = diagnostics")
-    cfg = write(tmp_path, "amp.cfg", text)
-    with pytest.warns(UserWarning, match="amplifying modes") as caught:
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
-    comments, header, _ = read_csv(tmp_path / "out.csv")
-    assert [str(w.message) for w in caught] == [
-        "assembled generator has amplifying modes (max Re lambda = 2.369e+00); "
-        "check the sign of gamma_pd"]
-    assert comments == [f"# warning: {caught[0].message}",
-                        "# warning: truncation leak: top-level population reached "
-                        "2.207e-02 > 1e-06"]
-    assert header == ["t", "trace_dev", "min_eig", "top_pop"]
+@pytest.mark.parametrize("sub", ["simulate", "fixed-point", "canonical"])
+def test_a_positive_gamma_pd_exits_as_validation(tmp_path, capsys, sub):
+    # gamma_pd > 0 is the jump L = H at a negative rate: not completely
+    # positive, so every subcommand that builds a spec refuses it
+    text = OSCILLATOR_RUN_CFG.replace("[integration]", "[dissipator]\ngamma_pd = 0.4\n\n"
+                                                       "[integration]")
+    cfg = write(tmp_path, "pd.cfg", text)
+    assert main([sub, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "validation",
+        "messages": ["[dissipator] gamma_pd must be finite and <= 0, got 0.4"]}
+    assert os.listdir(tmp_path) == ["pd.cfg"]
 
 
 OSCILLATOR_RUN_CFG = """\
@@ -1259,7 +1262,8 @@ def test_method_key_outside_its_choices_exits_as_validation(tmp_path, capsys):
 
 def test_canonical_writes_the_same_bytes_under_every_dissipator_setting(tmp_path):
     # canonical records populations only, and they move under W, which the
-    # transitions alone build: no [dissipator] key can change a byte
+    # transitions alone build: no accepted [dissipator] key can change a byte,
+    # and a positive gamma_pd is refused
     plain = write(tmp_path, "plain.cfg", OSCILLATOR_RUN_CFG)
     assert main(["canonical", "--config", plain, "--out", str(tmp_path / "plain")]) == 0
     want = (tmp_path / "plain" / "out.csv").read_bytes()
@@ -1270,8 +1274,12 @@ def test_canonical_writes_the_same_bytes_under_every_dissipator_setting(tmp_path
                         f"include_unitary = {include_unitary}\ngamma_pd = {gamma_pd}\n")
                 out = tmp_path / f"{kind}-{include_unitary}-{gamma_pd}"
                 with pytest.warns(FutureWarning, match=r"\[dissipator\] kind has no effect"):
-                    assert main(["canonical", "--config", write(tmp_path, "d.cfg", text),
-                                 "--out", str(out)]) == 0
+                    code = main(["canonical", "--config", write(tmp_path, "d.cfg", text),
+                                 "--out", str(out)])
+                if gamma_pd == "0.5":
+                    assert code == 1 and not out.exists()
+                    continue
+                assert code == 0
                 assert (out / "out.csv").read_bytes() == want, out.name
 
 

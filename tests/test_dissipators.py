@@ -5,6 +5,9 @@ elemental-Bloch kernel is built from commutators with no jump operators,
 the GKLS kernel from an independently constructed jump pair.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -361,7 +364,7 @@ def test_master_rhs_gibbs_stationary_with_any_dephasing():
     gp, gm = rates_from_bath(bath, E)
     sys2 = TwoLevelSystem(E, (0, 0.6, 0.8), gp, gm)
     rho_g = gibbs_state(sys2.hamiltonian, bath.T)
-    for gamma_pd in (0.0, 0.8, -0.8):
+    for gamma_pd in (0.0, -0.3, -0.8):
         spec = RhsSpec.for_system(sys2, gamma_pd=gamma_pd)
         assert np.linalg.norm(master_rhs(rho_g, spec)) <= 1e-12
 
@@ -413,6 +416,25 @@ def test_rhs_spec_validation():
         RhsSpec(sys2.hamiltonian, jumps=((SZ, -1.0),))
 
 
+def test_rhs_spec_refuses_a_gamma_pd_that_is_positive_or_not_finite():
+    # gamma_pd [H, [H, rho]] is the jump L = H at rate -2 gamma_pd: only a
+    # finite gamma_pd <= 0 is completely positive, at every size and route
+    sys2 = TwoLevelSystem(1.0, (0.6, 0, 0.8), 0.3, 0.7)
+    lad = build_oscillator(20, 1.0, "harmonic", BathModel(1.0, 1.0))
+    makers = (lambda g: RhsSpec.for_system(sys2, gamma_pd=g),
+              lambda g: RhsSpec.for_system(lad, include_unitary=False, gamma_pd=g),
+              lambda g: RhsSpec(sys2.hamiltonian, gamma_pd=g,
+                                jumps=((jump_operators(sys2.hamiltonian).sigma_m, 0.5),)))
+    for make in makers:
+        for gamma_pd in (0.0, -0.0):
+            spec = make(gamma_pd)
+            assert spec.gamma_pd == 0.0 and spec.compiled is not None
+        for gamma_pd in (1e-300, 0.4, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"gamma_pd must be finite and <= 0, got {gamma_pd}")):
+                make(gamma_pd)
+
+
 def test_two_level_dephasing_is_set_only_on_the_spec():
     # the system has no dephasing field whose magnitude a default could
     # apply with the amplifying sign
@@ -434,7 +456,7 @@ def rhs_specs(draw):
     """(spec, jumps) of a tilted two-level or random ladder spec, either
     kernel, or of a closed spec."""
     include_unitary = draw(st.booleans())
-    gamma_pd = draw(st.sampled_from([0.0, -0.3, 0.4]))
+    gamma_pd = draw(st.sampled_from([0.0, -0.3, -0.4]))
     rate = st.floats(0.05, 2.0)
     family = draw(st.sampled_from(["two_level", "ladder", "closed"]))
     if family == "two_level":
