@@ -119,8 +119,7 @@ def run_bench(pair, inputs: np.ndarray, chunks: int) -> list[BenchRow]:
     the same ``inputs``, an (n, d, d) stack such as :func:`random_states`."""
     if not 1 <= chunks <= len(inputs):
         raise ValueError("need applications >= chunks >= 1")
-    system = pair[0][2]
-    n_trans = len(system.transitions[0]) if isinstance(system, LadderSystem) else 1
+    n_trans = len(pair[0][2].transitions[0])
     rows = []
     for name, fn, _ in pair:
         ns, acc = _run_kernel(fn, inputs, chunks)

@@ -106,7 +106,7 @@ def _thermal_ladder_parameters(sys: LadderSystem) -> tuple[float, float, float]:
         raise ValueError("canonical experiment needs the full nearest-neighbour ladder")
     gaps, gsum = np.diff(sys.energies), gp + gm
     E = float(gaps[0])
-    if np.any(np.abs(gaps - E) > 1e-9 * max(1.0, E)):
+    if np.any(np.abs(gaps - E) > 1e-9 * E):
         raise ValueError("canonical experiment needs equal level spacing")
     if np.any(gsum <= 0.0):
         raise ValueError("every transition needs a positive total rate")

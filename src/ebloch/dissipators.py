@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import as_matrix, eigenbasis, is_hermitian
-from .systems import LadderSystem, TwoLevelSystem, jump_operators
+from .systems import LadderSystem, TwoLevelSystem
 
 # entries of a rotated jump below this fraction of its largest count as zero
 JUMP_ZERO = 1e-12
@@ -89,9 +89,8 @@ def _compile(spec: "RhsSpec") -> SplitGenerator:
     or a level's out-rate is not finite."""
     energies, V = eigenbasis(spec.hamiltonian)
     n = spec.dim
-    system = spec.system
     # population moves: rate[k] carries population from level src[k] to dst[k]
-    if system is None:
+    if spec.system is None:
         # L = c|x><y| moves population from y to x at gamma |c|^2
         dst = np.zeros(len(spec.jumps), dtype=np.intp)
         src = np.zeros_like(dst)
@@ -110,12 +109,7 @@ def _compile(spec: "RhsSpec") -> SplitGenerator:
             with np.errstate(over="ignore"):  # an inf out-rate is rejected below
                 dst[k], src[k], rate[k] = x, y, gamma * abs(L[x, y]) ** 2
     else:
-        if isinstance(system, TwoLevelSystem):
-            # one transition from the lower to the upper eigenlevel
-            ii, jj = np.argsort(energies)[:, None]
-            gp, gm = np.array([system.gamma_p]), np.array([system.gamma_m])
-        else:
-            ii, jj, gp, gm = system.transitions
+        ii, jj, gp, gm = spec.system.transitions
         # gp lifts population from i to j, gm lowers it from j to i
         dst, src = np.concatenate([jj, ii]), np.concatenate([ii, jj])
         rate = np.concatenate([gp, gm])
@@ -184,16 +178,10 @@ class RhsSpec:
     @cached_property
     def jump_terms(self) -> tuple:
         """``(K, ((gamma, L, L^dag), ...))`` with K = sum_j gamma_j L_j^dag L_j
-        over the explicit jumps or a system's GKLS jumps (the canonical pair
-        at (gamma_p, gamma_m), or :func:`ladder_jump_list`), built on first use."""
-        jumps = self.jumps
-        system = self.system
-        if isinstance(system, TwoLevelSystem):
-            pair = jump_operators(self.hamiltonian)
-            jumps = ((pair.sigma_p, system.gamma_p),
-                     (pair.sigma_m, system.gamma_m))
-        elif system is not None:
-            jumps = ladder_jump_list(system)
+        over the explicit jumps or a system's :func:`ladder_jump_list` in the
+        eigenbasis of H (the canonical pair for two levels), built on first use."""
+        jumps = (self.jumps if self.system is None
+                 else ladder_jump_list(self.system, eigenbasis(self.hamiltonian)[1]))
         terms = tuple((gamma, L, L.conj().T) for L, gamma in jumps)
         K = np.zeros_like(self.hamiltonian)
         for gamma, L, Ld in terms:
@@ -205,9 +193,9 @@ class RhsSpec:
         """The spec's :class:`SplitGenerator` in the eigenbasis of H.
 
         The basis is that of :func:`~ebloch.linalg.eigenbasis`: an exactly
-        diagonal H is used as it is (``V`` is None).  A system
-        spec compiles from its transitions (the two sorted eigenlevels, or
-        the ladder's), the same generator as its GKLS jump list.  Each
+        diagonal H is used as it is (``V`` is None).  A system spec compiles
+        from its ``transitions``, the same generator as its GKLS jump list;
+        those of a two-level system are indexed in this basis.  Each
         explicit jump, rotated to V^dag L V, must be a single off-diagonal
         matrix unit (entries below ``JUMP_ZERO`` times its largest count as
         zero); otherwise raises ``ValueError`` naming the first jump that is
@@ -316,15 +304,18 @@ def double_commutator(H, rho) -> np.ndarray:
     return H @ inner - inner @ H
 
 
-def ladder_jump_list(sys: LadderSystem) -> tuple:
-    """Pairwise-GKLS jump list for a ladder: per transition, the embedded
-    block raising/lowering operators |j><i| and |i><j| with their rates."""
+def ladder_jump_list(sys: TwoLevelSystem | LadderSystem, V: np.ndarray | None = None) -> tuple:
+    """Pairwise-GKLS jump list of a system: per transition, the embedded
+    block raising/lowering operators |j><i| and |i><j| with their rates; with
+    the ``V`` of :func:`~ebloch.linalg.eigenbasis`, V|j><i|V^dag and its adjoint."""
     jumps = []
     for i, j, gp, gm in zip(*sys.transitions):
-        up = np.zeros((sys.N, sys.N), dtype=complex)
-        up[j, i] = 1.0
-        down = np.zeros((sys.N, sys.N), dtype=complex)
-        down[i, j] = 1.0
-        jumps.append((up, gp))
-        jumps.append((down, gm))
+        if V is None:
+            up = np.zeros_like(sys.hamiltonian)
+            up[j, i] = 1.0
+            down = up.T.copy()
+        else:
+            up = V[:, j:j + 1] * V[:, i].conj()
+            down = up.conj().T  # jump_operators' sigma_m to the bit; V|i><j|V^dag is not
+        jumps += [(up, gp), (down, gm)]
     return tuple(jumps)

@@ -94,14 +94,9 @@ def effective_temperature(spec: RhsSpec) -> float | None:
     transition agree on it (to 1e-9 relative); inf for gamma_p = gamma_m;
     None for inverted or inconsistent rates.
     """
-    rows = []
     s = spec.system
-    if isinstance(s, TwoLevelSystem):
-        rows = [(s.E, s.gamma_p, s.gamma_m)]
-    elif s is not None:
-        ii, jj, gp, gm = s.transitions
-        levels = np.asarray(s.energies)
-        rows = list(zip((levels[jj] - levels[ii]).tolist(), gp.tolist(), gm.tolist()))
+    rows = [] if s is None else [(s.energies[j] - s.energies[i], gp, gm) for i, j, gp, gm
+                                 in zip(*(a.tolist() for a in s.transitions))]
     if not rows or not all(0.0 < gp <= gm for _, gp, gm in rows):
         return None
     temps = [math.inf if gp == gm else E / math.log(gm / gp) for E, gp, gm in rows]

@@ -43,6 +43,15 @@ def _unit_bloch_vector(eps) -> tuple[float, float, float]:
     return (float(v[0]), float(v[1]), float(v[2]))
 
 
+def _set_transitions(system, rows) -> None:
+    """Store ``(i, j, gamma_p, gamma_m)`` rows as the read-only arrays ``transitions``."""
+    arrays = tuple(np.array([row[k] for row in rows], dtype=np.intp if k < 2 else float)
+                   for k in range(4))
+    for a in arrays:
+        a.flags.writeable = False
+    object.__setattr__(system, "transitions", arrays)
+
+
 @dataclass(frozen=True)
 class TwoLevelSystem:
     """Two-level system: gap E, Bloch axis eps and exchange rates.
@@ -51,6 +60,10 @@ class TwoLevelSystem:
     one.  Pure dephasing is not a property of the system: its
     double-commutator coefficient ``gamma_pd`` (at most 0) belongs to
     :class:`ebloch.dissipators.RhsSpec`.
+
+    In the eigenbasis of H it is a ladder of one transition: ``energies`` are
+    -E/2 and E/2 in the order of :func:`~ebloch.linalg.eigenbasis`, and
+    ``transitions`` is its one read-only row (ii, jj, gamma_p, gamma_m).
     """
 
     E: float
@@ -64,10 +77,12 @@ class TwoLevelSystem:
         object.__setattr__(self, "eps", _unit_bloch_vector(self.eps))
         _check_rate("gamma_p", self.gamma_p)
         _check_rate("gamma_m", self.gamma_m)
-
-    @cached_property
-    def hamiltonian(self) -> np.ndarray:
-        return build_two_level_hamiltonian(self.E, self.eps)
+        H, half = build_two_level_hamiltonian(self.E, self.eps), 0.5 * self.E
+        # eigenbasis(H) keeps an exactly diagonal H as it stands, else sorts ascending
+        lower = int(H[0, 1] == 0 and H[0, 0].real > H[1, 1].real)
+        object.__setattr__(self, "hamiltonian", H)
+        object.__setattr__(self, "energies", (half, -half) if lower else (-half, half))
+        _set_transitions(self, [(lower, 1 - lower, self.gamma_p, self.gamma_m)])
 
     @property
     def gamma_sum(self) -> float:
@@ -149,11 +164,7 @@ class LadderSystem:
             gap = energies[j] - energies[i]
             if not gap > 0.0:
                 raise ValueError(f"{name} needs level {j} above level {i}, got gap {gap}")
-        arrays = tuple(np.array([row[k] for row in rows], dtype=np.intp if k < 2 else float)
-                       for k in range(4))
-        for a in arrays:
-            a.flags.writeable = False
-        object.__setattr__(self, "transitions", arrays)
+        _set_transitions(self, rows)
 
     @property
     def N(self) -> int:
@@ -219,7 +230,8 @@ def jump_operators(H) -> JumpOperatorPair:
     freedom: the pair then satisfies all algebra identities checked by
     :func:`verify_jump_algebra`, in particular ``[H, sigma_p] = E sigma_p``.
     One ``hermitian_eig`` call covers the whole stack; a stack is rejected if
-    any of its matrices is not traceless, not Hermitian or degenerate.
+    any of its matrices is not traceless, not Hermitian or has a gap of at
+    most 1e-12 times its largest |eigenvalue| (degenerate).
     """
     M = np.asarray(H, dtype=complex)
     if M.ndim not in (2, 3) or M.shape[-2:] != (2, 2):
@@ -228,7 +240,7 @@ def jump_operators(H) -> JumpOperatorPair:
     if not np.all(np.abs(M[..., 0, 0] + M[..., 1, 1]) <= 1e-10 * scale):
         raise ValueError("Hamiltonian must be traceless within 1e-10")
     w, V = hermitian_eig(M)
-    if np.any(w[..., 1] - w[..., 0] <= 1e-12):
+    if np.any(w[..., 1] - w[..., 0] <= 1e-12 * np.abs(w).max(axis=-1)):
         raise ValueError("Hamiltonian is degenerate: no unique transition pair")
     sigma_p = V[..., :, 1:] * V[..., None, :, 0].conj()
     return JumpOperatorPair(sigma_p, sigma_p.conj().swapaxes(-1, -2))

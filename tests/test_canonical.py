@@ -320,6 +320,18 @@ def test_canonical_experiment_rejects_non_ladder_systems():
         canonical_experiment(skip, 2.0, 1.0, 1e-2)
 
 
+def test_canonical_experiment_spacing_check_is_relative_to_the_spacing():
+    from ebloch.systems import LadderSystem
+
+    rungs = [(0, 1, 0.2, 0.8), (1, 2, 0.2, 0.8)]
+    unequal = LadderSystem((0.0, 1e-10, 6e-10), rungs)
+    with pytest.raises(ValueError, match="equal level spacing"):
+        canonical_experiment(unequal, 1e-10, 1.0, 0.1)
+    equal = LadderSystem((0.0, 1e-10, 2e-10), rungs)
+    diag = canonical_experiment(equal, 1e-10, 1.0, 0.1)
+    assert np.isfinite(diag.mean_ratio).all()
+
+
 # ------------------------------------------------------------ the exact flow
 
 

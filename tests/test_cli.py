@@ -1326,6 +1326,20 @@ def test_bench_checksums_match(tmp_path):
     assert ratio > 0
 
 
+@pytest.mark.parametrize("eps", ["0, 0, 1", "0.6, 0, 0.8"])
+def test_bench_runs_on_a_tiny_gap_with_matching_checksums(tmp_path, eps):
+    # the GKLS terms of E = 1e-13 build: the degeneracy test is relative to |w|
+    text = (TWO_LEVEL_BENCH_CFG.format(gp=0.3, gm=0.7).replace("E = 1.0", "E = 1e-13")
+            .replace("eps = 0, 0, 1", f"eps = {eps}")
+            + "\n[bench]\napplications = 2000\nchunks = 4\n")
+    cfg = write(tmp_path, "bench.cfg", text)
+    assert main(["bench", "--config", cfg, "--seed", "3", "--out", str(tmp_path)]) == 0
+    comments, header, rows = read_csv(tmp_path / "traj.csv")
+    assert any("checksums_match=true" in c for c in comments)
+    sums = {r[header.index("kernel")]: r[header.index("checksum")] for r in rows}
+    assert sums["ebe2"] == sums["gkls"]
+
+
 def test_bench_takes_its_deviation_over_the_inputs_it_timed(tmp_path, monkeypatch):
     # above 20,000 applications a two-level run checks the first 20,000
     seen = []

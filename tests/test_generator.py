@@ -417,6 +417,26 @@ def test_two_level_canonical_jump_pair_compiles_to_the_system_generator():
         np.testing.assert_allclose(dense_rates(jumps), dense_rates(system), rtol=0.0, atol=tol)
 
 
+def test_tilted_two_level_jump_terms_are_the_bits_of_the_canonical_pair():
+    def bits(a):
+        return np.ascontiguousarray(a).tobytes()
+
+    rng = np.random.default_rng(43)
+    for _ in range(500):
+        v = rng.standard_normal(3)
+        gp, gm = (float(g) for g in rng.uniform(0.05, 2.0, 2))
+        sys2 = TwoLevelSystem(float(rng.uniform(0.2, 5.0)), tuple(v / np.linalg.norm(v)), gp, gm)
+        K, terms = RhsSpec.for_system(sys2).jump_terms
+        pair = jump_operators(sys2.hamiltonian)
+        want = ((gp, pair.sigma_p), (gm, pair.sigma_m))
+        assert [(g, bits(L), bits(Ld)) for g, L, Ld in terms] == [
+            (g, bits(L), bits(L.conj().T)) for g, L in want]
+        want_K = np.zeros((2, 2), dtype=complex)
+        for g, L in want:
+            want_K += g * (L.conj().T @ L)
+        assert bits(K) == bits(want_K)
+
+
 def test_system_specs_solve_and_propagate_without_building_jumps(monkeypatch):
     class Built(Exception):
         pass

@@ -220,18 +220,14 @@ def test_fixed_point_flags_multiplicity_on_disconnected_graph():
     assert report.residual <= 1e-10
 
 
-def test_fixed_point_error_when_no_stationary_state():
-    # pure unitary spec has many zero modes; an amplifying gamma_pd with no
-    # dissipator shifts every coherence eigenvalue away from zero except the
-    # diagonal ones -- use a rotated closed system plus tiny t to build a spec
-    # whose S has no near-zero eigenvalue: simplest is a nonzero constant drive,
-    # which this package does not model, so instead check the guard directly
-    # on a spec whose only near-zero candidate is removed by dephasing.
+def test_closed_dephased_two_level_spec_has_two_stationary_populations():
+    # gamma_pd = -0.5 damps the coherence at 0.5 w^2 = 0.5; with no jump
+    # both populations stay where they are
     H = build_two_level_hamiltonian(1.0, (0, 0, 1))
     spec = RhsSpec(H, jumps=(), include_unitary=True, gamma_pd=-0.5)
-    report = fixed_point(spec)  # diagonal sector still stationary
-    assert report.multiplicity >= 2
-
+    report = fixed_point(spec)
+    assert report.multiplicity == 2
+    assert report.spectral_gap == 0.5
 
 
 def _fixed_point_specs():
@@ -319,6 +315,24 @@ def test_effective_temperature_two_level():
     assert effective_temperature(RhsSpec.for_system(balanced)) == math.inf
     inverted = TwoLevelSystem(1.0, (0, 0, 1), 0.9, 0.1)
     assert effective_temperature(RhsSpec.for_system(inverted)) is None
+
+
+def test_effective_temperature_of_two_levels_is_that_of_their_one_row_ladder():
+    rng = np.random.default_rng(42)
+    for k in range(400):
+        v = rng.standard_normal(3) if k % 4 else (0.0, 0.0, (-1.0) ** (k // 4))
+        E = float(10.0 ** rng.uniform(-6, 6))
+        gp, gm = (float(g) for g in rng.uniform(0.0, 2.0, 2))
+        if k % 5 == 0:
+            gp = gm
+        sys2 = TwoLevelSystem(E, tuple(np.asarray(v) / np.linalg.norm(v)), gp, gm)
+        row = [tuple(a[0].item() for a in sys2.transitions)]
+        twin = LadderSystem(sys2.energies, row)
+        got = effective_temperature(RhsSpec.for_system(sys2))
+        assert got == effective_temperature(RhsSpec.for_system(twin))
+        # the rule before two-level systems presented their transitions
+        want = None if not 0.0 < gp <= gm else (math.inf if gp == gm else E / math.log(gm / gp))
+        assert got == want
 
 
 def test_effective_temperature_ladder_consistency():

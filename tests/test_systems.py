@@ -10,6 +10,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ebloch.linalg import eigenbasis
 from ebloch.systems import (
     BathModel,
     JumpOperatorPair,
@@ -69,6 +70,37 @@ def test_two_level_system_normalizes_eps():
     assert np.linalg.norm(sys2.eps) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         TwoLevelSystem(1.0, (0, 0, 1), gamma_p=-0.1)
+
+
+EDGE_AXES = [(0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (5e-324, 0.0, 1.0), (0.0, 0.0, -1.0)]
+
+
+def test_two_level_transitions_follow_the_eigenbasis_order():
+    # the rule a spec compiled by before two-level systems had transitions:
+    # one row from argsort(E)[0] to argsort(E)[1], E of eigenbasis(H)
+    rng = np.random.default_rng(41)
+    axes = EDGE_AXES + [tuple(random_direction(rng)) for _ in range(200)]
+    for k, eps in enumerate(axes):
+        sys2 = TwoLevelSystem(1.0 if k < 4 else float(rng.uniform(0.2, 5.0)), eps, 0.3, 0.7)
+        E, _ = eigenbasis(sys2.hamiltonian)
+        ii, jj, gp, gm = sys2.transitions
+        assert (ii.tolist(), jj.tolist()) == ([int(np.argsort(E)[0])], [int(np.argsort(E)[1])])
+        assert (gp.tolist(), gm.tolist()) == ([0.3], [0.7])
+        assert ii.dtype == jj.dtype == np.intp and not any(a.flags.writeable for a in (ii, jj, gp, gm))
+        half = 0.5 * sys2.E
+        assert sorted(sys2.energies) == [-half, half]
+        np.testing.assert_allclose(sys2.energies, E, rtol=0.0, atol=1e-15 * sys2.E)
+        if k < 3:  # exactly diagonal H (at E = 1, 5e-324 underflows): descending
+            assert sys2.energies == (half, -half) and (ii[0], jj[0]) == (1, 0)
+    # at E = 2.5 the 5e-324 axis leaves H dense: ascending
+    assert TwoLevelSystem(2.5, EDGE_AXES[2]).energies == (-1.25, 1.25)
+
+
+def test_jump_operators_degeneracy_test_is_relative_to_the_levels():
+    for E in (1e-13, 1e-200):
+        for eps in ((0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (0.48, 0.36, 0.8)):
+            H = build_two_level_hamiltonian(E, eps)
+            assert verify_jump_algebra(jump_operators(H), H, E).passed
 
 
 # ------------------------------------------------------------- jump operators
