@@ -180,8 +180,7 @@ class RhsSpec:
         """``(K, ((gamma, L, L^dag), ...))`` with K = sum_j gamma_j L_j^dag L_j
         over the explicit jumps or a system's :func:`ladder_jump_list` in the
         eigenbasis of H (the canonical pair for two levels), built on first use."""
-        jumps = (self.jumps if self.system is None
-                 else ladder_jump_list(self.system, eigenbasis(self.hamiltonian)[1]))
+        jumps = self.jumps if self.system is None else ladder_jump_list(self.system)
         terms = tuple((gamma, L, L.conj().T) for L, gamma in jumps)
         K = np.zeros_like(self.hamiltonian)
         for gamma, L, Ld in terms:
@@ -304,10 +303,11 @@ def double_commutator(H, rho) -> np.ndarray:
     return H @ inner - inner @ H
 
 
-def ladder_jump_list(sys: TwoLevelSystem | LadderSystem, V: np.ndarray | None = None) -> tuple:
-    """Pairwise-GKLS jump list of a system: per transition, the embedded
-    block raising/lowering operators |j><i| and |i><j| with their rates; with
-    the ``V`` of :func:`~ebloch.linalg.eigenbasis`, V|j><i|V^dag and its adjoint."""
+def ladder_jump_list(sys: TwoLevelSystem | LadderSystem) -> tuple:
+    """Pairwise-GKLS jump list of a system in the eigenbasis of its H: per
+    transition, V|j><i|V^dag and its adjoint at gamma_p and gamma_m, with the
+    ``V`` of :func:`~ebloch.linalg.eigenbasis` (for a ladder, the matrix units)."""
+    V = eigenbasis(sys.hamiltonian)[1]
     jumps = []
     for i, j, gp, gm in zip(*sys.transitions):
         if V is None:

@@ -65,15 +65,19 @@ def _phased_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, V * (top.conj() / np.abs(top))
 
 
+def is_diagonal(M: np.ndarray) -> bool:
+    """Whether M's off-diagonal entries are all zero (-0.0 too), with no M-sized array."""
+    return np.count_nonzero(M) == np.count_nonzero(M.diagonal())
+
+
 def eigenbasis(H) -> tuple[np.ndarray, np.ndarray | None]:
-    """``(E, V)`` with H = V diag(E) V^dag: H's diagonal and ``V`` None if every
-    off-diagonal entry is zero (-0.0 too) and the diagonal real and finite, found
-    with no array of H's size.  Any other diagonal H takes :func:`hermitian_eig`
-    and its check; a dense H is decomposed as there but unchecked, since
-    ``RhsSpec`` and ``gibbs_state`` check it where it enters."""
+    """``(E, V)`` with H = V diag(E) V^dag: H's diagonal and ``V`` None if H
+    passes :func:`is_diagonal` and its diagonal is real and finite.  Any other
+    diagonal H takes :func:`hermitian_eig` and its check; a dense H is decomposed
+    as there but unchecked, since ``RhsSpec`` and ``gibbs_state`` check it where it enters."""
     M = as_matrix(H)
-    d = M.diagonal()
-    if np.count_nonzero(M) == np.count_nonzero(d):
+    if is_diagonal(M):
+        d = M.diagonal()
         if np.isfinite(d).all() and not d.imag.any():
             return d.real, None
         return hermitian_eig(M)

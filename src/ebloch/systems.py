@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import hermitian_eig
+from .linalg import hermitian_eig, is_diagonal
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -61,9 +61,8 @@ class TwoLevelSystem:
     double-commutator coefficient ``gamma_pd`` (at most 0) belongs to
     :class:`ebloch.dissipators.RhsSpec`.
 
-    In the eigenbasis of H it is a ladder of one transition: ``energies`` are
-    -E/2 and E/2 in the order of :func:`~ebloch.linalg.eigenbasis`, and
-    ``transitions`` is its one read-only row (ii, jj, gamma_p, gamma_m).
+    In the eigenbasis of H it is a one-transition ladder: ``energies`` +-E/2 in
+    :func:`~ebloch.linalg.eigenbasis`' order and one read-only ``transitions`` row.
     """
 
     E: float
@@ -78,8 +77,8 @@ class TwoLevelSystem:
         _check_rate("gamma_p", self.gamma_p)
         _check_rate("gamma_m", self.gamma_m)
         H, half = build_two_level_hamiltonian(self.E, self.eps), 0.5 * self.E
-        # eigenbasis(H) keeps an exactly diagonal H as it stands, else sorts ascending
-        lower = int(H[0, 1] == 0 and H[0, 0].real > H[1, 1].real)
+        # eigenbasis keeps a diagonal H (real, finite here) as it stands, else sorts up
+        lower = int(is_diagonal(H) and H[0, 0].real > H[1, 1].real)
         object.__setattr__(self, "hamiltonian", H)
         object.__setattr__(self, "energies", (half, -half) if lower else (-half, half))
         _set_transitions(self, [(lower, 1 - lower, self.gamma_p, self.gamma_m)])
@@ -230,8 +229,7 @@ def jump_operators(H) -> JumpOperatorPair:
     freedom: the pair then satisfies all algebra identities checked by
     :func:`verify_jump_algebra`, in particular ``[H, sigma_p] = E sigma_p``.
     One ``hermitian_eig`` call covers the whole stack; a stack is rejected if
-    any of its matrices is not traceless, not Hermitian or has a gap of at
-    most 1e-12 times its largest |eigenvalue| (degenerate).
+    any of its matrices is not traceless, not Hermitian or degenerate (gap <= 1e-12 max|w|).
     """
     M = np.asarray(H, dtype=complex)
     if M.ndim not in (2, 3) or M.shape[-2:] != (2, 2):

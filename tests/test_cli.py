@@ -1328,7 +1328,8 @@ def test_bench_checksums_match(tmp_path):
 
 @pytest.mark.parametrize("eps", ["0, 0, 1", "0.6, 0, 0.8"])
 def test_bench_runs_on_a_tiny_gap_with_matching_checksums(tmp_path, eps):
-    # the GKLS terms of E = 1e-13 build: the degeneracy test is relative to |w|
+    # E = 1e-13 builds its GKLS terms: system jump terms no longer go through
+    # jump_operators, whose degeneracy test refused such a gap
     text = (TWO_LEVEL_BENCH_CFG.format(gp=0.3, gm=0.7).replace("E = 1.0", "E = 1e-13")
             .replace("eps = 0, 0, 1", f"eps = {eps}")
             + "\n[bench]\napplications = 2000\nchunks = 4\n")

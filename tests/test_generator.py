@@ -417,7 +417,7 @@ def test_two_level_canonical_jump_pair_compiles_to_the_system_generator():
         np.testing.assert_allclose(dense_rates(jumps), dense_rates(system), rtol=0.0, atol=tol)
 
 
-def test_tilted_two_level_jump_terms_are_the_bits_of_the_canonical_pair():
+def test_tilted_two_level_jump_list_and_terms_are_the_bits_of_the_canonical_pair():
     def bits(a):
         return np.ascontiguousarray(a).tobytes()
 
@@ -429,6 +429,8 @@ def test_tilted_two_level_jump_terms_are_the_bits_of_the_canonical_pair():
         K, terms = RhsSpec.for_system(sys2).jump_terms
         pair = jump_operators(sys2.hamiltonian)
         want = ((gp, pair.sigma_p), (gm, pair.sigma_m))
+        # ladder_jump_list takes the eigenbasis of the system's own H
+        assert [(g, bits(L)) for L, g in ladder_jump_list(sys2)] == [(g, bits(L)) for g, L in want]
         assert [(g, bits(L), bits(Ld)) for g, L, Ld in terms] == [
             (g, bits(L), bits(L.conj().T)) for g, L in want]
         want_K = np.zeros((2, 2), dtype=complex)
