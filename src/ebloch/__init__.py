@@ -35,7 +35,6 @@ from .propagate import (
     propagate,
 )
 from .stationary import (
-    FixedPointError,
     FixedPointReport,
     effective_temperature,
     fixed_point,

@@ -26,7 +26,7 @@ from .canonical import canonical_experiment
 from .dissipators import RhsSpec
 from .linalg import as_matrix
 from .propagate import PropagationError, propagate
-from .stationary import FixedPointError, fixed_point, gibbs_in_basis
+from .stationary import fixed_point, gibbs_in_basis
 from .systems import (
     SIGMA_X,
     SIGMA_Y,
@@ -664,8 +664,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         return _fail("validation", exc.errors, 1)
     # LinAlgError subclasses ValueError, so the numerical family goes first
-    except (PropagationError, FixedPointError, RuntimeError, FloatingPointError,
-            np.linalg.LinAlgError) as exc:
+    except (PropagationError, RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         return _fail("numerical", [exc], 2)
     # OSError: an output that cannot be created or written
     except (ValueError, TypeError, OSError) as exc:

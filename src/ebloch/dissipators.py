@@ -71,18 +71,6 @@ class SplitGenerator:
         """V s V^dag: a matrix of the eigenbasis in the original basis."""
         return s if self.V is None else self.V @ s @ self.V.conj().T
 
-    @cached_property
-    def population_eig(self) -> tuple:
-        """(eigenvalues, column eigenvectors) of ``W``."""
-        return np.linalg.eig(self.W)
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """eig(W) followed by C_ab of every pair a != b in row-major order."""
-        idx = np.arange(len(self.E))
-        rates = self.rates(idx[:, None], idx)[~np.eye(len(idx), dtype=bool)]
-        return np.concatenate([self.population_eig[0], rates])
-
 
 def _compile(spec: "RhsSpec") -> SplitGenerator:
     """(E, W, rule, V) of a spec; raises ValueError when it does not split

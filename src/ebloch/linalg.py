@@ -33,12 +33,12 @@ def herm_part(A: np.ndarray) -> np.ndarray:
 
 def is_hermitian(A, tol: float = HERMITICITY_TOL) -> bool:
     """Whether ``A``, one (d, d) matrix or each matrix of an (n, d, d) stack,
-    deviates from its conjugate transpose by at most ``tol`` times max(1, its
-    largest entry)."""
+    deviates from its conjugate transpose by at most ``tol`` times its largest
+    entry (a zero matrix exactly)."""
     M = np.asarray(A, dtype=complex)
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"expected a square matrix or an (n, d, d) stack, got shape {M.shape}")
-    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
+    scale = np.abs(M).max(axis=(-2, -1))
     return bool(np.all(np.abs(M - M.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= tol * scale))
 
 

@@ -240,7 +240,7 @@ def propagate(
     they take O(dim) per record.
 
     rho0 is checked first, and ``ValueError`` names the first check it
-    fails: shape (dim, dim), Hermiticity within 1e-10, then in the
+    fails: shape (dim, dim), Hermiticity within 1e-10 relative, then in the
     eigenbasis a trace of 1 within 1e-9 and a smallest eigenvalue, taken as
     for ``min_eig``, of at least ``MIN_EIG_WARN``.  ``ValueError`` is also
     raised unless t_final and dt are positive and finite, record_every an

@@ -11,11 +11,8 @@ from .dissipators import RhsSpec, SplitGenerator
 from .linalg import eigenbasis, is_hermitian
 from .systems import TwoLevelSystem
 
+# an eigenvalue within this fraction of W's largest rate counts as zero
 ZERO_EIG_TOL = 1e-10
-
-
-class FixedPointError(RuntimeError):
-    """The spec has no usable stationary direction."""
 
 
 @dataclass
@@ -25,10 +22,11 @@ class FixedPointReport:
     ``p`` holds the stationary populations in the eigenbasis of H, where the
     state is diag(p).  ``rho_stationary`` rotates diag(p) out of that basis
     anew whenever it is read.  ``gibbs_distance`` is NaN when no bath
-    temperature applies (non-thermal rates).  ``spectral_gap`` is the slowest
-    decaying rate, -max(Re lambda) over eigenvalues with Re lambda <
-    -``ZERO_EIG_TOL`` (-1e-10), which excludes purely oscillatory modes; NaN
-    if none.
+    temperature applies (non-thermal rates).  ``multiplicity`` counts the
+    eigenvalues that are zero within ``ZERO_EIG_TOL`` (1e-10) times the
+    largest rate of W.  ``spectral_gap`` is the slowest decaying rate,
+    -max(Re lambda) over eigenvalues with Re lambda below minus that
+    tolerance, which excludes purely oscillatory modes; NaN if none.
     """
 
     p: np.ndarray
@@ -113,43 +111,36 @@ def fixed_point(spec: RhsSpec, bath_T: float | None = None) -> FixedPointReport:
     (:attr:`RhsSpec.compiled`, which raises ``ValueError`` for a spec that
     does not split), so no superoperator is built and ladders of any size
     are accepted.  The spectrum is eig(W) plus the coherence rates C_ab of
-    every pair a != b.  The stationary state is diag(p) in the eigenbasis
-    of H, with p the trace-normalized real part of the eigenvector of W
-    whose eigenvalue lies nearest zero; the report keeps p and rotates the
-    state out only when it is read.  ``multiplicity`` counts the eigenvalues
-    within 1e-10 of zero; when it exceeds one (disconnected transition
-    graphs) the reported state is the near-null direction of W with the
-    largest trace.  Raises :class:`FixedPointError` when no eigenvalue lies
-    within 1e-6 of zero; none has a positive real part, as a spec is
-    accepted only with gamma_pd <= 0.  The measures are taken in the
+    every pair a != b, and an eigenvalue counts as zero within
+    ``ZERO_EIG_TOL`` times the largest rate of W (exactly, for a closed
+    system), so scaling every rate leaves p and ``multiplicity`` as they
+    are.  A stationary state always exists: the columns of W sum to zero,
+    so every eigenvector of a nonzero eigenvalue sums to zero while the null
+    space holds one probability vector per closed class of the transition
+    graph.  The stationary state is diag(p) in the eigenbasis of H, with p
+    the trace-normalized real part of the null vector of W with the largest
+    trace (one of several when ``multiplicity`` exceeds one, as on
+    disconnected transition graphs); the report keeps p and rotates the
+    state out only when it is read.  The measures are taken in the
     eigenbasis, where the state is diag(p): ``residual`` is ||W p|| and
     ``gibbs_distance`` is (1/2) sum |p - g|, g the Gibbs weights of the
     energies E (both states being diagonal there).
     """
     gen = spec.compiled
-    eigvals = gen.spectrum
-    absvals = np.abs(eigvals)
-    nearest = float(absvals.min())
-    if nearest > 1e-6:
-        raise FixedPointError(
-            f"no eigenvalue within 1e-6 of zero (closest: {nearest:.3e}); "
-            "the spec has no stationary state"
-        )
-    multiplicity = int(np.sum(absvals <= ZERO_EIG_TOL))
-    mode_vals, modes = gen.population_eig
-    mode_abs = np.abs(mode_vals)
-    candidates = np.flatnonzero(mode_abs <= max(ZERO_EIG_TOL, float(mode_abs.min())))
-    traces = np.abs(modes[:, candidates].sum(axis=0))
-    v = modes[:, candidates[int(np.argmax(traces))]].real
-    tr = v.sum()
-    if abs(tr) < 1e-10:
-        raise FixedPointError("stationary direction has (near-)zero trace")
-    p = v / tr
+    tol = ZERO_EIG_TOL * np.abs(gen.W).max()  # the largest out-rate
+    mode_vals, modes = np.linalg.eig(gen.W)
+    idx = np.arange(len(gen.E))
+    pair_rates = gen.rates(idx[:, None], idx)[~np.eye(len(idx), dtype=bool)]
+    eigvals = np.concatenate([mode_vals, pair_rates])
+    multiplicity = int(np.sum(np.abs(eigvals) <= tol))
+    null = modes[:, np.abs(mode_vals) <= tol]
+    v = null[:, int(np.argmax(np.abs(null.sum(axis=0))))].real
+    p = v / v.sum()
 
     # purely oscillatory modes (with gamma_pd = 0, coherences between two
     # levels that have no out-rate) carry Re lambda = 0 and do not bound
     # relaxation: the gap is the slowest actually-decaying rate
-    decaying = eigvals.real < -ZERO_EIG_TOL
+    decaying = eigvals.real < -tol
     spectral_gap = float(-eigvals[decaying].real.max()) if decaying.any() else math.nan
     if bath_T is None:
         bath_T = effective_temperature(spec)

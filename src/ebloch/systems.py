@@ -229,13 +229,13 @@ def jump_operators(H) -> JumpOperatorPair:
     freedom: the pair then satisfies all algebra identities checked by
     :func:`verify_jump_algebra`, in particular ``[H, sigma_p] = E sigma_p``.
     One ``hermitian_eig`` call covers the whole stack; a stack is rejected if
-    any of its matrices is not traceless, not Hermitian or degenerate (gap <= 1e-12 max|w|).
+    any of its matrices is not traceless and Hermitian (each within 1e-10 of its largest
+    entry) or is degenerate (gap <= 1e-12 max|w|).
     """
     M = np.asarray(H, dtype=complex)
     if M.ndim not in (2, 3) or M.shape[-2:] != (2, 2):
         raise ValueError("jump operators are defined for 2x2 Hamiltonians or (n, 2, 2) stacks")
-    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
-    if not np.all(np.abs(M[..., 0, 0] + M[..., 1, 1]) <= 1e-10 * scale):
+    if not np.all(np.abs(M[..., 0, 0] + M[..., 1, 1]) <= 1e-10 * np.abs(M).max(axis=(-2, -1))):
         raise ValueError("Hamiltonian must be traceless within 1e-10")
     w, V = hermitian_eig(M)
     if np.any(w[..., 1] - w[..., 0] <= 1e-12 * np.abs(w).max(axis=-1)):

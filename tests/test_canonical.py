@@ -332,6 +332,19 @@ def test_canonical_experiment_spacing_check_is_relative_to_the_spacing():
     assert np.isfinite(diag.mean_ratio).all()
 
 
+@pytest.mark.parametrize("mu", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_canonical_experiment_spacing_verdict_holds_at_any_energy_scale(mu):
+    from ebloch.systems import LadderSystem
+
+    rungs = [(0, 1, 0.2, 0.8), (1, 2, 0.2, 0.8)]
+    unequal = LadderSystem((0.0, mu, mu * (2.0 + 1e-8)), rungs)
+    with pytest.raises(ValueError, match="equal level spacing"):
+        canonical_experiment(unequal, mu, 1.0, 0.1)
+    equal = LadderSystem((0.0, mu, mu * (2.0 + 1e-10)), rungs)
+    diag = canonical_experiment(equal, mu, 1.0, 0.1)
+    assert np.isfinite(diag.mean_ratio).all()
+
+
 # ------------------------------------------------------------ the exact flow
 
 
@@ -376,12 +389,10 @@ def test_canonical_experiment_populations_match_uniformization_on_random_oscilla
 
 
 def test_canonical_experiment_takes_no_eigenvalues_of_w(monkeypatch):
-    from ebloch.dissipators import SplitGenerator
-
     def refuse(*args, **kwargs):
         raise AssertionError("canonical_experiment diagonalized W")
 
-    monkeypatch.setattr(SplitGenerator, "population_eig", property(refuse))
+    monkeypatch.setattr(np.linalg, "eig", refuse)
     lad = build_oscillator(14, 10.0, "harmonic", BathModel(1.0, 1.0))
     diag = canonical_experiment(lad, T0=2.0, t_final=3.0, dt=1e-3, record_every=25)
     assert diag.ode_mismatch <= 1e-8

@@ -874,6 +874,19 @@ def test_fixed_point_without_the_unitary_part_has_one_stationary_state(tmp_path)
     assert rows[0][header.index("multiplicity")] == "1"
 
 
+def test_fixed_point_of_a_fast_chain_has_one_stationary_state(tmp_path):
+    # every rate 1e10: the round-off of eig(W) is far above 1e-6 in absolute
+    # terms, but zero relative to the rates
+    text = ("[system]\ntype = explicit\nenergies = 0, 1, 2\n"
+            "transitions = 0:1:1e10:1e10; 1:2:1e10:1e10\n[output]\npath = fp.csv\n")
+    assert main(["fixed-point", "--config", write(tmp_path, "fp.cfg", text),
+                 "--out", str(tmp_path)]) == 0
+    _, header, rows = read_csv(tmp_path / "fp.csv")
+    row = dict(zip(header, rows[0]))
+    assert row["multiplicity"] == "1"
+    assert float(row["spectral_gap"]) == pytest.approx(1e10, rel=1e-12)
+
+
 def test_simulate_keeps_a_cross_block_coherent_start_positive(tmp_path):
     # (|0> + |2>)/sqrt(2) on a cold N=3 ladder: levels 0 and 2 share no
     # transition, and their coherence decays at half their out-rates

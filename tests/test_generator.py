@@ -597,6 +597,49 @@ def test_split_fixed_point_matches_probed_on_disconnected_graphs(lad, options):
     assert fixed_point(spec).multiplicity >= 2
 
 
+RATE_SCALES = (1e-12, 1e-6, 1e6, 1e12, 1e14)
+
+
+def _rates_scaled(system, lam):
+    """``system`` with every transition rate multiplied by ``lam``."""
+    if isinstance(system, TwoLevelSystem):
+        return dataclasses.replace(system, gamma_p=lam * system.gamma_p,
+                                   gamma_m=lam * system.gamma_m)
+    ii, jj, gp, gm = system.transitions
+    return LadderSystem(system.energies, zip(ii.tolist(), jj.tolist(),
+                                             (lam * gp).tolist(), (lam * gm).tolist()))
+
+
+def _assert_fixed_point_is_rate_scale_free(system, include_unitary, gamma_pd):
+    # scaling every rate and gamma_pd by lam scales W and the damping of
+    # every coherence by lam: p and the multiplicity stay, the gap scales
+    ref = fixed_point(RhsSpec.for_system(system, include_unitary=include_unitary,
+                                         gamma_pd=gamma_pd))
+    for lam in RATE_SCALES:
+        report = fixed_point(RhsSpec.for_system(_rates_scaled(system, lam),
+                                                include_unitary=include_unitary,
+                                                gamma_pd=lam * gamma_pd))
+        assert report.multiplicity == ref.multiplicity, lam
+        np.testing.assert_allclose(report.p, ref.p, rtol=0, atol=1e-12, err_msg=str(lam))
+        assert report.spectral_gap / lam == pytest.approx(ref.spectral_gap, rel=1e-12), lam
+
+
+RATE_SCALE_SETTINGS = settings(SETTINGS, max_examples=150)
+scale_options = st.tuples(st.booleans(), st.sampled_from([0.0, -0.2, -0.3]))
+
+
+@RATE_SCALE_SETTINGS
+@given(transition_graphs(connected=True, thermal=True), scale_options)
+def test_fixed_point_of_a_connected_thermal_ladder_is_rate_scale_free(lad, options):
+    _assert_fixed_point_is_rate_scale_free(lad, *options)
+
+
+@RATE_SCALE_SETTINGS
+@given(tilted_two_level(), scale_options)
+def test_fixed_point_of_a_tilted_two_level_system_is_rate_scale_free(sys2, options):
+    _assert_fixed_point_is_rate_scale_free(sys2, *options)
+
+
 def test_split_fixed_point_beyond_the_superoperator_guard():
     lad = build_oscillator(128, 1.0, "harmonic", BathModel(1.0, 1.0))
     spec = RhsSpec.for_system(lad)

@@ -17,7 +17,7 @@ from ebloch.linalg import (
     trace_distance,
 )
 from ebloch.stationary import gibbs_state
-from ebloch.systems import BathModel, build_oscillator
+from ebloch.systems import BathModel, build_oscillator, jump_operators
 from oracles import commutator, dense_compile_basis, dense_gibbs_state, is_psd, vectorize
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -261,6 +261,25 @@ def test_predicates():
     assert not is_hermitian(H + 1e-6 * np.array([[0, 1j, 0], [0, 0, 0], [0, 0, 0]]))
     assert is_psd(H @ H.conj().T)
     assert not is_psd(-np.eye(2))
+
+
+@pytest.mark.parametrize("mu", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_hermiticity_and_trace_verdicts_hold_at_any_energy_scale(mu):
+    H = np.array([[0.5, 0.3 - 0.4j], [0.3 + 0.4j, -0.5]])
+    RhsSpec(mu * H)
+    gibbs_state(mu * H, mu)
+    jump_operators(mu * H)
+    skew = mu * (H + 1e-9 * np.array([[0, 1], [0, 0]]))
+    with pytest.raises(ValueError, match="^Hamiltonian is not Hermitian within tolerance$"):
+        RhsSpec(skew)
+    with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
+        gibbs_state(skew, mu)
+    with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
+        jump_operators(skew)
+    with pytest.raises(ValueError, match="traceless"):
+        jump_operators(mu * (H + 1e-9 * np.diag([1.0, 0.0])))
+    with pytest.raises(ValueError, match="^Hamiltonian is not Hermitian within tolerance$"):
+        RhsSpec(mu * np.array([[0.0, 1e-11], [0.0, 0.0]]))
 
 
 def test_trace_distance_basics():

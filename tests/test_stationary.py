@@ -230,6 +230,21 @@ def test_closed_dephased_two_level_spec_has_two_stationary_populations():
     assert report.spectral_gap == 0.5
 
 
+@pytest.mark.parametrize("include_unitary", [True, False])
+@pytest.mark.parametrize("rates, p, gap", [
+    ((1.0, 1.0), np.full(3, 1 / 3), 1.0),  # spectrum 0, -r, -3r; slowest coherence r
+    ((0.5, 1.0), np.array([4, 2, 1]) / 7, 0.75),  # slowest: the coherence of levels 0 and 2
+])
+@pytest.mark.parametrize("r", [1e-12, 1e-6, 1.0, 1e6, 1e8, 1e10, 1e14])
+def test_fixed_point_of_a_chain_holds_at_any_rate_scale(r, rates, p, gap, include_unitary):
+    gp, gm = r * rates[0], r * rates[1]
+    lad = LadderSystem((0.0, 1.0, 2.0), [(0, 1, gp, gm), (1, 2, gp, gm)])
+    report = fixed_point(RhsSpec.for_system(lad, include_unitary=include_unitary))
+    assert report.multiplicity == 1
+    np.testing.assert_allclose(report.p, p, rtol=0, atol=1e-14)
+    assert report.spectral_gap == pytest.approx(gap * r, rel=1e-12)
+
+
 def _fixed_point_specs():
     """(spec, bath T) pairs: harmonic and constant ladders of 2 to 64 levels
     and tilted two-level systems."""
