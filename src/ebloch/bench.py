@@ -5,11 +5,13 @@ its contractions, so they are candidates for being cheaper than the jump
 route.  Speed must never trade against correctness: while the timing table
 is produced, a quantized checksum of the outputs is accumulated for each
 kernel over the same inputs, and matching checksums certify that both
-kernels computed the same map.
+kernels computed the same map.  The quantum scales with the largest rate.
 
 Timing: the inputs are split into chunks, each kernel is applied to a whole
 chunk in one batched call on its (n, d, d) stack, and ``ns_per_apply`` is
 the median over chunks of the chunk's time divided by its number of states.
+Inside both kernels a product with the stack on its left is one BLAS call
+for the whole chunk, so at small d the time is arithmetic, not dispatch.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ import numpy as np
 from .dissipators import RhsSpec, _gkls, ebe_multi_level, ebe_two_level
 from .systems import LadderSystem, TwoLevelSystem
 
-# Coarse checksum quantum: per-application kernel disagreement is bounded by
-# ~1e-14, so even 1e7 accumulated applications stay far below this bin size
-# while any real divergence is caught.
+# Coarse checksum quantum per unit of the largest total rate gamma_p + gamma_m
+# (both kernels are linear in the rates): kernel disagreement is ~1e-14 of that
+# rate per application, so even 1e7 accumulated applications stay far below
+# this bin size while any real divergence is caught.
 CHECKSUM_QUANTUM = 1e-3
 # states formed per step of the random draw
 DRAW_CHUNK = 1024
@@ -47,8 +50,10 @@ def _probe(dim: int) -> np.ndarray:
     return ((1.0 + i - j) + 1j * (1.0 + i + 2.0 * j)) / (dim * dim)
 
 
-def _checksum(acc: complex) -> str:
-    return f"{int(round(acc.real / CHECKSUM_QUANTUM))}:{int(round(acc.imag / CHECKSUM_QUANTUM))}"
+def _checksum(acc: complex, rate: float) -> str:
+    """``acc`` in quanta of ``CHECKSUM_QUANTUM * rate``; bare at rate 0, whose outputs are 0."""
+    q = CHECKSUM_QUANTUM * (rate or 1.0)
+    return f"{int(round(acc.real / q))}:{int(round(acc.imag / q))}"
 
 
 def random_states(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -119,11 +124,12 @@ def run_bench(pair, inputs: np.ndarray, chunks: int) -> list[BenchRow]:
     the same ``inputs``, an (n, d, d) stack such as :func:`random_states`."""
     if not 1 <= chunks <= len(inputs):
         raise ValueError("need applications >= chunks >= 1")
-    n_trans = len(pair[0][2].transitions[0])
+    _, _, gp, gm = pair[0][2].transitions
+    rate = float((gp + gm).max(initial=0.0))
     rows = []
     for name, fn, _ in pair:
         ns, acc = _run_kernel(fn, inputs, chunks)
-        rows.append(BenchRow(kernel=name, dim=inputs.shape[1], transitions=n_trans,
+        rows.append(BenchRow(kernel=name, dim=inputs.shape[1], transitions=len(gp),
                              applications=len(inputs), chunks=chunks, ns_per_apply=ns,
-                             checksum=_checksum(acc)))
+                             checksum=_checksum(acc, rate)))
     return rows

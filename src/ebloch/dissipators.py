@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_matrix, eigenbasis, is_hermitian
+from .linalg import _right_mul, as_matrix, eigenbasis, is_hermitian
 from .systems import LadderSystem, TwoLevelSystem
 
 # entries of a rotated jump below this fraction of its largest count as zero
@@ -69,7 +69,7 @@ class SplitGenerator:
 
     def rotate_out(self, s: np.ndarray) -> np.ndarray:
         """V s V^dag: a matrix of the eigenbasis in the original basis."""
-        return s if self.V is None else self.V @ s @ self.V.conj().T
+        return s if self.V is None else _right_mul(self.V @ s, self.V.conj().T)
 
 
 def _compile(spec: "RhsSpec") -> SplitGenerator:
@@ -217,11 +217,12 @@ def _as_states(rho, d: int) -> np.ndarray:
 
 def _gkls(M: np.ndarray, jump_terms) -> np.ndarray:
     """sum_j gamma_j L M L^dag - (1/2){K, M} over :attr:`RhsSpec.jump_terms`:
-    2J + 2 matrix products for J jumps."""
+    2J + 2 matrix products for J jumps.  The J + 1 with the stack on the
+    left, M K and (L M) L^dag, take one BLAS call for the whole stack."""
     K, terms = jump_terms
-    out = -0.5 * (K @ M + M @ K)
+    out = -0.5 * (K @ M + _right_mul(M, K))
     for gamma, L, Ld in terms:
-        out += gamma * (L @ M @ Ld)
+        out += gamma * _right_mul(L @ M, Ld)
     return out
 
 
@@ -287,8 +288,8 @@ def double_commutator(H, rho) -> np.ndarray:
     """[H, [H, rho]] of one matrix or of each matrix in a stack."""
     H = as_matrix(H)
     M = _as_states(rho, len(H))
-    inner = H @ M - M @ H
-    return H @ inner - inner @ H
+    inner = H @ M - _right_mul(M, H)
+    return H @ inner - _right_mul(inner, H)
 
 
 def ladder_jump_list(sys: TwoLevelSystem | LadderSystem) -> tuple:

@@ -65,6 +65,11 @@ def _phased_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, V * (top.conj() / np.abs(top))
 
 
+def _right_mul(M: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """M @ A of a matrix or (n, d, d) stack M by one (d, d) A, in one BLAS call."""
+    return (M.reshape(-1, A.shape[0]) @ A).reshape(M.shape)
+
+
 def is_diagonal(M: np.ndarray) -> bool:
     """Whether M's off-diagonal entries are all zero (-0.0 too), with no M-sized array."""
     return np.count_nonzero(M) == np.count_nonzero(M.diagonal())

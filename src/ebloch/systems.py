@@ -251,8 +251,9 @@ def verify_jump_algebra(pair: JumpOperatorPair, H, E) -> AlgebraReport:
     gaps of shape (n,) and a stacked ``pair``; the residuals then have shape
     () or (n,).  sq_p/sq_m: sigma^2 = 0; comm: [sigma_p, sigma_m] = 2H/E;
     anti: {sigma_p, sigma_m} = 1; triple_p/m: sigma sigma' sigma = sigma;
-    eigenop: [H, sigma_p] = E sigma_p.  Residuals are reported even when they
-    fail; ``passed`` requires all of them <= ``ALGEBRA_TOL``.
+    eigenop: [H, sigma_p]/E = sigma_p, relative to the gap like comm, so
+    that no residual grows with the energy unit.  Residuals are reported even
+    when they fail; ``passed`` requires all of them <= ``ALGEBRA_TOL``.
     """
     M = np.asarray(H, dtype=complex)
     sp, sm = pair.sigma_p, pair.sigma_m
@@ -262,7 +263,7 @@ def verify_jump_algebra(pair: JumpOperatorPair, H, E) -> AlgebraReport:
     pm, mp = sp @ sm, sm @ sp
     # one deviation matrix per identity, in AlgebraReport's field order
     deviations = np.stack([sp @ sp, sm @ sm, pm - mp - 2.0 * M / E, pm + mp - np.eye(2),
-                           pm @ sp - sp, mp @ sm - sm, M @ sp - sp @ M - E * sp])
+                           pm @ sp - sp, mp @ sm - sm, (M @ sp - sp @ M) / E - sp])
     return AlgebraReport(*np.linalg.norm(deviations, axis=(-2, -1)))
 
 

@@ -1354,6 +1354,48 @@ def test_bench_runs_on_a_tiny_gap_with_matching_checksums(tmp_path, eps):
     assert sums["ebe2"] == sums["gkls"]
 
 
+OSCILLATOR_BENCH_CFG = """\
+[system]
+type = oscillator
+N = 10
+spacing = 1.0
+coupling_rule = harmonic
+gamma = {scale}
+bath_T = 1.0
+
+[bench]
+applications = 2000
+chunks = 4
+
+[output]
+path = bench.csv
+"""
+
+
+@pytest.mark.parametrize("system, scales", [("two_level", (1e-6, 1.0, 1e9)),
+                                            ("ladder", (1.0, 1e12))])
+def test_bench_checksum_is_relative_to_the_rates(tmp_path, system, scales):
+    # both kernels are linear in the rates, so the quantum scales with the
+    # largest gamma_p + gamma_m: the checksum reads the same at every rate
+    # unit, where a bare 1e-3 reads 0:0 at 1e-6 and splits the kernels at 1e9
+    seen = set()
+    for scale in scales:
+        if system == "two_level":
+            text = (TWO_LEVEL_BENCH_CFG.format(gp=0.3 * scale, gm=0.7 * scale)
+                    .replace("eps = 0, 0, 1", "eps = 0.6, 0, 0.8")
+                    + "\n[bench]\napplications = 2000\nchunks = 4\n")
+        else:
+            text = OSCILLATOR_BENCH_CFG.format(scale=scale)
+        out = tmp_path / f"{system}{scale:g}"
+        cfg = write(tmp_path, "bench.cfg", text)
+        assert main(["bench", "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
+        [csv] = out.iterdir()
+        comments, header, rows = read_csv(csv)
+        assert "# checksums_match=true" in comments
+        seen |= {r[header.index("checksum")] for r in rows}
+    assert len(seen) == 1 and seen != {"0:0"}, seen
+
+
 def test_bench_takes_its_deviation_over_the_inputs_it_timed(tmp_path, monkeypatch):
     # above 20,000 applications a two-level run checks the first 20,000
     seen = []

@@ -5,6 +5,7 @@ elemental-Bloch kernel is built from commutators with no jump operators,
 the GKLS kernel from an independently constructed jump pair.
 """
 
+import dataclasses
 import math
 import re
 
@@ -564,12 +565,18 @@ def test_random_states_hold_no_second_array_of_their_size():
     assert peak < 1.25 * states.nbytes, f"{peak} bytes traced for {states.nbytes}"
 
 
-def per_state_checksum(fn, inputs):
+def per_state_checksum(outs, rate):
     # the accumulation order of the one-state-at-a-time timing loop
-    acc = np.zeros(inputs.shape[1:], dtype=complex)
-    for rho in inputs:
-        acc += fn(rho)
-    return bench._checksum(complex((bench._probe(inputs.shape[1]) * acc).sum()))
+    acc = np.zeros(outs.shape[1:], dtype=complex)
+    for out in outs:
+        acc += out
+    return bench._checksum(complex((bench._probe(outs.shape[1]) * acc).sum()), rate)
+
+
+def assert_equals_per_state(fn, stack, want=None):
+    # within 1e-15 of the largest output
+    want = per_state(fn, stack) if want is None else want
+    assert np.abs(fn(stack) - want).max() <= 1e-15 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("case", ["two_level", "ladder"])
@@ -581,11 +588,27 @@ def test_batched_bench_checksum_equals_per_state_accumulation(case, monkeypatch)
         system, n = build_oscillator(6, 1.0, "harmonic", BathModel(1.0, 1.0)), 2_000
     (name, fn_e, _), (twin, fn_g, _) = bench.kernel_pair(system)
     assert (name, twin) == ({"two_level": "ebe2", "ladder": "eben"}[case], "gkls")
+    H, gen = system.hamiltonian, RhsSpec.for_system(system).compiled
+    dim = len(H)
+    if gen.V is None:  # the ladder's diagonal H: rotate by a dense unitary instead
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        gen = dataclasses.replace(gen, V=np.linalg.qr(A)[0])
     # the jump terms are built before any chunk is timed: no timed chunk
     # can reach a spec
     monkeypatch.setattr(bench, "RhsSpec", None)
-    inputs = bench.random_states(system.hamiltonian.shape[0], n, np.random.default_rng(1010))
-    # one per-state reference: both kernels' batched checksums must equal it
-    reference = per_state_checksum(fn_e, inputs)
+    inputs = bench.random_states(dim, n, np.random.default_rng(1010))
+    rate = float((system.transitions[2] + system.transitions[3]).max())
+    # one per-state reference: both kernels' batched checksums must equal it,
+    # and each kernel's batched outputs its own per-state outputs
+    reference = None
     for fn in (fn_e, fn_g):
-        assert bench._checksum(bench._run_kernel(fn, inputs, 5)[1]) == reference
+        outs = per_state(fn, inputs)
+        reference = reference or per_state_checksum(outs, rate)
+        assert bench._checksum(bench._run_kernel(fn, inputs, 5)[1], rate) == reference
+        assert_equals_per_state(fn, inputs, outs)
+    # strided stacks, which the kernels' one-call right products must copy
+    part = inputs[:2000]
+    for fn in (fn_g, fn_e, lambda rho: double_commutator(H, rho), gen.rotate_out):
+        for stack in (part[::2], part.swapaxes(1, 2)):
+            assert_equals_per_state(fn, stack)

@@ -148,6 +148,17 @@ def test_verify_jump_algebra_canonical_pair():
     assert report.max_residual <= 1e-14
 
 
+@pytest.mark.parametrize("E", [1e-9, 1.0, 1.7e6, 1.7e12])
+def test_verify_jump_algebra_residuals_do_not_grow_with_the_gap(E):
+    # eigenop is ||[H, sigma_p]/E - sigma_p||: an absolute [H, sigma_p] - E sigma_p
+    # reads 8e-11 at E = 1.7e6 and 3e-4 at E = 1.7e12 for a correct pair
+    for eps in ((0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (0.48, 0.36, 0.8)):
+        H = build_two_level_hamiltonian(E, eps)
+        report = verify_jump_algebra(jump_operators(H), H, E)
+        assert report.passed
+        assert max(report.residuals().values()) <= 1e-14
+
+
 def test_verify_jump_algebra_detects_rescaled_pair():
     # doubling the pair: [2sp, 2sm] = 8H/E, residual ||8H/E - 2H/E|| = 3 ||2H/E||
     E = 1.4
