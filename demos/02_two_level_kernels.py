@@ -1,11 +1,13 @@
-# Two routes to the same two-level dissipator.
+# Two routes to the same two-level dissipator, and Bloch's equation.
 #
 # The jump route needs the operators sigma_p, sigma_m; the elemental-Bloch
 # route needs only the Hamiltonian and splits the generator into mixing
 # toward equal populations, energy relaxation, and dephasing.  For the
 # canonical scaling the two coincide, which makes either one an oracle for
-# the other.  A Gibbs-form state rho = 1/2 + lambda H/E stays of that form,
-# with lambda relaxing linearly: that one scalar captures thermalization.
+# the other.  Along the field axis this is Bloch's equation: a Gibbs-form
+# state rho = 1/2 + lambda H/E stays of that form, with lambda relaxing at
+# 1/T1 = gamma_p + gamma_m to (gamma_p - gamma_m)/(gamma_p + gamma_m), so
+# one scalar captures thermalization, and the fixed point is the Gibbs state.
 
 import numpy as np
 
@@ -14,13 +16,13 @@ from ebloch import (
     RhsSpec,
     TwoLevelSystem,
     ebe_two_level,
+    fixed_point,
     gibbs_state,
     gkls_dissipator,
     jump_operators,
     propagate,
     rates_from_bath,
     trace_distance,
-    two_level_stationary_analytic,
 )
 
 bath = BathModel(gamma=1.0, T=1.0)
@@ -55,5 +57,5 @@ for t, state in zip(traj.times, traj.states):
 rho_g = gibbs_state(sys2.hamiltonian, bath.T)
 print(f"\ntrace distance of final state to Gibbs: "
       f"{trace_distance(traj.states[-1], rho_g):.3e}")
-print(f"closed-form stationary state vs Gibbs:  "
-      f"{trace_distance(two_level_stationary_analytic(sys2), rho_g):.3e}")
+print(f"fixed point of the generator vs Gibbs:  "
+      f"{trace_distance(fixed_point(RhsSpec.for_system(sys2)).rho_stationary, rho_g):.3e}")

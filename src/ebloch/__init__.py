@@ -39,12 +39,11 @@ from .stationary import (
     effective_temperature,
     fixed_point,
     gibbs_state,
-    two_level_stationary_analytic,
 )
 from .canonical import (
     CanonicalDiagnostics,
     canonical_experiment,
-    invariance_condition,
+    invariance_residual,
     ratio_profile,
 )
 

@@ -22,7 +22,7 @@ import numpy as np
 from .dissipators import RhsSpec
 from .propagate import propagate
 from .stationary import gibbs_state
-from .systems import LadderSystem
+from .systems import LadderSystem, TwoLevelSystem
 
 POPULATION_FLOOR = 1e-14
 LEAK_TOL = 1e-6
@@ -80,21 +80,32 @@ def ratio_profile(p) -> np.ndarray:
     return out
 
 
-def invariance_condition(gammas) -> tuple[bool, np.ndarray]:
-    """Check gamma_{i+1} - gamma_i = gamma_0 for every i.
-
-    This is the condition under which a generalized Gibbs state stays of
-    Gibbs form throughout thermalization; the harmonic rule (i+1)*gamma
-    satisfies it, a constant rule does not.  Returns (holds, defects) with
-    defect_i = gamma_{i+1} - gamma_i - gamma_0.
-    """
-    g = np.asarray(gammas, dtype=float)
-    if g.size < 2:
-        raise ValueError("need at least two couplings")
-    if not (g[0] > 0.0):
-        raise ValueError("gamma_0 must be positive")
-    defects = g[1:] - g[:-1] - g[0]
-    return bool(np.all(np.abs(defects) <= 1e-12 * g[0])), defects
+def invariance_residual(sys: LadderSystem | TwoLevelSystem,
+                        betas) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, residual) of the Gibbs family p(beta) of a system's energies under
+    its rate matrix W, at each of ``betas``.  The family stays Gibbs exactly
+    when W p = lam d, d = dp/dbeta = -p (E - <E>) (Dann, Tobalina and Kosloff,
+    PRL 122, 250402, 2019), with lam = dbeta/dt.  lam = <W p, d> / <d, d>, and
+    residual = ||W p - lam d|| / (r_max ||p||), r_max the largest out-rate of
+    W, which no unit of rates or energies changes; both are NaN where d
+    underflows to zero.  Raises ``ValueError`` when every rate is zero."""
+    gen = RhsSpec.for_system(sys).compiled
+    r_max = float(np.abs(gen.W).max())  # the largest out-rate
+    if not r_max > 0.0:
+        raise ValueError("every rate is zero, so no Gibbs family relaxes")
+    b = np.asarray(betas, dtype=float)[..., None]
+    # energies from the likeliest level, so that E - <E> keeps its digits there
+    e = gen.E - gen.E[np.argmin(b * gen.E, axis=-1)][..., None]
+    p = np.exp(-b * e)
+    p /= p.sum(axis=-1, keepdims=True)
+    d = -p * (e - (p * e).sum(axis=-1, keepdims=True))
+    w = p @ gen.W.T
+    scale = np.abs(d).max(axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):  # d = 0
+        u = d / scale[..., None]  # so that <u, u> cannot underflow
+        c = (w * u).sum(axis=-1) / (u * u).sum(axis=-1)
+        residual = np.linalg.norm(w - c[..., None] * u, axis=-1) / np.linalg.norm(p, axis=-1)
+        return c / scale, residual / r_max
 
 
 def _thermal_ladder_parameters(sys: LadderSystem) -> tuple[float, float, float]:

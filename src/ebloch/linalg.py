@@ -31,15 +31,15 @@ def herm_part(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.conj().swapaxes(-2, -1))
 
 
-def is_hermitian(A, tol: float = HERMITICITY_TOL) -> bool:
+def is_hermitian(A) -> bool:
     """Whether ``A``, one (d, d) matrix or each matrix of an (n, d, d) stack,
-    deviates from its conjugate transpose by at most ``tol`` times its largest
-    entry (a zero matrix exactly)."""
+    deviates from its conjugate transpose by at most ``HERMITICITY_TOL``
+    (1e-10) times its largest entry (a zero matrix exactly)."""
     M = np.asarray(A, dtype=complex)
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"expected a square matrix or an (n, d, d) stack, got shape {M.shape}")
-    scale = np.abs(M).max(axis=(-2, -1))
-    return bool(np.all(np.abs(M - M.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= tol * scale))
+    dev = np.abs(M - M.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return bool(np.all(dev <= HERMITICITY_TOL * np.abs(M).max(axis=(-2, -1))))
 
 
 def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:

@@ -252,7 +252,7 @@ def propagate(
     dim = spec.dim
     if raw.shape != (dim, dim):
         raise ValueError(f"initial state has shape {raw.shape}, not ({dim}, {dim})")
-    if not is_hermitian(raw, 1e-10):
+    if not is_hermitian(raw):
         raise ValueError("initial state is not Hermitian within 1e-10")
     gen = spec.compiled
     s = gen.rotate_in(herm_part(raw))

@@ -1,4 +1,4 @@
-"""Fixed points of the dynamics, analytic and numerical, and Gibbs comparison."""
+"""Gibbs states and numerical fixed points of the dynamics."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import numpy as np
 
 from .dissipators import RhsSpec, SplitGenerator
 from .linalg import eigenbasis, is_hermitian
-from .systems import TwoLevelSystem
 
 # an eigenvalue within this fraction of W's largest rate counts as zero
 ZERO_EIG_TOL = 1e-10
@@ -72,17 +71,6 @@ def gibbs_state(H, T: float) -> np.ndarray:
     if V is not None and not is_hermitian(H):  # eigenbasis checks only a diagonal H
         raise ValueError("matrix is not Hermitian within tolerance")
     return gibbs_in_basis(E, V, T)
-
-
-def two_level_stationary_analytic(sys: TwoLevelSystem) -> np.ndarray:
-    """Closed-form stationary state 1/2 + ((gp-gm)/(gp+gm)) H/E.
-
-    Coincides with the Gibbs state exactly when gp/gm = exp(-E/T).
-    """
-    if sys.gamma_sum <= 0.0:
-        raise ValueError("gamma_p + gamma_m must be positive for a stationary state")
-    lam = sys.gamma_diff / sys.gamma_sum
-    return 0.5 * np.eye(2, dtype=complex) + (lam / sys.E) * sys.hamiltonian
 
 
 def effective_temperature(spec: RhsSpec) -> float | None:

@@ -24,7 +24,10 @@ these independent routes stay here, out of its API:
 * :func:`uniformization` gives the exact flow of a rate matrix as a series
   of non-negative terms;
 * :func:`choi_margin` tests a superoperator for complete positivity through
-  its Choi matrix.
+  its Choi matrix;
+* :func:`bloch_vector` solves Bloch's equation for a two-level system in
+  closed form, and :func:`two_level_stationary_analytic` is its t -> inf
+  limit.
 """
 
 from __future__ import annotations
@@ -45,9 +48,10 @@ from ebloch.dissipators import (
 )
 from ebloch.linalg import as_matrix, herm_part, hermitian_eig, is_hermitian
 from ebloch.stationary import _gibbs_weights
-from ebloch.systems import TwoLevelSystem
+from ebloch.systems import SIGMA_X, SIGMA_Y, SIGMA_Z, TwoLevelSystem
 
 MAX_SUPEROP_DIM = 64
+PAULI = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 def vectorize(M) -> np.ndarray:
@@ -226,6 +230,38 @@ def choi_margin(S: np.ndarray) -> float:
     # columns 1: of the QR of [omega, I] are an orthonormal basis of omega's complement
     Q = np.linalg.qr(np.column_stack([omega, np.eye(d * d)]))[0][:, 1:]
     return float(np.linalg.eigvalsh(herm_part(Q.T @ choi @ Q))[0])
+
+
+def bloch_vector(system: TwoLevelSystem, gamma_pd: float, include_unitary: bool,
+                 r0, t) -> np.ndarray:
+    """Bloch vector r(t), rho = (1 + r . sigma)/2, at each of the times ``t``
+    (shape ``t.shape + (3,)``) of ``RhsSpec.for_system(system, gamma_pd=...,
+    include_unitary=...)`` from r(0) = ``r0``: Bloch's equation (Phys. Rev.
+    70, 460, 1946) about the field axis n = ``system.eps``.  n . r relaxes
+    at 1/T1 = gp + gm toward lam = (gp - gm)/(gp + gm); the transverse part
+    precesses about n at E when the unitary part is on, and decays at
+    1/T2 = (gp + gm)/2 - gamma_pd E^2.  Needs gp + gm > 0."""
+    n, r0 = np.asarray(system.eps), np.asarray(r0, dtype=float)
+    t = np.asarray(t, dtype=float)[..., None]
+    rate, lam = system.gamma_sum, system.gamma_diff / system.gamma_sum
+    z0 = n @ r0
+    perp = r0 - z0 * n
+    phase = system.E * t if include_unitary else 0.0
+    turned = np.cos(phase) * perp + np.sin(phase) * np.cross(n, perp)
+    decay = np.exp(-(0.5 * rate - gamma_pd * system.E ** 2) * t)
+    return (lam + (z0 - lam) * np.exp(-rate * t)) * n + decay * turned
+
+
+def two_level_stationary_analytic(sys: TwoLevelSystem) -> np.ndarray:
+    """Closed-form stationary state 1/2 + ((gp-gm)/(gp+gm)) H/E, the
+    t -> inf limit of :func:`bloch_vector`.
+
+    Coincides with the Gibbs state exactly when gp/gm = exp(-E/T).
+    """
+    if sys.gamma_sum <= 0.0:
+        raise ValueError("gamma_p + gamma_m must be positive for a stationary state")
+    r = bloch_vector(sys, 0.0, False, np.zeros(3), np.inf)
+    return 0.5 * (np.eye(2) + np.einsum("k,kij->ij", r, PAULI))
 
 
 def transition_projector(

@@ -15,7 +15,7 @@ from ebloch.canonical import canonical_experiment
 from ebloch.dissipators import RhsSpec, ebe_two_level, gkls_dissipator
 from ebloch.linalg import trace_distance
 from ebloch.propagate import propagate
-from ebloch.stationary import fixed_point, gibbs_state, two_level_stationary_analytic
+from ebloch.stationary import fixed_point, gibbs_state
 from ebloch.systems import (
     BathModel,
     TwoLevelSystem,
@@ -25,7 +25,7 @@ from ebloch.systems import (
     rates_from_bath,
     verify_jump_algebra,
 )
-from oracles import build_superoperator
+from oracles import build_superoperator, two_level_stationary_analytic
 
 
 class _Budget:

@@ -7,11 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from ebloch.canonical import canonical_experiment, invariance_condition, ratio_profile
+from ebloch.canonical import canonical_experiment, invariance_residual, ratio_profile
 from ebloch.dissipators import RhsSpec
 from ebloch.propagate import propagate
 from ebloch.systems import (
     BathModel,
+    LadderSystem,
     TwoLevelSystem,
     build_oscillator,
     fermi,
@@ -122,28 +123,6 @@ def test_delta_scalar_example():
         delta_parameter(0.0, bath, 1.0)
 
 
-# -------------------------------------------------------- invariance condition
-
-
-def test_invariance_condition_harmonic_holds():
-    for n in range(2, 9):
-        holds, defects = invariance_condition([(i + 1) * 0.7 for i in range(n)])
-        assert holds
-        np.testing.assert_allclose(defects, 0.0, atol=1e-15)
-
-
-def test_invariance_condition_constant_fails():
-    holds, defects = invariance_condition([0.7, 0.7, 0.7])
-    assert not holds
-    np.testing.assert_allclose(defects, [-0.7, -0.7], rtol=1e-15)
-
-
-def test_invariance_condition_single_defect():
-    holds, defects = invariance_condition([1.0, 2.0, 3.0, 4.5])
-    assert not holds
-    np.testing.assert_allclose(defects, [0.0, 0.0, 0.5], atol=1e-15)
-
-
 # ----------------------------------------------------------- thermalization ODE
 
 
@@ -207,17 +186,95 @@ def test_lambda_rhs_fixed_point_matches_stationary_state():
     assert lambda_ode_rhs(1.0, TwoLevelSystem(1.0, (0, 0, 1), 0.0, 0.6)) == pytest.approx(-1.2)
 
 
-def test_two_level_lambda_dynamics_match_closed_form():
-    gp, gm = rates_from_bath(BathModel(1.0, 1.0), 1.3)
-    sys2 = TwoLevelSystem(1.3, (0.0, 0.6, 0.8), gp, gm)
-    lam0 = -0.6
-    rho0 = 0.5 * np.eye(2) + (lam0 / sys2.E) * sys2.hamiltonian
-    traj = propagate(RhsSpec.for_system(sys2), rho0, 5.0, 0.01, 10)
-    lam_star = sys2.gamma_diff / sys2.gamma_sum
-    H = sys2.hamiltonian
-    lam_fit = np.array([2.0 * np.trace(s @ H).real / sys2.E for s in traj.states])
-    lam_ref = lam_star + (lam0 - lam_star) * np.exp(-sys2.gamma_sum * traj.times)
-    assert np.abs(lam_fit - lam_ref).max() <= 1e-8
+# -------------------------------------------------------- invariance residual
+
+# demo 04's ladder, over beta E in [0.01, 100]
+DEMO_N, DEMO_E, DEMO_T = 14, 10.0, 1.0
+DEMO_BETAS = np.geomspace(0.01, 100.0, 400) / DEMO_E
+
+
+def top_population(N, E, betas):
+    """p_{N-1}(beta) of the Gibbs family of an equally spaced ladder."""
+    p = np.exp(-np.outer(betas, np.arange(N) * E))
+    return p[:, -1] / p.sum(axis=1)
+
+
+def test_invariance_residual_of_the_harmonic_rule_vanishes_below_the_top_level():
+    # the truncated top level breaks invariance only where it is populated
+    rng = np.random.default_rng(9)
+    cases = [(DEMO_N, DEMO_E, DEMO_T, 1.0, DEMO_BETAS)]
+    for _ in range(40):
+        N, E = int(rng.integers(3, 40)), float(10 ** rng.uniform(-1, 1))
+        cases.append((N, E, float(10 ** rng.uniform(-1, 1)), float(10 ** rng.uniform(-3, 3)),
+                      np.geomspace(0.01, 100.0, 200) / E))
+    for N, E, T, gamma, betas in cases:
+        _, residual = invariance_residual(build_oscillator(N, E, "harmonic", BathModel(gamma, T)),
+                                          betas)
+        empty = top_population(N, E, betas) < 1e-14
+        assert residual[empty].max() <= 1e-14
+
+
+def test_invariance_residual_of_the_constant_rule_is_of_order_one():
+    lad = build_oscillator(DEMO_N, DEMO_E, "constant", BathModel(1.0, DEMO_T))
+    assert invariance_residual(lad, DEMO_BETAS)[1].max() > 0.1
+
+
+def test_invariance_rate_of_the_harmonic_rule_is_the_reduced_equation():
+    # d ln a / dt = -E dbeta/dt, so lam = -thermalization_ode_rhs(a) / E
+    bath = BathModel(1.0, DEMO_T)
+    lam, _ = invariance_residual(build_oscillator(DEMO_N, DEMO_E, "harmonic", bath), DEMO_BETAS)
+    ref = np.array([-thermalization_ode_rhs(math.exp(-b * DEMO_E), bath, DEMO_E, 1.0) / DEMO_E
+                    for b in DEMO_BETAS])
+    far = ((np.abs(DEMO_BETAS - 1.0 / DEMO_T) >= 1e-3 / DEMO_T)
+           & (top_population(DEMO_N, DEMO_E, DEMO_BETAS) < 1e-14))
+    assert far.sum() > 100
+    np.testing.assert_allclose(lam[far], ref[far], rtol=1e-12, atol=0.0)
+
+
+def test_invariance_residual_of_two_levels_vanishes_at_any_rates():
+    rng = np.random.default_rng(13)
+    for gp, gm in [(0.0, 1.0), (1.0, 0.0), *rng.uniform(0.0, 5.0, (8, 2))]:
+        sys2 = TwoLevelSystem(float(rng.uniform(0.1, 10)), (0.6, 0.0, 0.8), float(gp), float(gm))
+        assert invariance_residual(sys2, np.linspace(-5.0, 5.0, 41))[1].max() <= 1e-15
+
+
+def test_invariance_residual_of_an_unequally_spaced_thermal_ladder_is_of_order_one():
+    # detailed balance on every rung fixes the bath Gibbs state, but not the family
+    rungs = [(0, 1, *rates_from_bath(BathModel(1.0, 1.0), 1.0)),
+             (1, 2, *rates_from_bath(BathModel(2.0, 1.0), 1.5))]
+    lad = LadderSystem((0.0, 1.0, 2.5), rungs)
+    assert invariance_residual(lad, np.geomspace(0.01, 10.0, 300))[1].max() > 0.1
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_invariance_residual_does_not_depend_on_the_units(scale):
+    # the residual is a difference of near-parallel vectors where it is
+    # small, so it is compared on the scale of its largest value
+    bath = BathModel(1.0, DEMO_T)
+    lam, residual = invariance_residual(build_oscillator(DEMO_N, DEMO_E, "constant", bath),
+                                        DEMO_BETAS)
+    fast = build_oscillator(DEMO_N, DEMO_E, "constant", BathModel(scale, DEMO_T))
+    wide = build_oscillator(DEMO_N, DEMO_E * scale, "constant", BathModel(1.0, DEMO_T * scale))
+    for sys_, betas, lam_unit in [(fast, DEMO_BETAS, scale),
+                                  (wide, DEMO_BETAS / scale, 1 / scale)]:
+        lam_s, residual_s = invariance_residual(sys_, betas)
+        assert np.abs(residual_s - residual).max() <= 1e-14 * residual.max()
+        np.testing.assert_allclose(lam_s, lam * lam_unit, rtol=1e-12, atol=0.0)
+
+
+def test_invariance_residual_refuses_a_ladder_without_rates():
+    with pytest.raises(ValueError, match="every rate is zero"):
+        invariance_residual(LadderSystem((0.0, 1.0, 2.0), [(0, 1, 0.0, 0.0), (1, 2, 0.0, 0.0)]),
+                            1.0)
+
+
+def test_invariance_residual_is_nan_where_the_tangent_underflows():
+    # at beta E = 1e4 every excited population, and so d, is exactly zero;
+    # pytest turns a RuntimeWarning into an error
+    lad = build_oscillator(DEMO_N, DEMO_E, "harmonic", BathModel(1.0, DEMO_T))
+    lam, residual = invariance_residual(lad, [1e3, 1.0 / DEMO_T])
+    assert math.isnan(lam[0]) and math.isnan(residual[0])
+    assert residual[1] <= 1e-15 and np.shape(invariance_residual(lad, 0.5)[0]) == ()
 
 
 # ---------------------------------------------------------------- experiment

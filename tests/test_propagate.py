@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebloch.dissipators import RhsSpec
 from ebloch.linalg import herm_part, trace_distance
@@ -26,7 +28,7 @@ from ebloch.systems import (
     build_two_level_hamiltonian,
     rates_from_bath,
 )
-from oracles import build_superoperator, master_rhs, vectorize
+from oracles import PAULI, bloch_vector, build_superoperator, master_rhs, vectorize
 
 
 def thermal_two_level(E=1.0, T=1.0, gamma=1.0, eps=(0.48, 0.36, 0.8)):
@@ -301,6 +303,31 @@ def test_propagate_flags_truncation_leak():
     assert any("truncation" in w for w in traj.warnings)
 
 
+# ------------------------------------------------------- Bloch's closed form
+
+
+unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: 0.1 <= math.hypot(*v)).map(lambda v: np.array(v) / math.hypot(*v))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(axis=unit_vectors, E=st.floats(0.1, 10.0), rate=st.floats(0.05, 5.0),
+       up=st.floats(0.0, 1.0), gamma_pd=st.floats(-1.0, 0.0), include_unitary=st.booleans(),
+       start=unit_vectors, radius=st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+def test_two_level_runs_follow_blochs_equation(axis, E, rate, up, gamma_pd, include_unitary,
+                                                start, radius):
+    # a tilted field axis, gp = up * rate and gm the rest, and a pure
+    # (radius 1) or mixed start, over 10 T1 = 10 / (gp + gm)
+    sys2 = TwoLevelSystem(E, tuple(axis), up * rate, rate - up * rate)
+    r0 = radius * start
+    rho0 = 0.5 * (np.eye(2) + np.einsum("k,kij->ij", r0, PAULI))
+    spec = RhsSpec.for_system(sys2, gamma_pd=gamma_pd, include_unitary=include_unitary)
+    traj = propagate(spec, rho0, 10.0 / sys2.gamma_sum, 0.05 / sys2.gamma_sum, 10)
+    r = np.einsum("nij,kji->nk", traj.states, PAULI).real
+    ref = bloch_vector(sys2, gamma_pd, include_unitary, r0, traj.times)
+    assert np.abs(r - ref).max() <= 1e-13
+
+
 # --------------------------------- tilted specs, rotated into the H eigenbasis
 
 
@@ -311,13 +338,13 @@ def tilted_two_level_spec(gamma_pd=0.0):
     return spec
 
 
-def test_dense_amplifying_modes_refuse_a_fixed_point():
+def test_fixed_point_refuses_a_positive_gamma_pd_at_the_spec():
     # the spec refuses a positive gamma_pd, so fixed_point never sees one
     with pytest.raises(ValueError, match=r"^gamma_pd must be finite and <= 0, got 2\.0$"):
         fixed_point(tilted_two_level_spec(gamma_pd=+2.0))
 
 
-def test_dense_fixed_point_diagonalizes_its_superoperator_once(monkeypatch):
+def test_tilted_fixed_point_makes_one_eig_of_its_rate_matrix(monkeypatch):
     calls = []
     eig, eigvals = np.linalg.eig, np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append("eig") or eig(a))

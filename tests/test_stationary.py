@@ -13,7 +13,6 @@ from ebloch.stationary import (
     effective_temperature,
     fixed_point,
     gibbs_state,
-    two_level_stationary_analytic,
 )
 from ebloch.systems import (
     BathModel,
@@ -23,7 +22,7 @@ from ebloch.systems import (
     build_two_level_hamiltonian,
     rates_from_bath,
 )
-from oracles import commutator, is_psd, split_apply
+from oracles import commutator, is_psd, split_apply, two_level_stationary_analytic
 
 
 def thermal_two_level(E, T, gamma=1.0, eps=(0.6, 0.0, 0.8)):
