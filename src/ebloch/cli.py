@@ -5,9 +5,9 @@ option also as ``--opt=value`` (see README); ``-h``/``--help`` prints it.
 Subcommands: simulate, fixed-point, verify-algebra, canonical, bench.
 One sectioned key-value config file per run (UTF-8, in the INI dialect that
 :func:`read_sections` reads, documented in the README), deterministic CSV
-output (17 significant digits, atomic writes), seeded randomness recorded in
-output headers.  Exit codes: 0 success, 1 validation or usage error,
-2 numerical failure.
+output (each value in the text of ``'%.17g'``, atomic writes), seeded
+randomness recorded in output headers.  Exit codes: 0 success, 1 validation
+or usage error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .canonical import canonical_experiment
+from .csvtext import fmt, format_table
 from .dissipators import RhsSpec
 from .linalg import as_matrix
 from .propagate import PropagationError, propagate
@@ -78,29 +79,12 @@ class ScenarioConfig:
     canonical_T0: float | None
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
-def _float_lines(table, labels=None) -> list[str]:
-    """One CSV line per row of a 2-D float table, written with one
-    ``%.17g`` format string per row: the text of :func:`_fmt` for every
-    entry, nan, inf, -0 and subnormals included.  ``labels``, one string
-    per row, are appended as a last column through the same template."""
-    table = np.asarray(table, dtype=float)
-    fmt = ",".join(["%.17g"] * table.shape[1])
-    if labels is None:
-        return [fmt % tuple(row) for row in table.tolist()]
-    fmt += ",%s"
-    return [fmt % (*row, label) for row, label in zip(table.tolist(), labels)]
-
-
 def format_matrix_text(M) -> str:
     """State-matrix file format: one row per line, entries as re+imi pairs,
     each row written by one template of ``%.17g%+.17gi`` per entry."""
     M = np.ascontiguousarray(as_matrix(M))
-    fmt = " ".join(["%.17g%+.17gi"] * len(M))
-    return "\n".join([fmt % tuple(row) for row in M.view(float).tolist()]) + "\n"
+    template = " ".join(["%.17g%+.17gi"] * len(M))
+    return "\n".join([template % tuple(row) for row in M.view(float).tolist()]) + "\n"
 
 
 def parse_matrix_text(text: str) -> np.ndarray:
@@ -414,8 +398,9 @@ def initial_state(cfg: ScenarioConfig) -> np.ndarray:
     return rho
 
 
-def _write_atomic(path: str, text: str) -> None:
-    data = memoryview(text.encode())
+def _write_atomic(path: str, *texts: str) -> None:
+    """Write ``texts`` one after another to ``path``, through a temporary
+    file that replaces it; each is encoded only as it is written."""
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     # mode 0666, not mkstemp's 0600: the umask sets the output's mode
@@ -426,8 +411,10 @@ def _write_atomic(path: str, text: str) -> None:
         fd = os.open(tmp, flags, 0o666)
     try:
         try:
-            while data:  # os.write may write only a part
-                data = data[os.write(fd, data):]
+            for text in texts:
+                data = memoryview(text.encode())
+                while data:  # os.write may write only a part
+                    data = data[os.write(fd, data):]
         finally:
             os.close(fd)
         os.replace(tmp, path)
@@ -437,8 +424,9 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _csv(header: list[str], lines: list[str], comments: list[str] = ()) -> str:
-    return "\n".join([*(f"# {c}" for c in comments), ",".join(header), *lines]) + "\n"
+def _head(header: list[str], comments: list[str] = ()) -> str:
+    """The ``#`` comment lines and the header line that precede a CSV body."""
+    return "".join([*(f"# {c}\n" for c in comments), ",".join(header), "\n"])
 
 
 def _out(out_dir: str, cfg_path: str | None, default: str) -> str:
@@ -456,9 +444,8 @@ def run_simulate(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
         header += [f"p_{i}" for i in range(spec.dim)]
         columns.append(traj.populations())
     if cfg.what in ("coherences", "all"):
-        rows_i, cols_j = np.triu_indices(spec.dim, 1)
-        header += [f"abs_rho_{i}_{j}" for i, j in zip(rows_i.tolist(), cols_j.tolist())]
-        z = traj.states[:, rows_i, cols_j]
+        header += [f"abs_rho_{i}_{j}" for i in range(spec.dim) for j in range(i + 1, spec.dim)]
+        z = traj.upper_triangle()
         # hypot writes the bits of abs() of each complex entry; np.abs on a
         # complex array can round differently
         columns.append(np.hypot(z.real, z.imag))
@@ -468,10 +455,9 @@ def run_simulate(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
     if cfg.what == "diagnostics":
         header.append("top_pop")
         columns.append(traj.top_pop)
-    rows = _float_lines(np.column_stack(columns))
     comments = [f"warning: {w}" for w in traj.warnings]
     path = _out(out_dir, cfg.out_path, "trajectory.csv")
-    _write_atomic(path, _csv(header, rows, comments))
+    _write_atomic(path, _head(header, comments), format_table(np.column_stack(columns)))
     return [path]
 
 
@@ -483,9 +469,11 @@ def run_fixed_point(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
     spec = cfg.spec
     report = fixed_point(spec, bath_T=cfg.bath_T)
     header = ["residual", "gibbs_distance", "spectral_gap", "multiplicity"]
-    [row] = _float_lines([[report.residual, report.gibbs_distance, report.spectral_gap]])
+    # %.17g writes the count as the integer text str(multiplicity)
+    row = format_table([[report.residual, report.gibbs_distance, report.spectral_gap,
+                         report.multiplicity]])
     path = _out(out_dir, cfg.out_path, "fixed_point.csv")
-    _write_atomic(path, _csv(header, [f"{row},{report.multiplicity}"]))
+    _write_atomic(path, _head(header) + row)
     state_path = os.path.splitext(path)[0] + ".state.txt"
     if spec.compiled.V is None:
         p = report.p.tolist()
@@ -518,10 +506,10 @@ def run_verify_algebra(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str
     # %.17g writes the draw index k as the integer text str(k)
     table = np.column_stack([np.arange(cfg.verify_draws), gaps, axes, *res.values(),
                              rep.max_residual])
-    rows = _float_lines(table, ["true" if passed else "false" for passed in rep.passed.tolist()])
+    rows = format_table(table, rep.passed)
     worst = np.max(rep.max_residual, initial=0.0)
     path = _out(out_dir, cfg.out_path, "verify_algebra.csv")
-    _write_atomic(path, _csv(header, rows, [f"seed={seed}", f"max_residual={_fmt(worst)}"]))
+    _write_atomic(path, _head(header, [f"seed={seed}", f"max_residual={fmt(worst)}"]), rows)
     return [path]
 
 
@@ -538,9 +526,9 @@ def run_canonical(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
               "truncation_leak", "clean"]
     table = np.column_stack([diag.times, diag.mean_ratio, diag.a_series, diag.delta_series,
                              diag.max_nonuniformity, diag.lna_ode, diag.truncation_leak])
-    rows = _float_lines(table, ["true" if clean else "false" for clean in diag.clean.tolist()])
+    rows = format_table(table, diag.clean)
     path = _out(out_dir, cfg.out_path, "canonical.csv")
-    _write_atomic(path, _csv(header, rows, [f"ode_mismatch={_fmt(diag.ode_mismatch)}"]))
+    _write_atomic(path, _head(header, [f"ode_mismatch={fmt(diag.ode_mismatch)}"]), rows)
     return [path]
 
 
@@ -560,16 +548,16 @@ def run_bench(cfg: ScenarioConfig, seed: int, out_dir: str) -> list[str]:
               "ns_per_apply", "ratio_to_gkls", "checksum"]
     rows = [
         ",".join([row.kernel, str(row.dim), str(row.transitions), str(row.applications),
-                  str(row.chunks), _fmt(row.ns_per_apply), _fmt(row.ns_per_apply / gkls_ns),
-                  row.checksum])
+                  str(row.chunks), fmt(row.ns_per_apply), fmt(row.ns_per_apply / gkls_ns),
+                  row.checksum]) + "\n"
         for row in rows_data
     ]
     path = _out(out_dir, cfg.out_path, "bench.csv")
-    _write_atomic(path, _csv(header, rows, [
+    _write_atomic(path, "".join([_head(header, [
         f"seed={seed}",
         f"checksums_match={str(len(checksums) == 1).lower()}",
-        f"max_deviation={_fmt(dev)} over {n_dev} inputs",
-    ]))
+        f"max_deviation={fmt(dev)} over {n_dev} inputs",
+    ]), *rows]))
     if len(checksums) != 1:
         raise RuntimeError(
             f"kernel checksums disagree: {sorted(checksums)}; "

@@ -66,8 +66,9 @@ class Trajectory:
     out of the eigenbasis in place anew whenever it is read; a read whose
     stack would exceed ``MAX_RECORD_BYTES`` raises ``ValueError`` before
     allocating.
-    :meth:`populations` reads the records, never ``states``.  ``warnings``
-    lists every warning of the run.
+    :meth:`populations` reads the records, never ``states``, and so does
+    :meth:`upper_triangle` when V is None.  ``warnings`` lists every
+    warning of the run.
     """
 
     times: np.ndarray
@@ -92,6 +93,20 @@ class Trajectory:
             for lo in range(0, n, step):
                 s[lo:lo + step] = self._gen.rotate_out(s[lo:lo + step])
         return s
+
+    def upper_triangle(self) -> np.ndarray:
+        """(n_times, dim (dim - 1) / 2) entries of ``states`` above the
+        diagonal, in ``np.triu_indices(dim, 1)`` order, under the bound of
+        ``states``.  When V is None they are read from the records, zero
+        where no coherence is tracked, and ``states`` is not assembled."""
+        n, dim = self._pops.shape
+        if self._gen.V is not None:
+            return self.states[:, np.arange(dim)[:, None] < np.arange(dim)]
+        _check_record_bytes(f"{n} states of dim {dim}", n * dim * dim * 16)
+        z = np.zeros((n, dim * (dim - 1) // 2), dtype=complex)
+        a, b = self._pairs
+        z[:, a * dim - a * (a + 1) // 2 + b - a - 1] = self._cohs
+        return z
 
     def populations(self) -> np.ndarray:
         """(n_times, dim) diagonal of ``states`` from the records: p itself

@@ -219,6 +219,19 @@ def test_invariance_residual_of_the_constant_rule_is_of_order_one():
     assert invariance_residual(lad, DEMO_BETAS)[1].max() > 0.1
 
 
+def test_invariance_residual_of_random_constant_rule_ladders_stays_above_1e_3():
+    # demo 04's N = 14 ladder reads 0.38 (above); short ladders read less
+    rng = np.random.default_rng(47)
+    worst = math.inf
+    for _ in range(300):
+        N, E = int(rng.integers(3, 40)), float(10 ** rng.uniform(-1, 1))
+        bath = BathModel(float(10 ** rng.uniform(-3, 3)), float(10 ** rng.uniform(-1, 1)))
+        _, residual = invariance_residual(build_oscillator(N, E, "constant", bath),
+                                          np.geomspace(0.01, 100.0, 200) / E)
+        worst = min(worst, residual.max())
+    assert worst > 1e-3
+
+
 def test_invariance_rate_of_the_harmonic_rule_is_the_reduced_equation():
     # d ln a / dt = -E dbeta/dt, so lam = -thermalization_ode_rhs(a) / E
     bath = BathModel(1.0, DEMO_T)

@@ -20,14 +20,14 @@ import ebloch
 from ebloch import bench
 from ebloch.cli import (
     ConfigError,
-    _float_lines,
-    _fmt,
     format_matrix_text,
     main,
     parse_config,
     parse_matrix_text,
     read_sections,
 )
+from ebloch.csvtext import _float_lines
+from ebloch.csvtext import fmt as _fmt
 from ebloch.dissipators import RhsSpec
 from ebloch.stationary import FixedPointReport, fixed_point, gibbs_state
 from ebloch.systems import SIGMA_X, SIGMA_Z, TwoLevelSystem
@@ -1563,6 +1563,15 @@ def test_no_run_loads_scipy_linalg_or_special(tmp_path):
     # the config reader is the package's own: no run imports configparser
     assert _loaded_after(tmp_path, calls, ("scipy", "scipy.linalg", "scipy.special",
                                            "configparser")) == []
+
+
+def test_csv_writing_runs_leave_fractions_decimal_and_statistics_unloaded(tmp_path):
+    # tables of 7,224, 2,107 and 650 values, all on the array path: its
+    # power table is built from Python ints alone
+    cfg = write(tmp_path, "osc.cfg", OSCILLATOR_RUN_CFG)
+    calls = [("simulate", cfg), ("canonical", cfg),
+             ("verify-algebra", write(tmp_path, "v.cfg", VERIFY_CFG.format(n=50)))]
+    assert _loaded_after(tmp_path, calls, ("fractions", "decimal", "statistics")) == []
 
 
 def test_bench_leaves_numpy_ma_and_statistics_unloaded(tmp_path):

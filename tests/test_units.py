@@ -120,21 +120,31 @@ CLI_SYSTEMS = {
                   "bath_T = {mu!r}\n",
     "two_level": "[system]\ntype = two_level\nE = {E!r}\neps = 0.6, 0, 0.8\ngamma = {lam!r}\n"
                  "bath_T = {T!r}\n",
+    # a ladder whose top level stays below canonical's leak tolerance
+    "quench": "[system]\ntype = oscillator\nN = 12\nspacing = {spacing!r}\ngamma = {lam!r}\n"
+              "bath_T = {mu!r}\n",
 }
 CLI_DISSIPATOR = "[dissipator]\ngamma_pd = {gamma_pd!r}\n"
 # simulate only: fixed-point reads neither a start nor a time grid
 CLI_START_AND_GRID = ("[initial]\ntype = file\npath = {start}\n"
                       "[integration]\nt_final = {t_final!r}\ndt = {dt!r}\nrecord_every = 8\n")
+# canonical only: it reads no [dissipator] and always starts from Gibbs at T0
+CLI_QUENCH = ("[integration]\nt_final = {t_final!r}\ndt = {dt!r}\nrecord_every = 10\n"
+              "[canonical]\nT0 = {T0!r}\n")
 CLI_OUTPUT = "[output]\npath = out.csv\nwhat = all\n"
 
 
 def cli_run(tmp_path, sub, system, lam=1.0, mu=1.0):
-    """(exit code, comment lines, header, float rows, state) of one CLI run;
-    the state is the fixed point's matrix, None for simulate."""
+    """(exit code, comment lines, header, float rows, extra) of one CLI run;
+    extra is the fixed point's matrix, canonical's ``clean`` column (which
+    the header and rows then leave out), or None for simulate."""
     out = tmp_path / f"{sub}-{system}-{lam:g}-{mu:g}"
     out.mkdir()
-    text = (CLI_SYSTEMS[system].format(lam=lam, mu=mu, E=1.3 * mu, T=0.7 * mu)
-            + CLI_DISSIPATOR.format(gamma_pd=-0.3 * lam / mu ** 2))
+    text = CLI_SYSTEMS[system].format(lam=lam, mu=mu, E=1.3 * mu, T=0.7 * mu, spacing=3 * mu)
+    if sub == "canonical":
+        text += CLI_QUENCH.format(t_final=3.0 / lam, dt=0.01 / lam, T0=2.0 * mu)
+    else:
+        text += CLI_DISSIPATOR.format(gamma_pd=-0.3 * lam / mu ** 2)
     if sub == "simulate":
         start = out / "start.txt"
         start.write_text(format_matrix_text(coherent_start(6 if system == "oscillator" else 2)))
@@ -147,9 +157,13 @@ def cli_run(tmp_path, sub, system, lam=1.0, mu=1.0):
     lines = (out / "out.csv").read_text().splitlines()
     comments = [l for l in lines if l.startswith("#")]
     header, *rows = [l.split(",") for l in lines if not l.startswith("#")]
-    state = (parse_matrix_text((out / "out.state.txt").read_text())
-             if sub == "fixed-point" else None)
-    return code, comments, header, np.array(rows, dtype=float), state
+    extra = None
+    if sub == "fixed-point":
+        extra = parse_matrix_text((out / "out.state.txt").read_text())
+    elif sub == "canonical":
+        header.pop()
+        extra = [row.pop() for row in rows]
+    return code, comments, header, np.array(rows, dtype=float), extra
 
 
 def assert_columns(got, ref, header, scaled=(), roundoff=()):
@@ -189,3 +203,20 @@ def test_cli_fixed_point_under_a_rate_or_energy_scale(tmp_path, system, lam, mu)
     assert_columns(got[3], ref[3], ref[2], scaled=[("spectral_gap", lam), ("residual", lam)],
                    roundoff=[("residual", 1e-13), ("gibbs_distance", 1e-13)])
     np.testing.assert_allclose(got[4], ref[4], rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("lam, mu", [(s, 1.0) for s in SCALES] + [(1.0, s) for s in SCALES])
+def test_cli_canonical_under_a_rate_or_energy_scale(tmp_path, lam, mu):
+    # T0 scales with the energies, so the quench is the same in units of the
+    # spacing and of 1/gamma
+    ref = cli_run(tmp_path, "canonical", "quench")
+    got = cli_run(tmp_path, "canonical", "quench", lam=lam, mu=mu)
+    assert got[0] == ref[0] == 0 and got[2] == ref[2]
+    assert got[4] == ref[4] and "true" in ref[4]  # clean, row by row
+    [mismatch], [mismatch_ref] = ([float(c.split("=")[1]) for c in run[1]] for run in (got, ref))
+    assert abs(mismatch - mismatch_ref) <= 1e-12
+    # the Gibbs start's log-ratio profile is flat: its nonuniformity is
+    # round-off in both runs, and every later row is compared
+    k = ref[2].index("max_nonuniformity")
+    assert max(ref[3][0, k], got[3][0, k]) <= 1e-14
+    assert_columns(got[3][1:], ref[3][1:], ref[2], scaled=[("t", 1 / lam)])
